@@ -1,52 +1,18 @@
 package core
 
 import (
-	"context"
-
 	"explframe/internal/harness"
 	"explframe/internal/stats"
 )
 
-// This file provides the parallel Monte Carlo sweeps over the package's
-// three trial kinds — full attacks, steering-only trials and prior-work
-// baselines.  Each sweep runs on the harness worker pool with the
-// determinism contract the experiment tables rely on: trial k's
-// configuration seed is drawn from stats.NewStream(base.Seed, k), so the
-// result slice is a pure function of the base configuration and trial
-// count, independent of worker count and scheduling.  Execution knobs
-// (worker count, cancellation) ride along as harness.Options and never
-// influence the statistics.
-
-// RunAttackTrials executes n independent end-to-end attack trials derived
-// from base.  Each trial re-seeds a copy of base from its private stream
-// (fresh weak cells, keys and noise per trial); mutate, when non-nil, can
-// adjust the copy further (e.g. scenario knobs) before the run.  Results
-// are ordered by trial index.
-func RunAttackTrials(base Config, n int, mutate func(trial int, cfg *Config), opts ...harness.Option) ([]*Report, error) {
-	return RunAttackTrialsContext(context.Background(), base, n, mutate, opts...)
-}
-
-// RunAttackTrialsContext is RunAttackTrials with cancellation: ctx stops the
-// trial dispatch between trials and aborts in-flight attacks between phases
-// (see Attack.RunContext), so a campaign cancel returns promptly even
-// mid-analysis.
-func RunAttackTrialsContext(ctx context.Context, base Config, n int, mutate func(trial int, cfg *Config), opts ...harness.Option) ([]*Report, error) {
-	// Copy before appending: the caller's slice may be shared across
-	// concurrent sweeps, and appending into spare capacity would race.
-	opts = append(append(make([]harness.Option, 0, len(opts)+1), opts...), harness.WithContext(ctx))
-	return harness.RunTrials(base.Seed, n, func(tr int, rng *stats.RNG) (*Report, error) {
-		cfg := base
-		cfg.Seed = rng.Uint64()
-		if mutate != nil {
-			mutate(tr, &cfg)
-		}
-		atk, err := NewAttack(cfg)
-		if err != nil {
-			return nil, err
-		}
-		return atk.RunContext(ctx)
-	}, opts...)
-}
+// This file provides the parallel Monte Carlo sweep over steering-only
+// trials (full attacks and baselines run as scenario specs).  The sweep
+// runs on the harness worker pool with the determinism contract the
+// experiment tables rely on: trial k's configuration seed is drawn from
+// stats.NewStream(base.Seed, k), so the result slice is a pure function of
+// the base configuration and trial count, independent of worker count and
+// scheduling.  Execution knobs (worker count, cancellation) ride along as
+// harness.Options and never influence the statistics.
 
 // RunSteeringTrials executes n independent steering trials derived from
 // base, re-seeding each copy from its trial stream.
@@ -55,15 +21,5 @@ func RunSteeringTrials(base SteeringConfig, n int, opts ...harness.Option) ([]*S
 		cfg := base
 		cfg.Seed = rng.Uint64()
 		return RunSteeringTrial(cfg)
-	}, opts...)
-}
-
-// RunBaselineTrials executes n independent baseline trials derived from
-// base, re-seeding each copy from its trial stream.
-func RunBaselineTrials(base BaselineConfig, n int, opts ...harness.Option) ([]*BaselineResult, error) {
-	return harness.RunTrials(base.Seed, n, func(_ int, rng *stats.RNG) (*BaselineResult, error) {
-		cfg := base
-		cfg.Seed = rng.Uint64()
-		return RunBaselineTrial(cfg)
 	}, opts...)
 }

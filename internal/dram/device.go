@@ -130,6 +130,12 @@ type Device struct {
 	// mitigation is enabled.
 	trr []trrState
 
+	// hammer is HammerLoop's per-call plan, kept on the device so repeated
+	// hammer bursts (the attack's steady state) allocate nothing; single is
+	// the resolved target of activate.
+	hammer hammerPlan
+	single aggressor
+
 	sinceRefresh   uint64
 	stats          DeviceStats
 	flipLog        []Flip
@@ -340,45 +346,91 @@ func (d *Device) Size() uint64 { return d.data.size }
 // the number grows chunk by chunk as distinguishing writes land.
 func (d *Device) MaterializedBytes() uint64 { return d.data.materializedBytes() }
 
-// activate opens the row containing a, charging disturbance to neighbours if
-// the access is a row conflict (the hammering primitive).
+// activate opens the row containing a (Read, Write and ActivateRow).
 func (d *Device) activate(a Addr) {
 	bg := d.mapper.BankGroup(a)
-	if d.openRow[bg] == a.Row {
-		d.stats.RowHits++
+	if d.rowHit(bg, a.Row) {
 		return
 	}
-	d.openRow[bg] = a.Row
+	d.resolve(&d.single, bg, a.Row)
+	d.open(&d.single)
+}
+
+// neighbour is one weak-cell row an activation disturbs, resolved to its
+// rowStates index.
+type neighbour struct {
+	si  int32
+	row int
+	w   float64
+}
+
+// aggressor is an activation target with its bank group and the weak-cell
+// rows it disturbs resolved: distance 1 (weight 1.0) then distance 2
+// (NeighbourWeight), lower side first.  Rows past the bank edge or without
+// weak cells are dropped — they carry no accumulator and cannot flip.
+type aggressor struct {
+	bg, row int
+	nb      [4]neighbour
+	n       int
+	// steadyHit reports whether the activation is a row-buffer hit in every
+	// round after the first of a hammer loop (set by planHammer only).
+	steadyHit bool
+}
+
+// resolve fills ag for (bankGroup, row).
+func (d *Device) resolve(ag *aggressor, bg, row int) {
+	ag.bg, ag.row, ag.n = bg, row, 0
+	d.addNeighbour(ag, row-1, 1.0)
+	d.addNeighbour(ag, row+1, 1.0)
+	if w := d.model.NeighbourWeight; w > 0 {
+		d.addNeighbour(ag, row-2, w)
+		d.addNeighbour(ag, row+2, w)
+	}
+}
+
+func (d *Device) addNeighbour(ag *aggressor, row int, w float64) {
+	if row < 0 || row >= d.geom.Rows {
+		return
+	}
+	if si := d.rowIdx[ag.bg*d.geom.Rows+row]; si >= 0 {
+		ag.nb[ag.n] = neighbour{si: si, row: row, w: w}
+		ag.n++
+	}
+}
+
+// rowHit reports, and counts, an access to the row already open in bank
+// group bg's row buffer.  Every access the device models goes through
+// rowHit and, when it is not a hit, open.
+func (d *Device) rowHit(bg, row int) bool {
+	if d.openRow[bg] != row {
+		return false
+	}
+	d.stats.RowHits++
+	return true
+}
+
+// open activates the resolved target's row after a row-buffer conflict,
+// charging disturbance to its neighbours (the hammering primitive).
+func (d *Device) open(ag *aggressor) {
+	d.openRow[ag.bg] = ag.row
 	d.stats.Activations++
 	d.sinceRefresh++
 
 	if d.trr != nil {
-		d.trrObserve(bg, a.Row)
+		d.trrObserve(ag.bg, ag.row)
 	}
-
-	// Disturb neighbours at distance 1 (weight 1.0) and 2 (NeighbourWeight).
-	d.addDisturb(bg, a.Row-1, 1.0)
-	d.addDisturb(bg, a.Row+1, 1.0)
-	if d.model.NeighbourWeight > 0 {
-		d.addDisturb(bg, a.Row-2, d.model.NeighbourWeight)
-		d.addDisturb(bg, a.Row+2, d.model.NeighbourWeight)
+	for i := range ag.nb[:ag.n] {
+		nb := &ag.nb[i]
+		d.disturb(ag.bg, nb.row, nb.si, nb.w)
 	}
-
 	if d.sinceRefresh >= d.model.RefreshInterval {
 		d.Refresh()
 	}
 }
 
-func (d *Device) addDisturb(bg, row int, w float64) {
-	if row < 0 || row >= d.geom.Rows {
-		return
-	}
-	si := d.rowIdx[bg*d.geom.Rows+row]
-	if si < 0 {
-		// Rows with no weak cells cannot flip; they carry no accumulator at
-		// all, which keeps hammering loops cheap.
-		return
-	}
+// disturb adds w to the accumulator of the weak-cell row (bg, row) held in
+// rowStates[si] and fires every still-armed cell the total reaches.
+func (d *Device) disturb(bg, row int, si int32, w float64) {
 	rs := &d.rowStates[si]
 	if rs.disturb == 0 {
 		d.dirty = append(d.dirty, si)
@@ -642,13 +694,6 @@ func (d *Device) rearmRange(lo, hi uint64) {
 // primitive (a read with the result discarded).
 func (d *Device) ActivateRow(pa uint64) {
 	d.activate(d.mapper.ToDRAM(pa))
-}
-
-// ActivateAddr opens the row at pre-resolved DRAM coordinates.  Hammer loops
-// translate their aggressor addresses once and then issue millions of
-// activations, so skipping the per-access ToDRAM matters.
-func (d *Device) ActivateAddr(a Addr) {
-	d.activate(a)
 }
 
 // WeakCellsInRange reports the weak cells whose physical byte address falls

@@ -423,10 +423,10 @@ func (p *Process) Hammer(va vm.VirtAddr) error {
 
 // HammerLoop issues rounds of activations cycling through vas in order —
 // the access-flush-access loop.  Each address is translated once up front
-// into a scratch buffer reused across calls; the activation sequence is
-// identical to calling Hammer per address per round, without re-walking the
-// page table and mapper millions of times, and steady-state hammering
-// allocates nothing (the zero-alloc contract BENCH_trajectory.json pins).
+// into a scratch buffer reused across calls and the device runs the loop
+// (dram.Device.HammerLoop); the result is identical to calling Hammer per
+// address per round, and steady-state hammering allocates nothing (the
+// zero-alloc contract BENCH_trajectory.json pins).
 func (p *Process) HammerLoop(vas []vm.VirtAddr, rounds int) error {
 	if cap(p.hammerAddrs) < len(vas) {
 		p.hammerAddrs = make([]dram.Addr, len(vas))
@@ -439,11 +439,7 @@ func (p *Process) HammerLoop(vas []vm.VirtAddr, rounds int) error {
 		}
 		addrs[i] = p.m.dev.Mapper().ToDRAM(pa)
 	}
-	for r := 0; r < rounds; r++ {
-		for _, a := range addrs {
-			p.m.dev.ActivateAddr(a)
-		}
-	}
+	p.m.dev.HammerLoop(addrs, rounds)
 	return nil
 }
 

@@ -133,25 +133,32 @@ type campaignRun struct {
 
 // appendLine adds one marshaled stream line and wakes the stream handlers.
 func (cr *campaignRun) appendLine(l StreamLine) {
+	cr.mu.Lock()
+	cr.appendLocked(l)
+	cr.mu.Unlock()
+}
+
+// appendLocked is appendLine with cr.mu held.
+func (cr *campaignRun) appendLocked(l StreamLine) {
 	data, err := json.Marshal(l)
 	if err != nil {
 		return // a TrialOutcome always marshals; defensive only
 	}
-	cr.mu.Lock()
 	cr.lines = append(cr.lines, data)
 	close(cr.notify)
 	cr.notify = make(chan struct{})
-	cr.mu.Unlock()
 }
 
-// finish moves the run to a terminal status and appends the terminal line.
+// finish moves the run to a terminal status and appends the terminal line
+// under one lock, so a snapshot that sees the terminal status also holds
+// the terminal line.
 func (cr *campaignRun) finish(status, errMsg string, table *report.Table) {
 	cr.mu.Lock()
+	defer cr.mu.Unlock()
 	cr.status = status
 	cr.errMsg = errMsg
 	cr.table = table
-	cr.mu.Unlock()
-	cr.appendLine(StreamLine{Campaign: cr.id, Spec: -1, Trial: -1, Status: status, Error: errMsg})
+	cr.appendLocked(StreamLine{Campaign: cr.id, Spec: -1, Trial: -1, Status: status, Error: errMsg})
 }
 
 // snapshot returns the lines from offset on, whether the stream is
@@ -495,14 +502,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 			flusher.Flush()
 		}
 		if terminal {
-			_, more, _ := cr.snapshot(offset)
-			if len(lines) == 0 && more {
-				continue // terminal line appended between snapshots
-			}
-			if offsetCaughtUp(cr, offset) {
-				return
-			}
-			continue
+			return // the snapshot ended with the terminal line
 		}
 		select {
 		case <-notify:
@@ -512,13 +512,6 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-}
-
-// offsetCaughtUp reports whether the stream handler has written every line.
-func offsetCaughtUp(cr *campaignRun, offset int) bool {
-	cr.mu.Lock()
-	defer cr.mu.Unlock()
-	return offset >= len(cr.lines)
 }
 
 // handleCancel cancels a running campaign; cancelling a finished one is a

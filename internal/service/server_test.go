@@ -3,12 +3,14 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"log"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -377,6 +379,50 @@ func TestServerRejectsBadSubmissions(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), "400") {
 			t.Fatalf("submission %q: want 400, got %v", body, err)
+		}
+	}
+}
+
+// Streams attached just before a campaign finishes must all end on the
+// terminal line: finish publishes the terminal status and its line under one
+// lock, so no stream can see the status, drain and leave without the line.
+func TestStreamsAttachedAtFinishEndOnTerminalLine(t *testing.T) {
+	const rounds, streams, trials = 40, 16, 3
+	for round := 0; round < rounds; round++ {
+		cr := &campaignRun{id: "c-finish", notify: make(chan struct{}), status: "running"}
+		s := &Server{runs: map[string]*campaignRun{cr.id: cr}, done: make(chan struct{})}
+		for i := 0; i < trials; i++ {
+			cr.appendLine(StreamLine{Campaign: cr.id, Trial: i})
+		}
+		var wg sync.WaitGroup
+		bodies := make([]*httptest.ResponseRecorder, streams)
+		for i := range bodies {
+			bodies[i] = httptest.NewRecorder()
+			wg.Add(1)
+			go func(w *httptest.ResponseRecorder) {
+				defer wg.Done()
+				r := httptest.NewRequest("GET", "/v1/campaigns/"+cr.id+"/stream", nil)
+				r.SetPathValue("id", cr.id)
+				s.handleStream(w, r)
+			}(bodies[i])
+		}
+		cr.finish("done", "", nil)
+		ended := make(chan struct{})
+		go func() { wg.Wait(); close(ended) }()
+		select {
+		case <-ended:
+		case <-time.After(30 * time.Second):
+			t.Fatalf("round %d: streams still open 30s after finish", round)
+		}
+		for i, w := range bodies {
+			lines := strings.Split(strings.TrimSuffix(w.Body.String(), "\n"), "\n")
+			if len(lines) != trials+1 {
+				t.Fatalf("round %d stream %d: %d lines, want %d", round, i, len(lines), trials+1)
+			}
+			var last StreamLine
+			if err := json.Unmarshal([]byte(lines[trials]), &last); err != nil || last.Status != "done" {
+				t.Fatalf("round %d stream %d: last line %q (%v), want the done line", round, i, lines[trials], err)
+			}
 		}
 	}
 }

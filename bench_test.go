@@ -7,6 +7,7 @@ package explframe_test
 import (
 	"testing"
 
+	"explframe/internal/bench"
 	"explframe/internal/cipher/aes"
 	"explframe/internal/cipher/present"
 	"explframe/internal/cipher/registry"
@@ -541,7 +542,7 @@ func BenchmarkSparseDeviceConstruction(b *testing.B) {
 // the default machine with allocation reporting — the zero-alloc contract
 // `benchtab -check-trajectory` enforces in CI.
 func BenchmarkHammerLoopSteadyState(b *testing.B) {
-	p, vas, err := machine.NewHammerBench(machine.MustGet("default"), 1)
+	p, vas, err := bench.NewHammerBench(machine.MustGet("default"), 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -557,12 +558,12 @@ func BenchmarkHammerLoopSteadyState(b *testing.B) {
 
 // BenchmarkHammerLoopPerMachine times the translation-cached hammer loop on
 // every registered machine profile — the in-tree counterpart of the
-// BENCH_machines.json snapshot benchtab emits (interface-dispatched mapper,
-// TRR sampling and geometry differences all land in this number).
+// trajectory's per-machine hammer rows (interface-dispatched mapper, TRR
+// sampling and geometry differences all land in this number).
 func BenchmarkHammerLoopPerMachine(b *testing.B) {
 	for _, name := range machine.Names() {
 		b.Run(name, func(b *testing.B) {
-			p, vas, err := machine.NewHammerBench(machine.MustGet(name), 1)
+			p, vas, err := bench.NewHammerBench(machine.MustGet(name), 1)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -578,10 +579,10 @@ func BenchmarkHammerLoopPerMachine(b *testing.B) {
 // BenchmarkPrimeProbe measures one steady-state Prime+Probe measurement
 // window (prime, victim encryption, probe) over the same deterministic
 // workload benchtab's trajectory probe rows are measured with
-// (machine.NewProbeBench), with allocation reporting — the zero-alloc probe
+// (bench.NewProbeBench), with allocation reporting — the zero-alloc probe
 // contract `benchtab -check-trajectory` enforces in CI.
 func BenchmarkPrimeProbe(b *testing.B) {
-	atk, err := machine.NewProbeBench("prime-probe")
+	atk, err := bench.NewProbeBench("prime-probe")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -598,7 +599,7 @@ func BenchmarkPrimeProbe(b *testing.B) {
 // BenchmarkEncryptBatchPerCipher times every registered cipher's encrypt
 // core through the scalar path and through the full-width batch (bitsliced)
 // path, over the same deterministic workload benchtab's trajectory rows are
-// measured with (machine.NewCipherCoreBench), so benchmark and snapshot
+// measured with (bench.NewCipherCoreBench), so benchmark and trajectory
 // cannot drift.  ns/op divided by lanes is the trajectory's ns/encryption.
 func BenchmarkEncryptBatchPerCipher(b *testing.B) {
 	for _, name := range registry.Names() {
@@ -606,7 +607,7 @@ func BenchmarkEncryptBatchPerCipher(b *testing.B) {
 		if !ok {
 			b.Fatalf("cipher %q vanished from the registry", name)
 		}
-		inst, table, dst, src, err := machine.NewCipherCoreBench(c)
+		inst, table, dst, src, err := bench.NewCipherCoreBench(c)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,5 +1,5 @@
 // benchtab regenerates every experiment table in the evaluation index
-// (E1–E18) and maintains the machine-profile bench baseline.
+// (E1–E18) and maintains the bench trajectory.
 //
 // Usage:
 //
@@ -9,16 +9,13 @@
 //	benchtab -format md      # render text, md, csv or json
 //	benchtab -out tables.md  # write to a file instead of stdout
 //
-//	benchtab -bench-machines BENCH_machines.json        # re-time every machine profile
-//	benchtab -check-bench-machines BENCH_machines.json  # parse/validate the snapshot (CI smoke)
-//
-//	benchtab -bench-machines BENCH_machines.json -append-trajectory BENCH_trajectory.json
-//	                                                    # ...and append the run (plus per-cipher
-//	                                                    # scalar/bitsliced core timings and per-technique
-//	                                                    # cache-probe timings) to the trajectory
-//	benchtab -check-trajectory BENCH_trajectory.json    # validate the trajectory, the bitsliced
-//	                                                    # speedup floors and the zero-alloc hammer
-//	                                                    # and probe contracts (CI gate)
+//	benchtab -append-trajectory BENCH_trajectory.json  # re-time every machine profile (hammer
+//	                                                   # loop + one attack trial), cipher core
+//	                                                   # (scalar/bitsliced) and cache-probe
+//	                                                   # technique; append the run as one point
+//	benchtab -check-trajectory BENCH_trajectory.json   # validate the trajectory, the bitsliced
+//	                                                   # speedup floors and the zero-alloc hammer
+//	                                                   # and probe contracts (CI gate)
 //
 // With more than one experiment selected, json emits a single JSON array
 // (one element per table) so the output stays parseable as one document;
@@ -34,6 +31,7 @@ import (
 	"strings"
 	"time"
 
+	"explframe/internal/bench"
 	"explframe/internal/experiments"
 	"explframe/internal/harness"
 	"explframe/internal/report"
@@ -46,28 +44,17 @@ func main() {
 	out := flag.String("out", "", "write rendered tables to this file instead of stdout")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0),
 		"trial workers per experiment; tables are identical at any value (deterministic per-trial streams)")
-	benchMachines := flag.String("bench-machines", "",
-		"re-time HammerLoop and one attack trial on every registered machine profile, write the JSON snapshot to this file and exit")
-	checkBenchMachines := flag.String("check-bench-machines", "",
-		"parse and validate a bench-machines snapshot (shape only, not timings) and exit")
 	appendTrajectory := flag.String("append-trajectory", "",
-		"with -bench-machines: also append the run, with per-cipher scalar/bitsliced core timings and per-technique cache-probe timings, as one timestamped point to this trajectory file")
+		"re-time HammerLoop and one attack trial on every registered machine profile, every cipher core (scalar and bitsliced) and every cache-probe technique, append the run as one timestamped point to this trajectory file and exit")
 	checkTrajectory := flag.String("check-trajectory", "",
 		"validate a bench trajectory (shape, append-only timestamps, machine/cipher/probe-technique coverage) plus the bitsliced speedup floors and the steady-state zero-alloc hammer and probe contracts, and exit")
 	flag.Parse()
 
-	if *appendTrajectory != "" && *benchMachines == "" {
-		fmt.Fprintln(os.Stderr, "-append-trajectory needs -bench-machines (the run being appended)")
-		os.Exit(2)
-	}
-	if *benchMachines != "" {
-		os.Exit(runBenchMachines(*benchMachines, *appendTrajectory))
-	}
-	if *checkBenchMachines != "" {
-		os.Exit(runCheckBenchMachines(*checkBenchMachines))
+	if *appendTrajectory != "" {
+		exitOn(bench.AppendTrajectory(*appendTrajectory, os.Stderr))
 	}
 	if *checkTrajectory != "" {
-		os.Exit(runCheckTrajectory(*checkTrajectory))
+		exitOn(bench.CheckTrajectory(*checkTrajectory, os.Stderr))
 	}
 
 	f, err := report.ParseFormat(*format)
@@ -139,4 +126,14 @@ func main() {
 	if jsonArray {
 		fmt.Fprintln(dst, "\n]")
 	}
+}
+
+// exitOn ends a bench mode: exit 0 on success, or print the error and
+// exit 1.
+func exitOn(err error) {
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	os.Exit(0)
 }

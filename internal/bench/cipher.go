@@ -1,19 +1,21 @@
-package machine
+package bench
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"time"
 
 	"explframe/internal/cipher/registry"
 	"explframe/internal/stats"
 )
 
-// CipherBenchEntry is one cipher-core timing row of a trajectory point:
+// CipherEntry is one cipher-core timing row of a trajectory point:
 // nanoseconds per encryption through the per-block scalar path and through
 // the batched (bitsliced) path, both over the same deterministic workload.
 // The ratio between the two is the regression gate `benchtab
 // -check-trajectory` holds the bitsliced cores to.
-type CipherBenchEntry struct {
+type CipherEntry struct {
 	// Cipher is the cipher's registry name (the lowercase canonical key,
 	// as reported by registry.Names).
 	Cipher string `json:"cipher"`
@@ -27,9 +29,10 @@ type CipherBenchEntry struct {
 }
 
 // NewCipherCoreBench builds the deterministic full-batch workload that both
-// MeasureCipherCores and BenchmarkEncryptBatchPerCipher time, so snapshot
-// and benchmark cannot drift: a seed-1 keyed instance, the canonical table,
-// and registry.BatchLanes random blocks with a matching destination batch.
+// the trajectory's cipher rows and BenchmarkEncryptBatchPerCipher time, so
+// trajectory and benchmark cannot drift: a seed-1 keyed instance, the
+// canonical table, and registry.BatchLanes random blocks with a matching
+// destination batch.
 func NewCipherCoreBench(c registry.Cipher) (inst registry.Instance, table []byte, dst, src [][]byte, err error) {
 	rng := stats.NewRNG(1)
 	key := make([]byte, c.KeyBytes())
@@ -56,22 +59,21 @@ func NewCipherCoreBench(c registry.Cipher) (inst registry.Instance, table []byte
 // milliseconds.
 const cipherTimingBlocks = 8192
 
-// MeasureCipherCores times every registered cipher's encrypt core through
+// measureCipherCores times every registered cipher's encrypt core through
 // the scalar path and through the full-width batch path, in registry order.
-// The figures feed the cipher rows of a trajectory point; like the hammer
-// timings they are host-dependent by nature, and it is the scalar-to-
-// bitsliced ratio that CI gates on.
-func MeasureCipherCores() ([]CipherBenchEntry, error) {
+// Like the hammer timings the figures are host-dependent by nature; it is
+// the scalar-to-bitsliced ratio that CI gates on.
+func measureCipherCores() ([]CipherEntry, error) {
 	names := registry.Names()
-	out := make([]CipherBenchEntry, 0, len(names))
+	out := make([]CipherEntry, 0, len(names))
 	for _, name := range names {
 		c, ok := registry.Get(name)
 		if !ok {
-			return nil, fmt.Errorf("machine: cipher %q vanished from the registry", name)
+			return nil, fmt.Errorf("bench: cipher %q vanished from the registry", name)
 		}
 		inst, table, dst, src, err := NewCipherCoreBench(c)
 		if err != nil {
-			return nil, fmt.Errorf("machine: cipher %q bench setup: %w", name, err)
+			return nil, fmt.Errorf("bench: cipher %q bench setup: %w", name, err)
 		}
 		batches := cipherTimingBlocks / registry.BatchLanes
 		// Warm each path once so one-time setup stays out of the sample.
@@ -87,7 +89,7 @@ func MeasureCipherCores() ([]CipherBenchEntry, error) {
 			inst.EncryptBatch(table, dst, src)
 		}
 		bitslicedNs := float64(time.Since(start).Nanoseconds()) / float64(batches*registry.BatchLanes)
-		out = append(out, CipherBenchEntry{
+		out = append(out, CipherEntry{
 			Cipher:                   name,
 			ScalarNsPerEncryption:    scalarNs,
 			BitslicedNsPerEncryption: bitslicedNs,
@@ -95,4 +97,28 @@ func MeasureCipherCores() ([]CipherBenchEntry, error) {
 		})
 	}
 	return out, nil
+}
+
+// checkCipherRows applies the bitsliced speedup gate to one set of
+// cipher-core timing rows, logging one line per row to w: AES-128's
+// table-heavy scalar path must be beaten at least 4x, and no cipher's
+// batch path may be slower than its scalar path.  label distinguishes the
+// checked-in rows from a live re-measure.
+func checkCipherRows(w io.Writer, rows []CipherEntry, label string) error {
+	var errs []error
+	for _, e := range rows {
+		ratio := e.ScalarNsPerEncryption / e.BitslicedNsPerEncryption
+		floor := 1.0
+		if e.Cipher == "aes-128" {
+			floor = 4.0
+		}
+		status := "ok"
+		if ratio < floor {
+			status = "FAIL"
+			errs = append(errs, fmt.Errorf("%s %s bitsliced speedup %.1fx is below its %.0fx floor", label, e.Cipher, ratio, floor))
+		}
+		fmt.Fprintf(w, "%-14s %s bitsliced speedup: %5.1fx (floor %.0fx) %s\n",
+			e.Cipher, label, ratio, floor, status)
+	}
+	return errors.Join(errs...)
 }

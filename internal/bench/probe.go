@@ -1,35 +1,35 @@
-package machine
+package bench
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
 	"explframe/internal/cache"
 	"explframe/internal/cipher/registry"
 	"explframe/internal/dram"
+	"explframe/internal/machine"
 	"explframe/internal/stats"
 )
 
-// ProbeBenchEntry is one cache-probe timing row of a trajectory point: the
-// cost of one probe measurement window (prime/evict, victim encryption,
+// ProbeEntry is one cache-probe timing row of a trajectory point: the cost
+// of one probe measurement window (prime/evict, victim encryption,
 // probe/reload) on the default machine.  Like the hammer and cipher rows
 // the absolute figure is host-dependent; what `benchtab -check-trajectory`
 // gates on is the zero-alloc steady-state contract next to it.
-type ProbeBenchEntry struct {
+type ProbeEntry struct {
 	// Technique is the probe technique's registered name (cache.Techniques).
 	Technique string `json:"technique"`
 	// NsPerMeasurement is the cost of one Attack.Step call.
 	NsPerMeasurement float64 `json:"ns_per_measurement"`
 }
 
-// NewProbeBench builds the deterministic probe workload MeasureProbeLoops,
-// ProbeLoopSteadyStateAllocs and BenchmarkPrimeProbe all share, so snapshot,
-// gate and benchmark cannot drift: the default machine's mapper under its
-// default slice hash, a seed-1 AES-128 victim, and the technique's default
-// probe configuration.
+// NewProbeBench builds the deterministic probe workload that the
+// trajectory's probe rows, the probe zero-alloc gate and BenchmarkPrimeProbe
+// all share, so trajectory, gate and benchmark cannot drift: the default
+// machine's mapper under its default slice hash, a seed-1 AES-128 victim,
+// and the technique's default probe configuration.
 func NewProbeBench(technique string) (*cache.Attack, error) {
-	ms := MustGet("default")
+	ms := machine.MustGet("default")
 	mapper, err := dram.NewNamedMapper(ms.MapperName(), ms.Geometry)
 	if err != nil {
 		return nil, err
@@ -52,29 +52,34 @@ const probeWarmupSteps = 64
 // timing all techniques under a second.
 const probeTimingSteps = 2048
 
-// probeSteadyStateRuns is how many measured bursts the allocation count is
-// averaged over, mirroring the hammer-loop gate.
-const probeSteadyStateRuns = 10
+// newWarmProbeBench builds a technique's probe workload and runs it past
+// its one-time allocations (eviction sets, accumulators).
+func newWarmProbeBench(technique string) (*cache.Attack, error) {
+	atk, err := NewProbeBench(technique)
+	if err != nil {
+		return nil, fmt.Errorf("bench: probe %q bench setup: %w", technique, err)
+	}
+	for i := 0; i < probeWarmupSteps; i++ {
+		atk.Step()
+	}
+	return atk, nil
+}
 
-// MeasureProbeLoops times one probe measurement window for every registered
-// technique, in cache.Techniques order.  The figures feed the probe rows of
-// a trajectory point.
-func MeasureProbeLoops() ([]ProbeBenchEntry, error) {
+// measureProbeLoops times one probe measurement window for every registered
+// technique, in cache.Techniques order.
+func measureProbeLoops() ([]ProbeEntry, error) {
 	techs := cache.Techniques()
-	out := make([]ProbeBenchEntry, 0, len(techs))
+	out := make([]ProbeEntry, 0, len(techs))
 	for _, tech := range techs {
-		atk, err := NewProbeBench(tech)
+		atk, err := newWarmProbeBench(tech)
 		if err != nil {
-			return nil, fmt.Errorf("machine: probe %q bench setup: %w", tech, err)
-		}
-		for i := 0; i < probeWarmupSteps; i++ {
-			atk.Step()
+			return nil, err
 		}
 		start := time.Now()
 		for i := 0; i < probeTimingSteps; i++ {
 			atk.Step()
 		}
-		out = append(out, ProbeBenchEntry{
+		out = append(out, ProbeEntry{
 			Technique:        tech,
 			NsPerMeasurement: float64(time.Since(start).Nanoseconds()) / probeTimingSteps,
 		})
@@ -82,29 +87,21 @@ func MeasureProbeLoops() ([]ProbeBenchEntry, error) {
 	return out, nil
 }
 
-// ProbeLoopSteadyStateAllocs warms one technique's probe attack past its
-// one-time allocations (eviction sets, accumulators) and returns the average
-// number of heap allocations per steady-state burst of Step calls.  The
+// probeLoopSteadyStateAllocs returns the average number of heap
+// allocations per steady-state burst of a technique's Step calls.  The
 // contract mirrors HammerLoopSteadyStateAllocs: exactly zero, or a
 // measurement-budget sweep drowns in garbage-collector work.
 //
 // Meaningless under the race detector; callers gate on RaceEnabled.
-func ProbeLoopSteadyStateAllocs(technique string) (float64, error) {
-	atk, err := NewProbeBench(technique)
+func probeLoopSteadyStateAllocs(technique string) (float64, error) {
+	atk, err := newWarmProbeBench(technique)
 	if err != nil {
 		return 0, err
 	}
-	for i := 0; i < probeWarmupSteps; i++ {
-		atk.Step()
-	}
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < probeSteadyStateRuns; i++ {
-		for j := 0; j < probeTimingSteps; j++ {
+	return steadyStateAllocs(func() error {
+		for i := 0; i < probeTimingSteps; i++ {
 			atk.Step()
 		}
-	}
-	runtime.ReadMemStats(&after)
-	return float64(after.Mallocs-before.Mallocs) / probeSteadyStateRuns, nil
+		return nil
+	})
 }

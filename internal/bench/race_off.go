@@ -1,6 +1,6 @@
 //go:build !race
 
-package machine
+package bench
 
 // RaceEnabled reports whether the binary was built with the race detector;
 // see race_on.go.

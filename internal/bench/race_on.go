@@ -1,6 +1,6 @@
 //go:build race
 
-package machine
+package bench
 
 // RaceEnabled reports whether the binary was built with the race detector,
 // whose instrumentation allocates on its own and invalidates the

@@ -1,4 +1,4 @@
-package machine
+package bench
 
 import (
 	"bytes"
@@ -9,38 +9,58 @@ import (
 
 	"explframe/internal/cache"
 	"explframe/internal/cipher/registry"
+	"explframe/internal/machine"
 )
 
-// TrajectorySchema is the current BENCH_trajectory.json schema version.
+// TrajectorySchema is the current BENCH_trajectory.json schema version;
+// bump it when the point shape changes so stale files fail parsing loudly.
 const TrajectorySchema = 1
 
-// TrajectoryPoint is one timestamped performance sample: the full set of
-// per-machine bench entries measured in a single `benchtab -bench-machines
-// -append-trajectory` run.
+// MachineEntry is one machine profile's timing sample in a trajectory point.
+type MachineEntry struct {
+	// Machine is the registered profile name the sample was taken on.
+	Machine string `json:"machine"`
+	// Mapper is the profile's address-mapper kind.
+	Mapper string `json:"mapper"`
+	// MiB is the module capacity.
+	MiB uint64 `json:"mib"`
+	// HammerNsPerActivation is the measured cost of one HammerLoop
+	// activation through the full kernel/DRAM stack.
+	HammerNsPerActivation float64 `json:"hammer_ns_per_activation"`
+	// AttackTrialMs is the wall time of one seed-1 end-to-end attack trial.
+	AttackTrialMs float64 `json:"attack_trial_ms"`
+	// KeyRecovered records that trial's outcome, pinning that the timing
+	// measured a real attack, not an early bail-out.
+	KeyRecovered bool `json:"key_recovered"`
+}
+
+// TrajectoryPoint is one timestamped performance sample: every registered
+// machine, cipher core and probe technique measured in a single
+// `benchtab -append-trajectory` run.
 type TrajectoryPoint struct {
 	// Time is the sample time, RFC 3339 in UTC.
 	Time string `json:"time"`
-	// Host describes the sampling machine (GOOS/GOARCH, CPU count).
+	// Host describes the sampling machine (GOOS/GOARCH, CPU count — enough
+	// to judge comparability, no hostnames).
 	Host string `json:"host"`
 	// Entries holds one sample per machine profile registered at the time
-	// the point was taken, in the same shape as BENCH_machines.json.
-	Entries []BenchEntry `json:"entries"`
+	// the point was taken.
+	Entries []MachineEntry `json:"entries"`
 	// Ciphers holds one cipher-core timing sample per cipher registered at
 	// the time the point was taken (scalar vs bitsliced ns/encryption).
 	// Points predating the bitsliced cores omit the field; the latest point
 	// must carry it and cover the cipher registry exactly.
-	Ciphers []CipherBenchEntry `json:"ciphers,omitempty"`
+	Ciphers []CipherEntry `json:"ciphers,omitempty"`
 	// Probes holds one cache-probe timing sample per registered probe
 	// technique (ns per measurement window on the default machine).  Points
 	// predating the cache layer omit the field; the latest point must carry
 	// it and cover cache.Techniques exactly.
-	Probes []ProbeBenchEntry `json:"probes,omitempty"`
+	Probes []ProbeEntry `json:"probes,omitempty"`
 }
 
-// TrajectoryFile is the append-only performance history: where
-// BENCH_machines.json is a single mutable snapshot, the trajectory keeps
-// every appended point so regressions show up as a bend in the curve
-// rather than silently replacing the baseline.
+// TrajectoryFile is the append-only performance history: every appended
+// point is kept, so regressions show up as a bend in the curve rather than
+// silently replacing a baseline.
 type TrajectoryFile struct {
 	// Schema is TrajectorySchema at emission time.
 	Schema int `json:"schema"`
@@ -51,7 +71,7 @@ type TrajectoryFile struct {
 }
 
 // trajectoryNote is written into fresh trajectory files.
-const trajectoryNote = "append-only; extend with: go run ./cmd/benchtab -bench-machines BENCH_machines.json -append-trajectory BENCH_trajectory.json"
+const trajectoryNote = "append-only; extend with: go run ./cmd/benchtab -append-trajectory BENCH_trajectory.json"
 
 // ParseTrajectoryFile strictly decodes and shape-checks a trajectory
 // document: known schema, at least one point, strictly increasing RFC 3339
@@ -68,19 +88,8 @@ func ParseTrajectoryFile(data []byte) (TrajectoryFile, error) {
 	if err != nil {
 		return TrajectoryFile{}, err
 	}
-	var errs []error
-	last := f.Points[len(f.Points)-1]
-	if err := checkCoversRegistry(last); err != nil {
-		errs = append(errs, err)
-	}
-	if err := checkCoversCipherRegistry(last); err != nil {
-		errs = append(errs, err)
-	}
-	if err := checkCoversProbeTechniques(last); err != nil {
-		errs = append(errs, err)
-	}
-	if err := errors.Join(errs...); err != nil {
-		return TrajectoryFile{}, fmt.Errorf("machine: trajectory file invalid: latest point: %w", err)
+	if err := checkCoversRegistries(f.Points[len(f.Points)-1]); err != nil {
+		return TrajectoryFile{}, fmt.Errorf("bench: trajectory file invalid: latest point: %w", err)
 	}
 	return f, nil
 }
@@ -93,7 +102,7 @@ func parseTrajectoryHistory(data []byte) (TrajectoryFile, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&f); err != nil {
-		return TrajectoryFile{}, fmt.Errorf("machine: decode trajectory file: %w", err)
+		return TrajectoryFile{}, fmt.Errorf("bench: decode trajectory file: %w", err)
 	}
 	var errs []error
 	if f.Schema != TrajectorySchema {
@@ -149,87 +158,54 @@ func parseTrajectoryHistory(data []byte) (TrajectoryFile, error) {
 		}
 	}
 	if err := errors.Join(errs...); err != nil {
-		return TrajectoryFile{}, fmt.Errorf("machine: trajectory file invalid: %w", err)
+		return TrajectoryFile{}, fmt.Errorf("bench: trajectory file invalid: %w", err)
 	}
 	return f, nil
 }
 
-// checkCoversRegistry verifies a point samples exactly the registered
-// machine set — no stale names, no missing profiles, no duplicates.
-func checkCoversRegistry(p TrajectoryPoint) error {
-	var errs []error
-	sampled := make(map[string]bool, len(p.Entries))
-	for _, e := range p.Entries {
-		if sampled[e.Machine] {
-			errs = append(errs, fmt.Errorf("machine %q sampled twice", e.Machine))
-		}
-		sampled[e.Machine] = true
-		if _, ok := Get(e.Machine); !ok {
-			errs = append(errs, fmt.Errorf("machine %q is not registered", e.Machine))
-		}
-	}
-	for _, name := range Names() {
-		if !sampled[name] {
-			errs = append(errs, fmt.Errorf("registered machine %q has no sample", name))
-		}
-	}
-	return errors.Join(errs...)
+// checkCoversRegistries verifies a point samples exactly the registered
+// machine set, cipher set and probe-technique set.
+func checkCoversRegistries(p TrajectoryPoint) error {
+	return errors.Join(
+		checkCovers("machine", p.Entries, func(e MachineEntry) string { return e.Machine },
+			func(name string) bool { _, ok := machine.Get(name); return ok }, machine.Names()),
+		checkCovers("cipher", p.Ciphers, func(e CipherEntry) string { return e.Cipher },
+			func(name string) bool { _, ok := registry.Get(name); return ok }, registry.Names()),
+		checkCovers("probe technique", p.Probes, func(e ProbeEntry) string { return e.Technique },
+			cache.KnownTechnique, cache.Techniques()),
+	)
 }
 
-// checkCoversCipherRegistry verifies a point's cipher rows sample exactly
-// the registered cipher set — no stale names, no missing ciphers, no
-// duplicates.  Only the latest point is held to this (older points predate
-// the cipher rows or a registry change).
-func checkCoversCipherRegistry(p TrajectoryPoint) error {
+// checkCovers verifies that the rows' names are exactly the registered
+// set — no stale names, no missing ones, no duplicates.  what names the
+// registry in error messages, known looks a name up in it.
+func checkCovers[E any](what string, rows []E, name func(E) string, known func(string) bool, registered []string) error {
 	var errs []error
-	sampled := make(map[string]bool, len(p.Ciphers))
-	for _, e := range p.Ciphers {
-		if sampled[e.Cipher] {
-			errs = append(errs, fmt.Errorf("cipher %q sampled twice", e.Cipher))
+	sampled := make(map[string]bool, len(rows))
+	for _, row := range rows {
+		n := name(row)
+		if sampled[n] {
+			errs = append(errs, fmt.Errorf("%s %q sampled twice", what, n))
 		}
-		sampled[e.Cipher] = true
-		if _, ok := registry.Get(e.Cipher); !ok {
-			errs = append(errs, fmt.Errorf("cipher %q is not registered", e.Cipher))
-		}
-	}
-	for _, name := range registry.Names() {
-		if !sampled[name] {
-			errs = append(errs, fmt.Errorf("registered cipher %q has no sample", name))
+		sampled[n] = true
+		if !known(n) {
+			errs = append(errs, fmt.Errorf("%s %q is not registered", what, n))
 		}
 	}
-	return errors.Join(errs...)
-}
-
-// checkCoversProbeTechniques verifies a point's cache-probe rows sample
-// exactly the registered probe-technique set — no stale names, no missing
-// techniques, no duplicates.  Only the latest point is held to this (older
-// points predate the cache layer or a technique change).
-func checkCoversProbeTechniques(p TrajectoryPoint) error {
-	var errs []error
-	sampled := make(map[string]bool, len(p.Probes))
-	for _, e := range p.Probes {
-		if sampled[e.Technique] {
-			errs = append(errs, fmt.Errorf("probe technique %q sampled twice", e.Technique))
-		}
-		sampled[e.Technique] = true
-		if !cache.KnownTechnique(e.Technique) {
-			errs = append(errs, fmt.Errorf("probe technique %q is not registered", e.Technique))
-		}
-	}
-	for _, name := range cache.Techniques() {
-		if !sampled[name] {
-			errs = append(errs, fmt.Errorf("registered probe technique %q has no sample", name))
+	for _, n := range registered {
+		if !sampled[n] {
+			errs = append(errs, fmt.Errorf("registered %s %q has no sample", what, n))
 		}
 	}
 	return errors.Join(errs...)
 }
 
 // AppendPoint extends the trajectory in data (or starts a fresh file when
-// data is empty) with one point carrying the given machine bench entries,
+// data is empty) with one point carrying the given machine entries,
 // cipher-core timing rows and cache-probe timing rows, stamped now.  The
 // existing history is never rewritten: points only grow at the tail, and a
 // timestamp at or before the last point is rejected rather than reordered.
-func AppendPoint(data []byte, host string, entries []BenchEntry, ciphers []CipherBenchEntry, probes []ProbeBenchEntry, now time.Time) ([]byte, error) {
+func AppendPoint(data []byte, host string, entries []MachineEntry, ciphers []CipherEntry, probes []ProbeEntry, now time.Time) ([]byte, error) {
 	f := TrajectoryFile{Schema: TrajectorySchema, Note: trajectoryNote}
 	if len(data) > 0 {
 		parsed, err := parseTrajectoryHistory(data)
@@ -239,22 +215,16 @@ func AppendPoint(data []byte, host string, entries []BenchEntry, ciphers []Ciphe
 		f = parsed
 	}
 	if len(entries) == 0 {
-		return nil, errors.New("machine: refusing to append a point with no entries")
+		return nil, errors.New("bench: refusing to append a point with no entries")
 	}
 	p := TrajectoryPoint{Time: now.UTC().Format(time.RFC3339), Host: host, Entries: entries, Ciphers: ciphers, Probes: probes}
-	if err := checkCoversRegistry(p); err != nil {
-		return nil, fmt.Errorf("machine: new trajectory point: %w", err)
-	}
-	if err := checkCoversCipherRegistry(p); err != nil {
-		return nil, fmt.Errorf("machine: new trajectory point: %w", err)
-	}
-	if err := checkCoversProbeTechniques(p); err != nil {
-		return nil, fmt.Errorf("machine: new trajectory point: %w", err)
+	if err := checkCoversRegistries(p); err != nil {
+		return nil, fmt.Errorf("bench: new trajectory point: %w", err)
 	}
 	if n := len(f.Points); n > 0 {
 		last, err := time.Parse(time.RFC3339, f.Points[n-1].Time)
 		if err == nil && !now.UTC().After(last) {
-			return nil, fmt.Errorf("machine: new point at %s is not after the last point (%s)",
+			return nil, fmt.Errorf("bench: new point at %s is not after the last point (%s)",
 				p.Time, f.Points[n-1].Time)
 		}
 	}

@@ -1,4 +1,4 @@
-package machine
+package bench
 
 import (
 	"encoding/json"
@@ -10,16 +10,17 @@ import (
 
 	"explframe/internal/cache"
 	"explframe/internal/cipher/registry"
+	"explframe/internal/machine"
 )
 
 // sampleEntries fabricates a full registry-covering entry set with valid
 // timings, for exercising the trajectory shape checks without timing
 // anything.
-func sampleEntries() []BenchEntry {
-	var entries []BenchEntry
-	for _, name := range Names() {
-		ms := MustGet(name)
-		entries = append(entries, BenchEntry{
+func sampleEntries() []MachineEntry {
+	var entries []MachineEntry
+	for _, name := range machine.Names() {
+		ms := machine.MustGet(name)
+		entries = append(entries, MachineEntry{
 			Machine: name, Mapper: ms.MapperName(), MiB: ms.Geometry.TotalBytes() >> 20,
 			HammerNsPerActivation: 50, AttackTrialMs: 1000, KeyRecovered: true,
 		})
@@ -29,10 +30,10 @@ func sampleEntries() []BenchEntry {
 
 // sampleCiphers fabricates a registry-covering cipher-core row set with
 // valid timings, matching sampleEntries in spirit.
-func sampleCiphers() []CipherBenchEntry {
-	var rows []CipherBenchEntry
+func sampleCiphers() []CipherEntry {
+	var rows []CipherEntry
 	for _, name := range registry.Names() {
-		rows = append(rows, CipherBenchEntry{
+		rows = append(rows, CipherEntry{
 			Cipher: name, ScalarNsPerEncryption: 500, BitslicedNsPerEncryption: 50, Lanes: 64,
 		})
 	}
@@ -41,10 +42,10 @@ func sampleCiphers() []CipherBenchEntry {
 
 // sampleProbes fabricates a technique-covering cache-probe row set with
 // valid timings.
-func sampleProbes() []ProbeBenchEntry {
-	var rows []ProbeBenchEntry
+func sampleProbes() []ProbeEntry {
+	var rows []ProbeEntry
 	for _, tech := range cache.Techniques() {
-		rows = append(rows, ProbeBenchEntry{Technique: tech, NsPerMeasurement: 2000})
+		rows = append(rows, ProbeEntry{Technique: tech, NsPerMeasurement: 2000})
 	}
 	return rows
 }
@@ -55,7 +56,7 @@ func sampleProbes() []ProbeBenchEntry {
 func TestCheckedInTrajectoryParses(t *testing.T) {
 	data, err := os.ReadFile(filepath.Join("..", "..", "BENCH_trajectory.json"))
 	if err != nil {
-		t.Fatalf("missing bench trajectory (append with `go run ./cmd/benchtab -bench-machines BENCH_machines.json -append-trajectory BENCH_trajectory.json`): %v", err)
+		t.Fatalf("missing bench trajectory (append with `go run ./cmd/benchtab -append-trajectory BENCH_trajectory.json`): %v", err)
 	}
 	f, err := ParseTrajectoryFile(data)
 	if err != nil {

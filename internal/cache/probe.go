@@ -155,8 +155,8 @@ type Result struct {
 // (eviction sets or page probes) sharing an LLC and page-cache model.
 // Construction performs all set-up and allocation; Step runs exactly one
 // measurement and is allocation-free on every technique, which is what
-// lets machine.MeasureProbeLoops and BenchmarkPrimeProbe time the loop
-// itself.
+// lets the bench trajectory's probe rows and BenchmarkPrimeProbe time the
+// loop itself.
 type Attack struct {
 	view   CacheView
 	llc    *LLC

@@ -154,7 +154,7 @@ func TestAttackDeterminism(t *testing.T) {
 
 // TestStepSteadyStateAllocs pins the allocation-free probe loops at the
 // package level; benchtab's -check-trajectory gate re-measures the same
-// property per technique through machine.ProbeLoopSteadyStateAllocs.
+// property per technique through the internal/bench probe workload.
 func TestStepSteadyStateAllocs(t *testing.T) {
 	aes := registry.MustGet("aes-128")
 	for _, tech := range Techniques() {

@@ -2,6 +2,7 @@ package dram
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"explframe/internal/stats"
@@ -311,5 +312,40 @@ func TestReadRangeMatchesPerByte(t *testing.T) {
 		if gu, gb := bulkDelta.ECCUncorrectable-bulkStats.ECCUncorrectable, byteDelta.ECCUncorrectable-byteStats.ECCUncorrectable; gu != gb {
 			t.Fatalf("range [%d,%d): bulk uncorrectable %d, per-byte %d", pa, pa+uint64(n), gu, gb)
 		}
+	}
+}
+
+// Constructing a device for a multi-GiB machine must not materialise the
+// module: an 8 GiB geometry with the default weak-cell population and no
+// writes may grow the heap by less than 64 MiB.
+func TestLargeDeviceConstructionIsSparse(t *testing.T) {
+	g := Geometry{Channels: 1, DIMMs: 1, Ranks: 1, Banks: 16, Rows: 1 << 16, RowBytes: 8192}
+	if got := g.TotalBytes(); got != 8<<30 {
+		t.Fatalf("geometry is %d bytes, want 8 GiB", got)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	d, err := NewDevice(g, DefaultFaultModel(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	grew := after.TotalAlloc - before.TotalAlloc
+	if limit := uint64(64 << 20); grew >= limit {
+		t.Errorf("NewDevice for 8 GiB allocated %d MiB; want < %d MiB", grew>>20, limit>>20)
+	}
+	if got := d.MaterializedBytes(); got != 0 {
+		t.Errorf("untouched device materialised %d bytes of backing store", got)
+	}
+	// Sanity: the device still behaves like memory.
+	pa := d.Size() - 1
+	if v := d.ReadNoActivate(pa); v != 0 {
+		t.Errorf("untouched byte reads %#x, want 0", v)
+	}
+	d.WriteNoActivate(pa, 0xA5)
+	if v := d.ReadNoActivate(pa); v != 0xA5 {
+		t.Errorf("read-back %#x, want 0xA5", v)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"explframe/internal/core"
 	"explframe/internal/harness"
 	"explframe/internal/report"
 	"explframe/internal/scenario"
@@ -89,33 +88,39 @@ func E14PCPPolicy(seed uint64, opts ...harness.Option) (*Table, error) {
 	}
 	const trials = 25
 
-	cell := 0
-	for _, fifo := range []bool{false, true} {
-		for _, pages := range []int{1, 4, 16} {
-			cfg := core.DefaultSteeringConfig()
-			cfg.Machine = smallMachine(seed)
-			cfg.Machine.PCPFIFO = fifo
-			cfg.Seed = stats.DeriveSeed(seed, label(14, uint64(cell)))
-			cfg.VictimRequestPages = pages
-			cell++
-			results, err := core.RunSteeringTrials(cfg, trials, opts...)
-			if err != nil {
-				return nil, err
-			}
-			var first stats.Proportion
-			var anywhere stats.Summary
-			for _, res := range results {
-				first.Observe(res.FirstPageHit)
-				anywhere.Observe(float64(res.PlantedReused))
-			}
-			policy := "LIFO (Linux)"
-			if fifo {
-				policy = "FIFO (ablated)"
-			}
-			t.AddRow(
-				report.Str(policy), report.Int(pages), f3(first.Rate()), f3(anywhere.Mean()),
-			)
+	cases := []struct {
+		fifo  bool
+		pages int
+	}{
+		{false, 1}, {false, 4}, {false, 16},
+		{true, 1}, {true, 4}, {true, 16},
+	}
+	camp := scenario.Campaign{Name: "E14"}
+	for ci, c := range cases {
+		o := []scenario.Option{
+			scenario.WithKind(scenario.Steering), scenario.WithTrials(trials),
+			scenario.WithVictimPages(c.pages),
+			scenario.WithSeed(stats.DeriveSeed(seed, label(14, uint64(ci)))),
 		}
+		if c.fifo {
+			o = append(o, scenario.WithPCPFIFO())
+		}
+		camp.Specs = append(camp.Specs, scenario.New(o...))
+	}
+	results, err := camp.Run(context.Background(), scenario.WithTrialOptions(opts...))
+	if err != nil {
+		return nil, err
+	}
+	for ci, res := range results {
+		c := cases[ci]
+		policy := "LIFO (Linux)"
+		if c.fifo {
+			policy = "FIFO (ablated)"
+		}
+		st := res.SteeringStats()
+		t.AddRow(
+			report.Str(policy), report.Int(c.pages), f3(st.FirstPage.Rate()), f3(st.PlantedReused.Mean()),
+		)
 	}
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("%d trials per row", trials),

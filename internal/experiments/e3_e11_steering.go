@@ -4,28 +4,11 @@ import (
 	"context"
 	"fmt"
 
-	"explframe/internal/core"
 	"explframe/internal/harness"
 	"explframe/internal/report"
 	"explframe/internal/scenario"
 	"explframe/internal/stats"
 )
-
-// steeringRate runs trials of one steering configuration on the parallel
-// harness and returns the first-page-hit proportion.  The per-trial seeds
-// derive from base.Seed, so a row's statistics are fixed by its seed alone.
-func steeringRate(base core.SteeringConfig, seed uint64, trials int, opts ...harness.Option) (stats.Proportion, error) {
-	base.Seed = seed
-	var p stats.Proportion
-	results, err := core.RunSteeringTrials(base, trials, opts...)
-	if err != nil {
-		return p, err
-	}
-	for _, res := range results {
-		p.Observe(res.FirstPageHit)
-	}
-	return p, nil
-}
 
 // E3Steering sweeps the steering success rate over victim request size,
 // noise level and CPU placement — the heart of Section V.
@@ -51,23 +34,32 @@ func E3Steering(seed uint64, opts ...harness.Option) (*Table, error) {
 		{4, 50, false}, {4, 150, false}, {4, 400, false},
 		{4, 0, true}, {16, 150, true},
 	}
+	camp := scenario.Campaign{Name: "E3"}
 	for ci, c := range cases {
-		cfg := core.DefaultSteeringConfig()
-		cfg.Machine = smallMachine(seed)
-		cfg.VictimRequestPages = c.pages
-		if c.noiseOps > 0 {
-			cfg.NoiseProcs = 2
-			cfg.NoiseOps = c.noiseOps
+		o := []scenario.Option{
+			scenario.WithKind(scenario.Steering), scenario.WithTrials(trials),
+			scenario.WithVictimPages(c.pages),
+			scenario.WithSeed(stats.DeriveSeed(seed, label(3, uint64(ci)))),
 		}
+		if c.noiseOps > 0 {
+			o = append(o, scenario.WithNoise(2, c.noiseOps))
+		}
+		if c.cross {
+			o = append(o, scenario.WithCrossCPU())
+		}
+		camp.Specs = append(camp.Specs, scenario.New(o...))
+	}
+	results, err := camp.Run(context.Background(), scenario.WithTrialOptions(opts...))
+	if err != nil {
+		return nil, err
+	}
+	for ci, res := range results {
+		c := cases[ci]
 		cpus := "same"
 		if c.cross {
-			cfg.VictimCPU = 1
 			cpus = "cross"
 		}
-		p, err := steeringRate(cfg, stats.DeriveSeed(seed, label(3, uint64(ci))), trials, opts...)
-		if err != nil {
-			return nil, err
-		}
+		p := res.SteeringStats().FirstPage
 		lo, hi := p.WilsonCI(1.96)
 		t.AddRow(
 			report.Int(c.pages), report.Int(c.noiseOps), report.Str(cpus),

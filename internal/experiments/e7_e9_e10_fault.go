@@ -15,6 +15,13 @@ import (
 	"explframe/internal/stats"
 )
 
+// E7 and E10 keep their own trial loops instead of running PFA-kind
+// scenario specs.  The PFA trial body (scenario's runPFATrial) draws a
+// clean plaintext before it plants the fault, so every later draw of a
+// trial would shift, and it stops at key recovery without recording the
+// residual entropy at each ciphertext checkpoint these curves plot.  A
+// PFA-kind spec would therefore redraw every golden number of both tables.
+
 // E7PFAAES reproduces the persistent-fault-analysis data-complexity curve
 // for AES-128: residual key entropy and recovery rate vs ciphertext count.
 func E7PFAAES(seed uint64, opts ...harness.Option) (*Table, error) {

@@ -202,27 +202,3 @@ func TestLoadSpec(t *testing.T) {
 		t.Fatal("missing file loaded")
 	}
 }
-
-// The bench file must survive its own encode/parse cycle.
-func TestBenchFileEncodeRoundTrip(t *testing.T) {
-	f := BenchFile{
-		Schema: BenchSchema,
-		Note:   "test",
-		Host:   "test/arch, 1 cpus",
-		Entries: []BenchEntry{{
-			Machine: "fast", Mapper: "linear", MiB: 32,
-			HammerNsPerActivation: 20, AttackTrialMs: 100, KeyRecovered: true,
-		}},
-	}
-	data, err := f.EncodeJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := ParseBenchFile(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back.Entries) != 1 || back.Entries[0] != f.Entries[0] {
-		t.Fatalf("round trip drifted: %+v", back)
-	}
-}

@@ -5,10 +5,12 @@
 package explframe_test
 
 import (
+	"encoding/binary"
 	"testing"
 
 	"explframe/internal/bench"
 	"explframe/internal/cipher/aes"
+	"explframe/internal/cipher/lilliput"
 	"explframe/internal/cipher/present"
 	"explframe/internal/cipher/registry"
 	"explframe/internal/core"
@@ -623,5 +625,48 @@ func BenchmarkEncryptBatchPerCipher(b *testing.B) {
 			}
 			b.ReportMetric(float64(len(src)), "encryptions/op")
 		})
+	}
+}
+
+// BenchmarkRecoverMaster times the 80-bit ciphers' schedule completion
+// (RecoverMaster over the 16 register bits the last round key hides)
+// through the registry.  "hit" starts from the true last round key; "miss"
+// flips one of its bits, so every one of the 2^16 guesses fails — the case
+// the multi-fault search and the LILLIPUT DFA end-game pay most often.
+func BenchmarkRecoverMaster(b *testing.B) {
+	key := []byte{0x01, 0x23, 0x45, 0x67, 0x89, 0xab, 0xcd, 0xef, 0x01, 0x23}
+	pks, _ := present.Expand(key)
+	lks, _ := lilliput.Expand(key)
+	for _, tc := range []struct {
+		name  string
+		klast uint64
+	}{
+		{"present-80", pks.RoundKey(present.Rounds + 1)},
+		{"lilliput-80", lks.RoundKey(lilliput.Rounds + 1)},
+	} {
+		c := registry.MustGet(tc.name)
+		inst, err := c.New(key)
+		if err != nil {
+			b.Fatal(err)
+		}
+		pt := []byte{0x00, 0x11, 0x22, 0x33, 0x44, 0x55, 0x66, 0x77}
+		ct := make([]byte, 8)
+		inst.Encrypt(c.SBox(), ct, pt)
+		for _, sub := range []struct {
+			name string
+			flip uint64
+		}{{"hit", 0}, {"miss", 1}} {
+			klast := make([]byte, 8)
+			binary.BigEndian.PutUint64(klast, tc.klast^sub.flip)
+			want := sub.flip == 0
+			b.Run(tc.name+"/"+sub.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, ok := c.RecoverMaster(klast, pt, ct); ok != want {
+						b.Fatalf("RecoverMaster ok = %v, want %v", ok, want)
+					}
+				}
+			})
+		}
 	}
 }

@@ -39,6 +39,10 @@ import (
 	"explframe/internal/service"
 )
 
+// readHeaderTimeout caps how long a client may take to send its request
+// headers, so a slow-header client cannot hold a connection open forever.
+const readHeaderTimeout = 10 * time.Second
+
 func main() { os.Exit(run(os.Args[1:])) }
 
 // run is the testable body of main.
@@ -83,7 +87,9 @@ func run(args []string) int {
 		srv.Shutdown()
 		return 1
 	}
-	hs := &http.Server{Handler: srv}
+	// Only the header read is bounded: campaign streams stay open for as
+	// long as their trials run, so no write or idle deadline applies.
+	hs := &http.Server{Handler: srv, ReadHeaderTimeout: readHeaderTimeout}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 	logger.Printf("listening on http://%s (journal %s, store %s)", ln.Addr(), *journal, *store)

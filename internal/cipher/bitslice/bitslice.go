@@ -17,6 +17,13 @@
 // the lanes whose nibble/byte equals e, and (table[e] ^ S[e]) & mask is
 // XORed into the output planes.  A fault-free table produces no patches
 // and costs nothing.
+//
+// The 64-bit SPN engine also runs key-sliced, with the lanes carrying 64
+// keys instead of 64 blocks: KeyReg80 holds 64 guesses of an 80-bit key
+// register as planes and steps their schedules together, and
+// SPN64.MatchKeys encrypts one known plaintext under all of them at once.
+// That is how the 80-bit ciphers complete a recovered last round key to
+// the master key.
 package bitslice
 
 // Lanes is the batch width of the bitsliced cores: one uint64 bit-plane
@@ -48,9 +55,10 @@ func Transpose64(a *[64]uint64) {
 // makes the circuit correct for any 4-bit S-box by derivation, not by
 // transcription.
 type Sbox4 struct {
-	// anf[o] has bit u set when monomial u (the AND of the input planes
-	// selected by u's bits) contributes to output bit o.
-	anf [4]uint16
+	// terms[o][:n[o]] lists the monomials u (the AND of the input planes
+	// selected by u's bits) whose XOR is output bit o.
+	terms [4][16]uint8
+	n     [4]uint8
 }
 
 // NewSbox4 derives the circuit for the given table; entries are masked to
@@ -68,7 +76,12 @@ func NewSbox4(table *[16]byte) Sbox4 {
 		f ^= (f & 0x3333) << 2
 		f ^= (f & 0x0F0F) << 4
 		f ^= (f & 0x00FF) << 8
-		s.anf[o] = f
+		for u := 0; u < 16; u++ {
+			if f>>uint(u)&1 != 0 {
+				s.terms[o][s.n[o]] = uint8(u)
+				s.n[o]++
+			}
+		}
 	}
 	return s
 }
@@ -76,7 +89,7 @@ func NewSbox4(table *[16]byte) Sbox4 {
 // Apply substitutes the four input planes through the circuit in place:
 // q[i] holds the plane of input bit i on entry and of output bit i on
 // return.
-func (s Sbox4) Apply(q *[4]uint64) {
+func (s *Sbox4) Apply(q *[4]uint64) {
 	// All 16 monomial planes, built with 11 ANDs by extending each subset
 	// one variable at a time.
 	var m [16]uint64
@@ -97,14 +110,10 @@ func (s Sbox4) Apply(q *[4]uint64) {
 	m[14] = m[6] & q[3]
 	m[15] = m[7] & q[3]
 	var out [4]uint64
-	for o := 0; o < 4; o++ {
-		a := s.anf[o]
+	for o := range out {
 		var v uint64
-		for u := 0; a != 0; u++ {
-			if a&1 != 0 {
-				v ^= m[u]
-			}
-			a >>= 1
+		for _, u := range s.terms[o][:s.n[o]] {
+			v ^= m[u&15]
 		}
 		out[o] = v
 	}
@@ -223,12 +232,7 @@ func (e *SPN64) encrypt(rk []uint64, table []byte, dst, src [][]byte, faultRound
 		for p := 0; p < 64; p++ {
 			st[p] ^= -(key >> uint(p) & 1)
 		}
-		e.sboxLayer(&st, patches)
-		var out [64]uint64
-		for p := 0; p < 64; p++ {
-			out[e.Perm[p]] = st[p]
-		}
-		st = out
+		e.substitutePermute(&st, patches)
 	}
 	key := rk[e.Rounds]
 	for p := 0; p < 64; p++ {
@@ -239,6 +243,44 @@ func (e *SPN64) encrypt(rk []uint64, table []byte, dst, src [][]byte, faultRound
 	for b := 0; b < n; b++ {
 		putBEU64(dst[b], st[b])
 	}
+}
+
+// MatchKeys enciphers one plaintext under 64 keys at once — the
+// key-sliced dual of EncryptBatch, where the lanes carry keys instead of
+// blocks — with the canonical S-box, and reports which lanes reproduce the
+// ciphertext.  rk[r-1][p] is the plane of bit p of round key r (rk[Rounds]
+// the whitening key), lane b holding key b; plaintext and ciphertext are
+// the same in every lane.  Bit b of the result is set when lane b's
+// encryption of plaintext equals ciphertext.
+func (e *SPN64) MatchKeys(rk [][64]uint64, plaintext, ciphertext uint64) uint64 {
+	if len(rk) != e.Rounds+1 {
+		panic("bitslice: MatchKeys needs Rounds+1 round-key plane sets")
+	}
+	var st [64]uint64
+	for p := range st {
+		st[p] = -(plaintext >> uint(p) & 1)
+	}
+	for r := 0; r < e.Rounds; r++ {
+		for p := range st {
+			st[p] ^= rk[r][p]
+		}
+		e.substitutePermute(&st, nil)
+	}
+	match := ^uint64(0)
+	for p := range st {
+		match &^= st[p] ^ rk[e.Rounds][p] ^ -(ciphertext >> uint(p) & 1)
+	}
+	return match
+}
+
+// substitutePermute runs one round's S-box layer and bit permutation.
+func (e *SPN64) substitutePermute(st *[64]uint64, patches []Patch4) {
+	e.sboxLayer(st, patches)
+	var out [64]uint64
+	for p := 0; p < 64; p++ {
+		out[e.Perm[p]] = st[p]
+	}
+	*st = out
 }
 
 // sboxLayer substitutes all 16 nibble groups through the patched circuit.
@@ -265,6 +307,73 @@ func (e *SPN64) sboxLayer(st *[64]uint64, patches []Patch4) {
 			}
 		}
 	}
+}
+
+// KeyReg80 is an 80-bit key register in bit-plane form, for key-sliced
+// search over the 80-bit ciphers' schedules: each plane carries one
+// register bit (bit 0 least significant) of 64 independent registers, one
+// per lane.  A rotation renames planes instead of moving them: logical
+// bit j lives in p[(j+off)%80].
+type KeyReg80 struct {
+	p   [80]uint64
+	off int
+}
+
+// lanePattern[j] has bit b set exactly when bit j of b is set, so loading
+// it into planes 0..5 numbers the lanes 0..63 in the register's low bits.
+var lanePattern = [6]uint64{
+	0xAAAAAAAAAAAAAAAA, 0xCCCCCCCCCCCCCCCC, 0xF0F0F0F0F0F0F0F0,
+	0xFF00FF00FF00FF00, 0xFFFF0000FFFF0000, 0xFFFFFFFF00000000,
+}
+
+// LoadLanes sets lane b to the 80-bit value hi<<16 | lo with its low six
+// bits replaced by b: the 64 consecutive registers from hi<<16 | lo&^63.
+func (k *KeyReg80) LoadLanes(hi uint64, lo uint16) {
+	k.off = 0
+	for j := 6; j < 16; j++ {
+		k.p[j] = -(uint64(lo) >> uint(j) & 1)
+	}
+	for j := 16; j < 80; j++ {
+		k.p[j] = -(hi >> uint(j-16) & 1)
+	}
+	copy(k.p[:6], lanePattern[:])
+}
+
+// plane returns the plane of logical register bit j.
+func (k *KeyReg80) plane(j int) *uint64 { return &k.p[(j+k.off)%80] }
+
+// XorConst XORs the constant v into every lane's register at bits j and
+// up (bit i of v into register bit j+i).
+func (k *KeyReg80) XorConst(j int, v uint64) {
+	for ; v != 0; v >>= 1 {
+		if v&1 != 0 {
+			*k.plane(j) = ^*k.plane(j)
+		}
+		j++
+	}
+}
+
+// Sbox substitutes the nibble at register bits j..j+3 of every lane
+// through the circuit s.
+func (k *KeyReg80) Sbox(s *Sbox4, j int) {
+	var q [4]uint64
+	for i := range q {
+		q[i] = *k.plane(j + i)
+	}
+	s.Apply(&q)
+	for i := range q {
+		*k.plane(j + i) = q[i]
+	}
+}
+
+// RotateLeft rotates every lane's register left by n bits (0 <= n < 80).
+func (k *KeyReg80) RotateLeft(n int) { k.off = (k.off + 80 - n) % 80 }
+
+// Top64 writes the planes of register bits 16..79 — the round key of both
+// 80-bit ciphers — to dst, dst[i] holding bit 16+i.
+func (k *KeyReg80) Top64(dst *[64]uint64) {
+	n := copy(dst[:], k.p[(16+k.off)%80:])
+	copy(dst[n:], k.p[:])
 }
 
 // beU64 reads a big-endian 8-byte block, the 64-bit ciphers' wire form.

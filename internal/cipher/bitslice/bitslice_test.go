@@ -95,3 +95,141 @@ func TestDiffTable4(t *testing.T) {
 		t.Fatalf("patches = %+v", ps)
 	}
 }
+
+// reg80 is the scalar reference for one lane of KeyReg80: bit j of the
+// register in r[j].
+type reg80 [80]byte
+
+func (r *reg80) rotateLeft(n int) {
+	var out reg80
+	for j := range r {
+		out[(j+n)%80] = r[j]
+	}
+	*r = out
+}
+
+func (r *reg80) sbox(table *[16]byte, j int) {
+	var x byte
+	for i := 0; i < 4; i++ {
+		x |= r[j+i] << uint(i)
+	}
+	y := table[x] & 0xF
+	for i := 0; i < 4; i++ {
+		r[j+i] = y >> uint(i) & 1
+	}
+}
+
+// Every lane of KeyReg80 tracks a scalar 80-bit register through a random
+// walk of constant XORs, S-box substitutions and rotations, and Top64
+// reads back its bits 16..79.
+func TestKeyReg80MatchesScalarRegister(t *testing.T) {
+	rng := stats.NewRNG(0x8e980)
+	for trial := 0; trial < 20; trial++ {
+		hi, lo := rng.Uint64(), uint16(rng.Intn(1<<16))
+		var k KeyReg80
+		k.LoadLanes(hi, lo)
+		var lanes [64]reg80
+		for b := range lanes {
+			for j := 0; j < 80; j++ {
+				switch {
+				case j < 6:
+					lanes[b][j] = byte(b >> uint(j) & 1)
+				case j < 16:
+					lanes[b][j] = byte(lo >> uint(j) & 1)
+				default:
+					lanes[b][j] = byte(hi >> uint(j-16) & 1)
+				}
+			}
+		}
+		var table [16]byte
+		for i, v := range rng.Perm(16) {
+			table[i] = byte(v)
+		}
+		circ := NewSbox4(&table)
+		for step := 0; step < 40; step++ {
+			switch rng.Intn(3) {
+			case 0:
+				j, v := rng.Intn(75), uint64(rng.Intn(32))
+				k.XorConst(j, v)
+				for b := range lanes {
+					for i := 0; i < 5; i++ {
+						lanes[b][j+i] ^= byte(v >> uint(i) & 1)
+					}
+				}
+			case 1:
+				j := rng.Intn(77)
+				k.Sbox(&circ, j)
+				for b := range lanes {
+					lanes[b].sbox(&table, j)
+				}
+			case 2:
+				n := rng.Intn(80)
+				k.RotateLeft(n)
+				for b := range lanes {
+					lanes[b].rotateLeft(n)
+				}
+			}
+			var top [64]uint64
+			k.Top64(&top)
+			for b := range lanes {
+				for i := 0; i < 64; i++ {
+					if got, want := byte(top[i]>>uint(b)&1), lanes[b][16+i]; got != want {
+						t.Fatalf("trial %d step %d lane %d: register bit %d = %d, want %d", trial, step, b, 16+i, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// MatchKeys flags exactly the lanes whose round keys encipher the
+// plaintext to the ciphertext, as the block-sliced engine computes it for
+// each lane's key on its own.
+func TestMatchKeysMatchesPerLaneEncryption(t *testing.T) {
+	present := [16]byte{0xC, 0x5, 0x6, 0xB, 0x9, 0x0, 0xA, 0xD, 0x3, 0xE, 0xF, 0x8, 0x4, 0x7, 0x1, 0x2}
+	e := NewSPN64(31, present, func(i int) int {
+		if i == 63 {
+			return 63
+		}
+		return i * 16 % 63
+	})
+	rng := stats.NewRNG(0x3a7c4)
+	for trial := 0; trial < 10; trial++ {
+		// Lane b's schedule is keys[b]; three lanes share the target's.
+		keys := make([][]uint64, Lanes)
+		for b := range keys {
+			keys[b] = make([]uint64, e.Rounds+1)
+			for r := range keys[b] {
+				keys[b][r] = rng.Uint64()
+			}
+		}
+		target := rng.Intn(Lanes)
+		want := uint64(1) << uint(target)
+		for _, b := range []int{rng.Intn(Lanes), rng.Intn(Lanes)} {
+			copy(keys[b], keys[target])
+			want |= 1 << uint(b)
+		}
+		rk := make([][64]uint64, e.Rounds+1)
+		for b, ks := range keys {
+			for r, key := range ks {
+				for p := 0; p < 64; p++ {
+					rk[r][p] |= (key >> uint(p) & 1) << uint(b)
+				}
+			}
+		}
+		src := [][]byte{make([]byte, 8)}
+		rng.Bytes(src[0])
+		dst := [][]byte{make([]byte, 8)}
+		e.EncryptBatch(keys[target], present[:], dst, src)
+		if got := e.MatchKeys(rk, beU64(src[0]), beU64(dst[0])); got != want {
+			t.Fatalf("trial %d: match mask %016x, want %016x", trial, got, want)
+		}
+		// Each lane's own ciphertext selects it (and its twins).
+		for b := range keys {
+			e.EncryptBatch(keys[b], present[:], dst, src)
+			if got := e.MatchKeys(rk, beU64(src[0]), beU64(dst[0])); got>>uint(b)&1 == 0 {
+				t.Fatalf("trial %d: lane %d does not match its own ciphertext (mask %016x)", trial, b, got)
+			}
+		}
+	}
+}

@@ -29,8 +29,9 @@ package lilliput
 import (
 	"errors"
 	"fmt"
-	"runtime"
-	"sync"
+	"math/bits"
+
+	"explframe/internal/cipher/bitslice"
 )
 
 // BlockSize is the block size in bytes.
@@ -46,13 +47,16 @@ const KeyBytes = 10
 // sbox is the LILLIPUT 4-bit S-box.
 var sbox = [16]byte{0x4, 0x8, 0x7, 0x1, 0x9, 0x3, 0x2, 0xE, 0xD, 0xC, 0x6, 0xF, 0x0, 0xB, 0x5, 0xA}
 
-var invSbox [16]byte
-
-func init() {
+var invSbox = func() (inv [16]byte) {
 	for i, v := range sbox {
-		invSbox[v] = byte(i)
+		inv[v] = byte(i)
 	}
-}
+	return inv
+}()
+
+// invKeySbox is the inverse S-box as a bitsliced circuit, for the
+// key-sliced schedule inversion in RecoverMasterFromLastRound.
+var invKeySbox = bitslice.NewSbox4(&invSbox)
 
 // SBox returns a fresh copy of the S-box; victims store it in simulated
 // memory where a Rowhammer flip can corrupt it.  Entries are 4-bit values
@@ -162,6 +166,13 @@ func Expand(key []byte) (*Schedule, error) {
 	}
 	h, l := loadKey(key)
 	s := &Schedule{}
+	expand(s, h, l)
+	return s, nil
+}
+
+// expand fills s from the key register halves h (bits 79..40) and l (bits
+// 39..0).
+func expand(s *Schedule, h, l uint64) {
 	for r := 1; r <= Rounds+1; r++ {
 		s.rk[r-1] = h<<24 | l>>16
 		if r == Rounds+1 {
@@ -169,7 +180,6 @@ func Expand(key []byte) (*Schedule, error) {
 		}
 		h, l = update(h, l, r)
 	}
-	return s, nil
 }
 
 // Encrypt enciphers one 64-bit block with the given round keys and S-box.
@@ -248,42 +258,52 @@ func putU64(b []byte, v uint64) {
 
 // RecoverMasterFromLastRound inverts the key schedule given the final round
 // key K31 and a known plaintext/ciphertext pair to resolve the 16 register
-// bits K31 does not expose.  It brute-forces those 16 bits (2^16 schedule
-// inversions, parallelised across CPUs) and returns the 10-byte master key.
+// bits K31 does not expose, and returns the 10-byte master key.  It
+// searches those 16 bits key-sliced, in ascending order on the calling
+// goroutine: each pass loads 64 consecutive guesses into the lanes of a
+// bit-plane key register, inverts the schedule on the planes, and
+// encrypts the plaintext under all 64 resulting schedules at once.  A lane
+// that reproduces the ciphertext is rebuilt and re-checked on the scalar
+// path before it is returned, so the result is the lowest verified guess.
+// Only the returned key is allocated.
 func RecoverMasterFromLastRound(k31 uint64, plaintext, ciphertext uint64) ([]byte, bool) {
-	sb := SBox()
-	workers := runtime.GOMAXPROCS(0)
-	if workers < 1 {
-		workers = 1
-	}
-	results := make(chan []byte, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for guess := w; guess < 1<<16; guess += workers {
-				h := k31 >> 24
-				l := (k31&0xFFFFFF)<<16 | uint64(guess)
-				for r := Rounds; r >= 1; r-- {
-					h, l = invUpdate(h, l, r)
-				}
-				key := storeKey(h, l)
-				ks, _ := Expand(key)
-				if Encrypt(ks, &sb, plaintext) == ciphertext {
-					select {
-					case results <- key:
-					default:
-					}
-					return
-				}
+	var rk [Rounds + 1][64]uint64
+	var reg bitslice.KeyReg80
+	for base := 0; base < 1<<16; base += bitslice.Lanes {
+		reg.LoadLanes(k31, uint16(base))
+		reg.Top64(&rk[Rounds])
+		// invUpdate on the planes, counters 30..1; the register before
+		// update r holds round key r.
+		for r := Rounds; r >= 1; r-- {
+			reg.XorConst(0, uint64(r))
+			reg.Sbox(&invKeySbox, 76)
+			reg.Sbox(&invKeySbox, 72)
+			reg.RotateLeft(80 - 23)
+			reg.Top64(&rk[r-1])
+		}
+		for m := engine.MatchKeys(rk[:], plaintext, ciphertext); m != 0; m &= m - 1 {
+			guess := uint64(base + bits.TrailingZeros64(m))
+			if key, ok := completeGuess(k31, guess, plaintext, ciphertext); ok {
+				return key, true
 			}
-		}(w)
+		}
 	}
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
-	key, ok := <-results
-	return key, ok
+	return nil, false
+}
+
+// completeGuess inverts the schedule from K31 and one guess of the 16
+// hidden register bits on the scalar path, and returns the master key if
+// its expansion enciphers plaintext to ciphertext.
+func completeGuess(k31, guess, plaintext, ciphertext uint64) ([]byte, bool) {
+	h := k31 >> 24
+	l := (k31&0xFFFFFF)<<16 | guess
+	for r := Rounds; r >= 1; r-- {
+		h, l = invUpdate(h, l, r)
+	}
+	var ks Schedule
+	expand(&ks, h, l)
+	if Encrypt(&ks, &sbox, plaintext) != ciphertext {
+		return nil, false
+	}
+	return storeKey(h, l), true
 }

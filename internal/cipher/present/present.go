@@ -10,8 +10,9 @@ package present
 import (
 	"errors"
 	"fmt"
-	"runtime"
-	"sync"
+	"math/bits"
+
+	"explframe/internal/cipher/bitslice"
 )
 
 // BlockSize is the PRESENT block size in bytes.
@@ -24,13 +25,16 @@ const Rounds = 31
 // sbox is the 4-bit PRESENT S-box.
 var sbox = [16]byte{0xC, 0x5, 0x6, 0xB, 0x9, 0x0, 0xA, 0xD, 0x3, 0xE, 0xF, 0x8, 0x4, 0x7, 0x1, 0x2}
 
-var invSbox [16]byte
-
-func init() {
+var invSbox = func() (inv [16]byte) {
 	for i, v := range sbox {
-		invSbox[v] = byte(i)
+		inv[v] = byte(i)
 	}
-}
+	return inv
+}()
+
+// invKeySbox is the inverse S-box as a bitsliced circuit, for the
+// key-sliced schedule inversion in RecoverMasterFromLastRound.
+var invKeySbox = bitslice.NewSbox4(&invSbox)
 
 // SBox returns a fresh copy of the S-box; victims store it in simulated
 // memory where a Rowhammer flip can corrupt it.  Entries are 4-bit values
@@ -94,7 +98,9 @@ var ErrKeySize = errors.New("present: key must be 10 (80-bit) or 16 (128-bit) by
 func Expand(key []byte) (*Schedule, error) {
 	switch len(key) {
 	case 10:
-		return expand80(key), nil
+		s := &Schedule{}
+		expand80(s, getU64(key), uint64(key[8])<<8|uint64(key[9]))
+		return s, nil
 	case 16:
 		return expand128(key), nil
 	default:
@@ -104,22 +110,16 @@ func Expand(key []byte) (*Schedule, error) {
 
 // expand80 runs the 80-bit key schedule: the register is k79..k0, the round
 // key is the top 64 bits, and the update is a 61-bit left rotation, S-box on
-// the top nibble, and the round counter XORed into bits 19..15.
-func expand80(key []byte) *Schedule {
-	hi := uint64(0) // k79..k16
-	lo := uint64(0) // k15..k0
-	for i := 0; i < 8; i++ {
-		hi = hi<<8 | uint64(key[i])
-	}
-	lo = uint64(key[8])<<8 | uint64(key[9])
-
-	s := &Schedule{keySize: 80}
+// the top nibble, and the round counter XORed into bits 19..15.  hi holds
+// register bits k79..k16, lo bits k15..k0.
+func expand80(s *Schedule, hi, lo uint64) {
+	s.keySize = 80
 	for r := 1; r <= Rounds+1; r++ {
 		s.rk[r-1] = hi
 		if r == Rounds+1 {
 			break
 		}
-		hi, lo = rotate80(hi, lo, 61)
+		hi, lo = rotate80(hi, lo)
 		top := byte(hi >> 60)
 		hi = hi&^(0xF<<60) | uint64(sbox[top])<<60
 		// Round counter into bits 19..15: bits 19..16 live in hi's low
@@ -128,16 +128,12 @@ func expand80(key []byte) *Schedule {
 		hi ^= ctr >> 1
 		lo ^= (ctr & 1) << 15
 	}
-	return s
 }
 
 // rotate80 rotates the 80-bit register (hi: top 64 bits, lo: bottom 16)
 // left by 61 bits — the only rotation the schedule uses.  A left rotation
 // by 61 is a right rotation by 19: the low 19 bits wrap to the top.
-func rotate80(hi, lo uint64, n uint) (uint64, uint64) {
-	if n != 61 {
-		panic("present: only the 61-bit schedule rotation is supported")
-	}
+func rotate80(hi, lo uint64) (uint64, uint64) {
 	wrapped := (hi&0x7)<<16 | lo // low 19 bits of the register
 	newLo := (hi >> 3) & 0xFFFF
 	newHi := hi>>19 | wrapped<<45
@@ -146,13 +142,21 @@ func rotate80(hi, lo uint64, n uint) (uint64, uint64) {
 
 // invRotate80 rotates right by 61 bits (left by 19): the top 19 bits wrap
 // to the bottom.
-func invRotate80(hi, lo uint64, n uint) (uint64, uint64) {
-	if n != 61 {
-		panic("present: only the 61-bit schedule rotation is supported")
-	}
+func invRotate80(hi, lo uint64) (uint64, uint64) {
 	newLo := (hi >> 45) & 0xFFFF
 	newHi := lo<<3 | hi<<19 | hi>>61
 	return newHi, newLo
+}
+
+// invUpdate80 inverts the 80-bit schedule update for round counter r: the
+// counter XOR, the top-nibble S-box and the rotation, in reverse order.
+func invUpdate80(hi, lo uint64, r int) (uint64, uint64) {
+	ctr := uint64(r)
+	hi ^= ctr >> 1
+	lo ^= (ctr & 1) << 15
+	top := byte(hi >> 60)
+	hi = hi&^(uint64(0xF)<<60) | uint64(invSbox[top])<<60
+	return invRotate80(hi, lo)
 }
 
 // expand128 runs the 128-bit key schedule: 61-bit rotation, S-box on the
@@ -258,53 +262,54 @@ func putU64(b []byte, v uint64) {
 
 // RecoverMasterFromLastRound inverts the PRESENT-80 key schedule given the
 // final round key K32 and a known plaintext/ciphertext pair to resolve the
-// 16 register bits K32 does not expose.  It brute-forces those 16 bits
-// (2^16 schedule inversions, parallelised across CPUs) and returns the
-// 10-byte master key.
+// 16 register bits K32 does not expose, and returns the 10-byte master key.
+// It searches those 16 bits key-sliced, in ascending order on the calling
+// goroutine: each pass loads 64 consecutive guesses into the lanes of a
+// bit-plane key register, inverts the schedule on the planes, and
+// encrypts the plaintext under all 64 resulting schedules at once.  A lane
+// that reproduces the ciphertext is rebuilt and re-checked on the scalar
+// path before it is returned, so the result is the lowest verified guess.
+// Only the returned key is allocated.
 func RecoverMasterFromLastRound(k32 uint64, plaintext, ciphertext uint64) ([]byte, bool) {
-	sb := SBox()
-	workers := runtime.GOMAXPROCS(0)
-	if workers < 1 {
-		workers = 1
-	}
-	results := make(chan []byte, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for guess := w; guess < 1<<16; guess += workers {
-				hi, lo := k32, uint64(guess)
-				// Invert the 31 schedule updates, counters 31..1.
-				for r := Rounds; r >= 1; r-- {
-					ctr := uint64(r)
-					hi ^= ctr >> 1
-					lo ^= (ctr & 1) << 15
-					top := byte(hi >> 60)
-					hi = hi&^(uint64(0xF)<<60) | uint64(invSbox[top])<<60
-					hi, lo = invRotate80(hi, lo, 61)
-				}
-				key := make([]byte, 10)
-				for i := 0; i < 8; i++ {
-					key[i] = byte(hi >> uint(8*(7-i)))
-				}
-				key[8] = byte(lo >> 8)
-				key[9] = byte(lo)
-				ks, _ := Expand(key)
-				if Encrypt(ks, &sb, plaintext) == ciphertext {
-					select {
-					case results <- key:
-					default:
-					}
-					return
-				}
+	var rk [Rounds + 1][64]uint64
+	var reg bitslice.KeyReg80
+	for base := 0; base < 1<<16; base += bitslice.Lanes {
+		reg.LoadLanes(k32, uint16(base))
+		reg.Top64(&rk[Rounds])
+		// Invert the 31 schedule updates, counters 31..1; the register
+		// before update r holds round key r.
+		for r := Rounds; r >= 1; r-- {
+			reg.XorConst(15, uint64(r))
+			reg.Sbox(&invKeySbox, 76)
+			reg.RotateLeft(19)
+			reg.Top64(&rk[r-1])
+		}
+		for m := engine.MatchKeys(rk[:], plaintext, ciphertext); m != 0; m &= m - 1 {
+			guess := uint64(base + bits.TrailingZeros64(m))
+			if key, ok := completeGuess(k32, guess, plaintext, ciphertext); ok {
+				return key, true
 			}
-		}(w)
+		}
 	}
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
-	key, ok := <-results
-	return key, ok
+	return nil, false
+}
+
+// completeGuess inverts the schedule from K32 and one guess of the 16
+// hidden register bits on the scalar path, and returns the master key if
+// its expansion enciphers plaintext to ciphertext.
+func completeGuess(k32, guess, plaintext, ciphertext uint64) ([]byte, bool) {
+	hi, lo := k32, guess
+	for r := Rounds; r >= 1; r-- {
+		hi, lo = invUpdate80(hi, lo, r)
+	}
+	var ks Schedule
+	expand80(&ks, hi, lo)
+	if Encrypt(&ks, &sbox, plaintext) != ciphertext {
+		return nil, false
+	}
+	key := make([]byte, 10)
+	putU64(key, hi)
+	key[8] = byte(lo >> 8)
+	key[9] = byte(lo)
+	return key, true
 }

@@ -1,0 +1,96 @@
+package present
+
+import (
+	"bytes"
+	"testing"
+
+	"explframe/internal/stats"
+)
+
+// invertScalar inverts the 31 schedule updates from K32 and one value of
+// the 16 hidden register bits, returning the 10-byte master key.
+func invertScalar(k32, hidden uint64) []byte {
+	hi, lo := k32, hidden
+	for r := Rounds; r >= 1; r-- {
+		hi, lo = invUpdate80(hi, lo, r)
+	}
+	key := make([]byte, 10)
+	for i := 0; i < 8; i++ {
+		key[i] = byte(hi >> uint(8*(7-i)))
+	}
+	key[8] = byte(lo >> 8)
+	key[9] = byte(lo)
+	return key
+}
+
+// recoverScalar is the reference schedule completion the key-sliced search
+// must match: one guess at a time in ascending order, each inverted,
+// expanded and encrypted on the scalar path.
+func recoverScalar(k32, plaintext, ciphertext uint64) ([]byte, bool) {
+	sb := SBox()
+	for guess := uint64(0); guess < 1<<16; guess++ {
+		key := invertScalar(k32, guess)
+		ks, _ := Expand(key)
+		if Encrypt(ks, &sb, plaintext) == ciphertext {
+			return key, true
+		}
+	}
+	return nil, false
+}
+
+// recoverCase builds a master key whose register, after the 31 schedule
+// updates, holds K32 on top and hidden in the 16 bits K32 does not expose,
+// and one known pair under it.
+func recoverCase(k32, hidden, pt uint64) (key []byte, ct uint64) {
+	key = invertScalar(k32, hidden)
+	ks, _ := Expand(key)
+	sb := SBox()
+	return key, Encrypt(ks, &sb, pt)
+}
+
+// The key-sliced search agrees with the scalar oracle on hits — hidden
+// bits on the lane (63/64) and pass (65472/0xFFFF) boundaries plus random
+// ones — and on a miss, where one flipped K32 bit leaves no guess standing.
+func TestRecoverMasterMatchesScalar(t *testing.T) {
+	rng := stats.NewRNG(0x4ec0e4)
+	hidden := []uint64{0, 63, 64, 65472, 0xFFFF, uint64(rng.Intn(1 << 16)), uint64(rng.Intn(1 << 16))}
+	for _, h := range hidden {
+		k32, pt := rng.Uint64(), rng.Uint64()
+		key, ct := recoverCase(k32, h, pt)
+		got, ok := RecoverMasterFromLastRound(k32, pt, ct)
+		want, wantOK := recoverScalar(k32, pt, ct)
+		if !ok || !wantOK || !bytes.Equal(got, want) || !bytes.Equal(got, key) {
+			t.Fatalf("hidden %#04x: key-sliced %x/%v, scalar %x/%v, master %x", h, got, ok, want, wantOK, key)
+		}
+	}
+
+	k32, pt := rng.Uint64(), rng.Uint64()
+	_, ct := recoverCase(k32, uint64(rng.Intn(1<<16)), pt)
+	k32 ^= 1 << uint(rng.Intn(64))
+	if got, ok := RecoverMasterFromLastRound(k32, pt, ct); ok {
+		t.Fatalf("key-sliced search accepted a wrong K32: %x", got)
+	}
+	if got, ok := recoverScalar(k32, pt, ct); ok {
+		t.Fatalf("scalar oracle accepted a wrong K32: %x", got)
+	}
+}
+
+// FuzzRecoverMaster checks that the search returns the master key behind
+// any (K32, hidden bits, plaintext) and rejects K32 with one bit flipped.
+// Run with: go test -fuzz=FuzzRecoverMaster ./internal/cipher/present
+func FuzzRecoverMaster(f *testing.F) {
+	f.Add(uint64(0), uint16(0), uint64(0), uint8(0))
+	f.Add(uint64(0x0123456789abcdef), uint16(0xFFFF), uint64(0x0011223344556677), uint8(63))
+	f.Add(uint64(0xdeadbeefcafef00d), uint16(64), uint64(0xFFFFFFFFFFFFFFFF), uint8(17))
+	f.Fuzz(func(t *testing.T, k32 uint64, hidden uint16, pt uint64, flip uint8) {
+		key, ct := recoverCase(k32, uint64(hidden), pt)
+		got, ok := RecoverMasterFromLastRound(k32, pt, ct)
+		if !ok || !bytes.Equal(got, key) {
+			t.Fatalf("K32 %016x hidden %#04x: recovered %x/%v, want %x", k32, hidden, got, ok, key)
+		}
+		bad := k32 ^ 1<<(flip%64)
+		if got, ok := RecoverMasterFromLastRound(bad, pt, ct); ok {
+			t.Fatalf("K32 %016x with bit %d flipped recovered %x", k32, flip%64, got)
+		}
+	})
+}

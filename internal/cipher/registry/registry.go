@@ -65,9 +65,10 @@ type Cipher interface {
 	// verify the result when it does); a nil pair skips verification where
 	// the schedule inverts uniquely.
 	RecoverMaster(lastRoundKey, plaintext, ciphertext []byte) ([]byte, bool)
-	// RecoverCost is the approximate number of schedule inversions one
-	// RecoverMaster call performs (1 for AES-128's unique inversion, 2^16
-	// for the 80-bit ciphers' brute-forced register remainder).  The
+	// RecoverCost is the number of master-key guesses one RecoverMaster
+	// call tests in the worst case: 1 for AES-128's unique inversion, 2^16
+	// for the 80-bit ciphers, whose key-sliced search covers the register
+	// bits the last round key hides 64 guesses per bitsliced pass.  The
 	// multi-fault search uses it to budget candidate enumeration.
 	RecoverCost() int
 }

@@ -171,7 +171,8 @@ func (a lilliputAnalyzer) Analyze(pairs []Pair, m fault.Model) (*Result, error) 
 }
 
 // lilMaxEnumerate bounds the end-game enumeration: each candidate costs one
-// RecoverMaster call (2^16 schedule inversions).
+// RecoverMaster call, a key-sliced search over the 2^16 hidden register
+// bits (1024 bitsliced passes) that every wrong candidate runs to the end.
 const lilMaxEnumerate = 16
 
 // lilCombos counts candidate combinations across nibbles, saturating just

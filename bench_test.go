@@ -1,4 +1,4 @@
-// Benchmarks: one per experiment table (E1..E12, see DESIGN.md) plus
+// Benchmarks: one per experiment table E1..E14 (see docs/RESULTS.md) plus
 // microbenchmarks of the substrate primitives.  The experiment benches run
 // one trial per iteration and report the experiment's headline metric via
 // b.ReportMetric; the full tables regenerate with cmd/benchtab.
@@ -92,7 +92,8 @@ func BenchmarkE3Steering(b *testing.B) {
 }
 
 // hammerBench builds a machine and a resident attacker buffer for the
-// hammer benches.
+// hammer benches: the geometry and fault model of the E4/E5 experiments'
+// hammer machine, at the given weak-cell density.
 func hammerBench(b *testing.B, density float64) (*kernel.Machine, *kernel.Process, vm.VirtAddr, uint64) {
 	b.Helper()
 	cfg := kernel.DefaultConfig()
@@ -100,7 +101,7 @@ func hammerBench(b *testing.B, density float64) (*kernel.Machine, *kernel.Proces
 	cfg.FaultModel = dram.FaultModel{
 		WeakCellDensity: density,
 		BaseThreshold:   4000,
-		ThresholdSpread: 1.0,
+		ThresholdSpread: 1.5,
 		NeighbourWeight: 0.25,
 		RefreshInterval: 1 << 21,
 		FlipReliability: 0.98,
@@ -171,25 +172,6 @@ func BenchmarkE5Repro(b *testing.B) {
 	b.ReportMetric(float64(ok)/float64(b.N), "repro_rate")
 }
 
-// attackBenchConfig mirrors experiments.attackConfig.
-func attackBenchConfig(seed uint64) core.Config {
-	cfg := core.DefaultConfig()
-	cfg.Seed = seed
-	cfg.Machine.Geometry = dram.Geometry{Channels: 1, DIMMs: 1, Ranks: 1, Banks: 4, Rows: 1024, RowBytes: 8192}
-	cfg.Machine.FaultModel = dram.FaultModel{
-		WeakCellDensity: 2e-4,
-		BaseThreshold:   1500,
-		ThresholdSpread: 0.5,
-		NeighbourWeight: 0.25,
-		RefreshInterval: 1 << 20,
-		FlipReliability: 0.98,
-	}
-	cfg.Hammer = rowhammer.Config{Mode: rowhammer.DoubleSided, PairHammerCount: 3200}
-	cfg.AttackerMemory = 8 << 20
-	cfg.Ciphertexts = 12000
-	return cfg
-}
-
 // BenchmarkE6EndToEnd runs one full attack per iteration and reports the
 // success rate and ciphertext cost (table E6).  The flip reliability is
 // pinned to 1 so the bench measures pipeline cost deterministically; the
@@ -197,7 +179,7 @@ func attackBenchConfig(seed uint64) core.Config {
 func BenchmarkE6EndToEnd(b *testing.B) {
 	wins, cts := 0, 0
 	for i := 0; i < b.N; i++ {
-		cfg := attackBenchConfig(uint64(i) + 1)
+		cfg := core.ConfigForMachine(machine.MustGet("fast"), uint64(i)+1)
 		cfg.Machine.FaultModel.FlipReliability = 1
 		atk, err := core.NewAttack(cfg)
 		if err != nil {
@@ -255,7 +237,7 @@ func BenchmarkE7PFA(b *testing.B) {
 func BenchmarkE8Baselines(b *testing.B) {
 	hits := 0
 	for i := 0; i < b.N; i++ {
-		ac := attackBenchConfig(uint64(i) + 1)
+		ac := core.ConfigForMachine(machine.MustGet("fast"), uint64(i)+1)
 		bc := core.DefaultBaselineConfig(core.RandomSpray)
 		bc.Seed = ac.Seed
 		bc.Machine = ac.Machine

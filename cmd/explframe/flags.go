@@ -12,9 +12,9 @@ import (
 	"explframe/internal/scenario"
 )
 
-// cliFlags is the shared scenario flag surface of run, sweep and the legacy
-// alias.  Every flag maps onto one scenario.Spec field; flags the user
-// explicitly set override the spec loaded from -scenario, field by field.
+// cliFlags is the shared scenario flag surface of run, sweep and submit.
+// Every flag maps onto one scenario.Spec field; flags the user explicitly
+// set override the spec loaded from -scenario, field by field.
 type cliFlags struct {
 	fs *flag.FlagSet
 
@@ -39,14 +39,14 @@ type cliFlags struct {
 
 // newFlags builds the flag set for a subcommand.  The table-rendering
 // flags (-format, -out) only take effect on the sweep path but parse
-// everywhere, keeping run/sweep/legacy invocations interchangeable.
+// everywhere, keeping run/sweep invocations interchangeable.
 func newFlags(name string) *cliFlags {
 	f := &cliFlags{fs: flag.NewFlagSet(name, flag.ContinueOnError)}
 	f.fs.StringVar(&f.scenarioRef, "scenario", "", "scenario source: a preset name (see 'explframe list') or a JSON spec file")
 	f.fs.StringVar(&f.machineRef, "machine", "",
 		"machine profile the scenario runs on (see 'explframe list -machines'); overrides the spec's profile or inline machine")
 	f.fs.Uint64Var(&f.seed, "seed", 1, "attack seed (weak cells, keys, noise)")
-	f.fs.IntVar(&f.trials, "trials", 1, "independent trials; with the legacy interface, >1 switches to a sweep")
+	f.fs.IntVar(&f.trials, "trials", 1, "independent trials")
 	f.fs.IntVar(&f.parallel, "parallel", runtime.GOMAXPROCS(0),
 		"trial workers; results are identical at any value (deterministic per-trial streams)")
 	f.fs.StringVar(&f.cipher, "cipher", "aes",

@@ -9,9 +9,8 @@
 //	explframe list [-machines]   list scenario/cache presets, machines, ciphers
 //	explframe describe <what>    print a preset's, spec file's or machine's JSON
 //	explframe describe machine <name>  print one machine profile's JSON
-//	explframe [flags]            legacy alias for run (with -trials > 1: sweep)
 //
-// Scenarios come from three equivalent sources: legacy flags (-cipher,
+// Scenarios come from three equivalent sources: scenario flags (-cipher,
 // -noise, -trr, ...), built-in presets (see `explframe list`), and JSON
 // spec files (-scenario spec.json).  All three construct the same
 // scenario.Spec and share one execution path, so
@@ -26,36 +25,45 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 )
 
 func main() {
-	args := os.Args[1:]
-	if len(args) > 0 {
-		switch args[0] {
-		case "run":
-			os.Exit(cmdRun(args[1:]))
-		case "sweep":
-			os.Exit(cmdSweep(args[1:]))
-		case "submit":
-			os.Exit(cmdSubmit(args[1:]))
-		case "watch":
-			os.Exit(cmdWatch(args[1:]))
-		case "list":
-			os.Exit(cmdList(args[1:]))
-		case "describe":
-			os.Exit(cmdDescribe(args[1:]))
-		case "help", "-h", "-help", "--help":
-			usage(os.Stdout)
-			os.Exit(0)
-		}
-	}
-	// Bare legacy invocation: flags only, no subcommand.  -trials > 1 keeps
-	// its historical meaning of a sweep.
-	os.Exit(cmdLegacy(args))
+	os.Exit(dispatch(os.Args[1:]))
 }
 
-func usage(w *os.File) {
+// dispatch routes args to their subcommand and returns the exit code.  An
+// invocation that does not start with a subcommand — no arguments, bare
+// flags or an unknown word — prints the usage to stderr and exits 2.
+func dispatch(args []string) int {
+	if len(args) == 0 {
+		usage(os.Stderr)
+		return 2
+	}
+	switch args[0] {
+	case "run":
+		return cmdRun(args[1:])
+	case "sweep":
+		return cmdSweep(args[1:])
+	case "submit":
+		return cmdSubmit(args[1:])
+	case "watch":
+		return cmdWatch(args[1:])
+	case "list":
+		return cmdList(args[1:])
+	case "describe":
+		return cmdDescribe(args[1:])
+	case "help", "-h", "-help", "--help":
+		usage(os.Stdout)
+		return 0
+	}
+	fmt.Fprintf(os.Stderr, "explframe: %q is not a subcommand\n\n", args[0])
+	usage(os.Stderr)
+	return 2
+}
+
+func usage(w io.Writer) {
 	fmt.Fprint(w, `explframe — ExplFrame attack scenarios on the simulated stack
 
 Subcommands:
@@ -80,10 +88,8 @@ Scenario sources (run and sweep):
   -machine NAME         run on a registered machine profile (see
                         'explframe list -machines'), overriding the spec's
                         profile or inline machine
-  (flags only)          the classic flag interface builds the same spec
+  (flags only)          the scenario flags alone build the same spec
 
-Run 'explframe <subcommand> -h' for the flag list.  Invoking explframe with
-bare flags and no subcommand behaves exactly like 'run' (or 'sweep' when
--trials > 1), so existing scripts keep working.
+Run 'explframe <subcommand> -h' for the flag list.
 `)
 }

@@ -168,17 +168,3 @@ func verdict(b bool) string {
 	}
 	return "miss"
 }
-
-// cmdLegacy preserves the historical flag-only interface: a single run, or
-// a sweep when -trials > 1.
-func cmdLegacy(args []string) int {
-	probe := newFlags("explframe")
-	probe.fs.SetOutput(os.Stderr)
-	if code, ok := probe.parse(args); !ok {
-		return code
-	}
-	if probe.trials > 1 {
-		return cmdSweep(args)
-	}
-	return cmdRun(args)
-}

@@ -5,7 +5,6 @@ import (
 
 	"explframe/internal/kernel"
 	"explframe/internal/rowhammer"
-	"explframe/internal/stats"
 	"explframe/internal/trace"
 	"explframe/internal/vm"
 )
@@ -96,9 +95,6 @@ func RunBaselineTrial(cfg BaselineConfig) (*BaselineResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	rng := stats.NewRNG(cfg.Seed ^ 0xba5e)
-	_ = rng
-
 	res := &BaselineResult{CorruptIndex: -1, RequiredPrivilege: "none"}
 	if cfg.Kind == PagemapTargeted {
 		res.RequiredPrivilege = "CAP_SYS_ADMIN"

@@ -3,23 +3,12 @@ package experiments
 import (
 	"fmt"
 
-	"explframe/internal/dram"
+	"explframe/internal/core"
 	"explframe/internal/harness"
-	"explframe/internal/kernel"
 	"explframe/internal/mm"
 	"explframe/internal/report"
 	"explframe/internal/stats"
-	"explframe/internal/vm"
 )
-
-// smallMachine returns a 64 MiB machine configuration that keeps per-trial
-// construction cheap in sweeps.
-func smallMachine(seed uint64) kernel.Config {
-	cfg := kernel.DefaultConfig()
-	cfg.Geometry = dram.Geometry{Channels: 1, DIMMs: 1, Ranks: 1, Banks: 8, Rows: 1024, RowBytes: 8192}
-	cfg.Seed = seed
-	return cfg
-}
 
 // E1Buddy exercises the buddy allocator under a churn workload and reports
 // split/coalesce activity and external fragmentation over time (Fig. 1's
@@ -117,10 +106,10 @@ func E2SelfReuse(seed uint64, opts ...harness.Option) (*Table, error) {
 			request, pcpBatch := req, batch
 			fracs, err := harness.RunTrials(stats.DeriveSeed(seed, label(2, uint64(cell))), trials,
 				func(_ int, rng *stats.RNG) (float64, error) {
-					mc := smallMachine(rng.Uint64())
+					mc := core.DefaultSteeringConfig().Machine
 					mc.PCPBatch = pcpBatch
 					mc.PCPHigh = pcpBatch * 6
-					return selfReuse(mc, freed, request)
+					return core.SelfReuseTrial(rng.Uint64(), mc, freed, request)
 				}, opts...)
 			if err != nil {
 				return nil, err
@@ -144,54 +133,4 @@ func E2SelfReuse(seed uint64, opts ...harness.Option) (*Table, error) {
 		PaperText: "\"probability of almost 1\"", Source: "Sec. V",
 	})
 	return t, nil
-}
-
-// selfReuse is the core of E2, shared with core.SelfReuseTrial but local so
-// the experiment controls the machine configuration precisely.
-func selfReuse(mc kernel.Config, freed, request int) (float64, error) {
-	m, err := kernel.NewMachine(mc)
-	if err != nil {
-		return 0, err
-	}
-	p, err := m.Spawn("self", 0)
-	if err != nil {
-		return 0, err
-	}
-	work := freed + 16
-	base, err := p.Mmap(uint64(work) * vm.PageSize)
-	if err != nil {
-		return 0, err
-	}
-	if err := p.Touch(base, uint64(work)*vm.PageSize); err != nil {
-		return 0, err
-	}
-	released := make(map[mm.PFN]bool, freed)
-	for i := 0; i < freed; i++ {
-		va := base + vm.VirtAddr(i)*vm.PageSize
-		pa, _ := p.Translate(va)
-		released[mm.PFNOf(pa)] = true
-		if err := p.Munmap(va, vm.PageSize); err != nil {
-			return 0, err
-		}
-	}
-	nbase, err := p.Mmap(uint64(request) * vm.PageSize)
-	if err != nil {
-		return 0, err
-	}
-	got := 0
-	for i := 0; i < request; i++ {
-		va := nbase + vm.VirtAddr(i)*vm.PageSize
-		if err := p.Store(va, 1); err != nil {
-			return 0, err
-		}
-		pa, _ := p.Translate(va)
-		if released[mm.PFNOf(pa)] {
-			got++
-		}
-	}
-	denom := freed
-	if request < freed {
-		denom = request
-	}
-	return float64(got) / float64(denom), nil
 }

@@ -24,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 
@@ -77,10 +78,15 @@ func WithTrialDone(fn func(trial int)) Option {
 	return func(o *runOpts) { o.trialDone = fn }
 }
 
-// TrialError wraps a failure of one trial with its index.
+// TrialError wraps a failure of one trial with its index.  A trial body
+// that panics fails like one that returns an error: its TrialError carries
+// the recovered value in Panic and the panicking goroutine's stack in Stack,
+// and the other trials run on unharmed.
 type TrialError struct {
 	Trial int
 	Err   error
+	Panic any
+	Stack []byte
 }
 
 // Error implements error.
@@ -128,7 +134,14 @@ func RunTrials[T any](seed uint64, n int, fn TrialFunc[T], opts ...Option) ([]T,
 			errs[i] = o.ctx.Err()
 			return
 		}
-		results[i], errs[i] = fn(i, stats.NewStream(seed, uint64(i)))
+		func() {
+			defer func() {
+				if v := recover(); v != nil {
+					errs[i] = &trialPanic{value: v, stack: debug.Stack()}
+				}
+			}()
+			results[i], errs[i] = fn(i, stats.NewStream(seed, uint64(i)))
+		}()
 		if o.trialDone != nil {
 			doneMu.Lock()
 			o.trialDone(i)
@@ -166,13 +179,27 @@ func RunTrials[T any](seed uint64, n int, fn TrialFunc[T], opts ...Option) ([]T,
 	return results, joinTrialErrors(errs)
 }
 
+// trialPanic is the error a recovered trial panic leaves behind until
+// joinTrialErrors lifts it into its TrialError.
+type trialPanic struct {
+	value any
+	stack []byte
+}
+
+func (p *trialPanic) Error() string { return fmt.Sprintf("panic: %v", p.value) }
+
 // joinTrialErrors wraps the non-nil entries as TrialErrors in trial order.
 func joinTrialErrors(errs []error) error {
 	var wrapped []error
 	for i, err := range errs {
-		if err != nil {
-			wrapped = append(wrapped, &TrialError{Trial: i, Err: err})
+		if err == nil {
+			continue
 		}
+		te := &TrialError{Trial: i, Err: err}
+		if p, ok := err.(*trialPanic); ok {
+			te.Panic, te.Stack = p.value, p.stack
+		}
+		wrapped = append(wrapped, te)
 	}
 	return errors.Join(wrapped...)
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -70,6 +71,45 @@ func TestRunTrialsErrorAggregation(t *testing.T) {
 		}
 		if i%3 != 0 && v != i*10 {
 			t.Fatalf("trial %d result %d", i, v)
+		}
+	}
+}
+
+// A panicking trial body fails only its own trial: its TrialError names the
+// index and carries the panic value and stack, every other trial keeps its
+// result, and WithTrialDone still fires once per trial.
+func TestRunTrialsRecoversPanic(t *testing.T) {
+	const n, bad = 12, 5
+	for _, workers := range []int{1, 4} {
+		var done [n]atomic.Int64
+		res, err := RunTrials(3, n, func(trial int, rng *stats.RNG) (uint64, error) {
+			if trial == bad {
+				panic("bad trial")
+			}
+			return rng.Uint64(), nil
+		}, WithWorkers(workers), WithTrialDone(func(trial int) { done[trial].Add(1) }))
+
+		var te *TrialError
+		if !errors.As(err, &te) {
+			t.Fatalf("workers=%d: error %v carries no TrialError", workers, err)
+		}
+		if te.Trial != bad || te.Panic != "bad trial" || !strings.Contains(err.Error(), "trial 5: panic: bad trial") {
+			t.Fatalf("workers=%d: TrialError %+v (%v) does not name the panicking trial", workers, te, err)
+		}
+		if !strings.Contains(string(te.Stack), "TestRunTrialsRecoversPanic") {
+			t.Fatalf("workers=%d: stack does not reach the trial body:\n%s", workers, te.Stack)
+		}
+		for i, v := range res {
+			want := stats.NewStream(3, uint64(i)).Uint64()
+			if i == bad {
+				want = 0
+			}
+			if v != want {
+				t.Fatalf("workers=%d: trial %d result %d, want %d", workers, i, v, want)
+			}
+			if c := done[i].Load(); c != 1 {
+				t.Fatalf("workers=%d: trial %d reported done %d times", workers, i, c)
+			}
 		}
 	}
 }

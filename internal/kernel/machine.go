@@ -133,7 +133,7 @@ func NewMachine(cfg Config) (*Machine, error) {
 // DRAM exposes the memory device (the attacker-visible hardware).
 func (m *Machine) DRAM() *dram.Device { return m.dev }
 
-// Phys exposes the physical allocator for inspection (tests, cmd/memsim).
+// Phys exposes the physical allocator for inspection (tests, benchmarks).
 func (m *Machine) Phys() *mm.PhysMem { return m.phys }
 
 // Config returns the machine configuration.

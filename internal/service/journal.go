@@ -48,9 +48,8 @@ type CampaignState struct {
 // tolerates exactly one truncated trailing line and drops it (that trial is
 // simply recomputed on resume).
 type Journal struct {
-	mu   sync.Mutex
-	f    *os.File
-	path string
+	mu sync.Mutex
+	f  *os.File
 }
 
 // OpenJournal opens (creating if needed) the journal at path for appending
@@ -72,11 +71,8 @@ func OpenJournal(path string) (*Journal, []*CampaignState, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("service: journal: %w", err)
 	}
-	return &Journal{f: f, path: path}, states, nil
+	return &Journal{f: f}, states, nil
 }
-
-// Path returns the journal's file path.
-func (j *Journal) Path() string { return j.path }
 
 // replay parses the journal file (missing file = empty journal) into
 // campaign states, returning alongside them the byte length of the valid

@@ -62,13 +62,12 @@ type ptNode struct {
 // PageTable is a 4-level radix page table.
 type PageTable struct {
 	root  *ptNode
-	nodes int // paging structures allocated, for accounting
 	leafs int // mapped (present) PTE count
 }
 
 // NewPageTable returns an empty page table.
 func NewPageTable() *PageTable {
-	return &PageTable{root: &ptNode{}, nodes: 1}
+	return &PageTable{root: &ptNode{}}
 }
 
 // indices splits a virtual address into its four paging-structure indices,
@@ -99,7 +98,6 @@ func (pt *PageTable) walk(va VirtAddr, create bool) (*ptNode, int) {
 			}
 			next = &ptNode{}
 			n.children[idx[l]] = next
-			pt.nodes++
 		}
 		n = next
 	}
@@ -160,9 +158,6 @@ func (pt *PageTable) Translate(va VirtAddr) (uint64, bool) {
 
 // MappedPages returns the number of present leaf translations.
 func (pt *PageTable) MappedPages() int { return pt.leafs }
-
-// StructureCount returns the number of paging structures allocated.
-func (pt *PageTable) StructureCount() int { return pt.nodes }
 
 // Walk visits every present translation in ascending virtual address order.
 func (pt *PageTable) Walk(visit func(va VirtAddr, pte PTE)) {

@@ -214,7 +214,7 @@ func BenchmarkE7PFA(b *testing.B) {
 		v := rng.Intn(256)
 		yStar := faulty[v]
 		faulty[v] ^= 1 << uint(rng.Intn(8))
-		col := pfa.NewAESCollector()
+		col := pfa.NewCollector(registry.MustGet("aes-128"))
 		pt := make([]byte, 16)
 		ct := make([]byte, 16)
 		for n := 1; ; n++ {
@@ -297,19 +297,24 @@ func BenchmarkE10Present(b *testing.B) {
 	rng := stats.NewRNG(4)
 	key := make([]byte, 10)
 	rng.Bytes(key)
-	ks, _ := present.Expand(key)
-	clean := present.SBox()
-	cleanPT := rng.Uint64()
-	cleanCT := present.Encrypt(ks, &clean, cleanPT)
+	c := registry.MustGet("present-80")
+	inst, _ := c.New(key)
+	cleanPT := binary.BigEndian.AppendUint64(nil, rng.Uint64())
+	cleanCT := make([]byte, 8)
+	inst.Encrypt(c.SBox(), cleanCT, cleanPT)
+	pt := make([]byte, 8)
+	ct := make([]byte, 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		faulty := present.SBox()
+		faulty := c.SBox()
 		v := rng.Intn(16)
 		yStar := faulty[v]
 		faulty[v] ^= byte(1 << uint(rng.Intn(4)))
-		col := pfa.NewPresentCollector()
+		col := pfa.NewCollector(c)
 		for n := 1; ; n++ {
-			col.Observe(present.Encrypt(ks, &faulty, rng.Uint64()))
+			binary.BigEndian.PutUint64(pt, rng.Uint64())
+			inst.Encrypt(faulty, ct, pt)
+			col.Observe(ct)
 			if n%64 == 0 {
 				if _, err := col.RecoverMasterKnownFault(yStar, cleanPT, cleanCT); err == nil {
 					break
@@ -432,11 +437,11 @@ func BenchmarkAESEncryptBlock(b *testing.B) {
 }
 
 func BenchmarkPresentEncryptBlock(b *testing.B) {
-	ks, _ := present.Expand(make([]byte, 10))
+	rk, _ := present.Expand(make([]byte, 10))
 	sb := present.SBox()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		present.Encrypt(ks, &sb, uint64(i))
+		present.Engine.Encrypt(rk, &sb, uint64(i))
 	}
 }
 
@@ -623,8 +628,8 @@ func BenchmarkRecoverMaster(b *testing.B) {
 		name  string
 		klast uint64
 	}{
-		{"present-80", pks.RoundKey(present.Rounds + 1)},
-		{"lilliput-80", lks.RoundKey(lilliput.Rounds + 1)},
+		{"present-80", pks[present.Rounds]},
+		{"lilliput-80", lks[lilliput.Rounds]},
 	} {
 		c := registry.MustGet(tc.name)
 		inst, err := c.New(key)

@@ -10,6 +10,7 @@ import (
 	"log"
 
 	"explframe/internal/cipher/aes"
+	"explframe/internal/cipher/registry"
 	"explframe/internal/fault/pfa"
 	"explframe/internal/stats"
 )
@@ -33,7 +34,7 @@ func main() {
 	fmt.Printf("fault: S[%#02x]: %#02x -> %#02x\n", faultedEntry, yStar, table[faultedEntry])
 
 	// The attacker passively observes ciphertexts of unknown plaintexts.
-	collector := pfa.NewAESCollector()
+	collector := pfa.NewCollector(registry.MustGet("aes-128"))
 	pt := make([]byte, 16)
 	ct := make([]byte, 16)
 	for n := 1; ; n++ {
@@ -46,12 +47,12 @@ func main() {
 			continue
 		}
 		fmt.Printf("n=%5d  residual key entropy %6.1f bits\n", n, collector.ResidualEntropy())
-		master, err := collector.RecoverMasterKnownFault(yStar)
+		master, err := collector.RecoverMasterKnownFault(yStar, nil, nil)
 		if err != nil {
 			continue
 		}
 		fmt.Printf("\nrecovered master key after %d ciphertexts: %x\n", n, master)
-		if !bytes.Equal(master[:], key) {
+		if !bytes.Equal(master, key) {
 			log.Fatalf("mismatch: victim key was %x", key)
 		}
 		fmt.Println("matches the victim key.")

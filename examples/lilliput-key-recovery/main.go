@@ -1,7 +1,8 @@
 // Key recovery against the registry's third victim, the LILLIPUT-style
 // SPN — entirely through the cipher-agnostic interfaces.  Where the
-// aes-key-recovery and present-key-recovery examples call their cipher
-// packages directly, this one touches nothing but internal/cipher/registry
+// aes-key-recovery example calls its cipher package directly and
+// present-key-recovery keeps a uint64 plaintext stream, this one touches
+// nothing but internal/cipher/registry
 // and the generic pfa.Collector: the code below would work unchanged for
 // any registered cipher name, which is the point of the registry — adding a
 // victim is one package plus one Register call, and every analysis tool

@@ -1,10 +1,13 @@
-// Package bitslice holds the shared machinery of the bitsliced cipher
-// cores: the 64x64 bit-matrix transpose that moves blocks between lane and
-// bit-plane form, an ANF-synthesised 4-bit S-box circuit, and a generic
-// 64-lane engine for the repo's 64-bit substitution-permutation ciphers
-// (PRESENT and the LILLIPUT-style SPN).  The AES core reuses the transpose
-// and the faulted-entry patch idiom but carries its own 128-plane circuit
-// in internal/cipher/aes.
+// Package bitslice holds the shared machinery of the cipher cores: the
+// 64x64 bit-matrix transpose that moves blocks between lane and bit-plane
+// form, an ANF-synthesised 4-bit S-box circuit, and SPN64, the one
+// implementation of the repo's 64-bit substitution-permutation ciphers
+// (PRESENT-80 and the LILLIPUT-style SPN).  SPN64 runs their rounds on the
+// scalar path, 64 blocks at a time bitsliced, and 64 keys at a time
+// key-sliced; the cipher packages contribute only their S-box,
+// permutation and key schedule.  The AES core reuses the transpose and the
+// faulted-entry patch idiom but carries its own 128-plane circuit in
+// internal/cipher/aes.
 //
 // Representation: plane p is a uint64 holding bit p of up to 64 independent
 // blocks, with lane b (block b) at bit b of every plane.  Encrypting a
@@ -18,13 +21,18 @@
 // XORed into the output planes.  A fault-free table produces no patches
 // and costs nothing.
 //
-// The 64-bit SPN engine also runs key-sliced, with the lanes carrying 64
-// keys instead of 64 blocks: KeyReg80 holds 64 guesses of an 80-bit key
-// register as planes and steps their schedules together, and
-// SPN64.MatchKeys encrypts one known plaintext under all of them at once.
-// That is how the 80-bit ciphers complete a recovered last round key to
-// the master key.
+// Key-sliced, the lanes carry 64 keys instead of 64 blocks: KeyReg80 holds
+// 64 guesses of an 80-bit key register as planes, InvStep80 walks their
+// schedules back together, and SPN64.MatchKeys encrypts one known
+// plaintext under all of them at once.  SPN64.RecoverMaster80 strings these
+// into the search that completes a recovered last round key to the master
+// key of either 80-bit cipher.
 package bitslice
+
+import (
+	"encoding/binary"
+	"math/bits"
+)
 
 // Lanes is the batch width of the bitsliced cores: one uint64 bit-plane
 // carries one bit of 64 independent blocks.
@@ -143,12 +151,18 @@ func DiffTable4(table []byte, canon *[16]byte) []Patch4 {
 	return ps
 }
 
-// SPN64 is the shared bitsliced engine for 64-bit SPNs of the
+// SPN64 is the one implementation of the 64-bit SPNs of the
 // PRESENT/LILLIPUT shape: Rounds iterations of AddRoundKey, a 16-nibble
-// S-box layer and a bit permutation, closed by a whitening key.  The
-// engine is built once per cipher (the circuit and permutation are
-// key-independent); every batch call takes the round keys and the possibly
-// corrupted table.
+// S-box layer and a bit permutation, closed by a whitening key.  It holds
+// the scalar rounds, the 64-lane bitsliced rounds and the key-sliced
+// master-key search; a cipher package supplies only its S-box, its
+// permutation and its key schedule.  The engine is built once per cipher
+// (the circuit and permutation are key-independent); every call takes the
+// round keys, rk[r-1] being round r's key and rk[Rounds] the whitening
+// key, and the possibly corrupted table.
+//
+// Blocks are uint64s with bit 0 least significant; their byte form is
+// big-endian.
 type SPN64 struct {
 	// Rounds is the number of substitution-permutation rounds; Rounds+1
 	// round keys are consumed.
@@ -159,39 +173,116 @@ type SPN64 struct {
 	Canon [16]byte
 	// Circuit is the bitsliced canonical S-box.
 	Circuit Sbox4
+
+	invPerm  [64]byte // input bit invPerm[i] takes output bit i
+	invCanon [16]byte // the canonical inverse S-box
 }
+
+// maxRounds bounds Rounds so the key-sliced search keeps its round-key
+// planes in a fixed-size stack array.
+const maxRounds = 31
 
 // NewSPN64 builds the engine for a cipher with the given round count,
 // canonical S-box and bit permutation (bit i moves to perm(i)).
 func NewSPN64(rounds int, sbox [16]byte, perm func(int) int) *SPN64 {
+	if rounds < 1 || rounds > maxRounds {
+		panic("bitslice: SPN64 round count out of range")
+	}
 	e := &SPN64{Rounds: rounds}
 	for i := range sbox {
 		e.Canon[i] = sbox[i] & 0xF
+		e.invCanon[e.Canon[i]] = byte(i)
 	}
 	e.Circuit = NewSbox4(&e.Canon)
 	for i := 0; i < 64; i++ {
 		e.Perm[i] = byte(perm(i))
+		e.invPerm[e.Perm[i]] = byte(i)
 	}
 	return e
 }
 
-// EncryptBatch enciphers len(src) <= Lanes independent blocks (big-endian
-// 8-byte each) with the given round keys (rk[r-1] is round r's key,
-// rk[Rounds] the whitening key) and table, writing ciphertext i to dst[i].
-// It is bit-for-bit equivalent to the cipher's scalar path on every lane,
-// faulted tables included.
+// PLayer applies the bit permutation: bit i of x moves to bit Perm[i].
+func (e *SPN64) PLayer(x uint64) uint64 { return permute(x, &e.Perm) }
+
+// InvPLayer inverts PLayer.
+func (e *SPN64) InvPLayer(x uint64) uint64 { return permute(x, &e.invPerm) }
+
+// permute moves bit i of x to bit to[i].  The &63 is a no-op on a valid
+// permutation; it spares the compiler's check for shifts of 64 and up,
+// which would double the cost of the loop.
+func permute(x uint64, to *[64]byte) uint64 {
+	var out uint64
+	for i, p := range to {
+		out |= (x >> uint(i) & 1) << (p & 63)
+	}
+	return out
+}
+
+// substitute passes all 16 nibbles of x through sb.  Only the low
+// nibble of an entry reaches the datapath, as in the hardware it models,
+// so corruption confined to the stored bits above it is harmless.
+func substitute(x uint64, sb *[16]byte) uint64 {
+	var out uint64
+	for i := 0; i < 64; i += 4 {
+		out |= uint64(sb[x>>uint(i)&0xF]&0xF) << uint(i)
+	}
+	return out
+}
+
+// Encrypt enciphers one block with the round keys and table sb.
+func (e *SPN64) Encrypt(rk []uint64, sb *[16]byte, block uint64) uint64 {
+	return e.encryptScalar(rk, sb, block, 0, 0)
+}
+
+// EncryptWithFault enciphers like Encrypt but XORs delta into the state
+// at the entry of the 1-based round, before that round's AddRoundKey: the
+// transient fault model differential fault analysis assumes.
+func (e *SPN64) EncryptWithFault(rk []uint64, sb *[16]byte, block uint64, round int, delta uint64) uint64 {
+	e.checkRound(round)
+	return e.encryptScalar(rk, sb, block, round, delta)
+}
+
+// encryptScalar is the scalar round loop; faultRound 0 means no transient
+// fault.
+func (e *SPN64) encryptScalar(rk []uint64, sb *[16]byte, st uint64, faultRound int, delta uint64) uint64 {
+	for r := 1; r <= e.Rounds; r++ {
+		if r == faultRound {
+			st ^= delta
+		}
+		st = e.PLayer(substitute(st^rk[r-1], sb))
+	}
+	return st ^ rk[e.Rounds]
+}
+
+// Decrypt deciphers one block with the round keys and the canonical
+// inverse S-box.
+func (e *SPN64) Decrypt(rk []uint64, block uint64) uint64 {
+	st := block ^ rk[e.Rounds]
+	for r := e.Rounds; r >= 1; r-- {
+		st = substitute(e.InvPLayer(st), &e.invCanon) ^ rk[r-1]
+	}
+	return st
+}
+
+func (e *SPN64) checkRound(round int) {
+	if round < 1 || round > e.Rounds {
+		panic("bitslice: fault round out of range")
+	}
+}
+
+// EncryptBatch enciphers len(src) <= Lanes independent blocks (8 bytes
+// each) with the given round keys and table, writing ciphertext i to
+// dst[i].  It is bit-for-bit equivalent to Encrypt on every lane, faulted
+// tables included.
 func (e *SPN64) EncryptBatch(rk []uint64, table []byte, dst, src [][]byte) {
 	e.encrypt(rk, table, dst, src, 0, nil)
 }
 
-// EncryptWithFaultBatch enciphers like EncryptBatch but XORs masks[i] (a
-// big-endian 8-byte transient-fault delta) into lane i's state at the
-// entry of the 1-based round, matching the scalar EncryptWithFault
-// semantics lane for lane.
+// EncryptWithFaultBatch enciphers like EncryptBatch but XORs masks[i] (an
+// 8-byte transient-fault delta) into lane i's state at the entry of the
+// 1-based round, matching EncryptWithFault lane for lane.
 func (e *SPN64) EncryptWithFaultBatch(rk []uint64, table []byte, dst, src [][]byte, round int, masks [][]byte) {
-	if round < 1 || round > e.Rounds {
-		panic("bitslice: fault round out of range")
-	}
+	e.checkRound(round)
 	e.encrypt(rk, table, dst, src, round, masks)
 }
 
@@ -206,7 +297,7 @@ func (e *SPN64) encrypt(rk []uint64, table []byte, dst, src [][]byte, faultRound
 	}
 	var st [64]uint64
 	for b := 0; b < n; b++ {
-		st[b] = beU64(src[b])
+		st[b] = binary.BigEndian.Uint64(src[b])
 	}
 	Transpose64(&st)
 
@@ -216,7 +307,7 @@ func (e *SPN64) encrypt(rk []uint64, table []byte, dst, src [][]byte, faultRound
 			panic("bitslice: batch masks length mismatch")
 		}
 		for b := 0; b < n; b++ {
-			fd[b] = beU64(masks[b])
+			fd[b] = binary.BigEndian.Uint64(masks[b])
 		}
 		Transpose64(&fd)
 	}
@@ -241,7 +332,7 @@ func (e *SPN64) encrypt(rk []uint64, table []byte, dst, src [][]byte, faultRound
 
 	Transpose64(&st)
 	for b := 0; b < n; b++ {
-		putBEU64(dst[b], st[b])
+		binary.BigEndian.PutUint64(dst[b], st[b])
 	}
 }
 
@@ -271,6 +362,41 @@ func (e *SPN64) MatchKeys(rk [][64]uint64, plaintext, ciphertext uint64) uint64 
 		match &^= st[p] ^ rk[e.Rounds][p] ^ -(ciphertext >> uint(p) & 1)
 	}
 	return match
+}
+
+// RecoverMaster80 completes a recovered last round key to the 80-bit
+// master key of a cipher whose key register (bit 0 least significant)
+// holds each round key in its bits 16..79, given one known
+// plaintext/ciphertext pair to resolve the 16 register bits the last
+// round key does not expose.  It searches those bits key-sliced, in
+// ascending order on the calling goroutine: each of the 1024 passes loads
+// 64 consecutive guesses into the lanes of a KeyReg80, walks the schedule
+// back with step, and encrypts the plaintext under all 64 resulting
+// schedules at once.  A lane that reproduces the ciphertext goes to
+// complete, which rebuilds and re-checks that guess on the cipher's
+// scalar path, so the result is the lowest verified guess.  The search
+// itself allocates nothing.
+func (e *SPN64) RecoverMaster80(last, plaintext, ciphertext uint64, step *InvStep80,
+	complete func(last, guess, plaintext, ciphertext uint64) ([]byte, bool)) ([]byte, bool) {
+	var planes [maxRounds + 1][64]uint64
+	rk := planes[:e.Rounds+1]
+	var reg KeyReg80
+	for base := 0; base < 1<<16; base += Lanes {
+		reg.LoadLanes(last, uint16(base))
+		reg.Top64(&rk[e.Rounds])
+		// The register before schedule update r holds round key r.
+		for r := e.Rounds; r >= 1; r-- {
+			step.Apply(&reg, r)
+			reg.Top64(&rk[r-1])
+		}
+		for m := e.MatchKeys(rk, plaintext, ciphertext); m != 0; m &= m - 1 {
+			guess := uint64(base + bits.TrailingZeros64(m))
+			if key, ok := complete(last, guess, plaintext, ciphertext); ok {
+				return key, true
+			}
+		}
+	}
+	return nil, false
 }
 
 // substitutePermute runs one round's S-box layer and bit permutation.
@@ -307,6 +433,31 @@ func (e *SPN64) sboxLayer(st *[64]uint64, patches []Patch4) {
 			}
 		}
 	}
+}
+
+// InvStep80 is one inverse update of an 80-bit key schedule of the shape
+// both 80-bit ciphers share, on a bit-plane register: XOR the round
+// counter in at register bit Counter, pass the nibbles at register bits
+// Nibbles through InvSbox, then rotate left by Rotate.  It is a value, not
+// a callback, so the key-sliced search can hand it a stack register.
+type InvStep80 struct {
+	// Counter is the register bit receiving bit 0 of the round counter.
+	Counter int
+	// Nibbles lists the low register bit of every S-boxed nibble.
+	Nibbles []int
+	// InvSbox is the cipher's inverse S-box circuit.
+	InvSbox Sbox4
+	// Rotate is the left rotation undoing the forward update's.
+	Rotate int
+}
+
+// Apply inverts schedule update r on every lane of k.
+func (s *InvStep80) Apply(k *KeyReg80, r int) {
+	k.XorConst(s.Counter, uint64(r))
+	for _, j := range s.Nibbles {
+		k.Sbox(&s.InvSbox, j)
+	}
+	k.RotateLeft(s.Rotate)
 }
 
 // KeyReg80 is an 80-bit key register in bit-plane form, for key-sliced
@@ -374,27 +525,4 @@ func (k *KeyReg80) RotateLeft(n int) { k.off = (k.off + 80 - n) % 80 }
 func (k *KeyReg80) Top64(dst *[64]uint64) {
 	n := copy(dst[:], k.p[(16+k.off)%80:])
 	copy(dst[n:], k.p[:])
-}
-
-// beU64 reads a big-endian 8-byte block, the 64-bit ciphers' wire form.
-func beU64(b []byte) uint64 {
-	if len(b) < 8 {
-		panic("bitslice: short block")
-	}
-	var v uint64
-	for i := 0; i < 8; i++ {
-		v = v<<8 | uint64(b[i])
-	}
-	return v
-}
-
-// putBEU64 writes a big-endian 8-byte block.
-func putBEU64(b []byte, v uint64) {
-	if len(b) < 8 {
-		panic("bitslice: short block")
-	}
-	for i := 7; i >= 0; i-- {
-		b[i] = byte(v)
-		v >>= 8
-	}
 }

@@ -1,6 +1,7 @@
 package bitslice
 
 import (
+	"encoding/binary"
 	"testing"
 
 	"explframe/internal/stats"
@@ -221,13 +222,13 @@ func TestMatchKeysMatchesPerLaneEncryption(t *testing.T) {
 		rng.Bytes(src[0])
 		dst := [][]byte{make([]byte, 8)}
 		e.EncryptBatch(keys[target], present[:], dst, src)
-		if got := e.MatchKeys(rk, beU64(src[0]), beU64(dst[0])); got != want {
+		if got := e.MatchKeys(rk, binary.BigEndian.Uint64(src[0]), binary.BigEndian.Uint64(dst[0])); got != want {
 			t.Fatalf("trial %d: match mask %016x, want %016x", trial, got, want)
 		}
 		// Each lane's own ciphertext selects it (and its twins).
 		for b := range keys {
 			e.EncryptBatch(keys[b], present[:], dst, src)
-			if got := e.MatchKeys(rk, beU64(src[0]), beU64(dst[0])); got>>uint(b)&1 == 0 {
+			if got := e.MatchKeys(rk, binary.BigEndian.Uint64(src[0]), binary.BigEndian.Uint64(dst[0])); got>>uint(b)&1 == 0 {
 				t.Fatalf("trial %d: lane %d does not match its own ciphertext (mask %016x)", trial, b, got)
 			}
 		}

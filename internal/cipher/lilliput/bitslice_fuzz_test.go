@@ -8,7 +8,7 @@ import (
 
 // FuzzBitslicedVsScalar pins the bitsliced core to the scalar path: for a
 // fuzz-chosen key, batch size, faulted table and fault round, every lane of
-// EncryptBlocksBitsliced and EncryptBlocksWithFaultBitsliced must equal the
+// Engine.EncryptBatch and Engine.EncryptWithFaultBatch must equal the
 // corresponding scalar encryption byte for byte.
 func FuzzBitslicedVsScalar(f *testing.F) {
 	f.Add(uint64(0), byte(64), byte(0), byte(1))
@@ -18,7 +18,7 @@ func FuzzBitslicedVsScalar(f *testing.F) {
 		rng := stats.NewRNG(seed)
 		key := make([]byte, KeyBytes)
 		rng.Bytes(key)
-		ks, err := Expand(key)
+		rk, err := Expand(key)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -38,17 +38,17 @@ func FuzzBitslicedVsScalar(f *testing.F) {
 			masks[i] = make([]byte, BlockSize)
 			rng.Bytes(masks[i])
 		}
-		EncryptBlocksBitsliced(ks, &sb, dst, src)
+		Engine.EncryptBatch(rk, sb[:], dst, src)
 		for i := range src {
-			if want := Encrypt(ks, &sb, getU64(src[i])); getU64(dst[i]) != want {
-				t.Fatalf("lane %d/%d: bitsliced %016x, scalar %016x", i, n, getU64(dst[i]), want)
+			if want := Engine.Encrypt(rk, &sb, be.Uint64(src[i])); be.Uint64(dst[i]) != want {
+				t.Fatalf("lane %d/%d: bitsliced %016x, scalar %016x", i, n, be.Uint64(dst[i]), want)
 			}
 		}
-		EncryptBlocksWithFaultBitsliced(ks, &sb, dst, src, r, masks)
+		Engine.EncryptWithFaultBatch(rk, sb[:], dst, src, r, masks)
 		for i := range src {
-			want := EncryptWithFault(ks, &sb, getU64(src[i]), r, getU64(masks[i]))
-			if getU64(dst[i]) != want {
-				t.Fatalf("fault lane %d/%d round %d: bitsliced %016x, scalar %016x", i, n, r, getU64(dst[i]), want)
+			want := Engine.EncryptWithFault(rk, &sb, be.Uint64(src[i]), r, be.Uint64(masks[i]))
+			if be.Uint64(dst[i]) != want {
+				t.Fatalf("fault lane %d/%d round %d: bitsliced %016x, scalar %016x", i, n, r, be.Uint64(dst[i]), want)
 			}
 		}
 	})

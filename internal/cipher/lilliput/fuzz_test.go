@@ -4,7 +4,7 @@ import "testing"
 
 // FuzzEncryptDecrypt checks decrypt(encrypt(p)) == p for arbitrary keys and
 // blocks, that the key schedule inversion used by the fault attack matches
-// the forward schedule, and that the byte-slice form agrees with the uint64
+// the forward schedule, and that the batch byte form agrees with the scalar uint64
 // form.  Run with: go test -fuzz=FuzzEncryptDecrypt ./internal/cipher/lilliput
 func FuzzEncryptDecrypt(f *testing.F) {
 	f.Add(make([]byte, KeyBytes), uint64(0))
@@ -16,20 +16,20 @@ func FuzzEncryptDecrypt(f *testing.F) {
 			}
 			return
 		}
-		ks, err := Expand(key)
+		rk, err := Expand(key)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sb, isb := SBox(), InvSBox()
-		ct := Encrypt(ks, &sb, pt)
-		if back := Decrypt(ks, &isb, ct); back != pt {
+		sb := SBox()
+		ct := Engine.Encrypt(rk, &sb, pt)
+		if back := Engine.Decrypt(rk, ct); back != pt {
 			t.Fatalf("round trip: key %x pt %016x -> ct %016x -> %016x", key, pt, ct, back)
 		}
 		src := make([]byte, BlockSize)
-		putU64(src, pt)
+		be.PutUint64(src, pt)
 		dst := make([]byte, BlockSize)
-		EncryptBlock(ks, &sb, dst, src)
-		if getU64(dst) != ct {
+		Engine.EncryptBatch(rk, sb[:], [][]byte{dst}, [][]byte{src})
+		if be.Uint64(dst) != ct {
 			t.Fatalf("byte form diverges from uint64 form: %x vs %016x", dst, ct)
 		}
 		// The schedule must invert step by step: walking the final register

@@ -24,12 +24,18 @@
 //     through the S-box, and XORs the round counter into the low bits.
 //     Every step is invertible, which the fault attack's master-key
 //     recovery exploits.
+//
+// The package holds only what is this cipher's own: the S-box, the bit
+// permutation, the key schedule in its scalar and bit-plane forms, and
+// the scalar completion of a last-round-key guess.  The rounds themselves,
+// scalar, bitsliced and key-sliced, run on the shared bitslice.SPN64 in
+// Engine.
 package lilliput
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"math/bits"
 
 	"explframe/internal/cipher/bitslice"
 )
@@ -54,9 +60,9 @@ var invSbox = func() (inv [16]byte) {
 	return inv
 }()
 
-// invKeySbox is the inverse S-box as a bitsliced circuit, for the
-// key-sliced schedule inversion in RecoverMasterFromLastRound.
-var invKeySbox = bitslice.NewSbox4(&invSbox)
+// Engine runs the cipher's rounds: its S-box and its permutation, which
+// moves bit i to bit 13*i mod 64 (13 is invertible mod 64 with inverse 5).
+var Engine = bitslice.NewSPN64(Rounds, sbox, func(i int) int { return 13 * i & 63 })
 
 // SBox returns a fresh copy of the S-box; victims store it in simulated
 // memory where a Rowhammer flip can corrupt it.  Entries are 4-bit values
@@ -65,45 +71,6 @@ func SBox() [16]byte { return sbox }
 
 // InvSBox returns a fresh copy of the inverse S-box.
 func InvSBox() [16]byte { return invSbox }
-
-// PLayer applies the bit permutation: bit i of the input moves to bit
-// position 13*i mod 64.
-func PLayer(x uint64) uint64 {
-	var out uint64
-	for i := 0; i < 64; i++ {
-		out |= ((x >> uint(i)) & 1) << uint(13*i&63)
-	}
-	return out
-}
-
-// InvPLayer inverts PLayer (the inverse multiplier of 13 mod 64 is 5).
-func InvPLayer(x uint64) uint64 {
-	var out uint64
-	for i := 0; i < 64; i++ {
-		out |= ((x >> uint(i)) & 1) << uint(5*i&63)
-	}
-	return out
-}
-
-// sboxLayer substitutes all 16 nibbles through the table.  Table entries
-// are masked to 4 bits so an out-of-range corrupted entry behaves like the
-// hardware it models (only the low nibble reaches the datapath).
-func sboxLayer(x uint64, sb *[16]byte) uint64 {
-	var out uint64
-	for i := 0; i < 16; i++ {
-		n := (x >> uint(4*i)) & 0xF
-		out |= uint64(sb[n]&0xF) << uint(4*i)
-	}
-	return out
-}
-
-// Schedule holds the 31 round keys.
-type Schedule struct {
-	rk [Rounds + 1]uint64
-}
-
-// RoundKey returns round key i, 1-based (1..31).
-func (s *Schedule) RoundKey(i int) uint64 { return s.rk[i-1] }
 
 // ErrKeySize reports an unsupported key length.
 var ErrKeySize = errors.New("lilliput: key must be 10 bytes (80 bits)")
@@ -139,42 +106,41 @@ func invUpdate(h, l uint64, r int) (uint64, uint64) {
 // loadKey splits a 10-byte big-endian key (key[0] holds bits 79..72) into
 // the two 40-bit register halves.
 func loadKey(key []byte) (h, l uint64) {
-	for i := 0; i < 5; i++ {
-		h = h<<8 | uint64(key[i])
-		l = l<<8 | uint64(key[5+i])
-	}
-	return h, l
+	return splitKey(binary.BigEndian.Uint64(key), uint64(binary.BigEndian.Uint16(key[8:])))
+}
+
+// splitKey splits the register given as its top 64 bits and its low 16
+// bits into the two 40-bit halves.
+func splitKey(top, low uint64) (h, l uint64) {
+	return top >> 24, (top&0xFFFFFF)<<16 | low
 }
 
 // storeKey is the inverse of loadKey.
 func storeKey(h, l uint64) []byte {
 	key := make([]byte, KeyBytes)
-	for i := 4; i >= 0; i-- {
-		key[i] = byte(h)
-		key[5+i] = byte(l)
-		h >>= 8
-		l >>= 8
-	}
+	binary.BigEndian.PutUint64(key, h<<24|l>>16)
+	binary.BigEndian.PutUint16(key[8:], uint16(l))
 	return key
 }
 
-// Expand derives the 31 round keys from a 10-byte master key.  Round key r
-// is the top 64 bits of the register before schedule step r.
-func Expand(key []byte) (*Schedule, error) {
+// Expand derives the 31 round keys from a 10-byte master key: rk[r-1] is
+// round key K_r, the top 64 bits of the register before schedule step r,
+// and rk[Rounds] the whitening key K31.
+func Expand(key []byte) ([]uint64, error) {
 	if len(key) != KeyBytes {
 		return nil, fmt.Errorf("%w: got %d bytes", ErrKeySize, len(key))
 	}
 	h, l := loadKey(key)
-	s := &Schedule{}
-	expand(s, h, l)
-	return s, nil
+	rk := new([Rounds + 1]uint64)
+	expand(rk, h, l)
+	return rk[:], nil
 }
 
-// expand fills s from the key register halves h (bits 79..40) and l (bits
-// 39..0).
-func expand(s *Schedule, h, l uint64) {
+// expand fills rk from the key register halves h (bits 79..40) and l
+// (bits 39..0).
+func expand(rk *[Rounds + 1]uint64, h, l uint64) {
 	for r := 1; r <= Rounds+1; r++ {
-		s.rk[r-1] = h<<24 | l>>16
+		rk[r-1] = h<<24 | l>>16
 		if r == Rounds+1 {
 			break
 		}
@@ -182,127 +148,31 @@ func expand(s *Schedule, h, l uint64) {
 	}
 }
 
-// Encrypt enciphers one 64-bit block with the given round keys and S-box.
-func Encrypt(ks *Schedule, sb *[16]byte, block uint64) uint64 {
-	st := block
-	for r := 1; r <= Rounds; r++ {
-		st ^= ks.RoundKey(r)
-		st = sboxLayer(st, sb)
-		st = PLayer(st)
-	}
-	return st ^ ks.RoundKey(Rounds+1)
-}
-
-// EncryptWithFault enciphers like Encrypt but XORs delta into the state at
-// the entry of the given round (1-based; before that round's AddRoundKey).
-// This is the transient fault model differential fault analysis assumes;
-// the round-29 setting scatters one faulted nibble into four distinct
-// nibbles of the final S-box layer, which is what the DFA ladder exploits.
-func EncryptWithFault(ks *Schedule, sb *[16]byte, block uint64, round int, delta uint64) uint64 {
-	if round < 1 || round > Rounds {
-		panic("lilliput: fault round out of range")
-	}
-	st := block
-	for r := 1; r <= Rounds; r++ {
-		if r == round {
-			st ^= delta
-		}
-		st ^= ks.RoundKey(r)
-		st = sboxLayer(st, sb)
-		st = PLayer(st)
-	}
-	return st ^ ks.RoundKey(Rounds+1)
-}
-
-// Decrypt deciphers one block using the inverse S-box.
-func Decrypt(ks *Schedule, isb *[16]byte, block uint64) uint64 {
-	st := block ^ ks.RoundKey(Rounds+1)
-	for r := Rounds; r >= 1; r-- {
-		st = InvPLayer(st)
-		st = sboxLayer(st, isb)
-		st ^= ks.RoundKey(r)
-	}
-	return st
-}
-
-// EncryptBlock is the byte-slice form of Encrypt (big-endian blocks).
-func EncryptBlock(ks *Schedule, sb *[16]byte, dst, src []byte) {
-	if len(src) < BlockSize || len(dst) < BlockSize {
-		panic("lilliput: short block")
-	}
-	putU64(dst, Encrypt(ks, sb, getU64(src)))
-}
-
-// DecryptBlock is the byte-slice form of Decrypt.
-func DecryptBlock(ks *Schedule, isb *[16]byte, dst, src []byte) {
-	if len(src) < BlockSize || len(dst) < BlockSize {
-		panic("lilliput: short block")
-	}
-	putU64(dst, Decrypt(ks, isb, getU64(src)))
-}
-
-func getU64(b []byte) uint64 {
-	var v uint64
-	for i := 0; i < 8; i++ {
-		v = v<<8 | uint64(b[i])
-	}
-	return v
-}
-
-func putU64(b []byte, v uint64) {
-	for i := 7; i >= 0; i-- {
-		b[i] = byte(v)
-		v >>= 8
-	}
-}
+// invStep is invUpdate on a bit-plane register: the counter enters at bit
+// 0, the S-box covers the nibbles at bits 72..79, and a left rotation by
+// 57 undoes the forward one by 23.
+var invStep = bitslice.InvStep80{Counter: 0, Nibbles: []int{76, 72}, InvSbox: bitslice.NewSbox4(&invSbox), Rotate: 80 - 23}
 
 // RecoverMasterFromLastRound inverts the key schedule given the final round
 // key K31 and a known plaintext/ciphertext pair to resolve the 16 register
-// bits K31 does not expose, and returns the 10-byte master key.  It
-// searches those 16 bits key-sliced, in ascending order on the calling
-// goroutine: each pass loads 64 consecutive guesses into the lanes of a
-// bit-plane key register, inverts the schedule on the planes, and
-// encrypts the plaintext under all 64 resulting schedules at once.  A lane
-// that reproduces the ciphertext is rebuilt and re-checked on the scalar
-// path before it is returned, so the result is the lowest verified guess.
-// Only the returned key is allocated.
+// bits K31 does not expose, and returns the 10-byte master key of the
+// lowest guess that verifies.  The search runs key-sliced on
+// Engine.RecoverMaster80; only the returned key is allocated.
 func RecoverMasterFromLastRound(k31 uint64, plaintext, ciphertext uint64) ([]byte, bool) {
-	var rk [Rounds + 1][64]uint64
-	var reg bitslice.KeyReg80
-	for base := 0; base < 1<<16; base += bitslice.Lanes {
-		reg.LoadLanes(k31, uint16(base))
-		reg.Top64(&rk[Rounds])
-		// invUpdate on the planes, counters 30..1; the register before
-		// update r holds round key r.
-		for r := Rounds; r >= 1; r-- {
-			reg.XorConst(0, uint64(r))
-			reg.Sbox(&invKeySbox, 76)
-			reg.Sbox(&invKeySbox, 72)
-			reg.RotateLeft(80 - 23)
-			reg.Top64(&rk[r-1])
-		}
-		for m := engine.MatchKeys(rk[:], plaintext, ciphertext); m != 0; m &= m - 1 {
-			guess := uint64(base + bits.TrailingZeros64(m))
-			if key, ok := completeGuess(k31, guess, plaintext, ciphertext); ok {
-				return key, true
-			}
-		}
-	}
-	return nil, false
+	return Engine.RecoverMaster80(k31, plaintext, ciphertext, &invStep, completeGuess)
 }
 
 // completeGuess inverts the schedule from K31 and one guess of the 16
 // hidden register bits on the scalar path, and returns the master key if
 // its expansion enciphers plaintext to ciphertext.
 func completeGuess(k31, guess, plaintext, ciphertext uint64) ([]byte, bool) {
-	h := k31 >> 24
-	l := (k31&0xFFFFFF)<<16 | guess
+	h, l := splitKey(k31, guess)
 	for r := Rounds; r >= 1; r-- {
 		h, l = invUpdate(h, l, r)
 	}
-	var ks Schedule
-	expand(&ks, h, l)
-	if Encrypt(&ks, &sbox, plaintext) != ciphertext {
+	var rk [Rounds + 1]uint64
+	expand(&rk, h, l)
+	if Engine.Encrypt(rk[:], &sbox, plaintext) != ciphertext {
 		return nil, false
 	}
 	return storeKey(h, l), true

@@ -24,20 +24,20 @@ func TestKnownAnswerPinned(t *testing.T) {
 		{"0123456789ABCDEF0123", 0x0011223344556677, 0xE5773C32E9069E74},
 		{"A5A5A5A5A5A5A5A5A5A5", 0xDEADBEEFCAFEF00D, 0x8CAECACF5B95792A},
 	}
-	sb, isb := SBox(), InvSBox()
+	sb := SBox()
 	for _, tc := range cases {
 		key, err := hex.DecodeString(tc.key)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ks, err := Expand(key)
+		rk, err := Expand(key)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := Encrypt(ks, &sb, tc.pt); got != tc.ct {
+		if got := Engine.Encrypt(rk, &sb, tc.pt); got != tc.ct {
 			t.Fatalf("key %s pt %016x: got %016x want %016x", tc.key, tc.pt, got, tc.ct)
 		}
-		if got := Decrypt(ks, &isb, tc.ct); got != tc.pt {
+		if got := Engine.Decrypt(rk, tc.ct); got != tc.pt {
 			t.Fatalf("key %s ct %016x: decrypt got %016x want %016x", tc.key, tc.ct, got, tc.pt)
 		}
 		// Same vector through the bitsliced core, replicated across a full
@@ -47,12 +47,12 @@ func TestKnownAnswerPinned(t *testing.T) {
 			dst := make([][]byte, n)
 			for i := range src {
 				src[i] = make([]byte, BlockSize)
-				putU64(src[i], tc.pt)
+				be.PutUint64(src[i], tc.pt)
 				dst[i] = make([]byte, BlockSize)
 			}
-			EncryptBlocksBitsliced(ks, &sb, dst, src)
+			Engine.EncryptBatch(rk, sb[:], dst, src)
 			for i := range dst {
-				if got := getU64(dst[i]); got != tc.ct {
+				if got := be.Uint64(dst[i]); got != tc.ct {
 					t.Fatalf("key %s bitsliced lane %d/%d: got %016x want %016x", tc.key, i, n, got, tc.ct)
 				}
 			}
@@ -70,7 +70,7 @@ func TestExpandRejectsBadKeys(t *testing.T) {
 
 func TestPLayerInverse(t *testing.T) {
 	f := func(x uint64) bool {
-		return InvPLayer(PLayer(x)) == x && PLayer(InvPLayer(x)) == x
+		return Engine.InvPLayer(Engine.PLayer(x)) == x && Engine.PLayer(Engine.InvPLayer(x)) == x
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Fatal(err)
@@ -80,7 +80,7 @@ func TestPLayerInverse(t *testing.T) {
 func TestPLayerSpec(t *testing.T) {
 	// Bit i must move to 13*i mod 64.
 	for i := 0; i < 64; i++ {
-		got := PLayer(uint64(1) << uint(i))
+		got := Engine.PLayer(uint64(1) << uint(i))
 		if got != uint64(1)<<uint(13*i%64) {
 			t.Fatalf("bit %d moved to %064b", i, got)
 		}
@@ -120,13 +120,13 @@ func TestSBoxBijective(t *testing.T) {
 }
 
 func TestEncryptDecryptRoundTrip(t *testing.T) {
-	sb, isb := SBox(), InvSBox()
+	sb := SBox()
 	f := func(key [KeyBytes]byte, pt uint64) bool {
-		ks, err := Expand(key[:])
+		rk, err := Expand(key[:])
 		if err != nil {
 			return false
 		}
-		return Decrypt(ks, &isb, Encrypt(ks, &sb, pt)) == pt
+		return Engine.Decrypt(rk, Engine.Encrypt(rk, &sb, pt)) == pt
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -152,43 +152,43 @@ func TestScheduleStepInvertible(t *testing.T) {
 
 func TestBlockForms(t *testing.T) {
 	key := make([]byte, KeyBytes)
-	ks, _ := Expand(key)
-	sb, isb := SBox(), InvSBox()
+	rk, _ := Expand(key)
+	sb := SBox()
 	src := make([]byte, 8)
 	dst := make([]byte, 8)
-	EncryptBlock(ks, &sb, dst, src)
+	Engine.EncryptBatch(rk, sb[:], [][]byte{dst}, [][]byte{src})
 	want, _ := hex.DecodeString("374F06AF41C96158")
 	if !bytes.Equal(dst, want) {
-		t.Fatalf("EncryptBlock = %x", dst)
+		t.Fatalf("EncryptBatch = %x", dst)
 	}
 	back := make([]byte, 8)
-	DecryptBlock(ks, &isb, back, dst)
+	be.PutUint64(back, Engine.Decrypt(rk, be.Uint64(dst)))
 	if !bytes.Equal(back, src) {
-		t.Fatal("DecryptBlock round trip failed")
+		t.Fatal("byte-form round trip failed")
 	}
 }
 
 func TestShortBlockPanics(t *testing.T) {
-	ks, _ := Expand(make([]byte, KeyBytes))
+	rk, _ := Expand(make([]byte, KeyBytes))
 	sb := SBox()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("no panic on short block")
 		}
 	}()
-	EncryptBlock(ks, &sb, make([]byte, 8), make([]byte, 3))
+	Engine.EncryptBatch(rk, sb[:], [][]byte{make([]byte, 8)}, [][]byte{make([]byte, 3)})
 }
 
 // Avalanche sanity: flipping one plaintext bit must change many ciphertext
 // bits after 30 rounds.
 func TestAvalanche(t *testing.T) {
 	key, _ := hex.DecodeString("0123456789ABCDEF0123")
-	ks, _ := Expand(key)
+	rk, _ := Expand(key)
 	sb := SBox()
-	base := Encrypt(ks, &sb, 0x0123456789ABCDEF)
+	base := Engine.Encrypt(rk, &sb, 0x0123456789ABCDEF)
 	total := 0
 	for i := 0; i < 64; i++ {
-		flipped := Encrypt(ks, &sb, 0x0123456789ABCDEF^(uint64(1)<<uint(i)))
+		flipped := Engine.Encrypt(rk, &sb, 0x0123456789ABCDEF^(uint64(1)<<uint(i)))
 		total += bits.OnesCount64(base ^ flipped)
 	}
 	if avg := float64(total) / 64; avg < 24 || avg > 40 {
@@ -199,13 +199,13 @@ func TestAvalanche(t *testing.T) {
 // A single-bit fault in a used S-box entry must corrupt ciphertexts; a
 // fault confined to the unused high nibble bits must be harmless.
 func TestFaultedSBoxChangesOutput(t *testing.T) {
-	ks, _ := Expand(make([]byte, KeyBytes))
+	rk, _ := Expand(make([]byte, KeyBytes))
 	clean := SBox()
 	faulty := SBox()
 	faulty[3] ^= 0x1
 	var differs bool
 	for pt := uint64(0); pt < 64; pt++ {
-		if Encrypt(ks, &clean, pt) != Encrypt(ks, &faulty, pt) {
+		if Engine.Encrypt(rk, &clean, pt) != Engine.Encrypt(rk, &faulty, pt) {
 			differs = true
 			break
 		}
@@ -216,7 +216,7 @@ func TestFaultedSBoxChangesOutput(t *testing.T) {
 	masked := SBox()
 	masked[3] ^= 0x80
 	for pt := uint64(0); pt < 64; pt++ {
-		if Encrypt(ks, &clean, pt) != Encrypt(ks, &masked, pt) {
+		if Engine.Encrypt(rk, &clean, pt) != Engine.Encrypt(rk, &masked, pt) {
 			t.Fatal("high-nibble fault affected the datapath")
 		}
 	}
@@ -225,12 +225,12 @@ func TestFaultedSBoxChangesOutput(t *testing.T) {
 // Key schedule inversion via the last round key plus a known pair.
 func TestRecoverMasterFromLastRound(t *testing.T) {
 	key, _ := hex.DecodeString("0123456789ABCDEF0123")
-	ks, _ := Expand(key)
+	rk, _ := Expand(key)
 	sb := SBox()
 	pt := uint64(0x0011223344556677)
-	ct := Encrypt(ks, &sb, pt)
+	ct := Engine.Encrypt(rk, &sb, pt)
 
-	got, ok := RecoverMasterFromLastRound(ks.RoundKey(Rounds+1), pt, ct)
+	got, ok := RecoverMasterFromLastRound(rk[Rounds], pt, ct)
 	if !ok {
 		t.Fatal("recovery failed")
 	}
@@ -243,21 +243,31 @@ func TestRecoverMasterFromLastRound(t *testing.T) {
 // S-box layer output of the final round.
 func TestLastRoundStructure(t *testing.T) {
 	key, _ := hex.DecodeString("0123456789ABCDEF0123")
-	ks, _ := Expand(key)
+	rk, _ := Expand(key)
 	sb := SBox()
 	pt := uint64(0xDEADBEEFCAFEF00D)
 
 	st := pt
 	for r := 1; r <= Rounds-1; r++ {
-		st ^= ks.RoundKey(r)
-		st = sboxLayer(st, &sb)
-		st = PLayer(st)
+		st ^= rk[r-1]
+		st = substitute(st, &sb)
+		st = Engine.PLayer(st)
 	}
-	st ^= ks.RoundKey(Rounds)
-	sOut := sboxLayer(st, &sb)
+	st ^= rk[Rounds-1]
+	sOut := substitute(st, &sb)
 
-	ct := Encrypt(ks, &sb, pt)
-	if InvPLayer(ct^ks.RoundKey(Rounds+1)) != sOut {
+	ct := Engine.Encrypt(rk, &sb, pt)
+	if Engine.InvPLayer(ct^rk[Rounds]) != sOut {
 		t.Fatal("last-round structure violated")
 	}
+}
+
+// substitute is the test's own S-box layer over the 16 nibbles of x,
+// written apart from Engine's.
+func substitute(x uint64, sb *[16]byte) uint64 {
+	var out uint64
+	for i := 0; i < 16; i++ {
+		out |= uint64(sb[x>>uint(4*i)&0xF]&0xF) << uint(4*i)
+	}
+	return out
 }

@@ -25,8 +25,8 @@ func recoverScalar(k31, plaintext, ciphertext uint64) ([]byte, bool) {
 	sb := SBox()
 	for guess := uint64(0); guess < 1<<16; guess++ {
 		key := invertScalar(k31, guess)
-		ks, _ := Expand(key)
-		if Encrypt(ks, &sb, plaintext) == ciphertext {
+		rk, _ := Expand(key)
+		if Engine.Encrypt(rk, &sb, plaintext) == ciphertext {
 			return key, true
 		}
 	}
@@ -38,9 +38,9 @@ func recoverScalar(k31, plaintext, ciphertext uint64) ([]byte, bool) {
 // and one known pair under it.
 func recoverCase(k31, hidden, pt uint64) (key []byte, ct uint64) {
 	key = invertScalar(k31, hidden)
-	ks, _ := Expand(key)
+	rk, _ := Expand(key)
 	sb := SBox()
-	return key, Encrypt(ks, &sb, pt)
+	return key, Engine.Encrypt(rk, &sb, pt)
 }
 
 // The key-sliced search agrees with the scalar oracle on hits — hidden

@@ -14,14 +14,14 @@ import (
 // reported, not asserted.
 func TestRecoverMasterAllocs(t *testing.T) {
 	key := []byte{0x01, 0x23, 0x45, 0x67, 0x89, 0xab, 0xcd, 0xef, 0x01, 0x23}
-	ks, err := lilliput.Expand(key)
+	rk, err := lilliput.Expand(key)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sb := lilliput.SBox()
 	pt := uint64(0x0011223344556677)
-	ct := lilliput.Encrypt(ks, &sb, pt)
-	klast := ks.RoundKey(lilliput.Rounds + 1)
+	ct := lilliput.Engine.Encrypt(rk, &sb, pt)
+	klast := rk[lilliput.Rounds]
 	for _, tc := range []struct {
 		name  string
 		klast uint64

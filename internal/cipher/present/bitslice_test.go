@@ -2,10 +2,14 @@ package present
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"explframe/internal/stats"
 )
+
+// be is the 64-bit ciphers' big-endian byte form.
+var be = binary.BigEndian
 
 func corruptTable(rng *stats.RNG, faults int) [16]byte {
 	sb := SBox()
@@ -31,17 +35,17 @@ func TestEncryptBlocksBitslicedMatchesScalar(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		key := make([]byte, 10)
 		rng.Bytes(key)
-		ks, err := Expand(key)
+		rk, err := Expand(key)
 		if err != nil {
 			t.Fatal(err)
 		}
 		sb := corruptTable(rng, trial%4)
 		for _, n := range []int{1, 7, 64} {
 			dst, src := makeBatch(rng, n)
-			EncryptBlocksBitsliced(ks, &sb, dst, src)
+			Engine.EncryptBatch(rk, sb[:], dst, src)
 			want := make([]byte, BlockSize)
 			for i := 0; i < n; i++ {
-				EncryptBlock(ks, &sb, want, src[i])
+				be.PutUint64(want, Engine.Encrypt(rk, &sb, be.Uint64(src[i])))
 				if !bytes.Equal(dst[i], want) {
 					t.Fatalf("trial %d n=%d lane %d: bitsliced %x != scalar %x", trial, n, i, dst[i], want)
 				}
@@ -54,7 +58,7 @@ func TestEncryptBlocksWithFaultBitslicedMatchesScalar(t *testing.T) {
 	rng := stats.NewRNG(0x0fa57)
 	key := make([]byte, 10)
 	rng.Bytes(key)
-	ks, err := Expand(key)
+	rk, err := Expand(key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,10 +71,10 @@ func TestEncryptBlocksWithFaultBitslicedMatchesScalar(t *testing.T) {
 			masks[i] = make([]byte, BlockSize)
 			rng.Bytes(masks[i])
 		}
-		EncryptBlocksWithFaultBitsliced(ks, &sb, dst, src, round, masks)
+		Engine.EncryptWithFaultBatch(rk, sb[:], dst, src, round, masks)
 		want := make([]byte, BlockSize)
 		for i := 0; i < n; i++ {
-			putU64(want, EncryptWithFault(ks, &sb, getU64(src[i]), round, getU64(masks[i])))
+			be.PutUint64(want, Engine.EncryptWithFault(rk, &sb, be.Uint64(src[i]), round, be.Uint64(masks[i])))
 			if !bytes.Equal(dst[i], want) {
 				t.Fatalf("round %d lane %d: bitsliced %x != scalar %x", round, i, dst[i], want)
 			}

@@ -3,35 +3,33 @@ package present
 import "testing"
 
 // FuzzEncryptDecrypt checks decrypt(encrypt(p)) == p for arbitrary keys and
-// blocks across both key sizes, in both the uint64 and byte-slice forms.
+// blocks, in both the scalar uint64 and the batch byte-slice forms.
 // Run with: go test -fuzz=FuzzEncryptDecrypt ./internal/cipher/present
 func FuzzEncryptDecrypt(f *testing.F) {
 	f.Add(make([]byte, 10), uint64(0))
 	f.Add([]byte("0123456789abcdef"), uint64(0xFFFFFFFFFFFFFFFF))
 	f.Add([]byte{0x01, 0x23, 0x45, 0x67, 0x89, 0xab, 0xcd, 0xef, 0x01, 0x23}, uint64(0xdeadbeefcafef00d))
 	f.Fuzz(func(t *testing.T, key []byte, pt uint64) {
-		switch len(key) {
-		case 10, 16:
-		default:
+		if len(key) != KeyBytes {
 			if _, err := Expand(key); err == nil {
 				t.Fatalf("Expand accepted a %d-byte key", len(key))
 			}
 			return
 		}
-		ks, err := Expand(key)
+		rk, err := Expand(key)
 		if err != nil {
 			t.Fatalf("Expand rejected a %d-byte key: %v", len(key), err)
 		}
-		sb, isb := SBox(), InvSBox()
-		ct := Encrypt(ks, &sb, pt)
-		if back := Decrypt(ks, &isb, ct); back != pt {
+		sb := SBox()
+		ct := Engine.Encrypt(rk, &sb, pt)
+		if back := Engine.Decrypt(rk, ct); back != pt {
 			t.Fatalf("round trip: key %x pt %016x -> ct %016x -> %016x", key, pt, ct, back)
 		}
 		src := make([]byte, BlockSize)
-		putU64(src, pt)
+		be.PutUint64(src, pt)
 		dst := make([]byte, BlockSize)
-		EncryptBlock(ks, &sb, dst, src)
-		if getU64(dst) != ct {
+		Engine.EncryptBatch(rk, sb[:], [][]byte{dst}, [][]byte{src})
+		if be.Uint64(dst) != ct {
 			t.Fatalf("byte form diverges from uint64 form: %x vs %016x", dst, ct)
 		}
 	})

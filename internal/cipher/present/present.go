@@ -1,22 +1,29 @@
-// Package present implements the PRESENT lightweight block cipher
+// Package present defines the PRESENT-80 lightweight block cipher
 // (Bogdanov et al., CHES 2007) with a faultable S-box table, as the second
 // target for the paper's "fault analysis of block ciphers": persistent
 // fault analysis works on any SPN whose S-box lives in corruptible memory.
 //
-// The implementation keeps the 64-bit state in a uint64 with bit 0 as the
+// The package holds only what is PRESENT's own: the S-box, the bit
+// permutation, the 80-bit key schedule in its scalar and bit-plane forms,
+// and the scalar completion of a last-round-key guess.  The rounds
+// themselves, scalar, bitsliced and key-sliced, run on the shared
+// bitslice.SPN64 in Engine.  The 64-bit state is a uint64 with bit 0 as the
 // least significant bit, the convention of the specification.
 package present
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"math/bits"
 
 	"explframe/internal/cipher/bitslice"
 )
 
 // BlockSize is the PRESENT block size in bytes.
 const BlockSize = 8
+
+// KeyBytes is the master key length in bytes (80 bits).
+const KeyBytes = 10
 
 // Rounds is the number of substitution-permutation rounds; 32 round keys
 // are consumed (K1..K31 in rounds, K32 as the final whitening key).
@@ -32,9 +39,14 @@ var invSbox = func() (inv [16]byte) {
 	return inv
 }()
 
-// invKeySbox is the inverse S-box as a bitsliced circuit, for the
-// key-sliced schedule inversion in RecoverMasterFromLastRound.
-var invKeySbox = bitslice.NewSbox4(&invSbox)
+// Engine runs PRESENT's rounds: its S-box and its pLayer, which moves bit
+// i to bit 16*i mod 63 and keeps bit 63 fixed.
+var Engine = bitslice.NewSPN64(Rounds, sbox, func(i int) int {
+	if i == 63 {
+		return 63
+	}
+	return i * 16 % 63
+})
 
 // SBox returns a fresh copy of the S-box; victims store it in simulated
 // memory where a Rowhammer flip can corrupt it.  Entries are 4-bit values
@@ -44,78 +56,28 @@ func SBox() [16]byte { return sbox }
 // InvSBox returns a fresh copy of the inverse S-box.
 func InvSBox() [16]byte { return invSbox }
 
-// PLayer applies the PRESENT bit permutation: bit i of the input moves to
-// bit position 16*i mod 63 (bit 63 fixed).
-func PLayer(x uint64) uint64 {
-	var out uint64
-	for i := 0; i < 63; i++ {
-		out |= ((x >> uint(i)) & 1) << uint(i*16%63)
-	}
-	out |= x & (1 << 63)
-	return out
-}
-
-// InvPLayer inverts PLayer.
-func InvPLayer(x uint64) uint64 {
-	var out uint64
-	for i := 0; i < 63; i++ {
-		out |= ((x >> uint(i*16%63)) & 1) << uint(i)
-	}
-	out |= x & (1 << 63)
-	return out
-}
-
-// sboxLayer substitutes all 16 nibbles through the table.  Table entries
-// are masked to 4 bits so an out-of-range corrupted entry behaves like the
-// hardware it models (only the low nibble reaches the datapath).
-func sboxLayer(x uint64, sb *[16]byte) uint64 {
-	var out uint64
-	for i := 0; i < 16; i++ {
-		n := (x >> uint(4*i)) & 0xF
-		out |= uint64(sb[n]&0xF) << uint(4*i)
-	}
-	return out
-}
-
-// Schedule holds the 32 round keys.
-type Schedule struct {
-	rk      [Rounds + 1]uint64
-	keySize int // 80 or 128
-}
-
-// RoundKey returns round key i, 1-based as in the specification (1..32).
-func (s *Schedule) RoundKey(i int) uint64 { return s.rk[i-1] }
-
-// KeySize returns the master key size in bits.
-func (s *Schedule) KeySize() int { return s.keySize }
-
 // ErrKeySize reports an unsupported key length.
-var ErrKeySize = errors.New("present: key must be 10 (80-bit) or 16 (128-bit) bytes")
+var ErrKeySize = errors.New("present: key must be 10 bytes (80 bits)")
 
-// Expand derives the round keys from a 10-byte (PRESENT-80) or 16-byte
-// (PRESENT-128) master key, big-endian (key[0] holds bits 79..72 for the
-// 80-bit variant).
-func Expand(key []byte) (*Schedule, error) {
-	switch len(key) {
-	case 10:
-		s := &Schedule{}
-		expand80(s, getU64(key), uint64(key[8])<<8|uint64(key[9]))
-		return s, nil
-	case 16:
-		return expand128(key), nil
-	default:
+// Expand derives the 32 round keys from a 10-byte big-endian master key
+// (key[0] holds bits 79..72): rk[r-1] is round key K_r, rk[Rounds] the
+// whitening key K32.
+func Expand(key []byte) ([]uint64, error) {
+	if len(key) != KeyBytes {
 		return nil, fmt.Errorf("%w: got %d bytes", ErrKeySize, len(key))
 	}
+	rk := new([Rounds + 1]uint64)
+	expand80(rk, binary.BigEndian.Uint64(key), uint64(binary.BigEndian.Uint16(key[8:])))
+	return rk[:], nil
 }
 
 // expand80 runs the 80-bit key schedule: the register is k79..k0, the round
 // key is the top 64 bits, and the update is a 61-bit left rotation, S-box on
 // the top nibble, and the round counter XORed into bits 19..15.  hi holds
 // register bits k79..k16, lo bits k15..k0.
-func expand80(s *Schedule, hi, lo uint64) {
-	s.keySize = 80
+func expand80(rk *[Rounds + 1]uint64, hi, lo uint64) {
 	for r := 1; r <= Rounds+1; r++ {
-		s.rk[r-1] = hi
+		rk[r-1] = hi
 		if r == Rounds+1 {
 			break
 		}
@@ -159,139 +121,18 @@ func invUpdate80(hi, lo uint64, r int) (uint64, uint64) {
 	return invRotate80(hi, lo)
 }
 
-// expand128 runs the 128-bit key schedule: 61-bit rotation, S-box on the
-// top two nibbles, counter XORed into bits 66..62.
-func expand128(key []byte) *Schedule {
-	hi := uint64(0) // k127..k64
-	lo := uint64(0) // k63..k0
-	for i := 0; i < 8; i++ {
-		hi = hi<<8 | uint64(key[i])
-		lo = lo<<8 | uint64(key[i+8])
-	}
-	s := &Schedule{keySize: 128}
-	for r := 1; r <= Rounds+1; r++ {
-		s.rk[r-1] = hi
-		if r == Rounds+1 {
-			break
-		}
-		// Rotate the 128-bit register left by 61.
-		nhi := hi<<61 | lo>>3
-		nlo := lo<<61 | hi>>3
-		hi, lo = nhi, nlo
-		hi = hi&^(0xF<<60) | uint64(sbox[byte(hi>>60)])<<60
-		hi = hi&^(0xF<<56) | uint64(sbox[byte(hi>>56)&0xF])<<56
-		ctr := uint64(r)
-		// Bits 66..62: bits 66..64 are hi's low 3 bits, 63..62 lo's top 2.
-		hi ^= ctr >> 2
-		lo ^= (ctr & 3) << 62
-	}
-	return s
-}
-
-// Encrypt enciphers one 64-bit block with the given round keys and S-box.
-func Encrypt(ks *Schedule, sb *[16]byte, block uint64) uint64 {
-	st := block
-	for r := 1; r <= Rounds; r++ {
-		st ^= ks.RoundKey(r)
-		st = sboxLayer(st, sb)
-		st = PLayer(st)
-	}
-	return st ^ ks.RoundKey(Rounds+1)
-}
-
-// EncryptWithFault enciphers like Encrypt but XORs delta into the state at
-// the entry of the given round (1-based; before that round's AddRoundKey) —
-// the transient fault model differential fault analysis assumes.
-func EncryptWithFault(ks *Schedule, sb *[16]byte, block uint64, round int, delta uint64) uint64 {
-	if round < 1 || round > Rounds {
-		panic("present: fault round out of range")
-	}
-	st := block
-	for r := 1; r <= Rounds; r++ {
-		if r == round {
-			st ^= delta
-		}
-		st ^= ks.RoundKey(r)
-		st = sboxLayer(st, sb)
-		st = PLayer(st)
-	}
-	return st ^ ks.RoundKey(Rounds+1)
-}
-
-// Decrypt deciphers one block using the inverse S-box.
-func Decrypt(ks *Schedule, isb *[16]byte, block uint64) uint64 {
-	st := block ^ ks.RoundKey(Rounds+1)
-	for r := Rounds; r >= 1; r-- {
-		st = InvPLayer(st)
-		st = sboxLayer(st, isb)
-		st ^= ks.RoundKey(r)
-	}
-	return st
-}
-
-// EncryptBlock is the byte-slice form of Encrypt (big-endian blocks).
-func EncryptBlock(ks *Schedule, sb *[16]byte, dst, src []byte) {
-	if len(src) < BlockSize || len(dst) < BlockSize {
-		panic("present: short block")
-	}
-	putU64(dst, Encrypt(ks, sb, getU64(src)))
-}
-
-// DecryptBlock is the byte-slice form of Decrypt.
-func DecryptBlock(ks *Schedule, isb *[16]byte, dst, src []byte) {
-	if len(src) < BlockSize || len(dst) < BlockSize {
-		panic("present: short block")
-	}
-	putU64(dst, Decrypt(ks, isb, getU64(src)))
-}
-
-func getU64(b []byte) uint64 {
-	var v uint64
-	for i := 0; i < 8; i++ {
-		v = v<<8 | uint64(b[i])
-	}
-	return v
-}
-
-func putU64(b []byte, v uint64) {
-	for i := 7; i >= 0; i-- {
-		b[i] = byte(v)
-		v >>= 8
-	}
-}
+// invStep is invUpdate80 on a bit-plane register: the counter enters at
+// bit 15, the S-box covers bits 76..79, and a left rotation by 19 undoes
+// the forward one by 61.
+var invStep = bitslice.InvStep80{Counter: 15, Nibbles: []int{76}, InvSbox: bitslice.NewSbox4(&invSbox), Rotate: 19}
 
 // RecoverMasterFromLastRound inverts the PRESENT-80 key schedule given the
 // final round key K32 and a known plaintext/ciphertext pair to resolve the
-// 16 register bits K32 does not expose, and returns the 10-byte master key.
-// It searches those 16 bits key-sliced, in ascending order on the calling
-// goroutine: each pass loads 64 consecutive guesses into the lanes of a
-// bit-plane key register, inverts the schedule on the planes, and
-// encrypts the plaintext under all 64 resulting schedules at once.  A lane
-// that reproduces the ciphertext is rebuilt and re-checked on the scalar
-// path before it is returned, so the result is the lowest verified guess.
-// Only the returned key is allocated.
+// 16 register bits K32 does not expose, and returns the 10-byte master key
+// of the lowest guess that verifies.  The search runs key-sliced on
+// Engine.RecoverMaster80; only the returned key is allocated.
 func RecoverMasterFromLastRound(k32 uint64, plaintext, ciphertext uint64) ([]byte, bool) {
-	var rk [Rounds + 1][64]uint64
-	var reg bitslice.KeyReg80
-	for base := 0; base < 1<<16; base += bitslice.Lanes {
-		reg.LoadLanes(k32, uint16(base))
-		reg.Top64(&rk[Rounds])
-		// Invert the 31 schedule updates, counters 31..1; the register
-		// before update r holds round key r.
-		for r := Rounds; r >= 1; r-- {
-			reg.XorConst(15, uint64(r))
-			reg.Sbox(&invKeySbox, 76)
-			reg.RotateLeft(19)
-			reg.Top64(&rk[r-1])
-		}
-		for m := engine.MatchKeys(rk[:], plaintext, ciphertext); m != 0; m &= m - 1 {
-			guess := uint64(base + bits.TrailingZeros64(m))
-			if key, ok := completeGuess(k32, guess, plaintext, ciphertext); ok {
-				return key, true
-			}
-		}
-	}
-	return nil, false
+	return Engine.RecoverMaster80(k32, plaintext, ciphertext, &invStep, completeGuess)
 }
 
 // completeGuess inverts the schedule from K32 and one guess of the 16
@@ -302,14 +143,13 @@ func completeGuess(k32, guess, plaintext, ciphertext uint64) ([]byte, bool) {
 	for r := Rounds; r >= 1; r-- {
 		hi, lo = invUpdate80(hi, lo, r)
 	}
-	var ks Schedule
-	expand80(&ks, hi, lo)
-	if Encrypt(&ks, &sbox, plaintext) != ciphertext {
+	var rk [Rounds + 1]uint64
+	expand80(&rk, hi, lo)
+	if Engine.Encrypt(rk[:], &sbox, plaintext) != ciphertext {
 		return nil, false
 	}
-	key := make([]byte, 10)
-	putU64(key, hi)
-	key[8] = byte(lo >> 8)
-	key[9] = byte(lo)
+	key := make([]byte, KeyBytes)
+	binary.BigEndian.PutUint64(key, hi)
+	binary.BigEndian.PutUint16(key[8:], uint16(lo))
 	return key, true
 }

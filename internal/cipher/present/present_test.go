@@ -20,20 +20,19 @@ func TestKnownAnswer80(t *testing.T) {
 		{"FFFFFFFFFFFFFFFFFFFF", 0xFFFFFFFFFFFFFFFF, 0x3333DCD3213210D2},
 	}
 	sb := SBox()
-	isb := InvSBox()
 	for _, tc := range cases {
 		key, err := hex.DecodeString(tc.key)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ks, err := Expand(key)
+		rk, err := Expand(key)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := Encrypt(ks, &sb, tc.pt); got != tc.ct {
+		if got := Engine.Encrypt(rk, &sb, tc.pt); got != tc.ct {
 			t.Fatalf("key %s pt %016x: got %016x want %016x", tc.key, tc.pt, got, tc.ct)
 		}
-		if got := Decrypt(ks, &isb, tc.ct); got != tc.pt {
+		if got := Engine.Decrypt(rk, tc.ct); got != tc.pt {
 			t.Fatalf("key %s ct %016x: decrypt got %016x want %016x", tc.key, tc.ct, got, tc.pt)
 		}
 		// Same vector through the bitsliced core, replicated across a full
@@ -43,12 +42,12 @@ func TestKnownAnswer80(t *testing.T) {
 			dst := make([][]byte, n)
 			for i := range src {
 				src[i] = make([]byte, BlockSize)
-				putU64(src[i], tc.pt)
+				be.PutUint64(src[i], tc.pt)
 				dst[i] = make([]byte, BlockSize)
 			}
-			EncryptBlocksBitsliced(ks, &sb, dst, src)
+			Engine.EncryptBatch(rk, sb[:], dst, src)
 			for i := range dst {
-				if got := getU64(dst[i]); got != tc.ct {
+				if got := be.Uint64(dst[i]); got != tc.ct {
 					t.Fatalf("key %s bitsliced lane %d/%d: got %016x want %016x", tc.key, i, n, got, tc.ct)
 				}
 			}
@@ -64,24 +63,9 @@ func TestExpandRejectsBadKeys(t *testing.T) {
 	}
 }
 
-func TestExpand128Works(t *testing.T) {
-	ks, err := Expand(make([]byte, 16))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ks.KeySize() != 128 {
-		t.Fatalf("KeySize = %d", ks.KeySize())
-	}
-	sb, isb := SBox(), InvSBox()
-	ct := Encrypt(ks, &sb, 0x0123456789abcdef)
-	if Decrypt(ks, &isb, ct) != 0x0123456789abcdef {
-		t.Fatal("128-bit round trip failed")
-	}
-}
-
 func TestPLayerInverse(t *testing.T) {
 	f := func(x uint64) bool {
-		return InvPLayer(PLayer(x)) == x && PLayer(InvPLayer(x)) == x
+		return Engine.InvPLayer(Engine.PLayer(x)) == x && Engine.PLayer(Engine.InvPLayer(x)) == x
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Fatal(err)
@@ -95,7 +79,7 @@ func TestPLayerSpec(t *testing.T) {
 		if i == 63 {
 			want = 63
 		}
-		got := PLayer(uint64(1) << uint(i))
+		got := Engine.PLayer(uint64(1) << uint(i))
 		if got != uint64(1)<<want {
 			t.Fatalf("bit %d moved to %064b", i, got)
 		}
@@ -120,13 +104,13 @@ func TestSBoxBijective(t *testing.T) {
 }
 
 func TestEncryptDecryptRoundTrip(t *testing.T) {
-	sb, isb := SBox(), InvSBox()
+	sb := SBox()
 	f := func(key [10]byte, pt uint64) bool {
-		ks, err := Expand(key[:])
+		rk, err := Expand(key[:])
 		if err != nil {
 			return false
 		}
-		return Decrypt(ks, &isb, Encrypt(ks, &sb, pt)) == pt
+		return Engine.Decrypt(rk, Engine.Encrypt(rk, &sb, pt)) == pt
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -135,42 +119,42 @@ func TestEncryptDecryptRoundTrip(t *testing.T) {
 
 func TestBlockForms(t *testing.T) {
 	key, _ := hex.DecodeString("00000000000000000000")
-	ks, _ := Expand(key)
-	sb, isb := SBox(), InvSBox()
+	rk, _ := Expand(key)
+	sb := SBox()
 	src := make([]byte, 8)
 	dst := make([]byte, 8)
-	EncryptBlock(ks, &sb, dst, src)
+	Engine.EncryptBatch(rk, sb[:], [][]byte{dst}, [][]byte{src})
 	want, _ := hex.DecodeString("5579C1387B228445")
 	if !bytes.Equal(dst, want) {
-		t.Fatalf("EncryptBlock = %x", dst)
+		t.Fatalf("EncryptBatch = %x", dst)
 	}
 	back := make([]byte, 8)
-	DecryptBlock(ks, &isb, back, dst)
+	be.PutUint64(back, Engine.Decrypt(rk, be.Uint64(dst)))
 	if !bytes.Equal(back, src) {
-		t.Fatal("DecryptBlock round trip failed")
+		t.Fatal("byte-form round trip failed")
 	}
 }
 
 func TestShortBlockPanics(t *testing.T) {
-	ks, _ := Expand(make([]byte, 10))
+	rk, _ := Expand(make([]byte, 10))
 	sb := SBox()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("no panic on short block")
 		}
 	}()
-	EncryptBlock(ks, &sb, make([]byte, 8), make([]byte, 3))
+	Engine.EncryptBatch(rk, sb[:], [][]byte{make([]byte, 8)}, [][]byte{make([]byte, 3)})
 }
 
 // A single-bit fault in a used S-box entry must corrupt ciphertexts.
 func TestFaultedSBoxChangesOutput(t *testing.T) {
-	ks, _ := Expand(make([]byte, 10))
+	rk, _ := Expand(make([]byte, 10))
 	clean := SBox()
 	faulty := SBox()
 	faulty[3] ^= 0x1
 	var differs bool
 	for pt := uint64(0); pt < 64; pt++ {
-		if Encrypt(ks, &clean, pt) != Encrypt(ks, &faulty, pt) {
+		if Engine.Encrypt(rk, &clean, pt) != Engine.Encrypt(rk, &faulty, pt) {
 			differs = true
 			break
 		}
@@ -182,7 +166,7 @@ func TestFaultedSBoxChangesOutput(t *testing.T) {
 	masked := SBox()
 	masked[3] ^= 0x80
 	for pt := uint64(0); pt < 64; pt++ {
-		if Encrypt(ks, &clean, pt) != Encrypt(ks, &masked, pt) {
+		if Engine.Encrypt(rk, &clean, pt) != Engine.Encrypt(rk, &masked, pt) {
 			t.Fatal("high-nibble fault affected the datapath")
 		}
 	}
@@ -191,12 +175,12 @@ func TestFaultedSBoxChangesOutput(t *testing.T) {
 // Key schedule inversion via the last round key plus a known pair.
 func TestRecoverMasterFromLastRound(t *testing.T) {
 	key, _ := hex.DecodeString("0123456789abcdef0123")
-	ks, _ := Expand(key)
+	rk, _ := Expand(key)
 	sb := SBox()
 	pt := uint64(0x0011223344556677)
-	ct := Encrypt(ks, &sb, pt)
+	ct := Engine.Encrypt(rk, &sb, pt)
 
-	got, ok := RecoverMasterFromLastRound(ks.RoundKey(32), pt, ct)
+	got, ok := RecoverMasterFromLastRound(rk[Rounds], pt, ct)
 	if !ok {
 		t.Fatal("recovery failed")
 	}
@@ -209,22 +193,32 @@ func TestRecoverMasterFromLastRound(t *testing.T) {
 // S-box layer output of the final round.
 func TestLastRoundStructure(t *testing.T) {
 	key, _ := hex.DecodeString("0123456789abcdef0123")
-	ks, _ := Expand(key)
+	rk, _ := Expand(key)
 	sb := SBox()
 	pt := uint64(0xdeadbeefcafef00d)
 
 	// Recompute the state entering round 31's S-box layer.
 	st := pt
 	for r := 1; r <= Rounds-1; r++ {
-		st ^= ks.RoundKey(r)
-		st = sboxLayer(st, &sb)
-		st = PLayer(st)
+		st ^= rk[r-1]
+		st = substitute(st, &sb)
+		st = Engine.PLayer(st)
 	}
-	st ^= ks.RoundKey(Rounds)
-	sOut := sboxLayer(st, &sb)
+	st ^= rk[Rounds-1]
+	sOut := substitute(st, &sb)
 
-	ct := Encrypt(ks, &sb, pt)
-	if InvPLayer(ct^ks.RoundKey(32)) != sOut {
+	ct := Engine.Encrypt(rk, &sb, pt)
+	if Engine.InvPLayer(ct^rk[Rounds]) != sOut {
 		t.Fatal("last-round structure violated")
 	}
+}
+
+// substitute is the test's own S-box layer over the 16 nibbles of x,
+// written apart from Engine's.
+func substitute(x uint64, sb *[16]byte) uint64 {
+	var out uint64
+	for i := 0; i < 16; i++ {
+		out |= uint64(sb[x>>uint(4*i)&0xF]&0xF) << uint(4*i)
+	}
+	return out
 }

@@ -14,12 +14,9 @@ func invertScalar(k32, hidden uint64) []byte {
 	for r := Rounds; r >= 1; r-- {
 		hi, lo = invUpdate80(hi, lo, r)
 	}
-	key := make([]byte, 10)
-	for i := 0; i < 8; i++ {
-		key[i] = byte(hi >> uint(8*(7-i)))
-	}
-	key[8] = byte(lo >> 8)
-	key[9] = byte(lo)
+	key := make([]byte, KeyBytes)
+	be.PutUint64(key, hi)
+	be.PutUint16(key[8:], uint16(lo))
 	return key
 }
 
@@ -30,8 +27,8 @@ func recoverScalar(k32, plaintext, ciphertext uint64) ([]byte, bool) {
 	sb := SBox()
 	for guess := uint64(0); guess < 1<<16; guess++ {
 		key := invertScalar(k32, guess)
-		ks, _ := Expand(key)
-		if Encrypt(ks, &sb, plaintext) == ciphertext {
+		rk, _ := Expand(key)
+		if Engine.Encrypt(rk, &sb, plaintext) == ciphertext {
 			return key, true
 		}
 	}
@@ -43,9 +40,9 @@ func recoverScalar(k32, plaintext, ciphertext uint64) ([]byte, bool) {
 // and one known pair under it.
 func recoverCase(k32, hidden, pt uint64) (key []byte, ct uint64) {
 	key = invertScalar(k32, hidden)
-	ks, _ := Expand(key)
+	rk, _ := Expand(key)
 	sb := SBox()
-	return key, Encrypt(ks, &sb, pt)
+	return key, Engine.Encrypt(rk, &sb, pt)
 }
 
 // The key-sliced search agrees with the scalar oracle on hits — hidden

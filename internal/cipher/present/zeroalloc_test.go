@@ -14,14 +14,14 @@ import (
 // reported, not asserted.
 func TestRecoverMasterAllocs(t *testing.T) {
 	key := []byte{0x01, 0x23, 0x45, 0x67, 0x89, 0xab, 0xcd, 0xef, 0x01, 0x23}
-	ks, err := present.Expand(key)
+	rk, err := present.Expand(key)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sb := present.SBox()
 	pt := uint64(0x0011223344556677)
-	ct := present.Encrypt(ks, &sb, pt)
-	klast := ks.RoundKey(present.Rounds + 1)
+	ct := present.Engine.Encrypt(rk, &sb, pt)
+	klast := rk[present.Rounds]
 	for _, tc := range []struct {
 		name  string
 		klast uint64

@@ -160,9 +160,9 @@ func TestScalarOnlySwitch(t *testing.T) {
 	}
 }
 
-// TestScalarBatchHelpers: the fallback helpers are themselves equivalent
-// to the per-block methods, so an external cipher can satisfy the grown
-// Instance interface by delegation.
+// TestScalarBatchHelpers: the fallback helper is itself equivalent to the
+// per-block method, so an external cipher can satisfy EncryptBatch by
+// delegation.
 func TestScalarBatchHelpers(t *testing.T) {
 	rng := stats.NewRNG(0x0c01d)
 	c := MustGet("present-80")
@@ -176,18 +176,6 @@ func TestScalarBatchHelpers(t *testing.T) {
 		inst.Encrypt(table, want, src[i])
 		if !bytes.Equal(dst[i], want) {
 			t.Fatalf("ScalarEncryptBatch lane %d diverged", i)
-		}
-	}
-	masks := make([][]byte, n)
-	for i := range masks {
-		masks[i] = make([]byte, c.BlockSize())
-		rng.Bytes(masks[i])
-	}
-	ScalarEncryptWithFaultBatch(inst, table, dst, src, 3, masks)
-	for i := 0; i < n; i++ {
-		inst.EncryptWithFault(table, want, src[i], 3, masks[i])
-		if !bytes.Equal(dst[i], want) {
-			t.Fatalf("ScalarEncryptWithFaultBatch lane %d diverged", i)
 		}
 	}
 }

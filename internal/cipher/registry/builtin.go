@@ -2,6 +2,8 @@ package registry
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 
 	"explframe/internal/cipher/aes"
 	"explframe/internal/cipher/bitslice"
@@ -11,26 +13,43 @@ import (
 
 // The built-in victims.  Each adapter translates one cipher package's
 // native API onto the Cipher interface; registering a new victim means
-// writing its package and one more Register call here.
+// writing its package and one more Register call here.  Both 64-bit SPNs
+// share one adapter, told apart by their engine, schedule and completion.
 func init() {
 	Register(aes128{}, "aes")
-	Register(present80{}, "present")
-	Register(lilliput80{}, "lilliput")
+	Register(&spn64{name: "present-80", e: present.Engine,
+		expand: present.Expand, recover: present.RecoverMasterFromLastRound}, "present")
+	Register(&spn64{name: "lilliput-80", e: lilliput.Engine,
+		expand: lilliput.Expand, recover: lilliput.RecoverMasterFromLastRound}, "lilliput")
 }
 
-// getU64/putU64 convert the 64-bit ciphers' big-endian block form.
-func getU64(b []byte) uint64 {
-	var v uint64
-	for i := 0; i < 8; i++ {
-		v = v<<8 | uint64(b[i])
+// checkKey rejects a key of any length but c.KeyBytes().  The cipher
+// packages accept other lengths for other variants (aes.Expand takes
+// AES-192 and AES-256 keys), which would otherwise run under a name whose
+// Rounds, LastRoundCells and RecoverMaster assume the registered one.
+func checkKey(c Cipher, key []byte) error {
+	if len(key) != c.KeyBytes() {
+		return fmt.Errorf("registry: %s takes a %d-byte key, got %d bytes", c.Name(), c.KeyBytes(), len(key))
 	}
-	return v
+	return nil
 }
 
-func putU64(b []byte, v uint64) {
-	for i := 7; i >= 0; i-- {
-		b[i] = byte(v)
-		v >>= 8
+// forBatch checks a batch's lengths and walks it: full BatchLanes-wide
+// chunks go to sliced (unless SetScalarOnly is on) and the remainder, one
+// block at a time, to scalar.  masks is nil for a batch without transient
+// faults.
+func forBatch(dst, src, masks [][]byte, sliced func(lo, hi int), scalar func(i int)) {
+	if len(dst) != len(src) || masks != nil && len(masks) != len(src) {
+		panic("registry: batch dst/src/masks length mismatch")
+	}
+	i := 0
+	if !ScalarOnly() {
+		for ; i+BatchLanes <= len(src); i += BatchLanes {
+			sliced(i, i+BatchLanes)
+		}
+	}
+	for ; i < len(src); i++ {
+		scalar(i)
 	}
 }
 
@@ -51,7 +70,10 @@ func (aes128) SBox() []byte {
 	return sb[:]
 }
 
-func (aes128) New(key []byte) (Instance, error) {
+func (c aes128) New(key []byte) (Instance, error) {
+	if err := checkKey(c, key); err != nil {
+		return nil, err
+	}
 	ks, err := aes.Expand(key)
 	if err != nil {
 		return nil, err
@@ -111,246 +133,131 @@ func (in *aesInstance) EncryptWithFault(table, dst, src []byte, round int, mask 
 }
 
 func (in *aesInstance) EncryptBatch(table []byte, dst, src [][]byte) {
-	if len(dst) != len(src) {
-		panic("registry: batch dst/src length mismatch")
-	}
 	var sb [256]byte
 	copy(sb[:], table)
-	n := 0
-	if !ScalarOnly() {
-		for ; n+bitslice.Lanes <= len(src); n += bitslice.Lanes {
-			aes.EncryptBlocksBitsliced(in.ks, &sb, dst[n:n+bitslice.Lanes], src[n:n+bitslice.Lanes])
-		}
-	}
-	for ; n < len(src); n++ {
-		aes.EncryptBlock(in.ks, &sb, dst[n], src[n])
-	}
+	forBatch(dst, src, nil,
+		func(lo, hi int) { aes.EncryptBlocksBitsliced(in.ks, &sb, dst[lo:hi], src[lo:hi]) },
+		func(i int) { aes.EncryptBlock(in.ks, &sb, dst[i], src[i]) })
 }
 
 func (in *aesInstance) EncryptWithFaultBatch(table []byte, dst, src [][]byte, round int, masks [][]byte) {
-	if len(dst) != len(src) || len(masks) != len(src) {
-		panic("registry: batch dst/src/masks length mismatch")
-	}
 	var sb [256]byte
 	copy(sb[:], table)
-	n := 0
-	if !ScalarOnly() {
-		for ; n+bitslice.Lanes <= len(src); n += bitslice.Lanes {
-			aes.EncryptBlocksWithFaultBitsliced(in.ks, &sb,
-				dst[n:n+bitslice.Lanes], src[n:n+bitslice.Lanes], round, masks[n:n+bitslice.Lanes])
-		}
-	}
 	var m [16]byte
-	for ; n < len(src); n++ {
-		copy(m[:], masks[n])
-		aes.EncryptBlockWithFault(in.ks, &sb, dst[n], src[n], round, &m)
-	}
+	forBatch(dst, src, masks,
+		func(lo, hi int) {
+			aes.EncryptBlocksWithFaultBitsliced(in.ks, &sb, dst[lo:hi], src[lo:hi], round, masks[lo:hi])
+		},
+		func(i int) {
+			copy(m[:], masks[i])
+			aes.EncryptBlockWithFault(in.ks, &sb, dst[i], src[i], round, &m)
+		})
 }
 
-// --- PRESENT-80 ----------------------------------------------------------
+// --- 64-bit SPNs: PRESENT-80 and the LILLIPUT-style SPN ------------------
 
-type present80 struct{}
+// spn64 adapts one 64-bit SPN on a bitslice.SPN64 engine with an 80-bit
+// key register.  The final round computes ct = PLayer(S(x)) ^ K_last, so
+// nibble i of InvPLayer(ct) equals S(x_i) ^ nibble i of InvPLayer(K_last).
+type spn64 struct {
+	name    string
+	e       *bitslice.SPN64
+	expand  func(key []byte) ([]uint64, error)
+	recover func(lastRoundKey, plaintext, ciphertext uint64) ([]byte, bool)
+}
 
-func (present80) Name() string     { return "present-80" }
-func (present80) BlockSize() int   { return present.BlockSize }
-func (present80) KeyBytes() int    { return 10 }
-func (present80) Rounds() int      { return present.Rounds }
-func (present80) TableLen() int    { return 16 }
-func (present80) EntryBits() int   { return 4 }
-func (present80) RecoverCost() int { return 1 << 16 }
+func (c *spn64) Name() string     { return c.name }
+func (c *spn64) BlockSize() int   { return 8 }
+func (c *spn64) KeyBytes() int    { return 10 }
+func (c *spn64) Rounds() int      { return c.e.Rounds }
+func (c *spn64) TableLen() int    { return 16 }
+func (c *spn64) EntryBits() int   { return 4 }
+func (c *spn64) RecoverCost() int { return 1 << 16 }
 
-func (present80) SBox() []byte {
-	sb := present.SBox()
+func (c *spn64) SBox() []byte {
+	sb := c.e.Canon
 	return sb[:]
 }
 
-func (present80) New(key []byte) (Instance, error) {
-	ks, err := present.Expand(key)
+func (c *spn64) New(key []byte) (Instance, error) {
+	if err := checkKey(c, key); err != nil {
+		return nil, err
+	}
+	rk, err := c.expand(key)
 	if err != nil {
 		return nil, err
 	}
-	return &presentInstance{ks: ks}, nil
+	return &spn64Instance{e: c.e, rk: rk}, nil
 }
 
-// LastRoundCells: the final round computes ct = pLayer(S(x)) ^ K32, so
-// nibble i of invPLayer(ct) equals S(x_i) ^ invPLayer(K32) nibble i.
-func (present80) LastRoundCells(cells, ct []byte) {
-	u := present.InvPLayer(getU64(ct))
+func (c *spn64) LastRoundCells(cells, ct []byte) {
+	u := c.e.InvPLayer(be.Uint64(ct))
 	for i := 0; i < 16; i++ {
 		cells[i] = byte((u >> uint(4*i)) & 0xF)
 	}
 }
 
-func (present80) AssembleLastRoundKey(cells []byte) []byte {
+func (c *spn64) AssembleLastRoundKey(cells []byte) []byte {
 	var kPrime uint64
-	for i, c := range cells[:16] {
-		kPrime |= uint64(c&0xF) << uint(4*i)
+	for i, cell := range cells[:16] {
+		kPrime |= uint64(cell&0xF) << uint(4*i)
 	}
-	out := make([]byte, 8)
-	putU64(out, present.PLayer(kPrime))
-	return out
+	return be.AppendUint64(nil, c.e.PLayer(kPrime))
 }
 
-func (present80) RecoverMaster(lastRoundKey, plaintext, ciphertext []byte) ([]byte, bool) {
+func (c *spn64) RecoverMaster(lastRoundKey, plaintext, ciphertext []byte) ([]byte, bool) {
 	if plaintext == nil {
 		return nil, false // the 16 hidden register bits need a known pair
 	}
-	return present.RecoverMasterFromLastRound(getU64(lastRoundKey), getU64(plaintext), getU64(ciphertext))
+	return c.recover(be.Uint64(lastRoundKey), be.Uint64(plaintext), be.Uint64(ciphertext))
 }
 
-type presentInstance struct{ ks *present.Schedule }
+// be is the 64-bit SPNs' big-endian byte form of a block.
+var be = binary.BigEndian
 
-func (in *presentInstance) Encrypt(table, dst, src []byte) {
+type spn64Instance struct {
+	e  *bitslice.SPN64
+	rk []uint64
+}
+
+func (in *spn64Instance) Encrypt(table, dst, src []byte) {
 	var sb [16]byte
 	copy(sb[:], table)
-	present.EncryptBlock(in.ks, &sb, dst, src)
+	in.encrypt(&sb, dst, src)
 }
 
-func (in *presentInstance) Decrypt(dst, src []byte) {
-	isb := present.InvSBox()
-	present.DecryptBlock(in.ks, &isb, dst, src)
+func (in *spn64Instance) encrypt(sb *[16]byte, dst, src []byte) {
+	be.PutUint64(dst, in.e.Encrypt(in.rk, sb, be.Uint64(src)))
 }
 
-func (in *presentInstance) EncryptWithFault(table, dst, src []byte, round int, mask []byte) {
+func (in *spn64Instance) Decrypt(dst, src []byte) {
+	be.PutUint64(dst, in.e.Decrypt(in.rk, be.Uint64(src)))
+}
+
+func (in *spn64Instance) EncryptWithFault(table, dst, src []byte, round int, mask []byte) {
 	var sb [16]byte
 	copy(sb[:], table)
-	putU64(dst, present.EncryptWithFault(in.ks, &sb, getU64(src), round, getU64(mask)))
+	in.encryptWithFault(&sb, dst, src, round, mask)
 }
 
-func (in *presentInstance) EncryptBatch(table []byte, dst, src [][]byte) {
-	if len(dst) != len(src) {
-		panic("registry: batch dst/src length mismatch")
-	}
+func (in *spn64Instance) encryptWithFault(sb *[16]byte, dst, src []byte, round int, mask []byte) {
+	be.PutUint64(dst, in.e.EncryptWithFault(in.rk, sb, be.Uint64(src), round, be.Uint64(mask)))
+}
+
+func (in *spn64Instance) EncryptBatch(table []byte, dst, src [][]byte) {
 	var sb [16]byte
 	copy(sb[:], table)
-	n := 0
-	if !ScalarOnly() {
-		for ; n+bitslice.Lanes <= len(src); n += bitslice.Lanes {
-			present.EncryptBlocksBitsliced(in.ks, &sb, dst[n:n+bitslice.Lanes], src[n:n+bitslice.Lanes])
-		}
-	}
-	for ; n < len(src); n++ {
-		present.EncryptBlock(in.ks, &sb, dst[n], src[n])
-	}
+	forBatch(dst, src, nil,
+		func(lo, hi int) { in.e.EncryptBatch(in.rk, sb[:], dst[lo:hi], src[lo:hi]) },
+		func(i int) { in.encrypt(&sb, dst[i], src[i]) })
 }
 
-func (in *presentInstance) EncryptWithFaultBatch(table []byte, dst, src [][]byte, round int, masks [][]byte) {
-	if len(dst) != len(src) || len(masks) != len(src) {
-		panic("registry: batch dst/src/masks length mismatch")
-	}
+func (in *spn64Instance) EncryptWithFaultBatch(table []byte, dst, src [][]byte, round int, masks [][]byte) {
 	var sb [16]byte
 	copy(sb[:], table)
-	n := 0
-	if !ScalarOnly() {
-		for ; n+bitslice.Lanes <= len(src); n += bitslice.Lanes {
-			present.EncryptBlocksWithFaultBitsliced(in.ks, &sb,
-				dst[n:n+bitslice.Lanes], src[n:n+bitslice.Lanes], round, masks[n:n+bitslice.Lanes])
-		}
-	}
-	for ; n < len(src); n++ {
-		putU64(dst[n], present.EncryptWithFault(in.ks, &sb, getU64(src[n]), round, getU64(masks[n])))
-	}
-}
-
-// --- LILLIPUT-style 80-bit SPN -------------------------------------------
-
-type lilliput80 struct{}
-
-func (lilliput80) Name() string     { return "lilliput-80" }
-func (lilliput80) BlockSize() int   { return lilliput.BlockSize }
-func (lilliput80) KeyBytes() int    { return lilliput.KeyBytes }
-func (lilliput80) Rounds() int      { return lilliput.Rounds }
-func (lilliput80) TableLen() int    { return 16 }
-func (lilliput80) EntryBits() int   { return 4 }
-func (lilliput80) RecoverCost() int { return 1 << 16 }
-
-func (lilliput80) SBox() []byte {
-	sb := lilliput.SBox()
-	return sb[:]
-}
-
-func (lilliput80) New(key []byte) (Instance, error) {
-	ks, err := lilliput.Expand(key)
-	if err != nil {
-		return nil, err
-	}
-	return &lilliputInstance{ks: ks}, nil
-}
-
-func (lilliput80) LastRoundCells(cells, ct []byte) {
-	u := lilliput.InvPLayer(getU64(ct))
-	for i := 0; i < 16; i++ {
-		cells[i] = byte((u >> uint(4*i)) & 0xF)
-	}
-}
-
-func (lilliput80) AssembleLastRoundKey(cells []byte) []byte {
-	var kPrime uint64
-	for i, c := range cells[:16] {
-		kPrime |= uint64(c&0xF) << uint(4*i)
-	}
-	out := make([]byte, 8)
-	putU64(out, lilliput.PLayer(kPrime))
-	return out
-}
-
-func (lilliput80) RecoverMaster(lastRoundKey, plaintext, ciphertext []byte) ([]byte, bool) {
-	if plaintext == nil {
-		return nil, false
-	}
-	return lilliput.RecoverMasterFromLastRound(getU64(lastRoundKey), getU64(plaintext), getU64(ciphertext))
-}
-
-type lilliputInstance struct{ ks *lilliput.Schedule }
-
-func (in *lilliputInstance) Encrypt(table, dst, src []byte) {
-	var sb [16]byte
-	copy(sb[:], table)
-	lilliput.EncryptBlock(in.ks, &sb, dst, src)
-}
-
-func (in *lilliputInstance) Decrypt(dst, src []byte) {
-	isb := lilliput.InvSBox()
-	lilliput.DecryptBlock(in.ks, &isb, dst, src)
-}
-
-func (in *lilliputInstance) EncryptWithFault(table, dst, src []byte, round int, mask []byte) {
-	var sb [16]byte
-	copy(sb[:], table)
-	putU64(dst, lilliput.EncryptWithFault(in.ks, &sb, getU64(src), round, getU64(mask)))
-}
-
-func (in *lilliputInstance) EncryptBatch(table []byte, dst, src [][]byte) {
-	if len(dst) != len(src) {
-		panic("registry: batch dst/src length mismatch")
-	}
-	var sb [16]byte
-	copy(sb[:], table)
-	n := 0
-	if !ScalarOnly() {
-		for ; n+bitslice.Lanes <= len(src); n += bitslice.Lanes {
-			lilliput.EncryptBlocksBitsliced(in.ks, &sb, dst[n:n+bitslice.Lanes], src[n:n+bitslice.Lanes])
-		}
-	}
-	for ; n < len(src); n++ {
-		lilliput.EncryptBlock(in.ks, &sb, dst[n], src[n])
-	}
-}
-
-func (in *lilliputInstance) EncryptWithFaultBatch(table []byte, dst, src [][]byte, round int, masks [][]byte) {
-	if len(dst) != len(src) || len(masks) != len(src) {
-		panic("registry: batch dst/src/masks length mismatch")
-	}
-	var sb [16]byte
-	copy(sb[:], table)
-	n := 0
-	if !ScalarOnly() {
-		for ; n+bitslice.Lanes <= len(src); n += bitslice.Lanes {
-			lilliput.EncryptBlocksWithFaultBitsliced(in.ks, &sb,
-				dst[n:n+bitslice.Lanes], src[n:n+bitslice.Lanes], round, masks[n:n+bitslice.Lanes])
-		}
-	}
-	for ; n < len(src); n++ {
-		putU64(dst[n], lilliput.EncryptWithFault(in.ks, &sb, getU64(src[n]), round, getU64(masks[n])))
-	}
+	forBatch(dst, src, masks,
+		func(lo, hi int) {
+			in.e.EncryptWithFaultBatch(in.rk, sb[:], dst[lo:hi], src[lo:hi], round, masks[lo:hi])
+		},
+		func(i int) { in.encryptWithFault(&sb, dst[i], src[i], round, masks[i]) })
 }

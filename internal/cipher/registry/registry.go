@@ -136,17 +136,6 @@ func ScalarEncryptBatch(in Instance, table []byte, dst, src [][]byte) {
 	}
 }
 
-// ScalarEncryptWithFaultBatch implements Instance.EncryptWithFaultBatch by
-// looping the scalar EncryptWithFault.
-func ScalarEncryptWithFaultBatch(in Instance, table []byte, dst, src [][]byte, round int, masks [][]byte) {
-	if len(dst) != len(src) || len(masks) != len(src) {
-		panic("registry: batch dst/src/masks length mismatch")
-	}
-	for i := range src {
-		in.EncryptWithFault(table, dst[i], src[i], round, masks[i])
-	}
-}
-
 // Cells returns the number of PFA cell positions per block: one per S-box
 // lookup in the final round.
 func Cells(c Cipher) int { return c.BlockSize() * 8 / c.EntryBits() }

@@ -2,6 +2,8 @@ package registry
 
 import (
 	"bytes"
+	"fmt"
+	"strings"
 	"testing"
 
 	"explframe/internal/stats"
@@ -79,8 +81,22 @@ func TestCipherContract(t *testing.T) {
 				seen[v] = true
 			}
 
-			if _, err := c.New(make([]byte, c.KeyBytes()+1)); err == nil {
-				t.Fatal("oversized key accepted")
+			// Every other length is refused, including the AES-192/256
+			// lengths aes.Expand accepts and the 80-bit ciphers' 10 bytes
+			// under AES, and the error names the cipher and both lengths.
+			for _, n := range []int{0, c.KeyBytes() - 1, c.KeyBytes() + 1, 10, 16, 24, 32} {
+				if n == c.KeyBytes() {
+					continue
+				}
+				_, err := c.New(make([]byte, n))
+				if err == nil {
+					t.Fatalf("%d-byte key accepted", n)
+				}
+				for _, want := range []string{c.Name(), fmt.Sprint(c.KeyBytes()), fmt.Sprint(n)} {
+					if !strings.Contains(err.Error(), want) {
+						t.Fatalf("%d-byte key: error %q does not mention %q", n, err, want)
+					}
+				}
 			}
 			rng := stats.NewRNG(99)
 			key := make([]byte, c.KeyBytes())

@@ -2,10 +2,9 @@ package experiments
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 
-	"explframe/internal/cipher/aes"
-	"explframe/internal/cipher/present"
 	"explframe/internal/cipher/registry"
 	"explframe/internal/fault"
 	"explframe/internal/fault/dfa"
@@ -36,6 +35,7 @@ func E7PFAAES(seed uint64, opts ...harness.Option) (*Table, error) {
 	}
 	const trials = 32
 	checkpoints := []int{250, 500, 1000, 1500, 2000, 2500, 3000, 4000, 6000}
+	c := registry.MustGet("aes-128")
 
 	type trial struct {
 		entropy     []float64
@@ -50,22 +50,22 @@ func E7PFAAES(seed uint64, opts ...harness.Option) (*Table, error) {
 		}
 		key := make([]byte, 16)
 		rng.Bytes(key)
-		ks, err := aes.Expand(key)
+		inst, err := c.New(key)
 		if err != nil {
 			return out, err
 		}
-		faulty := aes.SBox()
+		faulty := c.SBox()
 		vStar := rng.Intn(256)
 		yStar := faulty[vStar]
 		faulty[vStar] ^= 1 << uint(rng.Intn(8))
 
-		col := pfa.NewAESCollector()
+		col := pfa.NewCollector(c)
 		pt := make([]byte, 16)
 		ct := make([]byte, 16)
 		next := 0
 		for n := 1; n <= checkpoints[len(checkpoints)-1]; n++ {
 			rng.Bytes(pt)
-			aes.EncryptBlock(ks, &faulty, ct, pt)
+			inst.Encrypt(faulty, ct, pt)
 			if err := col.Observe(ct); err != nil {
 				return out, err
 			}
@@ -200,20 +200,23 @@ func E9DFAvsPFA(seed uint64, opts ...harness.Option) (*Table, error) {
 			func(_ int, rng *stats.RNG) (bool, error) {
 				key := make([]byte, 16)
 				rng.Bytes(key)
-				ks, _ := aes.Expand(key)
-				faulty := aes.SBox()
+				inst, err := dfaCipher.New(key)
+				if err != nil {
+					return false, err
+				}
+				faulty := dfaCipher.SBox()
 				v := rng.Intn(256)
 				yStar := faulty[v]
 				faulty[v] ^= 1 << uint(rng.Intn(8))
-				col := pfa.NewAESCollector()
+				col := pfa.NewCollector(dfaCipher)
 				pt := make([]byte, 16)
 				ct := make([]byte, 16)
 				for k := 0; k < n; k++ {
 					rng.Bytes(pt)
-					aes.EncryptBlock(ks, &faulty, ct, pt)
+					inst.Encrypt(faulty, ct, pt)
 					col.Observe(ct)
 				}
-				_, err := col.RecoverLastRoundKeyKnownFault(yStar)
+				_, err = col.RecoverLastRoundKeyKnownFault(yStar)
 				return err == nil, nil
 			}, opts...)
 		if err != nil {
@@ -256,6 +259,7 @@ func E10PFAPresent(seed uint64, opts ...harness.Option) (*Table, error) {
 	}
 	const trials = 32
 	checkpoints := []int{10, 25, 50, 75, 100, 150, 250, 400}
+	c := registry.MustGet("present-80")
 
 	type trial struct {
 		entropy     []float64
@@ -265,19 +269,25 @@ func E10PFAPresent(seed uint64, opts ...harness.Option) (*Table, error) {
 		out := trial{entropy: make([]float64, len(checkpoints)), recoveredAt: -1}
 		key := make([]byte, 10)
 		rng.Bytes(key)
-		ks, err := present.Expand(key)
+		inst, err := c.New(key)
 		if err != nil {
 			return out, err
 		}
-		faulty := present.SBox()
+		faulty := c.SBox()
 		v := rng.Intn(16)
 		yStar := faulty[v]
 		faulty[v] ^= byte(1 << uint(rng.Intn(4)))
 
-		col := pfa.NewPresentCollector()
+		col := pfa.NewCollector(c)
+		pt := make([]byte, 8)
+		ct := make([]byte, 8)
 		next := 0
 		for n := 1; n <= checkpoints[len(checkpoints)-1]; n++ {
-			col.Observe(present.Encrypt(ks, &faulty, rng.Uint64()))
+			binary.BigEndian.PutUint64(pt, rng.Uint64())
+			inst.Encrypt(faulty, ct, pt)
+			if err := col.Observe(ct); err != nil {
+				return out, err
+			}
 			if out.recoveredAt < 0 {
 				if _, err := col.RecoverLastRoundKeyKnownFault(yStar); err == nil {
 					out.recoveredAt = n

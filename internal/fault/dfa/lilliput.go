@@ -1,6 +1,7 @@
 package dfa
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 
@@ -233,8 +234,8 @@ func lilConstrain(sets *[16]uint16, p Pair, m fault.Model) error {
 	if len(p.Correct) < lilliput.BlockSize || len(p.Faulty) < lilliput.BlockSize {
 		return fmt.Errorf("dfa: lilliput-80 pair needs %d-byte ciphertexts", lilliput.BlockSize)
 	}
-	u := lilliput.InvPLayer(lilGetU64(p.Correct))
-	us := lilliput.InvPLayer(lilGetU64(p.Faulty))
+	u := lilliput.Engine.InvPLayer(binary.BigEndian.Uint64(p.Correct))
+	us := lilliput.Engine.InvPLayer(binary.BigEndian.Uint64(p.Faulty))
 	var un, usn [16]byte
 	var affected uint16 // the observed affected nibble set D
 	for i := 0; i < 16; i++ {
@@ -406,13 +407,4 @@ func lilConstrain(sets *[16]uint16, p Pair, m fault.Model) error {
 		}
 	}
 	return nil
-}
-
-// lilGetU64 converts the big-endian byte-form block to the uint64 state.
-func lilGetU64(b []byte) uint64 {
-	var v uint64
-	for i := 0; i < 8; i++ {
-		v = v<<8 | uint64(b[i])
-	}
-	return v
 }

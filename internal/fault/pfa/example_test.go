@@ -5,16 +5,17 @@ import (
 	"fmt"
 
 	"explframe/internal/cipher/aes"
+	"explframe/internal/cipher/registry"
 	"explframe/internal/fault/pfa"
 	"explframe/internal/stats"
 )
 
-// ExampleAESCollector is the offline half of the ExplFrame attack in
+// ExampleCollector is the offline half of the ExplFrame attack in
 // miniature (the full walkthrough is examples/aes-key-recovery): a victim
 // encrypts with an S-box carrying one Rowhammer-style bit flip, and the
 // analyst recovers the AES-128 master key from ciphertexts alone plus the
 // known flip location.
-func ExampleAESCollector() {
+func ExampleCollector() {
 	rng := stats.NewRNG(2024)
 
 	// The victim's secret key, and the fault ExplFrame's templating step
@@ -31,7 +32,7 @@ func ExampleAESCollector() {
 
 	// The attacker passively observes ciphertexts of unknown plaintexts
 	// until the missing-value analysis pins every key byte.
-	collector := pfa.NewAESCollector()
+	collector := pfa.NewCollector(registry.MustGet("aes-128"))
 	pt := make([]byte, 16)
 	ct := make([]byte, 16)
 	for n := 1; ; n++ {
@@ -43,11 +44,11 @@ func ExampleAESCollector() {
 		if n%250 != 0 {
 			continue
 		}
-		master, err := collector.RecoverMasterKnownFault(yStar)
+		master, err := collector.RecoverMasterKnownFault(yStar, nil, nil)
 		if err != nil {
 			continue // not enough ciphertexts yet
 		}
-		fmt.Printf("recovered the master key after %d ciphertexts: %v\n", n, bytes.Equal(master[:], key))
+		fmt.Printf("recovered the master key after %d ciphertexts: %v\n", n, bytes.Equal(master, key))
 		return
 	}
 	// Output: recovered the master key after 2500 ciphertexts: true

@@ -1,6 +1,7 @@
 package pfa
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 
@@ -18,7 +19,7 @@ func TestMLRecovery(t *testing.T) {
 	yPrime := faulty[0x3c]
 
 	rng := stats.NewRNG(41)
-	c := NewAESCollector()
+	c := newAES()
 	pt := make([]byte, 16)
 	ct := make([]byte, 16)
 	for i := 0; i < 25000; i++ {
@@ -30,8 +31,8 @@ func TestMLRecovery(t *testing.T) {
 	if z < 2 {
 		t.Fatalf("z-score %.2f too low at n=25000", z)
 	}
-	if got != ks.RoundKey(10) {
-		t.Fatalf("ML recovered %x want %x", got, ks.RoundKey(10))
+	if want := ks.RoundKey(10); !bytes.Equal(got, want[:]) {
+		t.Fatalf("ML recovered %x want %x", got, want)
 	}
 }
 
@@ -45,7 +46,7 @@ func TestMLLowConfidenceEarly(t *testing.T) {
 	yPrime := faulty[0x11]
 
 	rng := stats.NewRNG(43)
-	c := NewAESCollector()
+	c := newAES()
 	pt := make([]byte, 16)
 	ct := make([]byte, 16)
 	for i := 0; i < 100; i++ {
@@ -70,7 +71,7 @@ func TestMultiFaultRecovery(t *testing.T) {
 	yPrimes := []byte{faulty[0x20], faulty[0x85]}
 
 	rng := stats.NewRNG(47)
-	c := NewAESCollector()
+	c := newAES()
 	pt := make([]byte, 16)
 	ct := make([]byte, 16)
 	for i := 0; i < 30000; i++ {
@@ -103,17 +104,17 @@ func TestMultiFaultRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != k10 {
+	if !bytes.Equal(got, k10[:]) {
 		t.Fatalf("multi-fault recovered %x want %x", got, k10)
 	}
-	master := aes.RecoverMasterFromLastRound(got)
+	master := aes.RecoverMasterFromLastRound([16]byte(got))
 	if string(master[:]) != string(key) {
 		t.Fatalf("master %x want %x", master, key)
 	}
 }
 
 func TestMultiFaultErrors(t *testing.T) {
-	c := NewAESCollector()
+	c := newAES()
 	if _, err := c.MultiFaultCandidates(nil); !errors.Is(err, ErrInconsistent) {
 		t.Fatalf("empty yStars: %v", err)
 	}
@@ -145,7 +146,7 @@ func TestMultiFaultReducesToSingle(t *testing.T) {
 	faulty[0x7a] ^= 0x80
 
 	rng := stats.NewRNG(53)
-	c := NewAESCollector()
+	c := newAES()
 	pt := make([]byte, 16)
 	ct := make([]byte, 16)
 	for i := 0; i < 8000; i++ {

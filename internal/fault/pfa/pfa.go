@@ -16,16 +16,12 @@
 // corresponding last-round key cell.
 //
 // The Collector runs this analysis over any cipher registered in
-// internal/cipher/registry; AESCollector and PresentCollector are
-// compatibility wrappers that pin the cipher and keep the historical
-// fixed-size signatures.
+// internal/cipher/registry: pfa.NewCollector(registry.MustGet("aes-128"))
+// attacks AES-128, and the same code attacks PRESENT-80 and the
+// LILLIPUT-style SPN.
 package pfa
 
-import (
-	"errors"
-
-	"explframe/internal/cipher/registry"
-)
+import "errors"
 
 // Errors returned by the recovery functions.
 var (
@@ -36,128 +32,3 @@ var (
 	// persistent S-box fault (e.g. no missing value at some position).
 	ErrInconsistent = errors.New("pfa: observations inconsistent with the fault hypothesis")
 )
-
-// AESCollector accumulates faulty AES ciphertexts; it is the generic
-// Collector specialised to AES-128 with [16]byte key signatures.
-type AESCollector struct {
-	g *Collector
-}
-
-// NewAESCollector returns an empty collector.
-func NewAESCollector() *AESCollector {
-	return &AESCollector{g: NewCollector(registry.MustGet("aes-128"))}
-}
-
-// Observe records one 16-byte ciphertext.
-func (c *AESCollector) Observe(ct []byte) error { return c.g.Observe(ct) }
-
-// N returns the number of observed ciphertexts.
-func (c *AESCollector) N() uint64 { return c.g.N() }
-
-// Missing returns the values never observed at byte position i.
-func (c *AESCollector) Missing(i int) []byte { return c.g.Missing(i) }
-
-// MostFrequent returns the value observed most often at position i and its
-// count.  Under a single-entry fault it converges to y' ^ k10[i].
-func (c *AESCollector) MostFrequent(i int) (byte, uint64) { return c.g.MostFrequent(i) }
-
-// ResidualEntropy returns the log2 of the remaining key-space size for the
-// last round key given the current observations.
-func (c *AESCollector) ResidualEntropy() float64 { return c.g.ResidualEntropy() }
-
-// RecoverLastRoundKeyKnownFault recovers the AES last-round key when the
-// attacker knows which S-box output value vanished (y*).
-func (c *AESCollector) RecoverLastRoundKeyKnownFault(yStar byte) ([16]byte, error) {
-	var key [16]byte
-	last, err := c.g.RecoverLastRoundKeyKnownFault(yStar)
-	if err != nil {
-		return key, err
-	}
-	copy(key[:], last)
-	return key, nil
-}
-
-// CandidateKeysUnknownFault returns the 256 last-round-key candidates when
-// the vanished value y* is unknown: each choice of y* yields one key.  The
-// caller disambiguates with a known plaintext/ciphertext pair or the key
-// schedule.  An error is returned while any position is underdetermined.
-func (c *AESCollector) CandidateKeysUnknownFault() ([][16]byte, error) {
-	miss, err := c.g.missingCells()
-	if err != nil {
-		return nil, err
-	}
-	keys := make([][16]byte, 256)
-	for y := 0; y < 256; y++ {
-		for i := 0; i < 16; i++ {
-			keys[y][i] = miss[i] ^ byte(y)
-		}
-	}
-	return keys, nil
-}
-
-// RecoverLastRoundKeyML recovers the last round key by maximum likelihood
-// from the corrupted entry's new value yPrime; see Collector.
-func (c *AESCollector) RecoverLastRoundKeyML(yPrime byte) (key [16]byte, minZ float64) {
-	last, minZ := c.g.RecoverLastRoundKeyML(yPrime)
-	copy(key[:], last)
-	return key, minZ
-}
-
-// MultiFaultCandidates generalises the elimination attack to a table
-// carrying several corrupted entries; see Collector.MultiFaultCandidates.
-func (c *AESCollector) MultiFaultCandidates(yStars []byte) ([16][]byte, error) {
-	var out [16][]byte
-	cands, err := c.g.MultiFaultCandidates(yStars)
-	copy(out[:], cands)
-	return out, err
-}
-
-// RecoverLastRoundKeyMultiFault resolves the multi-fault candidate sets
-// with frequency information; see Collector.RecoverLastRoundKeyMultiFault.
-func (c *AESCollector) RecoverLastRoundKeyMultiFault(yStars, yPrimes []byte) ([16]byte, error) {
-	var key [16]byte
-	last, err := c.g.RecoverLastRoundKeyMultiFault(yStars, yPrimes)
-	if err != nil {
-		return key, err
-	}
-	copy(key[:], last)
-	return key, nil
-}
-
-// RecoverMasterMultiFaultWithPair completes the multi-fault attack for
-// AES-128, resolving the degenerate same-bit case against one clean known
-// pair; see Collector.RecoverMasterMultiFaultWithPair.
-func (c *AESCollector) RecoverMasterMultiFaultWithPair(yStars, yPrimes, plaintext, ciphertext []byte) ([16]byte, error) {
-	var key [16]byte
-	master, err := c.g.RecoverMasterMultiFaultWithPair(yStars, yPrimes, plaintext, ciphertext)
-	if err != nil {
-		return key, err
-	}
-	copy(key[:], master)
-	return key, nil
-}
-
-// RecoverMasterKnownFault completes the attack for AES-128: last-round key
-// via missing values, then key-schedule inversion to the master key.
-func (c *AESCollector) RecoverMasterKnownFault(yStar byte) ([16]byte, error) {
-	var key [16]byte
-	master, err := c.g.RecoverMasterKnownFault(yStar, nil, nil)
-	if err != nil {
-		return key, err
-	}
-	copy(key[:], master)
-	return key, nil
-}
-
-// RecoverMasterUnknownFault disambiguates the 256 unknown-fault candidates
-// with one known plaintext/ciphertext pair encrypted under the *clean*
-// cipher (e.g. captured before the fault was planted).
-func (c *AESCollector) RecoverMasterUnknownFault(plaintext, ciphertext []byte) ([16]byte, error) {
-	var key [16]byte
-	master, err := c.g.RecoverMasterUnknownFault(plaintext, ciphertext)
-	if err != nil {
-		return key, err
-	}
-	copy(key[:], master)
-	return key, nil
-}

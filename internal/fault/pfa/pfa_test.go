@@ -2,17 +2,41 @@ package pfa
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
 
 	"explframe/internal/cipher/aes"
 	"explframe/internal/cipher/present"
+	"explframe/internal/cipher/registry"
 	"explframe/internal/stats"
 )
 
+// newAES and newPresent return empty collectors for the two ciphers these
+// tests attack.
+func newAES() *Collector     { return NewCollector(registry.MustGet("aes-128")) }
+func newPresent() *Collector { return NewCollector(registry.MustGet("present-80")) }
+
+// presentInstance keys PRESENT-80 through the registry.
+func presentInstance(t *testing.T, key []byte) registry.Instance {
+	t.Helper()
+	inst, err := registry.MustGet("present-80").New(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return inst
+}
+
+// presentCT enciphers the 64-bit plaintext pt under inst and table.
+func presentCT(inst registry.Instance, table []byte, pt uint64) []byte {
+	ct := make([]byte, 8)
+	inst.Encrypt(table, ct, binary.BigEndian.AppendUint64(nil, pt))
+	return ct
+}
+
 // faultyAESStream produces n ciphertexts of random plaintexts under a
 // cipher whose S-box entry vIdx has bit 'bit' flipped.
-func faultyAESStream(t *testing.T, key []byte, vIdx int, bit uint8, n int, rng *stats.RNG, c *AESCollector) (yStar byte) {
+func faultyAESStream(t *testing.T, key []byte, vIdx int, bit uint8, n int, rng *stats.RNG, c *Collector) (yStar byte) {
 	t.Helper()
 	ks, err := aes.Expand(key)
 	if err != nil {
@@ -36,7 +60,7 @@ func faultyAESStream(t *testing.T, key []byte, vIdx int, bit uint8, n int, rng *
 func TestAESKnownFaultRecovery(t *testing.T) {
 	key := []byte("0123456789abcdef")
 	rng := stats.NewRNG(7)
-	c := NewAESCollector()
+	c := newAES()
 	yStar := faultyAESStream(t, key, 0x42, 3, 6000, rng, c)
 
 	k10, err := c.RecoverLastRoundKeyKnownFault(yStar)
@@ -44,15 +68,15 @@ func TestAESKnownFaultRecovery(t *testing.T) {
 		t.Fatalf("recovery failed after %d ciphertexts: %v", c.N(), err)
 	}
 	ks, _ := aes.Expand(key)
-	if k10 != ks.RoundKey(10) {
-		t.Fatalf("recovered %x want %x", k10, ks.RoundKey(10))
+	if want := ks.RoundKey(10); !bytes.Equal(k10, want[:]) {
+		t.Fatalf("recovered %x want %x", k10, want)
 	}
 
-	master, err := c.RecoverMasterKnownFault(yStar)
+	master, err := c.RecoverMasterKnownFault(yStar, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(master[:], key) {
+	if !bytes.Equal(master, key) {
 		t.Fatalf("master %x want %x", master, key)
 	}
 }
@@ -60,7 +84,7 @@ func TestAESKnownFaultRecovery(t *testing.T) {
 func TestAESUnknownFaultRecovery(t *testing.T) {
 	key := []byte("fedcba9876543210")
 	rng := stats.NewRNG(11)
-	c := NewAESCollector()
+	c := newAES()
 	faultyAESStream(t, key, 0x99, 6, 6000, rng, c)
 
 	// One clean known pair disambiguates the 256 candidates.
@@ -70,18 +94,11 @@ func TestAESUnknownFaultRecovery(t *testing.T) {
 	ct := make([]byte, 16)
 	aes.EncryptBlock(ks, &sb, ct, pt)
 
-	cands, err := c.CandidateKeysUnknownFault()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cands) != 256 {
-		t.Fatalf("%d candidates", len(cands))
-	}
 	master, err := c.RecoverMasterUnknownFault(pt, ct)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(master[:], key) {
+	if !bytes.Equal(master, key) {
 		t.Fatalf("master %x want %x", master, key)
 	}
 }
@@ -89,7 +106,7 @@ func TestAESUnknownFaultRecovery(t *testing.T) {
 func TestAESUnderdeterminedWithFewCiphertexts(t *testing.T) {
 	key := []byte("0123456789abcdef")
 	rng := stats.NewRNG(3)
-	c := NewAESCollector()
+	c := newAES()
 	yStar := faultyAESStream(t, key, 0x10, 0, 40, rng, c)
 	if _, err := c.RecoverLastRoundKeyKnownFault(yStar); !errors.Is(err, ErrUnderdetermined) {
 		t.Fatalf("expected underdetermined, got %v", err)
@@ -109,7 +126,7 @@ func TestAESEntropyMonotone(t *testing.T) {
 	yStar := faulty[0x77]
 	faulty[0x77] ^= 0x20
 
-	c := NewAESCollector()
+	c := newAES()
 	pt := make([]byte, 16)
 	ct := make([]byte, 16)
 	prev := 128.0
@@ -139,7 +156,7 @@ func TestAESCleanStreamInconsistent(t *testing.T) {
 	ks, _ := aes.Expand(key)
 	sb := aes.SBox()
 	rng := stats.NewRNG(9)
-	c := NewAESCollector()
+	c := newAES()
 	pt := make([]byte, 16)
 	ct := make([]byte, 16)
 	for i := 0; i < 8000; i++ {
@@ -153,7 +170,7 @@ func TestAESCleanStreamInconsistent(t *testing.T) {
 }
 
 func TestAESObserveRejectsBadLength(t *testing.T) {
-	c := NewAESCollector()
+	c := newAES()
 	if err := c.Observe(make([]byte, 15)); err == nil {
 		t.Fatal("short ciphertext accepted")
 	}
@@ -168,7 +185,7 @@ func TestAESMostFrequentConvergesToDoubledValue(t *testing.T) {
 	yPrime := faulty[0x42]
 
 	rng := stats.NewRNG(13)
-	c := NewAESCollector()
+	c := newAES()
 	pt := make([]byte, 16)
 	ct := make([]byte, 16)
 	for i := 0; i < 20000; i++ {
@@ -192,28 +209,28 @@ func TestAESMostFrequentConvergesToDoubledValue(t *testing.T) {
 
 func TestPresentKnownFaultRecovery(t *testing.T) {
 	key := []byte{0x01, 0x23, 0x45, 0x67, 0x89, 0xab, 0xcd, 0xef, 0x01, 0x23}
-	ks, _ := present.Expand(key)
-	faulty := present.SBox()
+	inst := presentInstance(t, key)
+	faulty := registry.MustGet("present-80").SBox()
 	yStar := faulty[0x5]
 	faulty[0x5] ^= 0x2
 
 	rng := stats.NewRNG(17)
-	c := NewPresentCollector()
+	c := newPresent()
 	for i := 0; i < 400; i++ {
-		c.Observe(present.Encrypt(ks, &faulty, rng.Uint64()))
+		c.Observe(presentCT(inst, faulty, rng.Uint64()))
 	}
 	k32, err := c.RecoverLastRoundKeyKnownFault(yStar)
 	if err != nil {
 		t.Fatalf("after %d ciphertexts: %v", c.N(), err)
 	}
-	if k32 != ks.RoundKey(32) {
-		t.Fatalf("K32 = %016x want %016x", k32, ks.RoundKey(32))
+	rk, _ := present.Expand(key)
+	if got := binary.BigEndian.Uint64(k32); got != rk[present.Rounds] {
+		t.Fatalf("K32 = %016x want %016x", got, rk[present.Rounds])
 	}
 
 	// Master key recovery with one clean known pair.
-	sb := present.SBox()
-	pt := uint64(0x1122334455667788)
-	ct := present.Encrypt(ks, &sb, pt)
+	pt := binary.BigEndian.AppendUint64(nil, 0x1122334455667788)
+	ct := presentCT(inst, registry.MustGet("present-80").SBox(), 0x1122334455667788)
 	master, err := c.RecoverMasterKnownFault(yStar, pt, ct)
 	if err != nil {
 		t.Fatal(err)
@@ -225,18 +242,17 @@ func TestPresentKnownFaultRecovery(t *testing.T) {
 
 func TestPresentUnknownFaultRecovery(t *testing.T) {
 	key := []byte{0xde, 0xad, 0xbe, 0xef, 0x00, 0x11, 0x22, 0x33, 0x44, 0x55}
-	ks, _ := present.Expand(key)
-	faulty := present.SBox()
+	inst := presentInstance(t, key)
+	faulty := registry.MustGet("present-80").SBox()
 	faulty[0xA] ^= 0x4
 
 	rng := stats.NewRNG(23)
-	c := NewPresentCollector()
+	c := newPresent()
 	for i := 0; i < 400; i++ {
-		c.Observe(present.Encrypt(ks, &faulty, rng.Uint64()))
+		c.Observe(presentCT(inst, faulty, rng.Uint64()))
 	}
-	sb := present.SBox()
-	pt := uint64(0xfeedface)
-	ct := present.Encrypt(ks, &sb, pt)
+	pt := binary.BigEndian.AppendUint64(nil, 0xfeedface)
+	ct := presentCT(inst, registry.MustGet("present-80").SBox(), 0xfeedface)
 	master, err := c.RecoverMasterUnknownFault(pt, ct)
 	if err != nil {
 		t.Fatal(err)
@@ -248,17 +264,17 @@ func TestPresentUnknownFaultRecovery(t *testing.T) {
 
 func TestPresentEntropyDecreases(t *testing.T) {
 	key := make([]byte, 10)
-	ks, _ := present.Expand(key)
-	faulty := present.SBox()
+	inst := presentInstance(t, key)
+	faulty := registry.MustGet("present-80").SBox()
 	faulty[0x0] ^= 0x1
 
 	rng := stats.NewRNG(29)
-	c := NewPresentCollector()
+	c := newPresent()
 	if e := c.ResidualEntropy(); e != 64 {
 		t.Fatalf("empty collector entropy = %f, want 64", e)
 	}
 	for i := 0; i < 300; i++ {
-		c.Observe(present.Encrypt(ks, &faulty, rng.Uint64()))
+		c.Observe(presentCT(inst, faulty, rng.Uint64()))
 	}
 	if e := c.ResidualEntropy(); e != 0 {
 		t.Fatalf("entropy after 300 = %f", e)
@@ -269,11 +285,11 @@ func TestPresentEntropyDecreases(t *testing.T) {
 // ciphertexts recovery must report underdetermined, not wrong keys.
 func TestPresentUnderdetermined(t *testing.T) {
 	key := make([]byte, 10)
-	ks, _ := present.Expand(key)
-	faulty := present.SBox()
+	inst := presentInstance(t, key)
+	faulty := registry.MustGet("present-80").SBox()
 	faulty[0x7] ^= 0x8
-	c := NewPresentCollector()
-	c.Observe(present.Encrypt(ks, &faulty, 1))
+	c := newPresent()
+	c.Observe(presentCT(inst, faulty, 1))
 	if _, err := c.RecoverLastRoundKeyKnownFault(0); !errors.Is(err, ErrUnderdetermined) {
 		t.Fatalf("expected underdetermined, got %v", err)
 	}

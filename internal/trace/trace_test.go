@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"explframe/internal/cipher/aes"
@@ -68,10 +69,9 @@ func TestPresentVictimEncryptsCorrectly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ks, _ := present.Expand(key)
+	rk, _ := present.Expand(key)
 	sb := present.SBox()
-	want := make([]byte, 8)
-	present.EncryptBlock(ks, &sb, want, pt)
+	want := binary.BigEndian.AppendUint64(nil, present.Engine.Encrypt(rk, &sb, binary.BigEndian.Uint64(pt)))
 	if !bytes.Equal(got, want) {
 		t.Fatalf("victim %x != reference %x", got, want)
 	}
@@ -89,10 +89,9 @@ func TestLilliputVictimEncryptsCorrectly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ks, _ := lilliput.Expand(key)
+	rk, _ := lilliput.Expand(key)
 	sb := lilliput.SBox()
-	want := make([]byte, 8)
-	lilliput.EncryptBlock(ks, &sb, want, pt)
+	want := binary.BigEndian.AppendUint64(nil, lilliput.Engine.Encrypt(rk, &sb, binary.BigEndian.Uint64(pt)))
 	if !bytes.Equal(got, want) {
 		t.Fatalf("victim %x != reference %x", got, want)
 	}

@@ -4,7 +4,7 @@
 // replacement, hit/miss latencies drawn from the caller's stats stream)
 // and a mincore-style OS page-cache residency model.
 //
-// The package layers a CacheView over the internal/dram AddressMapper:
+// The package layers a View over the internal/dram Mapper:
 // where the DRAM side of a physical address determines which rows disturb
 // each other, the cache side determines which addresses collide in a
 // cache set — the property eviction-set construction and the Prime+Probe
@@ -138,30 +138,15 @@ func DefaultSliceHash(mapperName string) string {
 	return SliceStripe
 }
 
-// CacheView extends AddressMapper with the cache side of a physical
-// address: which LLC set and slice a line lands in.  Implementations must
-// keep LineIndex a pure function of the line address — every address
+// View is the cache side of a mapper's address space: which LLC set and
+// slice a physical line lands in, on top of the embedded mapper's DRAM
+// side.  LineIndex is a pure function of the line address — every address
 // within one cache line maps to exactly one (set, slice), pinned by
 // FuzzCacheViewRoundTrip and TestCacheViewPartition for every registered
 // mapper x slice-hash combination.
-type CacheView interface {
-	dram.AddressMapper
-	// CacheGeometry returns the LLC geometry the view was built for.
-	CacheGeometry() Geometry
-	// SliceHash is the registered slice-hash kind the view uses.
-	SliceHash() string
-	// LineIndex maps a physical address to its LLC (set, slice).
-	// Addresses beyond the DRAM geometry wrap, keeping the function total
-	// for property tests, as with AddressMapper.ToDRAM.
-	LineIndex(pa uint64) (set, slice int)
-}
-
-// View implements CacheView over any AddressMapper: the DRAM methods are
-// forwarded, the cache methods are computed from the line address.
 type View struct {
-	dram.AddressMapper
+	*dram.Mapper
 	geo       Geometry
-	hashName  string
 	hash      func(line uint64) int
 	lineBits  uint
 	setMask   uint64
@@ -170,7 +155,7 @@ type View struct {
 
 // NewView builds the cache view of a mapper's address space under the
 // given LLC geometry and slice-hash kind (the empty kind selects stripe).
-func NewView(m dram.AddressMapper, g Geometry, sliceHash string) (*View, error) {
+func NewView(m *dram.Mapper, g Geometry, sliceHash string) (*View, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
@@ -182,30 +167,24 @@ func NewView(m dram.AddressMapper, g Geometry, sliceHash string) (*View, error) 
 	if total < uint64(g.LineBytes) {
 		return nil, fmt.Errorf("cache: DRAM geometry (%d bytes) smaller than one cache line", total)
 	}
-	name := sliceHash
-	if name == "" {
-		name = SliceStripe
-	}
 	return &View{
-		AddressMapper: m,
-		geo:           g,
-		hashName:      name,
-		hash:          ctor(g),
-		lineBits:      log2(g.LineBytes),
-		setMask:       uint64(g.Sets - 1),
-		totalMask:     total - 1,
+		Mapper:    m,
+		geo:       g,
+		hash:      ctor(g),
+		lineBits:  log2(g.LineBytes),
+		setMask:   uint64(g.Sets - 1),
+		totalMask: total - 1,
 	}, nil
 }
 
 // CacheGeometry returns the LLC geometry the view was built for.
 func (v *View) CacheGeometry() Geometry { return v.geo }
 
-// SliceHash returns the registered slice-hash kind the view uses.
-func (v *View) SliceHash() string { return v.hashName }
-
-// LineIndex maps a physical address to its LLC (set, slice).
+// LineIndex maps a physical address to its LLC (set, slice).  Addresses
+// beyond the DRAM geometry wrap, keeping the function total for property
+// tests, as with Mapper.ToDRAM.
 func (v *View) LineIndex(pa uint64) (set, slice int) {
-	line := (pa & v.totalMask) >> v.lineBits
+	line := v.lineTag(pa)
 	return int(line & v.setMask), v.hash(line)
 }
 

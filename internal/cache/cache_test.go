@@ -8,7 +8,7 @@ import (
 )
 
 // testViews builds a view per (mapper, slice-hash) combination over the
-// default 256 MiB geometry — the cross product the CacheView contract is
+// default 256 MiB geometry — the cross product the View contract is
 // pinned on.
 func testViews(t *testing.T) map[string]*View {
 	t.Helper()
@@ -56,7 +56,7 @@ func TestDefaultGeometrySlices(t *testing.T) {
 }
 
 func TestNewViewRejectsUnknownHash(t *testing.T) {
-	m, _ := dram.NewMapper(dram.DefaultGeometry())
+	m, _ := dram.NewNamedMapper(dram.MapperLinear, dram.DefaultGeometry())
 	if _, err := NewView(m, DefaultGeometry(2), "no-such-hash"); err == nil {
 		t.Fatal("unknown slice hash accepted")
 	}
@@ -71,7 +71,7 @@ func TestDefaultSliceHash(t *testing.T) {
 	}
 }
 
-// TestCacheViewPartition pins the CacheView contract: every physical
+// TestCacheViewPartition pins the View contract: every physical
 // address lands in exactly one in-range (set, slice), all addresses within
 // a line agree, and a line-aligned scan reaches every (set, slice)
 // combination — the property eviction-set construction relies on.

@@ -18,7 +18,7 @@ var ErrEvictionSet = errors.New("cache: eviction-set candidate pool exhausted")
 // deterministic — same view, same pool, same result — and always
 // terminates: either with a full set or with an error wrapping
 // ErrEvictionSet that reports how far it got.
-func BuildEvictionSet(v CacheView, poolBase, poolBytes uint64, set, slice, lines int) ([]uint64, error) {
+func BuildEvictionSet(v *View, poolBase, poolBytes uint64, set, slice, lines int) ([]uint64, error) {
 	if lines <= 0 {
 		return nil, fmt.Errorf("cache: eviction set of %d lines requested, want >= 1", lines)
 	}

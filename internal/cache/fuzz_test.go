@@ -6,11 +6,12 @@ import (
 	"explframe/internal/dram"
 )
 
-// FuzzCacheViewRoundTrip pins the CacheView contract for every registered
+// FuzzCacheViewRoundTrip pins the View contract for every registered
 // mapper x slice-hash combination on arbitrary physical addresses: the
-// underlying mapper still round-trips through the view (CacheView extends
-// AddressMapper, it must not perturb it), the (set, slice) is in range,
-// and every address within one cache line lands in the same (set, slice).
+// embedded mapper still round-trips through the view (the view adds the
+// cache side, it must not perturb the DRAM side), the (set, slice) is in
+// range, and every address within one cache line lands in the same
+// (set, slice).
 func FuzzCacheViewRoundTrip(f *testing.F) {
 	f.Add(uint64(0))
 	f.Add(uint64(4095))

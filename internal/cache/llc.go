@@ -25,7 +25,7 @@ const (
 // the property BenchmarkPrimeProbe and the benchtab -check-trajectory
 // gate hold the probe loops to.
 type LLC struct {
-	view CacheView
+	view *View
 	geo  Geometry
 	// tags holds the line address + 1 per way (0 = invalid way).
 	tags []uint64
@@ -38,7 +38,7 @@ type LLC struct {
 }
 
 // NewLLC builds an empty cache over the view's address space.
-func NewLLC(v CacheView) *LLC {
+func NewLLC(v *View) *LLC {
 	g := v.CacheGeometry()
 	ways := g.Sets * g.Ways * g.Slices
 	return &LLC{view: v, geo: g, tags: make([]uint64, ways), ages: make([]uint64, ways)}
@@ -48,7 +48,7 @@ func NewLLC(v CacheView) *LLC {
 // miss the line is filled, evicting the set's LRU way.
 func (c *LLC) Access(pa uint64) bool {
 	set, slice := c.view.LineIndex(pa)
-	tag := tagOf(c.view, pa) + 1
+	tag := c.view.lineTag(pa) + 1
 	base := (slice*c.geo.Sets + set) * c.geo.Ways
 	c.tick++
 	lru, lruAge := base, c.ages[base]
@@ -81,16 +81,6 @@ func (c *LLC) Time(pa uint64, rng *stats.RNG) (latency int, hit bool) {
 		return HitLatency + rng.Intn(LatencyJitter), true
 	}
 	return MissLatency + rng.Intn(LatencyJitter), false
-}
-
-// tagOf returns the full line address of pa under the view.  Views built
-// by NewView expose it directly; foreign CacheView implementations fall
-// back to the geometry arithmetic.
-func tagOf(v CacheView, pa uint64) uint64 {
-	if view, ok := v.(*View); ok {
-		return view.lineTag(pa)
-	}
-	return pa / uint64(v.CacheGeometry().LineBytes)
 }
 
 // PageBytes is the OS page size the page-cache model (and the victim

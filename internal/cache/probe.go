@@ -158,7 +158,6 @@ type Result struct {
 // lets the bench trajectory's probe rows and BenchmarkPrimeProbe time the
 // loop itself.
 type Attack struct {
-	view   CacheView
 	llc    *LLC
 	pc     *PageCache
 	layout TTableLayout
@@ -194,7 +193,7 @@ const attackerPoolBytes = 4 << 20
 // NewAttack sets up one cache-probe attack of the cipher's T-tables as
 // seen through the view, drawing the victim key and table placement from
 // rng (the trial's private stream, so one (spec, trial) is one attack).
-func NewAttack(v CacheView, c registry.Cipher, cfg ProbeConfig, rng *stats.RNG) (*Attack, error) {
+func NewAttack(v *View, c registry.Cipher, cfg ProbeConfig, rng *stats.RNG) (*Attack, error) {
 	if !KnownTechnique(cfg.Technique) {
 		return nil, fmt.Errorf("cache: unknown probe technique %q (known: %v)", cfg.Technique, Techniques())
 	}
@@ -228,7 +227,6 @@ func NewAttack(v CacheView, c registry.Cipher, cfg ProbeConfig, rng *stats.RNG) 
 	}
 
 	a := &Attack{
-		view:      v,
 		llc:       NewLLC(v),
 		layout:    layout,
 		cfg:       cfg,

@@ -290,32 +290,6 @@ func EncryptBlockWithFault(ks *Schedule, sb *[256]byte, dst, src []byte, round i
 	copy(dst[:16], st[:])
 }
 
-// Cipher bundles a schedule with table pointers, satisfying the shape of
-// crypto/cipher.Block for convenience in examples.
-type Cipher struct {
-	ks  *Schedule
-	sb  [256]byte
-	isb [256]byte
-}
-
-// NewCipher builds a Cipher with the canonical tables.
-func NewCipher(key []byte) (*Cipher, error) {
-	ks, err := Expand(key)
-	if err != nil {
-		return nil, err
-	}
-	return &Cipher{ks: ks, sb: sbox, isb: invSbox}, nil
-}
-
-// BlockSize returns the AES block size.
-func (c *Cipher) BlockSize() int { return BlockSize }
-
-// Encrypt encrypts one block.
-func (c *Cipher) Encrypt(dst, src []byte) { EncryptBlock(c.ks, &c.sb, dst, src) }
-
-// Decrypt decrypts one block.
-func (c *Cipher) Decrypt(dst, src []byte) { DecryptBlock(c.ks, &c.isb, dst, src) }
-
 // RecoverMasterFromLastRound inverts the AES-128 key schedule: given the
 // round-10 key it returns the master key.  Fault attacks (PFA, DFA) recover
 // the last round key; this completes them.

@@ -79,12 +79,13 @@ func TestKnownAnswerAppendixB(t *testing.T) {
 	key := unhex(t, "2b7e151628aed2a6abf7158809cf4f3c")
 	pt := unhex(t, "3243f6a8885a308d313198a2e0370734")
 	want := unhex(t, "3925841d02dc09fbdc118597196a0b32")
-	c, err := NewCipher(key)
+	ks, err := Expand(key)
 	if err != nil {
 		t.Fatal(err)
 	}
+	sb := SBox()
 	got := make([]byte, 16)
-	c.Encrypt(got, pt)
+	EncryptBlock(ks, &sb, got, pt)
 	if !bytes.Equal(got, want) {
 		t.Fatalf("got %x want %x", got, want)
 	}
@@ -95,16 +96,6 @@ func TestExpandRejectsBadKeys(t *testing.T) {
 		if _, err := Expand(make([]byte, n)); err == nil {
 			t.Fatalf("key size %d accepted", n)
 		}
-	}
-	if _, err := NewCipher(make([]byte, 5)); err == nil {
-		t.Fatal("NewCipher accepted bad key")
-	}
-}
-
-func TestCipherBlockSize(t *testing.T) {
-	c, _ := NewCipher(make([]byte, 16))
-	if c.BlockSize() != 16 {
-		t.Fatal("block size")
 	}
 }
 

@@ -104,7 +104,7 @@ type rowState struct {
 // kernel layer serialises access, matching a single memory controller.
 type Device struct {
 	geom   Geometry
-	mapper AddressMapper
+	mapper *Mapper
 	model  FaultModel
 	data   *store
 
@@ -159,7 +159,7 @@ type DeviceStats struct {
 // weak cells deterministically from the seed.  The linear address mapper is
 // used; NewDeviceWithMapper selects a different one.
 func NewDevice(g Geometry, model FaultModel, seed uint64) (*Device, error) {
-	m, err := NewMapper(g)
+	m, err := NewNamedMapper(MapperLinear, g)
 	if err != nil {
 		return nil, err
 	}
@@ -172,7 +172,7 @@ func NewDevice(g Geometry, model FaultModel, seed uint64) (*Device, error) {
 // (geometry, model, seed), so two devices differing in mapper alone hold
 // the same weak-cell population at the same (bank, row, byte) coordinates
 // and differ purely in which physical addresses reach them.
-func NewDeviceWithMapper(m AddressMapper, model FaultModel, seed uint64) (*Device, error) {
+func NewDeviceWithMapper(m *Mapper, model FaultModel, seed uint64) (*Device, error) {
 	g := m.Geometry()
 	if err := g.Validate(); err != nil {
 		return nil, err
@@ -317,7 +317,7 @@ func (d *Device) PlantWeakCell(wc WeakCell) {
 func (d *Device) Geometry() Geometry { return d.geom }
 
 // Mapper returns the address mapper for this device.
-func (d *Device) Mapper() AddressMapper { return d.mapper }
+func (d *Device) Mapper() *Mapper { return d.mapper }
 
 // Model returns the fault model in use.
 func (d *Device) Model() FaultModel { return d.model }

@@ -41,7 +41,7 @@ func TestGeometryValidateRejectsNonPowerOfTwo(t *testing.T) {
 // historical linear-mapper coordinate coverage.
 func TestMapperCoordinatesInRange(t *testing.T) {
 	g := DefaultGeometry()
-	m, err := NewMapper(g)
+	m, err := NewNamedMapper(MapperLinear, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestMapperCoordinatesInRange(t *testing.T) {
 // bits are the lowest bits of the address.
 func TestMapperColumnLocality(t *testing.T) {
 	g := DefaultGeometry()
-	m, _ := NewMapper(g)
+	m, _ := NewNamedMapper(MapperLinear, g)
 	base := uint64(12345) * uint64(g.RowBytes)
 	a0 := m.ToDRAM(base)
 	for off := 1; off < g.RowBytes; off *= 2 {
@@ -79,7 +79,7 @@ func TestMapperColumnLocality(t *testing.T) {
 // row index at a fixed raw address region should not keep the same bank.
 func TestMapperBankPermutationSpreads(t *testing.T) {
 	g := DefaultGeometry()
-	m, _ := NewMapper(g)
+	m, _ := NewNamedMapper(MapperLinear, g)
 	seen := map[int]bool{}
 	for row := 0; row < g.Banks; row++ {
 		pa := m.ToPhys(Addr{Row: row, Bank: 0})
@@ -109,7 +109,7 @@ func TestMapperBankPermutationSpreads(t *testing.T) {
 
 func TestSameBankRow(t *testing.T) {
 	g := DefaultGeometry()
-	m, _ := NewMapper(g)
+	m, _ := NewNamedMapper(MapperLinear, g)
 	a := m.ToDRAM(4096 * 777)
 	pa := m.SameBankRow(a, a.Row+1, 0)
 	b := m.ToDRAM(pa)

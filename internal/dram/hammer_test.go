@@ -47,7 +47,7 @@ type aggressorSet struct {
 // the victim's bank and in another bank, a repeated row) and all-row-hit
 // patterns around the victim address.  The victim row must leave room for
 // rows victim-8 .. victim+16.
-func aggressorSets(m dram.AddressMapper, victim dram.Addr) []aggressorSet {
+func aggressorSets(m *dram.Mapper, victim dram.Addr) []aggressorSet {
 	g := m.Geometry()
 	row := func(dr, col int) uint64 { return m.SameBankRow(victim, victim.Row+dr, col) }
 	other := victim
@@ -62,7 +62,7 @@ func aggressorSets(m dram.AddressMapper, victim dram.Addr) []aggressorSet {
 
 // prepareVictim writes a mixed bit pattern over the victim's neighbourhood
 // so both true and anti cells flip observably.
-func prepareVictim(m dram.AddressMapper, victim dram.Addr, devs ...*dram.Device) {
+func prepareVictim(m *dram.Mapper, victim dram.Addr, devs ...*dram.Device) {
 	g := m.Geometry()
 	for dr := -3; dr <= 3; dr++ {
 		pa := m.SameBankRow(victim, victim.Row+dr, 0)

@@ -5,51 +5,6 @@ import (
 	"sort"
 )
 
-// AddressMapper converts between flat physical addresses and DRAM
-// coordinates.  Real memory controllers implement wildly different layouts
-// (DRAMA reverse-engineered XOR bank functions on Intel, linear layouts on
-// low-end SoCs), and the attack surface of ExplFrame — which rows are
-// adjacent, which addresses collide in a bank — is a function of exactly
-// this mapping, so the simulator makes it pluggable.
-//
-// Implementations must satisfy two contracts the device layer relies on:
-//
-//   - Bijectivity: ToPhys(ToDRAM(pa)) == pa for every pa within the
-//     geometry (TestMapperRoundTrip pins this for every registered mapper).
-//   - Column bits lowest: the low log2(RowBytes) bits of a physical address
-//     are the column, so a contiguous physical range decomposes into
-//     whole-row segments (Device.rearmRange and the bulk read/write paths
-//     scan per row, not per byte).
-//
-// Addr.Row is always the physical row index inside a bank: rows r-1 and
-// r+1 are the electrically adjacent neighbours that Rowhammer disturbs.
-// Mappers differ in how physical addresses land on (bank, row), never in
-// what "adjacent" means; AdjacentRow exposes that adjacency to the
-// attacker-side toolkit so row selection needs no raw index arithmetic.
-type AddressMapper interface {
-	// Name is the registered mapper kind (e.g. "linear", "xor-fold").
-	Name() string
-	// Geometry returns the geometry the mapper was built for.
-	Geometry() Geometry
-	// ToDRAM maps a flat physical address to DRAM coordinates.  Addresses
-	// beyond the geometry wrap (callers stay in range; the wrap keeps the
-	// function total for property tests).
-	ToDRAM(pa uint64) Addr
-	// ToPhys is the inverse of ToDRAM.
-	ToPhys(a Addr) uint64
-	// BankGroup returns a dense index identifying the (channel, dimm,
-	// rank, bank) tuple of the address; rows within one bank group share a
-	// row buffer and disturb each other.
-	BankGroup(a Addr) int
-	// SameBankRow returns the physical address of (row, col) within the
-	// same bank group as the given address — the primitive for locating
-	// aggressor rows around a victim row.
-	SameBankRow(a Addr, row, col int) uint64
-	// AdjacentRow returns the row index at the given signed distance from
-	// row, and whether it exists within the bank (false past either edge).
-	AdjacentRow(row, delta int) (int, bool)
-}
-
 // Mapper kind names accepted by NewNamedMapper (and machine specs).
 const (
 	// MapperLinear is the classic layout with bank bits XOR-ed against the
@@ -60,22 +15,92 @@ const (
 	MapperXORFold = "xor-fold"
 )
 
-// mapperKinds maps kind names onto constructors.  "" aliases linear so
-// zero-valued configs keep their historical meaning.
-var mapperKinds = map[string]func(Geometry) (AddressMapper, error){
-	"":            func(g Geometry) (AddressMapper, error) { return NewMapper(g) },
-	MapperLinear:  func(g Geometry) (AddressMapper, error) { return NewMapper(g) },
-	MapperXORFold: func(g Geometry) (AddressMapper, error) { return NewXORFoldMapper(g) },
+// mapperKinds maps kind names onto the bank function's XOR tap count: the
+// number of bank-width row windows folded into the bank index.  "" aliases
+// linear so zero-valued configs keep their historical meaning.
+//
+//   - linear (1 tap): bank bits XOR-ed against the low row bits only
+//     ("bank permutation" or rank/bank hashing, as used by real memory
+//     controllers and reverse engineered by the DRAMA work).  The XOR
+//     spreads sequential rows across banks, which is what makes
+//     same-bank/different-row aggressor pairs non-trivial to find — the
+//     property the Rowhammer templating step has to work around.
+//   - xor-fold (3 taps): the multi-window function DRAMA recovered from
+//     Intel memory controllers (and DDR4 bank-group interleaving).
+//     Sequential physical rows scatter across banks in a longer-period
+//     pattern, so the set of addresses that share a bank — what an
+//     attacker must reverse to hammer at all — is differently shaped while
+//     row adjacency stays physical.
+var mapperKinds = map[string]int{
+	"":            1,
+	MapperLinear:  1,
+	MapperXORFold: 3,
+}
+
+// Mapper converts between flat physical addresses and DRAM coordinates.
+// Real memory controllers implement wildly different layouts (DRAMA
+// reverse-engineered XOR bank functions on Intel, linear layouts on
+// low-end SoCs), and the attack surface of ExplFrame — which rows are
+// adjacent, which addresses collide in a bank — is a function of exactly
+// this mapping.  Every kind shares the layout (least to most significant)
+//
+//	[ col | channel | dimm | rank | bank | row ]
+//
+// and differs only in the bank permutation: bank = bankRaw XOR fold(row),
+// where fold XORs the kind's tap count of bank-width row windows.  Any
+// fold of the row alone keeps the mapping bijective (for a fixed row it is
+// an XOR with a constant), so a new kind is one mapperKinds entry.
+//
+// The device layer relies on two contracts:
+//
+//   - Bijectivity: ToPhys(ToDRAM(pa)) == pa for every pa within the
+//     geometry (TestMapperRoundTrip pins this for every registered kind).
+//   - Column bits lowest: the low log2(RowBytes) bits of a physical address
+//     are the column, so a contiguous physical range decomposes into
+//     whole-row segments (Device.rearmRange and the bulk read/write paths
+//     scan per row, not per byte).
+//
+// Addr.Row is always the physical row index inside a bank: rows r-1 and
+// r+1 are the electrically adjacent neighbours that Rowhammer disturbs.
+// Kinds differ in how physical addresses land on (bank, row), never in
+// what "adjacent" means; AdjacentRow exposes that adjacency to the
+// attacker-side toolkit so row selection needs no raw index arithmetic.
+type Mapper struct {
+	g        Geometry
+	name     string
+	taps     int
+	colBits  uint
+	chBits   uint
+	dimmBits uint
+	rankBits uint
+	bankBits uint
+	rowBits  uint
 }
 
 // NewNamedMapper builds the mapper kind registered under name for the
 // geometry; the empty name selects the linear mapper.
-func NewNamedMapper(name string, g Geometry) (AddressMapper, error) {
-	ctor, ok := mapperKinds[name]
+func NewNamedMapper(name string, g Geometry) (*Mapper, error) {
+	taps, ok := mapperKinds[name]
 	if !ok {
 		return nil, fmt.Errorf("dram: unknown mapper %q (known: %v)", name, MapperNames())
 	}
-	return ctor(g)
+	if err := g.Validate(); err != nil {
+		return nil, err
+	}
+	if name == "" {
+		name = MapperLinear
+	}
+	return &Mapper{
+		g:        g,
+		name:     name,
+		taps:     taps,
+		colBits:  log2(g.RowBytes),
+		chBits:   log2(g.Channels),
+		dimmBits: log2(g.DIMMs),
+		rankBits: log2(g.Ranks),
+		bankBits: log2(g.Banks),
+		rowBits:  log2(g.Rows),
+	}, nil
 }
 
 // MapperNames returns the registered mapper kind names, sorted.
@@ -90,172 +115,80 @@ func MapperNames() []string {
 	return out
 }
 
-// bitfields carries the per-dimension widths shared by the built-in
-// mappers, all of which use the layout (least to most significant)
-//
-//	[ col | channel | dimm | rank | bank | row ]
-//
-// and differ only in the bank permutation function.
-type bitfields struct {
-	g        Geometry
-	colBits  uint
-	chBits   uint
-	dimmBits uint
-	rankBits uint
-	bankBits uint
-	rowBits  uint
-}
-
-func newBitfields(g Geometry) (bitfields, error) {
-	if err := g.Validate(); err != nil {
-		return bitfields{}, err
-	}
-	return bitfields{
-		g:        g,
-		colBits:  log2(g.RowBytes),
-		chBits:   log2(g.Channels),
-		dimmBits: log2(g.DIMMs),
-		rankBits: log2(g.Ranks),
-		bankBits: log2(g.Banks),
-		rowBits:  log2(g.Rows),
-	}, nil
-}
-
-// split decomposes pa into coordinates with the raw (unpermuted) bank.
-func (b *bitfields) split(pa uint64) (a Addr, bankRaw int) {
-	shift := uint(0)
-	a.Col = extract(pa, shift, b.colBits)
-	shift += b.colBits
-	a.Channel = extract(pa, shift, b.chBits)
-	shift += b.chBits
-	a.DIMM = extract(pa, shift, b.dimmBits)
-	shift += b.dimmBits
-	a.Rank = extract(pa, shift, b.rankBits)
-	shift += b.rankBits
-	bankRaw = extract(pa, shift, b.bankBits)
-	shift += b.bankBits
-	a.Row = extract(pa, shift, b.rowBits)
-	return a, bankRaw
-}
-
-// join is the inverse of split.
-func (b *bitfields) join(a Addr, bankRaw int) uint64 {
-	pa := uint64(0)
-	shift := uint(0)
-	pa |= uint64(a.Col) << shift
-	shift += b.colBits
-	pa |= uint64(a.Channel) << shift
-	shift += b.chBits
-	pa |= uint64(a.DIMM) << shift
-	shift += b.dimmBits
-	pa |= uint64(a.Rank) << shift
-	shift += b.rankBits
-	pa |= uint64(bankRaw) << shift
-	shift += b.bankBits
-	pa |= uint64(a.Row) << shift
-	return pa
-}
-
-// bankGroup returns the dense (channel, dimm, rank, bank) index.
-func (b *bitfields) bankGroup(a Addr) int {
-	idx := a.Channel
-	idx = idx*b.g.DIMMs + a.DIMM
-	idx = idx*b.g.Ranks + a.Rank
-	idx = idx*b.g.Banks + a.Bank
-	return idx
-}
-
-// adjacentRow implements physical row adjacency, shared by the built-in
-// mappers: the neighbour at a signed distance, bounded by the bank edges.
-func (b *bitfields) adjacentRow(row, delta int) (int, bool) {
-	r := row + delta
-	if r < 0 || r >= b.g.Rows {
-		return 0, false
-	}
-	return r, true
-}
-
-// Mapper implements AddressMapper for the layout family every built-in
-// kind shares — the bit order above — parameterised by the bank
-// permutation: bank = bankRaw XOR fold(row).  Any fold of the row alone
-// keeps the mapping bijective (for a fixed row it is an XOR with a
-// constant), so new kinds are one constructor plus one fold function.
-type Mapper struct {
-	bitfields
-	name string
-	fold func(row int) int
-}
-
-// NewMapper builds the linear mapper: bank bits XOR-ed against the low row
-// bits only ("bank permutation" or rank/bank hashing, as used by real
-// memory controllers and reverse engineered by the DRAMA work).  The XOR
-// spreads sequential rows across banks, which is what makes same-bank/
-// different-row aggressor pairs non-trivial to find — the property the
-// Rowhammer templating step has to work around, so the model keeps it.
-func NewMapper(g Geometry) (*Mapper, error) {
-	b, err := newBitfields(g)
-	if err != nil {
-		return nil, err
-	}
-	mask := g.Banks - 1
-	return &Mapper{bitfields: b, name: MapperLinear, fold: func(row int) int {
-		return row & mask
-	}}, nil
-}
-
-// NewXORFoldMapper builds the multi-tap XOR bank function DRAMA recovered
-// from Intel memory controllers (and DDR4 bank-group interleaving): the
-// bank index is XOR-folded from *several* windows of row bits, not just
-// the lowest one.  Compared to the linear mapper, sequential physical rows
-// scatter across banks in a longer-period pattern, so the set of physical
-// addresses that share a bank — what an attacker must reverse to hammer at
-// all — is differently shaped while row adjacency stays physical.
-func NewXORFoldMapper(g Geometry) (*Mapper, error) {
-	b, err := newBitfields(g)
-	if err != nil {
-		return nil, err
-	}
-	mask := g.Banks - 1
-	bankBits := b.bankBits
-	return &Mapper{bitfields: b, name: MapperXORFold, fold: func(row int) int {
-		return (row ^ (row >> bankBits) ^ (row >> (2 * bankBits))) & mask
-	}}, nil
-}
-
 // Name returns the registered kind the mapper was built as.
 func (m *Mapper) Name() string { return m.name }
 
 // Geometry returns the geometry the mapper was built for.
 func (m *Mapper) Geometry() Geometry { return m.g }
 
-func extract(pa uint64, shift, bits uint) int {
-	return int((pa >> shift) & ((1 << bits) - 1))
+// fold is the bank permutation: the XOR of the first taps bank-width
+// windows of the row index.
+func (m *Mapper) fold(row int) int {
+	f := 0
+	for i := 0; i < m.taps; i++ {
+		f ^= row >> (uint(i) * m.bankBits)
+	}
+	return f & (m.g.Banks - 1)
 }
 
-// ToDRAM maps a flat physical address to DRAM coordinates.
+// take pops the low bits of *pa as one coordinate field.
+func take(pa *uint64, bits uint) int {
+	v := int(*pa & (1<<bits - 1))
+	*pa >>= bits
+	return v
+}
+
+// ToDRAM maps a flat physical address to DRAM coordinates.  Addresses
+// beyond the geometry wrap (callers stay in range; the wrap keeps the
+// function total for property tests).
 func (m *Mapper) ToDRAM(pa uint64) Addr {
-	a, bankRaw := m.split(pa)
+	var a Addr
+	a.Col = take(&pa, m.colBits)
+	a.Channel = take(&pa, m.chBits)
+	a.DIMM = take(&pa, m.dimmBits)
+	a.Rank = take(&pa, m.rankBits)
+	bankRaw := take(&pa, m.bankBits)
+	a.Row = take(&pa, m.rowBits)
 	a.Bank = bankRaw ^ m.fold(a.Row)
 	return a
 }
 
 // ToPhys is the inverse of ToDRAM.
 func (m *Mapper) ToPhys(a Addr) uint64 {
-	return m.join(a, a.Bank^m.fold(a.Row))
+	pa := uint64(a.Row)
+	pa = pa<<m.bankBits | uint64(a.Bank^m.fold(a.Row))
+	pa = pa<<m.rankBits | uint64(a.Rank)
+	pa = pa<<m.dimmBits | uint64(a.DIMM)
+	pa = pa<<m.chBits | uint64(a.Channel)
+	return pa<<m.colBits | uint64(a.Col)
 }
 
 // BankGroup returns a dense index identifying the (channel, dimm, rank,
-// bank) tuple of the address.
-func (m *Mapper) BankGroup(a Addr) int { return m.bankGroup(a) }
-
-// SameBankRow returns the physical address of (row, col) within the same
-// bank group as the given address.
-func (m *Mapper) SameBankRow(a Addr, row, col int) uint64 {
-	n := a
-	n.Row = row
-	n.Col = col
-	return m.ToPhys(n)
+// bank) tuple of the address; rows within one bank group share a row
+// buffer and disturb each other.
+func (m *Mapper) BankGroup(a Addr) int {
+	idx := a.Channel
+	idx = idx*m.g.DIMMs + a.DIMM
+	idx = idx*m.g.Ranks + a.Rank
+	idx = idx*m.g.Banks + a.Bank
+	return idx
 }
 
-// AdjacentRow returns the physically adjacent row at the given distance.
-func (m *Mapper) AdjacentRow(row, delta int) (int, bool) { return m.adjacentRow(row, delta) }
+// SameBankRow returns the physical address of (row, col) within the same
+// bank group as the given address — the primitive for locating aggressor
+// rows around a victim row.
+func (m *Mapper) SameBankRow(a Addr, row, col int) uint64 {
+	a.Row = row
+	a.Col = col
+	return m.ToPhys(a)
+}
+
+// AdjacentRow returns the row index at the given signed distance from row,
+// and whether it exists within the bank (false past either edge).
+func (m *Mapper) AdjacentRow(row, delta int) (int, bool) {
+	r := row + delta
+	if r < 0 || r >= m.g.Rows {
+		return 0, false
+	}
+	return r, true
+}

@@ -17,7 +17,7 @@ var mapperTestGeometries = []Geometry{
 
 // Every registered mapper must be a bijection on the address space:
 // ToPhys(ToDRAM(pa)) == pa over random in-range addresses, with coordinates
-// staying inside the geometry.  This is the interface contract the device
+// staying inside the geometry.  This is the mapper contract the device
 // layer's data integrity stands on.
 func TestMapperRoundTrip(t *testing.T) {
 	for _, name := range MapperNames() {
@@ -148,7 +148,7 @@ func FuzzMapperRoundTrip(f *testing.F) {
 	f.Add(uint64(4095))
 	f.Add(uint64(1 << 27))
 	g := DefaultGeometry()
-	mappers := make([]AddressMapper, 0, len(MapperNames()))
+	mappers := make([]*Mapper, 0, len(MapperNames()))
 	for _, name := range MapperNames() {
 		m, err := NewNamedMapper(name, g)
 		if err != nil {
@@ -185,6 +185,68 @@ func TestMapperSameBankRow(t *testing.T) {
 		}
 		if b.Row != a.Row+1 || b.Col != 5 {
 			t.Fatalf("%s: SameBankRow landed at %v", name, b)
+		}
+	}
+}
+
+// TestMapperKnownAnswers pins the bank function of both mapper kinds on
+// the default geometry and the ddr4 machine's geometry.  Bijectivity and
+// "xor-fold differs from linear" both survive a wrong tap count; these
+// fixed (pa -> bank, row, col) answers do not.  On these single-channel,
+// single-rank geometries BankGroup equals Bank.
+func TestMapperKnownAnswers(t *testing.T) {
+	ddr4 := Geometry{Channels: 1, DIMMs: 1, Ranks: 1, Banks: 16, Rows: 8192, RowBytes: 4096}
+	cases := []struct {
+		kind           string
+		g              Geometry
+		pa             uint64
+		bank, row, col int
+	}{
+		{MapperLinear, DefaultGeometry(), 0x0, 0, 0, 0},
+		{MapperLinear, DefaultGeometry(), 0x2000, 1, 0, 0},
+		{MapperLinear, DefaultGeometry(), 0xbadf00d, 2, 2989, 4109},
+		{MapperLinear, DefaultGeometry(), 0xd2e3f41, 7, 3374, 8001},
+		{MapperLinear, DefaultGeometry(), 0x5a5a5a5, 0, 1445, 1445},
+		{MapperLinear, DefaultGeometry(), 0x3579bdf, 3, 855, 7135},
+		{MapperLinear, DefaultGeometry(), 0xc0ffee0, 0, 3087, 7904},
+		{MapperLinear, DefaultGeometry(), 0xffff000, 0, 4095, 4096},
+		{MapperLinear, ddr4, 0x0, 0, 0, 0},
+		{MapperLinear, ddr4, 0x2000, 2, 0, 0},
+		{MapperLinear, ddr4, 0xbadf00d, 2, 2989, 13},
+		{MapperLinear, ddr4, 0x1d2e3f41, 13, 7470, 3905},
+		{MapperLinear, ddr4, 0x5a5a5a5, 15, 1445, 1445},
+		{MapperLinear, ddr4, 0x13579bdf, 14, 4951, 3039},
+		{MapperLinear, ddr4, 0xc0ffee0, 0, 3087, 3808},
+		{MapperLinear, ddr4, 0x1ffff000, 0, 8191, 0},
+		{MapperXORFold, DefaultGeometry(), 0x0, 0, 0, 0},
+		{MapperXORFold, DefaultGeometry(), 0x2000, 1, 0, 0},
+		{MapperXORFold, DefaultGeometry(), 0xbadf00d, 1, 2989, 4109},
+		{MapperXORFold, DefaultGeometry(), 0xd2e3f41, 6, 3374, 8001},
+		{MapperXORFold, DefaultGeometry(), 0x5a5a5a5, 2, 1445, 1445},
+		{MapperXORFold, DefaultGeometry(), 0x3579bdf, 4, 855, 7135},
+		{MapperXORFold, DefaultGeometry(), 0xc0ffee0, 1, 3087, 7904},
+		{MapperXORFold, DefaultGeometry(), 0xffff000, 0, 4095, 4096},
+		{MapperXORFold, ddr4, 0x0, 0, 0, 0},
+		{MapperXORFold, ddr4, 0x2000, 2, 0, 0},
+		{MapperXORFold, ddr4, 0xbadf00d, 3, 2989, 13},
+		{MapperXORFold, ddr4, 0x1d2e3f41, 2, 7470, 3905},
+		{MapperXORFold, ddr4, 0x5a5a5a5, 0, 1445, 1445},
+		{MapperXORFold, ddr4, 0x13579bdf, 8, 4951, 3039},
+		{MapperXORFold, ddr4, 0xc0ffee0, 12, 3087, 3808},
+		{MapperXORFold, ddr4, 0x1ffff000, 0, 8191, 0},
+	}
+	for _, c := range cases {
+		m, err := NewNamedMapper(c.kind, c.g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := Addr{Bank: c.bank, Row: c.row, Col: c.col}
+		got := m.ToDRAM(c.pa)
+		if got != want {
+			t.Errorf("%s/%d banks: ToDRAM(%#x) = %v, want %v", c.kind, c.g.Banks, c.pa, got, want)
+		}
+		if bg := m.BankGroup(got); bg != c.bank {
+			t.Errorf("%s/%d banks: BankGroup(ToDRAM(%#x)) = %d, want %d", c.kind, c.g.Banks, c.pa, bg, c.bank)
 		}
 	}
 }

@@ -121,13 +121,6 @@ func WithProgress(fn func(Event)) CampaignOption {
 	return func(o *campaignOpts) { o.progress = fn }
 }
 
-// WithEventChannel delivers progress events to ch instead of a callback.
-// The channel is not closed by Run; sends block, so give it capacity or
-// drain it concurrently.
-func WithEventChannel(ch chan<- Event) CampaignOption {
-	return func(o *campaignOpts) { o.progress = func(e Event) { ch <- e } }
-}
-
 // WithSpecWorkers runs up to n member specs concurrently (default 1:
 // specs run in order, each parallelizing its own trials).  Results are
 // unaffected — the determinism contract holds per spec.

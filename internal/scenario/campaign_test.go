@@ -99,23 +99,6 @@ func TestCampaignRunEvents(t *testing.T) {
 	}
 }
 
-// WithEventChannel must deliver the same events through a channel.
-func TestCampaignEventChannel(t *testing.T) {
-	c := Campaign{Name: "chan", Specs: []Spec{New(WithKind(Steering), WithTrials(2))}}
-	ch := make(chan Event, 8)
-	if _, err := c.Run(context.Background(), WithEventChannel(ch)); err != nil {
-		t.Fatal(err)
-	}
-	close(ch)
-	n := 0
-	for range ch {
-		n++
-	}
-	if n != 2 {
-		t.Fatalf("%d channel events, want 2", n)
-	}
-}
-
 // Cancelling mid-campaign must stop later specs from starting and carry
 // ctx.Err() out of Run.
 func TestCampaignCancellation(t *testing.T) {

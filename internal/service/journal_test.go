@@ -1,8 +1,10 @@
 package service
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -173,4 +175,96 @@ func TestCampaignIDDeterministic(t *testing.T) {
 	if !strings.HasPrefix(CampaignID(a), "c-") || len(CampaignID(a)) != len("c-")+16 {
 		t.Fatalf("id shape: %q", CampaignID(a))
 	}
+}
+
+// seedJournal writes a campaign, one trial and a done marker through the
+// appenders and returns the journal's bytes.
+func seedJournal(f *testing.F) []byte {
+	f.Helper()
+	path := filepath.Join(f.TempDir(), "journal.jsonl")
+	j, _, err := OpenJournal(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	camp := journalCampaign()
+	id := CampaignID(camp)
+	if err := j.Campaign(id, camp); err != nil {
+		f.Fatal(err)
+	}
+	if err := j.Trial(id, 0, camp.Specs[0].Hash(), 1, scenario.TrialOutcome{PFA: &scenario.PFATrial{MasterOK: true}}); err != nil {
+		f.Fatal(err)
+	}
+	if err := j.Done(id); err != nil {
+		f.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		f.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	return data
+}
+
+// FuzzJournalReplay opens arbitrary bytes as a journal.  OpenJournal must
+// either fail and leave the file byte-identical, or succeed after
+// truncating at most the last non-blank line and the whitespace after it;
+// a second open of the result then truncates nothing and replays equal
+// states.  It must never panic.
+func FuzzJournalReplay(f *testing.F) {
+	valid := seedJournal(f)
+	lines := strings.SplitAfter(string(valid), "\n")
+	trial := lines[1]
+	f.Add(valid)
+	f.Add([]byte(lines[0] + trial + trial[:len(trial)/2]))
+	f.Add([]byte(lines[0] + "{garbage\n" + trial + lines[2]))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "journal.jsonl")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		j, states, err := OpenJournal(path)
+		after, rerr := os.ReadFile(path)
+		if rerr != nil {
+			t.Fatal(rerr)
+		}
+		if err != nil {
+			if !bytes.Equal(after, data) {
+				t.Fatalf("failed open (%v) modified the journal: %q -> %q", err, data, after)
+			}
+			return
+		}
+		// Close the file without Journal.Close's fsync, which would cap
+		// the fuzzer at a few executions per second.
+		j.f.Close()
+		if !bytes.HasPrefix(data, after) {
+			t.Fatalf("open rewrote the journal instead of truncating: %q -> %q", data, after)
+		}
+		if n := len(after); n < len(data) {
+			if n > 0 && after[n-1] != '\n' {
+				t.Fatalf("truncated mid-line at %d: %q", n, data)
+			}
+			if bytes.Contains(bytes.TrimSpace(data[n:]), []byte("\n")) {
+				t.Fatalf("truncated more than the last line: dropped %q of %q", data[n:], data)
+			}
+		}
+
+		j2, states2, err := OpenJournal(path)
+		if err != nil {
+			t.Fatalf("reopening a replayed journal failed: %v", err)
+		}
+		j2.f.Close()
+		again, rerr := os.ReadFile(path)
+		if rerr != nil {
+			t.Fatal(rerr)
+		}
+		if !bytes.Equal(again, after) {
+			t.Fatalf("second open truncated again: %q -> %q", after, again)
+		}
+		if !reflect.DeepEqual(states, states2) {
+			t.Fatalf("second open replayed different states:\n%+v\n%+v", states, states2)
+		}
+	})
 }

@@ -36,7 +36,10 @@ func main() {
 	// Walk the analyzer's ladder, strongest rung first.  Each rung is a
 	// declarative fault model; the same loop runs them all.
 	for _, m := range analyzer.Ladder() {
-		var pairs []dfa.Pair
+		session, err := analyzer.Begin(m)
+		if err != nil {
+			log.Fatal(err)
+		}
 		pt := make([]byte, c.BlockSize())
 		for n := 1; n <= 48; n++ {
 			// Collect one correct/faulty pair: same plaintext, one transient
@@ -47,10 +50,13 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			pairs = append(pairs, p)
 
-			// Re-analyse after every pair; stop at a unique key.
-			res, err := analyzer.Analyze(pairs, m)
+			// Fold the pair into the session and read the surviving key
+			// space; stop at a unique key.
+			if err := session.Add(p); err != nil {
+				log.Fatal(err)
+			}
+			res, err := session.Result()
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -12,7 +12,8 @@ import (
 
 // CipherEntry is one cipher-core timing row of a trajectory point:
 // nanoseconds per encryption through the per-block scalar path and through
-// the batched (bitsliced) path, both over the same deterministic workload.
+// the batched (bitsliced) path, both over the same deterministic workload,
+// each the median of interleaved samples.
 // The ratio between the two is the regression gate `benchtab
 // -check-trajectory` holds the bitsliced cores to.
 type CipherEntry struct {
@@ -59,6 +60,11 @@ func NewCipherCoreBench(c registry.Cipher) (inst registry.Instance, table []byte
 // milliseconds.
 const cipherTimingBlocks = 8192
 
+// cipherTimingSamples is how many samples each path gets, interleaved
+// scalar/batch; a row records each path's median, so one sample
+// descheduled on a shared host cannot swing the ratio the gate reads.
+const cipherTimingSamples = 5
+
 // measureCipherCores times every registered cipher's encrypt core through
 // the scalar path and through the full-width batch path, in registry order.
 // Like the hammer timings the figures are host-dependent by nature; it is
@@ -76,23 +82,27 @@ func measureCipherCores() ([]CipherEntry, error) {
 			return nil, fmt.Errorf("bench: cipher %q bench setup: %w", name, err)
 		}
 		batches := cipherTimingBlocks / registry.BatchLanes
-		// Warm each path once so one-time setup stays out of the sample.
-		registry.ScalarEncryptBatch(inst, table, dst, src)
-		start := time.Now()
-		for i := 0; i < batches; i++ {
-			registry.ScalarEncryptBatch(inst, table, dst, src)
+		nsPerBlock := func(encrypt func()) float64 {
+			start := time.Now()
+			for i := 0; i < batches; i++ {
+				encrypt()
+			}
+			return float64(time.Since(start).Nanoseconds()) / float64(batches*registry.BatchLanes)
 		}
-		scalarNs := float64(time.Since(start).Nanoseconds()) / float64(batches*registry.BatchLanes)
-		inst.EncryptBatch(table, dst, src)
-		start = time.Now()
-		for i := 0; i < batches; i++ {
-			inst.EncryptBatch(table, dst, src)
+		scalar := func() { registry.ScalarEncryptBatch(inst, table, dst, src) }
+		batch := func() { inst.EncryptBatch(table, dst, src) }
+		// Warm each path once so one-time setup stays out of the samples.
+		scalar()
+		batch()
+		var scalarNs, bitslicedNs stats.Summary
+		for i := 0; i < cipherTimingSamples; i++ {
+			scalarNs.Observe(nsPerBlock(scalar))
+			bitslicedNs.Observe(nsPerBlock(batch))
 		}
-		bitslicedNs := float64(time.Since(start).Nanoseconds()) / float64(batches*registry.BatchLanes)
 		out = append(out, CipherEntry{
 			Cipher:                   name,
-			ScalarNsPerEncryption:    scalarNs,
-			BitslicedNsPerEncryption: bitslicedNs,
+			ScalarNsPerEncryption:    scalarNs.Quantile(0.5),
+			BitslicedNsPerEncryption: bitslicedNs.Quantile(0.5),
 			Lanes:                    registry.BatchLanes,
 		})
 	}

@@ -165,7 +165,10 @@ func E9DFAvsPFA(seed uint64, opts ...harness.Option) (*Table, error) {
 					return false, err
 				}
 				table := dfaCipher.SBox()
-				var pairs []dfa.Pair
+				session, err := dfaAnalyzer.Begin(fault.New(fault.PreciseByte))
+				if err != nil {
+					return false, err
+				}
 				pt := make([]byte, 16)
 				for fb := 0; fb < 4; fb++ {
 					m := fault.New(fault.PreciseByte, fault.WithPosition(fb))
@@ -175,10 +178,12 @@ func E9DFAvsPFA(seed uint64, opts ...harness.Option) (*Table, error) {
 						if err != nil {
 							return false, err
 						}
-						pairs = append(pairs, p)
+						if err := session.Add(p); err != nil {
+							return false, err
+						}
 					}
 				}
-				res, err := dfaAnalyzer.Analyze(pairs, fault.New(fault.PreciseByte))
+				res, err := session.Result()
 				if err != nil {
 					return false, err
 				}

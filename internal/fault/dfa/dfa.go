@@ -92,11 +92,59 @@ type Analyzer interface {
 	// Ladder returns the supported fault models strongest-first — the rows
 	// of a precise-to-random key-space table.
 	Ladder() []fault.Model
+	// Begin opens an incremental analysis under model m: pairs added to
+	// the session one at a time narrow the same key space Analyze reports
+	// for all of them, without re-deriving earlier pairs' constraints.  It
+	// fails when the model is unsupported.
+	Begin(m fault.Model) (Session, error)
 	// Analyze intersects the key constraints of the pairs, all collected
-	// under model m, and reports the surviving key space.  A non-unique
-	// outcome is a Result with Unique false, not an error; errors mean the
-	// model is unsupported or the pairs contradict it.
+	// under model m, and reports the surviving key space: Begin, Add every
+	// pair, then Result.  A non-unique outcome is a Result with Unique
+	// false, not an error; errors mean the model is unsupported or the
+	// pairs contradict it.
 	Analyze(pairs []Pair, m fault.Model) (*Result, error)
+}
+
+// Session is one incremental analysis: after n calls to Add, Result
+// reports exactly what Analyze reports for those n pairs.  A Session is
+// not safe for concurrent use.
+type Session interface {
+	// Add folds one more pair into the key constraints.  It fails on a
+	// malformed pair or one the model cannot explain; the first failure
+	// sticks, and every later Add and Result returns it.
+	Add(p Pair) error
+	// Result reports the key space the pairs added so far leave.  It does
+	// not change the session, so Add may follow it.
+	Result() (*Result, error)
+}
+
+// analyze is every analyzer's Analyze: one session fed all the pairs.
+func analyze(a Analyzer, pairs []Pair, m fault.Model) (*Result, error) {
+	s, err := a.Begin(m)
+	if err != nil {
+		return nil, err
+	}
+	for _, p := range pairs {
+		if err := s.Add(p); err != nil {
+			return nil, err
+		}
+	}
+	return s.Result()
+}
+
+// checkPair rejects a pair whose ciphertexts, and plaintext when present,
+// are not each one block of the named cipher; i is the pair's 0-based
+// index in the analysis.
+func checkPair(i int, p Pair, cipher string, blockSize int) error {
+	if len(p.Correct) != blockSize || len(p.Faulty) != blockSize {
+		return fmt.Errorf("pair %d: dfa: %s pair needs %d-byte ciphertexts, got %d and %d",
+			i, cipher, blockSize, len(p.Correct), len(p.Faulty))
+	}
+	if p.Plaintext != nil && len(p.Plaintext) != blockSize {
+		return fmt.Errorf("pair %d: dfa: %s pair needs a %d-byte plaintext or none, got %d",
+			i, cipher, blockSize, len(p.Plaintext))
+	}
+	return nil
 }
 
 var (

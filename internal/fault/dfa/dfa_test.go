@@ -336,7 +336,11 @@ func lilliputRecover(t *testing.T, key []byte, m fault.Model, budget int, rng *s
 		t.Fatal(err)
 	}
 	table := c.SBox()
-	var pairs []Pair
+	s, err := a.Begin(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var res *Result
 	pt := make([]byte, 8)
 	for n := 1; n <= budget; n++ {
 		rng.Bytes(pt)
@@ -344,18 +348,15 @@ func lilliputRecover(t *testing.T, key []byte, m fault.Model, budget int, rng *s
 		if err != nil {
 			t.Fatal(err)
 		}
-		pairs = append(pairs, p)
-		res, err := a.Analyze(pairs, m)
-		if err != nil {
+		if err := s.Add(p); err != nil {
+			t.Fatalf("pair %d: %v", n, err)
+		}
+		if res, err = s.Result(); err != nil {
 			t.Fatalf("pair %d: %v", n, err)
 		}
 		if res.Unique {
 			return res, n
 		}
-	}
-	res, err := a.Analyze(pairs, m)
-	if err != nil {
-		t.Fatal(err)
 	}
 	return res, budget
 }

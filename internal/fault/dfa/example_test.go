@@ -30,7 +30,10 @@ func ExampleAnalyzer() {
 	// One rung of the ladder: a transient fault in one nibble, anywhere in
 	// the round-29 state.
 	m := fault.New(fault.Nibble)
-	var pairs []dfa.Pair
+	session, err := analyzer.Begin(m)
+	if err != nil {
+		panic(err)
+	}
 	pt := make([]byte, c.BlockSize())
 	for n := 1; n <= 48; n++ {
 		rng.Bytes(pt)
@@ -38,8 +41,10 @@ func ExampleAnalyzer() {
 		if err != nil {
 			panic(err)
 		}
-		pairs = append(pairs, p)
-		res, err := analyzer.Analyze(pairs, m)
+		if err := session.Add(p); err != nil {
+			panic(err)
+		}
+		res, err := session.Result()
 		if err != nil {
 			panic(err)
 		}

@@ -1,6 +1,7 @@
 package dfa
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math/bits"
@@ -112,44 +113,86 @@ func (lilliputAnalyzer) Supports(m fault.Model) error {
 	return nil
 }
 
-// Analyze intersects per-nibble candidate masks for k' = InvPLayer(K31)
-// over the pairs, then assembles K31 and completes the master key from the
-// first pair's known plaintext.  When the space is small but not yet a
-// single point, it finishes by enumerating the remaining combinations
-// against that plaintext — the usual DFA end-game.
-func (a lilliputAnalyzer) Analyze(pairs []Pair, m fault.Model) (*Result, error) {
+// Begin opens a session that intersects per-nibble candidate masks for
+// k' = InvPLayer(K31) pair by pair.
+func (a lilliputAnalyzer) Begin(m fault.Model) (Session, error) {
 	if err := a.Supports(m); err != nil {
 		return nil, err
 	}
-	var sets [16]uint16
-	for i := range sets {
-		sets[i] = 0xFFFF
+	s := &lilSession{m: m}
+	for i := range s.sets {
+		s.sets[i] = 0xFFFF
 	}
-	for pi := range pairs {
-		if err := lilConstrain(&sets, pairs[pi], m); err != nil {
-			return nil, fmt.Errorf("pair %d: %w", pi, err)
-		}
+	return s, nil
+}
+
+// Analyze runs a session over all the pairs.
+func (a lilliputAnalyzer) Analyze(pairs []Pair, m fault.Model) (*Result, error) {
+	return analyze(a, pairs, m)
+}
+
+// lilSession is the incremental round-29 ladder analysis.
+type lilSession struct {
+	m fault.Model
+	// n counts the pairs added.
+	n int
+	// err is the first Add failure.
+	err error
+	// sets[i] is the candidate mask of k' nibble i.
+	sets [16]uint16
+	// first keeps the first pair's known plaintext and correct ciphertext
+	// for master-key completion.
+	first Pair
+}
+
+// Add folds one pair's hypotheses into the per-nibble candidate masks.
+func (s *lilSession) Add(p Pair) error {
+	if s.err != nil {
+		return s.err
+	}
+	if s.err = checkPair(s.n, p, "lilliput-80", lilliput.BlockSize); s.err != nil {
+		return s.err
+	}
+	if err := lilConstrain(&s.sets, p, s.m); err != nil {
+		s.err = fmt.Errorf("pair %d: %w", s.n, err)
+		return s.err
+	}
+	if s.n == 0 {
+		s.first = Pair{Plaintext: bytes.Clone(p.Plaintext), Correct: bytes.Clone(p.Correct)}
+	}
+	s.n++
+	return nil
+}
+
+// Result assembles K31 once every nibble is pinned and completes the
+// master key from the first pair's known plaintext.  When the space is
+// small but not yet a single point, it finishes by enumerating the
+// remaining combinations against that plaintext — the usual DFA end-game.
+func (s *lilSession) Result() (*Result, error) {
+	if s.err != nil {
+		return nil, s.err
 	}
 	res := &Result{Remaining: make([]float64, 16)}
 	unique := true
 	var cells [16]byte
-	for i, s := range sets {
-		n := bits.OnesCount16(s)
+	for i, set := range s.sets {
+		n := bits.OnesCount16(set)
 		res.Remaining[i] = float64(n)
 		if n == 1 {
-			cells[i] = byte(bits.TrailingZeros16(s))
+			cells[i] = byte(bits.TrailingZeros16(set))
 		} else {
 			unique = false
 		}
 	}
 	res.KeySpaceBits = spaceBits(res.Remaining)
 	c := registry.MustGet("lilliput-80")
+	known := s.first.Plaintext != nil
 	if !unique {
 		// The DFA end-game: once the differential has squeezed the space
 		// down to a handful of combinations, enumerate them against the
 		// known plaintext instead of waiting for more faults.
-		if lilCombos(&sets) <= lilMaxEnumerate && len(pairs) > 0 && pairs[0].Plaintext != nil {
-			if master, k31 := lilEnumerate(&sets, c, pairs[0]); master != nil {
+		if lilCombos(&s.sets) <= lilMaxEnumerate && known {
+			if master, k31 := lilEnumerate(&s.sets, c, s.first); master != nil {
 				res.LastRoundKey = k31
 				res.Master = master
 				res.Unique = true
@@ -163,8 +206,8 @@ func (a lilliputAnalyzer) Analyze(pairs []Pair, m fault.Model) (*Result, error) 
 	}
 	res.LastRoundKey = c.AssembleLastRoundKey(cells[:])
 	res.Unique = true
-	if len(pairs) > 0 && pairs[0].Plaintext != nil {
-		if master, ok := c.RecoverMaster(res.LastRoundKey, pairs[0].Plaintext, pairs[0].Correct); ok {
+	if known {
+		if master, ok := c.RecoverMaster(res.LastRoundKey, s.first.Plaintext, s.first.Correct); ok {
 			res.Master = master
 		}
 	}
@@ -229,11 +272,9 @@ func lilCand(u, us, d byte) uint16 {
 }
 
 // lilConstrain folds one pair's constraints into the per-nibble candidate
-// sets, enumerating every fault hypothesis the model leaves open.
+// sets, enumerating every fault hypothesis the model leaves open.  The
+// caller has checked the pair's ciphertext lengths.
 func lilConstrain(sets *[16]uint16, p Pair, m fault.Model) error {
-	if len(p.Correct) < lilliput.BlockSize || len(p.Faulty) < lilliput.BlockSize {
-		return fmt.Errorf("dfa: lilliput-80 pair needs %d-byte ciphertexts", lilliput.BlockSize)
-	}
 	u := lilliput.Engine.InvPLayer(binary.BigEndian.Uint64(p.Correct))
 	us := lilliput.Engine.InvPLayer(binary.BigEndian.Uint64(p.Faulty))
 	var un, usn [16]byte

@@ -235,10 +235,10 @@ func (s Spec) dfaBudget() int {
 // runDFATrial executes one DFA-kind trial: random key, a full budget of
 // correct/faulty pairs collected through the batched dfa.CollectPairs
 // (same per-pair draw order as the old one-at-a-time loop, so the E17
-// golden holds), then re-analysed pair by pair until the analyzer pins a
-// unique key or the budget runs out.  Pairs collected past the recovery
-// point are discarded with the trial's private rng.  Master-key
-// completion is verified against the true key.
+// golden holds), then fed to one analysis session pair by pair until the
+// analyzer pins a unique key or the budget runs out.  Pairs collected past
+// the recovery point are discarded with the trial's private rng.
+// Master-key completion is verified against the true key.
 func runDFATrial(c registry.Cipher, a dfa.Analyzer, m fault.Model, budget int, rng *stats.RNG) (DFATrial, error) {
 	out := DFATrial{RecoveredAt: -1}
 	key := make([]byte, c.KeyBytes())
@@ -252,8 +252,15 @@ func runDFATrial(c registry.Cipher, a dfa.Analyzer, m fault.Model, budget int, r
 	if err != nil {
 		return out, err
 	}
+	s, err := a.Begin(m)
+	if err != nil {
+		return out, err
+	}
 	for n := 1; n <= budget; n++ {
-		res, err := a.Analyze(pairs[:n], m)
+		if err := s.Add(pairs[n-1]); err != nil {
+			return out, err
+		}
+		res, err := s.Result()
 		if err != nil {
 			return out, err
 		}

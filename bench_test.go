@@ -237,13 +237,8 @@ func BenchmarkE7PFA(b *testing.B) {
 func BenchmarkE8Baselines(b *testing.B) {
 	hits := 0
 	for i := 0; i < b.N; i++ {
-		ac := core.ConfigForMachine(machine.MustGet("fast"), uint64(i)+1)
-		bc := core.DefaultBaselineConfig(core.RandomSpray)
-		bc.Seed = ac.Seed
-		bc.Machine = ac.Machine
-		bc.Hammer = ac.Hammer
-		bc.AttackerMemory = ac.AttackerMemory
-		res, err := core.RunBaselineTrial(bc)
+		cfg := core.ConfigForMachine(machine.MustGet("fast"), uint64(i)+1)
+		res, err := core.RunBaselineTrial(cfg, core.RandomSpray)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -157,17 +156,9 @@ func (f *cliFlags) overrides() ([]scenario.Option, error) {
 	return opts, err
 }
 
-// parse runs the flag set and maps -h/-help onto a clean exit: code 0 and
-// ok=false for help, code 2 and ok=false for a real parse error.
+// parse runs the flag set through parseBare.
 func (f *cliFlags) parse(args []string) (code int, ok bool) {
-	switch err := f.fs.Parse(args); {
-	case err == nil:
-		return 0, true
-	case errors.Is(err, flag.ErrHelp):
-		return 0, false
-	default:
-		return 2, false
-	}
+	return parseBare(f.fs, args)
 }
 
 // fail prints a usage-level error and returns exit code 2.

@@ -14,8 +14,9 @@ import (
 	"explframe/internal/scenario"
 )
 
-// parseBare handles a flagless subcommand's argument list, mapping -h onto
-// exit 0.
+// parseBare runs a subcommand's flag set and maps -h/-help onto a clean
+// exit: code 0 and ok=false for help, code 2 and ok=false for a real parse
+// error.
 func parseBare(fs *flag.FlagSet, args []string) (code int, ok bool) {
 	switch err := fs.Parse(args); {
 	case err == nil:

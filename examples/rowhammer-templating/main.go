@@ -28,17 +28,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	attacker, err := m.Spawn("attacker", 0)
-	if err != nil {
-		log.Fatal(err)
-	}
-
 	const bufLen = 8 << 20
-	base, err := attacker.Mmap(bufLen)
+	attacker, base, err := m.SpawnResident("attacker", 0, bufLen)
 	if err != nil {
-		log.Fatal(err)
-	}
-	if err := attacker.Touch(base, bufLen); err != nil {
 		log.Fatal(err)
 	}
 

@@ -36,15 +36,8 @@ func NewHammerBench(ms machine.Spec, seed uint64) (*kernel.Process, []vm.VirtAdd
 	if err != nil {
 		return nil, nil, err
 	}
-	proc, err := m.Spawn("bench", 0)
+	proc, base, err := m.SpawnResident("bench", 0, HammerBenchPages*vm.PageSize)
 	if err != nil {
-		return nil, nil, err
-	}
-	base, err := proc.Mmap(HammerBenchPages * vm.PageSize)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := proc.Touch(base, HammerBenchPages*vm.PageSize); err != nil {
 		return nil, nil, err
 	}
 	vas := []vm.VirtAddr{base, base + vm.VirtAddr(HammerBenchStride*vm.PageSize)}

@@ -84,16 +84,12 @@ type Attack struct {
 
 // NewAttack builds the machine for a run.
 func NewAttack(cfg Config) (*Attack, error) {
-	if cfg.Machine.NumCPUs == 0 {
-		cfg.Machine = kernel.DefaultConfig()
-	}
-	cfg.Machine.Seed = cfg.Seed
 	cipher, ok := registry.Get(cfg.VictimCipher)
 	if !ok {
 		return nil, fmt.Errorf("core: unknown victim cipher %q (registered: %v)",
 			cfg.VictimCipher, registry.Names())
 	}
-	m, err := kernel.NewMachine(cfg.Machine)
+	m, err := bootMachine(cfg.Machine, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -101,6 +97,17 @@ func NewAttack(cfg Config) (*Attack, error) {
 		return nil, fmt.Errorf("core: cpu out of range")
 	}
 	return &Attack{cfg: cfg, cipher: cipher, sbox: cipher.SBox(), m: m, rng: stats.NewRNG(cfg.Seed ^ 0xa77ac)}, nil
+}
+
+// bootMachine is the one place a trial boots its machine: the zero
+// kernel.Config takes kernel.DefaultConfig, and seed reseeds it so the
+// weak cells and kernel randomness follow the trial.
+func bootMachine(mc kernel.Config, seed uint64) (*kernel.Machine, error) {
+	if mc.NumCPUs == 0 {
+		mc = kernel.DefaultConfig()
+	}
+	mc.Seed = seed
+	return kernel.NewMachine(mc)
 }
 
 // Machine exposes the underlying machine for inspection.
@@ -141,15 +148,8 @@ func (a *Attack) RunContext(ctx context.Context) (*Report, error) {
 	}
 
 	// --- Setup: attacker process with a large touched mapping.
-	attacker, err := a.m.Spawn("attacker", a.cfg.AttackerCPU)
+	attacker, base, err := a.m.SpawnResident("attacker", a.cfg.AttackerCPU, a.cfg.AttackerMemory)
 	if err != nil {
-		return rep, err
-	}
-	base, err := attacker.Mmap(a.cfg.AttackerMemory)
-	if err != nil {
-		return rep, err
-	}
-	if err := attacker.Touch(base, a.cfg.AttackerMemory); err != nil {
 		return rep, err
 	}
 	engine := rowhammer.New(a.cfg.Hammer, a.m, attacker)

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"explframe/internal/kernel"
 	"explframe/internal/rowhammer"
 	"explframe/internal/trace"
 	"explframe/internal/vm"
@@ -35,35 +34,6 @@ func (k BaselineKind) String() string {
 	return "random-spray"
 }
 
-// BaselineConfig parameterises a baseline trial.
-type BaselineConfig struct {
-	Seed           uint64
-	Machine        kernel.Config
-	Hammer         rowhammer.Config
-	Kind           BaselineKind
-	AttackerMemory uint64
-	CPU            int
-	VictimCipher   string
-	VictimKey      []byte
-	VictimPages    int
-}
-
-// DefaultBaselineConfig mirrors the attack defaults.
-func DefaultBaselineConfig(kind BaselineKind) BaselineConfig {
-	ac := DefaultConfig()
-	return BaselineConfig{
-		Seed:           1,
-		Machine:        ac.Machine,
-		Hammer:         ac.Hammer,
-		Kind:           kind,
-		AttackerMemory: ac.AttackerMemory,
-		CPU:            0,
-		VictimCipher:   ac.VictimCipher,
-		VictimKey:      ac.VictimKey,
-		VictimPages:    ac.VictimRequestPages,
-	}
-}
-
 // BaselineResult reports one baseline trial.
 type BaselineResult struct {
 	// TableCorrupted is the success criterion: the fault reached the
@@ -77,31 +47,31 @@ type BaselineResult struct {
 	RequiredPrivilege string
 }
 
-// RunBaselineTrial executes one trial of the selected baseline.  The victim
-// allocates first (no steering — that is the point of the comparison), then
-// the attacker hammers.
+// RunBaselineTrial executes one trial of the selected baseline on the
+// attack's configuration, so a baseline is the paired comparison of the
+// attack with the same seed, machine, hammer and buffer.  The victim
+// allocates first (no steering — that is the point of the comparison),
+// then the attacker hammers.  Both processes run on cfg.AttackerCPU:
+// without steering the victim's CPU does not matter, so VictimCPU, noise
+// and sleeping are ignored.
 //
 // For tractability the spray baseline hammers only the attacker rows within
 // disturbance range of the victim row; hammering the rest of the buffer
 // cannot affect the outcome and is omitted.  The statistics are identical
 // to the full sweep.
-func RunBaselineTrial(cfg BaselineConfig) (*BaselineResult, error) {
-	mc := cfg.Machine
-	if mc.NumCPUs == 0 {
-		mc = kernel.DefaultConfig()
-	}
-	mc.Seed = cfg.Seed
-	m, err := kernel.NewMachine(mc)
+func RunBaselineTrial(cfg Config, kind BaselineKind) (*BaselineResult, error) {
+	m, err := bootMachine(cfg.Machine, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
 	res := &BaselineResult{CorruptIndex: -1, RequiredPrivilege: "none"}
-	if cfg.Kind == PagemapTargeted {
+	if kind == PagemapTargeted {
 		res.RequiredPrivilege = "CAP_SYS_ADMIN"
 	}
 
 	// Victim first: its table page lands wherever the allocator puts it.
-	victim, err := trace.SpawnVictim(m, cfg.CPU, cfg.VictimCipher, cfg.VictimKey, cfg.VictimPages, 0)
+	victim, err := trace.SpawnVictim(m, cfg.AttackerCPU, cfg.VictimCipher, cfg.VictimKey,
+		cfg.VictimRequestPages, cfg.VictimTableOffset)
 	if err != nil {
 		return nil, err
 	}
@@ -111,20 +81,11 @@ func RunBaselineTrial(cfg BaselineConfig) (*BaselineResult, error) {
 	}
 
 	// Attacker sprays its buffer.
-	attacker, err := m.Spawn("attacker", cfg.CPU)
+	attacker, base, err := m.SpawnResident("attacker", cfg.AttackerCPU, cfg.AttackerMemory)
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Kind == PagemapTargeted {
-		attacker.CapSysAdmin = true
-	}
-	base, err := attacker.Mmap(cfg.AttackerMemory)
-	if err != nil {
-		return nil, err
-	}
-	if err := attacker.Touch(base, cfg.AttackerMemory); err != nil {
-		return nil, err
-	}
+	attacker.CapSysAdmin = kind == PagemapTargeted
 	engine := rowhammer.New(cfg.Hammer, m, attacker)
 
 	// Locate attacker pages adjacent to the victim row.  The pagemap

@@ -270,13 +270,7 @@ func TestBaselineRandomSprayRarelyCorrupts(t *testing.T) {
 	wins := 0
 	const trials = 6
 	for seed := uint64(0); seed < trials; seed++ {
-		cfg := DefaultBaselineConfig(RandomSpray)
-		base := fastConfig(seed)
-		cfg.Machine = base.Machine
-		cfg.Hammer = base.Hammer
-		cfg.AttackerMemory = base.AttackerMemory
-		cfg.Seed = seed
-		res, err := RunBaselineTrial(cfg)
+		res, err := RunBaselineTrial(fastConfig(seed), RandomSpray)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -293,12 +287,7 @@ func TestBaselineRandomSprayRarelyCorrupts(t *testing.T) {
 }
 
 func TestBaselinePagemapReportsPrivilege(t *testing.T) {
-	cfg := DefaultBaselineConfig(PagemapTargeted)
-	base := fastConfig(1)
-	cfg.Machine = base.Machine
-	cfg.Hammer = base.Hammer
-	cfg.AttackerMemory = base.AttackerMemory
-	res, err := RunBaselineTrial(cfg)
+	res, err := RunBaselineTrial(fastConfig(1), PagemapTargeted)
 	if err != nil {
 		t.Fatal(err)
 	}

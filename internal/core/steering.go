@@ -74,27 +74,14 @@ func RunSteeringTrial(cfg SteeringConfig) (*SteeringResult, error) {
 	if cfg.ReleasePages <= 0 || cfg.ReleasePages > cfg.AttackerPages {
 		return nil, fmt.Errorf("core: bad ReleasePages %d", cfg.ReleasePages)
 	}
-	mc := cfg.Machine
-	if mc.NumCPUs == 0 {
-		mc = kernel.DefaultConfig()
-	}
-	mc.Seed = cfg.Seed
-	m, err := kernel.NewMachine(mc)
+	m, err := bootMachine(cfg.Machine, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
 	rng := stats.NewRNG(cfg.Seed ^ 0x57ee7)
 
-	attacker, err := m.Spawn("attacker", cfg.AttackerCPU)
+	attacker, base, err := m.SpawnResident("attacker", cfg.AttackerCPU, uint64(cfg.AttackerPages)*vm.PageSize)
 	if err != nil {
-		return nil, err
-	}
-	length := uint64(cfg.AttackerPages) * vm.PageSize
-	base, err := attacker.Mmap(length)
-	if err != nil {
-		return nil, err
-	}
-	if err := attacker.Touch(base, length); err != nil {
 		return nil, err
 	}
 
@@ -164,25 +151,13 @@ func RunSteeringTrial(cfg SteeringConfig) (*SteeringResult, error) {
 // back "with a probability of almost 1" for small requests.  Returns the
 // fraction of freed frames that came back.
 func SelfReuseTrial(seed uint64, mc kernel.Config, freed, request int) (float64, error) {
-	if mc.NumCPUs == 0 {
-		mc = kernel.DefaultConfig()
-	}
-	mc.Seed = seed
-	m, err := kernel.NewMachine(mc)
-	if err != nil {
-		return 0, err
-	}
-	p, err := m.Spawn("self", 0)
+	m, err := bootMachine(mc, seed)
 	if err != nil {
 		return 0, err
 	}
 	// Map and touch a working set, free `freed` pages, then request anew.
-	work := freed + 16
-	base, err := p.Mmap(uint64(work) * vm.PageSize)
+	p, base, err := m.SpawnResident("self", 0, uint64(freed+16)*vm.PageSize)
 	if err != nil {
-		return 0, err
-	}
-	if err := p.Touch(base, uint64(work)*vm.PageSize); err != nil {
 		return 0, err
 	}
 	released := make(map[mm.PFN]bool, freed)

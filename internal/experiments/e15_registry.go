@@ -40,7 +40,7 @@ func E15PFAAllCiphers(seed uint64, opts ...harness.Option) (*Table, error) {
 	for _, name := range registry.Names() {
 		camp.Specs = append(camp.Specs, scenario.New(
 			scenario.WithKind(scenario.PFA), scenario.WithCipher(name), scenario.WithTrials(trials),
-			scenario.WithSeed(stats.DeriveSeed(stats.DeriveSeed(seed, label(15, 0)), fnv1a(name)))))
+			scenario.WithSeed(stats.DeriveSeed(stats.DeriveSeed(seed, label(15, 0)), stats.FNV64(name)))))
 	}
 	results, err := camp.Run(context.Background(), scenario.WithTrialOptions(opts...))
 	if err != nil {
@@ -91,7 +91,3 @@ func E15PFAAllCiphers(seed uint64, opts ...harness.Option) (*Table, error) {
 		"4-bit tables converge ~40x faster than AES's 8-bit table (coupon collector over 16 vs 256 values)")
 	return t, nil
 }
-
-// fnv1a hashes a registry name to a stable 64-bit seed label; experiment
-// drivers key per-name trial streams on it (E15 ciphers, E16 machines).
-func fnv1a(s string) uint64 { return stats.FNV64(s) }

@@ -42,7 +42,7 @@ func E16Machines(seed uint64, opts ...harness.Option) (*Table, error) {
 		camp.Specs = append(camp.Specs, scenario.New(
 			scenario.WithProfile(scenario.Profile(name)),
 			scenario.WithTrials(trials),
-			scenario.WithSeed(stats.DeriveSeed(stats.DeriveSeed(seed, label(16, 0)), fnv1a(name)))))
+			scenario.WithSeed(stats.DeriveSeed(stats.DeriveSeed(seed, label(16, 0)), stats.FNV64(name)))))
 	}
 	results, err := camp.Run(context.Background(), scenario.WithTrialOptions(opts...))
 	if err != nil {

@@ -58,7 +58,7 @@ func E17DFALadder(seed uint64, opts ...harness.Option) (*Table, error) {
 					scenario.WithCipher(name), scenario.WithFaultModel(m),
 					scenario.WithBudget(budget), scenario.WithTrials(trials),
 					scenario.WithSeed(stats.DeriveSeed(stats.DeriveSeed(seed, label(17, 0)),
-						fnv1a(fmt.Sprintf("%s/%s/b%d", name, m.Name(), budget))))))
+						stats.FNV64(fmt.Sprintf("%s/%s/b%d", name, m.Name(), budget))))))
 			}
 		}
 	}

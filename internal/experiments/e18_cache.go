@@ -68,7 +68,7 @@ func E18CacheProbe(seed uint64, opts ...harness.Option) (*Table, error) {
 					scenario.WithProbeNoise(e18Noise), scenario.WithBudget(budget),
 					scenario.WithTrials(trials),
 					scenario.WithSeed(stats.DeriveSeed(stats.DeriveSeed(seed, label(18, 0)),
-						fnv1a(fmt.Sprintf("%s/%s/b%d", tech, mach, budget))))))
+						stats.FNV64(fmt.Sprintf("%s/%s/b%d", tech, mach, budget))))))
 			}
 		}
 	}

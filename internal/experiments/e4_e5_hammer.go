@@ -9,15 +9,17 @@ import (
 	"explframe/internal/report"
 	"explframe/internal/rowhammer"
 	"explframe/internal/stats"
+	"explframe/internal/vm"
 )
 
-// hammerMachine builds a machine with a dense weak-cell population and a
-// scaled-down activation threshold for hammer characterisation.
-func hammerMachine(seed uint64, density float64) (kernel.Config, error) {
+// hammerAttacker boots a machine with a dense weak-cell population and a
+// scaled-down activation threshold for hammer characterisation, with one
+// attacker process owning a touched region of the given size.
+func hammerAttacker(seed, region uint64) (*kernel.Machine, *kernel.Process, vm.VirtAddr, error) {
 	cfg := kernel.DefaultConfig()
 	cfg.Geometry = dram.Geometry{Channels: 1, DIMMs: 1, Ranks: 1, Banks: 4, Rows: 1024, RowBytes: 8192}
 	cfg.FaultModel = dram.FaultModel{
-		WeakCellDensity: density,
+		WeakCellDensity: 8e-5,
 		BaseThreshold:   4000,
 		ThresholdSpread: 1.5,
 		NeighbourWeight: 0.25,
@@ -25,7 +27,15 @@ func hammerMachine(seed uint64, density float64) (kernel.Config, error) {
 		FlipReliability: 0.98,
 	}
 	cfg.Seed = seed
-	return cfg, nil
+	m, err := kernel.NewMachine(cfg)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	proc, base, err := m.SpawnResident("attacker", 0, region)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	return m, proc, base, nil
 }
 
 // E4HammerOnset measures templated flips as a function of the hammer budget
@@ -53,23 +63,8 @@ func E4HammerOnset(seed uint64, opts ...harness.Option) (*Table, error) {
 	cells, err := harness.RunTrials(seed, len(budgets), func(bi int, _ *stats.RNG) (cell, error) {
 		var c cell
 		for i, mode := range []rowhammer.Mode{rowhammer.DoubleSided, rowhammer.SingleSided} {
-			mc, err := hammerMachine(seed, 8e-5)
+			m, proc, base, err := hammerAttacker(seed, region)
 			if err != nil {
-				return c, err
-			}
-			m, err := kernel.NewMachine(mc)
-			if err != nil {
-				return c, err
-			}
-			proc, err := m.Spawn("attacker", 0)
-			if err != nil {
-				return c, err
-			}
-			base, err := proc.Mmap(region)
-			if err != nil {
-				return c, err
-			}
-			if err := proc.Touch(base, region); err != nil {
 				return c, err
 			}
 			eng := rowhammer.New(rowhammer.Config{Mode: mode, PairHammerCount: budgets[bi]}, m, proc)
@@ -114,24 +109,9 @@ func E5Reproducibility(seed uint64, _ ...harness.Option) (*Table, error) {
 			{Name: "polarity"}, {Name: "reproduced/runs"},
 		},
 	}
-	mc, err := hammerMachine(seed, 8e-5)
-	if err != nil {
-		return nil, err
-	}
-	m, err := kernel.NewMachine(mc)
-	if err != nil {
-		return nil, err
-	}
-	proc, err := m.Spawn("attacker", 0)
-	if err != nil {
-		return nil, err
-	}
 	const region = 4 << 20
-	base, err := proc.Mmap(region)
+	m, proc, base, err := hammerAttacker(seed, region)
 	if err != nil {
-		return nil, err
-	}
-	if err := proc.Touch(base, region); err != nil {
 		return nil, err
 	}
 	eng := rowhammer.New(rowhammer.Config{Mode: rowhammer.DoubleSided, PairHammerCount: 10000, MaxFlips: 6}, m, proc)

@@ -14,12 +14,109 @@ import (
 	"explframe/internal/stats"
 )
 
-// E7 and E10 keep their own trial loops instead of running PFA-kind
+// E7, E10 and E9's PFA rows share runPFACurve instead of running PFA-kind
 // scenario specs.  The PFA trial body (scenario's runPFATrial) draws a
 // clean plaintext before it plants the fault, so every later draw of a
 // trial would shift, and it stops at key recovery without recording the
 // residual entropy at each ciphertext checkpoint these curves plot.  A
-// PFA-kind spec would therefore redraw every golden number of both tables.
+// PFA-kind spec would therefore redraw every golden number of the tables.
+
+// pfaCurve is a known-fault PFA data-complexity curve averaged over trials.
+// At each ciphertext checkpoint it holds the mean residual key entropy, the
+// mean number of key cells down to one candidate, and the fraction of
+// trials whose last-round key was unique by then.  toRecover holds the
+// ciphertext count at recovery of every trial that recovered.
+type pfaCurve struct {
+	entropy, positions, recovered []float64
+	toRecover                     stats.Summary
+}
+
+// runPFACurve runs trials of the known-fault PFA attack on c: each trial
+// draws a random key and one random single-bit S-box fault, then encrypts
+// draw's plaintexts one at a time up to the last checkpoint, trying the
+// last-round key recovery after every ciphertext until it succeeds.
+// Recovery under the true fault hypothesis is monotone, so a trial counts
+// as recovered at every checkpoint from its recovery point on.
+func runPFACurve(c registry.Cipher, seed uint64, trials int, checkpoints []int,
+	draw func(rng *stats.RNG, pt []byte), opts ...harness.Option) (*pfaCurve, error) {
+	type trial struct {
+		entropy     []float64
+		positions   []int
+		recoveredAt int
+	}
+	results, err := harness.RunTrials(seed, trials, func(_ int, rng *stats.RNG) (trial, error) {
+		out := trial{
+			entropy:     make([]float64, len(checkpoints)),
+			positions:   make([]int, len(checkpoints)),
+			recoveredAt: -1,
+		}
+		key := make([]byte, c.KeyBytes())
+		rng.Bytes(key)
+		inst, err := c.New(key)
+		if err != nil {
+			return out, err
+		}
+		faulty := c.SBox()
+		v := rng.Intn(c.TableLen())
+		yStar := faulty[v]
+		faulty[v] ^= 1 << uint(rng.Intn(c.EntryBits()))
+
+		col := pfa.NewCollector(c)
+		pt := make([]byte, c.BlockSize())
+		ct := make([]byte, c.BlockSize())
+		next := 0
+		for n := 1; n <= checkpoints[len(checkpoints)-1]; n++ {
+			draw(rng, pt)
+			inst.Encrypt(faulty, ct, pt)
+			if err := col.Observe(ct); err != nil {
+				return out, err
+			}
+			if out.recoveredAt < 0 {
+				if _, err := col.RecoverLastRoundKeyKnownFault(yStar); err == nil {
+					out.recoveredAt = n
+				}
+			}
+			if next < len(checkpoints) && n == checkpoints[next] {
+				out.entropy[next] = col.ResidualEntropy()
+				for i := 0; i < col.Cells(); i++ {
+					if len(col.Missing(i)) == 1 {
+						out.positions[next]++
+					}
+				}
+				next++
+			}
+		}
+		return out, nil
+	}, opts...)
+	if err != nil {
+		return nil, err
+	}
+
+	// Sum over trials, then divide: the goldens pin this rounding order.
+	curve := &pfaCurve{
+		entropy:   make([]float64, len(checkpoints)),
+		positions: make([]float64, len(checkpoints)),
+		recovered: make([]float64, len(checkpoints)),
+	}
+	for _, tr := range results {
+		if tr.recoveredAt > 0 {
+			curve.toRecover.Observe(float64(tr.recoveredAt))
+		}
+		for i, n := range checkpoints {
+			curve.entropy[i] += tr.entropy[i]
+			curve.positions[i] += float64(tr.positions[i])
+			if tr.recoveredAt > 0 && tr.recoveredAt <= n {
+				curve.recovered[i]++
+			}
+		}
+	}
+	for i := range checkpoints {
+		curve.entropy[i] /= float64(trials)
+		curve.positions[i] /= float64(trials)
+		curve.recovered[i] /= float64(trials)
+	}
+	return curve, nil
+}
 
 // E7PFAAES reproduces the persistent-fault-analysis data-complexity curve
 // for AES-128: residual key entropy and recovery rate vs ciphertext count.
@@ -35,92 +132,21 @@ func E7PFAAES(seed uint64, opts ...harness.Option) (*Table, error) {
 	}
 	const trials = 32
 	checkpoints := []int{250, 500, 1000, 1500, 2000, 2500, 3000, 4000, 6000}
-	c := registry.MustGet("aes-128")
-
-	type trial struct {
-		entropy     []float64
-		positions   []int
-		recoveredAt int
-	}
-	results, err := harness.RunTrials(stats.DeriveSeed(seed, label(7, 0)), trials, func(_ int, rng *stats.RNG) (trial, error) {
-		out := trial{
-			entropy:     make([]float64, len(checkpoints)),
-			positions:   make([]int, len(checkpoints)),
-			recoveredAt: -1,
-		}
-		key := make([]byte, 16)
-		rng.Bytes(key)
-		inst, err := c.New(key)
-		if err != nil {
-			return out, err
-		}
-		faulty := c.SBox()
-		vStar := rng.Intn(256)
-		yStar := faulty[vStar]
-		faulty[vStar] ^= 1 << uint(rng.Intn(8))
-
-		col := pfa.NewCollector(c)
-		pt := make([]byte, 16)
-		ct := make([]byte, 16)
-		next := 0
-		for n := 1; n <= checkpoints[len(checkpoints)-1]; n++ {
-			rng.Bytes(pt)
-			inst.Encrypt(faulty, ct, pt)
-			if err := col.Observe(ct); err != nil {
-				return out, err
-			}
-			if out.recoveredAt < 0 {
-				if _, err := col.RecoverLastRoundKeyKnownFault(yStar); err == nil {
-					out.recoveredAt = n
-				}
-			}
-			if next < len(checkpoints) && n == checkpoints[next] {
-				out.entropy[next] = col.ResidualEntropy()
-				for i := 0; i < 16; i++ {
-					if len(col.Missing(i)) == 1 {
-						out.positions[next]++
-					}
-				}
-				next++
-			}
-		}
-		return out, nil
-	}, opts...)
+	curve, err := runPFACurve(registry.MustGet("aes-128"), stats.DeriveSeed(seed, label(7, 0)), trials, checkpoints,
+		func(rng *stats.RNG, pt []byte) { rng.Bytes(pt) }, opts...)
 	if err != nil {
 		return nil, err
 	}
-
-	entropy := make([]float64, len(checkpoints))
-	recovered := make([]int, len(checkpoints))
-	positions := make([]float64, len(checkpoints))
-	var toRecover stats.Summary
-	for _, tr := range results {
-		if tr.recoveredAt > 0 {
-			toRecover.Observe(float64(tr.recoveredAt))
-		}
-		for i := range checkpoints {
-			entropy[i] += tr.entropy[i]
-			positions[i] += float64(tr.positions[i])
-			if tr.recoveredAt > 0 && tr.recoveredAt <= checkpoints[i] {
-				recovered[i]++
-			}
-		}
-	}
 	for i, n := range checkpoints {
-		t.AddRow(
-			report.Int(n),
-			f2(entropy[i]/trials),
-			f2(float64(recovered[i])/trials),
-			f2(positions[i]/trials),
-		)
+		t.AddRow(report.Int(n), f2(curve.entropy[i]), f2(curve.recovered[i]), f2(curve.positions[i]))
 	}
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("%d trials, random keys, random single-bit S-box faults, known-fault recovery", trials),
-		fmt.Sprintf("ciphertexts to full recovery: mean=%.0f p50=%.0f max=%.0f", toRecover.Mean(), toRecover.Quantile(0.5), toRecover.Max()),
+		fmt.Sprintf("ciphertexts to full recovery: mean=%.0f p50=%.0f max=%.0f", curve.toRecover.Mean(), curve.toRecover.Quantile(0.5), curve.toRecover.Max()),
 		"shape matches TCHES 2018: coupon-collector convergence, full key around 2-3k ciphertexts")
 	t.Expect(report.Expectation{
 		Metric: "mean ciphertexts to full AES-128 key recovery",
-		Row:    -1, Col: -1, Direct: toRecover.Mean(),
+		Row:    -1, Col: -1, Direct: curve.toRecover.Mean(),
 		Paper: 2000, Tol: 250,
 		PaperText: "~2000 faulty ciphertexts", Source: "[12] TCHES 2018",
 	})
@@ -200,36 +226,14 @@ func E9DFAvsPFA(seed uint64, opts ...harness.Option) (*Table, error) {
 
 	// PFA: recovery probability vs ciphertext budget.
 	for ri, budget := range []int{1000, 2500} {
-		n := budget
-		okP, err := harness.Proportion(stats.DeriveSeed(seed, label(9, uint64(8+ri))), trials,
-			func(_ int, rng *stats.RNG) (bool, error) {
-				key := make([]byte, 16)
-				rng.Bytes(key)
-				inst, err := dfaCipher.New(key)
-				if err != nil {
-					return false, err
-				}
-				faulty := dfaCipher.SBox()
-				v := rng.Intn(256)
-				yStar := faulty[v]
-				faulty[v] ^= 1 << uint(rng.Intn(8))
-				col := pfa.NewCollector(dfaCipher)
-				pt := make([]byte, 16)
-				ct := make([]byte, 16)
-				for k := 0; k < n; k++ {
-					rng.Bytes(pt)
-					inst.Encrypt(faulty, ct, pt)
-					col.Observe(ct)
-				}
-				_, err = col.RecoverLastRoundKeyKnownFault(yStar)
-				return err == nil, nil
-			}, opts...)
+		curve, err := runPFACurve(dfaCipher, stats.DeriveSeed(seed, label(9, uint64(8+ri))), trials, []int{budget},
+			func(rng *stats.RNG, pt []byte) { rng.Bytes(pt) }, opts...)
 		if err != nil {
 			return nil, err
 		}
 		t.AddRow(
 			report.Str("PFA"), report.Str("persistent, one S-box bit"), report.Strf("%d ciphertexts", budget),
-			f2(okP.Rate()), report.Str("one Rowhammer flip, ciphertext-only"),
+			f2(curve.recovered[0]), report.Str("one Rowhammer flip, ciphertext-only"),
 		)
 	}
 	t.Notes = append(t.Notes,
@@ -264,69 +268,15 @@ func E10PFAPresent(seed uint64, opts ...harness.Option) (*Table, error) {
 	}
 	const trials = 32
 	checkpoints := []int{10, 25, 50, 75, 100, 150, 250, 400}
-	c := registry.MustGet("present-80")
-
-	type trial struct {
-		entropy     []float64
-		recoveredAt int
-	}
-	results, err := harness.RunTrials(stats.DeriveSeed(seed, label(10, 0)), trials, func(_ int, rng *stats.RNG) (trial, error) {
-		out := trial{entropy: make([]float64, len(checkpoints)), recoveredAt: -1}
-		key := make([]byte, 10)
-		rng.Bytes(key)
-		inst, err := c.New(key)
-		if err != nil {
-			return out, err
-		}
-		faulty := c.SBox()
-		v := rng.Intn(16)
-		yStar := faulty[v]
-		faulty[v] ^= byte(1 << uint(rng.Intn(4)))
-
-		col := pfa.NewCollector(c)
-		pt := make([]byte, 8)
-		ct := make([]byte, 8)
-		next := 0
-		for n := 1; n <= checkpoints[len(checkpoints)-1]; n++ {
-			binary.BigEndian.PutUint64(pt, rng.Uint64())
-			inst.Encrypt(faulty, ct, pt)
-			if err := col.Observe(ct); err != nil {
-				return out, err
-			}
-			if out.recoveredAt < 0 {
-				if _, err := col.RecoverLastRoundKeyKnownFault(yStar); err == nil {
-					out.recoveredAt = n
-				}
-			}
-			if next < len(checkpoints) && n == checkpoints[next] {
-				out.entropy[next] = col.ResidualEntropy()
-				next++
-			}
-		}
-		return out, nil
-	}, opts...)
+	// PRESENT plaintexts are drawn big-endian from one Uint64, unlike
+	// rng.Bytes's little-endian fill: the golden table pins this draw.
+	curve, err := runPFACurve(registry.MustGet("present-80"), stats.DeriveSeed(seed, label(10, 0)), trials, checkpoints,
+		func(rng *stats.RNG, pt []byte) { binary.BigEndian.PutUint64(pt, rng.Uint64()) }, opts...)
 	if err != nil {
 		return nil, err
 	}
-
-	entropy := make([]float64, len(checkpoints))
-	recovered := make([]int, len(checkpoints))
-	var toRecover stats.Summary
-	for _, tr := range results {
-		if tr.recoveredAt > 0 {
-			toRecover.Observe(float64(tr.recoveredAt))
-		}
-		for i := range checkpoints {
-			entropy[i] += tr.entropy[i]
-			if tr.recoveredAt > 0 && tr.recoveredAt <= checkpoints[i] {
-				recovered[i]++
-			}
-		}
-	}
 	for i, n := range checkpoints {
-		t.AddRow(
-			report.Int(n), f2(entropy[i]/trials), f2(float64(recovered[i])/trials),
-		)
+		t.AddRow(report.Int(n), f2(curve.entropy[i]), f2(curve.recovered[i]))
 	}
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("%d trials; K32 recovery via missing nibbles of invPLayer(c); master key needs +2^16 schedule inversions", trials),

@@ -184,6 +184,24 @@ func (m *Machine) Spawn(name string, cpuID int) (*Process, error) {
 	return p, nil
 }
 
+// SpawnResident spawns a process on cpuID with one anonymous mapping of
+// length bytes, every page demand-faulted in — the touched buffer an
+// attacker templates over ("store some data into the allocated pages").
+func (m *Machine) SpawnResident(name string, cpuID int, length uint64) (*Process, vm.VirtAddr, error) {
+	p, err := m.Spawn(name, cpuID)
+	if err != nil {
+		return nil, 0, err
+	}
+	base, err := p.Mmap(length)
+	if err != nil {
+		return nil, 0, err
+	}
+	if err := p.Touch(base, length); err != nil {
+		return nil, 0, err
+	}
+	return p, base, nil
+}
+
 // Pid returns the process id.
 func (p *Process) Pid() Pid { return p.pid }
 

@@ -320,6 +320,33 @@ func TestTouchFaultsEveryPage(t *testing.T) {
 	}
 }
 
+func TestSpawnResident(t *testing.T) {
+	m := newTestMachine(t)
+	const pages = 12
+	p, base, err := m.SpawnResident("attacker", 1, pages*vm.PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.CPU() != 1 || p.Name() != "attacker" {
+		t.Fatalf("unexpected process: cpu %d name %q", p.CPU(), p.Name())
+	}
+	for i := 0; i < pages; i++ {
+		if _, ok := p.Translate(base + vm.VirtAddr(i)*vm.PageSize); !ok {
+			t.Fatalf("page %d not resident", i)
+		}
+	}
+	if p.DemandFaults() != pages {
+		t.Fatalf("demand faults = %d, want %d", p.DemandFaults(), pages)
+	}
+
+	if _, _, err := m.SpawnResident("bad", 5, vm.PageSize); err == nil {
+		t.Fatal("SpawnResident on a missing cpu accepted")
+	}
+	if len(m.Processes()) != 1 {
+		t.Fatalf("Processes() = %d entries after the failed spawn, want 1", len(m.Processes()))
+	}
+}
+
 func TestMmapAtHint(t *testing.T) {
 	m := newTestMachine(t)
 	p, _ := m.Spawn("a", 0)

@@ -104,30 +104,6 @@ func (s Spec) SteeringConfig() core.SteeringConfig {
 	return cfg
 }
 
-// BaselineConfig lowers a Baseline-kind spec onto core.BaselineConfig.  The
-// machine, hammer and buffer come from the spec's attack lowering, so a
-// baseline spec is the paired comparison of the attack spec with the same
-// seed and profile.
-func (s Spec) BaselineConfig() (core.BaselineConfig, error) {
-	kind := core.RandomSpray
-	if s.BaselineModel == "pagemap-targeted" {
-		kind = core.PagemapTargeted
-	}
-	ac, err := s.AttackConfig()
-	if err != nil {
-		return core.BaselineConfig{}, err
-	}
-	bc := core.DefaultBaselineConfig(kind)
-	bc.Seed = ac.Seed
-	bc.Machine = ac.Machine
-	bc.Hammer = ac.Hammer
-	bc.AttackerMemory = ac.AttackerMemory
-	bc.VictimCipher = ac.VictimCipher
-	bc.VictimKey = ac.VictimKey
-	bc.VictimPages = ac.VictimRequestPages
-	return bc, nil
-}
-
 // PFATrial is one crypto-only persistent-fault trial outcome.
 type PFATrial struct {
 	// RecoveredAt is the ciphertext count at which the last-round key

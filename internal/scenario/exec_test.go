@@ -13,6 +13,7 @@ import (
 	"explframe/internal/fault"
 	"explframe/internal/harness"
 	"explframe/internal/rowhammer"
+	"explframe/internal/stats"
 )
 
 // fastAttackConfig reproduces, by hand, the ProfileFast machine exactly as
@@ -96,21 +97,37 @@ func TestSteeringConfigLowering(t *testing.T) {
 	}
 }
 
-// Baseline lowering pairs the baseline with the attack spec of the same
-// seed/profile: same machine, hammer and buffer.
-func TestBaselineConfigLowering(t *testing.T) {
-	spec := New(WithProfile(ProfileFast), WithSeed(3), WithBaseline("pagemap-targeted"), WithTrials(12))
-	got, err := spec.BaselineConfig()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ac := fastAttackConfig(3)
-	if got.Kind != core.PagemapTargeted {
-		t.Fatalf("kind = %v", got.Kind)
-	}
-	if !reflect.DeepEqual(got.Machine, ac.Machine) || !reflect.DeepEqual(got.Hammer, ac.Hammer) ||
-		got.AttackerMemory != ac.AttackerMemory || got.Seed != 3 {
-		t.Fatalf("baseline not paired with its attack config: %+v", got)
+// A baseline runs on its spec's attack lowering: trial k equals
+// core.RunBaselineTrial on AttackConfig reseeded from trial k's stream, so
+// a baseline is the paired comparison of the attack spec with the same
+// seed and profile.  Both processes share the attacker's CPU, so the
+// cross-CPU axis leaves every outcome unchanged.
+func TestBaselineRunsOnAttackLowering(t *testing.T) {
+	for _, kind := range []core.BaselineKind{core.RandomSpray, core.PagemapTargeted} {
+		spec := New(WithProfile(ProfileFast), WithSeed(3), WithBaseline(kind.String()), WithTrials(4))
+		cfg, err := spec.AttackConfig()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []*core.BaselineResult
+		for k := 0; k < spec.Trials; k++ {
+			c := cfg
+			c.Seed = stats.NewStream(spec.Seed, uint64(k)).Uint64()
+			res, err := core.RunBaselineTrial(c, kind)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, res)
+		}
+		for _, s := range []Spec{spec, spec.With(WithCrossCPU())} {
+			res, err := Run(context.Background(), s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(res.Baseline, want) {
+				t.Fatalf("%s: outcomes diverge from RunBaselineTrial on the attack lowering", s.Title())
+			}
+		}
 	}
 }
 

@@ -113,14 +113,20 @@ func (s Spec) trialRunner(ctx context.Context) (func(trial int, rng *stats.RNG) 
 			return TrialOutcome{Steering: res}, nil
 		}, nil
 	case Baseline:
-		cfg, err := s.BaselineConfig()
+		// A baseline runs on the attack lowering, so it is the paired
+		// comparison of the attack spec with the same seed and profile.
+		cfg, err := s.AttackConfig()
 		if err != nil {
 			return nil, err
+		}
+		kind := core.RandomSpray
+		if s.BaselineModel == "pagemap-targeted" {
+			kind = core.PagemapTargeted
 		}
 		return func(_ int, rng *stats.RNG) (TrialOutcome, error) {
 			c := cfg
 			c.Seed = rng.Uint64()
-			res, err := core.RunBaselineTrial(c)
+			res, err := core.RunBaselineTrial(c, kind)
 			if err != nil {
 				return TrialOutcome{}, err
 			}

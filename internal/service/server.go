@@ -172,7 +172,8 @@ func (cr *campaignRun) snapshot(offset int) (lines [][]byte, terminal bool, noti
 	return lines, cr.status != "running", cr.notify
 }
 
-// statusLocked assembles the wire status; callers hold no lock.
+// currentStatus assembles the wire status under cr.mu; callers must not
+// hold it.
 func (cr *campaignRun) currentStatus() CampaignStatus {
 	cr.mu.Lock()
 	defer cr.mu.Unlock()

@@ -5,6 +5,7 @@
 //
 //	benchtab                 # run everything, aligned text to stdout
 //	benchtab -exp E3         # one experiment
+//	benchtab -exp E7,E15     # several, in registry order
 //	benchtab -seed 7         # change the global seed
 //	benchtab -format md      # render text, md, csv or json
 //	benchtab -out tables.md  # write to a file instead of stdout
@@ -19,7 +20,7 @@
 //
 // With more than one experiment selected, json emits a single JSON array
 // (one element per table) so the output stays parseable as one document;
-// csv is a single-table format and requires -exp.  Timing lines go to
+// csv is a single-table format and requires exactly one -exp id.  Timing lines go to
 // stderr so machine formats stay clean.
 package main
 
@@ -38,7 +39,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "", "experiment id to run (e.g. E3); empty = all")
+	exp := flag.String("exp", "", "comma-separated experiment ids to run (e.g. E3 or E7,E15); empty = all")
 	seed := flag.Uint64("seed", 1, "global experiment seed")
 	format := flag.String("format", "text", "output format: text, md, csv or json")
 	out := flag.String("out", "", "write rendered tables to this file instead of stdout")
@@ -64,13 +65,21 @@ func main() {
 	}
 
 	runners := experiments.All()
-	var selected []experiments.Runner
-	for _, r := range runners {
-		if *exp == "" || strings.EqualFold(*exp, r.ID) {
-			selected = append(selected, r)
+	want := map[string]bool{}
+	for _, id := range strings.Split(*exp, ",") {
+		if id = strings.ToUpper(strings.TrimSpace(id)); id != "" {
+			want[id] = true
 		}
 	}
-	if len(selected) == 0 {
+	all := len(want) == 0
+	var selected []experiments.Runner
+	for _, r := range runners {
+		if all || want[r.ID] {
+			selected = append(selected, r)
+			delete(want, r.ID)
+		}
+	}
+	if len(want) > 0 || len(selected) == 0 {
 		fmt.Fprintf(os.Stderr, "no experiment matches %q; known ids:", *exp)
 		for _, r := range runners {
 			fmt.Fprintf(os.Stderr, " %s", r.ID)
@@ -79,7 +88,7 @@ func main() {
 		os.Exit(2)
 	}
 	if f == report.FormatCSV && len(selected) > 1 {
-		fmt.Fprintln(os.Stderr, "csv renders one table per document; pass -exp to select it (or use -format json for the full set)")
+		fmt.Fprintln(os.Stderr, "csv renders one table per document; pass one -exp id (or use -format json for several)")
 		os.Exit(2)
 	}
 

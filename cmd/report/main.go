@@ -6,7 +6,6 @@
 //
 //	report                  # regenerate docs/RESULTS.md + docs/results.json
 //	report -check           # regenerate in memory and fail on drift (CI)
-//	report -only E7,E10     # print selected tables to stdout (markdown)
 //	report -seed 7          # change the global experiment seed
 //
 // The book is deterministic: one seed produces one byte-exact book at any
@@ -20,7 +19,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"strings"
 
 	"explframe/internal/experiments"
 	"explframe/internal/harness"
@@ -31,18 +29,9 @@ func main() {
 	seed := flag.Uint64("seed", 1, "global experiment seed")
 	outDir := flag.String("out", "docs", "directory receiving RESULTS.md and results.json")
 	check := flag.Bool("check", false, "regenerate in memory and exit non-zero if the committed book drifted")
-	only := flag.String("only", "", "comma-separated experiment ids to print to stdout as markdown (no files written)")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0),
 		"trial workers per experiment; the book is identical at any value (deterministic per-trial streams)")
 	flag.Parse()
-
-	if *only != "" {
-		if err := printOnly(*only, *seed, *parallel); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	tables := make([]*report.Table, 0, len(experiments.All()))
 	for _, r := range experiments.All() {
@@ -99,32 +88,4 @@ func main() {
 		}
 		fmt.Printf("wrote %s (%d bytes)\n", f.path, len(f.want))
 	}
-}
-
-// printOnly renders the selected experiments to stdout as Markdown.
-func printOnly(ids string, seed uint64, parallel int) error {
-	want := map[string]bool{}
-	for _, id := range strings.Split(ids, ",") {
-		want[strings.ToUpper(strings.TrimSpace(id))] = true
-	}
-	ran := 0
-	for _, r := range experiments.All() {
-		if !want[r.ID] {
-			continue
-		}
-		tb, err := r.Run(seed, harness.WithWorkers(parallel))
-		if err != nil {
-			return fmt.Errorf("%s failed: %w", r.ID, err)
-		}
-		md, err := report.Markdown(tb)
-		if err != nil {
-			return err
-		}
-		fmt.Println(md)
-		ran++
-	}
-	if ran == 0 {
-		return fmt.Errorf("no experiment matches %q", ids)
-	}
-	return nil
 }

@@ -197,6 +197,19 @@ func Names() []string {
 	return out
 }
 
+// faultRound resolves the round m injects into: the model's pinned Round, or
+// for Round 0 the DefaultRound of the analyzer registered for c.
+func faultRound(c registry.Cipher, m fault.Model) (int, error) {
+	if m.Round != 0 {
+		return m.Round, nil
+	}
+	a, ok := Get(c.Name())
+	if !ok {
+		return 0, fmt.Errorf("dfa: model %s pins no round and cipher %q has no registered analyzer", m.Name(), c.Name())
+	}
+	return a.DefaultRound(), nil
+}
+
 // CollectPair produces one correct/faulty ciphertext pair for plaintext pt
 // under the fault model: it draws the model's unpinned choices from rng,
 // encrypts pt cleanly and with the drawn transient fault, and records the
@@ -204,13 +217,9 @@ func Names() []string {
 // to the registered analyzer's DefaultRound.  The draw order — position
 // first when unpinned, then fault values — is pinned by the golden tables.
 func CollectPair(c registry.Cipher, inst registry.Instance, table, pt []byte, m fault.Model, rng *stats.RNG) (Pair, error) {
-	round := m.Round
-	if round == 0 {
-		a, ok := Get(c.Name())
-		if !ok {
-			return Pair{}, fmt.Errorf("dfa: model %s pins no round and cipher %q has no registered analyzer", m.Name(), c.Name())
-		}
-		round = a.DefaultRound()
+	round, err := faultRound(c, m)
+	if err != nil {
+		return Pair{}, err
 	}
 	inj, err := m.Draw(rng, c.BlockSize(), round)
 	if err != nil {
@@ -235,13 +244,9 @@ func CollectPair(c registry.Cipher, inst registry.Instance, table, pt []byte, m 
 // which is the order the golden tables pin; only the encryptions move to
 // the end, and they consume no randomness.
 func CollectPairs(c registry.Cipher, inst registry.Instance, table []byte, n int, m fault.Model, rng *stats.RNG) ([]Pair, error) {
-	round := m.Round
-	if round == 0 {
-		a, ok := Get(c.Name())
-		if !ok {
-			return nil, fmt.Errorf("dfa: model %s pins no round and cipher %q has no registered analyzer", m.Name(), c.Name())
-		}
-		round = a.DefaultRound()
+	round, err := faultRound(c, m)
+	if err != nil {
+		return nil, err
 	}
 	bs := c.BlockSize()
 	pairs := make([]Pair, n)

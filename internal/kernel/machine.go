@@ -387,7 +387,7 @@ func (p *Process) ReadBytesInto(va vm.VirtAddr, out []byte) error {
 		if err != nil {
 			return err
 		}
-		p.m.dev.Read(pa) // one activation per page touch
+		p.m.dev.ActivateRow(pa) // one activation per page touch
 		p.m.dev.ReadRangeNoActivate(pa, out[i:i+chunk])
 		i += chunk
 		va += vm.VirtAddr(chunk)
@@ -408,7 +408,7 @@ func (p *Process) WriteBytes(va vm.VirtAddr, data []byte) error {
 		if err != nil {
 			return err
 		}
-		p.m.dev.Read(pa) // open the row once
+		p.m.dev.ActivateRow(pa) // open the row once
 		p.m.dev.WriteRangeNoActivate(pa, data[i:i+chunk])
 		i += chunk
 		va += vm.VirtAddr(chunk)

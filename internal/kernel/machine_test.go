@@ -356,3 +356,71 @@ func TestMmapAtHint(t *testing.T) {
 		t.Fatalf("MmapAt = %#x, %v", uint64(got), err)
 	}
 }
+
+// Bulk reads and writes open each page's row without reading through ECC:
+// reading a page whose first word holds one corrected flip counts one
+// correction per byte of that word (8), and a write into the word counts
+// none.
+func TestBulkAccessECCCounters(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Geometry = dram.Geometry{Channels: 1, DIMMs: 1, Ranks: 1, Banks: 8, Rows: 1024, RowBytes: 8192}
+	cfg.FaultModel.WeakCellDensity = 0
+	cfg.FaultModel.FlipReliability = 1
+	cfg.FaultModel.ECC = dram.ECCSecDed
+	m, err := NewMachine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, _ := m.Spawn("a", 0)
+	const pages = 8
+	base, _ := p.Mmap(pages * vm.PageSize)
+	if err := p.Touch(base, pages*vm.PageSize); err != nil {
+		t.Fatal(err)
+	}
+	dev := m.DRAM()
+	mapper := dev.Mapper()
+	var va vm.VirtAddr
+	var a dram.Addr
+	found := false
+	for i := 0; i < pages && !found; i++ {
+		va = base + vm.VirtAddr(i)*vm.PageSize
+		pa, _ := p.Translate(va)
+		a = mapper.ToDRAM(pa)
+		found = a.Row > 0 && a.Row < cfg.Geometry.Rows-1
+	}
+	if !found {
+		t.Skip("no page away from the bank edge")
+	}
+	dev.PlantWeakCell(dram.WeakCell{Bank: mapper.BankGroup(a), Row: a.Row, ByteInRow: a.Col, Bit: 3, Threshold: 1000})
+	page := make([]byte, vm.PageSize)
+	for i := range page {
+		page[i] = 0xFF
+	}
+	if err := p.WriteBytes(va, page); err != nil {
+		t.Fatal(err)
+	}
+	up, down := mapper.SameBankRow(a, a.Row-1, 0), mapper.SameBankRow(a, a.Row+1, 0)
+	for i := 0; i < 1200; i++ {
+		dev.ActivateRow(up)
+		dev.ActivateRow(down)
+	}
+
+	before := dev.Stats().ECCCorrected
+	got, err := p.ReadBytes(va, vm.PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got[0] != 0xFF {
+		t.Fatalf("flipped byte not corrected: %#x", got[0])
+	}
+	if n := dev.Stats().ECCCorrected - before; n != 8 {
+		t.Fatalf("page read counted %d corrections, want 8", n)
+	}
+	before = dev.Stats().ECCCorrected
+	if err := p.WriteBytes(va+1, []byte{0xAA}); err != nil {
+		t.Fatal(err)
+	}
+	if n := dev.Stats().ECCCorrected - before; n != 0 {
+		t.Fatalf("write counted %d corrections, want 0", n)
+	}
+}

@@ -146,10 +146,21 @@ func (e *Engine) rowOf(va vm.VirtAddr) (dram.Addr, bool) {
 	return e.dev.Mapper().ToDRAM(pa), true
 }
 
-// rowIndex builds a map from (bankGroup, row) to one resident page base per
-// row within [base, base+length).
-func (e *Engine) rowIndex(base vm.VirtAddr, length uint64) map[[2]int]vm.VirtAddr {
-	idx := make(map[[2]int]vm.VirtAddr)
+// rowMap records where the attacker's resident pages sit in DRAM: the pages
+// of each (bank group, row) in address order — a row can hold several of them
+// (8 KiB row = 2 pages with the default geometry) — and the occupied rows
+// sorted by (bank, row), the fixed order templating scans them in (map order
+// would make the discovered site, and hence the whole attack trace,
+// nondeterministic).
+type rowMap struct {
+	pages map[[2]int][]vm.VirtAddr
+	keys  [][2]int
+}
+
+// mapRows builds the row map of [base, base+length) in one walk, translating
+// each page once.  Non-resident pages are skipped.
+func (e *Engine) mapRows(base vm.VirtAddr, length uint64) *rowMap {
+	rows := &rowMap{pages: make(map[[2]int][]vm.VirtAddr)}
 	mapper := e.dev.Mapper()
 	for off := uint64(0); off < length; off += vm.PageSize {
 		va := base + vm.VirtAddr(off)
@@ -158,11 +169,25 @@ func (e *Engine) rowIndex(base vm.VirtAddr, length uint64) map[[2]int]vm.VirtAdd
 			continue
 		}
 		key := [2]int{mapper.BankGroup(a), a.Row}
-		if _, dup := idx[key]; !dup {
-			idx[key] = va
+		if _, dup := rows.pages[key]; !dup {
+			rows.keys = append(rows.keys, key)
 		}
+		rows.pages[key] = append(rows.pages[key], va)
 	}
-	return idx
+	sort.Slice(rows.keys, func(i, j int) bool {
+		if rows.keys[i][0] != rows.keys[j][0] {
+			return rows.keys[i][0] < rows.keys[j][0]
+		}
+		return rows.keys[i][1] < rows.keys[j][1]
+	})
+	return rows
+}
+
+// bank returns the occupied rows of bank group bg in ascending row order.
+func (rows *rowMap) bank(bg int) [][2]int {
+	lo := sort.Search(len(rows.keys), func(i int) bool { return rows.keys[i][0] >= bg })
+	hi := sort.Search(len(rows.keys), func(i int) bool { return rows.keys[i][0] > bg })
+	return rows.keys[lo:hi]
 }
 
 // FindAggressors locates attacker-mapped pages adjacent to the row backing
@@ -174,105 +199,66 @@ func (e *Engine) FindAggressors(target vm.VirtAddr, base vm.VirtAddr, length uin
 	if !ok {
 		return Aggressors{}, fmt.Errorf("rowhammer: target %#x not resident", uint64(target))
 	}
+	return e.aggressorsFor(e.mapRows(base, length), e.dev.Mapper().BankGroup(ta), ta.Row)
+}
+
+// aggressorsFor selects the aggressors that hammer row of bank group bg in
+// the engine's mode, using the first page of each aggressor row in rows.
+// Row adjacency comes from the mapper, never from index arithmetic: which row
+// is the electrical neighbour (and whether one exists at the bank edge) is a
+// property of the machine's topology.
+func (e *Engine) aggressorsFor(rows *rowMap, bg, row int) (Aggressors, error) {
 	mapper := e.dev.Mapper()
-	bg := mapper.BankGroup(ta)
-	idx := e.rowIndex(base, length)
-	// Row adjacency comes from the mapper, never from index arithmetic:
-	// which row is the electrical neighbour (and whether one exists at the
-	// bank edge) is a property of the machine's topology.
-	up, upOK := e.neighbourPage(idx, bg, ta.Row, -1)
-	down, downOK := e.neighbourPage(idx, bg, ta.Row, +1)
+	near1, near1OK := mapper.AdjacentRow(row, -1)
+	near2, near2OK := mapper.AdjacentRow(row, +1)
+	up, down := rows.pages[[2]int{bg, near1}], rows.pages[[2]int{bg, near2}]
+	upOK, downOK := near1OK && len(up) > 0, near2OK && len(down) > 0
 	switch e.cfg.Mode {
-	case DoubleSided:
+	case DoubleSided, ManySided:
 		if !upOK || !downOK {
-			return Aggressors{}, fmt.Errorf("rowhammer: no double-sided aggressors for row %d", ta.Row)
+			return Aggressors{}, fmt.Errorf("rowhammer: no double-sided aggressors for row %d", row)
 		}
-		return Aggressors{VictimRow: ta.Row, Bank: bg, Upper: up, Lower: down, Mode: DoubleSided}, nil
-	case ManySided:
-		if !upOK || !downOK {
-			return Aggressors{}, fmt.Errorf("rowhammer: no double-sided aggressors for row %d", ta.Row)
+		agg := Aggressors{VictimRow: row, Bank: bg, Upper: up[0], Lower: down[0], Mode: e.cfg.Mode}
+		if e.cfg.Mode == DoubleSided {
+			return agg, nil
 		}
-		agg := Aggressors{VictimRow: ta.Row, Bank: bg, Upper: up, Lower: down, Mode: ManySided}
-		decoys, ok := e.selectDecoys(idx, bg, ta.Row)
-		if !ok {
+		// Decoys: rows far enough from the victim (distance > 3) to add no
+		// disturbance, only TRR tracker pressure, by ascending row so a
+		// given layout always yields the same decoy set.
+		for _, key := range rows.bank(bg) {
+			if len(agg.Decoys) >= e.cfg.Decoys {
+				break
+			}
+			if dr := key[1] - row; dr < -3 || dr > 3 {
+				agg.Decoys = append(agg.Decoys, rows.pages[key][0])
+			}
+		}
+		if len(agg.Decoys) < e.cfg.Decoys {
 			return Aggressors{}, fmt.Errorf("rowhammer: fewer than %d decoy rows available in bank %d",
 				e.cfg.Decoys, bg)
 		}
-		agg.Decoys = decoys
 		return agg, nil
 	default:
 		// Single-sided: one adjacent row plus a far conflict row.
 		var near vm.VirtAddr
 		switch {
 		case upOK:
-			near = up
+			near = up[0]
 		case downOK:
-			near = down
+			near = down[0]
 		default:
-			return Aggressors{}, fmt.Errorf("rowhammer: no adjacent aggressor for row %d", ta.Row)
+			return Aggressors{}, fmt.Errorf("rowhammer: no adjacent aggressor for row %d", row)
 		}
-		// Deterministic far-row choice: the lowest-numbered same-bank row
-		// outside the victim's neighbourhood (map order would randomise the
-		// activation trace run to run).
-		near1, near1OK := mapper.AdjacentRow(ta.Row, -1)
-		near2, near2OK := mapper.AdjacentRow(ta.Row, +1)
-		farRow := -1
-		for key := range idx {
-			if key[0] != bg {
+		// The far row is the lowest-numbered same-bank row outside the
+		// victim's neighbourhood.
+		for _, key := range rows.bank(bg) {
+			if key[1] == row || (near1OK && key[1] == near1) || (near2OK && key[1] == near2) {
 				continue
 			}
-			if key[1] == ta.Row || (near1OK && key[1] == near1) || (near2OK && key[1] == near2) {
-				continue
-			}
-			if farRow < 0 || key[1] < farRow {
-				farRow = key[1]
-			}
+			return Aggressors{VictimRow: row, Bank: bg, Upper: near, Lower: rows.pages[key][0], Mode: SingleSided}, nil
 		}
-		if farRow < 0 {
-			return Aggressors{}, fmt.Errorf("rowhammer: no conflict row in bank %d", bg)
-		}
-		far := idx[[2]int{bg, farRow}]
-		return Aggressors{VictimRow: ta.Row, Bank: bg, Upper: near, Lower: far, Mode: SingleSided}, nil
+		return Aggressors{}, fmt.Errorf("rowhammer: no conflict row in bank %d", bg)
 	}
-}
-
-// neighbourPage resolves the attacker-mapped page backing the row at the
-// given adjacency distance from row, via the mapper's adjacency relation.
-// ok is false when no such row exists (bank edge) or the attacker owns no
-// page in it.
-func (e *Engine) neighbourPage(idx map[[2]int]vm.VirtAddr, bg, row, delta int) (vm.VirtAddr, bool) {
-	r, ok := e.dev.Mapper().AdjacentRow(row, delta)
-	if !ok {
-		return 0, false
-	}
-	va, ok := idx[[2]int{bg, r}]
-	return va, ok
-}
-
-// selectDecoys picks cfg.Decoys tracker-thrashing rows from the index:
-// same bank, far enough from the victim row (distance > 3) to contribute no
-// disturbance, only TRR tracker pressure.  Selection is by ascending row so
-// a given layout always yields the same decoy set (determinism).
-func (e *Engine) selectDecoys(idx map[[2]int]vm.VirtAddr, bg, victimRow int) ([]vm.VirtAddr, bool) {
-	var rows []int
-	for key := range idx {
-		if key[0] != bg {
-			continue
-		}
-		if dr := key[1] - victimRow; dr >= -3 && dr <= 3 {
-			continue
-		}
-		rows = append(rows, key[1])
-	}
-	sort.Ints(rows)
-	var decoys []vm.VirtAddr
-	for _, r := range rows {
-		if len(decoys) >= e.cfg.Decoys {
-			break
-		}
-		decoys = append(decoys, idx[[2]int{bg, r}])
-	}
-	return decoys, len(decoys) >= e.cfg.Decoys
 }
 
 // Hammer executes one hammer run on the aggressor set: n rounds of

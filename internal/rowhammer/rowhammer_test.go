@@ -1,6 +1,7 @@
 package rowhammer
 
 import (
+	"reflect"
 	"testing"
 
 	"explframe/internal/dram"
@@ -186,6 +187,40 @@ func TestTemplateMaxFlipsEarlyExit(t *testing.T) {
 	}
 	if e.Stats().RowsScanned >= full.Stats().RowsScanned {
 		t.Fatal("early exit did not reduce scanned rows")
+	}
+}
+
+// Every site Template reports carries exactly the aggressors FindAggressors
+// selects for its page, in each hammering mode: templating and targeted
+// re-hammering agree on which rows hammer a given row.
+func TestTemplateAggressorsMatchFindAggressors(t *testing.T) {
+	for _, cfg := range []Config{
+		{Mode: SingleSided, PairHammerCount: 4000},
+		{Mode: DoubleSided, PairHammerCount: 4000},
+		{Mode: ManySided, PairHammerCount: 4000, Decoys: 4},
+	} {
+		t.Run(cfg.Mode.String(), func(t *testing.T) {
+			m, p := testMachine(t, 5e-5, 99)
+			e := New(cfg, m, p)
+			const length = 2 << 20
+			base := mapAndTouch(t, p, length)
+			flips, err := e.Template(base, length)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(flips) == 0 {
+				t.Fatal("no flips templated")
+			}
+			for _, f := range flips {
+				want, err := e.FindAggressors(f.PageVA, base, length)
+				if err != nil {
+					t.Fatalf("site %#x: %v", uint64(f.VA), err)
+				}
+				if f.Agg.Mode != cfg.Mode || !reflect.DeepEqual(f.Agg, want) {
+					t.Fatalf("site %#x: Template aggressors %+v, FindAggressors %+v", uint64(f.VA), f.Agg, want)
+				}
+			}
+		})
 	}
 }
 

@@ -1,14 +1,10 @@
 package rowhammer
 
-import (
-	"sort"
-
-	"explframe/internal/vm"
-)
+import "explframe/internal/vm"
 
 // Pattern selects the data written to victim rows while templating.  A
 // 0xFF pattern exposes 1->0 ("true") cells, 0x00 exposes 0->1 ("anti")
-// cells; templating runs both by default.
+// cells; templating runs both, ones first.
 type Pattern byte
 
 // Standard templating patterns.
@@ -18,47 +14,17 @@ const (
 )
 
 // Template scans the attacker's own mapping [base, base+length) for
-// Rowhammer-vulnerable bits: for every row with both neighbours inside the
-// region it writes the test pattern, hammers, and diffs the victim pages.
-// It stops early after cfg.MaxFlips sites when that is non-zero.
+// Rowhammer-vulnerable bits: for every row the engine's mode can hammer from
+// inside the region it writes the test pattern, hammers, and diffs the
+// victim pages.  It stops early after cfg.MaxFlips sites when that is
+// non-zero.
 //
 // The region must already be touched (resident); Template does not fault
 // pages in, mirroring the attack where the 1 GB buffer is populated first.
-func (e *Engine) Template(base vm.VirtAddr, length uint64, patterns ...Pattern) ([]FlipSite, error) {
-	if len(patterns) == 0 {
-		patterns = []Pattern{PatternOnes, PatternZeros}
-	}
-	mapper := e.dev.Mapper()
-	idx := e.rowIndex(base, length)
-
-	// Gather resident pages per (bank, row) — a row can hold several of the
-	// attacker's pages (8 KiB row = 2 pages with the default geometry).
-	pagesByRow := make(map[[2]int][]vm.VirtAddr)
-	for off := uint64(0); off < length; off += vm.PageSize {
-		va := base + vm.VirtAddr(off)
-		a, ok := e.rowOf(va)
-		if !ok {
-			continue
-		}
-		key := [2]int{mapper.BankGroup(a), a.Row}
-		pagesByRow[key] = append(pagesByRow[key], va)
-	}
-
-	// Scan rows in a fixed (bank, row) order: map iteration would make the
-	// discovered site — and hence the whole attack trace — nondeterministic.
-	rowKeys := make([][2]int, 0, len(pagesByRow))
-	for key := range pagesByRow {
-		rowKeys = append(rowKeys, key)
-	}
-	sort.Slice(rowKeys, func(i, j int) bool {
-		if rowKeys[i][0] != rowKeys[j][0] {
-			return rowKeys[i][0] < rowKeys[j][0]
-		}
-		return rowKeys[i][1] < rowKeys[j][1]
-	})
-
+func (e *Engine) Template(base vm.VirtAddr, length uint64) ([]FlipSite, error) {
+	rows := e.mapRows(base, length)
 	var flips []FlipSite
-	seen := make(map[vm.VirtAddr]map[int]bool) // pageVA -> byte*8+bit found
+	seen := make(map[uint64]bool) // VA*8+bit of every recorded flip
 
 	record := func(va vm.VirtAddr, pattern Pattern, agg Aggressors) error {
 		pageVA := va.PageBase()
@@ -71,20 +37,15 @@ func (e *Engine) Template(base vm.VirtAddr, length uint64, patterns ...Pattern) 
 				continue
 			}
 			diff := b ^ byte(pattern)
+			at := pageVA + vm.VirtAddr(i)
 			for bit := uint8(0); bit < 8; bit++ {
-				if diff&(1<<bit) == 0 {
+				k := uint64(at)*8 + uint64(bit)
+				if diff&(1<<bit) == 0 || seen[k] {
 					continue
 				}
-				if seen[pageVA] == nil {
-					seen[pageVA] = make(map[int]bool)
-				}
-				k := i*8 + int(bit)
-				if seen[pageVA][k] {
-					continue
-				}
-				seen[pageVA][k] = true
+				seen[k] = true
 				flips = append(flips, FlipSite{
-					VA:         pageVA + vm.VirtAddr(i),
+					VA:         at,
 					PageVA:     pageVA,
 					ByteInPage: i,
 					Bit:        bit,
@@ -97,43 +58,21 @@ func (e *Engine) Template(base vm.VirtAddr, length uint64, patterns ...Pattern) 
 		return nil
 	}
 
-	for _, pattern := range patterns {
+	for _, pattern := range [...]Pattern{PatternOnes, PatternZeros} {
 		fill := e.fillPage(pattern)
-		for _, key := range rowKeys {
-			pages := pagesByRow[key]
+		for _, key := range rows.keys {
 			if e.cfg.MaxFlips > 0 && len(flips) >= e.cfg.MaxFlips {
 				return flips, nil
 			}
-			bg, row := key[0], key[1]
-			// Aggressor rows must be resident in the attacker's region;
-			// adjacency is the mapper's relation, not index arithmetic.
-			up, upOK := e.neighbourPage(idx, bg, row, -1)
-			down, downOK := e.neighbourPage(idx, bg, row, +1)
-			var agg Aggressors
-			switch e.cfg.Mode {
-			case DoubleSided, ManySided:
-				if !upOK || !downOK {
-					continue
-				}
-				agg = Aggressors{VictimRow: row, Bank: bg, Upper: up, Lower: down, Mode: e.cfg.Mode}
-				if e.cfg.Mode == ManySided {
-					decoys, ok := e.selectDecoys(idx, bg, row)
-					if !ok {
-						continue
-					}
-					agg.Decoys = decoys
-				}
-			default:
-				a, err := e.FindAggressors(pages[0], base, length)
-				if err != nil {
-					continue
-				}
-				agg = a
+			agg, err := e.aggressorsFor(rows, key[0], key[1])
+			if err != nil {
+				continue
 			}
 
 			// Write the pattern into every victim page of the row, then
 			// hammer, then diff.  Rewriting also re-arms previously flipped
 			// cells, so repeated templating is idempotent.
+			pages := rows.pages[key]
 			for _, pva := range pages {
 				if err := e.proc.WriteBytes(pva.PageBase(), fill); err != nil {
 					return flips, err

@@ -132,7 +132,7 @@ type Device struct {
 
 	// hammer is HammerLoop's per-call plan, kept on the device so repeated
 	// hammer bursts (the attack's steady state) allocate nothing; single is
-	// the resolved target of activate.
+	// the resolved target of ActivateRow.
 	hammer hammerPlan
 	single aggressor
 
@@ -144,8 +144,6 @@ type Device struct {
 
 // DeviceStats aggregates activity counters for reporting.
 type DeviceStats struct {
-	Reads            uint64
-	Writes           uint64
 	Activations      uint64
 	RowHits          uint64
 	Refreshes        uint64
@@ -346,16 +344,6 @@ func (d *Device) Size() uint64 { return d.data.size }
 // the number grows chunk by chunk as distinguishing writes land.
 func (d *Device) MaterializedBytes() uint64 { return d.data.materializedBytes() }
 
-// activate opens the row containing a (Read, Write and ActivateRow).
-func (d *Device) activate(a Addr) {
-	bg := d.mapper.BankGroup(a)
-	if d.rowHit(bg, a.Row) {
-		return
-	}
-	d.resolve(&d.single, bg, a.Row)
-	d.open(&d.single)
-}
-
 // neighbour is one weak-cell row an activation disturbs, resolved to its
 // rowStates index.
 type neighbour struct {
@@ -518,76 +506,10 @@ func (d *Device) Refresh() {
 	}
 }
 
-// Read returns the byte at physical address pa, activating its row.  With
-// ECC enabled, single observable flips in the containing 64-bit word are
-// corrected on the fly.
-func (d *Device) Read(pa uint64) byte {
-	a := d.mapper.ToDRAM(pa)
-	d.activate(a)
-	d.stats.Reads++
-	v := d.data.load(pa)
-	if d.model.ECC == ECCSecDed {
-		v = d.eccCorrect(pa, v)
-	}
-	return v
-}
-
-// Write stores a byte at physical address pa, activating its row.  Writing a
-// cell re-charges it: any flip recorded for that cell is cleared, making the
-// cell vulnerable again in a later window (this is what makes templating
-// non-destructive and flips reproducible).
-func (d *Device) Write(pa uint64, v byte) {
-	a := d.mapper.ToDRAM(pa)
-	d.activate(a)
-	d.stats.Writes++
-	d.data.set(pa, v)
-	d.rearm(a)
-}
-
-// rearm clears the discharged state of weak cells in the written byte.
-func (d *Device) rearm(a Addr) {
-	si := d.rowIdx[d.rowIndex(d.mapper.BankGroup(a), a.Row)]
-	if si < 0 {
-		return
-	}
-	changed := false
-	for _, wc := range d.rowStates[si].cells {
-		if wc.ByteInRow == a.Col {
-			changed = changed || wc.flipped
-			wc.flipped = false
-			wc.corrupted = false
-		}
-	}
-	if changed {
-		d.recomputeMinThr(si)
-	}
-}
-
-// ReadNoActivate returns the byte at pa without touching the row buffer or
-// disturbance model.  The kernel uses it for bulk inspection (e.g. page
-// zeroing) where modelling every access would swamp the statistics.  ECC
-// correction still applies: the code sits on the datapath, not the timing
-// model.
-func (d *Device) ReadNoActivate(pa uint64) byte {
-	v := d.data.load(pa)
-	if d.model.ECC == ECCSecDed {
-		v = d.eccCorrect(pa, v)
-	}
-	return v
-}
-
-// WriteNoActivate stores a byte bypassing the activation model, clearing any
-// flip record for the cell (same semantics as Write).
-func (d *Device) WriteNoActivate(pa uint64, v byte) {
-	d.data.set(pa, v)
-	a := d.mapper.ToDRAM(pa)
-	d.rearm(a)
-}
-
 // ReadRangeNoActivate copies [pa, pa+len(out)) into out, bypassing the
-// activation model.  With ECC enabled the copy is corrected with the same
-// data and counter semantics as per-byte eccCorrect calls over the range,
-// but at one weak-cell scan per covered row instead of one per byte.
+// activation model (callers that model timing open the row with ActivateRow
+// first).  With ECC enabled the copy is corrected: the code sits on the
+// datapath, not the timing model.
 func (d *Device) ReadRangeNoActivate(pa uint64, out []byte) {
 	d.data.read(pa, out)
 	if d.model.ECC == ECCSecDed && len(out) > 0 {
@@ -595,9 +517,12 @@ func (d *Device) ReadRangeNoActivate(pa uint64, out []byte) {
 	}
 }
 
-// eccCorrectRange applies SEC-DED over the copied range.  eccCorrect counts
-// one event per byte read from a word holding observable flips; the bulk
-// form adds the same totals word by word.
+// eccCorrectRange applies SEC-DED over every aligned 64-bit word the copied
+// range overlaps.  A word with exactly one observably flipped bit is
+// corrected (the bit is restored if its byte was copied); with two or more
+// the raw, corrupted bytes are returned.  Each byte copied from such a word
+// counts one ECCCorrected or ECCUncorrectable event.  It is the device's
+// only SEC-DED routine and scans the weak cells once per covered row.
 func (d *Device) eccCorrectRange(pa uint64, out []byte) {
 	lo, hi := pa, pa+uint64(len(out))
 	rowBytes := uint64(d.geom.RowBytes)
@@ -640,8 +565,10 @@ func (d *Device) eccCorrectRange(pa uint64, out []byte) {
 }
 
 // WriteRangeNoActivate stores data at [pa, pa+len(data)) bypassing the
-// activation model, with the same re-arm semantics as per-byte
-// WriteNoActivate but one row scan per covered row instead of one per byte.
+// activation model (callers that model timing open the row with ActivateRow
+// first).  Writing a cell re-charges it: any flip recorded for a written
+// byte is cleared, making the cell vulnerable again in a later window (this
+// is what makes templating non-destructive and flips reproducible).
 func (d *Device) WriteRangeNoActivate(pa uint64, data []byte) {
 	d.data.write(pa, data)
 	d.rearmRange(pa, pa+uint64(len(data)))
@@ -657,10 +584,10 @@ func (d *Device) FillNoActivate(pa, n uint64, v byte) {
 }
 
 // rearmRange clears the discharged state of weak cells whose byte falls in
-// the physical range [lo, hi).  The mapper keeps column bits lowest, so a
-// contiguous physical range decomposes into whole-row segments with
-// contiguous column spans — one weak-cell scan per row replaces the per-byte
-// scan of rearm.
+// the physical range [lo, hi); it is the device's only re-arm routine.  The
+// mapper keeps column bits lowest, so a contiguous physical range decomposes
+// into whole-row segments with contiguous column spans, one weak-cell scan
+// per row.
 func (d *Device) rearmRange(lo, hi uint64) {
 	rowBytes := uint64(d.geom.RowBytes)
 	for base := lo &^ (rowBytes - 1); base < hi; base += rowBytes {
@@ -690,10 +617,18 @@ func (d *Device) rearmRange(lo, hi uint64) {
 	}
 }
 
-// ActivateRow explicitly opens the row containing pa; this is the hammer
-// primitive (a read with the result discarded).
+// ActivateRow opens the row containing pa: a row-buffer hit if it is
+// already open, otherwise an activation that disturbs its neighbours.  It
+// is the hammer primitive and the timing half of every access the kernel
+// makes; the range operations above move the data.
 func (d *Device) ActivateRow(pa uint64) {
-	d.activate(d.mapper.ToDRAM(pa))
+	a := d.mapper.ToDRAM(pa)
+	bg := d.mapper.BankGroup(a)
+	if d.rowHit(bg, a.Row) {
+		return
+	}
+	d.resolve(&d.single, bg, a.Row)
+	d.open(&d.single)
 }
 
 // WeakCellsInRange reports the weak cells whose physical byte address falls

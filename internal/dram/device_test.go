@@ -17,10 +17,10 @@ func testDevice(t *testing.T, model FaultModel, seed uint64) *Device {
 func TestDeviceReadWriteRoundTrip(t *testing.T) {
 	d := testDevice(t, DefaultFaultModel(), 1)
 	for pa := uint64(0); pa < 4096; pa += 97 {
-		d.Write(pa, byte(pa%251))
+		writeByte(d, pa, byte(pa%251))
 	}
 	for pa := uint64(0); pa < 4096; pa += 97 {
-		if got := d.Read(pa); got != byte(pa%251) {
+		if got := readByte(d, pa); got != byte(pa%251) {
 			t.Fatalf("Read(%d) = %d, want %d", pa, got, byte(pa%251))
 		}
 	}
@@ -28,11 +28,11 @@ func TestDeviceReadWriteRoundTrip(t *testing.T) {
 
 func TestDeviceRowBufferHits(t *testing.T) {
 	d := testDevice(t, DefaultFaultModel(), 1)
-	d.Read(0)
+	readByte(d, 0)
 	before := d.Stats()
 	// Same row: col bits are low, so nearby addresses stay in the row.
-	d.Read(1)
-	d.Read(2)
+	readByte(d, 1)
+	readByte(d, 2)
 	after := d.Stats()
 	if after.Activations != before.Activations {
 		t.Fatalf("same-row accesses caused activations: %d -> %d", before.Activations, after.Activations)
@@ -47,10 +47,10 @@ func TestDeviceRowConflictActivates(t *testing.T) {
 	m := d.Mapper()
 	a := m.ToDRAM(0)
 	paSameBankNextRow := m.SameBankRow(a, a.Row+1, 0)
-	d.Read(0)
+	readByte(d, 0)
 	before := d.Stats().Activations
-	d.Read(paSameBankNextRow)
-	d.Read(0)
+	readByte(d, paSameBankNextRow)
+	readByte(d, 0)
 	if got := d.Stats().Activations - before; got != 2 {
 		t.Fatalf("row conflicts should activate, got %d activations, want 2", got)
 	}
@@ -68,7 +68,7 @@ func TestDeviceHammerFlipsPlantedCell(t *testing.T) {
 	d.PlantWeakCell(WeakCell{Bank: d.mapper.BankGroup(victim), Row: 100, ByteInRow: 10, Bit: 3, Threshold: 1000, FlipTo: 0})
 
 	victimPA := d.mapper.ToPhys(victim)
-	d.Write(victimPA, 0xFF) // bit 3 is 1, the failure polarity flips it to 0
+	writeByte(d, victimPA, 0xFF) // bit 3 is 1, the failure polarity flips it to 0
 
 	// Double-sided: alternate rows 99 and 101 in the same bank.
 	up := d.mapper.SameBankRow(victim, 99, 0)
@@ -78,14 +78,14 @@ func TestDeviceHammerFlipsPlantedCell(t *testing.T) {
 		d.ActivateRow(up)
 		d.ActivateRow(down)
 	}
-	if got := d.ReadNoActivate(victimPA); got != 0xFF {
+	if got := peekByte(d, victimPA); got != 0xFF {
 		t.Fatalf("cell flipped below threshold: %#x", got)
 	}
 	for i := 0; i < 10; i++ {
 		d.ActivateRow(up)
 		d.ActivateRow(down)
 	}
-	if got := d.ReadNoActivate(victimPA); got != 0xFF&^(1<<3) {
+	if got := peekByte(d, victimPA); got != 0xFF&^(1<<3) {
 		t.Fatalf("cell did not flip above threshold: %#x", got)
 	}
 	if d.Stats().BitFlips != 1 {
@@ -104,7 +104,7 @@ func TestDeviceFlipPolarity(t *testing.T) {
 	d.PlantWeakCell(WeakCell{Bank: d.mapper.BankGroup(victim), Row: 50, ByteInRow: 5, Bit: 0, Threshold: 100, FlipTo: 0})
 
 	victimPA := d.mapper.ToPhys(victim)
-	d.Write(victimPA, 0x00) // bit already 0: a 1->0 cell has nothing to flip
+	writeByte(d, victimPA, 0x00) // bit already 0: a 1->0 cell has nothing to flip
 
 	up := d.mapper.SameBankRow(victim, 49, 0)
 	down := d.mapper.SameBankRow(victim, 51, 0)
@@ -112,7 +112,7 @@ func TestDeviceFlipPolarity(t *testing.T) {
 		d.ActivateRow(up)
 		d.ActivateRow(down)
 	}
-	if got := d.ReadNoActivate(victimPA); got != 0 {
+	if got := peekByte(d, victimPA); got != 0 {
 		t.Fatalf("0->? flip observed on a 1->0 cell: %#x", got)
 	}
 	if d.Stats().BitFlips != 0 {
@@ -132,7 +132,7 @@ func TestDeviceRefreshResetsDisturbance(t *testing.T) {
 	victim := Addr{Bank: 3, Row: 200, Col: 0}
 	d.PlantWeakCell(WeakCell{Bank: d.mapper.BankGroup(victim), Row: 200, ByteInRow: 0, Bit: 7, Threshold: 1000, FlipTo: 0})
 	victimPA := d.mapper.ToPhys(victim)
-	d.Write(victimPA, 0x80)
+	writeByte(d, victimPA, 0x80)
 
 	up := d.mapper.SameBankRow(victim, 199, 0)
 	down := d.mapper.SameBankRow(victim, 201, 0)
@@ -148,7 +148,7 @@ func TestDeviceRefreshResetsDisturbance(t *testing.T) {
 		d.ActivateRow(up)
 		d.ActivateRow(down)
 	}
-	if got := d.ReadNoActivate(victimPA); got != 0x80 {
+	if got := peekByte(d, victimPA); got != 0x80 {
 		t.Fatalf("flip across refresh boundary should not happen: %#x", got)
 	}
 	// Control: the same total inside one window flips.
@@ -157,7 +157,7 @@ func TestDeviceRefreshResetsDisturbance(t *testing.T) {
 		d.ActivateRow(up)
 		d.ActivateRow(down)
 	}
-	if got := d.ReadNoActivate(victimPA); got != 0 {
+	if got := peekByte(d, victimPA); got != 0 {
 		t.Fatalf("flip within one window expected: %#x", got)
 	}
 }
@@ -182,15 +182,15 @@ func TestDeviceRewriteRearmsCell(t *testing.T) {
 		}
 	}
 
-	d.Write(victimPA, 0xFF)
+	writeByte(d, victimPA, 0xFF)
 	hammer()
-	if got := d.ReadNoActivate(victimPA); got != 0xFF&^(1<<1) {
+	if got := peekByte(d, victimPA); got != 0xFF&^(1<<1) {
 		t.Fatalf("first hammer did not flip: %#x", got)
 	}
-	d.Write(victimPA, 0xFF) // rewrite re-arms
+	writeByte(d, victimPA, 0xFF) // rewrite re-arms
 	d.Refresh()
 	hammer()
-	if got := d.ReadNoActivate(victimPA); got != 0xFF&^(1<<1) {
+	if got := peekByte(d, victimPA); got != 0xFF&^(1<<1) {
 		t.Fatalf("second hammer did not flip after rewrite: %#x", got)
 	}
 	if d.Stats().BitFlips != 2 {
@@ -208,7 +208,7 @@ func TestDeviceFlipLog(t *testing.T) {
 	victim := Addr{Bank: 5, Row: 300, Col: 33}
 	d.PlantWeakCell(WeakCell{Bank: d.mapper.BankGroup(victim), Row: 300, ByteInRow: 33, Bit: 6, Threshold: 400, FlipTo: 0})
 	victimPA := d.mapper.ToPhys(victim)
-	d.Write(victimPA, 0xFF)
+	writeByte(d, victimPA, 0xFF)
 
 	up := d.mapper.SameBankRow(victim, 299, 0)
 	down := d.mapper.SameBankRow(victim, 301, 0)

@@ -95,6 +95,13 @@ func hammerBoth(t testing.TB, ref, fast *dram.Device, pas []uint64, rounds int) 
 	}
 }
 
+// writeByte stores v at pa the way a CPU store reaches DRAM: open the row,
+// then write the byte (re-arming its cells).
+func writeByte(d *dram.Device, pa uint64, v byte) {
+	d.ActivateRow(pa)
+	d.WriteRangeNoActivate(pa, []byte{v})
+}
+
 // compareDevices checks the state the public counters do not cover.
 func compareDevices(t testing.TB, ref, fast *dram.Device) {
 	t.Helper()
@@ -152,8 +159,8 @@ func TestHammerLoopMatchesReference(t *testing.T) {
 				total := int(3 * fm.RefreshInterval / uint64(len(set.pas)))
 				for _, rounds := range []int{1, 2, 3, total / 7, total / 3, total - total/7 - total/3 - 6} {
 					hammerBoth(t, ref, fast, set.pas, rounds)
-					ref.Write(victimPA, 0x5a)
-					fast.Write(victimPA, 0x5a)
+					writeByte(ref, victimPA, 0x5a)
+					writeByte(fast, victimPA, 0x5a)
 				}
 				if set.name != "row-hits" && ref.Stats().Refreshes < 2 {
 					t.Fatalf("only %d refreshes; the run must span two windows", ref.Stats().Refreshes)
@@ -204,8 +211,8 @@ func FuzzHammerLoopEquivalence(f *testing.F) {
 			left -= n
 			if rng.Intn(2) == 0 {
 				pa := m.ToPhys(victim)
-				ref.Write(pa, 0x5a)
-				fast.Write(pa, 0x5a)
+				writeByte(ref, pa, 0x5a)
+				writeByte(fast, pa, 0x5a)
 			}
 		}
 		compareDevices(t, ref, fast)

@@ -27,7 +27,7 @@ func TestActivationStormOnlyFlipsWeakCells(t *testing.T) {
 	// to keep the storm the only disturbance source).
 	size := d.Size()
 	for pa := uint64(0); pa < size; pa++ {
-		d.WriteNoActivate(pa, byte(pa*7+3))
+		pokeByte(d, pa, byte(pa*7+3))
 	}
 	// Record where weak cells live.
 	weakBytes := map[uint64]bool{}
@@ -42,7 +42,7 @@ func TestActivationStormOnlyFlipsWeakCells(t *testing.T) {
 
 	deviations := 0
 	for pa := uint64(0); pa < size; pa++ {
-		if d.ReadNoActivate(pa) != byte(pa*7+3) {
+		if peekByte(d, pa) != byte(pa*7+3) {
 			if !weakBytes[pa] {
 				t.Fatalf("sound byte %d corrupted", pa)
 			}
@@ -72,14 +72,14 @@ func TestDeviceDeterminism(t *testing.T) {
 		}
 		rng := stats.NewRNG(7)
 		for pa := uint64(0); pa < d.Size(); pa += 64 {
-			d.WriteNoActivate(pa, 0xFF)
+			pokeByte(d, pa, 0xFF)
 		}
 		for i := 0; i < 100000; i++ {
 			d.ActivateRow(uint64(rng.Int63()) % d.Size())
 		}
 		sample := make([]byte, 0, 4096)
 		for pa := uint64(0); pa < d.Size(); pa += 1024 {
-			sample = append(sample, d.ReadNoActivate(pa))
+			sample = append(sample, peekByte(d, pa))
 		}
 		return d.Stats(), sample
 	}

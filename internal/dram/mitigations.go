@@ -147,34 +147,3 @@ func (d *Device) trrRefreshNeighbours(bg, row int) {
 		d.recomputeMinThr(si)
 	}
 }
-
-// eccCorrect applies SEC-DED over the aligned 64-bit word containing pa:
-// with exactly one observably flipped bit in the word the read returns the
-// corrected byte; with two or more the raw (corrupted) byte is returned and
-// the uncorrectable counter increments.
-func (d *Device) eccCorrect(pa uint64, raw byte) byte {
-	wordBase := pa &^ 7
-	a := d.mapper.ToDRAM(wordBase)
-	bg := d.mapper.BankGroup(a)
-	idx := d.rowIndex(bg, a.Row)
-	var flips []*WeakCell
-	for _, wc := range d.cellsAt(idx) {
-		if wc.corrupted && wc.ByteInRow >= a.Col && wc.ByteInRow < a.Col+8 {
-			flips = append(flips, wc)
-		}
-	}
-	switch len(flips) {
-	case 0:
-		return raw
-	case 1:
-		d.stats.ECCCorrected++
-		wc := flips[0]
-		if uint64(wc.ByteInRow-a.Col) == pa-wordBase {
-			return raw ^ (1 << wc.Bit) // correct the bit in the requested byte
-		}
-		return raw // flip sits in another byte of the word
-	default:
-		d.stats.ECCUncorrectable++
-		return raw
-	}
-}

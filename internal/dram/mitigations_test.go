@@ -18,7 +18,7 @@ func trrDevice(t *testing.T, trr TRRConfig, ecc ECCMode) (*Device, Addr, uint64)
 	victim := Addr{Bank: 2, Row: 100, Col: 10}
 	d.PlantWeakCell(WeakCell{Bank: d.mapper.BankGroup(victim), Row: 100, ByteInRow: 10, Bit: 3, Threshold: 1000, FlipTo: 0})
 	pa := d.mapper.ToPhys(victim)
-	d.Write(pa, 0xFF)
+	writeByte(d, pa, 0xFF)
 	return d, victim, pa
 }
 
@@ -38,7 +38,7 @@ func TestTRRBlocksDoubleSided(t *testing.T) {
 	trr := TRRConfig{Enabled: true, TrackerSize: 8, Threshold: 200}
 	d, victim, pa := trrDevice(t, trr, ECCNone)
 	doubleSided(d, victim, 3000) // 3x the cell threshold
-	if got := d.ReadNoActivate(pa); got != 0xFF {
+	if got := peekByte(d, pa); got != 0xFF {
 		t.Fatalf("cell flipped despite TRR: %#x", got)
 	}
 	if d.Stats().TRRRefreshes == 0 {
@@ -47,7 +47,7 @@ func TestTRRBlocksDoubleSided(t *testing.T) {
 	// Control: without TRR the same hammering flips.
 	d2, victim2, pa2 := trrDevice(t, TRRConfig{}, ECCNone)
 	doubleSided(d2, victim2, 3000)
-	if got := d2.ReadNoActivate(pa2); got != 0xFF&^(1<<3) {
+	if got := peekByte(d2, pa2); got != 0xFF&^(1<<3) {
 		t.Fatalf("control cell did not flip: %#x", got)
 	}
 }
@@ -73,13 +73,13 @@ func TestManySidedBypassesTRR(t *testing.T) {
 			d.ActivateRow(dec)
 		}
 	}
-	if got := d.ReadNoActivate(pa); got != 0xFF&^(1<<3) {
+	if got := peekByte(d, pa); got != 0xFF&^(1<<3) {
 		t.Fatalf("many-sided pattern failed to flip under TRR: %#x (TRR fired %d times)",
 			got, d.Stats().TRRRefreshes)
 	}
 }
 
-// ECC corrects a single observable flip on every read path.
+// ECC corrects a single observable flip on every read.
 func TestECCCorrectsSingleFlip(t *testing.T) {
 	d, victim, pa := trrDevice(t, TRRConfig{}, ECCSecDed)
 	doubleSided(d, victim, 1200)
@@ -87,12 +87,12 @@ func TestECCCorrectsSingleFlip(t *testing.T) {
 	if raw := d.data.load(pa); raw != 0xFF&^(1<<3) {
 		t.Fatalf("raw cell not flipped: %#x", raw)
 	}
-	// ...but both read paths return corrected data.
-	if got := d.ReadNoActivate(pa); got != 0xFF {
-		t.Fatalf("ReadNoActivate not corrected: %#x", got)
+	// ...but reads with and without a row activation return corrected data.
+	if got := peekByte(d, pa); got != 0xFF {
+		t.Fatalf("read without activation not corrected: %#x", got)
 	}
-	if got := d.Read(pa); got != 0xFF {
-		t.Fatalf("Read not corrected: %#x", got)
+	if got := readByte(d, pa); got != 0xFF {
+		t.Fatalf("read after activation not corrected: %#x", got)
 	}
 	if d.Stats().ECCCorrected == 0 {
 		t.Fatal("correction not counted")
@@ -116,13 +116,13 @@ func TestECCDoubleFlipUncorrectable(t *testing.T) {
 	d.PlantWeakCell(WeakCell{Bank: bg, Row: 60, ByteInRow: 19, Bit: 6, Threshold: 900, FlipTo: 0})
 	pa := d.mapper.ToPhys(victim)
 	for off := uint64(0); off < 8; off++ {
-		d.Write(pa+off, 0xFF)
+		writeByte(d, pa+off, 0xFF)
 	}
 	doubleSided(d, victim, 1000)
-	if got := d.ReadNoActivate(pa); got != 0xFF&^(1<<1) {
+	if got := peekByte(d, pa); got != 0xFF&^(1<<1) {
 		t.Fatalf("double flip should be uncorrectable: %#x", got)
 	}
-	if got := d.ReadNoActivate(pa + 3); got != 0xFF&^(1<<6) {
+	if got := peekByte(d, pa+3); got != 0xFF&^(1<<6) {
 		t.Fatalf("second flip should be visible: %#x", got)
 	}
 	if d.Stats().ECCUncorrectable == 0 {
@@ -136,7 +136,7 @@ func TestECCCorrectionIsByteAccurate(t *testing.T) {
 	d, victim, pa := trrDevice(t, TRRConfig{}, ECCSecDed)
 	doubleSided(d, victim, 1200)
 	// Byte pa is flipped and corrected; byte pa+1 is clean and must stay so.
-	if got := d.ReadNoActivate(pa + 1); got != 0 {
+	if got := peekByte(d, pa+1); got != 0 {
 		t.Fatalf("adjacent byte disturbed by correction: %#x", got)
 	}
 	_ = victim
@@ -146,12 +146,12 @@ func TestECCCorrectionIsByteAccurate(t *testing.T) {
 func TestECCRearmOnWrite(t *testing.T) {
 	d, victim, pa := trrDevice(t, TRRConfig{}, ECCSecDed)
 	doubleSided(d, victim, 1200)
-	d.Write(pa, 0xAB)
-	if got := d.Read(pa); got != 0xAB {
+	writeByte(d, pa, 0xAB)
+	if got := readByte(d, pa); got != 0xAB {
 		t.Fatalf("write-after-flip read back %#x", got)
 	}
 	before := d.Stats().ECCCorrected
-	d.Read(pa)
+	readByte(d, pa)
 	if d.Stats().ECCCorrected != before {
 		t.Fatal("clean cell still being corrected")
 	}

@@ -58,15 +58,6 @@ func (s *store) load(pa uint64) byte {
 	return c[pa%storeChunkBytes]
 }
 
-// set stores v at pa.  Storing the fill pattern into an untouched chunk is
-// a no-op, so sweeps of zero writes (page zeroing) stay allocation-free.
-func (s *store) set(pa uint64, v byte) {
-	if v == 0 && s.chunks[pa/storeChunkBytes] == nil {
-		return
-	}
-	s.chunkFor(pa)[pa%storeChunkBytes] = v
-}
-
 // xor flips the masked bits at pa.
 func (s *store) xor(pa uint64, mask byte) {
 	if mask == 0 {

@@ -25,14 +25,14 @@ func TestStoreBasics(t *testing.T) {
 		t.Fatalf("untouched read did not zero the buffer: %v", buf)
 	}
 	// Zero writes over untouched memory are elided...
-	s.set(0, 0)
+	s.write(0, []byte{0})
 	s.write(storeChunkBytes, make([]byte, 300))
 	s.fill(2*storeChunkBytes, 400, 0)
 	if got := s.materializedBytes(); got != 0 {
 		t.Fatalf("zero writes materialised %d bytes", got)
 	}
 	// ...while distinguishing writes materialise exactly one chunk.
-	s.set(storeChunkBytes+7, 0x5A)
+	s.write(storeChunkBytes+7, []byte{0x5A})
 	if got := s.materializedBytes(); got != storeChunkBytes {
 		t.Fatalf("materialised %d bytes, want one chunk (%d)", got, storeChunkBytes)
 	}
@@ -40,7 +40,7 @@ func TestStoreBasics(t *testing.T) {
 		t.Fatalf("read-back %#x", v)
 	}
 	// The tail chunk is sized to the store, not the chunk granule.
-	s.set(3*storeChunkBytes+99, 1)
+	s.write(3*storeChunkBytes+99, []byte{1})
 	if got := s.materializedBytes(); got != storeChunkBytes+100 {
 		t.Fatalf("tail chunk: materialised %d bytes, want %d", got, storeChunkBytes+100)
 	}
@@ -101,44 +101,67 @@ func TestStoreCrossChunkRanges(t *testing.T) {
 
 // --- sparse vs dense observational equivalence -----------------------------
 
-// equivalenceWorkload drives one device through a randomised mix of reads,
-// writes, range ops, hammering and refreshes, returning a digest of every
-// observable output (read values, stats, weak cells, flip log).
-func equivalenceWorkload(t *testing.T, d *Device, seed uint64) []byte {
+// equivalenceWorkload drives one device through ops randomised datapath
+// operations — one-byte reads and writes with and without ActivateRow,
+// range reads, writes and fills, hammering and refreshes — and returns a
+// digest of every observable output (read values, stats, weak cells, flip
+// log).  Every read is checked against eccOracle on the way.
+func equivalenceWorkload(t testing.TB, d *Device, seed uint64, ops int) []byte {
 	t.Helper()
 	rng := stats.NewRNG(seed)
 	size := int(d.Size())
 	d.EnableFlipLog()
 	var log bytes.Buffer
 
-	// A hammer target with its aggressor rows, derived from a planted weak
-	// cell so flips actually occur during the workload.
+	// A hammer target with its aggressor rows, derived from two planted
+	// weak cells in one 64-bit word so flips actually occur during the
+	// workload: one hammer burst flips the true cell alone (a correctable
+	// word), two in one refresh window flip the anti cell too when its bit
+	// holds 0 (an uncorrectable word).
 	victim := Addr{Bank: 1, Row: 200, Col: 50}
 	bg := d.mapper.BankGroup(victim)
 	d.PlantWeakCell(WeakCell{Bank: bg, Row: 200, ByteInRow: 50, Bit: 2, Threshold: 600, FlipTo: 0})
-	d.Write(d.mapper.ToPhys(victim), 0xFF)
+	d.PlantWeakCell(WeakCell{Bank: bg, Row: 200, ByteInRow: 53, Bit: 6, Threshold: 900, FlipTo: 1})
+	victimPA := d.mapper.ToPhys(victim)
+	writeByte(d, victimPA, 0xFF)
 	up := d.mapper.SameBankRow(victim, victim.Row-1, 0)
 	down := d.mapper.SameBankRow(victim, victim.Row+1, 0)
 
-	for i := 0; i < 2000; i++ {
+	var one [1]byte
+	for i := 0; i < ops; i++ {
 		pa := uint64(rng.Intn(size))
-		switch rng.Intn(8) {
+		switch rng.Intn(4) {
 		case 0:
-			log.WriteByte(d.Read(pa))
+			// The victim's word and its neighbours: reads meet corrected
+			// and uncorrectable words, writes re-arm the planted cells.
+			pa = victimPA&^7 - 8 + uint64(rng.Intn(24))
 		case 1:
-			d.Write(pa, byte(rng.Intn(256)))
+			// The rest of the hammered neighbourhood.
+			row := victim.Row - 2 + rng.Intn(5)
+			pa = d.mapper.SameBankRow(victim, row, rng.Intn(d.geom.RowBytes))
+		}
+		switch rng.Intn(9) {
+		case 0:
+			d.ActivateRow(pa)
+			oracleRead(t, d, pa, one[:])
+			log.WriteByte(one[0])
+		case 1:
+			writeByte(d, pa, byte(rng.Intn(256)))
 		case 2:
-			log.WriteByte(d.ReadNoActivate(pa))
+			oracleRead(t, d, pa, one[:])
+			log.WriteByte(one[0])
 		case 3:
+			pokeByte(d, pa, byte(rng.Intn(256)))
+		case 4:
 			n := rng.Intn(9000) + 1
 			if int(pa)+n > size {
 				n = size - int(pa)
 			}
 			buf := make([]byte, n)
 			rng.Bytes(buf) // read must overwrite stale contents
-			d.ReadRangeNoActivate(pa, buf)
+			oracleRead(t, d, pa, buf)
 			log.Write(buf)
-		case 4:
+		case 5:
 			n := rng.Intn(5000) + 1
 			if int(pa)+n > size {
 				n = size - int(pa)
@@ -148,7 +171,7 @@ func equivalenceWorkload(t *testing.T, d *Device, seed uint64) []byte {
 				rng.Bytes(buf)
 			}
 			d.WriteRangeNoActivate(pa, buf)
-		case 5:
+		case 6:
 			n := uint64(rng.Intn(5000) + 1)
 			if pa+n > uint64(size) {
 				n = uint64(size) - pa
@@ -158,19 +181,22 @@ func equivalenceWorkload(t *testing.T, d *Device, seed uint64) []byte {
 				v = byte(rng.Intn(256))
 			}
 			d.FillNoActivate(pa, n, v)
-		case 6:
+		case 7:
 			for k := 0; k < 300; k++ {
 				d.ActivateRow(up)
 				d.ActivateRow(down)
 			}
-		case 7:
+		case 8:
 			d.Refresh()
 		}
 	}
 
 	st := d.Stats()
-	if err := writeStats(&log, st); err != nil {
-		t.Fatal(err)
+	for _, v := range []uint64{st.Activations, st.RowHits, st.Refreshes, st.BitFlips,
+		st.TRRRefreshes, st.ECCCorrected, st.ECCUncorrectable} {
+		for s := 0; s < 64; s += 8 {
+			log.WriteByte(byte(v >> s))
+		}
 	}
 	for _, f := range d.DrainFlipLog() {
 		log.WriteByte(byte(f.Phys))
@@ -192,20 +218,40 @@ func equivalenceWorkload(t *testing.T, d *Device, seed uint64) []byte {
 	return log.Bytes()
 }
 
-func writeStats(log *bytes.Buffer, st DeviceStats) error {
-	for _, v := range []uint64{st.Reads, st.Writes, st.Activations, st.RowHits,
-		st.Refreshes, st.BitFlips, st.TRRRefreshes, st.ECCCorrected, st.ECCUncorrectable} {
-		for s := 0; s < 64; s += 8 {
-			log.WriteByte(byte(v >> s))
+// checkSparseDense runs equivalenceWorkload on a sparse device and on a
+// fully materialised (dense) one built from the same seed, and fails t
+// unless the two digests are identical.
+func checkSparseDense(t testing.TB, g Geometry, model FaultModel, seed uint64, ops int) {
+	t.Helper()
+	build := func(materialize bool) *Device {
+		d, err := NewDevice(g, model, seed)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if materialize {
+			d.data.materializeAll()
+			if got, want := d.MaterializedBytes(), d.Size(); got != want {
+				t.Fatalf("materializeAll left %d of %d bytes unbacked", got, want)
+			}
+		}
+		return d
 	}
-	return nil
+	sparse := equivalenceWorkload(t, build(false), seed, ops)
+	dense := equivalenceWorkload(t, build(true), seed, ops)
+	if !bytes.Equal(sparse, dense) {
+		i := 0
+		for i < len(sparse) && i < len(dense) && sparse[i] == dense[i] {
+			i++
+		}
+		t.Fatalf("sparse and dense devices diverge (first difference at digest byte %d of %d/%d)",
+			i, len(sparse), len(dense))
+	}
 }
 
 // A sparse device and a fully materialised (dense) device must be
 // observationally identical under an arbitrary workload: every read value,
 // every counter, every flip.  Run with and without mitigations so the ECC
-// range path is covered too.
+// path is covered too.
 func TestSparseDenseObservationalEquivalence(t *testing.T) {
 	g := Geometry{Channels: 1, DIMMs: 1, Ranks: 1, Banks: 4, Rows: 512, RowBytes: 4096}
 	cases := []struct {
@@ -222,36 +268,14 @@ func TestSparseDenseObservationalEquivalence(t *testing.T) {
 			model.WeakCellDensity = 1e-4
 			model.FlipReliability = 1 // keep the device RNG stream workload-independent
 			tc.mut(&model)
-
-			build := func(materialize bool) *Device {
-				d, err := NewDevice(g, model, 42)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if materialize {
-					d.data.materializeAll()
-					if got, want := d.MaterializedBytes(), d.Size(); got != want {
-						t.Fatalf("materializeAll left %d of %d bytes unbacked", got, want)
-					}
-				}
-				return d
-			}
-			sparse := equivalenceWorkload(t, build(false), 99)
-			dense := equivalenceWorkload(t, build(true), 99)
-			if !bytes.Equal(sparse, dense) {
-				i := 0
-				for i < len(sparse) && i < len(dense) && sparse[i] == dense[i] {
-					i++
-				}
-				t.Fatalf("sparse and dense devices diverge (first difference at digest byte %d of %d/%d)",
-					i, len(sparse), len(dense))
-			}
+			checkSparseDense(t, g, model, 42, 2000)
 		})
 	}
 }
 
-// The bulk read path (ReadRangeNoActivate + eccCorrectRange) must agree
-// with the per-byte path on random ranges, including the stats deltas.
+// Range reads (ReadRangeNoActivate + eccCorrectRange) must agree with the
+// per-byte SEC-DED oracle on random ranges over correctable and
+// uncorrectable words, counter deltas included.
 func TestReadRangeMatchesPerByte(t *testing.T) {
 	g := Geometry{Channels: 1, DIMMs: 1, Ranks: 1, Banks: 4, Rows: 512, RowBytes: 4096}
 	model := DefaultFaultModel()
@@ -266,14 +290,11 @@ func TestReadRangeMatchesPerByte(t *testing.T) {
 	// a word elsewhere (uncorrectable).
 	plant := func(a Addr, bit uint8, thr int) {
 		d.PlantWeakCell(WeakCell{Bank: d.mapper.BankGroup(a), Row: a.Row, ByteInRow: a.Col, Bit: bit, Threshold: thr, FlipTo: 0})
-		d.Write(d.mapper.ToPhys(a), 0xFF)
+		writeByte(d, d.mapper.ToPhys(a), 0xFF)
 	}
-	single := Addr{Bank: 0, Row: 100, Col: 64}
-	pair := Addr{Bank: 0, Row: 100, Col: 130}
-	plant(single, 3, 500)
-	plant(pair, 1, 500)
+	plant(Addr{Bank: 0, Row: 100, Col: 64}, 3, 500)
+	plant(Addr{Bank: 0, Row: 100, Col: 130}, 1, 500)
 	plant(Addr{Bank: 0, Row: 100, Col: 133}, 6, 550)
-	d.Write(d.mapper.ToPhys(Addr{Bank: 0, Row: 100, Col: 133}), 0xFF)
 	for i := 0; i < 700; i++ {
 		d.ActivateRow(d.mapper.ToPhys(Addr{Bank: 0, Row: 99, Col: 0}))
 		d.ActivateRow(d.mapper.ToPhys(Addr{Bank: 0, Row: 101, Col: 0}))
@@ -282,36 +303,29 @@ func TestReadRangeMatchesPerByte(t *testing.T) {
 		t.Fatalf("setup did not flip all cells: %+v", d.Stats())
 	}
 
+	rowPA := d.mapper.ToPhys(Addr{Bank: 0, Row: 100, Col: 0})
 	rng := stats.NewRNG(3)
 	size := int(d.Size())
 	for i := 0; i < 400; i++ {
 		pa := uint64(rng.Intn(size))
+		if i%2 == 0 {
+			// Half the ranges start near the flipped words so both
+			// outcomes are exercised, not just clean memory.
+			pa = rowPA + uint64(rng.Intn(256))
+		}
 		n := rng.Intn(2*d.geom.RowBytes) + 1
+		if i%4 == 0 {
+			n = rng.Intn(16) + 1
+		}
 		if int(pa)+n > size {
 			n = size - int(pa)
 		}
-		bulkStats := d.Stats()
-		bulk := make([]byte, n)
-		rng.Bytes(bulk)
-		d.ReadRangeNoActivate(pa, bulk)
-		bulkDelta := d.Stats()
-
-		byteStats := d.Stats()
-		perByte := make([]byte, n)
-		for j := 0; j < n; j++ {
-			perByte[j] = d.ReadNoActivate(pa + uint64(j))
-		}
-		byteDelta := d.Stats()
-
-		if !bytes.Equal(bulk, perByte) {
-			t.Fatalf("range [%d,%d): bulk and per-byte reads differ", pa, pa+uint64(n))
-		}
-		if gc, gb := bulkDelta.ECCCorrected-bulkStats.ECCCorrected, byteDelta.ECCCorrected-byteStats.ECCCorrected; gc != gb {
-			t.Fatalf("range [%d,%d): bulk corrected %d, per-byte %d", pa, pa+uint64(n), gc, gb)
-		}
-		if gu, gb := bulkDelta.ECCUncorrectable-bulkStats.ECCUncorrectable, byteDelta.ECCUncorrectable-byteStats.ECCUncorrectable; gu != gb {
-			t.Fatalf("range [%d,%d): bulk uncorrectable %d, per-byte %d", pa, pa+uint64(n), gu, gb)
-		}
+		buf := make([]byte, n)
+		rng.Bytes(buf)
+		oracleRead(t, d, pa, buf)
+	}
+	if st := d.Stats(); st.ECCCorrected == 0 || st.ECCUncorrectable == 0 {
+		t.Fatalf("ranges never covered both a correctable and an uncorrectable word: %+v", st)
 	}
 }
 
@@ -341,11 +355,11 @@ func TestLargeDeviceConstructionIsSparse(t *testing.T) {
 	}
 	// Sanity: the device still behaves like memory.
 	pa := d.Size() - 1
-	if v := d.ReadNoActivate(pa); v != 0 {
+	if v := peekByte(d, pa); v != 0 {
 		t.Errorf("untouched byte reads %#x, want 0", v)
 	}
-	d.WriteNoActivate(pa, 0xA5)
-	if v := d.ReadNoActivate(pa); v != 0xA5 {
+	pokeByte(d, pa, 0xA5)
+	if v := peekByte(d, pa); v != 0xA5 {
 		t.Errorf("read-back %#x, want 0xA5", v)
 	}
 }

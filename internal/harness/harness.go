@@ -1,5 +1,5 @@
 // Package harness is the deterministic parallel trial engine behind the
-// E1–E16 experiment tables, the Monte Carlo sweeps in internal/core and the
+// E1–E18 experiment tables, the Monte Carlo sweeps in internal/core and the
 // scenario campaigns in internal/scenario.
 //
 // Every experiment in this repository is a loop of independent trials whose

@@ -344,21 +344,15 @@ func (p *Process) translate(va vm.VirtAddr) (uint64, error) {
 // reaches DRAM (the simulation behaves as if the line was flushed, which is
 // the state a Rowhammer loop maintains).
 func (p *Process) Load(va vm.VirtAddr) (byte, error) {
-	pa, err := p.translate(va)
-	if err != nil {
-		return 0, err
-	}
-	return p.m.dev.Read(pa), nil
+	var b [1]byte
+	err := p.access(va, b[:], false)
+	return b[0], err
 }
 
 // Store writes one byte.
 func (p *Process) Store(va vm.VirtAddr, v byte) error {
-	pa, err := p.translate(va)
-	if err != nil {
-		return err
-	}
-	p.m.dev.Write(pa, v)
-	return nil
+	b := [1]byte{v}
+	return p.access(va, b[:], true)
 }
 
 // ReadBytes copies n bytes starting at va.  The first byte of each page
@@ -376,42 +370,37 @@ func (p *Process) ReadBytes(va vm.VirtAddr, n int) ([]byte, error) {
 // (flip probing) that reuse one buffer across many reads and must not
 // allocate per call.
 func (p *Process) ReadBytesInto(va vm.VirtAddr, out []byte) error {
-	n := len(out)
-	for i := 0; i < n; {
-		pageEnd := int(uint64(va.PageBase()) + vm.PageSize - uint64(va))
-		chunk := n - i
-		if chunk > pageEnd {
-			chunk = pageEnd
-		}
-		pa, err := p.translate(va)
-		if err != nil {
-			return err
-		}
-		p.m.dev.ActivateRow(pa) // one activation per page touch
-		p.m.dev.ReadRangeNoActivate(pa, out[i:i+chunk])
-		i += chunk
-		va += vm.VirtAddr(chunk)
-	}
-	return nil
+	return p.access(va, out, false)
 }
 
 // WriteBytes stores data starting at va, with the same activation
 // granularity as ReadBytes.
 func (p *Process) WriteBytes(va vm.VirtAddr, data []byte) error {
-	for i := 0; i < len(data); {
-		pageEnd := int(uint64(va.PageBase()) + vm.PageSize - uint64(va))
-		chunk := len(data) - i
-		if chunk > pageEnd {
-			chunk = pageEnd
+	return p.access(va, data, true)
+}
+
+// access is the one memory datapath behind Load, Store, ReadBytesInto and
+// WriteBytes.  It walks [va, va+len(buf)) page by page: translate (faulting
+// the page in on first touch), open the page's row with one activation,
+// then move the page's span of buf with one range operation.
+func (p *Process) access(va vm.VirtAddr, buf []byte, write bool) error {
+	for len(buf) > 0 {
+		n := int(uint64(va.PageBase()) + vm.PageSize - uint64(va))
+		if n > len(buf) {
+			n = len(buf)
 		}
 		pa, err := p.translate(va)
 		if err != nil {
 			return err
 		}
-		p.m.dev.ActivateRow(pa) // open the row once
-		p.m.dev.WriteRangeNoActivate(pa, data[i:i+chunk])
-		i += chunk
-		va += vm.VirtAddr(chunk)
+		p.m.dev.ActivateRow(pa)
+		if write {
+			p.m.dev.WriteRangeNoActivate(pa, buf[:n])
+		} else {
+			p.m.dev.ReadRangeNoActivate(pa, buf[:n])
+		}
+		buf = buf[n:]
+		va += vm.VirtAddr(n)
 	}
 	return nil
 }
@@ -428,23 +417,13 @@ func (p *Process) Touch(va vm.VirtAddr, length uint64) error {
 	return nil
 }
 
-// Hammer performs one activation of the row backing va without reading data
-// through the cache model; it is the CLFLUSH+load primitive.
-func (p *Process) Hammer(va vm.VirtAddr) error {
-	pa, err := p.translate(va)
-	if err != nil {
-		return err
-	}
-	p.m.dev.ActivateRow(pa)
-	return nil
-}
-
 // HammerLoop issues rounds of activations cycling through vas in order —
 // the access-flush-access loop.  Each address is translated once up front
 // into a scratch buffer reused across calls and the device runs the loop
-// (dram.Device.HammerLoop); the result is identical to calling Hammer per
+// (dram.Device.HammerLoop); the result is identical to one ActivateRow per
 // address per round, and steady-state hammering allocates nothing (the
-// zero-alloc contract BENCH_trajectory.json pins).
+// zero-alloc contract BENCH_trajectory.json pins).  HammerLoop(vas, 1) is a
+// single CLFLUSH+load per address.
 func (p *Process) HammerLoop(vas []vm.VirtAddr, rounds int) error {
 	if cap(p.hammerAddrs) < len(vas) {
 		p.hammerAddrs = make([]dram.Addr, len(vas))

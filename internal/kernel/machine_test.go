@@ -293,15 +293,47 @@ outer:
 		t.Skip("no same-bank different-row page pair in this mapping")
 	}
 	before := m.DRAM().Stats().Activations
-	for i := 0; i < 100; i++ {
-		p.Hammer(a)
-		p.Hammer(b)
+	if err := p.HammerLoop([]vm.VirtAddr{a, b}, 100); err != nil {
+		t.Fatal(err)
 	}
 	if got := m.DRAM().Stats().Activations - before; got < 199 {
 		t.Fatalf("expected ~200 activations from row conflicts, got %d", got)
 	}
-	if err := p.Hammer(0xdead0000); err == nil {
+	// One round is one activation per address: the CLFLUSH+load primitive.
+	before = m.DRAM().Stats().Activations
+	if err := p.HammerLoop([]vm.VirtAddr{a}, 1); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.DRAM().Stats().Activations - before; got != 1 {
+		t.Fatalf("one round on one address made %d activations, want 1", got)
+	}
+	if err := p.HammerLoop([]vm.VirtAddr{0xdead0000}, 1); err == nil {
 		t.Fatal("hammer outside VMA accepted")
+	}
+}
+
+// Load and Store on a resident page must not allocate: the one-byte buffer
+// they hand the range datapath has to stay on the stack.
+func TestResidentLoadStoreAllocateNothing(t *testing.T) {
+	m := newTestMachine(t)
+	p, base, err := m.SpawnResident("a", 0, 4*vm.PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	va := base + vm.PageSize + 17
+	if n := testing.AllocsPerRun(100, func() {
+		if err := p.Store(va, 0x5a); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("Store allocated %.1f times per call", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if v, err := p.Load(va); err != nil || v != 0x5a {
+			t.Fatalf("Load = %#x, %v", v, err)
+		}
+	}); n != 0 {
+		t.Fatalf("Load allocated %.1f times per call", n)
 	}
 }
 

@@ -394,3 +394,50 @@ func TestManySidedBeatsTRR(t *testing.T) {
 			got, m2.DRAM().Stats().TRRRefreshes)
 	}
 }
+
+// Two weak cells in one byte both flip on every hammer run.  Each templated
+// site must still reproduce: Reproduce compares only its own bit, so the
+// other cell's flip in the same byte does not hide the reproduction.
+func TestReproduceTwoCellsInOneByte(t *testing.T) {
+	m, p := testMachine(t, 0, 99)
+	const length = 4 << 20
+	base := mapAndTouch(t, p, length)
+
+	target := base + 512*vm.PageSize + 7
+	pa, _ := p.Translate(target)
+	mapper := m.DRAM().Mapper()
+	da := mapper.ToDRAM(pa)
+	for _, bit := range []uint8{2, 5} {
+		m.DRAM().PlantWeakCell(dram.WeakCell{
+			Bank: mapper.BankGroup(da), Row: da.Row, ByteInRow: da.Col,
+			Bit: bit, Threshold: 2000, FlipTo: 0,
+		})
+	}
+
+	e := testEngine(m, p)
+	flips, err := e.Template(base, length)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bits []uint8
+	for _, f := range flips {
+		if f.VA != target {
+			t.Fatalf("flip at %#x, only %#x holds weak cells", uint64(f.VA), uint64(target))
+		}
+		bits = append(bits, f.Bit)
+		m.DRAM().Refresh()
+		ok, err := e.Reproduce(f, PatternOnes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			t.Errorf("site bit %d did not reproduce", f.Bit)
+		}
+		if got, _ := p.Load(target); got != 0xFF&^(1<<2|1<<5) {
+			t.Fatalf("re-hammered byte %#x, want both cells flipped", got)
+		}
+	}
+	if !reflect.DeepEqual(bits, []uint8{2, 5}) {
+		t.Fatalf("templated bits %v, want [2 5]", bits)
+	}
+}

@@ -122,11 +122,13 @@ func (e *Engine) TemplateUntil(base vm.VirtAddr, length uint64, accept func(Flip
 	return FlipSite{}, all, false, nil
 }
 
-// Reproduce re-hammers the aggressors of a flip site and reports whether the
-// same bit flipped again.  The caller is responsible for re-arming the cell
-// (writing the page) before calling; Verify in the attack core uses the
-// original pattern.  This measures the paper's Section VI claim of "a high
-// probability of getting bit flips in the same location".
+// Reproduce rewrites the site's page with pattern (re-arming its cells),
+// re-hammers the site's aggressors and reports whether the templated bit
+// flipped away from site.From again.  pattern must be the one that exposed
+// the site (ones for From == 1, zeros for From == 0).  Only the templated
+// bit is compared: another weak cell flipping in the same byte does not
+// hide a reproduction.  This measures the paper's Section VI claim of "a
+// high probability of getting bit flips in the same location".
 func (e *Engine) Reproduce(site FlipSite, pattern Pattern) (bool, error) {
 	fill := e.fillPage(pattern)
 	if err := e.proc.WriteBytes(site.PageVA, fill); err != nil {
@@ -139,8 +141,7 @@ func (e *Engine) Reproduce(site FlipSite, pattern Pattern) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	want := byte(pattern) ^ (1 << site.Bit)
-	return got == want, nil
+	return (got>>site.Bit)&1 != site.From, nil
 }
 
 // fillPage returns the engine's page-sized fill buffer set to the pattern.

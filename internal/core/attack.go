@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"explframe/internal/cipher/registry"
 	"explframe/internal/fault/pfa"
@@ -277,51 +278,31 @@ func (a *Attack) RunContext(ctx context.Context) (*Report, error) {
 
 // analyse drives the known-fault PFA attack over the generic collector.
 // The attacker knows which table entries flipped (templating enumerated the
-// page's flippable bits), hence both the vanished output values
-// y*_j = S_orig[v_j] and the values y'_j now stored there.  One fault uses
-// the plain elimination attack; collateral extra faults switch to the
-// multi-fault recovery, whose search depth the cipher's RecoverCost bounds.
+// page's flippable bits) and the public canonical table, hence the fault
+// hypothesis pfa.FaultValues derives from the corrupted table: the
+// vanished and doubled output values.  Any fault count goes through the
+// one multi-fault recovery, whose search depth the cipher's RecoverCost
+// bounds.
 func (a *Attack) analyse(ctx context.Context, rep *Report, victim *trace.Victim, indices []int, values []byte, cleanPT, cleanCT []byte) error {
 	c := a.cipher
 	collector := pfa.NewCollector(c)
-	sb := a.sbox
-	mask := byte(1<<uint(c.EntryBits()) - 1)
-
-	var yStars, yPrimes []byte
+	table := slices.Clone(a.sbox)
 	for j, idx := range indices {
-		// Collateral re-hammer flips can land in stored bits above
-		// EntryBits (usableFlip only vets the templated site): those leave
-		// the S-box image intact, so they must not enter the fault
-		// hypothesis — an extra y* the data cannot support would make the
-		// analysis wrongly conclude "inconsistent".
-		if values[j]&mask == sb[idx]&mask {
-			continue
-		}
-		yStars = append(yStars, sb[idx]&mask)
-		yPrimes = append(yPrimes, values[j]&mask)
+		table[idx] = values[j]
 	}
+	yStars, yPrimes := pfa.FaultValues(c, table)
 	if len(yStars) == 0 {
 		if rep.FaultInjected {
-			// Every corrupted bit is above the datapath width: the cipher
-			// still computes with the canonical table and PFA has nothing
-			// to observe.
+			// Every corrupted bit is above the datapath width (or entries
+			// traded values): the cipher still computes with the canonical
+			// S-box image and PFA has nothing to observe.
 			rep.FailReason = "corrupted table bits never reach the cipher datapath"
 			return nil
 		}
 		// CollectOnMiss path: assume the templated site, which produces an
 		// inconsistency once enough clean ciphertexts arrive.
-		yStars = []byte{sb[rep.Site.ByteInPage-a.cfg.VictimTableOffset]}
+		yStars = []byte{a.sbox[rep.Site.ByteInPage-a.cfg.VictimTableOffset]}
 		yPrimes = []byte{yStars[0] ^ (1 << uint(rep.Site.Bit))}
-	}
-
-	recoverKey := func() ([]byte, error) {
-		if len(yStars) == 1 {
-			return collector.RecoverMasterKnownFault(yStars[0], cleanPT, cleanCT)
-		}
-		// Multi-fault: frequency scoring resolves the XOR symmetry in the
-		// common case; the clean pair settles the degenerate same-bit case
-		// through the key schedule where the search budget allows.
-		return collector.RecoverMasterMultiFaultWithPair(yStars, yPrimes, cleanPT, cleanCT)
 	}
 
 	// Check cadence scales with the cell alphabet: the 4-bit ciphers
@@ -360,7 +341,7 @@ func (a *Attack) analyse(ctx context.Context, rep *Report, victim *trace.Victim,
 			return err
 		}
 		n += chunk
-		master, err := recoverKey()
+		master, err := collector.RecoverMasterMultiFaultWithPair(yStars, yPrimes, cleanPT, cleanCT)
 		if err != nil {
 			if errors.Is(err, pfa.ErrUnderdetermined) {
 				continue

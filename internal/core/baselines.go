@@ -146,11 +146,13 @@ func RunBaselineTrial(cfg Config, kind BaselineKind) (*BaselineResult, error) {
 		}
 	}
 
-	corrupted, idx, err := victim.TableCorrupted()
+	indices, _, err := victim.TableCorruptions()
 	if err != nil {
 		return nil, err
 	}
-	res.TableCorrupted = corrupted
-	res.CorruptIndex = idx
+	res.TableCorrupted = len(indices) > 0
+	if res.TableCorrupted {
+		res.CorruptIndex = indices[0]
+	}
 	return res, nil
 }

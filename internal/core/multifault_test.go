@@ -2,9 +2,11 @@ package core
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"explframe/internal/dram"
+	"explframe/internal/machine"
 	"explframe/internal/rowhammer"
 )
 
@@ -40,5 +42,27 @@ func TestMultiFaultCollateralRecovery(t *testing.T) {
 	}
 	if !bytes.Equal(rep.RecoveredKey, cfg.VictimKey) {
 		t.Fatalf("recovered %x want %x", rep.RecoveredKey, cfg.VictimKey)
+	}
+}
+
+// Regression: on the fast machine profile this seed's re-hammer flips table
+// entry 19 from 0x7d to 0x3d and entry 139 from 0x3d to 0x2d — a chain, so
+// only 0x7d vanishes from the S-box image and only 0x2d is doubled.  A
+// hypothesis built per corrupted entry also expects 0x3d to vanish and
+// wrongly concludes the observations are inconsistent.
+func TestChainedFaultRecovery(t *testing.T) {
+	atk, err := NewAttack(ConfigForMachine(machine.MustGet("fast"), 17073577146627595725))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := atk.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(rep.CorruptIndices, []int{19, 139}) {
+		t.Fatalf("seed no longer produces the 19/139 chain: %v", rep.CorruptIndices)
+	}
+	if !rep.KeyRecovered {
+		t.Fatalf("chained fault not recovered: phase=%s fail=%q", rep.Phase, rep.FailReason)
 	}
 }

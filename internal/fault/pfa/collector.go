@@ -1,7 +1,10 @@
 package pfa
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"slices"
 
 	"explframe/internal/cipher/registry"
 	"explframe/internal/stats"
@@ -14,20 +17,19 @@ import (
 //
 // The analysis only uses registry.Cipher metadata: LastRoundCells inverts
 // the final linear layer, so cell i of every observation equals
-// S(x_i) ^ k_i over the cipher's EntryBits-wide alphabet.  A single
-// corrupted table entry removes one value y* = S_orig[v*] from the S-box
-// image, so the value y* ^ k_i vanishes from cell i — and the corrupted
-// entry's new value y' appears with doubled probability.  Everything else
-// (alphabet size, cell count, last-round key assembly, master-key
-// completion) comes from the interface, which is what lets one collector
-// serve AES-128, PRESENT-80 and the LILLIPUT-style victim alike.
+// S(x_i) ^ k_i over the cipher's EntryBits-wide alphabet.  A corrupted
+// table removes the values FaultValues calls vanished from the S-box image,
+// so each y* ^ k_i vanishes from cell i — and the doubled values y' appear
+// with raised probability.  Everything else (alphabet size, cell count,
+// last-round key assembly, master-key completion) comes from the
+// interface, which is what lets one collector serve AES-128, PRESENT-80
+// and the LILLIPUT-style victim alike.
 type Collector struct {
 	c       registry.Cipher
 	cells   int
 	vals    int
 	mask    byte
-	seen    [][]bool
-	count   [][]uint64
+	count   [][]uint64 // count[i][v]: observations with value v at cell i
 	n       uint64
 	cellBuf []byte // scratch for LastRoundCells, keeps Observe allocation-free
 }
@@ -37,13 +39,37 @@ func NewCollector(c registry.Cipher) *Collector {
 	cells := registry.Cells(c)
 	vals := 1 << uint(c.EntryBits())
 	col := &Collector{c: c, cells: cells, vals: vals, mask: byte(vals - 1), cellBuf: make([]byte, cells)}
-	col.seen = make([][]bool, cells)
 	col.count = make([][]uint64, cells)
-	for i := range col.seen {
-		col.seen[i] = make([]bool, vals)
+	for i := range col.count {
 		col.count[i] = make([]uint64, vals)
 	}
 	return col
+}
+
+// FaultValues is the fault hypothesis a corrupted table implies: the
+// multiset difference between the cipher's canonical S-box and table, both
+// masked to EntryBits.  vanished holds the outputs table emits less often
+// than the canonical S-box (each y* ^ k_i goes missing from cell i),
+// doubled the outputs it emits more often; both are ascending and equally
+// long.  Flips above the datapath and entries that traded values drop out
+// by construction, and a chain (entry a takes entry b's original output, b
+// moves on) leaves only its two ends.
+func FaultValues(c registry.Cipher, table []byte) (vanished, doubled []byte) {
+	mask := byte(1<<uint(c.EntryBits()) - 1)
+	var delta [256]int
+	for i, y := range c.SBox() {
+		delta[y&mask]--
+		delta[table[i]&mask]++
+	}
+	for v, d := range delta {
+		for ; d < 0; d++ {
+			vanished = append(vanished, byte(v))
+		}
+		for ; d > 0; d-- {
+			doubled = append(doubled, byte(v))
+		}
+	}
+	return vanished, doubled
 }
 
 // Cipher returns the cipher this collector attacks.
@@ -56,7 +82,6 @@ func (c *Collector) Observe(ct []byte) error {
 	}
 	c.c.LastRoundCells(c.cellBuf, ct)
 	for i, cell := range c.cellBuf {
-		c.seen[i][cell] = true
 		c.count[i][cell]++
 	}
 	c.n++
@@ -84,12 +109,23 @@ func (c *Collector) Cells() int { return c.cells }
 // Missing returns the values never observed at cell position i.
 func (c *Collector) Missing(i int) []byte {
 	var out []byte
-	for v := 0; v < c.vals; v++ {
-		if !c.seen[i][v] {
+	for v, n := range c.count[i] {
+		if n == 0 {
 			out = append(out, byte(v))
 		}
 	}
 	return out
+}
+
+// missingCount returns how many values were never observed at cell i.
+func (c *Collector) missingCount(i int) int {
+	m := 0
+	for _, n := range c.count[i] {
+		if n == 0 {
+			m++
+		}
+	}
+	return m
 }
 
 // MostFrequent returns the value observed most often at cell i and its
@@ -97,9 +133,9 @@ func (c *Collector) Missing(i int) []byte {
 func (c *Collector) MostFrequent(i int) (byte, uint64) {
 	var best byte
 	var bestN uint64
-	for v := 0; v < c.vals; v++ {
-		if c.count[i][v] > bestN {
-			bestN = c.count[i][v]
+	for v, n := range c.count[i] {
+		if n > bestN {
+			bestN = n
 			best = byte(v)
 		}
 	}
@@ -113,72 +149,49 @@ func (c *Collector) MostFrequent(i int) (byte, uint64) {
 func (c *Collector) ResidualEntropy() float64 {
 	e := 0.0
 	for i := 0; i < c.cells; i++ {
-		e += stats.Log2(float64(len(c.Missing(i))))
+		e += stats.Log2(float64(c.missingCount(i)))
 	}
 	return e
 }
 
-// missingCells returns the unique missing value of every cell, erroring
-// while any cell is under- or over-determined.
-func (c *Collector) missingCells() ([]byte, error) {
-	miss := make([]byte, c.cells)
-	for i := 0; i < c.cells; i++ {
-		m := c.Missing(i)
-		switch {
-		case len(m) == 0:
-			return nil, fmt.Errorf("%w: cell %d has no missing value", ErrInconsistent, i)
-		case len(m) > 1:
-			return nil, fmt.Errorf("%w: cell %d has %d candidates", ErrUnderdetermined, i, len(m))
-		}
-		miss[i] = m[0]
-	}
-	return miss, nil
-}
-
 // RecoverLastRoundKeyKnownFault recovers the last-round key when the
-// attacker knows which S-box output value vanished (y*).  The ExplFrame
-// attacker is in this position: templating told them exactly which bit of
-// which byte flips, and the victim's table layout is public.
+// attacker knows which S-box output value vanished (y*): the one-fault
+// case of MultiFaultCandidates, which leaves one candidate per cell.  The
+// ExplFrame attacker is in this position: templating told them exactly
+// which bit of which byte flips, and the victim's table layout is public.
 func (c *Collector) RecoverLastRoundKeyKnownFault(yStar byte) ([]byte, error) {
-	miss, err := c.missingCells()
+	cands, err := c.MultiFaultCandidates([]byte{yStar})
 	if err != nil {
 		return nil, err
 	}
 	cells := make([]byte, c.cells)
-	for i, m := range miss {
-		cells[i] = m ^ (yStar & c.mask)
+	for i, list := range cands {
+		cells[i] = list[0]
 	}
 	return c.c.AssembleLastRoundKey(cells), nil
 }
 
-// RecoverMasterKnownFault completes the known-fault attack: last-round key
-// via missing values, then the cipher's schedule completion.  The clean
-// known pair resolves schedules the last round key does not determine and
-// verifies the rest; ciphers whose schedule inverts uniquely accept a nil
-// pair.
+// RecoverMasterKnownFault completes the known-fault attack: the one-fault
+// case of RecoverMasterMultiFaultWithPair.  The clean known pair resolves
+// schedules the last round key does not determine and verifies the rest;
+// ciphers whose schedule inverts uniquely accept a nil pair.
 func (c *Collector) RecoverMasterKnownFault(yStar byte, plaintext, ciphertext []byte) ([]byte, error) {
-	last, err := c.RecoverLastRoundKeyKnownFault(yStar)
-	if err != nil {
-		return nil, err
-	}
-	m, ok := c.c.RecoverMaster(last, plaintext, ciphertext)
-	if !ok {
-		return nil, fmt.Errorf("%w: schedule completion found no key matching the known pair", ErrInconsistent)
-	}
-	return m, nil
+	return c.RecoverMasterMultiFaultWithPair([]byte{yStar}, nil, plaintext, ciphertext)
 }
 
 // RecoverMasterUnknownFault tries every possible vanished value, resolving
-// each hypothesis against the clean known pair.
+// each hypothesis against the clean known pair: the candidates under
+// y* = 0 are the cells' missing values, and every other hypothesis XORs
+// them with y*.
 func (c *Collector) RecoverMasterUnknownFault(plaintext, ciphertext []byte) ([]byte, error) {
-	miss, err := c.missingCells()
+	miss, err := c.MultiFaultCandidates([]byte{0})
 	if err != nil {
 		return nil, err // underdetermined: more data, not more guesses
 	}
 	cells := make([]byte, c.cells)
 	for y := 0; y < c.vals; y++ {
 		for i, m := range miss {
-			cells[i] = m ^ byte(y)
+			cells[i] = m[0] ^ byte(y)
 		}
 		if master, ok := c.c.RecoverMaster(c.c.AssembleLastRoundKey(cells), plaintext, ciphertext); ok {
 			return master, nil
@@ -216,7 +229,7 @@ func (c *Collector) RecoverLastRoundKeyML(yPrime byte) (key []byte, minZ float64
 		var z float64
 		if best > 0 {
 			diff := float64(best) - float64(second)
-			sd := sqrt(float64(best) + float64(second))
+			sd := math.Sqrt(float64(best) + float64(second))
 			if sd > 0 {
 				z = diff / sd
 			}
@@ -228,74 +241,64 @@ func (c *Collector) RecoverLastRoundKeyML(yPrime byte) (key []byte, minZ float64
 	return c.c.AssembleLastRoundKey(cells), minZ
 }
 
-// sqrt is a dependency-light Newton square root (avoids importing math for
-// one call site; the iteration converges in <8 steps for count-scale input).
-func sqrt(x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	z := x
-	for i := 0; i < 16; i++ {
-		z = (z + x/z) / 2
-	}
-	return z
-}
-
 // MultiFaultCandidates generalises the elimination attack to a table
 // carrying several corrupted entries: yStars lists every vanished output
-// value.  With m faults each cell misses exactly {y*_j ^ k_i}, which any of
-// the m candidates {miss ^ y*_j} explains equally well — elimination alone
-// therefore leaves m consistent candidates per cell.  The returned
-// per-cell candidate sets feed the frequency-based disambiguation in
-// RecoverLastRoundKeyMultiFault.
+// value (FaultValues' vanished set; one value is the classic single-fault
+// attack).  With m faults each cell misses exactly {y*_j ^ k_i}, which any
+// of the m candidates {miss ^ y*_j} explains equally well — elimination
+// alone therefore leaves up to m consistent candidates per cell.  Cells are
+// checked in order and an under-determined collector gets the bare
+// ErrUnderdetermined before anything is allocated, so readiness polls after
+// every ciphertext cost no garbage.  The returned per-cell candidate sets
+// feed the frequency-based disambiguation in RecoverLastRoundKeyMultiFault.
 func (c *Collector) MultiFaultCandidates(yStars []byte) ([][]byte, error) {
 	if len(yStars) == 0 {
 		return nil, fmt.Errorf("%w: no fault values given", ErrInconsistent)
 	}
-	cands := make([][]byte, c.cells)
+	var scratch [256]byte // a cell has at most 2^EntryBits <= 256 candidates
 	for i := 0; i < c.cells; i++ {
-		miss := c.Missing(i)
-		if len(miss) < len(yStars) {
-			return cands, fmt.Errorf("%w: cell %d misses %d values, expected %d",
-				ErrInconsistent, i, len(miss), len(yStars))
+		if _, err := c.cellCandidates(scratch[:0], i, yStars); err != nil {
+			return nil, err
 		}
-		if len(miss) > len(yStars) {
-			return cands, fmt.Errorf("%w: cell %d has %d missing values for %d faults",
-				ErrUnderdetermined, i, len(miss), len(yStars))
-		}
-		missSet := make(map[byte]bool, len(miss))
-		for _, m := range miss {
-			missSet[m] = true
-		}
-		seen := make(map[byte]bool)
-		for _, m := range miss {
-			for _, y := range yStars {
-				k := m ^ (y & c.mask)
-				if seen[k] {
-					continue
-				}
-				consistent := true
-				for _, yy := range yStars {
-					if !missSet[(yy&c.mask)^k] {
-						consistent = false
-						break
-					}
-				}
-				if consistent {
-					seen[k] = true
-					cands[i] = append(cands[i], k)
-				}
-			}
-		}
-		if len(cands[i]) == 0 {
-			return cands, fmt.Errorf("%w: cell %d matches no key", ErrInconsistent, i)
-		}
+	}
+	cands := make([][]byte, c.cells)
+	for i := range cands {
+		cands[i], _ = c.cellCandidates(nil, i, yStars) // the first pass vetted every cell
 	}
 	return cands, nil
 }
 
-// multiFaultScore sums the frequency counts the corrupted entries' new
-// values y'_j would produce at cell i under key cell k.
+// cellCandidates appends to dst, in discovery order, every key value k of
+// cell i under which each vanished value y* leaves y* ^ k unobserved.
+func (c *Collector) cellCandidates(dst []byte, i int, yStars []byte) ([]byte, error) {
+	count := c.count[i]
+	switch miss := c.missingCount(i); {
+	case miss < len(yStars):
+		return dst, fmt.Errorf("%w: cell %d misses %d values, expected %d", ErrInconsistent, i, miss, len(yStars))
+	case miss > len(yStars):
+		return dst, ErrUnderdetermined
+	}
+	start := len(dst)
+	for m, n := range count {
+		if n != 0 {
+			continue
+		}
+		for _, y := range yStars {
+			k := byte(m) ^ (y & c.mask)
+			seen := func(yy byte) bool { return count[(yy&c.mask)^k] != 0 }
+			if !slices.Contains(dst[start:], k) && !slices.ContainsFunc(yStars, seen) {
+				dst = append(dst, k)
+			}
+		}
+	}
+	if len(dst) == start {
+		return dst, fmt.Errorf("%w: cell %d matches no key", ErrInconsistent, i)
+	}
+	return dst, nil
+}
+
+// multiFaultScore sums the frequency counts the doubled values y'_j would
+// produce at cell i under key cell k.
 func (c *Collector) multiFaultScore(i int, k byte, yPrimes []byte) uint64 {
 	var s uint64
 	for _, y := range yPrimes {
@@ -305,10 +308,10 @@ func (c *Collector) multiFaultScore(i int, k byte, yPrimes []byte) uint64 {
 }
 
 // RecoverLastRoundKeyMultiFault resolves the multi-fault candidate sets
-// with frequency information: the corrupted entries now emit the values
-// y'_j, so {y'_j ^ k_i} carry roughly doubled counts at every cell.
-// yPrimes[j] must be the corrupted value of the entry whose original output
-// was yStars[j] (the ExplFrame attacker knows both from templating).
+// with frequency information: the corrupted table emits the doubled values
+// y'_j (FaultValues' doubled set) more often, so {y'_j ^ k_i} carry raised
+// counts at every cell.  Only the two multisets matter, not which entry
+// produced which value.
 func (c *Collector) RecoverLastRoundKeyMultiFault(yStars, yPrimes []byte) ([]byte, error) {
 	if len(yStars) != len(yPrimes) {
 		return nil, fmt.Errorf("%w: %d vanished values but %d corrupted values",
@@ -340,13 +343,16 @@ func (c *Collector) RecoverLastRoundKeyMultiFault(yStars, yPrimes []byte) ([]byt
 	return c.c.AssembleLastRoundKey(cells), nil
 }
 
-// RecoverMasterMultiFaultWithPair completes the multi-fault attack against
-// a degenerate case frequency scoring cannot break: when every fault flips
-// the same bit index, the per-cell ciphertext distributions are identical
-// under the m candidate keys and only the key schedule can disambiguate.
-// The function enumerates the per-cell candidates (frequency-ordered, so
-// the common non-degenerate case exits on the first combination) and checks
-// each schedule completion against one clean known pair.
+// RecoverMasterMultiFaultWithPair completes the attack for any number of
+// vanished values, and settles a degenerate case frequency scoring cannot
+// break: when every fault flips the same bit index, the per-cell
+// ciphertext distributions are identical under the m candidate keys and
+// only the key schedule can disambiguate.  The function enumerates the
+// per-cell candidates (ordered by the doubled values yPrimes' frequency
+// score, so the common non-degenerate case exits on the first combination)
+// and checks each schedule completion against one clean known pair.  One
+// vanished value leaves one candidate per cell and nothing to rank, which
+// is why RecoverMasterKnownFault passes nil yPrimes.
 //
 // Enumeration is budgeted at ~2^20 schedule inversions via the cipher's
 // RecoverCost: AES-128's cheap unique inversion affords the full 2^20
@@ -354,34 +360,19 @@ func (c *Collector) RecoverLastRoundKeyMultiFault(yStars, yPrimes []byte) ([]byt
 // to verifying only the frequency-best key (their degenerate same-bit case
 // stays underdetermined, which the caller reports).
 func (c *Collector) RecoverMasterMultiFaultWithPair(yStars, yPrimes, plaintext, ciphertext []byte) ([]byte, error) {
-	if len(yStars) != len(yPrimes) {
-		return nil, fmt.Errorf("%w: %d vanished values but %d corrupted values",
-			ErrInconsistent, len(yStars), len(yPrimes))
-	}
 	cands, err := c.MultiFaultCandidates(yStars)
 	if err != nil {
 		return nil, err
 	}
-	// Order each cell's candidates by descending frequency score.
-	budget := 1 << 20 / c.c.RecoverCost()
-	if budget < 1 {
-		budget = 1
-	}
+	budget := max(1<<20/c.c.RecoverCost(), 1)
 	total := 1
-	affordable := true
-	for i := 0; i < c.cells; i++ {
-		list := cands[i]
-		for a := 1; a < len(list); a++ {
-			for b := a; b > 0 && c.multiFaultScore(i, list[b], yPrimes) > c.multiFaultScore(i, list[b-1], yPrimes); b-- {
-				list[b], list[b-1] = list[b-1], list[b]
-			}
-		}
-		if total *= len(list); total > budget {
-			affordable = false
-			total = budget + 1 // clamp so the product cannot overflow
-		}
+	for i, list := range cands {
+		slices.SortStableFunc(list, func(a, b byte) int {
+			return cmp.Compare(c.multiFaultScore(i, b, yPrimes), c.multiFaultScore(i, a, yPrimes))
+		})
+		total = min(total*len(list), budget+1) // clamp so the product cannot overflow
 	}
-	if !affordable {
+	if total > budget {
 		last, err := c.RecoverLastRoundKeyMultiFault(yStars, yPrimes)
 		if err != nil {
 			return nil, err

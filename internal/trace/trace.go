@@ -131,19 +131,6 @@ func (v *Victim) EncryptBatch(pts [][]byte) ([][]byte, error) {
 	return cts, nil
 }
 
-// TableCorrupted reports whether the in-memory table deviates from the
-// canonical one, and at which byte index.
-func (v *Victim) TableCorrupted() (bool, int, error) {
-	idx, _, err := v.TableCorruptions()
-	if err != nil {
-		return false, 0, err
-	}
-	if len(idx) == 0 {
-		return false, -1, nil
-	}
-	return true, idx[0], nil
-}
-
 // TableCorruptions returns every corrupted table index together with the
 // byte values currently stored there.  The ExplFrame attacker derives the
 // same information from templating (it knows every flippable bit of the

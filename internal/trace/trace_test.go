@@ -98,7 +98,7 @@ func TestLilliputVictimEncryptsCorrectly(t *testing.T) {
 }
 
 // Corrupting the victim's in-memory table must change ciphertexts and be
-// reported by TableCorrupted.
+// reported by TableCorruptions.
 func TestVictimTableCorruption(t *testing.T) {
 	m := testMachine(t)
 	key := []byte("victim-aes-key-1")
@@ -106,9 +106,9 @@ func TestVictimTableCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ok, idx, err := v.TableCorrupted()
-	if err != nil || ok || idx != -1 {
-		t.Fatalf("fresh table reported corrupted: %v %d %v", ok, idx, err)
+	idx, vals, err := v.TableCorruptions()
+	if err != nil || len(idx) != 0 {
+		t.Fatalf("fresh table reported corrupted: %v %x %v", idx, vals, err)
 	}
 
 	pt := []byte("plaintext block!")
@@ -123,9 +123,9 @@ func TestVictimTableCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ok, idx, err = v.TableCorrupted()
-	if err != nil || !ok || idx != 0x42 {
-		t.Fatalf("corruption not detected: %v %d %v", ok, idx, err)
+	idx, vals, err = v.TableCorruptions()
+	if err != nil || len(idx) != 1 || idx[0] != 0x42 || vals[0] != cur^0x08 {
+		t.Fatalf("corruption not detected: %v %x %v", idx, vals, err)
 	}
 	after, _ := v.Encrypt(pt)
 	if bytes.Equal(before, after) {

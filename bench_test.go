@@ -432,7 +432,7 @@ func BenchmarkAESEncryptBlock(b *testing.B) {
 }
 
 func BenchmarkPresentEncryptBlock(b *testing.B) {
-	rk, _ := present.Expand(make([]byte, 10))
+	rk, _ := present.Engine.Expand(make([]byte, 10))
 	sb := present.SBox()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -617,8 +617,8 @@ func BenchmarkEncryptBatchPerCipher(b *testing.B) {
 // the multi-fault search and the LILLIPUT DFA end-game pay most often.
 func BenchmarkRecoverMaster(b *testing.B) {
 	key := []byte{0x01, 0x23, 0x45, 0x67, 0x89, 0xab, 0xcd, 0xef, 0x01, 0x23}
-	pks, _ := present.Expand(key)
-	lks, _ := lilliput.Expand(key)
+	pks, _ := present.Engine.Expand(key)
+	lks, _ := lilliput.Engine.Expand(key)
 	for _, tc := range []struct {
 		name  string
 		klast uint64

@@ -188,22 +188,7 @@ func invMixColumn(c []byte) {
 // table.  dst and src may overlap.  It panics if dst or src are short, like
 // crypto/cipher.Block implementations.
 func EncryptBlock(ks *Schedule, sb *[256]byte, dst, src []byte) {
-	if len(src) < BlockSize || len(dst) < BlockSize {
-		panic("aes: short block")
-	}
-	var st [16]byte
-	copy(st[:], src[:16])
-	addRoundKey(&st, &ks.rk[0])
-	for r := 1; r < ks.rounds; r++ {
-		subShift(&st, sb)
-		for c := 0; c < 4; c++ {
-			mixColumn(st[4*c : 4*c+4])
-		}
-		addRoundKey(&st, &ks.rk[r])
-	}
-	subShift(&st, sb)
-	addRoundKey(&st, &ks.rk[ks.rounds])
-	copy(dst[:16], st[:])
+	encryptBlock(ks, sb, dst, src, 0, nil)
 }
 
 // subShift applies SubBytes then ShiftRows in one pass.
@@ -263,30 +248,33 @@ func InvShiftRowsIndex(s int) int { return invShift[s] }
 // round 9 is the Piret–Quisquater setting; contrast with the persistent
 // table fault the ExplFrame attack produces.
 func EncryptBlockWithFault(ks *Schedule, sb *[256]byte, dst, src []byte, round int, mask *[16]byte) {
-	if len(src) < BlockSize || len(dst) < BlockSize {
-		panic("aes: short block")
-	}
 	if round < 1 || round > ks.rounds {
 		panic("aes: fault round out of range")
+	}
+	encryptBlock(ks, sb, dst, src, round, mask)
+}
+
+// encryptBlock is the scalar round loop; faultRound 0 means no transient
+// fault.
+func encryptBlock(ks *Schedule, sb *[256]byte, dst, src []byte, faultRound int, mask *[16]byte) {
+	if len(src) < BlockSize || len(dst) < BlockSize {
+		panic("aes: short block")
 	}
 	var st [16]byte
 	copy(st[:], src[:16])
 	addRoundKey(&st, &ks.rk[0])
-	for r := 1; r < ks.rounds; r++ {
-		if r == round {
+	for r := 1; r <= ks.rounds; r++ {
+		if r == faultRound {
 			addRoundKey(&st, mask)
 		}
 		subShift(&st, sb)
-		for c := 0; c < 4; c++ {
-			mixColumn(st[4*c : 4*c+4])
+		if r < ks.rounds {
+			for c := 0; c < 4; c++ {
+				mixColumn(st[4*c : 4*c+4])
+			}
 		}
 		addRoundKey(&st, &ks.rk[r])
 	}
-	if round == ks.rounds {
-		addRoundKey(&st, mask)
-	}
-	subShift(&st, sb)
-	addRoundKey(&st, &ks.rk[ks.rounds])
 	copy(dst[:16], st[:])
 }
 

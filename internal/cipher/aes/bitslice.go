@@ -8,23 +8,8 @@ import "explframe/internal/cipher/bitslice"
 // 113-gate S-box circuit once per byte position, ShiftRows is a free
 // relabelling of plane groups, and MixColumns uses the t = a0^a1^a2^a3
 // xtime identity.  Faulted tables are preserved exactly by patching the
-// canonical circuit: for each table entry that deviates, an equality mask
-// over the input planes selects the lanes reading that entry and XORs the
-// deviation into their output planes.
-
-// aesPatch is one faulted S-box entry for the bitsliced core.
-type aesPatch struct{ in, delta byte }
-
-// diffTable lists where sb deviates from the canonical S-box.
-func diffTable(sb *[256]byte) []aesPatch {
-	var ps []aesPatch
-	for e := 0; e < 256; e++ {
-		if d := sb[e] ^ sbox[e]; d != 0 {
-			ps = append(ps, aesPatch{in: byte(e), delta: d})
-		}
-	}
-	return ps
-}
+// canonical circuit with bitslice.ApplyPatches, the patch idiom the
+// 64-bit SPNs share.
 
 // EncryptBlocksBitsliced encrypts up to bitslice.Lanes 16-byte blocks in
 // parallel with the given schedule and (possibly corrupted) S-box table,
@@ -64,21 +49,18 @@ func encryptBitsliced(ks *Schedule, sb *[256]byte, dst, src [][]byte, faultRound
 		loadPlanes(&fp, masks, n)
 	}
 
-	patches := diffTable(sb)
+	patches := bitslice.DiffTable(sb[:], sbox[:], 0xFF)
 	addRoundKeyPlanes(&st, &ks.rk[0])
-	for r := 1; r < ks.rounds; r++ {
+	for r := 1; r <= ks.rounds; r++ {
 		if r == faultRound {
 			xorPlanes(&st, &fp)
 		}
 		subShiftPlanes(&st, patches)
-		mixColumnsPlanes(&st)
+		if r < ks.rounds {
+			mixColumnsPlanes(&st)
+		}
 		addRoundKeyPlanes(&st, &ks.rk[r])
 	}
-	if faultRound == ks.rounds {
-		xorPlanes(&st, &fp)
-	}
-	subShiftPlanes(&st, patches)
-	addRoundKeyPlanes(&st, &ks.rk[ks.rounds])
 
 	storePlanes(&st, dst, n)
 }
@@ -147,32 +129,14 @@ func xorPlanes(st, fp *[128]uint64) {
 // scalar subShift does: output byte i's planes come from the circuit run
 // on input byte shift[i]'s planes.  Patches replay the table's faulted
 // entries on top of the canonical circuit.
-func subShiftPlanes(st *[128]uint64, patches []aesPatch) {
+func subShiftPlanes(st *[128]uint64, patches []bitslice.Patch) {
 	var out [128]uint64
 	for i := 0; i < 16; i++ {
 		q := (*[8]uint64)(st[8*shift[i] : 8*shift[i]+8])
 		o := (*[8]uint64)(out[8*i : 8*i+8])
-		if len(patches) == 0 {
-			*o = *q
-			sboxCircuit(o)
-			continue
-		}
-		in := *q
-		*o = in
+		*o = *q
 		sboxCircuit(o)
-		for _, p := range patches {
-			eq := ^uint64(0)
-			for j := 0; j < 8; j++ {
-				// XNOR with the broadcast of bit j of the faulted index:
-				// keeps only lanes whose input byte equals p.in.
-				eq &= in[j] ^ ^(-(uint64(p.in) >> uint(j) & 1))
-			}
-			for j := 0; j < 8; j++ {
-				if p.delta>>uint(j)&1 != 0 {
-					o[j] ^= eq
-				}
-			}
-		}
+		bitslice.ApplyPatches(q[:], o[:], patches)
 	}
 	*st = out
 }

@@ -5,9 +5,9 @@
 // (PRESENT-80 and the LILLIPUT-style SPN).  SPN64 runs their rounds on the
 // scalar path, 64 blocks at a time bitsliced, and 64 keys at a time
 // key-sliced; the cipher packages contribute only their S-box,
-// permutation and key schedule.  The AES core reuses the transpose and the
-// faulted-entry patch idiom but carries its own 128-plane circuit in
-// internal/cipher/aes.
+// permutation and Schedule80 declaration.  The AES core reuses the
+// transpose and the faulted-entry patch (DiffTable, ApplyPatches) but
+// carries its own 128-plane circuit in internal/cipher/aes.
 //
 // Representation: plane p is a uint64 holding bit p of up to 64 independent
 // blocks, with lane b (block b) at bit b of every plane.  Encrypting a
@@ -18,12 +18,11 @@
 // circuit: for each table entry e whose stored value differs from the
 // canonical S[e], an equality mask over the *input* planes selects exactly
 // the lanes whose nibble/byte equals e, and (table[e] ^ S[e]) & mask is
-// XORed into the output planes.  A fault-free table produces no patches
-// and costs nothing.
+// XORed into the output planes.  A fault-free table produces no patches.
 //
 // Key-sliced, the lanes carry 64 keys instead of 64 blocks: KeyReg80 holds
-// 64 guesses of an 80-bit key register as planes, InvStep80 walks their
-// schedules back together, and SPN64.MatchKeys encrypts one known
+// 64 guesses of an 80-bit key register as planes, the engine walks their
+// Schedule80 back together, and SPN64.MatchKeys encrypts one known
 // plaintext under all of them at once.  SPN64.RecoverMaster80 strings these
 // into the search that completes a recovered last round key to the master
 // key of either 80-bit cipher.
@@ -31,6 +30,7 @@ package bitslice
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math/bits"
 )
 
@@ -128,38 +128,58 @@ func (s *Sbox4) Apply(q *[4]uint64) {
 	*q = out
 }
 
-// Patch4 is one faulted 4-bit table entry: lanes whose S-box input equals
-// In get Delta XORed into their substituted output.
-type Patch4 struct {
-	// In is the faulted table index (0..15).
+// Patch is one faulted table entry: lanes whose S-box input equals In
+// get Delta XORed into their substituted output.
+type Patch struct {
+	// In is the faulted table index.
 	In byte
-	// Delta is (table[In] ^ canonical[In]) masked to the 4-bit datapath.
+	// Delta is (table[In] ^ canonical[In]) masked to the datapath.
 	Delta byte
 }
 
-// DiffTable4 lists the entries where table deviates from the canonical
-// S-box on the 4-bit datapath.  Corruption confined to stored bits above
-// the low nibble yields no patch, exactly as it is invisible to the scalar
-// path's &0xF.
-func DiffTable4(table []byte, canon *[16]byte) []Patch4 {
-	var ps []Patch4
-	for e := 0; e < 16; e++ {
-		if d := (table[e] ^ canon[e]) & 0xF; d != 0 {
-			ps = append(ps, Patch4{In: byte(e), Delta: d})
+// DiffTable lists the entries where table deviates from the canonical
+// S-box canon on the datapath mask.  Corruption confined to stored bits
+// outside mask yields no patch, exactly as it is invisible to a scalar
+// path that masks its lookups the same way.
+func DiffTable(table, canon []byte, mask byte) []Patch {
+	var ps []Patch
+	for e := range canon {
+		if d := (table[e] ^ canon[e]) & mask; d != 0 {
+			ps = append(ps, Patch{In: byte(e), Delta: d})
 		}
 	}
 	return ps
 }
 
+// ApplyPatches replays the faulted entries ps on one S-box position: in
+// holds its input planes (bit i of the input in in[i]) and out the
+// canonical circuit's output planes, which it corrects in place.
+func ApplyPatches(in, out []uint64, ps []Patch) {
+	for _, p := range ps {
+		eq := ^uint64(0)
+		for i, q := range in {
+			// XNOR with the broadcast of bit i of the faulted index:
+			// keeps only lanes whose input equals p.In.
+			eq &= q ^ ^(-(uint64(p.In) >> uint(i) & 1))
+		}
+		for o := range out {
+			if p.Delta>>uint(o)&1 != 0 {
+				out[o] ^= eq
+			}
+		}
+	}
+}
+
 // SPN64 is the one implementation of the 64-bit SPNs of the
 // PRESENT/LILLIPUT shape: Rounds iterations of AddRoundKey, a 16-nibble
 // S-box layer and a bit permutation, closed by a whitening key.  It holds
-// the scalar rounds, the 64-lane bitsliced rounds and the key-sliced
-// master-key search; a cipher package supplies only its S-box, its
-// permutation and its key schedule.  The engine is built once per cipher
-// (the circuit and permutation are key-independent); every call takes the
-// round keys, rk[r-1] being round r's key and rk[Rounds] the whitening
-// key, and the possibly corrupted table.
+// the scalar rounds, the 64-lane bitsliced rounds, the key schedule and
+// the key-sliced master-key search; a cipher package supplies only its
+// S-box, its permutation and its Schedule80 declaration.  The engine is
+// built once per cipher (the circuits and permutation are
+// key-independent); every call takes the round keys, rk[r-1] being round
+// r's key and rk[Rounds] the whitening key, and the possibly corrupted
+// table.
 //
 // Blocks are uint64s with bit 0 least significant; their byte form is
 // big-endian.
@@ -174,8 +194,10 @@ type SPN64 struct {
 	// Circuit is the bitsliced canonical S-box.
 	Circuit Sbox4
 
-	invPerm  [64]byte // input bit invPerm[i] takes output bit i
-	invCanon [16]byte // the canonical inverse S-box
+	sched      Schedule80 // the 80-bit key schedule
+	invPerm    [64]byte   // input bit invPerm[i] takes output bit i
+	invCanon   [16]byte   // the canonical inverse S-box
+	invCircuit Sbox4      // the bitsliced inverse S-box
 }
 
 // maxRounds bounds Rounds so the key-sliced search keeps its round-key
@@ -183,17 +205,20 @@ type SPN64 struct {
 const maxRounds = 31
 
 // NewSPN64 builds the engine for a cipher with the given round count,
-// canonical S-box and bit permutation (bit i moves to perm(i)).
-func NewSPN64(rounds int, sbox [16]byte, perm func(int) int) *SPN64 {
+// canonical S-box, bit permutation (bit i moves to perm(i)) and key
+// schedule.
+func NewSPN64(rounds int, sbox [16]byte, perm func(int) int, sched Schedule80) *SPN64 {
 	if rounds < 1 || rounds > maxRounds {
 		panic("bitslice: SPN64 round count out of range")
 	}
-	e := &SPN64{Rounds: rounds}
+	sched.check()
+	e := &SPN64{Rounds: rounds, sched: sched}
 	for i := range sbox {
 		e.Canon[i] = sbox[i] & 0xF
 		e.invCanon[e.Canon[i]] = byte(i)
 	}
 	e.Circuit = NewSbox4(&e.Canon)
+	e.invCircuit = NewSbox4(&e.invCanon)
 	for i := 0; i < 64; i++ {
 		e.Perm[i] = byte(perm(i))
 		e.invPerm[e.Perm[i]] = byte(i)
@@ -312,7 +337,7 @@ func (e *SPN64) encrypt(rk []uint64, table []byte, dst, src [][]byte, faultRound
 		Transpose64(&fd)
 	}
 
-	patches := DiffTable4(table, &e.Canon)
+	patches := DiffTable(table, e.Canon[:], 0xF)
 	for r := 1; r <= e.Rounds; r++ {
 		if r == faultRound {
 			for p := 0; p < 64; p++ {
@@ -365,19 +390,15 @@ func (e *SPN64) MatchKeys(rk [][64]uint64, plaintext, ciphertext uint64) uint64 
 }
 
 // RecoverMaster80 completes a recovered last round key to the 80-bit
-// master key of a cipher whose key register (bit 0 least significant)
-// holds each round key in its bits 16..79, given one known
-// plaintext/ciphertext pair to resolve the 16 register bits the last
-// round key does not expose.  It searches those bits key-sliced, in
-// ascending order on the calling goroutine: each of the 1024 passes loads
-// 64 consecutive guesses into the lanes of a KeyReg80, walks the schedule
-// back with step, and encrypts the plaintext under all 64 resulting
-// schedules at once.  A lane that reproduces the ciphertext goes to
-// complete, which rebuilds and re-checks that guess on the cipher's
-// scalar path, so the result is the lowest verified guess.  The search
-// itself allocates nothing.
-func (e *SPN64) RecoverMaster80(last, plaintext, ciphertext uint64, step *InvStep80,
-	complete func(last, guess, plaintext, ciphertext uint64) ([]byte, bool)) ([]byte, bool) {
+// master key, given one known plaintext/ciphertext pair to resolve the 16
+// register bits the last round key does not expose.  It searches those
+// bits key-sliced, in ascending order on the calling goroutine: each of
+// the 1024 passes loads 64 consecutive guesses into the lanes of a
+// KeyReg80, walks the schedule back, and encrypts the plaintext under all
+// 64 resulting schedules at once.  A lane that reproduces the ciphertext
+// is rebuilt and re-checked on the scalar path, so the result is the
+// lowest verified guess.  The search itself allocates nothing.
+func (e *SPN64) RecoverMaster80(last, plaintext, ciphertext uint64) ([]byte, bool) {
 	var planes [maxRounds + 1][64]uint64
 	rk := planes[:e.Rounds+1]
 	var reg KeyReg80
@@ -386,12 +407,12 @@ func (e *SPN64) RecoverMaster80(last, plaintext, ciphertext uint64, step *InvSte
 		reg.Top64(&rk[e.Rounds])
 		// The register before schedule update r holds round key r.
 		for r := e.Rounds; r >= 1; r-- {
-			step.Apply(&reg, r)
+			e.sched.invUpdatePlanes(&reg, &e.invCircuit, r)
 			reg.Top64(&rk[r-1])
 		}
 		for m := e.MatchKeys(rk, plaintext, ciphertext); m != 0; m &= m - 1 {
 			guess := uint64(base + bits.TrailingZeros64(m))
-			if key, ok := complete(last, guess, plaintext, ciphertext); ok {
+			if key, ok := e.complete(last, guess, plaintext, ciphertext); ok {
 				return key, true
 			}
 		}
@@ -399,8 +420,29 @@ func (e *SPN64) RecoverMaster80(last, plaintext, ciphertext uint64, step *InvSte
 	return nil, false
 }
 
+// complete inverts the schedule from the last round key and one guess of
+// the 16 hidden register bits on the scalar path, and returns the master
+// key if its expansion enciphers plaintext to ciphertext.  The round keys
+// stay on the stack, so a miss allocates nothing.
+func (e *SPN64) complete(last, guess, plaintext, ciphertext uint64) ([]byte, bool) {
+	k := key80{lo: last<<16 | guess, hi: last >> 48}
+	for r := e.Rounds; r >= 1; r-- {
+		k = e.sched.invUpdate(k, &e.invCanon, r)
+	}
+	var buf [maxRounds + 1]uint64
+	rk := buf[:e.Rounds+1]
+	e.expand(rk, k)
+	if e.Encrypt(rk, &e.Canon, plaintext) != ciphertext {
+		return nil, false
+	}
+	key := make([]byte, keyBytes80)
+	binary.BigEndian.PutUint16(key, uint16(k.hi))
+	binary.BigEndian.PutUint64(key[2:], k.lo)
+	return key, true
+}
+
 // substitutePermute runs one round's S-box layer and bit permutation.
-func (e *SPN64) substitutePermute(st *[64]uint64, patches []Patch4) {
+func (e *SPN64) substitutePermute(st *[64]uint64, patches []Patch) {
 	e.sboxLayer(st, patches)
 	var out [64]uint64
 	for p := 0; p < 64; p++ {
@@ -410,54 +452,137 @@ func (e *SPN64) substitutePermute(st *[64]uint64, patches []Patch4) {
 }
 
 // sboxLayer substitutes all 16 nibble groups through the patched circuit.
-func (e *SPN64) sboxLayer(st *[64]uint64, patches []Patch4) {
+func (e *SPN64) sboxLayer(st *[64]uint64, patches []Patch) {
 	for nib := 0; nib < 16; nib++ {
 		q := (*[4]uint64)(st[4*nib : 4*nib+4])
-		if len(patches) == 0 {
-			e.Circuit.Apply(q)
-			continue
-		}
 		in := *q
 		e.Circuit.Apply(q)
-		for _, p := range patches {
-			eq := ^uint64(0)
-			for i := 0; i < 4; i++ {
-				// XNOR with the broadcast of bit i of the faulted index:
-				// keeps only lanes whose input nibble equals p.In.
-				eq &= in[i] ^ ^(-(uint64(p.In) >> uint(i) & 1))
-			}
-			for o := 0; o < 4; o++ {
-				if p.Delta>>uint(o)&1 != 0 {
-					q[o] ^= eq
-				}
-			}
+		ApplyPatches(in[:], q[:], patches)
+	}
+}
+
+// keyBytes80 is the length of an 80-bit master key in bytes.
+const keyBytes80 = 10
+
+// Schedule80 declares an 80-bit key schedule of the shape both 80-bit
+// ciphers share.  The register holds bits 0..79 (bit 0 least
+// significant); round key r is its bits 16..79 before update r, and
+// update r rotates the register left by Rotate, passes the nibbles at
+// register bits Nibbles (in order) through the cipher's S-box, and XORs r
+// in at bit Counter.  SPN64 derives every form of the schedule from this
+// one value: the scalar forward schedule (Expand), its scalar inverse
+// with guess completion, and its key-sliced inverse on a KeyReg80.
+type Schedule80 struct {
+	// Rotate is the left rotation, 0 <= Rotate < 80.
+	Rotate int
+	// Nibbles lists the low register bit of every S-boxed nibble, each
+	// in 0..76.
+	Nibbles []int
+	// Counter is the register bit receiving bit 0 of the round counter,
+	// in 0..75 so the five counter bits of up to 31 rounds fit.
+	Counter int
+}
+
+// check panics on a declaration outside the register.
+func (s *Schedule80) check() {
+	if s.Rotate < 0 || s.Rotate >= 80 || s.Counter < 0 || s.Counter > 75 {
+		panic("bitslice: Schedule80 rotation or counter position out of range")
+	}
+	for _, j := range s.Nibbles {
+		if j < 0 || j > 76 {
+			panic("bitslice: Schedule80 nibble position out of range")
 		}
 	}
 }
 
-// InvStep80 is one inverse update of an 80-bit key schedule of the shape
-// both 80-bit ciphers share, on a bit-plane register: XOR the round
-// counter in at register bit Counter, pass the nibbles at register bits
-// Nibbles through InvSbox, then rotate left by Rotate.  It is a value, not
-// a callback, so the key-sliced search can hand it a stack register.
-type InvStep80 struct {
-	// Counter is the register bit receiving bit 0 of the round counter.
-	Counter int
-	// Nibbles lists the low register bit of every S-boxed nibble.
-	Nibbles []int
-	// InvSbox is the cipher's inverse S-box circuit.
-	InvSbox Sbox4
-	// Rotate is the left rotation undoing the forward update's.
-	Rotate int
+// Expand derives the Rounds+1 round keys from a 10-byte big-endian master
+// key (key[0] holds register bits 79..72): rk[r-1] is round key r and
+// rk[Rounds] the whitening key.
+func (e *SPN64) Expand(key []byte) ([]uint64, error) {
+	if len(key) != keyBytes80 {
+		return nil, fmt.Errorf("bitslice: key must be %d bytes (80 bits), got %d bytes", keyBytes80, len(key))
+	}
+	rk := make([]uint64, e.Rounds+1)
+	e.expand(rk, key80{lo: binary.BigEndian.Uint64(key[2:]), hi: uint64(binary.BigEndian.Uint16(key))})
+	return rk, nil
 }
 
-// Apply inverts schedule update r on every lane of k.
-func (s *InvStep80) Apply(k *KeyReg80, r int) {
-	k.XorConst(s.Counter, uint64(r))
-	for _, j := range s.Nibbles {
-		k.Sbox(&s.InvSbox, j)
+// expand fills rk[:Rounds+1] from the register k.
+func (e *SPN64) expand(rk []uint64, k key80) {
+	for r := 1; r <= e.Rounds; r++ {
+		rk[r-1] = k.bits(16)
+		k = e.sched.update(k, &e.Canon, r)
 	}
-	k.RotateLeft(s.Rotate)
+	rk[e.Rounds] = k.bits(16)
+}
+
+// update runs schedule update r on a scalar register with S-box sb.
+func (s *Schedule80) update(k key80, sb *[16]byte, r int) key80 {
+	k = k.rotl(s.Rotate)
+	for _, j := range s.Nibbles {
+		k.substitute(j, sb)
+	}
+	k.xor(s.Counter, uint64(r))
+	return k
+}
+
+// invUpdate inverts update r on a scalar register, isb being the inverse
+// S-box.
+func (s *Schedule80) invUpdate(k key80, isb *[16]byte, r int) key80 {
+	k.xor(s.Counter, uint64(r))
+	for i := len(s.Nibbles) - 1; i >= 0; i-- {
+		k.substitute(s.Nibbles[i], isb)
+	}
+	return k.rotl((80 - s.Rotate) % 80)
+}
+
+// invUpdatePlanes inverts update r on every lane of a bit-plane register,
+// inv being the inverse S-box circuit.
+func (s *Schedule80) invUpdatePlanes(k *KeyReg80, inv *Sbox4, r int) {
+	k.XorConst(s.Counter, uint64(r))
+	for i := len(s.Nibbles) - 1; i >= 0; i-- {
+		k.Sbox(inv, s.Nibbles[i])
+	}
+	k.RotateLeft((80 - s.Rotate) % 80)
+}
+
+// key80 is an 80-bit key register in scalar form: lo holds bits 0..63,
+// hi bits 64..79.  Go panics on negative shift counts, so every access
+// branches on whether it starts at bit 64 or above.
+type key80 struct{ lo, hi uint64 }
+
+// bits returns the register shifted right by j: bits j..j+63, zero-filled
+// above bit 79.
+func (k key80) bits(j int) uint64 {
+	if j >= 64 {
+		return k.hi >> uint(j-64)
+	}
+	return k.lo>>uint(j) | k.hi<<uint(64-j)
+}
+
+// xor XORs v into the register at bits j and up; bits past 79 drop out.
+func (k *key80) xor(j int, v uint64) {
+	if j >= 64 {
+		k.hi ^= v << uint(j-64) & 0xFFFF
+		return
+	}
+	k.lo ^= v << uint(j)
+	k.hi ^= v >> uint(64-j) & 0xFFFF
+}
+
+// substitute passes the nibble at bits j..j+3 through sb.
+func (k *key80) substitute(j int, sb *[16]byte) {
+	x := k.bits(j) & 0xF
+	k.xor(j, x^uint64(sb[x]&0xF))
+}
+
+// rotl rotates the register left by n bits (0 <= n < 80): the high n
+// bits shifted down to the bottom, the rest shifted up.
+func (k key80) rotl(n int) key80 {
+	out := key80{lo: k.bits(80 - n), hi: k.bits(144 - n)}
+	out.xor(n, k.lo)
+	out.xor(n+64, k.hi)
+	return out
 }
 
 // KeyReg80 is an 80-bit key register in bit-plane form, for key-sliced

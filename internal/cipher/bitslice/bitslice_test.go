@@ -76,24 +76,41 @@ func TestSbox4MatchesTableLookup(t *testing.T) {
 	}
 }
 
-func TestDiffTable4(t *testing.T) {
-	canon := [16]byte{0xC, 0x5, 0x6, 0xB, 0x9, 0x0, 0xA, 0xD, 0x3, 0xE, 0xF, 0x8, 0x4, 0x7, 0x1, 0x2}
-	table := make([]byte, 16)
-	copy(table, canon[:])
-	if ps := DiffTable4(table, &canon); len(ps) != 0 {
+func TestDiffTable(t *testing.T) {
+	// The 4-bit datapath of the 64-bit SPNs.
+	canon := []byte{0xC, 0x5, 0x6, 0xB, 0x9, 0x0, 0xA, 0xD, 0x3, 0xE, 0xF, 0x8, 0x4, 0x7, 0x1, 0x2}
+	table := append([]byte(nil), canon...)
+	if ps := DiffTable(table, canon, 0xF); len(ps) != 0 {
 		t.Fatalf("clean table produced %d patches", len(ps))
 	}
 	// A flip above the 4-bit datapath is invisible.
 	table[3] ^= 0x10
-	if ps := DiffTable4(table, &canon); len(ps) != 0 {
+	if ps := DiffTable(table, canon, 0xF); len(ps) != 0 {
 		t.Fatalf("datapath-invisible flip produced %d patches", len(ps))
 	}
 	// Two real faults.
 	table[3] ^= 0x01
 	table[9] ^= 0x0C
-	ps := DiffTable4(table, &canon)
-	if len(ps) != 2 || ps[0] != (Patch4{In: 3, Delta: 0x01}) || ps[1] != (Patch4{In: 9, Delta: 0x0C}) {
-		t.Fatalf("patches = %+v", ps)
+	ps := DiffTable(table, canon, 0xF)
+	if len(ps) != 2 || ps[0] != (Patch{In: 3, Delta: 0x01}) || ps[1] != (Patch{In: 9, Delta: 0x0C}) {
+		t.Fatalf("4-bit patches = %+v", ps)
+	}
+
+	// The full 8-bit datapath of a 256-entry table such as AES's: every
+	// bit is visible, up to the last entry.
+	canon8 := make([]byte, 256)
+	for i := range canon8 {
+		canon8[i] = byte(i*7 + 0x63)
+	}
+	table8 := append([]byte(nil), canon8...)
+	if ps := DiffTable(table8, canon8, 0xFF); len(ps) != 0 {
+		t.Fatalf("clean 8-bit table produced %d patches", len(ps))
+	}
+	table8[0x00] ^= 0x80
+	table8[0xFF] ^= 0x11
+	ps = DiffTable(table8, canon8, 0xFF)
+	if len(ps) != 2 || ps[0] != (Patch{In: 0x00, Delta: 0x80}) || ps[1] != (Patch{In: 0xFF, Delta: 0x11}) {
+		t.Fatalf("8-bit patches = %+v", ps)
 	}
 }
 
@@ -193,7 +210,7 @@ func TestMatchKeysMatchesPerLaneEncryption(t *testing.T) {
 			return 63
 		}
 		return i * 16 % 63
-	})
+	}, Schedule80{Rotate: 61, Nibbles: []int{76}, Counter: 15})
 	rng := stats.NewRNG(0x3a7c4)
 	for trial := 0; trial < 10; trial++ {
 		// Lane b's schedule is keys[b]; three lanes share the target's.
@@ -233,4 +250,65 @@ func TestMatchKeysMatchesPerLaneEncryption(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzSchedule80 checks every form the engine derives from one
+// Schedule80 declaration, for random declarations, registers and S-box
+// permutations: the scalar update followed by its inverse is the identity
+// over 31 rounds, and the scalar inverse matches KeyReg80's inverse lane
+// for lane on all 80 register bits after every round.  Nibble and counter
+// positions range over the whole register, so they straddle bits 63/64,
+// which neither built-in cipher exercises; two nibbles may overlap.
+// Run with: go test -fuzz=FuzzSchedule80 ./internal/cipher/bitslice
+func FuzzSchedule80(f *testing.F) {
+	f.Add(uint8(61), uint8(1), uint8(76), uint8(0), uint8(15), uint64(0x0123456789abcdef), uint16(0x4567), uint64(1)) // PRESENT
+	f.Add(uint8(23), uint8(2), uint8(76), uint8(72), uint8(0), uint64(0xfedcba9876543210), uint16(0x89ab), uint64(2)) // LILLIPUT
+	f.Add(uint8(17), uint8(2), uint8(61), uint8(63), uint8(62), ^uint64(0), uint16(0xFFFF), uint64(3))
+	f.Add(uint8(0), uint8(0), uint8(0), uint8(0), uint8(60), uint64(0), uint16(0), uint64(4))
+	f.Fuzz(func(t *testing.T, rotate, nNibbles, nib0, nib1, counter uint8, lo uint64, hi uint16, seed uint64) {
+		s := Schedule80{Rotate: int(rotate) % 80, Counter: int(counter) % 76}
+		for _, j := range []uint8{nib0, nib1}[:nNibbles%3] {
+			s.Nibbles = append(s.Nibbles, int(j)%77)
+		}
+		s.check()
+		var sb, isb [16]byte
+		for i, v := range stats.NewRNG(seed).Perm(16) {
+			sb[i], isb[v] = byte(v), byte(i)
+		}
+		const rounds = maxRounds
+
+		k := key80{lo: lo, hi: uint64(hi)}
+		w := k
+		for r := 1; r <= rounds; r++ {
+			w = s.update(w, &sb, r)
+		}
+		for r := rounds; r >= 1; r-- {
+			w = s.invUpdate(w, &isb, r)
+		}
+		if w != k {
+			t.Fatalf("%+v: update then inverse maps %#x to %#x", s, k, w)
+		}
+
+		var reg KeyReg80
+		reg.LoadLanes(k.bits(16), uint16(lo))
+		inv := NewSbox4(&isb)
+		var lanes [Lanes]key80
+		for b := range lanes {
+			lanes[b] = key80{lo: lo&^63 | uint64(b), hi: uint64(hi)}
+		}
+		for r := rounds; r >= 1; r-- {
+			s.invUpdatePlanes(&reg, &inv, r)
+			for b := range lanes {
+				lanes[b] = s.invUpdate(lanes[b], &isb, r)
+			}
+			for j := 0; j < 80; j++ {
+				p := *reg.plane(j)
+				for b, l := range lanes {
+					if got, want := p>>uint(b)&1, l.bits(j)&1; got != want {
+						t.Fatalf("%+v round %d lane %d: register bit %d = %d planes, %d scalar", s, r, b, j, got, want)
+					}
+				}
+			}
+		}
+	})
 }

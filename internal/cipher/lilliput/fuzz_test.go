@@ -3,20 +3,18 @@ package lilliput
 import "testing"
 
 // FuzzEncryptDecrypt checks decrypt(encrypt(p)) == p for arbitrary keys and
-// blocks, that the key schedule inversion used by the fault attack matches
-// the forward schedule, and that the batch byte form agrees with the scalar uint64
-// form.  Run with: go test -fuzz=FuzzEncryptDecrypt ./internal/cipher/lilliput
+// blocks, and that the batch byte form agrees with the scalar uint64 form.  Run with: go test -fuzz=FuzzEncryptDecrypt ./internal/cipher/lilliput
 func FuzzEncryptDecrypt(f *testing.F) {
 	f.Add(make([]byte, KeyBytes), uint64(0))
 	f.Add([]byte{0x01, 0x23, 0x45, 0x67, 0x89, 0xAB, 0xCD, 0xEF, 0x01, 0x23}, uint64(0x0011223344556677))
 	f.Fuzz(func(t *testing.T, key []byte, pt uint64) {
 		if len(key) != KeyBytes {
-			if _, err := Expand(key); err == nil {
+			if _, err := Engine.Expand(key); err == nil {
 				t.Fatalf("Expand accepted a %d-byte key", len(key))
 			}
 			return
 		}
-		rk, err := Expand(key)
+		rk, err := Engine.Expand(key)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -31,19 +29,6 @@ func FuzzEncryptDecrypt(f *testing.F) {
 		Engine.EncryptBatch(rk, sb[:], [][]byte{dst}, [][]byte{src})
 		if be.Uint64(dst) != ct {
 			t.Fatalf("byte form diverges from uint64 form: %x vs %016x", dst, ct)
-		}
-		// The schedule must invert step by step: walking the final register
-		// state backwards recovers the master key (the property master-key
-		// recovery brute-forces over the hidden low bits).
-		h, l := loadKey(key)
-		for r := 1; r <= Rounds; r++ {
-			h, l = update(h, l, r)
-		}
-		for r := Rounds; r >= 1; r-- {
-			h, l = invUpdate(h, l, r)
-		}
-		if back := storeKey(h, l); string(back) != string(key) {
-			t.Fatalf("schedule inversion: %x -> %x", key, back)
 		}
 	})
 }

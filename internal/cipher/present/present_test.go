@@ -25,7 +25,7 @@ func TestKnownAnswer80(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rk, err := Expand(key)
+		rk, err := Engine.Expand(key)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -57,7 +57,7 @@ func TestKnownAnswer80(t *testing.T) {
 
 func TestExpandRejectsBadKeys(t *testing.T) {
 	for _, n := range []int{0, 9, 11, 15, 17} {
-		if _, err := Expand(make([]byte, n)); err == nil {
+		if _, err := Engine.Expand(make([]byte, n)); err == nil {
 			t.Fatalf("key size %d accepted", n)
 		}
 	}
@@ -106,7 +106,7 @@ func TestSBoxBijective(t *testing.T) {
 func TestEncryptDecryptRoundTrip(t *testing.T) {
 	sb := SBox()
 	f := func(key [10]byte, pt uint64) bool {
-		rk, err := Expand(key[:])
+		rk, err := Engine.Expand(key[:])
 		if err != nil {
 			return false
 		}
@@ -119,7 +119,7 @@ func TestEncryptDecryptRoundTrip(t *testing.T) {
 
 func TestBlockForms(t *testing.T) {
 	key, _ := hex.DecodeString("00000000000000000000")
-	rk, _ := Expand(key)
+	rk, _ := Engine.Expand(key)
 	sb := SBox()
 	src := make([]byte, 8)
 	dst := make([]byte, 8)
@@ -136,7 +136,7 @@ func TestBlockForms(t *testing.T) {
 }
 
 func TestShortBlockPanics(t *testing.T) {
-	rk, _ := Expand(make([]byte, 10))
+	rk, _ := Engine.Expand(make([]byte, 10))
 	sb := SBox()
 	defer func() {
 		if recover() == nil {
@@ -148,7 +148,7 @@ func TestShortBlockPanics(t *testing.T) {
 
 // A single-bit fault in a used S-box entry must corrupt ciphertexts.
 func TestFaultedSBoxChangesOutput(t *testing.T) {
-	rk, _ := Expand(make([]byte, 10))
+	rk, _ := Engine.Expand(make([]byte, 10))
 	clean := SBox()
 	faulty := SBox()
 	faulty[3] ^= 0x1
@@ -175,12 +175,12 @@ func TestFaultedSBoxChangesOutput(t *testing.T) {
 // Key schedule inversion via the last round key plus a known pair.
 func TestRecoverMasterFromLastRound(t *testing.T) {
 	key, _ := hex.DecodeString("0123456789abcdef0123")
-	rk, _ := Expand(key)
+	rk, _ := Engine.Expand(key)
 	sb := SBox()
 	pt := uint64(0x0011223344556677)
 	ct := Engine.Encrypt(rk, &sb, pt)
 
-	got, ok := RecoverMasterFromLastRound(rk[Rounds], pt, ct)
+	got, ok := Engine.RecoverMaster80(rk[Rounds], pt, ct)
 	if !ok {
 		t.Fatal("recovery failed")
 	}
@@ -193,7 +193,7 @@ func TestRecoverMasterFromLastRound(t *testing.T) {
 // S-box layer output of the final round.
 func TestLastRoundStructure(t *testing.T) {
 	key, _ := hex.DecodeString("0123456789abcdef0123")
-	rk, _ := Expand(key)
+	rk, _ := Engine.Expand(key)
 	sb := SBox()
 	pt := uint64(0xdeadbeefcafef00d)
 

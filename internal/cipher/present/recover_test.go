@@ -8,11 +8,19 @@ import (
 )
 
 // invertScalar inverts the 31 schedule updates from K32 and one value of
-// the 16 hidden register bits, returning the 10-byte master key.
+// the 16 hidden register bits, returning the 10-byte master key.  It is
+// the specification's inverse update written out by hand on the register
+// (hi: bits 79..16, lo: bits 15..0), apart from the one Engine derives
+// from its schedule declaration.
 func invertScalar(k32, hidden uint64) []byte {
 	hi, lo := k32, hidden
 	for r := Rounds; r >= 1; r-- {
-		hi, lo = invUpdate80(hi, lo, r)
+		// Counter out of bits 19..15, inverse S-box on the top nibble,
+		// then rotate right by 61 (left by 19).
+		hi ^= uint64(r) >> 1
+		lo ^= uint64(r) & 1 << 15
+		hi = hi&^(0xF<<60) | uint64(invSbox[hi>>60])<<60
+		hi, lo = lo<<3|hi<<19|hi>>61, hi>>45&0xFFFF
 	}
 	key := make([]byte, KeyBytes)
 	be.PutUint64(key, hi)
@@ -27,7 +35,7 @@ func recoverScalar(k32, plaintext, ciphertext uint64) ([]byte, bool) {
 	sb := SBox()
 	for guess := uint64(0); guess < 1<<16; guess++ {
 		key := invertScalar(k32, guess)
-		rk, _ := Expand(key)
+		rk, _ := Engine.Expand(key)
 		if Engine.Encrypt(rk, &sb, plaintext) == ciphertext {
 			return key, true
 		}
@@ -40,7 +48,7 @@ func recoverScalar(k32, plaintext, ciphertext uint64) ([]byte, bool) {
 // and one known pair under it.
 func recoverCase(k32, hidden, pt uint64) (key []byte, ct uint64) {
 	key = invertScalar(k32, hidden)
-	rk, _ := Expand(key)
+	rk, _ := Engine.Expand(key)
 	sb := SBox()
 	return key, Engine.Encrypt(rk, &sb, pt)
 }
@@ -54,7 +62,7 @@ func TestRecoverMasterMatchesScalar(t *testing.T) {
 	for _, h := range hidden {
 		k32, pt := rng.Uint64(), rng.Uint64()
 		key, ct := recoverCase(k32, h, pt)
-		got, ok := RecoverMasterFromLastRound(k32, pt, ct)
+		got, ok := Engine.RecoverMaster80(k32, pt, ct)
 		want, wantOK := recoverScalar(k32, pt, ct)
 		if !ok || !wantOK || !bytes.Equal(got, want) || !bytes.Equal(got, key) {
 			t.Fatalf("hidden %#04x: key-sliced %x/%v, scalar %x/%v, master %x", h, got, ok, want, wantOK, key)
@@ -64,7 +72,7 @@ func TestRecoverMasterMatchesScalar(t *testing.T) {
 	k32, pt := rng.Uint64(), rng.Uint64()
 	_, ct := recoverCase(k32, uint64(rng.Intn(1<<16)), pt)
 	k32 ^= 1 << uint(rng.Intn(64))
-	if got, ok := RecoverMasterFromLastRound(k32, pt, ct); ok {
+	if got, ok := Engine.RecoverMaster80(k32, pt, ct); ok {
 		t.Fatalf("key-sliced search accepted a wrong K32: %x", got)
 	}
 	if got, ok := recoverScalar(k32, pt, ct); ok {
@@ -81,12 +89,12 @@ func FuzzRecoverMaster(f *testing.F) {
 	f.Add(uint64(0xdeadbeefcafef00d), uint16(64), uint64(0xFFFFFFFFFFFFFFFF), uint8(17))
 	f.Fuzz(func(t *testing.T, k32 uint64, hidden uint16, pt uint64, flip uint8) {
 		key, ct := recoverCase(k32, uint64(hidden), pt)
-		got, ok := RecoverMasterFromLastRound(k32, pt, ct)
+		got, ok := Engine.RecoverMaster80(k32, pt, ct)
 		if !ok || !bytes.Equal(got, key) {
 			t.Fatalf("K32 %016x hidden %#04x: recovered %x/%v, want %x", k32, hidden, got, ok, key)
 		}
 		bad := k32 ^ 1<<(flip%64)
-		if got, ok := RecoverMasterFromLastRound(bad, pt, ct); ok {
+		if got, ok := Engine.RecoverMaster80(bad, pt, ct); ok {
 			t.Fatalf("K32 %016x with bit %d flipped recovered %x", k32, flip%64, got)
 		}
 	})

@@ -14,7 +14,7 @@ import (
 // reported, not asserted.
 func TestRecoverMasterAllocs(t *testing.T) {
 	key := []byte{0x01, 0x23, 0x45, 0x67, 0x89, 0xab, 0xcd, 0xef, 0x01, 0x23}
-	rk, err := present.Expand(key)
+	rk, err := present.Engine.Expand(key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +28,7 @@ func TestRecoverMasterAllocs(t *testing.T) {
 		want  float64
 	}{{"hit", klast, 1}, {"miss", klast ^ 1, 0}} {
 		allocs := testing.AllocsPerRun(3, func() {
-			present.RecoverMasterFromLastRound(tc.klast, pt, ct)
+			present.Engine.RecoverMaster80(tc.klast, pt, ct)
 		})
 		if bench.RaceEnabled {
 			t.Logf("%s: %.2f allocs/run under -race (not asserted)", tc.name, allocs)

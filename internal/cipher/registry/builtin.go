@@ -14,13 +14,11 @@ import (
 // The built-in victims.  Each adapter translates one cipher package's
 // native API onto the Cipher interface; registering a new victim means
 // writing its package and one more Register call here.  Both 64-bit SPNs
-// share one adapter, told apart by their engine, schedule and completion.
+// share one adapter, told apart by their engine.
 func init() {
 	Register(aes128{}, "aes")
-	Register(&spn64{name: "present-80", e: present.Engine,
-		expand: present.Expand, recover: present.RecoverMasterFromLastRound}, "present")
-	Register(&spn64{name: "lilliput-80", e: lilliput.Engine,
-		expand: lilliput.Expand, recover: lilliput.RecoverMasterFromLastRound}, "lilliput")
+	Register(&spn64{name: "present-80", e: present.Engine}, "present")
+	Register(&spn64{name: "lilliput-80", e: lilliput.Engine}, "lilliput")
 }
 
 // checkKey rejects a key of any length but c.KeyBytes().  The cipher
@@ -160,10 +158,8 @@ func (in *aesInstance) EncryptWithFaultBatch(table []byte, dst, src [][]byte, ro
 // key register.  The final round computes ct = PLayer(S(x)) ^ K_last, so
 // nibble i of InvPLayer(ct) equals S(x_i) ^ nibble i of InvPLayer(K_last).
 type spn64 struct {
-	name    string
-	e       *bitslice.SPN64
-	expand  func(key []byte) ([]uint64, error)
-	recover func(lastRoundKey, plaintext, ciphertext uint64) ([]byte, bool)
+	name string
+	e    *bitslice.SPN64
 }
 
 func (c *spn64) Name() string     { return c.name }
@@ -183,7 +179,7 @@ func (c *spn64) New(key []byte) (Instance, error) {
 	if err := checkKey(c, key); err != nil {
 		return nil, err
 	}
-	rk, err := c.expand(key)
+	rk, err := c.e.Expand(key)
 	if err != nil {
 		return nil, err
 	}
@@ -209,7 +205,7 @@ func (c *spn64) RecoverMaster(lastRoundKey, plaintext, ciphertext []byte) ([]byt
 	if plaintext == nil {
 		return nil, false // the 16 hidden register bits need a known pair
 	}
-	return c.recover(be.Uint64(lastRoundKey), be.Uint64(plaintext), be.Uint64(ciphertext))
+	return c.e.RecoverMaster80(be.Uint64(lastRoundKey), be.Uint64(plaintext), be.Uint64(ciphertext))
 }
 
 // be is the 64-bit SPNs' big-endian byte form of a block.

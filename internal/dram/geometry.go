@@ -51,17 +51,31 @@ func (g Geometry) NumBankGroups() int {
 	return g.Channels * g.DIMMs * g.Ranks * g.Banks
 }
 
+// maxModuleBytes caps a module's capacity at 16 GiB, twice the largest
+// module the repository simulates.  A device and the kernel above it
+// allocate bookkeeping in proportion to capacity up front, so a larger
+// geometry would exhaust the host's memory instead of failing validation.
+const maxModuleBytes = 16 << 30
+
 // Validate reports whether the geometry is usable: every dimension positive
-// and the row size a power of two (required by the address interleaving).
+// and a power of two (required by the address interleaving), and the
+// module no larger than 16 GiB.
 func (g Geometry) Validate() error {
 	switch {
 	case g.Channels <= 0, g.DIMMs <= 0, g.Ranks <= 0, g.Banks <= 0, g.Rows <= 0, g.RowBytes <= 0:
 		return fmt.Errorf("dram: geometry dimensions must be positive: %+v", g)
 	}
+	// Summing the dimensions' logarithms sizes the module without the
+	// overflow TotalBytes' product can hit.
+	var logBytes uint
 	for _, v := range []int{g.Channels, g.DIMMs, g.Ranks, g.Banks, g.Rows, g.RowBytes} {
 		if v&(v-1) != 0 {
 			return fmt.Errorf("dram: geometry dimensions must be powers of two, got %d", v)
 		}
+		logBytes += log2(v)
+	}
+	if logBytes > log2(maxModuleBytes) {
+		return fmt.Errorf("dram: geometry of 2^%d bytes exceeds the %d GiB module cap", logBytes, maxModuleBytes>>30)
 	}
 	return nil
 }

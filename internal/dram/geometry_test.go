@@ -1,6 +1,7 @@
 package dram
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -33,6 +34,25 @@ func TestGeometryValidateRejectsNonPowerOfTwo(t *testing.T) {
 	g.RowBytes = -8
 	if err := g.Validate(); err == nil {
 		t.Fatal("expected error for negative row bytes")
+	}
+}
+
+// The module is capped at 16 GiB, sized without the overflow TotalBytes
+// can hit: 2^64 bytes wraps the product to zero.
+func TestGeometryValidateCapsModuleSize(t *testing.T) {
+	g := Geometry{Channels: 1, DIMMs: 1, Ranks: 1, Banks: 8, Rows: 1 << 18, RowBytes: 8192}
+	if err := g.Validate(); err != nil {
+		t.Fatalf("16 GiB module rejected: %v", err)
+	}
+	for _, g := range []Geometry{
+		{Channels: 2, DIMMs: 1, Ranks: 1, Banks: 8, Rows: 1 << 18, RowBytes: 8192},
+		{Channels: 1, DIMMs: 1, Ranks: 1, Banks: 8, Rows: 1 << 33, RowBytes: 8192},
+		{Channels: 1 << 8, DIMMs: 1 << 8, Ranks: 1 << 8, Banks: 1 << 8, Rows: 1 << 16, RowBytes: 1 << 16},
+	} {
+		err := g.Validate()
+		if err == nil || !strings.Contains(err.Error(), "module cap") {
+			t.Fatalf("%+v (TotalBytes %d): want the module cap error, got %v", g, g.TotalBytes(), err)
+		}
 	}
 }
 

@@ -223,7 +223,7 @@ func TestPresentKnownFaultRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatalf("after %d ciphertexts: %v", c.N(), err)
 	}
-	rk, _ := present.Expand(key)
+	rk, _ := present.Engine.Expand(key)
 	if got := binary.BigEndian.Uint64(k32); got != rk[present.Rounds] {
 		t.Fatalf("K32 = %016x want %016x", got, rk[present.Rounds])
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"explframe/internal/cache"
+	"explframe/internal/dram"
 	"explframe/internal/fault"
 	"explframe/internal/machine"
 )
@@ -66,6 +67,12 @@ func TestDecodeSpecRejectsUnknownFields(t *testing.T) {
 	}
 }
 
+// hugeMachine is a 2^49-byte module: sized without a cap, booting it would
+// exhaust the host's memory instead of failing validation.
+func hugeMachine() machine.Spec {
+	return machine.New("huge", machine.WithGeometry(dram.Geometry{Channels: 1, DIMMs: 1, Ranks: 1, Banks: 8, Rows: 1 << 33, RowBytes: 8192}))
+}
+
 // The Validate rejection table: every entry must fail with a message
 // naming the offending field, and multiple violations must all surface in
 // one joined error.
@@ -79,6 +86,8 @@ func TestValidateRejections(t *testing.T) {
 		{"unknown profile", New(WithProfile("huge")), "profile"},
 		{"profile and inline machine", New(WithMachine(machine.MustGet("fast"))).With(func(s *Spec) { s.Profile = ProfileFast }), "pick one"},
 		{"invalid inline machine", New(WithMachine(machine.New("", machine.WithCPUs(0)))), "machine"},
+		{"oversized inline machine", New(WithMachine(hugeMachine())), "module cap"},
+		{"oversized steering machine", New(WithKind(Steering), WithMachine(hugeMachine())), "module cap"},
 		{"zero trials", New(WithTrials(0)), "trials"},
 		{"negative trials", New(WithTrials(-3)), "trials"},
 		{"unknown cipher", New(WithCipher("des-56")), "cipher"},

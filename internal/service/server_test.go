@@ -14,6 +14,8 @@ import (
 	"testing"
 	"time"
 
+	"explframe/internal/dram"
+	"explframe/internal/machine"
 	"explframe/internal/report"
 	"explframe/internal/scenario"
 )
@@ -380,6 +382,24 @@ func TestServerRejectsBadSubmissions(t *testing.T) {
 		if !strings.Contains(err.Error(), "400") {
 			t.Fatalf("submission %q: want 400, got %v", body, err)
 		}
+	}
+}
+
+// A campaign whose inline machine is too large to boot rejects with a 400
+// at submission instead of exhausting the server's memory when it runs.
+func TestServerRejectsOversizedMachine(t *testing.T) {
+	_, c, stop := testServer(t, t.TempDir())
+	defer stop()
+	huge := machine.New("huge", machine.WithGeometry(dram.Geometry{Channels: 1, DIMMs: 1, Ranks: 1, Banks: 8, Rows: 1 << 33, RowBytes: 8192}))
+	camp := scenario.Campaign{Name: "huge", Specs: []scenario.Spec{
+		scenario.New(scenario.WithMachine(huge), scenario.WithTrials(1)),
+	}}
+	st, err := c.Submit(context.Background(), camp)
+	if err == nil {
+		t.Fatalf("oversized machine accepted: %+v", st)
+	}
+	if !strings.Contains(err.Error(), "400") || !strings.Contains(err.Error(), "module cap") {
+		t.Fatalf("want a 400 naming the module cap, got %v", err)
 	}
 }
 

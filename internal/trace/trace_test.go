@@ -69,7 +69,7 @@ func TestPresentVictimEncryptsCorrectly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rk, _ := present.Expand(key)
+	rk, _ := present.Engine.Expand(key)
 	sb := present.SBox()
 	want := binary.BigEndian.AppendUint64(nil, present.Engine.Encrypt(rk, &sb, binary.BigEndian.Uint64(pt)))
 	if !bytes.Equal(got, want) {
@@ -89,7 +89,7 @@ func TestLilliputVictimEncryptsCorrectly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rk, _ := lilliput.Expand(key)
+	rk, _ := lilliput.Engine.Expand(key)
 	sb := lilliput.SBox()
 	want := binary.BigEndian.AppendUint64(nil, lilliput.Engine.Encrypt(rk, &sb, binary.BigEndian.Uint64(pt)))
 	if !bytes.Equal(got, want) {

@@ -36,7 +36,7 @@ type FaultModel struct {
 
 	// RefreshInterval is the number of row activations (per device,
 	// modelling elapsed time) after which a distributed refresh sweep
-	// completes and all disturbance accumulators reset.
+	// completes and all disturbance counts reset.
 	RefreshInterval uint64 `json:"refresh_interval"`
 
 	// FlipReliability is the probability that crossing the threshold
@@ -90,8 +90,9 @@ type Flip struct {
 // population, not the geometry, so a multi-GiB device stays cheap.
 type rowState struct {
 	cells []*WeakCell
-	// disturb is the accumulated disturbance in the current refresh window.
-	disturb float64
+	// near and far count the activations of rows at distance one and two
+	// in the current refresh window; level turns them into disturbance.
+	near, far uint64
 	// minThr caches the lowest threshold among cells that can still fire
 	// (neither flipped nor held); +Inf when none can.  The hammer loop
 	// consults it to skip the per-cell scan for the bulk of activations,
@@ -116,7 +117,7 @@ type Device struct {
 	// activation lookup a pair of array reads — allocation- and hash-free.
 	rowIdx    []int32
 	rowStates []rowState
-	dirty     []int32 // rowStates indices with non-zero disturbance, for cheap refresh
+	dirty     []int32 // rowStates indices with non-zero counts, for cheap refresh
 	weakCount int
 
 	// openRow tracks the row buffer per bank group; an access to a
@@ -197,6 +198,14 @@ func NewDeviceWithMapper(m *Mapper, model FaultModel, seed uint64) (*Device, err
 	d.placeWeakCells()
 	d.initTRR()
 	return d, nil
+}
+
+// level is the disturbance of near and far activations: distance-one rows
+// weigh 1.0, distance-two rows NeighbourWeight.  The level is a function of
+// the two counts alone, so it does not depend on activation order, and
+// integer counts add up exactly however many rounds are added at once.
+func (d *Device) level(near, far uint64) float64 {
+	return float64(near) + d.model.NeighbourWeight*float64(far)
 }
 
 // inf is the sentinel minThr value for rows with no cell able to fire.
@@ -349,13 +358,13 @@ func (d *Device) MaterializedBytes() uint64 { return d.data.materializedBytes() 
 type neighbour struct {
 	si  int32
 	row int
-	w   float64
+	far bool // distance two, else distance one
 }
 
 // aggressor is an activation target with its bank group and the weak-cell
 // rows it disturbs resolved: distance 1 (weight 1.0) then distance 2
 // (NeighbourWeight), lower side first.  Rows past the bank edge or without
-// weak cells are dropped — they carry no accumulator and cannot flip.
+// weak cells are dropped — they carry no counts and cannot flip.
 type aggressor struct {
 	bg, row int
 	nb      [4]neighbour
@@ -368,20 +377,20 @@ type aggressor struct {
 // resolve fills ag for (bankGroup, row).
 func (d *Device) resolve(ag *aggressor, bg, row int) {
 	ag.bg, ag.row, ag.n = bg, row, 0
-	d.addNeighbour(ag, row-1, 1.0)
-	d.addNeighbour(ag, row+1, 1.0)
-	if w := d.model.NeighbourWeight; w > 0 {
-		d.addNeighbour(ag, row-2, w)
-		d.addNeighbour(ag, row+2, w)
+	d.addNeighbour(ag, row-1, false)
+	d.addNeighbour(ag, row+1, false)
+	if d.model.NeighbourWeight > 0 {
+		d.addNeighbour(ag, row-2, true)
+		d.addNeighbour(ag, row+2, true)
 	}
 }
 
-func (d *Device) addNeighbour(ag *aggressor, row int, w float64) {
+func (d *Device) addNeighbour(ag *aggressor, row int, far bool) {
 	if row < 0 || row >= d.geom.Rows {
 		return
 	}
 	if si := d.rowIdx[ag.bg*d.geom.Rows+row]; si >= 0 {
-		ag.nb[ag.n] = neighbour{si: si, row: row, w: w}
+		ag.nb[ag.n] = neighbour{si: si, row: row, far: far}
 		ag.n++
 	}
 }
@@ -409,22 +418,27 @@ func (d *Device) open(ag *aggressor) {
 	}
 	for i := range ag.nb[:ag.n] {
 		nb := &ag.nb[i]
-		d.disturb(ag.bg, nb.row, nb.si, nb.w)
+		d.disturb(ag.bg, nb.row, nb.si, nb.far)
 	}
 	if d.sinceRefresh >= d.model.RefreshInterval {
 		d.Refresh()
 	}
 }
 
-// disturb adds w to the accumulator of the weak-cell row (bg, row) held in
-// rowStates[si] and fires every still-armed cell the total reaches.
-func (d *Device) disturb(bg, row int, si int32, w float64) {
+// disturb counts one near or far activation against the weak-cell row
+// (bg, row) held in rowStates[si] and fires every still-armed cell its
+// level reaches.
+func (d *Device) disturb(bg, row int, si int32, far bool) {
 	rs := &d.rowStates[si]
-	if rs.disturb == 0 {
+	if rs.near|rs.far == 0 {
 		d.dirty = append(d.dirty, si)
 	}
-	rs.disturb += w
-	acc := rs.disturb
+	if far {
+		rs.far++
+	} else {
+		rs.near++
+	}
+	acc := d.level(rs.near, rs.far)
 	if acc < rs.minThr {
 		// No still-armed cell can cross yet (or none is left armed):
 		// skip the per-cell scan, which the hammer loop hits millions of
@@ -484,13 +498,13 @@ func (d *Device) addrOfCell(bg, row, col int) Addr {
 	return Addr{Channel: bg, DIMM: dimm, Rank: rank, Bank: bank, Row: row, Col: col}
 }
 
-// Refresh completes a refresh sweep: disturbance accumulators reset and
+// Refresh completes a refresh sweep: disturbance counts reset and
 // cells that held get a fresh window.  Flipped cells stay flipped — refresh
 // restores charge to whatever value the cell currently holds, it does not
 // correct errors.
 func (d *Device) Refresh() {
 	for _, si := range d.dirty {
-		d.rowStates[si].disturb = 0
+		d.rowStates[si].near, d.rowStates[si].far = 0, 0
 		for _, wc := range d.rowStates[si].cells {
 			wc.held = false
 		}

@@ -162,6 +162,56 @@ func TestDeviceRefreshResetsDisturbance(t *testing.T) {
 	}
 }
 
+// A row's disturbance is its weighted activation count, not a running float
+// sum: with NeighbourWeight 0.2 ten distance-two activations reach a
+// threshold of 2 (ten float additions of 0.2 stop at 1.9999999999999998),
+// and the same near and far counts reach a threshold in whatever order they
+// arrive.
+func TestDeviceDisturbanceIsWeightedCount(t *testing.T) {
+	// flipAt activates the given rows in order, each followed by a conflict
+	// on a distant row so that every aggressor activation opens its row, and
+	// returns the 1-based aggressor activation that flips a threshold-2 cell
+	// planted at row 100 (0 if none does).
+	flipAt := func(rows ...int) int {
+		model := DefaultFaultModel()
+		model.WeakCellDensity = 0
+		model.FlipReliability = 1
+		model.NeighbourWeight = 0.2
+		d := testDevice(t, model, 7)
+		victim := Addr{Bank: 4, Row: 100, Col: 20}
+		d.PlantWeakCell(WeakCell{Bank: d.mapper.BankGroup(victim), Row: 100, ByteInRow: 20, Bit: 2, Threshold: 2, FlipTo: 0})
+		victimPA := d.mapper.ToPhys(victim)
+		writeByte(d, victimPA, 0xFF)
+		away := d.mapper.SameBankRow(victim, 200, 0)
+		for i, row := range rows {
+			d.ActivateRow(d.mapper.SameBankRow(victim, row, 0))
+			if d.Stats().BitFlips > 0 {
+				return i + 1
+			}
+			d.ActivateRow(away)
+		}
+		return 0
+	}
+
+	far := make([]int, 12)
+	for i := range far {
+		far[i] = 102
+	}
+	if got := flipAt(far...); got != 10 {
+		t.Errorf("distance-two activations: flip on activation %d, want 10", got)
+	}
+	// One near and five far activations: level 1 + 5*0.2 = 2 in any order.
+	for _, order := range [][]int{
+		{101, 102, 102, 102, 102, 102},
+		{102, 102, 102, 102, 102, 101},
+		{102, 102, 99, 102, 102, 102},
+	} {
+		if got := flipAt(order...); got != len(order) {
+			t.Errorf("order %v: flip on activation %d, want %d", order, got, len(order))
+		}
+	}
+}
+
 // Rewriting a flipped cell restores it and re-arms the weak cell.
 func TestDeviceRewriteRearmsCell(t *testing.T) {
 	model := DefaultFaultModel()

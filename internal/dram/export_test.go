@@ -5,8 +5,9 @@ import "math"
 // DeviceState is the internal state HammerLoop must leave exactly as the
 // stepped loop would, beyond what the public accessors expose.
 type DeviceState struct {
-	// Disturb holds every weak-cell row's accumulator bits, in row-state order.
-	Disturb []uint64
+	// Disturb holds every weak-cell row's near and far activation counts,
+	// in row-state order.
+	Disturb [][2]uint64
 	// MinThr holds every weak-cell row's cached lowest armed threshold bits.
 	MinThr       []uint64
 	OpenRow      []int
@@ -23,7 +24,7 @@ func (d *Device) SnapshotState() DeviceState {
 		Chunks:       d.data.chunks,
 	}
 	for _, rs := range d.rowStates {
-		s.Disturb = append(s.Disturb, math.Float64bits(rs.disturb))
+		s.Disturb = append(s.Disturb, [2]uint64{rs.near, rs.far})
 		s.MinThr = append(s.MinThr, math.Float64bits(rs.minThr))
 	}
 	return s

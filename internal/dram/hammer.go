@@ -3,7 +3,7 @@ package dram
 // This file holds the hammer loop: rounds of activations cycling through a
 // fixed aggressor set, the access-flush-access loop of Kim et al.  The
 // attacker's templating sweep issues millions of such activations per
-// trial, and almost all of them are quiet — they add disturbance to rows
+// trial, and almost all of them are quiet — they count disturbance on rows
 // whose cells are still far below threshold, with no refresh due.  The
 // loop therefore steps activation by activation only through event rounds
 // and fast-forwards the quiet rounds between them, leaving the device
@@ -13,8 +13,8 @@ package dram
 
 // thresholdMargin is how many rounds short of an armed cell's threshold a
 // fast-forward stops.  The span estimate divides in floating point; the
-// margin absorbs its rounding so the replayed accumulator never reaches the
-// threshold inside a fast-forward, and the crossing itself is always stepped.
+// margin absorbs its rounding so no row's level reaches the threshold
+// inside a fast-forward, and the crossing itself is always stepped.
 const thresholdMargin = 2
 
 // hammerPlan is HammerLoop's per-call state: the resolved aggressors and the
@@ -24,19 +24,15 @@ type hammerPlan struct {
 	// acts and hits count the activations and row-buffer hits of one
 	// steady round.
 	acts, hits uint64
-	// rows lists the weak-cell rows one steady round disturbs; row q's
-	// additions are adds[q.lo:q.hi], in activation order.
+	// rows lists the weak-cell rows one steady round disturbs.
 	rows []quietRow
-	adds []float64
 }
 
-// quietRow is one disturbed row of a steady round.
+// quietRow is one disturbed row of a steady round with the round's near
+// and far activation counts against it.
 type quietRow struct {
-	si     int32
-	lo, hi int32
-	// perRound is the round's total disturbance, used only to estimate how
-	// many rounds stay below the row's thresholds.
-	perRound float64
+	si        int32
+	near, far uint64
 }
 
 // HammerLoop issues rounds of activations cycling through addrs in order.
@@ -45,11 +41,10 @@ type quietRow struct {
 // first round, a round that reaches the refresh interval, a round while an
 // armed cell is within thresholdMargin rounds of its threshold, and every
 // round when TRR is enabled.  The quiet rounds in between are fast-forwarded
-// by adding their counters in bulk and replaying each disturbed row's
-// per-round additions in activation order, so the device ends in exactly
-// the state — counters, disturbance bits, flips, RNG position — that
-// ActivateRow per address per round would leave.  Steady-state calls
-// allocate nothing.
+// by adding their counters and each disturbed row's near and far counts in
+// bulk, so the device ends in exactly the state — counters, disturbance
+// counts, flips, RNG position — that ActivateRow per address per round
+// would leave.  Steady-state calls allocate nothing.
 func (d *Device) HammerLoop(addrs []Addr, rounds int) {
 	if rounds <= 0 || len(addrs) == 0 {
 		return
@@ -104,42 +99,27 @@ func (d *Device) planHammer(addrs []Addr) {
 		}
 	}
 
-	// Group the steady round's additions by row, keeping each row's
-	// additions in activation order: the order the fast-forward replays.
-	p.rows, p.adds = p.rows[:0], p.adds[:0]
+	// Count the steady round's near and far activations per row.
+	p.rows = p.rows[:0]
 	for i := range p.aggs {
 		if p.aggs[i].steadyHit {
 			continue
 		}
 		for _, nb := range p.aggs[i].nb[:p.aggs[i].n] {
-			if p.hasRow(nb.si) {
-				continue
+			j := 0
+			for j < len(p.rows) && p.rows[j].si != nb.si {
+				j++
 			}
-			q := quietRow{si: nb.si, lo: int32(len(p.adds))}
-			for j := i; j < n; j++ {
-				if p.aggs[j].steadyHit {
-					continue
-				}
-				for _, other := range p.aggs[j].nb[:p.aggs[j].n] {
-					if other.si == nb.si {
-						p.adds = append(p.adds, other.w)
-						q.perRound += other.w
-					}
-				}
+			if j == len(p.rows) {
+				p.rows = append(p.rows, quietRow{si: nb.si})
 			}
-			q.hi = int32(len(p.adds))
-			p.rows = append(p.rows, q)
+			if nb.far {
+				p.rows[j].far++
+			} else {
+				p.rows[j].near++
+			}
 		}
 	}
-}
-
-func (p *hammerPlan) hasRow(si int32) bool {
-	for _, q := range p.rows {
-		if q.si == si {
-			return true
-		}
-	}
-	return false
 }
 
 // quietRounds returns how many of the next (at most max) rounds are quiet:
@@ -162,7 +142,7 @@ func (d *Device) quietRounds(max int) int {
 	for _, q := range p.rows {
 		rs := &d.rowStates[q.si]
 		// minThr is +Inf for a row with no armed cell, which never bounds k.
-		if f := (rs.minThr-rs.disturb)/q.perRound - thresholdMargin; f < float64(k) {
+		if f := (rs.minThr-d.level(rs.near, rs.far))/d.level(q.near, q.far) - thresholdMargin; f < float64(k) {
 			if f < 1 {
 				return 0
 			}
@@ -172,10 +152,9 @@ func (d *Device) quietRounds(max int) int {
 	return k
 }
 
-// fastForward applies k quiet rounds.  Each row's accumulator receives the
-// same float additions in the same order as k stepped rounds would give it;
-// rows are independent, so the result is bit-identical (a multiplication
-// would round differently for weights such as 0.2).
+// fastForward applies k quiet rounds.  Each row's counts grow by k times
+// their per-round amounts; integer addition is exact, so they equal what k
+// stepped rounds leave, for any neighbour weight.
 func (d *Device) fastForward(k int) {
 	p := &d.hammer
 	d.stats.Activations += uint64(k) * p.acts
@@ -183,16 +162,10 @@ func (d *Device) fastForward(k int) {
 	d.sinceRefresh += uint64(k) * p.acts
 	for _, q := range p.rows {
 		rs := &d.rowStates[q.si]
-		if rs.disturb == 0 {
+		if rs.near|rs.far == 0 {
 			d.dirty = append(d.dirty, q.si)
 		}
-		acc := rs.disturb
-		adds := p.adds[q.lo:q.hi]
-		for r := 0; r < k; r++ {
-			for _, w := range adds {
-				acc += w
-			}
-		}
-		rs.disturb = acc
+		rs.near += uint64(k) * q.near
+		rs.far += uint64(k) * q.far
 	}
 }

@@ -128,7 +128,7 @@ func (d *Device) trrObserve(bg, row int) {
 }
 
 // trrRefreshNeighbours recharges the rows adjacent to the hammered row:
-// their disturbance accumulators reset, exactly like a targeted refresh.
+// their disturbance counts reset, exactly like a targeted refresh.
 func (d *Device) trrRefreshNeighbours(bg, row int) {
 	d.stats.TRRRefreshes++
 	for dr := -2; dr <= 2; dr++ {
@@ -140,7 +140,7 @@ func (d *Device) trrRefreshNeighbours(bg, row int) {
 		if si < 0 {
 			continue
 		}
-		d.rowStates[si].disturb = 0
+		d.rowStates[si].near, d.rowStates[si].far = 0, 0
 		for _, wc := range d.rowStates[si].cells {
 			wc.held = false
 		}

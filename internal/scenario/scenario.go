@@ -166,8 +166,10 @@ type Spec struct {
 	// Kind selects the trial pipeline; New defaults it to Attack.
 	Kind Kind `json:"kind"`
 	// Profile names the simulated machine in the internal/machine
-	// registry; New defaults it to ProfileDefault.  Steering and PFA kinds
-	// ignore the machine axis (no attack-scale DRAM simulation runs).
+	// registry; New defaults it to ProfileDefault.  Steering, PFA and DFA
+	// kinds have no machine axis (steering runs on core's fixed steering
+	// machine, PFA and DFA on no machine), so Validate rejects any other
+	// profile, or an inline machine, on them.
 	Profile Profile `json:"profile,omitempty"`
 	// Machine is an optional inline machine spec, the file-local
 	// alternative to naming a registered profile; setting both is a
@@ -413,6 +415,10 @@ func (s Spec) Validate() error {
 		if _, ok := machine.Get(string(s.Profile)); !ok {
 			fail("profile: unknown machine %q (registered: %s)", s.Profile, strings.Join(machine.Names(), ", "))
 		}
+	}
+	if (s.Kind == Steering || s.Kind == PFA || s.Kind == DFA) &&
+		(s.Machine != nil || s.Profile != "" && s.Profile != ProfileDefault) {
+		fail("profile: machine %q set on kind %q (only kinds attack, baseline and cache-probe use it)", s.MachineName(), s.Kind)
 	}
 	if s.Trials <= 0 {
 		fail("trials: %d, want >= 1", s.Trials)

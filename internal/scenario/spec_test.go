@@ -88,6 +88,11 @@ func TestValidateRejections(t *testing.T) {
 		{"invalid inline machine", New(WithMachine(machine.New("", machine.WithCPUs(0)))), "machine"},
 		{"oversized inline machine", New(WithMachine(hugeMachine())), "module cap"},
 		{"oversized steering machine", New(WithKind(Steering), WithMachine(hugeMachine())), "module cap"},
+		{"profile on steering kind", New(WithKind(Steering), WithProfile("ddr4")), "only kinds attack"},
+		{"profile on pfa kind", New(WithKind(PFA), WithProfile(ProfileFast)), "only kinds attack"},
+		{"profile on dfa kind", New(WithKind(DFA), WithProfile("server-1g")), "only kinds attack"},
+		{"inline machine on steering kind", New(WithKind(Steering), WithMachine(machine.MustGet("fast"))), "only kinds attack"},
+		{"inline machine on pfa kind", New(WithKind(PFA), WithMachine(machine.MustGet("default"))), "only kinds attack"},
 		{"zero trials", New(WithTrials(0)), "trials"},
 		{"negative trials", New(WithTrials(-3)), "trials"},
 		{"unknown cipher", New(WithCipher("des-56")), "cipher"},

@@ -403,6 +403,27 @@ func TestServerRejectsOversizedMachine(t *testing.T) {
 	}
 }
 
+// A steering, PFA or DFA spec naming a machine rejects with a 400: those
+// kinds have no machine axis, so accepting one would report a run on a
+// machine it never used.
+func TestServerRejectsMachineOnMachinelessKinds(t *testing.T) {
+	_, c, stop := testServer(t, t.TempDir())
+	defer stop()
+	for _, body := range []string{
+		`{"kind": "steering", "profile": "ddr4", "trials": 1}`,
+		`{"kind": "pfa", "profile": "fast", "trials": 1}`,
+		`{"kind": "dfa", "profile": "server-1g", "trials": 1}`,
+	} {
+		data, err := c.do(context.Background(), "POST", "/v1/campaigns", []byte(body))
+		if err == nil {
+			t.Fatalf("submission %q accepted: %s", body, data)
+		}
+		if !strings.Contains(err.Error(), "400") || !strings.Contains(err.Error(), "only kinds attack") {
+			t.Fatalf("submission %q: want a 400 naming the machine kinds, got %v", body, err)
+		}
+	}
+}
+
 // Streams attached just before a campaign finishes must all end on the
 // terminal line: finish publishes the terminal status and its line under one
 // lock, so no stream can see the status, drain and leave without the line.

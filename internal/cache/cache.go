@@ -42,7 +42,7 @@ type Geometry struct {
 // the proportions of the paper's testbed uncore.
 func DefaultGeometry(cpus int) Geometry {
 	slices := 1
-	for slices*2 <= cpus {
+	for slices <= cpus/2 { // not slices*2 <= cpus, which overflows near MaxInt
 		slices *= 2
 	}
 	return Geometry{Sets: 1024, Ways: 8, Slices: slices, LineBytes: 64}

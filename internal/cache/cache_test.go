@@ -2,6 +2,7 @@ package cache
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"explframe/internal/dram"
@@ -48,7 +49,7 @@ func TestGeometryValidate(t *testing.T) {
 }
 
 func TestDefaultGeometrySlices(t *testing.T) {
-	for cpus, want := range map[int]int{1: 1, 2: 2, 3: 2, 4: 4, 6: 4} {
+	for cpus, want := range map[int]int{1: 1, 2: 2, 3: 2, 4: 4, 6: 4, math.MaxInt: math.MaxInt/2 + 1} {
 		if got := DefaultGeometry(cpus).Slices; got != want {
 			t.Errorf("DefaultGeometry(%d).Slices = %d, want %d", cpus, got, want)
 		}

@@ -102,7 +102,7 @@ func NewAttack(cfg Config) (*Attack, error) {
 
 // bootMachine is the one place a trial boots its machine: the zero
 // kernel.Config takes kernel.DefaultConfig, and seed reseeds it so the
-// weak cells and kernel randomness follow the trial.
+// weak cells follow the trial.
 func bootMachine(mc kernel.Config, seed uint64) (*kernel.Machine, error) {
 	if mc.NumCPUs == 0 {
 		mc = kernel.DefaultConfig()
@@ -110,9 +110,6 @@ func bootMachine(mc kernel.Config, seed uint64) (*kernel.Machine, error) {
 	mc.Seed = seed
 	return kernel.NewMachine(mc)
 }
-
-// Machine exposes the underlying machine for inspection.
-func (a *Attack) Machine() *kernel.Machine { return a.m }
 
 // usableFlip reports whether a templated flip would corrupt the victim's
 // table: right page offset, a bit that reaches the cipher's datapath, and a

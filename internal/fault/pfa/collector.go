@@ -3,7 +3,6 @@ package pfa
 import (
 	"cmp"
 	"fmt"
-	"math"
 	"slices"
 
 	"explframe/internal/cipher/registry"
@@ -27,7 +26,6 @@ import (
 type Collector struct {
 	c       registry.Cipher
 	cells   int
-	vals    int
 	mask    byte
 	count   [][]uint64 // count[i][v]: observations with value v at cell i
 	n       uint64
@@ -38,7 +36,7 @@ type Collector struct {
 func NewCollector(c registry.Cipher) *Collector {
 	cells := registry.Cells(c)
 	vals := 1 << uint(c.EntryBits())
-	col := &Collector{c: c, cells: cells, vals: vals, mask: byte(vals - 1), cellBuf: make([]byte, cells)}
+	col := &Collector{c: c, cells: cells, mask: byte(vals - 1), cellBuf: make([]byte, cells)}
 	col.count = make([][]uint64, cells)
 	for i := range col.count {
 		col.count[i] = make([]uint64, vals)
@@ -71,9 +69,6 @@ func FaultValues(c registry.Cipher, table []byte) (vanished, doubled []byte) {
 	}
 	return vanished, doubled
 }
-
-// Cipher returns the cipher this collector attacks.
-func (c *Collector) Cipher() registry.Cipher { return c.c }
 
 // Observe records one ciphertext block.
 func (c *Collector) Observe(ct []byte) error {
@@ -128,20 +123,6 @@ func (c *Collector) missingCount(i int) int {
 	return m
 }
 
-// MostFrequent returns the value observed most often at cell i and its
-// count.  Under a single-entry fault it converges to y' ^ k_i.
-func (c *Collector) MostFrequent(i int) (byte, uint64) {
-	var best byte
-	var bestN uint64
-	for v, n := range c.count[i] {
-		if n > bestN {
-			bestN = n
-			best = byte(v)
-		}
-	}
-	return best, bestN
-}
-
 // ResidualEntropy returns the log2 of the remaining last-round-key space
 // given the current observations: the product over cells of the number of
 // still-possible key values (= missing values).  It reaches 0 when every
@@ -177,68 +158,6 @@ func (c *Collector) RecoverLastRoundKeyKnownFault(yStar byte) ([]byte, error) {
 // ciphers whose schedule inverts uniquely accept a nil pair.
 func (c *Collector) RecoverMasterKnownFault(yStar byte, plaintext, ciphertext []byte) ([]byte, error) {
 	return c.RecoverMasterMultiFaultWithPair([]byte{yStar}, nil, plaintext, ciphertext)
-}
-
-// RecoverMasterUnknownFault tries every possible vanished value, resolving
-// each hypothesis against the clean known pair: the candidates under
-// y* = 0 are the cells' missing values, and every other hypothesis XORs
-// them with y*.
-func (c *Collector) RecoverMasterUnknownFault(plaintext, ciphertext []byte) ([]byte, error) {
-	miss, err := c.MultiFaultCandidates([]byte{0})
-	if err != nil {
-		return nil, err // underdetermined: more data, not more guesses
-	}
-	cells := make([]byte, c.cells)
-	for y := 0; y < c.vals; y++ {
-		for i, m := range miss {
-			cells[i] = m[0] ^ byte(y)
-		}
-		if master, ok := c.c.RecoverMaster(c.c.AssembleLastRoundKey(cells), plaintext, ciphertext); ok {
-			return master, nil
-		}
-	}
-	return nil, fmt.Errorf("%w: no vanished-value hypothesis matches the known pair", ErrInconsistent)
-}
-
-// RecoverLastRoundKeyML recovers the last-round key by maximum likelihood:
-// under a single-entry fault S[v*] = y', the value y' ^ k_i appears with
-// doubled probability at every cell, so the most frequent value reveals the
-// key cell once the count gap is statistically significant.  yPrime is the
-// corrupted entry's new value (the ExplFrame attacker knows it: y* with the
-// templated bit flipped).  The estimate is returned together with its
-// weakest cell's z-score; callers gate on confidence.
-func (c *Collector) RecoverLastRoundKeyML(yPrime byte) (key []byte, minZ float64) {
-	cells := make([]byte, c.cells)
-	minZ = 1e18
-	for i := 0; i < c.cells; i++ {
-		var best, second uint64
-		var bestV byte
-		for v := 0; v < c.vals; v++ {
-			n := c.count[i][v]
-			if n > best {
-				second = best
-				best = n
-				bestV = byte(v)
-			} else if n > second {
-				second = n
-			}
-		}
-		cells[i] = bestV ^ (yPrime & c.mask)
-		// z-score of the gap between the doubled value and the runner-up
-		// under a Poisson approximation.
-		var z float64
-		if best > 0 {
-			diff := float64(best) - float64(second)
-			sd := math.Sqrt(float64(best) + float64(second))
-			if sd > 0 {
-				z = diff / sd
-			}
-		}
-		if z < minZ {
-			minZ = z
-		}
-	}
-	return c.c.AssembleLastRoundKey(cells), minZ
 }
 
 // MultiFaultCandidates generalises the elimination attack to a table

@@ -49,8 +49,9 @@ func cleanPair(t *testing.T, c registry.Cipher, key []byte, rng *stats.RNG) (pt,
 }
 
 // The generic collector must recover the master key of every registered
-// cipher, known-fault and unknown-fault alike, with no cipher-specific
-// code in the loop.
+// cipher with no cipher-specific code in the loop.  An attacker who does
+// not know the vanished value learns it by trying each one: the clean
+// known pair must reject every wrong hypothesis.
 func TestGenericKnownAndUnknownFaultRecovery(t *testing.T) {
 	for _, name := range registry.Names() {
 		c := registry.MustGet(name)
@@ -78,12 +79,13 @@ func TestGenericKnownAndUnknownFaultRecovery(t *testing.T) {
 			if !bytes.Equal(master, key) {
 				t.Fatalf("known-fault recovered %x want %x", master, key)
 			}
-			master, err = col.RecoverMasterUnknownFault(pt, ct)
-			if err != nil {
-				t.Fatalf("unknown-fault recovery: %v", err)
-			}
-			if !bytes.Equal(master, key) {
-				t.Fatalf("unknown-fault recovered %x want %x", master, key)
+			for y := 0; y < 1<<c.EntryBits(); y++ {
+				if byte(y) == yStar {
+					continue
+				}
+				if master, err := col.RecoverMasterKnownFault(byte(y), pt, ct); err == nil {
+					t.Fatalf("wrong vanished value %#x accepted with key %x", y, master)
+				}
 			}
 		})
 	}
@@ -121,28 +123,6 @@ func TestGenericErrorTaxonomy(t *testing.T) {
 				t.Fatal("bad ciphertext length accepted")
 			}
 		})
-	}
-}
-
-// The ML path must converge for the nibble ciphers too.
-func TestGenericMLRecovery(t *testing.T) {
-	c := registry.MustGet("lilliput-80")
-	rng := stats.NewRNG(41)
-	key := make([]byte, c.KeyBytes())
-	rng.Bytes(key)
-	col := NewCollector(c)
-	yStar, yPrime := collectFaulty(t, c, key, 0x9, 1, 3000, rng, col)
-
-	last, z := col.RecoverLastRoundKeyML(yPrime)
-	if z < 2 {
-		t.Fatalf("z-score %.2f too low at n=3000", z)
-	}
-	want, err := col.RecoverLastRoundKeyKnownFault(yStar)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(last, want) {
-		t.Fatalf("ML recovered %x, elimination %x", last, want)
 	}
 }
 

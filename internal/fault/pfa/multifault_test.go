@@ -9,56 +9,6 @@ import (
 	"explframe/internal/stats"
 )
 
-// TestMLRecovery verifies the maximum-likelihood variant converges to the
-// right key with a confident z-score.
-func TestMLRecovery(t *testing.T) {
-	key := []byte("ml-recovery-key!")
-	ks, _ := aes.Expand(key)
-	faulty := aes.SBox()
-	faulty[0x3c] ^= 0x10
-	yPrime := faulty[0x3c]
-
-	rng := stats.NewRNG(41)
-	c := newAES()
-	pt := make([]byte, 16)
-	ct := make([]byte, 16)
-	for i := 0; i < 25000; i++ {
-		rng.Bytes(pt)
-		aes.EncryptBlock(ks, &faulty, ct, pt)
-		c.Observe(ct)
-	}
-	got, z := c.RecoverLastRoundKeyML(yPrime)
-	if z < 2 {
-		t.Fatalf("z-score %.2f too low at n=25000", z)
-	}
-	if want := ks.RoundKey(10); !bytes.Equal(got, want[:]) {
-		t.Fatalf("ML recovered %x want %x", got, want)
-	}
-}
-
-// With very few ciphertexts the ML estimate must carry a low z-score, so
-// callers know not to trust it.
-func TestMLLowConfidenceEarly(t *testing.T) {
-	key := []byte("ml-early-key-123")
-	ks, _ := aes.Expand(key)
-	faulty := aes.SBox()
-	faulty[0x11] ^= 0x01
-	yPrime := faulty[0x11]
-
-	rng := stats.NewRNG(43)
-	c := newAES()
-	pt := make([]byte, 16)
-	ct := make([]byte, 16)
-	for i := 0; i < 100; i++ {
-		rng.Bytes(pt)
-		aes.EncryptBlock(ks, &faulty, ct, pt)
-		c.Observe(ct)
-	}
-	if _, z := c.RecoverLastRoundKeyML(yPrime); z > 3 {
-		t.Fatalf("implausibly confident z=%.2f at n=100", z)
-	}
-}
-
 // Two simultaneous S-box faults: elimination leaves two candidates per
 // position; the frequency pass resolves them.
 func TestMultiFaultRecovery(t *testing.T) {

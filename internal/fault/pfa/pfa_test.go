@@ -81,28 +81,6 @@ func TestAESKnownFaultRecovery(t *testing.T) {
 	}
 }
 
-func TestAESUnknownFaultRecovery(t *testing.T) {
-	key := []byte("fedcba9876543210")
-	rng := stats.NewRNG(11)
-	c := newAES()
-	faultyAESStream(t, key, 0x99, 6, 6000, rng, c)
-
-	// One clean known pair disambiguates the 256 candidates.
-	ks, _ := aes.Expand(key)
-	sb := aes.SBox()
-	pt := []byte("known plaintext!")
-	ct := make([]byte, 16)
-	aes.EncryptBlock(ks, &sb, ct, pt)
-
-	master, err := c.RecoverMasterUnknownFault(pt, ct)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(master, key) {
-		t.Fatalf("master %x want %x", master, key)
-	}
-}
-
 func TestAESUnderdeterminedWithFewCiphertexts(t *testing.T) {
 	key := []byte("0123456789abcdef")
 	rng := stats.NewRNG(3)
@@ -176,11 +154,12 @@ func TestAESObserveRejectsBadLength(t *testing.T) {
 	}
 }
 
+// The doubled value y' ^ k_i becomes the most frequent value of every
+// cell, the frequency property the multi-fault ranking relies on.
 func TestAESMostFrequentConvergesToDoubledValue(t *testing.T) {
 	key := []byte("0123456789abcdef")
 	ks, _ := aes.Expand(key)
 	faulty := aes.SBox()
-	yStar := faulty[0x42]
 	faulty[0x42] ^= 0x08
 	yPrime := faulty[0x42]
 
@@ -196,7 +175,12 @@ func TestAESMostFrequentConvergesToDoubledValue(t *testing.T) {
 	k10 := ks.RoundKey(10)
 	hits := 0
 	for i := 0; i < 16; i++ {
-		mf, _ := c.MostFrequent(i)
+		var mf byte
+		for v, n := range c.count[i] {
+			if n > c.count[i][mf] {
+				mf = byte(v)
+			}
+		}
 		if mf == yPrime^k10[i] {
 			hits++
 		}
@@ -204,7 +188,6 @@ func TestAESMostFrequentConvergesToDoubledValue(t *testing.T) {
 	if hits < 12 { // statistical: allow a few positions to miss at n=20k
 		t.Fatalf("most-frequent matched y'^k at only %d/16 positions", hits)
 	}
-	_ = yStar
 }
 
 func TestPresentKnownFaultRecovery(t *testing.T) {
@@ -232,28 +215,6 @@ func TestPresentKnownFaultRecovery(t *testing.T) {
 	pt := binary.BigEndian.AppendUint64(nil, 0x1122334455667788)
 	ct := presentCT(inst, registry.MustGet("present-80").SBox(), 0x1122334455667788)
 	master, err := c.RecoverMasterKnownFault(yStar, pt, ct)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(master, key) {
-		t.Fatalf("master %x want %x", master, key)
-	}
-}
-
-func TestPresentUnknownFaultRecovery(t *testing.T) {
-	key := []byte{0xde, 0xad, 0xbe, 0xef, 0x00, 0x11, 0x22, 0x33, 0x44, 0x55}
-	inst := presentInstance(t, key)
-	faulty := registry.MustGet("present-80").SBox()
-	faulty[0xA] ^= 0x4
-
-	rng := stats.NewRNG(23)
-	c := newPresent()
-	for i := 0; i < 400; i++ {
-		c.Observe(presentCT(inst, faulty, rng.Uint64()))
-	}
-	pt := binary.BigEndian.AppendUint64(nil, 0xfeedface)
-	ct := presentCT(inst, registry.MustGet("present-80").SBox(), 0xfeedface)
-	master, err := c.RecoverMasterUnknownFault(pt, ct)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,6 @@ import (
 
 	"explframe/internal/dram"
 	"explframe/internal/mm"
-	"explframe/internal/stats"
 	"explframe/internal/vm"
 )
 
@@ -46,7 +45,10 @@ type Config struct {
 	PCPFIFO bool
 	// MinWatermarkPages is passed through to the physical allocator.
 	MinWatermarkPages uint64
-	// Seed drives weak-cell placement and any stochastic kernel behaviour.
+	// Seed seeds the DRAM device and nothing else: its stream places the
+	// weak cells at boot, then serves the flip-reliability draws of
+	// hammering.  The kernel layer itself draws nothing, so weak-cell
+	// placement is the only seeded part of NewMachine.
 	Seed uint64
 	// DrainOnIdle enables the pcp drain when a CPU has no runnable process.
 	// Defaults to true in DefaultConfig; E11 flips it to isolate the effect.
@@ -84,7 +86,6 @@ type Machine struct {
 	procs map[Pid]*Process
 	cpus  []*cpu
 	next  Pid
-	rng   *stats.RNG
 }
 
 type cpu struct {
@@ -121,7 +122,6 @@ func NewMachine(cfg Config) (*Machine, error) {
 		dev:   dev,
 		phys:  phys,
 		procs: make(map[Pid]*Process),
-		rng:   stats.NewRNG(cfg.Seed ^ 0x6b65726e656c), // "kernel"
 		next:  1,
 	}
 	for i := 0; i < cfg.NumCPUs; i++ {
@@ -138,9 +138,6 @@ func (m *Machine) Phys() *mm.PhysMem { return m.phys }
 
 // Config returns the machine configuration.
 func (m *Machine) Config() Config { return m.cfg }
-
-// RNG returns the machine's deterministic random stream.
-func (m *Machine) RNG() *stats.RNG { return m.rng }
 
 // NumCPUs returns the CPU count.
 func (m *Machine) NumCPUs() int { return len(m.cpus) }
@@ -269,14 +266,6 @@ func (p *Process) Mmap(length uint64) (vm.VirtAddr, error) {
 		return 0, ErrExited
 	}
 	return p.as.Map(0, length, vm.ProtRead|vm.ProtWrite)
-}
-
-// MmapAt is Mmap with an address hint.
-func (p *Process) MmapAt(hint vm.VirtAddr, length uint64) (vm.VirtAddr, error) {
-	if p.state == StateExited {
-		return 0, ErrExited
-	}
-	return p.as.Map(hint, length, vm.ProtRead|vm.ProtWrite)
 }
 
 // Munmap removes [addr, addr+length).  Present frames are freed on the

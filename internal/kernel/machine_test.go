@@ -379,16 +379,6 @@ func TestSpawnResident(t *testing.T) {
 	}
 }
 
-func TestMmapAtHint(t *testing.T) {
-	m := newTestMachine(t)
-	p, _ := m.Spawn("a", 0)
-	hint := vm.VirtAddr(0x5000_0000_0000)
-	got, err := p.MmapAt(hint, vm.PageSize)
-	if err != nil || got != hint {
-		t.Fatalf("MmapAt = %#x, %v", uint64(got), err)
-	}
-}
-
 // Bulk reads and writes open each page's row without reading through ECC:
 // reading a page whose first word holds one corrected flip counts one
 // correction per byte of that word (8), and a write into the word counts

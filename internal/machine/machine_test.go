@@ -69,6 +69,7 @@ func TestRegisterRejects(t *testing.T) {
 	mustPanic("duplicate", func() { Register(New("default")) })
 	mustPanic("unnamed", func() { Register(New("")) })
 	mustPanic("invalid", func() { Register(New("broken", WithCPUs(0))) })
+	mustPanic("too many cpus", func() { Register(New("broken", WithCPUs(MaxCPUs+1))) })
 }
 
 // Validate must join every violation into one report.

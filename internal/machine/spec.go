@@ -145,6 +145,10 @@ func WithTRR(tracker, threshold int) Option {
 // WithECC ships the machine with SEC-DED correction.
 func WithECC() Option { return func(s *Spec) { s.FaultModel.ECC = dram.ECCSecDed } }
 
+// MaxCPUs caps Spec.CPUs: booting a machine allocates a page frame cache
+// per CPU and its cache model a slice per CPU, up front.
+const MaxCPUs = 256
+
 // Validate checks every field and returns all violations joined into one
 // error, so a machine file with three mistakes reports three mistakes.
 func (s Spec) Validate() error {
@@ -181,8 +185,8 @@ func (s Spec) Validate() error {
 		fail("fault_model.trr: enabled needs positive tracker_size and threshold (%d, %d)",
 			fm.TRR.TrackerSize, fm.TRR.Threshold)
 	}
-	if s.CPUs <= 0 {
-		fail("cpus: %d, want >= 1", s.CPUs)
+	if s.CPUs <= 0 || s.CPUs > MaxCPUs {
+		fail("cpus: %d, want within [1, %d]", s.CPUs, MaxCPUs)
 	}
 	if s.PCPBatch <= 0 || s.PCPHigh < s.PCPBatch {
 		fail("pcp: need 0 < pcp_batch (%d) <= pcp_high (%d)", s.PCPBatch, s.PCPHigh)

@@ -236,47 +236,33 @@ func (pm *PhysMem) allocOrder0(cpu int, pref ZoneType) (PFN, error) {
 		}
 		lst := pm.pcp[cpu][zt]
 		if len(lst.frames) > 0 {
-			var p PFN
-			if pm.cfg.PCPFIFO {
-				p = lst.frames[0] // ablation: oldest frame first
-				lst.frames = append(lst.frames[:0], lst.frames[1:]...)
-			} else {
-				p = lst.frames[len(lst.frames)-1] // LIFO: hottest frame first
-				lst.frames = lst.frames[:len(lst.frames)-1]
-			}
-			pm.frames[p].state = frameAllocated
-			pm.frames[p].order = 0
 			z.stats.PCPHits++
-			return p, nil
-		}
-		// Miss: refill a batch from the buddy allocator.
-		z.stats.PCPMisses++
-		if !z.watermarkOK(0) {
-			z.stats.FailedAllo++
-			continue
-		}
-		refilled := 0
-		for i := 0; i < lst.batch; i++ {
+		} else {
+			// Miss: refill a batch from the buddy allocator.
+			z.stats.PCPMisses++
 			if !z.watermarkOK(0) {
-				break
+				z.stats.FailedAllo++
+				continue
 			}
-			p := pm.allocFromZone(z, 0)
-			if p == NilPFN {
-				break
+			for i := 0; i < lst.batch && z.watermarkOK(0); i++ {
+				p := pm.allocFromZone(z, 0)
+				if p == NilPFN {
+					break
+				}
+				pm.frames[p].state = frameInPCP
+				pm.frames[p].cpu = int32(cpu)
+				lst.frames = append(lst.frames, p)
 			}
-			pm.frames[p].state = frameInPCP
-			pm.frames[p].cpu = int32(cpu)
-			lst.frames = append(lst.frames, p)
-			refilled++
+			if len(lst.frames) == 0 {
+				continue
+			}
+			z.stats.PCPRefills++
+			if zt != pref {
+				z.stats.Fallbacks++
+			}
 		}
-		if refilled == 0 {
-			continue
-		}
-		z.stats.PCPRefills++
-		if zt != pref {
-			z.stats.Fallbacks++
-		}
-		// Refill pushed frames in buddy order; hand one out per policy.
+		// Take one frame: LIFO hands out the hottest, the FIFO ablation
+		// the oldest (a refill pushed its batch in buddy order).
 		var p PFN
 		if pm.cfg.PCPFIFO {
 			p = lst.frames[0]

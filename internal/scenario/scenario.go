@@ -23,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"explframe/internal/cache"
@@ -177,7 +178,8 @@ type Spec struct {
 	Machine *machine.Spec `json:"machine,omitempty"`
 	// Seed drives every stochastic component of every trial.
 	Seed uint64 `json:"seed"`
-	// Trials is the number of independent trials Run executes.
+	// Trials is the number of independent trials Run executes, at most
+	// MaxTrials.
 	Trials int `json:"trials"`
 
 	// Cipher names the victim (any name or alias registered in
@@ -185,17 +187,19 @@ type Spec struct {
 	Cipher string `json:"cipher,omitempty"`
 
 	// Hammer, Defences, Noise, Attacker and Victim declare the scenario
-	// axes; their zero values inherit the profile defaults.
+	// axes; their zero values inherit the profile defaults.  Validate
+	// rejects an axis set on a kind that never reads it.
 	Hammer   HammerSpec   `json:"hammer"`
 	Defences DefenceSpec  `json:"defences"`
 	Noise    NoiseSpec    `json:"noise"`
 	Attacker AttackerSpec `json:"attacker"`
 	Victim   VictimSpec   `json:"victim"`
 
-	// Ciphertexts bounds the faulty ciphertexts collected for fault
-	// analysis (0 = profile default).
+	// Ciphertexts bounds the faulty ciphertexts an attack or baseline
+	// trial collects for fault analysis (0 = profile default).
 	Ciphertexts int `json:"ciphertexts,omitempty"`
-	// PCP is the page-frame-cache policy: "", PCPLIFO or PCPFIFO.
+	// PCP is the page-frame-cache policy of the machine-backed kinds
+	// (attack, baseline, steering): "", PCPLIFO or PCPFIFO.
 	PCP string `json:"pcp,omitempty"`
 	// BaselineModel selects the prior-work model for Kind Baseline:
 	// "random-spray" or "pagemap-targeted".
@@ -390,6 +394,19 @@ var baselineModels = map[string]bool{
 	"random-spray": true, "pagemap-targeted": true,
 }
 
+// MaxTrials caps Spec.Trials: Run allocates one outcome per trial up
+// front, so one submitted spec must not ask for an unbounded slice.
+const MaxTrials = 1 << 20
+
+// kindList renders two or more kinds as "a, b and c".
+func kindList(kinds []Kind) string {
+	names := make([]string, len(kinds))
+	for i, k := range kinds {
+		names[i] = string(k)
+	}
+	return strings.Join(names[:len(names)-1], ", ") + " and " + names[len(names)-1]
+}
+
 // Validate checks every field and returns all violations joined into one
 // error (errors.Join), so a config file with three mistakes reports three
 // mistakes.
@@ -420,8 +437,8 @@ func (s Spec) Validate() error {
 		(s.Machine != nil || s.Profile != "" && s.Profile != ProfileDefault) {
 		fail("profile: machine %q set on kind %q (only kinds attack, baseline and cache-probe use it)", s.MachineName(), s.Kind)
 	}
-	if s.Trials <= 0 {
-		fail("trials: %d, want >= 1", s.Trials)
+	if s.Trials <= 0 || s.Trials > MaxTrials {
+		fail("trials: %d, want within [1, %d]", s.Trials, MaxTrials)
 	}
 	if s.Kind != Steering { // every other kind (known or not) names a victim
 		if _, ok := registry.Get(s.cipherName()); !ok {
@@ -462,6 +479,28 @@ func (s Spec) Validate() error {
 	case "", PCPLIFO, PCPFIFO:
 	default:
 		fail("pcp: unknown policy %q (want lifo or fifo)", s.PCP)
+	}
+	hammerKinds := []Kind{Attack, Baseline}
+	machineKinds := []Kind{Attack, Baseline, Steering}
+	for _, ax := range []struct {
+		field string
+		value any
+		set   bool
+		kinds []Kind // the kinds whose trials read the field
+	}{
+		{"hammer", s.Hammer, s.Hammer != HammerSpec{}, hammerKinds},
+		{"defences", s.Defences, s.Defences != DefenceSpec{}, hammerKinds},
+		{"noise", s.Noise, s.Noise != NoiseSpec{}, machineKinds},
+		{"attacker", s.Attacker, s.Attacker != AttackerSpec{}, machineKinds},
+		{"victim", s.Victim, s.Victim != VictimSpec{}, machineKinds},
+		{"ciphertexts", s.Ciphertexts, s.Ciphertexts != 0, hammerKinds},
+		{"pcp", s.PCP, s.PCP != "", machineKinds},
+		{"budget", s.Budget, s.Budget != 0, []Kind{PFA, DFA, CacheProbe}},
+	} {
+		if ax.set && !slices.Contains(ax.kinds, s.Kind) {
+			v, _ := json.Marshal(ax.value) // plain data: cannot fail
+			fail("%s: %s set on kind %q (only kinds %s use it)", ax.field, v, s.Kind, kindList(ax.kinds))
+		}
 	}
 	if s.Kind == Baseline {
 		if !baselineModels[s.BaselineModel] {

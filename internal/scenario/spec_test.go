@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -21,6 +22,7 @@ func sampleSpecs() []Spec {
 		New(WithECC(), WithSleepingAttacker(), WithCiphertexts(4000)),
 		New(WithKind(Steering), WithPCPFIFO(), WithVictimPages(16), WithNoIdleDrain(), WithTrials(25)),
 		New(WithProfile(ProfileFast), WithBaseline("pagemap-targeted"), WithTrials(12)),
+		New(WithBaseline("random-spray"), WithCrossCPU(), WithTRR(4, 300), WithNoise(1, 10), WithCiphertexts(100), WithTrials(2)),
 		New(WithKind(PFA), WithCipher("lilliput-80"), WithBudget(500), WithTrials(16)),
 		New(WithKind(DFA), WithTrials(8)),
 		New(WithFaultModel(fault.New(fault.PreciseByte)), WithTrials(8)),
@@ -88,6 +90,7 @@ func TestValidateRejections(t *testing.T) {
 		{"invalid inline machine", New(WithMachine(machine.New("", machine.WithCPUs(0)))), "machine"},
 		{"oversized inline machine", New(WithMachine(hugeMachine())), "module cap"},
 		{"oversized steering machine", New(WithKind(Steering), WithMachine(hugeMachine())), "module cap"},
+		{"cpu count near MaxInt on cache-probe", New(WithProbe(cache.TechPrimeProbe), WithMachine(machine.MustGet("default").With(machine.WithCPUs(math.MaxInt)))), "cpus"},
 		{"profile on steering kind", New(WithKind(Steering), WithProfile("ddr4")), "only kinds attack"},
 		{"profile on pfa kind", New(WithKind(PFA), WithProfile(ProfileFast)), "only kinds attack"},
 		{"profile on dfa kind", New(WithKind(DFA), WithProfile("server-1g")), "only kinds attack"},
@@ -95,6 +98,20 @@ func TestValidateRejections(t *testing.T) {
 		{"inline machine on pfa kind", New(WithKind(PFA), WithMachine(machine.MustGet("default"))), "only kinds attack"},
 		{"zero trials", New(WithTrials(0)), "trials"},
 		{"negative trials", New(WithTrials(-3)), "trials"},
+		{"trials beyond the cap", New(WithKind(PFA), WithTrials(1<<50)), "trials"},
+		{"trr on pfa kind", New(WithKind(PFA), WithTRR(4, 300)), "defences: {\"trr\":true,\"trr_tracker\":4,\"trr_threshold\":300} set on kind \"pfa\" (only kinds attack and baseline use it)"},
+		{"ecc on steering kind", New(WithKind(Steering), WithECC()), "defences"},
+		{"hammer on dfa kind", New(WithKind(DFA), WithManySided(8)), "hammer"},
+		{"hammer on steering kind", New(WithKind(Steering), WithHammerPairs(100)), "hammer"},
+		{"noise on cache-probe kind", New(WithProbe(cache.TechPrimeProbe), WithNoise(2, 150)), "only kinds attack, baseline and steering"},
+		{"attacker on pfa kind", New(WithKind(PFA), WithCrossCPU()), "attacker"},
+		{"victim on dfa kind", New(WithKind(DFA), WithVictimPages(8)), "victim"},
+		{"ciphertexts on pfa kind", New(WithKind(PFA), WithCiphertexts(4000)), "ciphertexts"},
+		{"ciphertexts on steering kind", New(WithKind(Steering), WithCiphertexts(4000)), "ciphertexts"},
+		{"pcp on pfa kind", New(WithKind(PFA), WithPCPFIFO()), "pcp"},
+		{"budget on attack kind", New(WithBudget(500)), "only kinds pfa, dfa and cache-probe"},
+		{"budget on steering kind", New(WithKind(Steering), WithBudget(500)), "budget"},
+		{"budget on baseline kind", New(WithBaseline("random-spray"), WithBudget(500)), "budget"},
 		{"unknown cipher", New(WithCipher("des-56")), "cipher"},
 		{"unknown hammer mode", New(WithHammerMode("quad-sided")), "hammer.mode"},
 		{"decoys without many-sided", New().With(func(s *Spec) { s.Hammer.Decoys = 8 }), "many-sided"},

@@ -424,6 +424,32 @@ func TestServerRejectsMachineOnMachinelessKinds(t *testing.T) {
 	}
 }
 
+// A trial count too large to allocate rejects with a 400 at submission
+// instead of panicking the campaign goroutine (which has no recover, and
+// would panic again on every restart that resumes the journaled campaign).
+// The server keeps serving: the next campaign runs to completion.
+func TestServerRejectsHugeTrials(t *testing.T) {
+	_, c, stop := testServer(t, t.TempDir())
+	defer stop()
+	ctx := context.Background()
+	body := `{"kind": "pfa", "cipher": "present-80", "trials": 1125899906842624}`
+	data, err := c.do(ctx, "POST", "/v1/campaigns", []byte(body))
+	if err == nil {
+		t.Fatalf("submission %q accepted: %s", body, data)
+	}
+	if !strings.Contains(err.Error(), "400") || !strings.Contains(err.Error(), "trials") {
+		t.Fatalf("want a 400 naming trials, got %v", err)
+	}
+	st, err := c.Submit(ctx, serviceCampaign())
+	if err != nil {
+		t.Fatal(err)
+	}
+	final, err := c.Stream(ctx, st.ID, func(StreamLine) error { return nil })
+	if err != nil || final.Status != "done" {
+		t.Fatalf("campaign after the rejected one: %+v, %v", final, err)
+	}
+}
+
 // Streams attached just before a campaign finishes must all end on the
 // terminal line: finish publishes the terminal status and its line under one
 // lock, so no stream can see the status, drain and leave without the line.

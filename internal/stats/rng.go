@@ -1,6 +1,6 @@
 // Package stats provides the small statistics toolkit used throughout the
-// ExplFrame reproduction: a deterministic random number generator, histograms,
-// counters, Bernoulli confidence intervals and summary statistics.
+// ExplFrame reproduction: a deterministic random number generator, Bernoulli
+// confidence intervals and summary statistics.
 //
 // Everything in the repository that needs randomness takes a *stats.RNG so
 // that every experiment is reproducible from a single seed.
@@ -112,11 +112,6 @@ func (r *RNG) Intn(n int) int {
 	return int(r.Uint64() % uint64(n))
 }
 
-// Int63 returns a non-negative 63-bit random integer.
-func (r *RNG) Int63() int64 {
-	return int64(r.Uint64() >> 1)
-}
-
 // Float64 returns a uniformly random float64 in [0, 1).
 func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
@@ -140,15 +135,6 @@ func (r *RNG) Perm(n int) []int {
 	return p
 }
 
-// Shuffle randomly permutes the order of n elements using the provided swap
-// function, mirroring math/rand.Shuffle.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
 // Bytes fills b with random bytes.
 func (r *RNG) Bytes(b []byte) {
 	i := 0
@@ -165,24 +151,4 @@ func (r *RNG) Bytes(b []byte) {
 			v >>= 8
 		}
 	}
-}
-
-// Geometric returns a sample from a geometric distribution with success
-// probability p: the number of Bernoulli(p) failures before the first
-// success.  Used for inter-arrival style workload generation.
-func (r *RNG) Geometric(p float64) int {
-	if p <= 0 || p >= 1 {
-		if p >= 1 {
-			return 0
-		}
-		panic("stats: Geometric with p <= 0")
-	}
-	n := 0
-	for !r.Bool(p) {
-		n++
-		if n > 1<<24 {
-			return n // guard against pathological p values
-		}
-	}
-	return n
 }

@@ -4,20 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 )
-
-// Counter is a named monotonically increasing event counter.
-type Counter struct {
-	Name string
-	N    uint64
-}
-
-// Inc adds one to the counter.
-func (c *Counter) Inc() { c.N++ }
-
-// Add adds n to the counter.
-func (c *Counter) Add(n uint64) { c.N += n }
 
 // Proportion summarises a Bernoulli experiment: k successes out of n trials.
 type Proportion struct {
@@ -169,67 +156,6 @@ func (s *Summary) Quantile(q float64) float64 {
 func (s *Summary) String() string {
 	return fmt.Sprintf("mean=%.3f std=%.3f p50=%.3f min=%.3f max=%.3f n=%d",
 		s.Mean(), s.Std(), s.Quantile(0.5), s.Min(), s.Max(), s.N())
-}
-
-// Histogram counts observations into fixed-width bins over [Lo, Hi).  Values
-// outside the range are clamped into the first/last bin so that totals are
-// preserved.
-type Histogram struct {
-	Lo, Hi float64
-	Bins   []uint64
-	total  uint64
-}
-
-// NewHistogram creates a histogram with n bins spanning [lo, hi).
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if n <= 0 || hi <= lo {
-		panic("stats: invalid histogram shape")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Bins: make([]uint64, n)}
-}
-
-// Observe records one value.
-func (h *Histogram) Observe(v float64) {
-	idx := int((v - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Bins)))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(h.Bins) {
-		idx = len(h.Bins) - 1
-	}
-	h.Bins[idx]++
-	h.total++
-}
-
-// Total returns the number of observed values.
-func (h *Histogram) Total() uint64 { return h.total }
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	w := (h.Hi - h.Lo) / float64(len(h.Bins))
-	return h.Lo + w*(float64(i)+0.5)
-}
-
-// String renders a compact ASCII sparkline of the distribution.
-func (h *Histogram) String() string {
-	marks := []rune(" .:-=+*#%@")
-	var max uint64
-	for _, b := range h.Bins {
-		if b > max {
-			max = b
-		}
-	}
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "[%g..%g) n=%d |", h.Lo, h.Hi, h.total)
-	for _, b := range h.Bins {
-		idx := 0
-		if max > 0 {
-			idx = int(float64(b) / float64(max) * float64(len(marks)-1))
-		}
-		sb.WriteRune(marks[idx])
-	}
-	sb.WriteString("|")
-	return sb.String()
 }
 
 // Log2 returns log base 2 of x, tolerating x <= 0 by returning 0; used for

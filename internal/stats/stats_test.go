@@ -104,22 +104,6 @@ func TestRNGBytesFillsEverything(t *testing.T) {
 	}
 }
 
-func TestRNGGeometric(t *testing.T) {
-	r := NewRNG(17)
-	sum := 0.0
-	const n = 20000
-	for i := 0; i < n; i++ {
-		sum += float64(r.Geometric(0.25))
-	}
-	// Mean of geometric (failures before success) is (1-p)/p = 3.
-	if mean := sum / n; mean < 2.8 || mean > 3.2 {
-		t.Fatalf("geometric mean %f, want ~3", mean)
-	}
-	if r.Geometric(1.5) != 0 {
-		t.Fatal("p>=1 must return 0")
-	}
-}
-
 func TestProportion(t *testing.T) {
 	var p Proportion
 	if p.Rate() != 0 {
@@ -196,74 +180,12 @@ func TestSummary(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for i := 0; i < 10; i++ {
-		h.Observe(float64(i) + 0.5)
-	}
-	h.Observe(-5) // clamps low
-	h.Observe(99) // clamps high
-	if h.Total() != 12 {
-		t.Fatalf("total = %d", h.Total())
-	}
-	if h.Bins[0] != 2 || h.Bins[9] != 2 {
-		t.Fatalf("clamping wrong: %v", h.Bins)
-	}
-	if c := h.BinCenter(0); c != 0.5 {
-		t.Fatalf("bin center = %f", c)
-	}
-	if h.String() == "" {
-		t.Fatal("empty render")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("invalid shape accepted")
-		}
-	}()
-	NewHistogram(5, 5, 10)
-}
-
-func TestCounter(t *testing.T) {
-	c := Counter{Name: "x"}
-	c.Inc()
-	c.Add(4)
-	if c.N != 5 {
-		t.Fatalf("counter = %d", c.N)
-	}
-}
-
 func TestLog2(t *testing.T) {
 	if Log2(8) != 3 {
 		t.Fatal("log2(8)")
 	}
 	if Log2(0) != 0 || Log2(-3) != 0 {
 		t.Fatal("log2 of non-positive must be 0")
-	}
-}
-
-func TestShuffle(t *testing.T) {
-	r := NewRNG(23)
-	vals := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
-	orig := append([]int(nil), vals...)
-	r.Shuffle(len(vals), func(i, j int) { vals[i], vals[j] = vals[j], vals[i] })
-	seen := make([]bool, len(vals))
-	for _, v := range vals {
-		seen[v] = true
-	}
-	for i, ok := range seen {
-		if !ok {
-			t.Fatalf("value %d lost in shuffle", i)
-		}
-	}
-	_ = orig
-}
-
-func TestInt63NonNegative(t *testing.T) {
-	r := NewRNG(29)
-	for i := 0; i < 1000; i++ {
-		if r.Int63() < 0 {
-			t.Fatal("negative Int63")
-		}
 	}
 }
 

@@ -46,7 +46,9 @@ func eccOracle(d *Device, pa uint64) (v byte, corrected, uncorrectable uint64) {
 	wordBase := pa &^ 7
 	a := d.mapper.ToDRAM(wordBase)
 	var flips []*WeakCell
-	for _, wc := range d.cellsAt(d.rowIndex(d.mapper.BankGroup(a), a.Row)) {
+	cells := d.cellsAt(d.rowIndex(d.mapper.BankGroup(a), a.Row))
+	for i := range cells {
+		wc := &cells[i]
 		if wc.corrupted && wc.ByteInRow >= a.Col && wc.ByteInRow < a.Col+8 {
 			flips = append(flips, wc)
 		}

@@ -89,7 +89,7 @@ type Flip struct {
 // per-row arrays the hammer loop walks are sized by the weak-cell
 // population, not the geometry, so a multi-GiB device stays cheap.
 type rowState struct {
-	cells []*WeakCell
+	cells []WeakCell // a capacity-clamped window of the placement slab
 	// near and far count the activations of rows at distance one and two
 	// in the current refresh window; level turns them into disturbance.
 	near, far uint64
@@ -216,7 +216,8 @@ var inf = math.Inf(1)
 func (d *Device) recomputeMinThr(si int32) {
 	rs := &d.rowStates[si]
 	m := inf
-	for _, wc := range rs.cells {
+	for i := range rs.cells {
+		wc := &rs.cells[i]
 		if wc.flipped || wc.held {
 			continue
 		}
@@ -244,7 +245,7 @@ func (d *Device) stateFor(idx int) int32 {
 
 // cellsAt returns the weak cells of the dense row index (nil for rows
 // without any).
-func (d *Device) cellsAt(idx int) []*WeakCell {
+func (d *Device) cellsAt(idx int) []WeakCell {
 	si := d.rowIdx[idx]
 	if si < 0 {
 		return nil
@@ -262,6 +263,12 @@ func (d *Device) cellsAt(idx int) []*WeakCell {
 // the placement stream is identical whether or not any collision occurred:
 // every non-colliding cell keeps the position it had before collisions were
 // handled at all, and a colliding cell stays adjacent to its twin.
+//
+// The cells live in one slab, grouped by row: rowStates are numbered in
+// order of each row's first cell, each row's cells keep their draw order,
+// and each row's cells slice is capacity-clamped so PlantWeakCell's append
+// reallocates instead of overwriting the next row.  The allocation count
+// is fixed whatever the cell count, which keeps a per-trial machine cheap.
 func (d *Device) placeWeakCells() {
 	totalBits := float64(d.geom.TotalBytes()) * 8
 	expected := totalBits * d.model.WeakCellDensity
@@ -271,51 +278,115 @@ func (d *Device) placeWeakCells() {
 	if d.rng.Float64() < expected-float64(n) {
 		n++
 	}
-	if n > 0 {
-		d.rowStates = make([]rowState, 0, n)
+	if n == 0 {
+		return
 	}
 	banks := d.geom.NumBankGroups()
-	totalKeys := uint64(banks) * uint64(d.geom.Rows) * uint64(d.geom.RowBytes) * 8
-	occupied := make(map[uint64]struct{}, n)
-	for i := 0; i < n; i++ {
-		wc := &WeakCell{
-			Bank:      d.rng.Intn(banks),
-			Row:       d.rng.Intn(d.geom.Rows),
-			ByteInRow: d.rng.Intn(d.geom.RowBytes),
-			Bit:       uint8(d.rng.Intn(8)),
-		}
-		key := (uint64(d.rowIndex(wc.Bank, wc.Row))*uint64(d.geom.RowBytes)+uint64(wc.ByteInRow))*8 + uint64(wc.Bit)
-		for {
-			if _, dup := occupied[key]; !dup {
-				occupied[key] = struct{}{}
-				break
-			}
+	rowBytes := uint64(d.geom.RowBytes)
+	totalKeys := uint64(banks) * uint64(d.geom.Rows) * rowBytes * 8
+	occupied := newKeySet(n)
+	// Draw pass: cells land in the slab in draw order, and dest[i] records
+	// cell i's rowStates index, numbered by first appearance.
+	slab := make([]WeakCell, n)
+	dest := make([]int32, n)
+	states := int32(0)
+	for i := range slab {
+		wc := &slab[i]
+		bank := d.rng.Intn(banks)
+		row := d.rng.Intn(d.geom.Rows)
+		col := d.rng.Intn(d.geom.RowBytes)
+		bit := d.rng.Intn(8)
+		key := (uint64(d.rowIndex(bank, row))*rowBytes+uint64(col))*8 + uint64(bit)
+		for !occupied.add(key) {
 			key = (key + 1) % totalKeys
-			wc.Bit = uint8(key % 8)
-			wc.ByteInRow = int(key / 8 % uint64(d.geom.RowBytes))
-			ri := int(key / 8 / uint64(d.geom.RowBytes))
-			wc.Bank = ri / d.geom.Rows
-			wc.Row = ri % d.geom.Rows
 		}
+		ri := int(key / 8 / rowBytes)
+		wc.Bank, wc.Row = ri/d.geom.Rows, ri%d.geom.Rows
+		wc.ByteInRow, wc.Bit = int(key/8%rowBytes), uint8(key%8)
 		wc.FlipTo = uint8(d.rng.Intn(2))
 		spread := 1 + d.rng.Float64()*d.model.ThresholdSpread
 		wc.Threshold = int(float64(d.model.BaseThreshold) * spread)
-		si := d.stateFor(d.rowIndex(wc.Bank, wc.Row))
-		rs := &d.rowStates[si]
-		rs.cells = append(rs.cells, wc)
-		if t := float64(wc.Threshold); t < rs.minThr {
-			rs.minThr = t
+		if d.rowIdx[ri] < 0 {
+			d.rowIdx[ri] = states
+			states++
 		}
-		d.weakCount++
+		dest[i] = d.rowIdx[ri]
+	}
+	// Counting sort by state, stable in draw order.  After the prefix sum
+	// end[s] is state s's first slab slot; handing each cell its slot in
+	// dest moves end[s] on to the state's end.
+	end := make([]int32, states+1)
+	for _, si := range dest {
+		end[si+1]++
+	}
+	for si := int32(1); si <= states; si++ {
+		end[si] += end[si-1]
+	}
+	for i, si := range dest {
+		dest[i] = end[si]
+		end[si]++
+	}
+	// Apply the permutation in place, one cycle at a time.
+	for i := range slab {
+		for j := dest[i]; j != int32(i); j = dest[i] {
+			slab[i], slab[j] = slab[j], slab[i]
+			dest[i], dest[j] = dest[j], j
+		}
+	}
+	d.rowStates = make([]rowState, states)
+	lo := int32(0)
+	for si := range d.rowStates {
+		rs := &d.rowStates[si]
+		hi := end[si]
+		rs.cells = slab[lo:hi:hi]
+		lo = hi
+		rs.minThr = inf
+		for _, wc := range rs.cells {
+			if t := float64(wc.Threshold); t < rs.minThr {
+				rs.minThr = t
+			}
+		}
+	}
+	d.weakCount = n
+}
+
+// keySet is an open-addressed set of placement keys sized for a known
+// number of insertions: the O(n) occupancy structure placeWeakCells uses in
+// place of a map.  Slots hold key+1, so zero marks an empty slot.
+type keySet struct {
+	slots []uint64
+	shift uint
+}
+
+// newKeySet sizes the table to at least twice n slots, a power of two.
+func newKeySet(n int) keySet {
+	size, shift := 2, uint(63)
+	for size < 2*n {
+		size <<= 1
+		shift--
+	}
+	return keySet{slots: make([]uint64, size), shift: shift}
+}
+
+// add inserts key and reports whether it was absent.
+func (s keySet) add(key uint64) bool {
+	mask := uint64(len(s.slots) - 1)
+	for h := (key * 0x9e3779b97f4a7c15) >> s.shift; ; h = (h + 1) & mask {
+		switch s.slots[h] {
+		case 0:
+			s.slots[h] = key + 1
+			return true
+		case key + 1:
+			return false
+		}
 	}
 }
 
 // PlantWeakCell inserts a specific weak cell; test and characterisation
 // hook for deterministic scenarios.
 func (d *Device) PlantWeakCell(wc WeakCell) {
-	c := wc
-	si := d.stateFor(d.rowIndex(c.Bank, c.Row))
-	d.rowStates[si].cells = append(d.rowStates[si].cells, &c)
+	si := d.stateFor(d.rowIndex(wc.Bank, wc.Row))
+	d.rowStates[si].cells = append(d.rowStates[si].cells, wc)
 	d.weakCount++
 	d.recomputeMinThr(si)
 }
@@ -446,7 +517,8 @@ func (d *Device) disturb(bg, row int, si int32, far bool) {
 		return
 	}
 	changed := false
-	for _, wc := range rs.cells {
+	for i := range rs.cells {
+		wc := &rs.cells[i]
 		if wc.flipped || wc.held {
 			continue
 		}
@@ -504,9 +576,10 @@ func (d *Device) addrOfCell(bg, row, col int) Addr {
 // correct errors.
 func (d *Device) Refresh() {
 	for _, si := range d.dirty {
-		d.rowStates[si].near, d.rowStates[si].far = 0, 0
-		for _, wc := range d.rowStates[si].cells {
-			wc.held = false
+		rs := &d.rowStates[si]
+		rs.near, rs.far = 0, 0
+		for i := range rs.cells {
+			rs.cells[i].held = false
 		}
 		d.recomputeMinThr(si)
 	}
@@ -543,7 +616,9 @@ func (d *Device) eccCorrectRange(pa uint64, out []byte) {
 	var words map[uint64][]*WeakCell // word base pa -> corrupted cells
 	for base := lo &^ (rowBytes - 1); base < hi; base += rowBytes {
 		a := d.mapper.ToDRAM(base)
-		for _, wc := range d.cellsAt(d.rowIndex(d.mapper.BankGroup(a), a.Row)) {
+		cells := d.cellsAt(d.rowIndex(d.mapper.BankGroup(a), a.Row))
+		for i := range cells {
+			wc := &cells[i]
 			if !wc.corrupted {
 				continue
 			}
@@ -618,7 +693,9 @@ func (d *Device) rearmRange(lo, hi uint64) {
 			colHi = int(hi - base)
 		}
 		changed := false
-		for _, wc := range d.rowStates[si].cells {
+		cells := d.rowStates[si].cells
+		for i := range cells {
+			wc := &cells[i]
 			if wc.ByteInRow >= colLo && wc.ByteInRow < colHi {
 				changed = changed || wc.flipped
 				wc.flipped = false
@@ -659,7 +736,7 @@ func (d *Device) WeakCellsInRange(lo, hi uint64) []WeakCell {
 		for _, wc := range d.rowStates[si].cells {
 			pa := d.mapper.ToPhys(d.addrOfCell(bg, row, wc.ByteInRow))
 			if pa >= lo && pa < hi {
-				out = append(out, *wc)
+				out = append(out, wc)
 			}
 		}
 	}

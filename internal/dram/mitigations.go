@@ -140,9 +140,10 @@ func (d *Device) trrRefreshNeighbours(bg, row int) {
 		if si < 0 {
 			continue
 		}
-		d.rowStates[si].near, d.rowStates[si].far = 0, 0
-		for _, wc := range d.rowStates[si].cells {
-			wc.held = false
+		rs := &d.rowStates[si]
+		rs.near, rs.far = 0, 0
+		for i := range rs.cells {
+			rs.cells[i].held = false
 		}
 		d.recomputeMinThr(si)
 	}

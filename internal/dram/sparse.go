@@ -79,10 +79,7 @@ func (s *store) read(pa uint64, out []byte) {
 		if c := s.chunks[ci]; c != nil {
 			copy(out[:n], c[off:off+n])
 		} else {
-			seg := out[:n]
-			for i := range seg {
-				seg[i] = 0
-			}
+			clear(out[:n])
 		}
 		out = out[n:]
 		pa += n
@@ -118,8 +115,12 @@ func (s *store) fill(pa, n uint64, v byte) {
 		}
 		if v != 0 || s.chunks[ci] != nil {
 			seg := s.chunkFor(pa)[off : off+span]
-			for i := range seg {
-				seg[i] = v
+			if v == 0 {
+				clear(seg)
+			} else {
+				for i := range seg {
+					seg[i] = v
+				}
 			}
 		}
 		n -= span

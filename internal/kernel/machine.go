@@ -265,7 +265,7 @@ func (p *Process) Mmap(length uint64) (vm.VirtAddr, error) {
 	if p.state == StateExited {
 		return 0, ErrExited
 	}
-	return p.as.Map(0, length, vm.ProtRead|vm.ProtWrite)
+	return p.as.Map(length, vm.ProtRead|vm.ProtWrite)
 }
 
 // Munmap removes [addr, addr+length).  Present frames are freed on the

@@ -1,6 +1,10 @@
 package rowhammer
 
-import "explframe/internal/vm"
+import (
+	"bytes"
+
+	"explframe/internal/vm"
+)
 
 // Pattern selects the data written to victim rows while templating.  A
 // 0xFF pattern exposes 1->0 ("true") cells, 0x00 exposes 0->1 ("anti")
@@ -26,33 +30,42 @@ func (e *Engine) Template(base vm.VirtAddr, length uint64) ([]FlipSite, error) {
 	var flips []FlipSite
 	seen := make(map[uint64]bool) // VA*8+bit of every recorded flip
 
-	record := func(va vm.VirtAddr, pattern Pattern, agg Aggressors) error {
+	// record diffs a victim page against fill, the pattern written into
+	// it.  Flips are rare, so equal 64-byte blocks are skipped whole and
+	// only a differing block is walked byte by byte.
+	record := func(va vm.VirtAddr, pattern Pattern, fill []byte, agg Aggressors) error {
 		pageVA := va.PageBase()
 		buf := e.probePage()
 		if err := e.proc.ReadBytesInto(pageVA, buf); err != nil {
 			return err
 		}
-		for i, b := range buf {
-			if Pattern(b) == pattern {
+		const block = 64 // divides vm.PageSize
+		for lo := 0; lo < len(buf); lo += block {
+			if bytes.Equal(buf[lo:lo+block], fill[lo:lo+block]) {
 				continue
 			}
-			diff := b ^ byte(pattern)
-			at := pageVA + vm.VirtAddr(i)
-			for bit := uint8(0); bit < 8; bit++ {
-				k := uint64(at)*8 + uint64(bit)
-				if diff&(1<<bit) == 0 || seen[k] {
+			for i := lo; i < lo+block; i++ {
+				diff := buf[i] ^ byte(pattern)
+				if diff == 0 {
 					continue
 				}
-				seen[k] = true
-				flips = append(flips, FlipSite{
-					VA:         at,
-					PageVA:     pageVA,
-					ByteInPage: i,
-					Bit:        bit,
-					From:       (byte(pattern) >> bit) & 1,
-					Agg:        agg,
-				})
-				e.st.FlipsFound++
+				at := pageVA + vm.VirtAddr(i)
+				for bit := uint8(0); bit < 8; bit++ {
+					k := uint64(at)*8 + uint64(bit)
+					if diff&(1<<bit) == 0 || seen[k] {
+						continue
+					}
+					seen[k] = true
+					flips = append(flips, FlipSite{
+						VA:         at,
+						PageVA:     pageVA,
+						ByteInPage: i,
+						Bit:        bit,
+						From:       (byte(pattern) >> bit) & 1,
+						Agg:        agg,
+					})
+					e.st.FlipsFound++
+				}
 			}
 		}
 		return nil
@@ -83,7 +96,7 @@ func (e *Engine) Template(base vm.VirtAddr, length uint64) ([]FlipSite, error) {
 			}
 			e.st.RowsScanned++
 			for _, pva := range pages {
-				if err := record(pva, pattern, agg); err != nil {
+				if err := record(pva, pattern, fill, agg); err != nil {
 					return flips, err
 				}
 			}

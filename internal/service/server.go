@@ -32,6 +32,7 @@ import (
 	"io"
 	"log"
 	"net/http"
+	"runtime/debug"
 	"sort"
 	"strings"
 	"sync"
@@ -293,7 +294,14 @@ func (s *Server) replayLines(cr *campaignRun, st *CampaignState) {
 	}
 }
 
+// testHookFold, when set, runs after a campaign's trials complete and
+// before its table is folded; tests use it to fault the fold.
+var testHookFold func(id string)
+
 // start launches the campaign's execution goroutine, resuming from cp.
+// The harness recovers panics inside trials; a panic anywhere else in the
+// goroutine (the fold, the table, the store) fails this campaign instead
+// of the whole process.
 func (s *Server) start(cr *campaignRun, cp scenario.Checkpoint) {
 	ctx, cancel := context.WithCancel(s.baseCtx)
 	cr.mu.Lock()
@@ -303,6 +311,13 @@ func (s *Server) start(cr *campaignRun, cp scenario.Checkpoint) {
 	go func() {
 		defer s.wg.Done()
 		defer cancel()
+		defer func() {
+			if r := recover(); r != nil {
+				msg := fmt.Sprintf("panic: %v", r)
+				s.logger.Printf("campaign %s: %s\n%s", cr.id, msg, debug.Stack())
+				cr.finish("failed", msg, nil)
+			}
+		}()
 		results, err := cr.camp.Run(ctx,
 			scenario.WithTrialEvents(),
 			scenario.WithCheckpoint(cp),
@@ -329,6 +344,9 @@ func (s *Server) start(cr *campaignRun, cp scenario.Checkpoint) {
 		)
 		switch {
 		case err == nil:
+			if testHookFold != nil {
+				testHookFold(cr.id)
+			}
 			table := scenario.CampaignTable(cr.camp.Name, results)
 			if err := s.store.Save(cr.id, table); err != nil {
 				s.logger.Printf("campaign %s: %v", cr.id, err)

@@ -450,6 +450,51 @@ func TestServerRejectsHugeTrials(t *testing.T) {
 	}
 }
 
+// A panic outside any trial (here in the fold, through the test hook)
+// fails that campaign with the panic message; the server stays up and the
+// next campaign runs to done.
+func TestServerSurvivesCampaignPanic(t *testing.T) {
+	faulty := CampaignID(serviceCampaign())
+	testHookFold = func(id string) {
+		if id == faulty {
+			panic("fold fault")
+		}
+	}
+	defer func() { testHookFold = nil }()
+	_, c, stop := testServer(t, t.TempDir())
+	defer stop()
+	ctx := context.Background()
+
+	st, err := c.Submit(ctx, serviceCampaign())
+	if err != nil {
+		t.Fatal(err)
+	}
+	final, err := c.Stream(ctx, st.ID, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final.Status != "failed" || !strings.Contains(final.Error, "fold fault") {
+		t.Fatalf("terminal line of the panicking campaign: %+v", final)
+	}
+	if got, err := c.Status(ctx, st.ID); err != nil || got.Status != "failed" {
+		t.Fatalf("status of the panicking campaign: %+v, %v", got, err)
+	}
+
+	next := serviceCampaign()
+	next.Name = "after-panic"
+	st2, err := c.Submit(ctx, next)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st2.ID == faulty {
+		t.Fatal("second campaign shares the faulted id")
+	}
+	final, err = c.Stream(ctx, st2.ID, nil)
+	if err != nil || final.Status != "done" {
+		t.Fatalf("campaign after the panic: %+v, %v", final, err)
+	}
+}
+
 // Streams attached just before a campaign finishes must all end on the
 // terminal line: finish publishes the terminal status and its line under one
 // lock, so no stream can see the status, drain and leave without the line.

@@ -25,7 +25,7 @@ func TestAddressSpaceStorm(t *testing.T) {
 		switch {
 		case len(live) == 0 || rng.Bool(0.5):
 			pages := 1 + rng.Intn(16)
-			start, err := as.Map(0, uint64(pages)*PageSize, ProtRead|ProtWrite)
+			start, err := as.Map(uint64(pages)*PageSize, ProtRead|ProtWrite)
 			if err != nil {
 				t.Fatalf("step %d: map: %v", step, err)
 			}

@@ -116,7 +116,7 @@ func TestPageTableTranslateProperty(t *testing.T) {
 
 func TestAddressSpaceMapFindUnmap(t *testing.T) {
 	as := NewAddressSpace()
-	start, err := as.Map(0, 16*PageSize, ProtRead|ProtWrite)
+	start, err := as.Map(16*PageSize, ProtRead|ProtWrite)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,30 +135,10 @@ func TestAddressSpaceMapFindUnmap(t *testing.T) {
 	}
 }
 
-func TestAddressSpaceHintHonoured(t *testing.T) {
-	as := NewAddressSpace()
-	hint := VirtAddr(0x6000_0000_0000)
-	start, err := as.Map(hint, 4*PageSize, ProtRead)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if start != hint {
-		t.Fatalf("hint not honoured: got %#x", uint64(start))
-	}
-	// Occupied hint falls back to search.
-	start2, err := as.Map(hint, 4*PageSize, ProtRead)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if start2 == hint {
-		t.Fatal("overlapping hint accepted")
-	}
-}
-
 func TestAddressSpaceMapsDoNotOverlap(t *testing.T) {
 	as := NewAddressSpace()
 	for i := 0; i < 50; i++ {
-		if _, err := as.Map(0, PageSize*uint64(1+i%7), ProtRead); err != nil {
+		if _, err := as.Map(PageSize*uint64(1+i%7), ProtRead); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -171,7 +151,7 @@ func TestAddressSpaceMapsDoNotOverlap(t *testing.T) {
 // semantics).
 func TestAddressSpaceUnmapSplits(t *testing.T) {
 	as := NewAddressSpace()
-	start, err := as.Map(0, 10*PageSize, ProtRead|ProtWrite)
+	start, err := as.Map(10*PageSize, ProtRead|ProtWrite)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +176,7 @@ func TestAddressSpaceUnmapSplits(t *testing.T) {
 
 func TestAddressSpaceUnmapReleasesFrames(t *testing.T) {
 	as := NewAddressSpace()
-	start, _ := as.Map(0, 4*PageSize, ProtRead|ProtWrite)
+	start, _ := as.Map(4*PageSize, ProtRead|ProtWrite)
 	for i := 0; i < 4; i++ {
 		if err := as.PT.Map(start+VirtAddr(i)*PageSize, mm.PFN(100+i), true); err != nil {
 			t.Fatal(err)
@@ -227,15 +207,15 @@ func TestAddressSpaceUnmapErrors(t *testing.T) {
 	if err := as.Unmap(0x1000, 0, nil); !errors.Is(err, ErrBadRange) {
 		t.Fatalf("zero-length unmap: %v", err)
 	}
-	if _, err := as.Map(0, 123, ProtRead); !errors.Is(err, ErrBadRange) {
+	if _, err := as.Map(123, ProtRead); !errors.Is(err, ErrBadRange) {
 		t.Fatalf("unaligned map length: %v", err)
 	}
 }
 
 func TestAddressSpaceMappedBytes(t *testing.T) {
 	as := NewAddressSpace()
-	as.Map(0, 3*PageSize, ProtRead)
-	as.Map(0, 5*PageSize, ProtRead)
+	as.Map(3*PageSize, ProtRead)
+	as.Map(5*PageSize, ProtRead)
 	if got := as.MappedBytes(); got != 8*PageSize {
 		t.Fatalf("MappedBytes = %d", got)
 	}

@@ -93,38 +93,18 @@ func checkRange(start VirtAddr, length uint64) error {
 	return nil
 }
 
-// Map creates a new VMA of the given length and returns its start address.
-// If hint is non-zero and the range is free it is honoured, otherwise the
-// first free range at or after mmapBase is used.
-func (as *AddressSpace) Map(hint VirtAddr, length uint64, prot Prot) (VirtAddr, error) {
+// Map creates a new VMA of the given length at the first free range at or
+// after mmapBase and returns its start address.
+func (as *AddressSpace) Map(length uint64, prot Prot) (VirtAddr, error) {
 	if length == 0 || length%PageSize != 0 {
 		return 0, fmt.Errorf("%w: length %d", ErrBadRange, length)
 	}
-	start := hint
-	if start == 0 || uint64(start)%PageSize != 0 || !as.rangeFree(start, length) {
-		var ok bool
-		start, ok = as.findFree(length)
-		if !ok {
-			return 0, ErrNoSpace
-		}
+	start, ok := as.findFree(length)
+	if !ok {
+		return 0, ErrNoSpace
 	}
-	if err := checkRange(start, length); err != nil {
-		return 0, err
-	}
-	v := VMA{Start: start, End: start + VirtAddr(length), Prot: prot}
-	as.insert(v)
+	as.insert(VMA{Start: start, End: start + VirtAddr(length), Prot: prot})
 	return start, nil
-}
-
-// rangeFree reports whether [start, start+length) overlaps no VMA.
-func (as *AddressSpace) rangeFree(start VirtAddr, length uint64) bool {
-	end := start + VirtAddr(length)
-	for _, v := range as.vmas {
-		if start < v.End && v.Start < end {
-			return false
-		}
-	}
-	return true
 }
 
 // findFree locates the lowest free range of the given length at or after

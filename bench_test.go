@@ -433,7 +433,7 @@ func BenchmarkAESEncryptBlock(b *testing.B) {
 
 func BenchmarkPresentEncryptBlock(b *testing.B) {
 	rk, _ := present.Engine.Expand(make([]byte, 10))
-	sb := present.SBox()
+	sb := present.Engine.Canon
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		present.Engine.Encrypt(rk, &sb, uint64(i))
@@ -468,12 +468,23 @@ func BenchmarkPCPAllocFree(b *testing.B) {
 	}
 }
 
+// newLinearDevice builds a default-model device on the linear mapper.
+func newLinearDevice(g dram.Geometry) (*dram.Device, error) {
+	m, err := dram.NewNamedMapper(dram.MapperLinear, g)
+	if err != nil {
+		return nil, err
+	}
+	return dram.NewDeviceWithMapper(m, dram.DefaultFaultModel(), 1)
+}
+
 func BenchmarkDRAMActivate(b *testing.B) {
-	dev, _ := dram.NewDevice(dram.DefaultGeometry(), dram.DefaultFaultModel(), 1)
+	dev, _ := newLinearDevice(dram.DefaultGeometry())
 	m := dev.Mapper()
 	a := m.ToDRAM(0)
-	p1 := m.SameBankRow(a, 100, 0)
-	p2 := m.SameBankRow(a, 200, 0)
+	a.Row = 100
+	p1 := m.ToPhys(a)
+	a.Row = 200
+	p2 := m.ToPhys(a)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		dev.ActivateRow(p1)
@@ -506,7 +517,7 @@ func BenchmarkProcessLoad(b *testing.B) {
 	}
 }
 
-// BenchmarkSparseDeviceConstruction measures NewDevice for an 8 GiB
+// BenchmarkSparseDeviceConstruction measures device construction for an 8 GiB
 // geometry with the default weak-cell population: the sparse backing store
 // makes this proportional to the weak-cell count (plus one int32 per row),
 // not the capacity.  allocs/op and B/op are the headline numbers; the
@@ -516,7 +527,7 @@ func BenchmarkSparseDeviceConstruction(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := dram.NewDevice(g, dram.DefaultFaultModel(), 1); err != nil {
+		if _, err := newLinearDevice(g); err != nil {
 			b.Fatal(err)
 		}
 	}

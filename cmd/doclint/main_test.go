@@ -119,3 +119,72 @@ func TestExpandWalksRecursively(t *testing.T) {
 		t.Errorf("expand = %v", dirs)
 	}
 }
+
+// In an internal/ package every exported identifier needs a reference from
+// a non-test file somewhere in the tree, nested modules included; keep
+// directives and standard interface methods are exempt.
+func TestLintDirUnusedExports(t *testing.T) {
+	root := t.TempDir()
+	lib := filepath.Join(root, "internal", "lib")
+	nested := filepath.Join(root, "bench")
+	for _, d := range []string{lib, nested} {
+		if err := os.MkdirAll(d, 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write(t, root, "go.mod", "module demo\n")
+	write(t, nested, "go.mod", "module demo/bench\n")
+	write(t, lib, "lib.go", `// Package lib is documented.
+package lib
+
+// Used is called from cmd.
+func Used() {}
+
+// TestOnly is called only from a test.
+func TestOnly() {}
+
+// Nested is called from the nested module.
+func Nested() {}
+
+// Seam stays for other packages' tests.
+//
+//doclint:keep kernel tests plant through it
+func Seam() {}
+
+// Bare has a keep directive without a reason.
+//
+//doclint:keep
+func Bare() {}
+
+// T is a type.
+type T struct{}
+
+// MarshalJSON is called by encoding/json, never by name.
+func (T) MarshalJSON() ([]byte, error) { return nil, nil }
+`)
+	write(t, lib, "lib_test.go", "package lib\n\nfunc init() { TestOnly() }\n")
+	write(t, root, "main.go", "// Command demo.\npackage main\n\nimport \"demo/internal/lib\"\n\nfunc main() { lib.Used(); _ = lib.T{} }\n")
+	write(t, nested, "main.go", "package main\n\nimport \"demo/internal/lib\"\n\nfunc main() { lib.Nested() }\n")
+
+	findings, err := lintDir(lib)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, f := range findings {
+		got = append(got, strings.TrimPrefix(f, lib+string(filepath.Separator)))
+	}
+	want := []string{
+		"lib.go:21: //doclint:keep on Bare gives no reason",
+		"lib.go:8: exported TestOnly has no non-test reference",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("findings:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+
+	// Outside internal/ the reference check does not apply.
+	write(t, root, "lib.go", "package main\n\n// Exported is unreferenced.\nfunc Exported() {}\n")
+	if findings, err := lintDir(root); err != nil || len(findings) != 0 {
+		t.Errorf("non-internal findings = %v, %v", findings, err)
+	}
+}

@@ -63,11 +63,6 @@ func (g Geometry) Validate() error {
 	return nil
 }
 
-// TotalBytes returns the capacity of the described cache.
-func (g Geometry) TotalBytes() uint64 {
-	return uint64(g.Sets) * uint64(g.Ways) * uint64(g.Slices) * uint64(g.LineBytes)
-}
-
 // Slice-hash kind names accepted by NewView (mirroring dram's mapper
 // kinds).
 const (

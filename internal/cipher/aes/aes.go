@@ -94,10 +94,9 @@ type Schedule struct {
 	rk     [][16]byte
 }
 
-// Rounds returns the number of rounds (10 for AES-128).
-func (s *Schedule) Rounds() int { return s.rounds }
-
 // RoundKey returns a copy of round key r (0 = whitening key).
+//
+//doclint:keep pfa and dfa tests check a recovered last-round key against the schedule's
 func (s *Schedule) RoundKey(r int) [16]byte { return s.rk[r] }
 
 // ErrKeySize reports an unsupported key length.
@@ -152,11 +151,6 @@ var shift = [16]int{0, 5, 10, 15, 4, 9, 14, 3, 8, 13, 2, 7, 12, 1, 6, 11}
 
 // invShift is the InvShiftRows source table: out[4c+r] = in[4((c-r)%4)+r].
 var invShift = [16]int{0, 13, 10, 7, 4, 1, 14, 11, 8, 5, 2, 15, 12, 9, 6, 3}
-
-// ShiftRowsIndex returns where ciphertext byte i takes its input from under
-// the final-round ShiftRows; fault analyses need this mapping to associate
-// ciphertext byte positions with S-box lookups.
-func ShiftRowsIndex(i int) int { return shift[i] }
 
 // xtime multiplies by x in GF(2^8).
 func xtime(b byte) byte {
@@ -237,8 +231,8 @@ func invShiftSub(st *[16]byte, isb *[256]byte) {
 
 // InvShiftRowsIndex returns the ciphertext byte position that the state
 // byte at index s (entering the final-round SubBytes) ends up in.  It is
-// the inverse of ShiftRowsIndex and is used by differential fault analysis
-// to group ciphertext bytes by MixColumns column.
+// the inverse of the final-round ShiftRows and is used by differential
+// fault analysis to group ciphertext bytes by MixColumns column.
 func InvShiftRowsIndex(s int) int { return invShift[s] }
 
 // EncryptBlockWithFault encrypts like EncryptBlock but XORs the 16-byte

@@ -40,9 +40,6 @@ const BlockSize = 8
 // are consumed (K1..K30 in rounds, K31 as the final whitening key).
 const Rounds = 30
 
-// KeyBytes is the master key length in bytes (80 bits).
-const KeyBytes = 10
-
 // sbox is the LILLIPUT 4-bit S-box.
 var sbox = [16]byte{0x4, 0x8, 0x7, 0x1, 0x9, 0x3, 0x2, 0xE, 0xD, 0xC, 0x6, 0xF, 0x0, 0xB, 0x5, 0xA}
 

@@ -13,25 +13,12 @@ package present
 
 import "explframe/internal/cipher/bitslice"
 
-// BlockSize is the PRESENT block size in bytes.
-const BlockSize = 8
-
-// KeyBytes is the master key length in bytes (80 bits).
-const KeyBytes = 10
-
 // Rounds is the number of substitution-permutation rounds; 32 round keys
 // are consumed (K1..K31 in rounds, K32 as the final whitening key).
 const Rounds = 31
 
 // sbox is the 4-bit PRESENT S-box.
 var sbox = [16]byte{0xC, 0x5, 0x6, 0xB, 0x9, 0x0, 0xA, 0xD, 0x3, 0xE, 0xF, 0x8, 0x4, 0x7, 0x1, 0x2}
-
-var invSbox = func() (inv [16]byte) {
-	for i, v := range sbox {
-		inv[v] = byte(i)
-	}
-	return inv
-}()
 
 // Engine runs PRESENT: its S-box; its pLayer, which moves bit i to bit
 // 16*i mod 63 and keeps bit 63 fixed; and its key schedule, whose update
@@ -43,11 +30,3 @@ var Engine = bitslice.NewSPN64(Rounds, sbox, func(i int) int {
 	}
 	return i * 16 % 63
 }, bitslice.Schedule80{Rotate: 61, Nibbles: []int{76}, Counter: 15})
-
-// SBox returns a fresh copy of the S-box; victims store it in simulated
-// memory where a Rowhammer flip can corrupt it.  Entries are 4-bit values
-// stored one per byte.
-func SBox() [16]byte { return sbox }
-
-// InvSBox returns a fresh copy of the inverse S-box.
-func InvSBox() [16]byte { return invSbox }

@@ -120,6 +120,8 @@ var scalarOnly atomic.Bool
 // equivalence contract makes the switch unobservable except in speed; it
 // exists so the golden-invariance tests can diff experiment tables with
 // the cores on and off.
+//
+//doclint:keep the experiments invariance test selects the scalar reference path
 func SetScalarOnly(v bool) bool { return scalarOnly.Swap(v) }
 
 // ScalarOnly reports whether the bitsliced batch cores are disabled.

@@ -118,7 +118,6 @@ type Device struct {
 	rowIdx    []int32
 	rowStates []rowState
 	dirty     []int32 // rowStates indices with non-zero counts, for cheap refresh
-	weakCount int
 
 	// openRow tracks the row buffer per bank group; an access to a
 	// different row precharges and activates, which is what disturbs
@@ -152,17 +151,6 @@ type DeviceStats struct {
 	TRRRefreshes     uint64
 	ECCCorrected     uint64
 	ECCUncorrectable uint64
-}
-
-// NewDevice builds a device with the given geometry and fault model, placing
-// weak cells deterministically from the seed.  The linear address mapper is
-// used; NewDeviceWithMapper selects a different one.
-func NewDevice(g Geometry, model FaultModel, seed uint64) (*Device, error) {
-	m, err := NewNamedMapper(MapperLinear, g)
-	if err != nil {
-		return nil, err
-	}
-	return NewDeviceWithMapper(m, model, seed)
 }
 
 // NewDeviceWithMapper builds a device around an explicit address mapper —
@@ -347,7 +335,6 @@ func (d *Device) placeWeakCells() {
 			}
 		}
 	}
-	d.weakCount = n
 }
 
 // keySet is an open-addressed set of placement keys sized for a known
@@ -384,45 +371,19 @@ func (s keySet) add(key uint64) bool {
 
 // PlantWeakCell inserts a specific weak cell; test and characterisation
 // hook for deterministic scenarios.
+//
+//doclint:keep rowhammer and kernel tests plant a known cell to make one flip deterministic
 func (d *Device) PlantWeakCell(wc WeakCell) {
 	si := d.stateFor(d.rowIndex(wc.Bank, wc.Row))
 	d.rowStates[si].cells = append(d.rowStates[si].cells, wc)
-	d.weakCount++
 	d.recomputeMinThr(si)
 }
-
-// Geometry returns the device geometry.
-func (d *Device) Geometry() Geometry { return d.geom }
 
 // Mapper returns the address mapper for this device.
 func (d *Device) Mapper() *Mapper { return d.mapper }
 
-// Model returns the fault model in use.
-func (d *Device) Model() FaultModel { return d.model }
-
 // Stats returns a copy of the activity counters.
 func (d *Device) Stats() DeviceStats { return d.stats }
-
-// WeakCellCount returns the number of weak cells placed in the device.
-func (d *Device) WeakCellCount() int { return d.weakCount }
-
-// EnableFlipLog turns on recording of every flip the device produces.
-func (d *Device) EnableFlipLog() { d.flipLogEnabled = true }
-
-// DrainFlipLog returns and clears the accumulated flip log.
-func (d *Device) DrainFlipLog() []Flip {
-	log := d.flipLog
-	d.flipLog = nil
-	return log
-}
-
-// Size returns the capacity in bytes.
-func (d *Device) Size() uint64 { return d.data.size }
-
-// MaterializedBytes reports how much backing storage the device has
-// actually allocated.  A freshly built multi-GiB device sits near zero;
-// the number grows chunk by chunk as distinguishing writes land.
-func (d *Device) MaterializedBytes() uint64 { return d.data.materializedBytes() }
 
 // neighbour is one weak-cell row an activation disturbs, resolved to its
 // rowStates index.
@@ -720,30 +681,4 @@ func (d *Device) ActivateRow(pa uint64) {
 	}
 	d.resolve(&d.single, bg, a.Row)
 	d.open(&d.single)
-}
-
-// WeakCellsInRange reports the weak cells whose physical byte address falls
-// in [lo, hi).  Test and characterisation helper; a real attacker cannot
-// call this, the Rowhammer templating step discovers the same information.
-func (d *Device) WeakCellsInRange(lo, hi uint64) []WeakCell {
-	var out []WeakCell
-	for idx, si := range d.rowIdx {
-		if si < 0 {
-			continue
-		}
-		bg := idx / d.geom.Rows
-		row := idx % d.geom.Rows
-		for _, wc := range d.rowStates[si].cells {
-			pa := d.mapper.ToPhys(d.addrOfCell(bg, row, wc.ByteInRow))
-			if pa >= lo && pa < hi {
-				out = append(out, wc)
-			}
-		}
-	}
-	return out
-}
-
-// PhysOfWeakCell returns the physical byte address of a weak cell.
-func (d *Device) PhysOfWeakCell(wc WeakCell) uint64 {
-	return d.mapper.ToPhys(d.addrOfCell(wc.Bank, wc.Row, wc.ByteInRow))
 }

@@ -115,9 +115,6 @@ func MapperNames() []string {
 	return out
 }
 
-// Name returns the registered kind the mapper was built as.
-func (m *Mapper) Name() string { return m.name }
-
 // Geometry returns the geometry the mapper was built for.
 func (m *Mapper) Geometry() Geometry { return m.g }
 
@@ -172,15 +169,6 @@ func (m *Mapper) BankGroup(a Addr) int {
 	idx = idx*m.g.Ranks + a.Rank
 	idx = idx*m.g.Banks + a.Bank
 	return idx
-}
-
-// SameBankRow returns the physical address of (row, col) within the same
-// bank group as the given address — the primitive for locating aggressor
-// rows around a victim row.
-func (m *Mapper) SameBankRow(a Addr, row, col int) uint64 {
-	a.Row = row
-	a.Col = col
-	return m.ToPhys(a)
 }
 
 // AdjacentRow returns the row index at the given signed distance from row,

@@ -3,7 +3,7 @@ package dram
 // Sparse chunk-granular backing store for Device data.
 //
 // A Device used to hold its entire capacity as one dense []byte, which made
-// NewDevice for a multi-GiB profile cost gigabytes up front even though the
+// building a device for a multi-GiB profile cost gigabytes up front even though the
 // experiments touch a few megabytes of it.  The store below allocates
 // fixed-size segments on first *distinguishing* write: reads of untouched
 // memory return the fill pattern (zero — DRAM hands the kernel zeroed
@@ -126,16 +126,6 @@ func (s *store) fill(pa, n uint64, v byte) {
 		n -= span
 		pa += span
 	}
-}
-
-// materializedBytes reports how much backing memory the store has actually
-// allocated — the number NewDevice keeps near-free for untouched profiles.
-func (s *store) materializedBytes() uint64 {
-	var total uint64
-	for _, c := range s.chunks {
-		total += uint64(len(c))
-	}
-	return total
 }
 
 // materializeAll forces every chunk into existence, turning the store into

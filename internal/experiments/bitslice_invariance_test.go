@@ -33,9 +33,9 @@ func TestBitsliceScalarInvariance(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s scalar-forced: %v", name, err)
 		}
-		if bitsliced.Render() != scalar.Render() {
+		if text(t, bitsliced) != text(t, scalar) {
 			t.Fatalf("%s table differs with bitslicing disabled:\n--- bitsliced ---\n%s--- scalar ---\n%s",
-				name, bitsliced.Render(), scalar.Render())
+				name, text(t, bitsliced), text(t, scalar))
 		}
 	}
 }

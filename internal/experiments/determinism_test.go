@@ -37,7 +37,7 @@ func TestTablesWorkerCountInvariant(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s at %d workers: %v", name, workers, err)
 			}
-			out := tb.Render()
+			out := text(t, tb)
 			if ref == "" {
 				ref = out
 				continue
@@ -80,8 +80,8 @@ func TestAttackTableWorkerCountInvariant(t *testing.T) {
 				t.Fatalf("%s at %d workers: %v", exp.id, workers, err)
 			}
 			if ref == "" {
-				ref = tb.Render()
-			} else if tb.Render() != ref {
+				ref = text(t, tb)
+			} else if text(t, tb) != ref {
 				t.Fatalf("%s table diverges at %d workers", exp.id, workers)
 			}
 		}

@@ -61,17 +61,27 @@ func TestAllRegistered(t *testing.T) {
 	}
 }
 
+// text renders tb as aligned text, failing the test on a malformed table.
+func text(t testing.TB, tb *Table) string {
+	t.Helper()
+	out, err := report.Render(tb, report.FormatText)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 func TestTableRender(t *testing.T) {
 	tb := &Table{
 		ID: "EX", Title: "demo", Claim: "c",
-		Columns: report.Cols("a", "bb"),
+		Columns: []report.Column{{Name: "a"}, {Name: "bb"}},
 		Rows: [][]report.Cell{
 			{report.Int(1), report.Int(2)},
 			{report.Int(333), report.Int(4)},
 		},
 		Notes: []string{"n"},
 	}
-	out := tb.Render()
+	out := text(t, tb)
 	for _, want := range []string{"EX", "demo", "a", "bb", "333", "note: n"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("render missing %q:\n%s", want, out)

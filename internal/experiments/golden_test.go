@@ -50,7 +50,7 @@ func TestGoldenTables(t *testing.T) {
 			if tb.ID != r.ID {
 				t.Fatalf("runner %s returned table id %q", r.ID, tb.ID)
 			}
-			got := tb.Render()
+			got := text(t, tb)
 			path := goldenPath(r.ID)
 			if *update {
 				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {

@@ -263,7 +263,7 @@ func TestAESSupportsRejections(t *testing.T) {
 	if err := a.Supports(wide); !errors.Is(err, ErrUnsupportedModel) {
 		t.Fatalf("2-byte random fault accepted: %v", err)
 	}
-	early := fault.New(fault.PreciseByte, fault.WithRound(5))
+	early := fault.New(fault.PreciseByte, withRound(5))
 	if err := a.Supports(early); !errors.Is(err, ErrUnsupportedModel) {
 		t.Fatalf("round-5 fault accepted: %v", err)
 	}
@@ -319,7 +319,7 @@ func TestCollectPairUnknownRound(t *testing.T) {
 		t.Fatalf("want missing-analyzer error, got %v", err)
 	}
 	// A model that pins its round needs no analyzer.
-	m := fault.New(fault.PreciseByte, fault.WithRound(30))
+	m := fault.New(fault.PreciseByte, withRound(30))
 	if _, err := CollectPair(c, inst, c.SBox(), make([]byte, 8), m, rng); err != nil {
 		t.Fatalf("pinned-round collection failed: %v", err)
 	}
@@ -445,7 +445,7 @@ func TestLilliputSupportsRejections(t *testing.T) {
 	if err := a.Supports(wide); !errors.Is(err, ErrUnsupportedModel) {
 		t.Fatalf("3-byte random fault accepted: %v", err)
 	}
-	early := fault.New(fault.Nibble, fault.WithRound(10))
+	early := fault.New(fault.Nibble, withRound(10))
 	if err := a.Supports(early); !errors.Is(err, ErrUnsupportedModel) {
 		t.Fatalf("round-10 fault accepted: %v", err)
 	}
@@ -476,3 +476,6 @@ func TestSpaceBits(t *testing.T) {
 		t.Fatalf("spaceBits(nil) = %v want 0", b)
 	}
 }
+
+// withRound pins a fault model to the entry of a 1-based round.
+func withRound(r int) fault.Option { return func(m *fault.Model) { m.Round = r } }

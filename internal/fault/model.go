@@ -5,8 +5,8 @@
 // it disturbs (a bit, a nibble, a byte, or several random bytes) and
 // whether the position is known — as plain serializable data with
 // functional options (New, With), joined-field validation (Validate),
-// canonical naming and hashing (Name, Hash) and strict lossless JSON
-// (EncodeJSON, DecodeSpec).
+// canonical naming and hashing (Name, Hash) and lossless JSON
+// (EncodeJSON), decoded strictly inside scenario specs.
 //
 // The catalogue in Presets is the precise-to-random ladder of "From
 // Precise to Random: A Systematic DFA of LILLIPUT" (PAPERS.md): the same
@@ -18,11 +18,9 @@
 package fault
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
 	"strings"
 
 	"explframe/internal/stats"
@@ -93,9 +91,6 @@ func (m Model) With(opts ...Option) Model {
 	}
 	return m
 }
-
-// WithRound pins the fault to the entry of a specific 1-based round.
-func WithRound(r int) Option { return func(m *Model) { m.Round = r } }
 
 // WithPosition fixes the fault position (in the kind's units).
 func WithPosition(p int) Option { return func(m *Model) { m.Position = p } }
@@ -293,33 +288,11 @@ func LookupPreset(name string) (Preset, bool) {
 }
 
 // EncodeJSON renders the model as indented JSON, round-tripping losslessly
-// through DecodeSpec.
+// through a strict decode.
 func (m Model) EncodeJSON() ([]byte, error) {
 	data, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
 		return nil, err
 	}
 	return append(data, '\n'), nil
-}
-
-// DecodeSpec parses one fault model from JSON.  Unknown fields are
-// rejected so a typoed knob fails loudly instead of silently running a
-// different fault campaign.
-func DecodeSpec(data []byte) (Model, error) {
-	var m Model
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&m); err != nil {
-		return Model{}, fmt.Errorf("fault: decode model: %w", err)
-	}
-	return m, nil
-}
-
-// LoadSpec reads one fault model from a JSON file.
-func LoadSpec(path string) (Model, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return Model{}, fmt.Errorf("fault: %w", err)
-	}
-	return DecodeSpec(data)
 }

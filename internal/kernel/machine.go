@@ -136,9 +136,6 @@ func (m *Machine) DRAM() *dram.Device { return m.dev }
 // Phys exposes the physical allocator for inspection (tests, benchmarks).
 func (m *Machine) Phys() *mm.PhysMem { return m.phys }
 
-// Config returns the machine configuration.
-func (m *Machine) Config() Config { return m.cfg }
-
 // NumCPUs returns the CPU count.
 func (m *Machine) NumCPUs() int { return len(m.cpus) }
 
@@ -199,24 +196,6 @@ func (m *Machine) SpawnResident(name string, cpuID int, length uint64) (*Process
 	return p, base, nil
 }
 
-// Pid returns the process id.
-func (p *Process) Pid() Pid { return p.pid }
-
-// Name returns the process name.
-func (p *Process) Name() string { return p.name }
-
-// CPU returns the CPU the process is pinned to.
-func (p *Process) CPU() int { return p.cpuID }
-
-// State returns the scheduling state.
-func (p *Process) State() ProcState { return p.state }
-
-// AddressSpace exposes the process's VMAs and page table for inspection.
-func (p *Process) AddressSpace() *vm.AddressSpace { return p.as }
-
-// DemandFaults returns how many demand-paging faults the process has taken.
-func (p *Process) DemandFaults() uint64 { return p.touched }
-
 // Sleep marks the process inactive.  If that leaves the CPU with no
 // runnable process the kernel drains the CPU's page frame cache — the
 // behaviour that forces the paper's attacker to busy-wait.
@@ -239,24 +218,6 @@ func (p *Process) Wake() {
 	}
 	p.state = StateRunning
 	p.m.cpus[p.cpuID].runnable[p.pid] = true
-}
-
-// Exit terminates the process, unmapping every VMA and releasing all frames
-// to the CPU's page frame cache / buddy allocator.
-func (p *Process) Exit() {
-	if p.state == StateExited {
-		return
-	}
-	for _, v := range p.as.VMAs() {
-		_ = p.Munmap(v.Start, v.Len())
-	}
-	p.state = StateExited
-	c := p.m.cpus[p.cpuID]
-	delete(c.runnable, p.pid)
-	delete(p.m.procs, p.pid)
-	if p.m.cfg.DrainOnIdle && len(c.runnable) == 0 {
-		p.m.phys.DrainCPU(p.cpuID)
-	}
 }
 
 // Mmap creates an anonymous mapping of length bytes and returns its base
@@ -436,27 +397,4 @@ func (p *Process) Translate(va vm.VirtAddr) (uint64, bool) {
 		return 0, false
 	}
 	return p.as.PT.Translate(va)
-}
-
-// PagemapPFN mimics /proc/pid/pagemap: it returns the PFN backing va, but
-// only for CAP_SYS_ADMIN processes ("since Linux 4.0, only users with the
-// CAP_SYS_ADMIN capability can get PFNs", Section VI).
-func (p *Process) PagemapPFN(va vm.VirtAddr) (mm.PFN, error) {
-	if !p.CapSysAdmin {
-		return 0, errors.New("kernel: pagemap requires CAP_SYS_ADMIN")
-	}
-	pte, ok := p.as.PT.Lookup(va)
-	if !ok {
-		return 0, fmt.Errorf("%w: page %#x not present", ErrSegv, uint64(va))
-	}
-	return pte.PFN, nil
-}
-
-// Processes returns the live processes, for inspection.
-func (m *Machine) Processes() []*Process {
-	out := make([]*Process, 0, len(m.procs))
-	for _, p := range m.procs {
-		out = append(out, p)
-	}
-	return out
 }

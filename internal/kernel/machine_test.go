@@ -9,6 +9,13 @@ import (
 	"explframe/internal/vm"
 )
 
+// mappedPages counts the process's present page-table translations.
+func mappedPages(p *Process) int {
+	n := 0
+	p.as.PT.Walk(func(vm.VirtAddr, vm.PTE) { n++ })
+	return n
+}
+
 func newTestMachine(t *testing.T) *Machine {
 	t.Helper()
 	cfg := DefaultConfig()
@@ -45,7 +52,7 @@ func TestDemandPaging(t *testing.T) {
 		t.Fatal(err)
 	}
 	// No frames allocated yet.
-	if p.DemandFaults() != 0 || p.AddressSpace().PT.MappedPages() != 0 {
+	if p.DemandFaults() != 0 || mappedPages(p) != 0 {
 		t.Fatal("mmap allocated frames eagerly")
 	}
 	if err := p.Store(base, 0xAB); err != nil {
@@ -344,8 +351,8 @@ func TestTouchFaultsEveryPage(t *testing.T) {
 	if err := p.Touch(base, 16*vm.PageSize); err != nil {
 		t.Fatal(err)
 	}
-	if p.AddressSpace().PT.MappedPages() != 16 {
-		t.Fatalf("mapped pages = %d, want 16", p.AddressSpace().PT.MappedPages())
+	if n := mappedPages(p); n != 16 {
+		t.Fatalf("mapped pages = %d, want 16", n)
 	}
 	if err := p.AddressSpace().CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -421,10 +428,12 @@ func TestBulkAccessECCCounters(t *testing.T) {
 	if err := p.WriteBytes(va, page); err != nil {
 		t.Fatal(err)
 	}
-	up, down := mapper.SameBankRow(a, a.Row-1, 0), mapper.SameBankRow(a, a.Row+1, 0)
+	up, down := a, a
+	up.Row, up.Col = a.Row-1, 0
+	down.Row, down.Col = a.Row+1, 0
 	for i := 0; i < 1200; i++ {
-		dev.ActivateRow(up)
-		dev.ActivateRow(down)
+		dev.ActivateRow(mapper.ToPhys(up))
+		dev.ActivateRow(mapper.ToPhys(down))
 	}
 
 	before := dev.Stats().ECCCorrected

@@ -1,8 +1,6 @@
 package machine
 
 import (
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -177,29 +175,5 @@ func TestDefenceOptions(t *testing.T) {
 	}
 	if back != s {
 		t.Fatal("defended spec did not round-trip")
-	}
-}
-
-// LoadSpec must read a spec file and preserve it losslessly.
-func TestLoadSpec(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "m.json")
-	want := MustGet("ddr4")
-	data, err := want.EncodeJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadSpec(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatalf("LoadSpec drifted:\n%+v\n%+v", got, want)
-	}
-	if _, err := LoadSpec(filepath.Join(dir, "missing.json")); err == nil {
-		t.Fatal("missing file loaded")
 	}
 }

@@ -5,7 +5,7 @@
 // sizing an end-to-end run on that machine defaults to — as plain
 // serializable data with functional options (New, With), joined-field
 // validation (Validate), canonical naming and hashing (Name, Hash) and
-// strict lossless JSON (EncodeJSON, DecodeSpec).
+// lossless JSON (EncodeJSON), decoded strictly inside scenario specs.
 //
 // A name-keyed registry (Register, Get, Names) holds the built-in profiles
 // (see builtin.go) plus anything callers add, so scenario.Spec.Profile is
@@ -16,11 +16,9 @@
 package machine
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
 
 	"explframe/internal/dram"
 	"explframe/internal/kernel"
@@ -120,11 +118,6 @@ func WithFaultModel(m dram.FaultModel) Option { return func(s *Spec) { s.FaultMo
 // WithCPUs sets the processor count.
 func WithCPUs(n int) Option { return func(s *Spec) { s.CPUs = n } }
 
-// WithPCP sizes the per-CPU page frame cache.
-func WithPCP(batch, high int) Option {
-	return func(s *Spec) { s.PCPBatch, s.PCPHigh = batch, high }
-}
-
 // WithWatermark sets the per-zone allocation reserve in pages.
 func WithWatermark(pages uint64) Option { return func(s *Spec) { s.MinWatermarkPages = pages } }
 
@@ -141,9 +134,6 @@ func WithTRR(tracker, threshold int) Option {
 		s.FaultModel.TRR = dram.TRRConfig{Enabled: true, TrackerSize: tracker, Threshold: threshold}
 	}
 }
-
-// WithECC ships the machine with SEC-DED correction.
-func WithECC() Option { return func(s *Spec) { s.FaultModel.ECC = dram.ECCSecDed } }
 
 // MaxCPUs caps Spec.CPUs: booting a machine allocates a page frame cache
 // per CPU and its cache model a slice per CPU, up front.
@@ -270,33 +260,11 @@ func (s Spec) KernelConfig(seed uint64) kernel.Config {
 }
 
 // EncodeJSON renders the spec as indented JSON, round-tripping losslessly
-// through DecodeSpec.
+// through a strict decode.
 func (s Spec) EncodeJSON() ([]byte, error) {
 	data, err := json.MarshalIndent(s, "", "  ")
 	if err != nil {
 		return nil, err
 	}
 	return append(data, '\n'), nil
-}
-
-// DecodeSpec parses one machine spec from JSON.  Unknown fields are
-// rejected so a typoed knob fails loudly instead of silently simulating
-// the wrong machine.
-func DecodeSpec(data []byte) (Spec, error) {
-	var s Spec
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&s); err != nil {
-		return Spec{}, fmt.Errorf("machine: decode spec: %w", err)
-	}
-	return s, nil
-}
-
-// LoadSpec reads one machine spec from a JSON file.
-func LoadSpec(path string) (Spec, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return Spec{}, fmt.Errorf("machine: %w", err)
-	}
-	return DecodeSpec(data)
 }

@@ -1,9 +1,6 @@
 package mm
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // Config sizes the physical memory manager.
 type Config struct {
@@ -125,12 +122,6 @@ func New(cfg Config) (*PhysMem, error) {
 	return pm, nil
 }
 
-// Config returns the configuration the allocator was built with.
-func (pm *PhysMem) Config() Config { return pm.cfg }
-
-// TotalPages returns the number of managed frames.
-func (pm *PhysMem) TotalPages() uint64 { return uint64(len(pm.frames)) }
-
 // ZoneOf returns the zone containing the frame, or -1 if unmanaged.
 func (pm *PhysMem) ZoneOf(p PFN) ZoneType {
 	for zt, z := range pm.zones {
@@ -151,15 +142,6 @@ func (pm *PhysMem) FreePagesInZone(zt ZoneType) uint64 {
 		return 0
 	}
 	return pm.zones[zt].free
-}
-
-// ZoneSpan returns the [base, end) frame range of a zone.
-func (pm *PhysMem) ZoneSpan(zt ZoneType) (base, end PFN) {
-	z := pm.zones[zt]
-	if z == nil {
-		return 0, 0
-	}
-	return z.spanBase, z.spanEnd
 }
 
 // Stats returns a copy of the zone's counters.
@@ -362,6 +344,8 @@ func (pm *PhysMem) DrainCPU(cpu int) {
 
 // PCPContents returns a copy of the CPU's page frame cache for a zone,
 // coldest first.  Diagnostic view used by tests.
+//
+//doclint:keep kernel tests check that munmap puts the freed frame at the hot end
 func (pm *PhysMem) PCPContents(cpu int, zt ZoneType) []PFN {
 	if cpu < 0 || cpu >= pm.cfg.NumCPUs || pm.pcp[cpu][zt] == nil {
 		return nil
@@ -372,6 +356,8 @@ func (pm *PhysMem) PCPContents(cpu int, zt ZoneType) []PFN {
 }
 
 // PCPCount returns how many frames sit in the CPU's cache for the zone.
+//
+//doclint:keep kernel tests observe the page frame cache drain on sleep and exit
 func (pm *PhysMem) PCPCount(cpu int, zt ZoneType) int {
 	if cpu < 0 || cpu >= pm.cfg.NumCPUs || pm.pcp[cpu][zt] == nil {
 		return 0
@@ -422,21 +408,4 @@ func (pm *PhysMem) CheckInvariants() error {
 		}
 	}
 	return nil
-}
-
-// String renders a /proc/buddyinfo-style summary.
-func (pm *PhysMem) String() string {
-	var sb strings.Builder
-	for zt, z := range pm.zones {
-		if z == nil {
-			continue
-		}
-		counts := pm.FreeBlocksByOrder(ZoneType(zt))
-		fmt.Fprintf(&sb, "Zone %-7s span=[%d,%d) free=%d ", ZoneType(zt), z.spanBase, z.spanEnd, z.free)
-		for _, c := range counts {
-			fmt.Fprintf(&sb, "%d ", c)
-		}
-		sb.WriteString("\n")
-	}
-	return sb.String()
 }

@@ -501,11 +501,3 @@ func TestZoneTypeString(t *testing.T) {
 		t.Fatal("unknown zone must still render")
 	}
 }
-
-func TestStringSummary(t *testing.T) {
-	pm := newTestPM(t)
-	s := pm.String()
-	if s == "" {
-		t.Fatal("empty summary")
-	}
-}

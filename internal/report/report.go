@@ -5,7 +5,7 @@
 // pluggable renderers (aligned text, GitHub Markdown, CSV, JSON).
 //
 // Every experiment driver in internal/experiments builds a *Table; the text
-// renderer reproduces the historical Render() output byte-for-byte so the
+// renderer reproduces the historical table layout byte-for-byte so the
 // golden snapshots under internal/experiments/testdata/golden stay stable,
 // while the Markdown and JSON renderers feed the generated results book
 // under docs/ (see cmd/report).
@@ -107,15 +107,6 @@ type Column struct {
 	Unit string
 }
 
-// Cols builds unit-less columns from header names.
-func Cols(names ...string) []Column {
-	cols := make([]Column, len(names))
-	for i, n := range names {
-		cols[i] = Column{Name: n}
-	}
-	return cols
-}
-
 // Table is one experiment's typed result set.
 type Table struct {
 	// ID is the experiment identifier (e.g. "E3").
@@ -173,16 +164,4 @@ func (t *Table) Validate() error {
 		}
 	}
 	return nil
-}
-
-// Render formats the table as aligned text, the historical signature kept
-// for the golden snapshots and benchtab's default output.  Structural errors
-// (which Text reports properly) are rendered inline: callers that care must
-// use Text.
-func (t *Table) Render() string {
-	s, err := Text(t)
-	if err != nil {
-		return fmt.Sprintf("!! %v\n", err)
-	}
-	return s
 }

@@ -76,11 +76,6 @@ func TestValidateRowArity(t *testing.T) {
 	if _, err := JSON(tb); err == nil {
 		t.Error("JSON accepted a ragged table")
 	}
-	// The legacy Render shim cannot return an error; it must surface the
-	// problem in-band rather than panicking or truncating.
-	if out := tb.Render(); !strings.Contains(out, "row 2") {
-		t.Errorf("Render() hid the arity error: %q", out)
-	}
 
 	wide := demo()
 	wide.Rows[0] = append(wide.Rows[0], Str("extra"))

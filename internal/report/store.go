@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 )
 
@@ -28,9 +27,6 @@ func NewStore(dir string) (*Store, error) {
 	}
 	return &Store{dir: dir}, nil
 }
-
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
 
 // path maps an id onto its file, rejecting ids that would escape the store.
 func (s *Store) path(id string) (string, error) {
@@ -93,22 +89,4 @@ func (s *Store) LoadBytes(id string) ([]byte, error) {
 		return nil, fmt.Errorf("report: store load %q: %w", id, err)
 	}
 	return data, nil
-}
-
-// List returns the stored ids, sorted.
-func (s *Store) List() ([]string, error) {
-	entries, err := os.ReadDir(s.dir)
-	if err != nil {
-		return nil, fmt.Errorf("report: store list: %w", err)
-	}
-	var ids []string
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || strings.HasPrefix(name, ".") || !strings.HasSuffix(name, ".json") {
-			continue
-		}
-		ids = append(ids, strings.TrimSuffix(name, ".json"))
-	}
-	sort.Strings(ids)
-	return ids, nil
 }

@@ -66,16 +66,6 @@ type Config struct {
 	Decoys int
 }
 
-// DefaultConfig uses double-sided hammering with a budget comfortably above
-// the default fault model's weakest threshold.
-func DefaultConfig() Config {
-	return Config{
-		Mode:            DoubleSided,
-		PairHammerCount: 55000,
-		MaxFlips:        0,
-	}
-}
-
 // Aggressors identifies the attacker-mapped addresses used to hammer one
 // victim row.
 type Aggressors struct {

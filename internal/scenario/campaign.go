@@ -22,27 +22,6 @@ type Campaign struct {
 	Specs []Spec `json:"specs"`
 }
 
-// Grid builds a spec per combination of the given option axes applied to
-// base: one axis contributes one option to every combination, and the
-// cross product enumerates in row-major order (the last axis varies
-// fastest).  An empty axis is skipped.
-func Grid(base Spec, axes ...[]Option) []Spec {
-	specs := []Spec{base}
-	for _, axis := range axes {
-		if len(axis) == 0 {
-			continue
-		}
-		next := make([]Spec, 0, len(specs)*len(axis))
-		for _, s := range specs {
-			for _, opt := range axis {
-				next = append(next, s.With(opt))
-			}
-		}
-		specs = next
-	}
-	return specs
-}
-
 // Validate checks every member spec and joins the failures, each prefixed
 // with its index and title.
 func (c *Campaign) Validate() error {

@@ -11,29 +11,6 @@ import (
 	"explframe/internal/harness"
 )
 
-// Grid must enumerate the cross product in row-major order with the last
-// axis varying fastest.
-func TestGrid(t *testing.T) {
-	base := New(WithKind(Steering), WithTrials(5))
-	specs := Grid(base,
-		[]Option{WithVictimPages(1), WithVictimPages(4)},
-		[]Option{WithSeed(1), WithSeed(2), WithSeed(3)},
-	)
-	if len(specs) != 6 {
-		t.Fatalf("grid size = %d, want 6", len(specs))
-	}
-	wantPages := []int{1, 1, 1, 4, 4, 4}
-	wantSeeds := []uint64{1, 2, 3, 1, 2, 3}
-	for i, s := range specs {
-		if s.Victim.RequestPages != wantPages[i] || s.Seed != wantSeeds[i] {
-			t.Fatalf("cell %d = pages %d seed %d", i, s.Victim.RequestPages, s.Seed)
-		}
-	}
-	if got := Grid(base); len(got) != 1 || got[0].Name() != base.Name() {
-		t.Fatal("axis-free grid should be the base spec alone")
-	}
-}
-
 // Dedup must drop semantically identical specs (Label differences do not
 // make two specs distinct) while preserving first-seen order.
 func TestCampaignDedup(t *testing.T) {

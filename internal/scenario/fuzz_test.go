@@ -1,6 +1,8 @@
 package scenario
 
 import (
+	"bytes"
+	"encoding/json"
 	"reflect"
 	"testing"
 
@@ -8,9 +10,10 @@ import (
 	"explframe/internal/machine"
 )
 
-// FuzzSpecDecode feeds arbitrary bytes to every spec decoder a scenario
-// file or a service submission reaches: ParseCampaign, machine.DecodeSpec
-// and fault.DecodeSpec.  None may panic; Validate runs on every decoded
+// FuzzSpecDecode feeds arbitrary bytes to ParseCampaign, the decoder every
+// scenario file and service submission reaches, and strictly decodes the
+// same bytes as a standalone machine spec and fault model, the documents
+// `explframe describe` prints.  None may panic; Validate runs on every decoded
 // value, Name and Hash on every valid one, and a valid value must survive
 // Encode → Decode unchanged and with the same Name.  The corpus holds every
 // preset, machine profile and fault preset, plus shapes Validate must
@@ -49,25 +52,37 @@ func FuzzSpecDecode(f *testing.F) {
 			back, err := DecodeCampaign(enc)
 			checkRoundTrip(t, camp, back, err, camp.Name, back.Name)
 		}
-		if ms, err := machine.DecodeSpec(data); err == nil && ms.Validate() == nil {
+		var ms machine.Spec
+		if err := decodeStrict(data, &ms); err == nil && ms.Validate() == nil {
 			ms.Hash()
 			enc, err := ms.EncodeJSON()
 			if err != nil {
 				t.Fatalf("%s: encode: %v", ms.CanonicalName(), err)
 			}
-			back, err := machine.DecodeSpec(enc)
+			var back machine.Spec
+			err = decodeStrict(enc, &back)
 			checkRoundTrip(t, ms, back, err, ms.CanonicalName(), back.CanonicalName())
 		}
-		if m, err := fault.DecodeSpec(data); err == nil && m.Validate() == nil {
+		var m fault.Model
+		if err := decodeStrict(data, &m); err == nil && m.Validate() == nil {
 			m.Hash()
 			enc, err := m.EncodeJSON()
 			if err != nil {
 				t.Fatalf("%s: encode: %v", m.Name(), err)
 			}
-			back, err := fault.DecodeSpec(enc)
+			var back fault.Model
+			err = decodeStrict(enc, &back)
 			checkRoundTrip(t, m, back, err, m.Name(), back.Name())
 		}
 	})
+}
+
+// decodeStrict decodes one JSON document into v, rejecting unknown fields
+// the way every spec decoder does.
+func decodeStrict(data []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	return dec.Decode(v)
 }
 
 // addEncoded seeds the corpus with one value's JSON encoding.

@@ -22,7 +22,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
 	"slices"
 	"strings"
 
@@ -288,10 +287,6 @@ func WithTRR(tracker, threshold int) Option {
 // WithECC deploys SEC-DED correction.
 func WithECC() Option { return func(s *Spec) { s.Defences.ECC = true } }
 
-// WithHammerMode sets the hammer strategy ("single-sided", "double-sided",
-// "many-sided").
-func WithHammerMode(mode string) Option { return func(s *Spec) { s.Hammer.Mode = mode } }
-
 // WithManySided switches to many-sided hammering with n decoy rows — the
 // TRRespass-style tracker bypass.
 func WithManySided(decoys int) Option {
@@ -300,9 +295,6 @@ func WithManySided(decoys int) Option {
 		s.Hammer.Decoys = decoys
 	}
 }
-
-// WithHammerPairs overrides the activation pairs per hammer run.
-func WithHammerPairs(n int) Option { return func(s *Spec) { s.Hammer.Pairs = n } }
 
 // WithNoise runs procs background processes performing ops allocation
 // events on the victim CPU between plant and steer.
@@ -370,17 +362,6 @@ func WithProbeNoise(p float64) Option {
 			s.Probe = &ProbeSpec{}
 		}
 		s.Probe.Noise = p
-	}
-}
-
-// WithEvictionSet sets a CacheProbe-kind scenario's lines per eviction
-// set; apply it after WithProbe.
-func WithEvictionSet(lines int) Option {
-	return func(s *Spec) {
-		if s.Probe == nil {
-			s.Probe = &ProbeSpec{}
-		}
-		s.Probe.EvictionSet = lines
 	}
 }
 
@@ -760,13 +741,4 @@ func DecodeSpec(data []byte) (Spec, error) {
 		return Spec{}, fmt.Errorf("scenario: decode spec: %w", err)
 	}
 	return s, nil
-}
-
-// LoadSpec reads one spec from a JSON file.
-func LoadSpec(path string) (Spec, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return Spec{}, fmt.Errorf("scenario: %w", err)
-	}
-	return DecodeSpec(data)
 }

@@ -93,11 +93,6 @@ func (c *Client) Status(ctx context.Context, id string) (CampaignStatus, error) 
 	return c.statusCall(ctx, http.MethodGet, "/v1/campaigns/"+id, nil)
 }
 
-// Cancel cancels a running campaign and returns its status.
-func (c *Client) Cancel(ctx context.Context, id string) (CampaignStatus, error) {
-	return c.statusCall(ctx, http.MethodPost, "/v1/campaigns/"+id+"/cancel", nil)
-}
-
 // statusCall issues a request whose response body is one CampaignStatus.
 func (c *Client) statusCall(ctx context.Context, method, path string, body []byte) (CampaignStatus, error) {
 	data, err := c.do(ctx, method, path, body)
@@ -109,19 +104,6 @@ func (c *Client) statusCall(ctx context.Context, method, path string, body []byt
 		return CampaignStatus{}, fmt.Errorf("service: decoding status: %w", err)
 	}
 	return st, nil
-}
-
-// List fetches every campaign's status in submission order.
-func (c *Client) List(ctx context.Context) ([]CampaignStatus, error) {
-	data, err := c.do(ctx, http.MethodGet, "/v1/campaigns", nil)
-	if err != nil {
-		return nil, err
-	}
-	var sts []CampaignStatus
-	if err := json.Unmarshal(data, &sts); err != nil {
-		return nil, fmt.Errorf("service: decoding list: %w", err)
-	}
-	return sts, nil
 }
 
 // ErrStreamEnded reports a stream that closed (server shutdown or network
@@ -185,10 +167,4 @@ func (c *Client) Report(ctx context.Context, id string) (*report.Table, error) {
 		return nil, fmt.Errorf("service: decoding report: %w", err)
 	}
 	return t, nil
-}
-
-// ReportBytes fetches the raw persisted table JSON — the byte-identity
-// surface resume verification compares.
-func (c *Client) ReportBytes(ctx context.Context, id string) ([]byte, error) {
-	return c.do(ctx, http.MethodGet, "/v1/campaigns/"+id+"/report", nil)
 }

@@ -12,9 +12,10 @@ import (
 
 // journalEntry is one line of the append-only campaign journal.  Kind
 // selects the arm: "campaign" records a submission (Campaign set), "trial"
-// a completed trial (Spec/SpecHash/Trial/Outcome set), "done" and "cancel"
-// a campaign's terminal state.  Lines are strict JSON — unknown fields
-// reject on replay, the same contract as scenario spec files.
+// a completed trial (Spec/SpecHash/Trial/Outcome set), "done", "cancel"
+// and "fail" (Error set) a campaign's terminal state.  Lines are strict
+// JSON — unknown fields reject on replay, the same contract as scenario
+// spec files.
 type journalEntry struct {
 	Kind     string                 `json:"kind"`
 	ID       string                 `json:"id"`
@@ -23,6 +24,7 @@ type journalEntry struct {
 	SpecHash string                 `json:"spec_hash,omitempty"`
 	Trial    int                    `json:"trial,omitempty"`
 	Outcome  *scenario.TrialOutcome `json:"outcome,omitempty"`
+	Error    string                 `json:"error,omitempty"`
 }
 
 // CampaignState is one campaign reconstructed from a journal replay.
@@ -38,8 +40,11 @@ type CampaignState struct {
 	// zero-recompute assertion compares it against the campaign's total
 	// trial count.
 	TrialEntries int
-	// Done and Cancelled record a replayed terminal marker.
-	Done, Cancelled bool
+	// Status is the replayed terminal status ("done", "cancelled" or
+	// "failed"), or "" for a campaign the server resumes.
+	Status string
+	// Error carries the failure cause when Status is "failed".
+	Error string
 }
 
 // Journal is the append-only checkpoint log behind explframed.  Every
@@ -147,13 +152,9 @@ func replay(path string) (states []*CampaignState, validLen int64, err error) {
 			}
 			st.Checkpoint.Add(hash, e.Trial, *e.Outcome)
 			st.TrialEntries++
-		case "done":
+		case "done", "cancel", "fail":
 			if st := byID[e.ID]; st != nil {
-				st.Done = true
-			}
-		case "cancel":
-			if st := byID[e.ID]; st != nil {
-				st.Cancelled = true
+				st.Status, st.Error = terminalStatus[e.Kind], e.Error
 			}
 		default:
 			return nil, 0, fmt.Errorf("service: journal %s line %d: unknown entry kind %q", path, i+1, e.Kind)
@@ -161,6 +162,10 @@ func replay(path string) (states []*CampaignState, validLen int64, err error) {
 	}
 	return order, validLen, nil
 }
+
+// terminalStatus maps a terminal entry kind to the campaign status it
+// records.
+var terminalStatus = map[string]string{"done": "done", "cancel": "cancelled", "fail": "failed"}
 
 // append marshals e and writes it as one line (a single write syscall, so
 // concurrent appenders never interleave and a kill never splits two lines).
@@ -199,6 +204,12 @@ func (j *Journal) Done(id string) error {
 // Cancel marks campaign id cancelled by the user.
 func (j *Journal) Cancel(id string) error {
 	return j.append(journalEntry{Kind: "cancel", ID: id})
+}
+
+// Fail marks campaign id failed with the given cause, so a restarted
+// server reports the failure instead of running the campaign again.
+func (j *Journal) Fail(id, cause string) error {
+	return j.append(journalEntry{Kind: "fail", ID: id, Error: cause})
 }
 
 // Close flushes the journal to stable storage and closes it — the final

@@ -56,7 +56,7 @@ func TestJournalRoundTrip(t *testing.T) {
 		t.Fatalf("replayed %d states, want 1", len(states))
 	}
 	st := states[0]
-	if st.ID != id || st.Done || st.Cancelled {
+	if st.ID != id || st.Status != "" {
 		t.Fatalf("state = %+v", st)
 	}
 	if st.Campaign.Name != camp.Name || len(st.Campaign.Specs) != 2 {
@@ -79,7 +79,7 @@ func TestJournalRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j3.Close()
-	if !states[0].Done {
+	if states[0].Status != "done" {
 		t.Fatal("done marker lost on replay")
 	}
 }
@@ -216,9 +216,11 @@ func FuzzJournalReplay(f *testing.F) {
 	valid := seedJournal(f)
 	lines := strings.SplitAfter(string(valid), "\n")
 	trial := lines[1]
+	fail := `{"kind":"fail","id":"` + CampaignID(journalCampaign()) + `","error":"panic: fold fault"}` + "\n"
 	f.Add(valid)
 	f.Add([]byte(lines[0] + trial + trial[:len(trial)/2]))
 	f.Add([]byte(lines[0] + "{garbage\n" + trial + lines[2]))
+	f.Add([]byte(lines[0] + trial + fail))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "journal.jsonl")

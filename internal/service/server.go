@@ -232,15 +232,12 @@ func New(cfg Config) (*Server, error) {
 	for _, st := range states {
 		cr := s.register(st.ID, st.Campaign)
 		s.replayLines(cr, st)
-		switch {
-		case st.Done:
-			cr.finish("done", "", nil) // table reloads lazily from the store
-		case st.Cancelled:
-			cr.finish("cancelled", "", nil)
-		default:
-			s.logger.Printf("resuming campaign %s (%d/%d trials journaled)", st.ID, st.Checkpoint.Trials(), cr.total)
-			s.start(cr, st.Checkpoint)
+		if st.Status != "" {
+			cr.finish(st.Status, st.Error, nil) // a done table reloads lazily from the store
+			continue
 		}
+		s.logger.Printf("resuming campaign %s (%d/%d trials journaled)", st.ID, st.Checkpoint.Trials(), cr.total)
+		s.start(cr, st.Checkpoint)
 	}
 	return s, nil
 }
@@ -301,12 +298,19 @@ var testHookFold func(id string)
 // start launches the campaign's execution goroutine, resuming from cp.
 // The harness recovers panics inside trials; a panic anywhere else in the
 // goroutine (the fold, the table, the store) fails this campaign instead
-// of the whole process.
+// of the whole process.  A failure is journaled, so a restarted server
+// reports it rather than running the campaign again.
 func (s *Server) start(cr *campaignRun, cp scenario.Checkpoint) {
 	ctx, cancel := context.WithCancel(s.baseCtx)
 	cr.mu.Lock()
 	cr.cancel = cancel
 	cr.mu.Unlock()
+	fail := func(cause string) {
+		if err := s.journal.Fail(cr.id, cause); err != nil {
+			s.logger.Printf("campaign %s: %v", cr.id, err)
+		}
+		cr.finish("failed", cause, nil)
+	}
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
@@ -315,7 +319,7 @@ func (s *Server) start(cr *campaignRun, cp scenario.Checkpoint) {
 			if r := recover(); r != nil {
 				msg := fmt.Sprintf("panic: %v", r)
 				s.logger.Printf("campaign %s: %s\n%s", cr.id, msg, debug.Stack())
-				cr.finish("failed", msg, nil)
+				fail(msg)
 			}
 		}()
 		results, err := cr.camp.Run(ctx,
@@ -350,7 +354,7 @@ func (s *Server) start(cr *campaignRun, cp scenario.Checkpoint) {
 			table := scenario.CampaignTable(cr.camp.Name, results)
 			if err := s.store.Save(cr.id, table); err != nil {
 				s.logger.Printf("campaign %s: %v", cr.id, err)
-				cr.finish("failed", err.Error(), nil)
+				fail(err.Error())
 				return
 			}
 			if err := s.journal.Done(cr.id); err != nil {
@@ -370,7 +374,8 @@ func (s *Server) start(cr *campaignRun, cp scenario.Checkpoint) {
 			// Server shutdown: no terminal marker — the journal stays
 			// resumable and the next server picks the campaign back up.
 		default:
-			cr.finish("failed", err.Error(), nil)
+			s.logger.Printf("campaign %s: %v", cr.id, err)
+			fail(err.Error())
 		}
 	}()
 }

@@ -292,7 +292,7 @@ func TestServerGracefulShutdownResume(t *testing.T) {
 	if len(states) != 1 || states[0].TrialEntries != total {
 		t.Fatalf("journal trial entries = %d, want exactly %d", states[0].TrialEntries, total)
 	}
-	if !states[0].Done {
+	if states[0].Status != "done" {
 		t.Fatal("done marker missing after resumed completion")
 	}
 
@@ -492,6 +492,55 @@ func TestServerSurvivesCampaignPanic(t *testing.T) {
 	final, err = c.Stream(ctx, st2.ID, nil)
 	if err != nil || final.Status != "done" {
 		t.Fatalf("campaign after the panic: %+v, %v", final, err)
+	}
+}
+
+// A failed campaign is terminal in the journal: a second server on the same
+// journal reports it failed with the same cause, and neither recomputes a
+// trial nor folds it again.
+func TestFailedCampaignStaysFailedAcrossBoots(t *testing.T) {
+	folds := 0
+	testHookFold = func(string) {
+		folds++
+		panic("fold fault")
+	}
+	defer func() { testHookFold = nil }()
+	dir := t.TempDir()
+	ctx := context.Background()
+	camp := serviceCampaign()
+
+	_, c1, stop1 := testServer(t, dir)
+	st, err := c1.Submit(ctx, camp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := c1.Stream(ctx, st.ID, nil)
+	if err != nil || first.Status != "failed" {
+		t.Fatalf("first boot: %+v, %v", first, err)
+	}
+	stop1()
+
+	_, c2, stop2 := testServer(t, dir)
+	got, err := c2.Status(ctx, st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop2()
+	if got.Status != "failed" || got.Error != first.Error {
+		t.Fatalf("second boot: %+v, want failed with %q", got, first.Error)
+	}
+	if folds != 1 {
+		t.Fatalf("fold ran %d times across two boots, want 1", folds)
+	}
+	states, _, err := replay(filepath.Join(dir, "journal.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if total := totalTrials(camp); len(states) != 1 || states[0].TrialEntries != total || got.ResumedTrials != total {
+		t.Fatalf("journal holds %d trial entries, %d resumed; want %d each", states[0].TrialEntries, got.ResumedTrials, total)
+	}
+	if states[0].Status != "failed" || states[0].Error != first.Error {
+		t.Fatalf("journaled terminal state = %q %q", states[0].Status, states[0].Error)
 	}
 }
 

@@ -26,7 +26,6 @@ type Victim struct {
 
 	inst    registry.Instance
 	tableVA vm.VirtAddr
-	key     []byte
 }
 
 // SpawnVictim creates a victim process running the named registered cipher
@@ -54,7 +53,7 @@ func SpawnVictim(m *kernel.Machine, cpu int, cipherName string, key []byte, requ
 	if err != nil {
 		return nil, err
 	}
-	v := &Victim{Proc: proc, Cipher: c, inst: inst, key: append([]byte(nil), key...)}
+	v := &Victim{Proc: proc, Cipher: c, inst: inst}
 
 	base, err := proc.Mmap(uint64(requestPages) * vm.PageSize)
 	if err != nil {
@@ -77,9 +76,6 @@ func SpawnVictim(m *kernel.Machine, cpu int, cipherName string, key []byte, requ
 
 // TablePage returns the base virtual address of the page holding the table.
 func (v *Victim) TablePage() vm.VirtAddr { return v.tableVA.PageBase() }
-
-// Key returns the victim's secret key (for experiment verification only).
-func (v *Victim) Key() []byte { return append([]byte(nil), v.key...) }
 
 // loadTable reads the S-box from victim memory, as a table-driven
 // implementation does implicitly on every lookup; reloading per encryption
@@ -203,11 +199,4 @@ func (no *Noise) Churn(ops int) error {
 		no.live[pi] = append(no.live[pi], va)
 	}
 	return nil
-}
-
-// Exit terminates all noise processes.
-func (no *Noise) Exit() {
-	for _, p := range no.procs {
-		p.Exit()
-	}
 }

@@ -46,9 +46,6 @@ func TestAESVictimEncryptsCorrectly(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("victim ciphertext %x != reference %x", got, want)
 	}
-	if !bytes.Equal(v.Key(), key) {
-		t.Fatal("key accessor")
-	}
 	if _, err := v.Encrypt(make([]byte, 8)); err == nil {
 		t.Fatal("wrong block size accepted")
 	}
@@ -70,7 +67,7 @@ func TestPresentVictimEncryptsCorrectly(t *testing.T) {
 		t.Fatal(err)
 	}
 	rk, _ := present.Engine.Expand(key)
-	sb := present.SBox()
+	sb := present.Engine.Canon
 	want := binary.BigEndian.AppendUint64(nil, present.Engine.Encrypt(rk, &sb, binary.BigEndian.Uint64(pt)))
 	if !bytes.Equal(got, want) {
 		t.Fatalf("victim %x != reference %x", got, want)
@@ -214,10 +211,6 @@ func TestNoiseChurn(t *testing.T) {
 	if err := no.Churn(500); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Phys().CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	no.Exit()
 	if err := m.Phys().CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}

@@ -61,8 +61,7 @@ type ptNode struct {
 
 // PageTable is a 4-level radix page table.
 type PageTable struct {
-	root  *ptNode
-	leafs int // mapped (present) PTE count
+	root *ptNode
 }
 
 // NewPageTable returns an empty page table.
@@ -121,7 +120,6 @@ func (pt *PageTable) Map(va VirtAddr, pfn mm.PFN, writable bool) error {
 		return fmt.Errorf("vm: page %#x already mapped", uint64(va.PageBase()))
 	}
 	leaf.ptes[i] = PTE{PFN: pfn, Present: true, Writable: writable}
-	pt.leafs++
 	return nil
 }
 
@@ -134,7 +132,6 @@ func (pt *PageTable) Unmap(va VirtAddr) (mm.PFN, bool) {
 	}
 	pfn := leaf.ptes[i].PFN
 	leaf.ptes[i] = PTE{}
-	pt.leafs--
 	return pfn, true
 }
 
@@ -155,9 +152,6 @@ func (pt *PageTable) Translate(va VirtAddr) (uint64, bool) {
 	}
 	return pte.PFN.Phys() + va.Offset(), true
 }
-
-// MappedPages returns the number of present leaf translations.
-func (pt *PageTable) MappedPages() int { return pt.leafs }
 
 // Walk visits every present translation in ascending virtual address order.
 func (pt *PageTable) Walk(visit func(va VirtAddr, pte PTE)) {

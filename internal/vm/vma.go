@@ -23,12 +23,6 @@ type VMA struct {
 	Prot  Prot
 }
 
-// Len returns the byte length of the area.
-func (v VMA) Len() uint64 { return uint64(v.End - v.Start) }
-
-// Pages returns the number of pages the area spans.
-func (v VMA) Pages() uint64 { return v.Len() / PageSize }
-
 // Contains reports whether the address falls inside the area.
 func (v VMA) Contains(va VirtAddr) bool { return va >= v.Start && va < v.End }
 
@@ -64,6 +58,8 @@ func NewAddressSpace() *AddressSpace {
 }
 
 // VMAs returns a copy of the current areas, sorted by start address.
+//
+//doclint:keep kernel tests exit processes by unmapping every area
 func (as *AddressSpace) VMAs() []VMA {
 	out := make([]VMA, len(as.vmas))
 	copy(out, as.vmas)
@@ -174,15 +170,6 @@ func (as *AddressSpace) Unmap(start VirtAddr, length uint64, release func(VirtAd
 		}
 	}
 	return nil
-}
-
-// MappedBytes returns the total bytes covered by VMAs.
-func (as *AddressSpace) MappedBytes() uint64 {
-	var n uint64
-	for _, v := range as.vmas {
-		n += v.Len()
-	}
-	return n
 }
 
 // CheckInvariants verifies the VMA list is sorted and non-overlapping and

@@ -266,17 +266,13 @@ func BenchmarkE9DFAvsPFA(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var pairs []dfa.Pair
-		pt := make([]byte, 16)
 		for fb := 0; fb < 4; fb++ {
 			m := fault.New(fault.PreciseByte, fault.WithPosition(fb))
-			for n := 0; n < 2; n++ {
-				rng.Bytes(pt)
-				p, err := dfa.CollectPair(c, inst, table, pt, m, rng)
-				if err != nil {
-					b.Fatal(err)
-				}
-				pairs = append(pairs, p)
+			ps, err := dfa.CollectPairs(c, inst, table, 2, m, rng)
+			if err != nil {
+				b.Fatal(err)
 			}
+			pairs = append(pairs, ps...)
 		}
 		res, err := a.Analyze(pairs, fault.New(fault.PreciseByte))
 		if err == nil && res.Unique {

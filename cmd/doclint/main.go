@@ -4,11 +4,14 @@
 // external dependencies.
 //
 // In packages under an internal/ directory it also fails on an exported
-// identifier whose name no non-test .go file references.  References are
-// counted by name across the whole tree of the nearest enclosing go.mod,
-// nested modules included; a declaration's own name does not count.
-// Methods named after standard-library interfaces (Error, String, Unwrap,
-// MarshalJSON, UnmarshalJSON, ServeHTTP) are exempt, and so is a
+// identifier that no non-test .go file references.  References are
+// resolved with go/types across the whole tree of the nearest enclosing
+// go.mod, nested modules included, so a method is used only when a
+// selector resolves to it, or to a method of an interface its type
+// implements; another type's method of the same name does not count, nor
+// does a declaration's own name.  Methods named after standard-library
+// interfaces (Error, String, Unwrap, MarshalJSON, UnmarshalJSON,
+// ServeHTTP) are exempt, and so is a
 // declaration whose doc comment carries a
 //
 //	//doclint:keep <reason>
@@ -26,11 +29,15 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -129,7 +136,7 @@ func lintDir(dir string) ([]string, error) {
 	if err != nil {
 		return nil, fmt.Errorf("doclint: parsing %s: %w", dir, err)
 	}
-	refs, err := internalRefs(dir)
+	refs, pkgPath, err := internalRefs(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -145,7 +152,7 @@ func lintDir(dir string) ([]string, error) {
 			findings = append(findings, fmt.Sprintf("%s: package %s has no package comment", dir, pkg.Name))
 		}
 		for _, file := range pkg.Files {
-			findings = append(findings, lintFile(fset, file, refs)...)
+			findings = append(findings, lintFile(fset, file, refs, pkgPath)...)
 		}
 	}
 	sort.Strings(findings)
@@ -166,15 +173,16 @@ const keepDirective = "//doclint:keep"
 // lintFile reports the file's undocumented exported top-level declarations:
 // functions and methods, type specs, and const/var specs (a group doc on
 // the declaration covers all of its specs).  With refs set it also reports
-// each one whose name refs lacks, unless it is an exempt method or carries
-// a keep directive, and each keep directive without a reason.
-func lintFile(fset *token.FileSet, file *ast.File, refs map[string]bool) []string {
+// each one whose objKey (under pkgPath) refs lacks, unless it is an exempt
+// method or carries a keep directive, and each keep directive without a
+// reason.
+func lintFile(fset *token.FileSet, file *ast.File, refs map[string]bool, pkgPath string) []string {
 	var findings []string
 	report := func(id *ast.Ident, format string, args ...any) {
 		p := fset.Position(id.Pos())
 		findings = append(findings, fmt.Sprintf("%s:%d: ", p.Filename, p.Line)+fmt.Sprintf(format, args...))
 	}
-	check := func(id *ast.Ident, what string, docs ...*ast.CommentGroup) {
+	check := func(id *ast.Ident, what, scope string, docs ...*ast.CommentGroup) {
 		if !id.IsExported() {
 			return
 		}
@@ -196,33 +204,31 @@ func lintFile(fset *token.FileSet, file *ast.File, refs map[string]bool) []strin
 		case refs == nil || what == "method" && exemptMethods[id.Name]:
 		case kept && reason == "":
 			report(id, "%s on %s gives no reason", keepDirective, id.Name)
-		case !kept && !refs[id.Name]:
+		case !kept && !refs[scope+"."+id.Name]:
 			report(id, "exported %s has no non-test reference", id.Name)
 		}
 	}
 	for _, decl := range file.Decls {
 		switch d := decl.(type) {
 		case *ast.FuncDecl:
-			if !exportedRecv(d) {
-				continue
+			recv := recvName(d)
+			if recv == "" {
+				check(d.Name, "function", pkgPath, d.Doc)
+			} else if ast.IsExported(recv) {
+				check(d.Name, "method", pkgPath+"."+recv, d.Doc)
 			}
-			what := "function"
-			if d.Recv != nil {
-				what = "method"
-			}
-			check(d.Name, what, d.Doc)
 		case *ast.GenDecl:
 			for _, spec := range d.Specs {
 				switch s := spec.(type) {
 				case *ast.TypeSpec:
-					check(s.Name, "type", d.Doc, s.Doc, s.Comment)
+					check(s.Name, "type", pkgPath, d.Doc, s.Doc, s.Comment)
 				case *ast.ValueSpec:
 					kind := "const"
 					if d.Tok == token.VAR {
 						kind = "var"
 					}
 					for _, id := range s.Names {
-						check(id, kind, d.Doc, s.Doc, s.Comment)
+						check(id, kind, pkgPath, d.Doc, s.Doc, s.Comment)
 					}
 				}
 			}
@@ -231,11 +237,11 @@ func lintFile(fset *token.FileSet, file *ast.File, refs map[string]bool) []strin
 	return findings
 }
 
-// exportedRecv reports whether a declaration's receiver (if any) names an
-// exported type: methods on unexported types are internal API.
-func exportedRecv(d *ast.FuncDecl) bool {
+// recvName returns the name of a method's receiver type, and "" for a
+// function.  Methods on unexported types are internal API.
+func recvName(d *ast.FuncDecl) string {
 	if d.Recv == nil || len(d.Recv.List) == 0 {
-		return true
+		return ""
 	}
 	t := d.Recv.List[0].Type
 	for {
@@ -244,21 +250,24 @@ func exportedRecv(d *ast.FuncDecl) bool {
 			t = x.X
 		case *ast.IndexExpr:
 			t = x.X
+		case *ast.IndexListExpr:
+			t = x.X
 		case *ast.Ident:
-			return x.IsExported()
+			return x.Name
 		default:
-			return true
+			return ""
 		}
 	}
 }
 
-// internalRefs returns the names referenced by non-test code across the
-// tree of the nearest go.mod enclosing dir when dir lies under an internal/
-// directory of that tree, and nil otherwise.
-func internalRefs(dir string) (map[string]bool, error) {
+// internalRefs returns the objects non-test code references across the
+// tree of the nearest go.mod enclosing dir, keyed by objKey, and dir's
+// import path, when dir lies under an internal/ directory of that tree;
+// refs is nil otherwise.
+func internalRefs(dir string) (refs map[string]bool, pkgPath string, err error) {
 	abs, err := filepath.Abs(dir)
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
 	root := abs
 	for {
@@ -267,85 +276,158 @@ func internalRefs(dir string) (map[string]bool, error) {
 		}
 		parent := filepath.Dir(root)
 		if parent == root {
-			return nil, nil
+			return nil, "", nil
 		}
 		root = parent
 	}
 	rel, err := filepath.Rel(root, abs)
 	if err != nil || !slices.Contains(strings.Split(filepath.ToSlash(rel), "/"), "internal") {
-		return nil, err
+		return nil, "", err
 	}
-	return references(root)
+	l, err := load(root)
+	if err != nil {
+		return nil, "", err
+	}
+	for path, d := range l.dirs {
+		if d == abs {
+			pkgPath = path
+		}
+	}
+	return l.refs, pkgPath, nil
 }
 
-// refCache holds each root's referenced names, built on first use.
-var refCache = map[string]map[string]bool{}
-
-// references returns every identifier name used in the non-test .go files
-// under root, skipping hidden directories and testdata.  The names that
-// top-level declarations and struct fields declare are not references.
-func references(root string) (map[string]bool, error) {
-	if refs, ok := refCache[root]; ok {
-		return refs, nil
+// objKey names a package-level object "path.Name" and a method
+// "path.Recv.Name", the form lintFile looks declarations up by.
+func objKey(obj types.Object) string {
+	key := obj.Pkg().Path() + "." + obj.Name()
+	if sig, ok := obj.Type().(*types.Signature); ok && sig.Recv() != nil {
+		t := sig.Recv().Type()
+		if p, ok := t.(*types.Pointer); ok {
+			t = p.Elem()
+		}
+		if n, ok := t.(*types.Named); ok {
+			key = obj.Pkg().Path() + "." + n.Obj().Name() + "." + obj.Name()
+		}
 	}
-	refs := map[string]bool{}
-	fset := token.NewFileSet()
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
+	return key
+}
+
+// loader type-checks the packages of one go.mod tree from their non-test
+// files.
+type loader struct {
+	fset *token.FileSet
+	dirs map[string]string // import path -> directory
+	pkgs map[string]*types.Package
+	std  types.Importer
+	info *types.Info
+	refs map[string]bool // objKey of every object referenced
+}
+
+// loadCache holds each root's loaded tree, built on first use.
+var loadCache = map[string]*loader{}
+
+// load type-checks every package directory under root, nested modules
+// included and hidden directories and testdata skipped, and records the
+// objects the non-test files reference.  A method also counts when a
+// referenced interface method of the same name belongs to an interface
+// its type implements: a call through an interface reaches every
+// implementation.
+func load(root string) (*loader, error) {
+	if l, ok := loadCache[root]; ok {
+		return l, nil
+	}
+	l := &loader{fset: token.NewFileSet(), dirs: map[string]string{}, pkgs: map[string]*types.Package{},
+		std: importer.Default(), info: &types.Info{Uses: map[*ast.Ident]types.Object{}}, refs: map[string]bool{}}
+	paths := map[string]string{} // directory -> import path
+	err := filepath.WalkDir(root, func(dir string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
 			return err
 		}
-		name := d.Name()
-		if d.IsDir() {
-			if path != root && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
+		if dir != root && (strings.HasPrefix(d.Name(), ".") || strings.HasPrefix(d.Name(), "_") || d.Name() == "testdata") {
+			return filepath.SkipDir
 		}
-		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-			return nil
+		// A go.mod starts a module path; below it, directories extend it.
+		paths[dir] = paths[filepath.Dir(dir)] + "/" + d.Name()
+		if gomod, err := os.ReadFile(filepath.Join(dir, "go.mod")); err == nil {
+			paths[dir] = modulePath(gomod)
 		}
-		file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return fmt.Errorf("doclint: parsing %s: %w", path, err)
-		}
-		declared := map[*ast.Ident]bool{}
-		for _, decl := range file.Decls {
-			switch d := decl.(type) {
-			case *ast.FuncDecl:
-				declared[d.Name] = true
-			case *ast.GenDecl:
-				for _, spec := range d.Specs {
-					switch s := spec.(type) {
-					case *ast.TypeSpec:
-						declared[s.Name] = true
-					case *ast.ValueSpec:
-						for _, id := range s.Names {
-							declared[id] = true
-						}
-					}
-				}
-			}
-		}
-		ast.Inspect(file, func(n ast.Node) bool {
-			switch x := n.(type) {
-			case *ast.StructType:
-				for _, f := range x.Fields.List {
-					for _, id := range f.Names {
-						declared[id] = true
-					}
-				}
-			case *ast.Ident:
-				if !declared[x] {
-					refs[x.Name] = true
-				}
-			}
-			return true
-		})
+		l.dirs[paths[dir]] = dir
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	refCache[root] = refs
-	return refs, nil
+	for path := range l.dirs {
+		if _, err := l.Import(path); err != nil && !errors.As(err, new(*build.NoGoError)) {
+			return nil, err
+		}
+	}
+	ifaces := map[*types.Func]*types.Interface{}
+	for _, obj := range l.info.Uses {
+		if obj.Pkg() == nil {
+			continue
+		}
+		l.refs[objKey(obj)] = true
+		if sig, ok := obj.Type().(*types.Signature); ok && sig.Recv() != nil {
+			if iface, ok := sig.Recv().Type().Underlying().(*types.Interface); ok {
+				ifaces[obj.(*types.Func)] = iface
+			}
+		}
+	}
+	for _, pkg := range l.pkgs {
+		for _, name := range pkg.Scope().Names() {
+			ptr := types.NewPointer(pkg.Scope().Lookup(name).Type())
+			ms := types.NewMethodSet(ptr)
+			for i := 0; i < ms.Len(); i++ {
+				for f, iface := range ifaces {
+					if f.Name() == ms.At(i).Obj().Name() && types.Implements(ptr, iface) {
+						l.refs[objKey(ms.At(i).Obj())] = true
+					}
+				}
+			}
+		}
+	}
+	loadCache[root] = l
+	return l, nil
+}
+
+// modulePath returns the module path a go.mod file declares.
+func modulePath(gomod []byte) string {
+	for _, line := range strings.Split(string(gomod), "\n") {
+		if f := strings.Fields(line); len(f) == 2 && f[0] == "module" {
+			return strings.Trim(f[1], `"`)
+		}
+	}
+	return ""
+}
+
+// Import type-checks a package of the tree from its non-test files under
+// the default build constraints, and hands any other path to the standard
+// importer.
+func (l *loader) Import(path string) (*types.Package, error) {
+	if pkg, ok := l.pkgs[path]; ok {
+		return pkg, nil
+	}
+	dir, ok := l.dirs[path]
+	if !ok {
+		return l.std.Import(path)
+	}
+	bp, err := build.Default.ImportDir(dir, 0)
+	if err != nil {
+		return nil, err
+	}
+	var files []*ast.File
+	for _, name := range bp.GoFiles {
+		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
+	}
+	pkg, err := (&types.Config{Importer: l}).Check(path, l.fset, files, l.info)
+	if err != nil {
+		return nil, fmt.Errorf("doclint: type-checking %s: %w", path, err)
+	}
+	l.pkgs[path] = pkg
+	return pkg, nil
 }

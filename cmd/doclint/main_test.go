@@ -188,3 +188,63 @@ func (T) MarshalJSON() ([]byte, error) { return nil, nil }
 		t.Errorf("non-internal findings = %v, %v", findings, err)
 	}
 }
+
+// Method references resolve through go/types: a call of one type's method
+// does not cover another type's method of the same name, and a call
+// through an interface covers every type implementing it.
+func TestLintDirResolvesMethods(t *testing.T) {
+	root := t.TempDir()
+	lib := filepath.Join(root, "internal", "lib")
+	if err := os.MkdirAll(lib, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	write(t, root, "go.mod", "module demo\n")
+	write(t, lib, "lib.go", `// Package lib is documented.
+package lib
+
+// A is checked by main.
+type A struct{}
+
+// Check is called on an A.
+func (A) Check() error { return nil }
+
+// B shares A's method name.
+type B struct{}
+
+// Check is never called on a B.
+func (B) Check() error { return nil }
+
+// Runner runs.
+type Runner interface{ Run() }
+
+// C is only run through Runner.
+type C struct{}
+
+// Run is reached through the interface.
+func (*C) Run() {}
+`)
+	write(t, root, "main.go", `// Command demo.
+package main
+
+import "demo/internal/lib"
+
+func main() {
+	_ = lib.A{}.Check()
+	var r lib.Runner = &lib.C{}
+	r.Run()
+	_ = lib.B{}
+}
+`)
+	findings, err := lintDir(lib)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, f := range findings {
+		got = append(got, strings.TrimPrefix(f, lib+string(filepath.Separator)))
+	}
+	want := []string{"lib.go:14: exported Check has no non-test reference"}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("findings:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}

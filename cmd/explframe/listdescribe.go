@@ -205,10 +205,10 @@ func describeFaultModel(p fault.Preset) int {
 }
 
 // describeMachine prints one machine profile's identity and canonical JSON
-// (pasteable into a scenario file's "machine" field).  Registered specs
-// are valid by construction (Register rejects anything else), but the
+// (pasteable into a scenario file's "machine" field).  Built-in specs are
+// valid by construction (the machine catalogue test pins it), but the
 // verdict mirrors describeCampaign's exit-2 contract for symmetry and for
-// any future non-registry source.
+// any future source outside the built-in table.
 func describeMachine(ms machine.Spec) int {
 	fmt.Printf("machine: %s\n", ms.CanonicalName())
 	fmt.Printf("hash:    %016x\n", ms.Hash())

@@ -1,7 +1,7 @@
 // Command custom-machine walks through the machine-profile API: it
-// registers a bespoke DRAM module, runs the same declarative attack
-// scenario on a built-in profile and on the custom one, and shows the
-// inline-machine form that needs no registration at all.
+// declares a bespoke DRAM module, runs the same declarative attack
+// scenario on a built-in profile and on the custom one inline, and prints
+// the scenario JSON that carries the custom machine in a spec file.
 //
 // Run with: go run ./examples/custom-machine
 package main
@@ -38,29 +38,24 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// 2. Register it; from here on "demo-64m" works everywhere a profile
-	// name does — scenario specs, `explframe run -machine demo-64m` (if
-	// this registration ran in that process), experiment grids.
-	machine.Register(custom)
-	fmt.Printf("registered %q (hash %016x), registry now: %v\n\n",
-		custom.Name, custom.Hash(), machine.Names())
-
-	// 3. Run the identical scenario on two machines: only the profile
-	// differs, so any change in the outcome is the hardware's doing.
-	for _, profile := range []scenario.Profile{"fast", "demo-64m"} {
-		spec := scenario.New(scenario.WithProfile(profile), scenario.WithTrials(3), scenario.WithSeed(11))
+	// 2. Run the identical scenario on a built-in profile and on the
+	// custom machine inline: only the machine differs, so any change in
+	// the outcome is the hardware's doing.
+	for _, spec := range []scenario.Spec{
+		scenario.New(scenario.WithProfile("fast"), scenario.WithTrials(3), scenario.WithSeed(11)),
+		scenario.New(scenario.WithMachine(custom), scenario.WithTrials(3), scenario.WithSeed(11)),
+	} {
 		res, err := scenario.Run(context.Background(), spec)
 		if err != nil {
 			log.Fatal(err)
 		}
 		st := res.AttackStats()
 		fmt.Printf("%-10s key recovered %d/%d, steering %.2f\n",
-			profile, st.Key.Successes, st.Key.Trials, st.Steer.Rate())
+			spec.MachineName(), st.Key.Successes, st.Key.Trials, st.Steer.Rate())
 	}
 
-	// 4. The inline form: a spec file can embed the machine directly (see
-	// README "Machine profiles") — WithMachine is the in-code equivalent
-	// and needs no registration.
+	// 3. A spec file embeds the machine the same way (see README "Machine
+	// profiles"): the JSON below runs unchanged from a campaign file.
 	inline := scenario.New(scenario.WithMachine(custom), scenario.WithTrials(1), scenario.WithSeed(11))
 	fmt.Printf("\ninline scenario name: %s\n", inline.Name())
 	data, err := inline.EncodeJSON()

@@ -40,20 +40,18 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		pt := make([]byte, c.BlockSize())
 		for n := 1; n <= 48; n++ {
-			// Collect one correct/faulty pair: same plaintext, one transient
-			// fault drawn from the model and injected at the analyzer's
-			// default round (round 29, the last-but-one).
-			rng.Bytes(pt)
-			p, err := dfa.CollectPair(c, inst, table, pt, m, rng)
+			// Collect one correct/faulty pair: a random plaintext, one
+			// transient fault drawn from the model and injected at the
+			// analyzer's default round (round 29, the last-but-one).
+			pairs, err := dfa.CollectPairs(c, inst, table, 1, m, rng)
 			if err != nil {
 				log.Fatal(err)
 			}
 
 			// Fold the pair into the session and read the surviving key
 			// space; stop at a unique key.
-			if err := session.Add(p); err != nil {
+			if err := session.Add(pairs[0]); err != nil {
 				log.Fatal(err)
 			}
 			res, err := session.Result()

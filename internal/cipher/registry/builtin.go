@@ -11,20 +11,27 @@ import (
 	"explframe/internal/cipher/present"
 )
 
-// The built-in victims.  Each adapter translates one cipher package's
-// native API onto the Cipher interface; registering a new victim means
-// writing its package and one more Register call here.  Both 64-bit SPNs
-// share one adapter, told apart by their engine.
-func init() {
-	Register(aes128{}, "aes")
-	Register(&spn64{name: "present-80", e: present.Engine}, "present")
-	Register(&spn64{name: "lilliput-80", e: lilliput.Engine}, "lilliput")
+// builtin is one catalogue entry: a cipher and the aliases Get accepts
+// besides its canonical name.
+type builtin struct {
+	c       Cipher
+	aliases []string
+}
+
+// builtins are the victims.  Each adapter translates one cipher package's
+// native API onto the Cipher interface; adding a victim means writing its
+// package and one more entry here.  Both 64-bit SPNs share one adapter,
+// told apart by their engine.
+var builtins = []builtin{
+	{aes128{}, []string{"aes"}},
+	{&spn64{name: "present-80", e: present.Engine}, []string{"present"}},
+	{&spn64{name: "lilliput-80", e: lilliput.Engine}, []string{"lilliput"}},
 }
 
 // checkKey rejects a key of any length but c.KeyBytes().  The cipher
 // packages accept other lengths for other variants (aes.Expand takes
 // AES-192 and AES-256 keys), which would otherwise run under a name whose
-// Rounds, LastRoundCells and RecoverMaster assume the registered one.
+// Rounds, LastRoundCells and RecoverMaster assume the named one.
 func checkKey(c Cipher, key []byte) error {
 	if len(key) != c.KeyBytes() {
 		return fmt.Errorf("registry: %s takes a %d-byte key, got %d bytes", c.Name(), c.KeyBytes(), len(key))

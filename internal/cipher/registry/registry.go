@@ -1,25 +1,25 @@
 // Package registry is the pluggable victim-cipher registry: it defines the
 // Cipher interface the fault machinery runs over — key schedule, round
 // count, encrypt-with-faultable-table, and the S-box metadata persistent
-// fault analysis needs — and a name-keyed registration table.
+// fault analysis needs — and the fixed table of built-in victims.
 //
 // The ExplFrame attack (and its PFA analysis) only assumes an SPN whose
 // final round computes ct = L(S(x)) ^ K for a public table S held in
 // corruptible memory and an invertible GF(2)-linear layer L.  Everything
 // cipher-specific funnels through this interface, so adding a victim
-// cipher is one package plus one Register call (see builtin.go), not a
+// cipher is one package plus one table entry (see builtin.go), not a
 // cross-cutting rewrite of trace/core/pfa/experiments.
 package registry
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 )
 
-// Cipher describes one registered victim block cipher.
+// Cipher describes one victim block cipher.
 //
 // The S-box metadata (TableLen, EntryBits, SBox) models the table exactly
 // as it sits in victim memory: TableLen bytes, one entry per byte, of which
@@ -27,7 +27,7 @@ import (
 // stored bit is a legal fault; flips above EntryBits are harmless, which
 // the attack's usable-flip predicate checks generically.
 type Cipher interface {
-	// Name is the canonical registered name, e.g. "aes-128".
+	// Name is the canonical name, e.g. "aes-128".
 	Name() string
 	// BlockSize is the block size in bytes.
 	BlockSize() int
@@ -142,49 +142,20 @@ func ScalarEncryptBatch(in Instance, table []byte, dst, src [][]byte) {
 // lookup in the final round.
 func Cells(c Cipher) int { return c.BlockSize() * 8 / c.EntryBits() }
 
-var (
-	mu      sync.RWMutex
-	ciphers = map[string]Cipher{}
-	aliases = map[string]string{}
-)
-
-// Register adds a cipher under its canonical Name plus any aliases.  It
-// panics on duplicates — registration conflicts are programming errors.
-func Register(c Cipher, names ...string) {
-	mu.Lock()
-	defer mu.Unlock()
-	key := strings.ToLower(c.Name())
-	if _, dup := ciphers[key]; dup {
-		panic(fmt.Sprintf("registry: cipher %q registered twice", c.Name()))
-	}
-	if _, dup := aliases[key]; dup {
-		// Get resolves aliases first, so a canonical name shadowed by an
-		// existing alias would be unreachable — reject it loudly.
-		panic(fmt.Sprintf("registry: cipher name %q already taken as an alias", c.Name()))
-	}
-	ciphers[key] = c
-	for _, a := range names {
-		a = strings.ToLower(a)
-		if _, dup := aliases[a]; dup || ciphers[a] != nil {
-			panic(fmt.Sprintf("registry: alias %q already taken", a))
-		}
-		aliases[a] = key
-	}
-}
-
-// Get looks a cipher up by canonical name or alias, case-insensitively.
+// Get looks a built-in cipher up by canonical name or alias,
+// case-insensitively.
 func Get(name string) (Cipher, bool) {
-	mu.RLock()
-	defer mu.RUnlock()
 	key := strings.ToLower(name)
-	if canon, ok := aliases[key]; ok {
-		key = canon
+	for _, b := range builtins {
+		if strings.ToLower(b.c.Name()) == key ||
+			slices.ContainsFunc(b.aliases, func(a string) bool { return strings.ToLower(a) == key }) {
+			return b.c, true
+		}
 	}
-	c, ok := ciphers[key]
-	return c, ok
+	return nil, false
 }
 
-// MustGet is Get for registered-by-construction names; it panics on a miss.
+// MustGet is Get for built-in-by-construction names; it panics on a miss.
 func MustGet(name string) Cipher {
 	c, ok := Get(name)
 	if !ok {
@@ -193,13 +164,11 @@ func MustGet(name string) Cipher {
 	return c
 }
 
-// Names returns the canonical names of every registered cipher, sorted.
+// Names returns the canonical names of every built-in cipher, sorted.
 func Names() []string {
-	mu.RLock()
-	defer mu.RUnlock()
-	out := make([]string, 0, len(ciphers))
-	for n := range ciphers {
-		out = append(out, n)
+	out := make([]string, 0, len(builtins))
+	for _, b := range builtins {
+		out = append(out, strings.ToLower(b.c.Name()))
 	}
 	sort.Strings(out)
 	return out

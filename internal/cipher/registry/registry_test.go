@@ -2,10 +2,13 @@ package registry
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
+	"explframe/internal/cipher/present"
 	"explframe/internal/stats"
 )
 
@@ -42,13 +45,46 @@ func TestMustGetPanicsOnUnknown(t *testing.T) {
 	MustGet("rot13")
 }
 
-func TestRegisterDuplicatePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic on duplicate registration")
+// checkCatalogue reports every way a cipher table fails the catalogue
+// contract: two canonical names, two aliases, or an alias and a name equal
+// up to case (Get folds case, so a shadowed entry would be unreachable).
+func checkCatalogue(entries []builtin) error {
+	var errs []error
+	names, aliases := map[string]bool{}, map[string]bool{}
+	for _, b := range entries {
+		key := strings.ToLower(b.c.Name())
+		if names[key] || aliases[key] {
+			errs = append(errs, fmt.Errorf("cipher name %q already taken", b.c.Name()))
 		}
-	}()
-	Register(aes128{})
+		names[key] = true
+	}
+	for _, b := range entries {
+		for _, a := range b.aliases {
+			key := strings.ToLower(a)
+			if names[key] || aliases[key] {
+				errs = append(errs, fmt.Errorf("alias %q of %s already taken", a, b.c.Name()))
+			}
+			aliases[key] = true
+		}
+	}
+	return errors.Join(errs...)
+}
+
+// The built-in table is a valid catalogue, and the check catches a
+// duplicate name, a duplicate alias and an alias shadowing a name.
+func TestCatalogueContract(t *testing.T) {
+	if err := checkCatalogue(builtins); err != nil {
+		t.Fatal(err)
+	}
+	for name, bad := range map[string]builtin{
+		"duplicate name":  {aes128{}, nil},
+		"duplicate alias": {&spn64{name: "toy-64", e: present.Engine}, []string{"AES"}},
+		"shadowing alias": {&spn64{name: "toy-64", e: present.Engine}, []string{"Lilliput-80"}},
+	} {
+		if checkCatalogue(append(slices.Clone(builtins), bad)) == nil {
+			t.Errorf("%s passed the catalogue check", name)
+		}
+	}
 }
 
 // Every registered cipher must satisfy the structural contract the fault

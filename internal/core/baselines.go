@@ -85,7 +85,6 @@ func RunBaselineTrial(cfg Config, kind BaselineKind) (*BaselineResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	attacker.CapSysAdmin = kind == PagemapTargeted
 	engine := rowhammer.New(cfg.Hammer, m, attacker)
 
 	// Locate attacker pages adjacent to the victim row.  The pagemap

@@ -195,15 +195,13 @@ func E9DFAvsPFA(seed uint64, opts ...harness.Option) (*Table, error) {
 				if err != nil {
 					return false, err
 				}
-				pt := make([]byte, 16)
 				for fb := 0; fb < 4; fb++ {
 					m := fault.New(fault.PreciseByte, fault.WithPosition(fb))
-					for n := 0; n < pc; n++ {
-						rng.Bytes(pt)
-						p, err := dfa.CollectPair(dfaCipher, inst, table, pt, m, rng)
-						if err != nil {
-							return false, err
-						}
+					pairs, err := dfa.CollectPairs(dfaCipher, inst, table, pc, m, rng)
+					if err != nil {
+						return false, err
+					}
+					for _, p := range pairs {
 						if err := session.Add(p); err != nil {
 							return false, err
 						}

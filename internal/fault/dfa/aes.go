@@ -76,7 +76,6 @@ func init() {
 			columnPositions[c][r] = aes.InvShiftRowsIndex(4*c + r)
 		}
 	}
-	Register(aesAnalyzer{})
 }
 
 // quad is a candidate for the 4 last-round key bytes of one column.  A
@@ -195,7 +194,7 @@ func (q quad) admits(c, cs [4]byte) bool {
 	return false
 }
 
-// aesAnalyzer is the Piret–Quisquater analyzer registered for "aes-128".
+// aesAnalyzer is the Piret–Quisquater analyzer for "aes-128".
 type aesAnalyzer struct{}
 
 // Cipher returns the analyzed cipher's registry name.

@@ -1,5 +1,5 @@
 // Package dfa implements differential fault analysis behind a per-cipher
-// Analyzer registry, mirroring how internal/fault/pfa runs one collector
+// Analyzer table, mirroring how internal/fault/pfa runs one collector
 // over every victim in internal/cipher/registry.
 //
 // An Analyzer owns the differential equations of one cipher's final rounds
@@ -8,7 +8,8 @@
 // (PAPERS.md).  The built-in analyzers are the classical Piret–Quisquater
 // attack on AES-128 (aes.go) and the round-29 ladder analysis of the
 // LILLIPUT-style SPN (lilliput.go); adding one means implementing Analyzer
-// and calling Register, exactly like adding a victim cipher.
+// and listing it in the analyzers table, exactly like adding a victim
+// cipher.
 //
 // DFA serves as the baseline the paper's persistent-fault route is compared
 // against (experiments E9 and E17): DFA needs only a handful of
@@ -25,7 +26,6 @@ import (
 	"math"
 	"sort"
 	"strings"
-	"sync"
 
 	"explframe/internal/cipher/registry"
 	"explframe/internal/fault"
@@ -147,22 +147,8 @@ func checkPair(i int, p Pair, cipher string, blockSize int) error {
 	return nil
 }
 
-var (
-	mu        sync.RWMutex
-	analyzers = map[string]Analyzer{}
-)
-
-// Register adds an analyzer under its cipher's canonical name.  It panics
-// on duplicates — registration conflicts are programming errors.
-func Register(a Analyzer) {
-	mu.Lock()
-	defer mu.Unlock()
-	key := strings.ToLower(a.Cipher())
-	if _, dup := analyzers[key]; dup {
-		panic(fmt.Sprintf("dfa: analyzer for %q registered twice", a.Cipher()))
-	}
-	analyzers[key] = a
-}
+// analyzers is the fixed analyzer table, one per cipher.
+var analyzers = []Analyzer{aesAnalyzer{}, lilliputAnalyzer{}}
 
 // Get looks an analyzer up by its cipher's name or alias.
 func Get(cipher string) (Analyzer, bool) {
@@ -170,13 +156,15 @@ func Get(cipher string) (Analyzer, bool) {
 	if c, ok := registry.Get(cipher); ok {
 		key = strings.ToLower(c.Name())
 	}
-	mu.RLock()
-	defer mu.RUnlock()
-	a, ok := analyzers[key]
-	return a, ok
+	for _, a := range analyzers {
+		if strings.ToLower(a.Cipher()) == key {
+			return a, true
+		}
+	}
+	return nil, false
 }
 
-// MustGet is Get for registered-by-construction names; it panics on a miss.
+// MustGet is Get for built-in-by-construction names; it panics on a miss.
 func MustGet(cipher string) Analyzer {
 	a, ok := Get(cipher)
 	if !ok {
@@ -185,20 +173,18 @@ func MustGet(cipher string) Analyzer {
 	return a
 }
 
-// Names returns the cipher names with a registered analyzer, sorted.
+// Names returns the cipher names with an analyzer, sorted.
 func Names() []string {
-	mu.RLock()
-	defer mu.RUnlock()
 	out := make([]string, 0, len(analyzers))
-	for n := range analyzers {
-		out = append(out, n)
+	for _, a := range analyzers {
+		out = append(out, strings.ToLower(a.Cipher()))
 	}
 	sort.Strings(out)
 	return out
 }
 
 // faultRound resolves the round m injects into: the model's pinned Round, or
-// for Round 0 the DefaultRound of the analyzer registered for c.
+// for Round 0 the DefaultRound of c's analyzer.
 func faultRound(c registry.Cipher, m fault.Model) (int, error) {
 	if m.Round != 0 {
 		return m.Round, nil
@@ -210,39 +196,15 @@ func faultRound(c registry.Cipher, m fault.Model) (int, error) {
 	return a.DefaultRound(), nil
 }
 
-// CollectPair produces one correct/faulty ciphertext pair for plaintext pt
-// under the fault model: it draws the model's unpinned choices from rng,
-// encrypts pt cleanly and with the drawn transient fault, and records the
-// fault position when the model exposes it.  The model's Round 0 resolves
-// to the registered analyzer's DefaultRound.  The draw order — position
-// first when unpinned, then fault values — is pinned by the golden tables.
-func CollectPair(c registry.Cipher, inst registry.Instance, table, pt []byte, m fault.Model, rng *stats.RNG) (Pair, error) {
-	round, err := faultRound(c, m)
-	if err != nil {
-		return Pair{}, err
-	}
-	inj, err := m.Draw(rng, c.BlockSize(), round)
-	if err != nil {
-		return Pair{}, err
-	}
-	p := Pair{
-		Plaintext: append([]byte(nil), pt[:c.BlockSize()]...),
-		Correct:   make([]byte, c.BlockSize()),
-		Faulty:    make([]byte, c.BlockSize()),
-		Position:  inj.Position,
-	}
-	inst.Encrypt(table, p.Correct, pt)
-	inst.EncryptWithFault(table, p.Faulty, pt, inj.Round, inj.Mask)
-	return p, nil
-}
-
 // CollectPairs produces n correct/faulty pairs under the fault model,
 // batching all encryptions through the Instance batch API (bitsliced for
-// full 64-lane chunks of the built-in ciphers).  Each pair's randomness is
-// drawn exactly as n sequential rng.Bytes-plaintext + CollectPair calls
-// would draw it — plaintext first, then the model's unpinned choices —
-// which is the order the golden tables pin; only the encryptions move to
-// the end, and they consume no randomness.
+// full 64-lane chunks of the built-in ciphers).  Each pair draws its
+// randomness in turn — a BlockSize-byte plaintext first, then the model's
+// unpinned choices (position first when unpinned, then fault values) —
+// which is the order the golden tables pin, so n calls with n=1 draw what
+// one call with n draws; the encryptions consume no randomness.  The
+// model's Round 0 resolves to the cipher's analyzer's DefaultRound, and a
+// pair records the fault position when the model exposes it.
 func CollectPairs(c registry.Cipher, inst registry.Instance, table []byte, n int, m fault.Model, rng *stats.RNG) ([]Pair, error) {
 	round, err := faultRound(c, m)
 	if err != nil {

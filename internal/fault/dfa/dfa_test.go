@@ -3,7 +3,9 @@ package dfa
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -24,17 +26,13 @@ func collectAES(t *testing.T, key []byte, perColumn int, rng *stats.RNG) []Pair 
 	}
 	table := c.SBox()
 	var pairs []Pair
-	pt := make([]byte, 16)
 	for fb := 0; fb < 4; fb++ {
 		m := fault.New(fault.PreciseByte, fault.WithPosition(fb))
-		for n := 0; n < perColumn; n++ {
-			rng.Bytes(pt)
-			p, err := CollectPair(c, inst, table, pt, m, rng)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pairs = append(pairs, p)
+		ps, err := CollectPairs(c, inst, table, perColumn, m, rng)
+		if err != nil {
+			t.Fatal(err)
 		}
+		pairs = append(pairs, ps...)
 	}
 	return pairs
 }
@@ -47,18 +45,55 @@ func collectModel(t *testing.T, cipher string, key []byte, m fault.Model, budget
 	if err != nil {
 		t.Fatal(err)
 	}
-	table := c.SBox()
-	pairs := make([]Pair, 0, budget)
-	pt := make([]byte, c.BlockSize())
-	for n := 0; n < budget; n++ {
-		rng.Bytes(pt)
-		p, err := CollectPair(c, inst, table, pt, m, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pairs = append(pairs, p)
+	pairs, err := CollectPairs(c, inst, c.SBox(), budget, m, rng)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return pairs
+}
+
+// checkCatalogue reports every way an analyzer table fails the catalogue
+// contract: an analyzer whose Cipher is not a canonical name in the cipher
+// table, or two analyzers for one cipher.
+func checkCatalogue(as []Analyzer) error {
+	var errs []error
+	seen := map[string]bool{}
+	for _, a := range as {
+		if c, ok := registry.Get(a.Cipher()); !ok || c.Name() != a.Cipher() {
+			errs = append(errs, fmt.Errorf("analyzer cipher %q is not a cipher table name", a.Cipher()))
+		}
+		key := strings.ToLower(a.Cipher())
+		if seen[key] {
+			errs = append(errs, fmt.Errorf("two analyzers for %q", a.Cipher()))
+		}
+		seen[key] = true
+	}
+	return errors.Join(errs...)
+}
+
+// renamed is an analyzer claiming another cipher, for the catalogue check.
+type renamed struct {
+	aesAnalyzer
+	cipher string
+}
+
+func (r renamed) Cipher() string { return r.cipher }
+
+// The built-in table is a valid catalogue, and the check catches an
+// analyzer for an unknown cipher, for an alias, and a second analyzer.
+func TestCatalogueContract(t *testing.T) {
+	if err := checkCatalogue(analyzers); err != nil {
+		t.Fatal(err)
+	}
+	for name, bad := range map[string]Analyzer{
+		"unknown cipher": renamed{cipher: "des"},
+		"alias":          renamed{cipher: "present"},
+		"duplicate":      lilliputAnalyzer{},
+	} {
+		if checkCatalogue(append(slices.Clone(analyzers), bad)) == nil {
+			t.Errorf("%s passed the catalogue check", name)
+		}
+	}
 }
 
 func TestRegistryHasBuiltinAnalyzers(t *testing.T) {
@@ -159,13 +194,11 @@ func TestAESUntouchedColumnReportsFullSpace(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := stats.NewRNG(11)
-	pt := make([]byte, 16)
-	rng.Bytes(pt)
-	p, err := CollectPair(c, inst, c.SBox(), pt, fault.New(fault.PreciseByte, fault.WithPosition(0)), rng)
+	pairs, err := CollectPairs(c, inst, c.SBox(), 1, fault.New(fault.PreciseByte, fault.WithPosition(0)), rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := MustGet("aes-128").Analyze([]Pair{p}, fault.New(fault.PreciseByte))
+	res, err := MustGet("aes-128").Analyze(pairs, fault.New(fault.PreciseByte))
 	if err != nil {
 		t.Fatalf("analyze: %v", err)
 	}
@@ -283,15 +316,17 @@ func TestCollectPairFaultPropagatesToFourBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pt := make([]byte, 16)
-	rng := stats.NewRNG(3)
-	p, err := CollectPair(c, inst, c.SBox(), pt, fault.New(fault.PreciseByte, fault.WithPosition(0)), rng)
+	pairs, err := CollectPairs(c, inst, c.SBox(), 1, fault.New(fault.PreciseByte, fault.WithPosition(0)), stats.NewRNG(3))
 	if err != nil {
 		t.Fatal(err)
 	}
+	p := pairs[0]
 	if p.Position != 0 {
 		t.Fatalf("Position = %d want 0", p.Position)
 	}
+	// The plaintext is the first BlockSize bytes the stream draws.
+	pt := make([]byte, 16)
+	stats.NewRNG(3).Bytes(pt)
 	if !bytes.Equal(p.Plaintext, pt) {
 		t.Fatalf("Plaintext = %x want %x", p.Plaintext, pt)
 	}
@@ -314,13 +349,13 @@ func TestCollectPairUnknownRound(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := stats.NewRNG(1)
-	_, err = CollectPair(c, inst, c.SBox(), make([]byte, 8), fault.New(fault.PreciseByte), rng)
+	_, err = CollectPairs(c, inst, c.SBox(), 1, fault.New(fault.PreciseByte), rng)
 	if err == nil || !strings.Contains(err.Error(), "no registered analyzer") {
 		t.Fatalf("want missing-analyzer error, got %v", err)
 	}
 	// A model that pins its round needs no analyzer.
 	m := fault.New(fault.PreciseByte, withRound(30))
-	if _, err := CollectPair(c, inst, c.SBox(), make([]byte, 8), m, rng); err != nil {
+	if _, err := CollectPairs(c, inst, c.SBox(), 1, m, rng); err != nil {
 		t.Fatalf("pinned-round collection failed: %v", err)
 	}
 }
@@ -341,14 +376,12 @@ func lilliputRecover(t *testing.T, key []byte, m fault.Model, budget int, rng *s
 		t.Fatal(err)
 	}
 	var res *Result
-	pt := make([]byte, 8)
 	for n := 1; n <= budget; n++ {
-		rng.Bytes(pt)
-		p, err := CollectPair(c, inst, table, pt, m, rng)
+		pairs, err := CollectPairs(c, inst, table, 1, m, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Add(p); err != nil {
+		if err := s.Add(pairs[0]); err != nil {
 			t.Fatalf("pair %d: %v", n, err)
 		}
 		if res, err = s.Result(); err != nil {

@@ -34,14 +34,12 @@ func ExampleAnalyzer() {
 	if err != nil {
 		panic(err)
 	}
-	pt := make([]byte, c.BlockSize())
 	for n := 1; n <= 48; n++ {
-		rng.Bytes(pt)
-		p, err := dfa.CollectPair(c, inst, table, pt, m, rng)
+		pairs, err := dfa.CollectPairs(c, inst, table, 1, m, rng)
 		if err != nil {
 			panic(err)
 		}
-		if err := session.Add(p); err != nil {
+		if err := session.Add(pairs[0]); err != nil {
 			panic(err)
 		}
 		res, err := session.Result()

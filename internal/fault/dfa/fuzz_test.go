@@ -39,15 +39,13 @@ func FuzzDFARecover(f *testing.F) {
 			// A fixed budget of precise-byte faults, cycled over the byte
 			// positions so every key group gets constrained.
 			pairs := make([]dfa.Pair, 0, 12)
-			pt := make([]byte, c.BlockSize())
 			for n := 0; n < cap(pairs); n++ {
 				m := fault.New(fault.PreciseByte, fault.WithPosition(n%c.BlockSize()))
-				rng.Bytes(pt)
-				p, err := dfa.CollectPair(c, inst, table, pt, m, rng)
+				ps, err := dfa.CollectPairs(c, inst, table, 1, m, rng)
 				if err != nil {
 					t.Fatalf("%s: collect: %v", name, err)
 				}
-				pairs = append(pairs, p)
+				pairs = append(pairs, ps...)
 			}
 			res, err := a.Analyze(pairs, fault.New(fault.PreciseByte))
 			if err != nil {
@@ -71,6 +69,7 @@ func FuzzDFARecover(f *testing.F) {
 			if err != nil {
 				t.Fatalf("%s: recovered master rejected: %v", name, err)
 			}
+			pt := make([]byte, c.BlockSize())
 			want := make([]byte, c.BlockSize())
 			got := make([]byte, c.BlockSize())
 			for v := 0; v < 2; v++ {

@@ -73,10 +73,9 @@ func init() {
 			lilDDT[d][sb[x]^sb[x^d]]++
 		}
 	}
-	Register(lilliputAnalyzer{})
 }
 
-// lilliputAnalyzer is the ladder analyzer registered for "lilliput-80".
+// lilliputAnalyzer is the ladder analyzer for "lilliput-80".
 type lilliputAnalyzer struct{}
 
 // Cipher returns the analyzed cipher's registry name.

@@ -1,12 +1,6 @@
 package kernel
 
-import (
-	"errors"
-	"fmt"
-
-	"explframe/internal/mm"
-	"explframe/internal/vm"
-)
+import "explframe/internal/vm"
 
 // Name returns the process name.
 func (p *Process) Name() string { return p.name }
@@ -39,20 +33,6 @@ func (p *Process) Exit() {
 	if p.m.cfg.DrainOnIdle && len(c.runnable) == 0 {
 		p.m.phys.DrainCPU(p.cpuID)
 	}
-}
-
-// PagemapPFN mimics /proc/pid/pagemap: it returns the PFN backing va, but
-// only for CAP_SYS_ADMIN processes ("since Linux 4.0, only users with the
-// CAP_SYS_ADMIN capability can get PFNs", Section VI).
-func (p *Process) PagemapPFN(va vm.VirtAddr) (mm.PFN, error) {
-	if !p.CapSysAdmin {
-		return 0, errors.New("kernel: pagemap requires CAP_SYS_ADMIN")
-	}
-	pte, ok := p.as.PT.Lookup(va)
-	if !ok {
-		return 0, fmt.Errorf("%w: page %#x not present", ErrSegv, uint64(va))
-	}
-	return pte.PFN, nil
 }
 
 // Processes returns the live processes, for inspection.

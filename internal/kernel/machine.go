@@ -148,10 +148,6 @@ type Process struct {
 	as      *vm.AddressSpace
 	m       *Machine
 	touched uint64 // demand faults served
-	// CapSysAdmin grants access to pagemap PFN queries (Section VI: "since
-	// Linux 4.0, only users with the CAP_SYS_ADMIN capability can get
-	// PFNs").
-	CapSysAdmin bool
 
 	// hammerAddrs is HammerLoop's translated-address scratch buffer, kept
 	// on the process so repeated hammer bursts (the attack's steady state)

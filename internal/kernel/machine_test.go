@@ -247,28 +247,6 @@ func TestExitReleasesEverything(t *testing.T) {
 	}
 }
 
-func TestPagemapRequiresCapSysAdmin(t *testing.T) {
-	m := newTestMachine(t)
-	p, _ := m.Spawn("a", 0)
-	base, _ := p.Mmap(vm.PageSize)
-	p.Store(base, 1)
-	if _, err := p.PagemapPFN(base); err == nil {
-		t.Fatal("unprivileged pagemap access allowed")
-	}
-	p.CapSysAdmin = true
-	pfn, err := p.PagemapPFN(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pa, _ := p.Translate(base)
-	if pfn != mm.PFNOf(pa) {
-		t.Fatalf("pagemap pfn %d != translate pfn %d", pfn, mm.PFNOf(pa))
-	}
-	if _, err := p.PagemapPFN(base + vm.PageSize); err == nil {
-		t.Fatal("pagemap of non-present page succeeded")
-	}
-}
-
 func TestHammerActivatesRows(t *testing.T) {
 	m := newTestMachine(t)
 	p, _ := m.Spawn("a", 0)

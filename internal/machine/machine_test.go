@@ -1,6 +1,9 @@
 package machine
 
 import (
+	"errors"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -54,20 +57,44 @@ func TestRegistryLookup(t *testing.T) {
 	MustGet("no-such-machine")
 }
 
-// Register must reject duplicates and invalid specs loudly.
-func TestRegisterRejects(t *testing.T) {
-	mustPanic := func(name string, f func()) {
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s: expected panic", name)
-			}
-		}()
-		f()
+// checkCatalogue reports every way a machine table fails the catalogue
+// contract: an unnamed or invalid entry, or two names equal up to case (Get
+// folds case, so the second would be unreachable).
+func checkCatalogue(specs []Spec) error {
+	var errs []error
+	seen := map[string]bool{}
+	for i, s := range specs {
+		if s.Name == "" {
+			errs = append(errs, fmt.Errorf("entry %d has no name", i))
+		}
+		if err := s.Validate(); err != nil {
+			errs = append(errs, fmt.Errorf("%q: %w", s.Name, err))
+		}
+		key := strings.ToLower(s.Name)
+		if seen[key] {
+			errs = append(errs, fmt.Errorf("%q listed twice", s.Name))
+		}
+		seen[key] = true
 	}
-	mustPanic("duplicate", func() { Register(New("default")) })
-	mustPanic("unnamed", func() { Register(New("")) })
-	mustPanic("invalid", func() { Register(New("broken", WithCPUs(0))) })
-	mustPanic("too many cpus", func() { Register(New("broken", WithCPUs(MaxCPUs+1))) })
+	return errors.Join(errs...)
+}
+
+// The built-in table is a valid catalogue, and the check catches every
+// kind of bad entry added to it.
+func TestCatalogueContract(t *testing.T) {
+	if err := checkCatalogue(builtins); err != nil {
+		t.Fatal(err)
+	}
+	for name, bad := range map[string]Spec{
+		"duplicate":     New("DEFAULT"),
+		"unnamed":       New(""),
+		"invalid":       New("broken", WithCPUs(0)),
+		"too many cpus": New("broken", WithCPUs(MaxCPUs+1)),
+	} {
+		if checkCatalogue(append(slices.Clone(builtins), bad)) == nil {
+			t.Errorf("%s entry passed the catalogue check", name)
+		}
+	}
 }
 
 // Validate must join every violation into one report.

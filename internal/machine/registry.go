@@ -4,42 +4,20 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 )
 
-var (
-	mu       sync.RWMutex
-	machines = map[string]Spec{}
-)
-
-// Register adds a machine under its Name.  It panics on an empty name,
-// an invalid spec or a duplicate — registration conflicts are programming
-// errors, exactly as in the cipher registry.
-func Register(s Spec) {
-	if s.Name == "" {
-		panic("machine: cannot register an unnamed spec")
-	}
-	if err := s.Validate(); err != nil {
-		panic(fmt.Sprintf("machine: registering invalid spec %q: %v", s.Name, err))
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	key := strings.ToLower(s.Name)
-	if _, dup := machines[key]; dup {
-		panic(fmt.Sprintf("machine: %q registered twice", s.Name))
-	}
-	machines[key] = s
-}
-
-// Get looks a machine up by name, case-insensitively.
+// Get looks a built-in machine up by name, case-insensitively.
 func Get(name string) (Spec, bool) {
-	mu.RLock()
-	defer mu.RUnlock()
-	s, ok := machines[strings.ToLower(name)]
-	return s, ok
+	key := strings.ToLower(name)
+	for _, s := range builtins {
+		if strings.ToLower(s.Name) == key {
+			return s, true
+		}
+	}
+	return Spec{}, false
 }
 
-// MustGet is Get for registered-by-construction names; it panics on a miss.
+// MustGet is Get for built-in-by-construction names; it panics on a miss.
 func MustGet(name string) Spec {
 	s, ok := Get(name)
 	if !ok {
@@ -48,13 +26,11 @@ func MustGet(name string) Spec {
 	return s
 }
 
-// Names returns the registered name of every machine (original spelling,
-// not the lowercased lookup key), sorted case-insensitively.
+// Names returns the name of every built-in machine (original spelling),
+// sorted case-insensitively.
 func Names() []string {
-	mu.RLock()
-	defer mu.RUnlock()
-	out := make([]string, 0, len(machines))
-	for _, s := range machines {
+	out := make([]string, 0, len(builtins))
+	for _, s := range builtins {
 		out = append(out, s.Name)
 	}
 	sort.Slice(out, func(i, j int) bool { return strings.ToLower(out[i]) < strings.ToLower(out[j]) })

@@ -7,12 +7,13 @@
 // validation (Validate), canonical naming and hashing (Name, Hash) and
 // lossless JSON (EncodeJSON), decoded strictly inside scenario specs.
 //
-// A name-keyed registry (Register, Get, Names) holds the built-in profiles
-// (see builtin.go) plus anything callers add, so scenario.Spec.Profile is
-// an open machine name rather than a closed enum: the page-frame-cache
-// behaviour the paper exploits and the row-adjacency Rowhammer needs both
-// vary with platform details (Page Cache Attacks, the pigeonhole defence
-// literature), and this package is where that axis lives.
+// A fixed table of built-in profiles (see builtin.go), looked up by Get
+// and listed by Names, gives scenario.Spec.Profile its machine names; any
+// other machine travels inline in the scenario spec itself.  The
+// page-frame-cache behaviour the paper exploits and the row-adjacency
+// Rowhammer needs both vary with platform details (Page Cache Attacks, the
+// pigeonhole defence literature), and this package is where that axis
+// lives.
 package machine
 
 import (
@@ -44,7 +45,7 @@ type AttackSizing struct {
 // literals so defaults stay in one place; the zero value is not a valid
 // machine.
 type Spec struct {
-	// Name is the registry handle ("default", "fast", "ddr4", ...).  An
+	// Name is the machine's handle ("default", "fast", "ddr4", ...).  An
 	// inline spec may leave it empty; Name() then derives a stable
 	// hash-based handle.
 	Name string `json:"name,omitempty"`
@@ -220,11 +221,11 @@ func (s Spec) canonical() string {
 
 // Hash returns a 64-bit FNV-1a digest of the canonical encoding — stable
 // across processes, usable for dedup and per-machine seed derivation
-// (experiment tables key trial streams on it so registering a new machine
-// never re-randomizes existing rows).
+// (experiment tables key trial streams on it so adding a machine never
+// re-randomizes existing rows).
 func (s Spec) Hash() uint64 { return stats.FNV64(s.canonical()) }
 
-// CanonicalName returns the registry handle when the spec has one, and a
+// CanonicalName returns the spec's Name when it has one, and a
 // stable "custom-<hash>" handle for anonymous inline specs, so every
 // machine has a printable identity.
 func (s Spec) CanonicalName() string {

@@ -7,11 +7,11 @@ import (
 	"explframe/internal/machine"
 )
 
-// Steady-state HammerLoop must not allocate on any registered machine —
+// Steady-state HammerLoop must not allocate on any built-in machine —
 // the zero-alloc contract behind `benchtab -check-trajectory`, pinned here
-// so a new profile cannot join the registry without meeting it.  The race
-// detector allocates on its own, so under -race the measurement is only
-// reported, not asserted.
+// so a new profile cannot join the built-in table without meeting it.
+// The race detector allocates on its own, so under -race the measurement
+// is only reported, not asserted.
 func TestHammerLoopSteadyStateZeroAlloc(t *testing.T) {
 	if testing.Short() && !bench.RaceEnabled {
 		// The warm-up hammers a few refresh windows per machine; keep the

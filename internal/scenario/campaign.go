@@ -23,8 +23,12 @@ type Campaign struct {
 }
 
 // Validate checks every member spec and joins the failures, each prefixed
-// with its index and title.
+// with its index and title.  A campaign over MaxSpecs fails before any spec
+// is checked.
 func (c *Campaign) Validate() error {
+	if len(c.Specs) > MaxSpecs {
+		return fmt.Errorf("campaign has %d specs, want at most %d", len(c.Specs), MaxSpecs)
+	}
 	var errs []error
 	if len(c.Specs) == 0 {
 		errs = append(errs, errors.New("campaign has no specs"))

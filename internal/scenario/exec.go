@@ -29,7 +29,7 @@ func hammerMode(mode string) rowhammer.Mode {
 }
 
 // AttackConfig lowers an Attack-kind spec onto core.Config.  The machine —
-// a registered profile or an inline spec — supplies the hardware and every
+// a built-in profile or an inline spec — supplies the hardware and every
 // sizing default; the spec's non-zero fields override exactly the knobs
 // they name, so a spec built from options equals the hand-mutated config
 // the drivers used to assemble.

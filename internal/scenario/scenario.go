@@ -63,13 +63,12 @@ const (
 	CacheProbe Kind = "cache-probe"
 )
 
-// Profile selects the simulated machine the scenario runs on: any name in
-// the internal/machine registry ("explframe list -machines" prints them).
+// Profile selects the simulated machine the scenario runs on: any built-in
+// name of internal/machine ("explframe list -machines" prints them).
 type Profile string
 
-// Handles for the two historical machine profiles.  The set is open —
-// these constants are convenience names for the registry entries the
-// golden tables pin, not an enumeration.
+// Handles for the two historical machine profiles: convenience names for
+// the built-in entries the golden tables pin, not an enumeration.
 const (
 	// ProfileDefault is the 256 MiB module of core.DefaultConfig — the
 	// paper-proportioned setting cmd/explframe uses.
@@ -165,14 +164,14 @@ type Spec struct {
 	Label string `json:"label,omitempty"`
 	// Kind selects the trial pipeline; New defaults it to Attack.
 	Kind Kind `json:"kind"`
-	// Profile names the simulated machine in the internal/machine
-	// registry; New defaults it to ProfileDefault.  Steering, PFA and DFA
+	// Profile names a built-in machine of internal/machine; New defaults
+	// it to ProfileDefault.  Steering, PFA and DFA
 	// kinds have no machine axis (steering runs on core's fixed steering
 	// machine, PFA and DFA on no machine), so Validate rejects any other
 	// profile, or an inline machine, on them.
 	Profile Profile `json:"profile,omitempty"`
 	// Machine is an optional inline machine spec, the file-local
-	// alternative to naming a registered profile; setting both is a
+	// alternative to naming a built-in profile; setting both is a
 	// validation error.
 	Machine *machine.Spec `json:"machine,omitempty"`
 	// Seed drives every stochastic component of every trial.
@@ -247,7 +246,7 @@ func WithLabel(label string) Option { return func(s *Spec) { s.Label = label } }
 // WithKind selects the trial pipeline.
 func WithKind(k Kind) Option { return func(s *Spec) { s.Kind = k } }
 
-// WithProfile selects the simulated machine by registry name, clearing any
+// WithProfile selects a built-in simulated machine by name, clearing any
 // inline machine spec.
 func WithProfile(p Profile) Option {
 	return func(s *Spec) {
@@ -256,8 +255,8 @@ func WithProfile(p Profile) Option {
 	}
 }
 
-// WithMachine runs the scenario on an inline machine spec (no registration
-// needed), clearing any named profile.
+// WithMachine runs the scenario on an inline machine spec, any machine
+// besides the built-in profiles, clearing any named profile.
 func WithMachine(ms machine.Spec) Option {
 	return func(s *Spec) {
 		s.Machine = &ms
@@ -378,6 +377,11 @@ var baselineModels = map[string]bool{
 // MaxTrials caps Spec.Trials: Run allocates one outcome per trial up
 // front, so one submitted spec must not ask for an unbounded slice.
 const MaxTrials = 1 << 20
+
+// MaxSpecs caps Campaign.Specs: a campaign runs and journals every spec,
+// so one submission must not queue an unbounded grid.  In-tree campaigns
+// have at most a few dozen.
+const MaxSpecs = 4096
 
 // kindList renders two or more kinds as "a, b and c".
 func kindList(kinds []Kind) string {
@@ -546,7 +550,7 @@ func (s Spec) cacheGeometry() cache.Geometry {
 }
 
 // MachineSpec resolves the machine the scenario runs on: the inline spec
-// when present, otherwise the registered profile (ProfileDefault when the
+// when present, otherwise the built-in profile (ProfileDefault when the
 // field is empty).
 func (s Spec) MachineSpec() (machine.Spec, error) {
 	if s.Machine != nil {
@@ -565,7 +569,7 @@ func (s Spec) MachineSpec() (machine.Spec, error) {
 }
 
 // MachineName returns the canonical name of the machine the scenario runs
-// on — the registered profile name, or the inline spec's derived handle.
+// on — the built-in profile name, or the inline spec's derived handle.
 func (s Spec) MachineName() string {
 	if s.Machine != nil {
 		return s.Machine.CanonicalName()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"log"
 	"net/http/httptest"
 	"os"
@@ -447,6 +448,24 @@ func TestServerRejectsHugeTrials(t *testing.T) {
 	final, err := c.Stream(ctx, st.ID, func(StreamLine) error { return nil })
 	if err != nil || final.Status != "done" {
 		t.Fatalf("campaign after the rejected one: %+v, %v", final, err)
+	}
+}
+
+// A campaign with more than MaxSpecs distinct specs rejects with a 400
+// naming the cap, before any of them is queued.
+func TestServerRejectsTooManySpecs(t *testing.T) {
+	_, c, stop := testServer(t, t.TempDir())
+	defer stop()
+	camp := scenario.Campaign{Name: "wide"}
+	for i := 0; i <= scenario.MaxSpecs; i++ {
+		camp.Specs = append(camp.Specs, scenario.New(scenario.WithKind(scenario.PFA), scenario.WithSeed(uint64(i)), scenario.WithTrials(1)))
+	}
+	st, err := c.Submit(context.Background(), camp)
+	if err == nil {
+		t.Fatalf("%d-spec campaign accepted: %+v", len(camp.Specs), st)
+	}
+	if !strings.Contains(err.Error(), "400") || !strings.Contains(err.Error(), fmt.Sprintf("at most %d", scenario.MaxSpecs)) {
+		t.Fatalf("want a 400 naming the spec cap, got %v", err)
 	}
 }
 

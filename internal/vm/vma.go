@@ -174,6 +174,8 @@ func (as *AddressSpace) Unmap(start VirtAddr, length uint64, release func(VirtAd
 
 // CheckInvariants verifies the VMA list is sorted and non-overlapping and
 // that every present PTE falls inside some VMA.
+//
+//doclint:keep kernel lifecycle tests check the address spaces they churn
 func (as *AddressSpace) CheckInvariants() error {
 	for i := 1; i < len(as.vmas); i++ {
 		if as.vmas[i-1].End > as.vmas[i].Start {

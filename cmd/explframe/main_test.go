@@ -1,10 +1,14 @@
 package main
 
 import (
+	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"explframe/internal/scenario"
 )
 
 // captureOutput runs fn with os.Stdout and os.Stderr redirected to files and
@@ -64,6 +68,34 @@ func TestDispatch(t *testing.T) {
 		}
 		if other != "" {
 			t.Errorf("%s: unexpected output on the other stream:\n%s", tc.name, other)
+		}
+	}
+}
+
+// run's phase report is trial 0 of the spec through scenario.Run, the trial
+// sweep and submit count: same site, frames, outcome and exit code.
+func TestRunReportsScenarioTrialZero(t *testing.T) {
+	code, stdout, _ := captureOutput(t, func() int { return cmdRun([]string{"-machine", "fast"}) })
+	res, err := scenario.Run(context.Background(), scenario.New(scenario.WithProfile("fast")))
+	if err != nil || !res.Attack[0].SiteFound {
+		t.Fatalf("trial 0 must find a site for the report to print one (err %v)", err)
+	}
+	rep := res.Attack[0]
+	outcome, wantCode := fmt.Sprintf("FAILED at phase %q", rep.Phase), 1
+	if rep.Success() {
+		outcome, wantCode = fmt.Sprintf("SUCCESS: recovered key %x ", rep.RecoveredKey), 0
+	}
+	if code != wantCode {
+		t.Errorf("exit %d, want %d", code, wantCode)
+	}
+	for _, want := range []string{
+		fmt.Sprintf("site: page offset %d bit %d", rep.Site.ByteInPage, rep.Site.Bit),
+		fmt.Sprintf("released frame PFN %d ", rep.PlantedPFN),
+		fmt.Sprintf("victim table frame PFN %d ", rep.VictimTablePFN),
+		outcome,
+	} {
+		if !strings.Contains(stdout, want) {
+			t.Errorf("run report lacks %q of trial 0:\n%s", want, stdout)
 		}
 	}
 }

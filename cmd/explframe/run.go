@@ -8,7 +8,6 @@ import (
 	"os/signal"
 	"time"
 
-	"explframe/internal/core"
 	"explframe/internal/harness"
 	"explframe/internal/scenario"
 )
@@ -46,7 +45,9 @@ func cmdRun(args []string) int {
 }
 
 // runSingleAttack prints the phase-by-phase report of one end-to-end run —
-// the classic explframe output.
+// the classic explframe output.  The run is trial 0 of the spec through
+// scenario.Run, the one execution path sweep and submit also take, so the
+// report describes exactly the trial those commands count.
 func runSingleAttack(ctx context.Context, spec scenario.Spec) int {
 	cfg, err := spec.AttackConfig()
 	if err != nil {
@@ -58,22 +59,18 @@ func runSingleAttack(ctx context.Context, spec scenario.Spec) int {
 	fmt.Printf("  attacker: %d MiB buffer on CPU %d; victim: %d pages on CPU %d\n\n",
 		cfg.AttackerMemory>>20, cfg.AttackerCPU, cfg.VictimRequestPages, cfg.VictimCPU)
 
-	atk, err := core.NewAttack(cfg)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "setup: %v\n", err)
-		return 1
-	}
 	start := time.Now()
-	rep, err := atk.RunContext(ctx)
+	res, err := scenario.Run(ctx, spec)
 	if err != nil {
 		if errors.Is(err, context.Canceled) {
-			fmt.Fprintf(os.Stderr, "interrupted during phase %q\n", rep.Phase)
+			fmt.Fprintln(os.Stderr, "interrupted")
 			return 1
 		}
 		fmt.Fprintf(os.Stderr, "simulator error: %v\n", err)
 		return 1
 	}
 	elapsed := time.Since(start)
+	rep := res.Attack[0]
 
 	fmt.Printf("[template] flips found: %d, usable site: %v\n", rep.FlipsTemplated, rep.SiteFound)
 	if rep.SiteFound {

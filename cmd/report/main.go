@@ -9,8 +9,10 @@
 //	report -seed 7          # change the global experiment seed
 //
 // The book is deterministic: one seed produces one byte-exact book at any
-// worker count, which is what lets CI regenerate it and fail on drift, the
-// same contract as the golden text tables.
+// worker count, which is what lets CI regenerate it and fail on drift.  It
+// is also the reference every experiment-table test in internal/experiments
+// compares against, so running this command is the one way to re-pin the
+// tables after a deliberate change.
 package main
 
 import (

@@ -3,8 +3,9 @@
 // report.Table (cells carry kinds and numeric values, columns carry units,
 // expectations carry the paper's reported numbers) that cmd/benchtab and
 // cmd/report render and bench_test.go wraps in testing.B benchmarks, so the
-// paper's tables and figures regenerate from a single code path; the golden
-// tests under testdata/golden pin every table's seed-1 text rendering.
+// paper's tables and figures regenerate from a single code path; the table
+// tests pin every table at seed 1 to its entry in the results book
+// (docs/results.json).
 package experiments
 
 import (

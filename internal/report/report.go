@@ -5,10 +5,10 @@
 // pluggable renderers (aligned text, GitHub Markdown, CSV, JSON).
 //
 // Every experiment driver in internal/experiments builds a *Table; the text
-// renderer reproduces the historical table layout byte-for-byte so the
-// golden snapshots under internal/experiments/testdata/golden stay stable,
-// while the Markdown and JSON renderers feed the generated results book
-// under docs/ (see cmd/report).
+// renderer reproduces the historical table layout byte-for-byte for
+// cmd/benchtab, while the Markdown and JSON renderers feed the generated
+// results book under docs/ (see cmd/report), which the experiment tests
+// compare every table against.
 package report
 
 import (
@@ -53,7 +53,7 @@ func kindFromString(s string) Kind {
 }
 
 // Cell is one table entry.  Text is the canonical rendering (what the text
-// and CSV renderers print, and what the golden snapshots pin); Value carries
+// and CSV renderers print, and what the results book records); Value carries
 // the numeric payload for numeric kinds so expectations and downstream
 // tooling never re-parse formatted strings.
 type Cell struct {

@@ -6,10 +6,9 @@ import (
 )
 
 // Text renders the table as aligned plain text — byte-identical to the
-// historical experiments.Table.Render output, which is what the golden
-// snapshots under internal/experiments/testdata/golden pin.  Expectations
-// are deliberately not rendered here: they were introduced after the
-// goldens were frozen and belong to the Markdown/JSON views.
+// historical experiments.Table.Render output that cmd/benchtab prints.
+// Expectations are deliberately not rendered here: they belong to the
+// Markdown/JSON views of the results book.
 func Text(t *Table) (string, error) {
 	if err := t.Validate(); err != nil {
 		return "", err

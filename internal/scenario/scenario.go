@@ -378,6 +378,19 @@ var baselineModels = map[string]bool{
 // front, so one submitted spec must not ask for an unbounded slice.
 const MaxTrials = 1 << 20
 
+// MaxBudget caps Spec.Budget, far above every in-tree budget (8192 probe
+// measurements in E18, the 6400-ciphertext AES PFA default).  A DFA-kind
+// trial allocates its whole pair budget up front in dfa.CollectPairs, about
+// 240 B per AES pair, so the cap bounds that at 15 MiB per trial; PFA and
+// cache-probe budgets cost time, not memory.
+const MaxBudget = 1 << 16
+
+// MaxEvictionSet caps ProbeSpec.EvictionSet, 128 times the default LLC
+// associativity.  cache.BuildEvictionSet sizes each monitored table's set
+// at EvictionSet+1 addresses of 8 B, so the cap bounds that at 8 KiB per
+// table (32 KiB for AES's four T-tables).
+const MaxEvictionSet = 1 << 10
+
 // MaxSpecs caps Campaign.Specs: a campaign runs and journals every spec,
 // so one submission must not queue an unbounded grid.  In-tree campaigns
 // have at most a few dozen.
@@ -457,8 +470,8 @@ func (s Spec) Validate() error {
 	if s.Ciphertexts < 0 {
 		fail("ciphertexts: %d, want >= 0", s.Ciphertexts)
 	}
-	if s.Budget < 0 {
-		fail("budget: %d, want >= 0", s.Budget)
+	if s.Budget < 0 || s.Budget > MaxBudget {
+		fail("budget: %d, want within [0, %d]", s.Budget, MaxBudget)
 	}
 	switch s.PCP {
 	case "", PCPLIFO, PCPFIFO:
@@ -525,6 +538,9 @@ func (s Spec) Validate() error {
 			if s.Probe.EvictionSet != 0 && s.Probe.EvictionSet < g.Ways {
 				fail("probe.eviction_set: %d lines cannot evict a %d-way set (0 inherits the associativity)",
 					s.Probe.EvictionSet, g.Ways)
+			}
+			if s.Probe.EvictionSet > MaxEvictionSet {
+				fail("probe.eviction_set: %d lines, want at most %d", s.Probe.EvictionSet, MaxEvictionSet)
 			}
 			if c, ok := registry.Get(s.cipherName()); ok {
 				if err := cache.Observable(c, g.LineBytes); err != nil {

@@ -122,6 +122,8 @@ func TestValidateRejections(t *testing.T) {
 		{"negative victim pages", New(WithVictimPages(-4)), "victim.request_pages"},
 		{"negative ciphertext budget", New(WithCiphertexts(-1)), "ciphertexts"},
 		{"negative pfa budget", New(WithKind(PFA), WithBudget(-10)), "budget"},
+		{"dfa budget beyond the cap", New(WithKind(DFA), WithBudget(MaxBudget+1)), "budget"},
+		{"probe budget beyond the cap", New(WithProbe(cache.TechPrimeProbe), WithBudget(1<<40)), "budget"},
 		{"unknown pcp", New().With(func(s *Spec) { s.PCP = "random" }), "pcp"},
 		{"baseline without model", New(WithKind(Baseline)), "baseline"},
 		{"unknown baseline model", New(WithBaseline("rowpress")), "baseline"},
@@ -135,6 +137,7 @@ func TestValidateRejections(t *testing.T) {
 		{"probe noise at one", New(WithProbe(cache.TechPrimeProbe), WithProbeNoise(1.0)), "probe.noise"},
 		{"negative probe noise", New(WithProbe(cache.TechPrimeProbe), WithProbeNoise(-0.1)), "probe.noise"},
 		{"undersized eviction set", New(WithProbe(cache.TechPrimeProbe), WithEvictionSet(3)), "probe.eviction_set"},
+		{"eviction set beyond the cap", New(WithProbe(cache.TechPrimeProbe), WithEvictionSet(MaxEvictionSet+1)), "probe.eviction_set"},
 		{"unobservable probe victim", New(WithProbe(cache.TechEvictReload), WithCipher("present-80")), "cache line"},
 		{"probe on attack kind", New().With(func(s *Spec) { s.Probe = &ProbeSpec{Technique: cache.TechPrimeProbe} }), "only kind cache-probe"},
 	}
@@ -211,9 +214,11 @@ func TestValidateJoinsAllErrors(t *testing.T) {
 	}
 }
 
-// Valid specs — including every preset and every sample — must validate.
+// Valid specs — including every preset, every sample and the budget and
+// eviction-set caps themselves — must validate.
 func TestValidAccepted(t *testing.T) {
-	for _, s := range sampleSpecs() {
+	for _, s := range append(sampleSpecs(), New(WithKind(DFA), WithBudget(MaxBudget)),
+		New(WithProbe(cache.TechPrimeProbe), WithEvictionSet(MaxEvictionSet))) {
 		if err := s.Validate(); err != nil {
 			t.Errorf("%s: %v", s.Name(), err)
 		}

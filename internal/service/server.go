@@ -230,7 +230,9 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.routes()
 	for _, st := range states {
-		cr := s.register(st.ID, st.Campaign)
+		s.mu.Lock()
+		cr := s.registerLocked(st.ID, st.Campaign)
+		s.mu.Unlock()
 		s.replayLines(cr, st)
 		if st.Status != "" {
 			cr.finish(st.Status, st.Error, nil) // a done table reloads lazily from the store
@@ -242,9 +244,9 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// register creates the in-memory run for a campaign (caller ensures the id
-// is new).
-func (s *Server) register(id string, camp scenario.Campaign) *campaignRun {
+// registerLocked creates the in-memory run for a campaign; the caller
+// holds s.mu and has checked that the id is new.
+func (s *Server) registerLocked(id string, camp scenario.Campaign) *campaignRun {
 	total := 0
 	for _, sp := range camp.Specs {
 		total += sp.Trials
@@ -253,10 +255,8 @@ func (s *Server) register(id string, camp scenario.Campaign) *campaignRun {
 		id: id, camp: camp, total: total,
 		notify: make(chan struct{}), status: "running",
 	}
-	s.mu.Lock()
 	s.runs[id] = cr
 	s.order = append(s.order, id)
-	s.mu.Unlock()
 	return cr
 }
 
@@ -290,6 +290,11 @@ func (s *Server) replayLines(cr *campaignRun, st *CampaignState) {
 		cr.mu.Unlock()
 	}
 }
+
+// testHookSubmit, when set, runs while a submission that found no
+// campaign under its id holds the server lock, before it journals and
+// registers the campaign; tests use it to widen that window.
+var testHookSubmit func(id string)
 
 // testHookFold, when set, runs after a campaign's trials complete and
 // before its table is folded; tests use it to fault the fold.
@@ -459,21 +464,34 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	id := CampaignID(camp)
-	if cr, ok := s.run(id); ok {
+	// Look up and register under one hold: of concurrent identical
+	// submissions exactly one journals and starts the campaign, the rest
+	// see it running.
+	s.mu.Lock()
+	cr, ok := s.runs[id]
+	if !ok {
+		select {
+		case <-s.done:
+			s.mu.Unlock()
+			writeError(w, http.StatusServiceUnavailable, errors.New("server shutting down"))
+			return
+		default:
+		}
+		if testHookSubmit != nil {
+			testHookSubmit(id)
+		}
+		if err := s.journal.Campaign(id, camp); err != nil {
+			s.mu.Unlock()
+			writeError(w, http.StatusInternalServerError, err)
+			return
+		}
+		cr = s.registerLocked(id, camp)
+	}
+	s.mu.Unlock()
+	if ok {
 		writeJSON(w, http.StatusOK, cr.currentStatus())
 		return
 	}
-	select {
-	case <-s.done:
-		writeError(w, http.StatusServiceUnavailable, errors.New("server shutting down"))
-		return
-	default:
-	}
-	if err := s.journal.Campaign(id, camp); err != nil {
-		writeError(w, http.StatusInternalServerError, err)
-		return
-	}
-	cr := s.register(id, camp)
 	s.start(cr, nil)
 	writeJSON(w, http.StatusCreated, cr.currentStatus())
 }

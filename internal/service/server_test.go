@@ -364,8 +364,9 @@ func TestServerCancel(t *testing.T) {
 	}
 }
 
-// Malformed submissions reject with 400s: broken JSON, unknown fields, and
-// invalid specs.
+// Malformed submissions reject with 400s: broken JSON, unknown fields,
+// invalid specs, and budgets or eviction sets beyond their caps (which
+// would otherwise size multi-GB allocations when the trials run).
 func TestServerRejectsBadSubmissions(t *testing.T) {
 	_, c, stop := testServer(t, t.TempDir())
 	defer stop()
@@ -375,6 +376,8 @@ func TestServerRejectsBadSubmissions(t *testing.T) {
 		`{"specs": [{"kind": "pfa", "frobnicate": 1}]}`,
 		`{"name": "empty", "specs": []}`,
 		`{"kind": "attack", "cipher": "des-56", "trials": 1}`,
+		`{"kind": "dfa", "trials": 1, "budget": 1099511627776}`,
+		`{"kind": "cache-probe", "trials": 1, "probe": {"technique": "prime-probe", "eviction_set": 1099511627776}}`,
 	} {
 		data, err := c.do(ctx, "POST", "/v1/campaigns", []byte(body))
 		if err == nil {
@@ -604,5 +607,48 @@ func TestStreamsAttachedAtFinishEndOnTerminalLine(t *testing.T) {
 				t.Fatalf("round %d stream %d: last line %q (%v), want the done line", round, i, lines[trials], err)
 			}
 		}
+	}
+}
+
+// Concurrent identical submissions start the campaign once, however they
+// interleave (the hook stalls the first between lookup and register): one
+// list entry, one journaled campaign line, every trial journaled once.
+func TestConcurrentIdenticalSubmitsStartOnce(t *testing.T) {
+	testHookSubmit = func(string) { time.Sleep(20 * time.Millisecond) }
+	defer func() { testHookSubmit = nil }()
+	dir := t.TempDir()
+	_, c, stop := testServer(t, dir)
+	ctx := context.Background()
+	camp := serviceCampaign()
+
+	const submits = 8
+	errs := make(chan error, submits)
+	for i := 0; i < submits; i++ {
+		go func() {
+			_, err := c.Submit(ctx, camp)
+			errs <- err
+		}()
+	}
+	for i := 0; i < submits; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if final, err := c.Stream(ctx, CampaignID(camp), nil); err != nil || final.Status != "done" {
+		t.Fatalf("campaign: %+v, %v", final, err)
+	}
+	list, err := c.List(ctx)
+	stop()
+	if err != nil || len(list) != 1 {
+		t.Fatalf("list after %d identical submits: %+v, %v", submits, list, err)
+	}
+	path := filepath.Join(dir, "journal.jsonl")
+	data, _ := os.ReadFile(path)
+	states, _, err := replay(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := bytes.Count(data, []byte(`"kind":"campaign"`)); n != 1 || states[0].TrialEntries != totalTrials(camp) {
+		t.Fatalf("journal holds %d campaign lines and %d trial lines; want 1 and %d", n, states[0].TrialEntries, totalTrials(camp))
 	}
 }

@@ -2,7 +2,7 @@
 // precise-to-random fault-model ladder end to end through the registry:
 // pick a victim from internal/cipher/registry, a fault model from
 // internal/fault, and the registered analyzer from internal/fault/dfa does
-// the rest.  Contrast with examples/lilliput-key-recovery, the persistent
+// the rest.  Contrast with examples/pfa-key-recovery, the persistent
 // route: DFA needs only a couple of dozen correct/faulty pairs, but every
 // pair requires a transient fault placed in round 29 at the modelled
 // precision — timing control ExplFrame's Rowhammer channel does not offer,

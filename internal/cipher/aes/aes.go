@@ -1,4 +1,4 @@
-// Package aes implements AES-128/192/256 from first principles with an
+// Package aes implements AES-128 from first principles with an
 // explicitly faultable SubBytes table.
 //
 // The ExplFrame victim keeps its S-box in ordinary memory; a Rowhammer bit
@@ -88,10 +88,12 @@ func SBox() [256]byte { return sbox }
 // InvSBox returns a fresh copy of the inverse S-box.
 func InvSBox() [256]byte { return invSbox }
 
+// rounds is the AES-128 round count.
+const rounds = 10
+
 // Schedule holds expanded round keys, one 16-byte round key per round.
 type Schedule struct {
-	rounds int // 10, 12 or 14
-	rk     [][16]byte
+	rk [rounds + 1][16]byte
 }
 
 // RoundKey returns a copy of round key r (0 = whitening key).
@@ -100,42 +102,35 @@ type Schedule struct {
 func (s *Schedule) RoundKey(r int) [16]byte { return s.rk[r] }
 
 // ErrKeySize reports an unsupported key length.
-var ErrKeySize = errors.New("aes: key must be 16, 24 or 32 bytes")
+var ErrKeySize = errors.New("aes: key must be 16 bytes")
 
 // rcon are the round constants for key expansion.
-var rcon = [...]byte{0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1b, 0x36, 0x6c, 0xd8}
+var rcon = [...]byte{0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1b, 0x36}
 
-// Expand performs the FIPS-197 key expansion using the canonical S-box.
-// Fault analyses assume the schedule was computed before the fault landed
-// (round keys live in registers/cache once derived), so expansion never uses
-// a faultable table.
+// Expand performs the FIPS-197 AES-128 key expansion using the canonical
+// S-box.  Fault analyses assume the schedule was computed before the fault
+// landed (round keys live in registers/cache once derived), so expansion
+// never uses a faultable table.
 func Expand(key []byte) (*Schedule, error) {
-	nk := len(key) / 4
-	switch len(key) {
-	case 16, 24, 32:
-	default:
+	if len(key) != 16 {
 		return nil, fmt.Errorf("%w: got %d", ErrKeySize, len(key))
 	}
-	rounds := nk + 6
-	nw := 4 * (rounds + 1)
-	w := make([][4]byte, nw)
-	for i := 0; i < nk; i++ {
+	var w [4 * (rounds + 1)][4]byte
+	for i := 0; i < 4; i++ {
 		copy(w[i][:], key[4*i:4*i+4])
 	}
-	for i := nk; i < nw; i++ {
+	for i := 4; i < len(w); i++ {
 		t := w[i-1]
-		if i%nk == 0 {
+		if i%4 == 0 {
 			// RotWord + SubWord + Rcon.
 			t = [4]byte{sbox[t[1]], sbox[t[2]], sbox[t[3]], sbox[t[0]]}
-			t[0] ^= rcon[i/nk-1]
-		} else if nk > 6 && i%nk == 4 {
-			t = [4]byte{sbox[t[0]], sbox[t[1]], sbox[t[2]], sbox[t[3]]}
+			t[0] ^= rcon[i/4-1]
 		}
 		for j := 0; j < 4; j++ {
-			w[i][j] = w[i-nk][j] ^ t[j]
+			w[i][j] = w[i-4][j] ^ t[j]
 		}
 	}
-	s := &Schedule{rounds: rounds, rk: make([][16]byte, rounds+1)}
+	s := &Schedule{}
 	for r := 0; r <= rounds; r++ {
 		for c := 0; c < 4; c++ {
 			copy(s.rk[r][4*c:4*c+4], w[4*r+c][:])
@@ -207,8 +202,8 @@ func DecryptBlock(ks *Schedule, isb *[256]byte, dst, src []byte) {
 	}
 	var st [16]byte
 	copy(st[:], src[:16])
-	addRoundKey(&st, &ks.rk[ks.rounds])
-	for r := ks.rounds - 1; r >= 1; r-- {
+	addRoundKey(&st, &ks.rk[rounds])
+	for r := rounds - 1; r >= 1; r-- {
 		invShiftSub(&st, isb)
 		addRoundKey(&st, &ks.rk[r])
 		for c := 0; c < 4; c++ {
@@ -242,7 +237,7 @@ func InvShiftRowsIndex(s int) int { return invShift[s] }
 // round 9 is the Piret–Quisquater setting; contrast with the persistent
 // table fault the ExplFrame attack produces.
 func EncryptBlockWithFault(ks *Schedule, sb *[256]byte, dst, src []byte, round int, mask *[16]byte) {
-	if round < 1 || round > ks.rounds {
+	if round < 1 || round > rounds {
 		panic("aes: fault round out of range")
 	}
 	encryptBlock(ks, sb, dst, src, round, mask)
@@ -257,12 +252,12 @@ func encryptBlock(ks *Schedule, sb *[256]byte, dst, src []byte, faultRound int, 
 	var st [16]byte
 	copy(st[:], src[:16])
 	addRoundKey(&st, &ks.rk[0])
-	for r := 1; r <= ks.rounds; r++ {
+	for r := 1; r <= rounds; r++ {
 		if r == faultRound {
 			addRoundKey(&st, mask)
 		}
 		subShift(&st, sb)
-		if r < ks.rounds {
+		if r < rounds {
 			for c := 0; c < 4; c++ {
 				mixColumn(st[4*c : 4*c+4])
 			}

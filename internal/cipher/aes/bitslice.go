@@ -22,7 +22,7 @@ func EncryptBlocksBitsliced(ks *Schedule, sb *[256]byte, dst, src [][]byte) {
 // XORs the 16-byte masks[i] into lane i's state at the entry of the given
 // 1-based round, matching EncryptBlockWithFault lane for lane.
 func EncryptBlocksWithFaultBitsliced(ks *Schedule, sb *[256]byte, dst, src [][]byte, round int, masks [][]byte) {
-	if round < 1 || round > ks.rounds {
+	if round < 1 || round > rounds {
 		panic("aes: fault round out of range")
 	}
 	encryptBitsliced(ks, sb, dst, src, round, masks)
@@ -51,12 +51,12 @@ func encryptBitsliced(ks *Schedule, sb *[256]byte, dst, src [][]byte, faultRound
 
 	patches := bitslice.DiffTable(sb[:], sbox[:], 0xFF)
 	addRoundKeyPlanes(&st, &ks.rk[0])
-	for r := 1; r <= ks.rounds; r++ {
+	for r := 1; r <= rounds; r++ {
 		if r == faultRound {
 			xorPlanes(&st, &fp)
 		}
 		subShiftPlanes(&st, patches)
-		if r < ks.rounds {
+		if r < rounds {
 			mixColumnsPlanes(&st)
 		}
 		addRoundKeyPlanes(&st, &ks.rk[r])

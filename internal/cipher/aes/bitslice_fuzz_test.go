@@ -28,7 +28,7 @@ func FuzzBitslicedVsScalar(f *testing.F) {
 			sb[rng.Intn(256)] ^= byte(rng.Intn(255) + 1)
 		}
 		n := int(lanes)%64 + 1
-		r := int(round)%ks.Rounds() + 1
+		r := int(round)%rounds + 1
 		src := make([][]byte, n)
 		dst := make([][]byte, n)
 		masks := make([][]byte, n)

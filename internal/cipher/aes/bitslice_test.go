@@ -85,7 +85,7 @@ func TestEncryptBlocksWithFaultBitslicedMatchesScalar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for round := 1; round <= ks.Rounds(); round++ {
+	for round := 1; round <= rounds; round++ {
 		sb := corruptTable(rng, round%3)
 		n := 1 + rng.Intn(64)
 		dst, src := makeBatch(rng, n)

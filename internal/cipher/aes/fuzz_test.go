@@ -11,12 +11,10 @@ import (
 // the cipher).  Run with: go test -fuzz=FuzzEncryptDecrypt ./internal/cipher/aes
 func FuzzEncryptDecrypt(f *testing.F) {
 	f.Add([]byte("0123456789abcdef"), []byte("exactly 16 bytes"))
-	f.Add(make([]byte, 24), make([]byte, 16))
-	f.Add(make([]byte, 32), bytes.Repeat([]byte{0xFF}, 16))
+	f.Add(bytes.Repeat([]byte{0xFF}, 16), bytes.Repeat([]byte{0xFF}, 16))
+	f.Add(make([]byte, 17), make([]byte, 16))
 	f.Fuzz(func(t *testing.T, key, pt []byte) {
-		switch len(key) {
-		case 16, 24, 32:
-		default:
+		if len(key) != 16 {
 			if _, err := Expand(key); err == nil {
 				t.Fatalf("Expand accepted a %d-byte key", len(key))
 			}

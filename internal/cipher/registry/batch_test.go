@@ -126,7 +126,7 @@ func TestEncryptBatchLanePermutation(t *testing.T) {
 }
 
 // TestScalarOnlySwitch: forcing the scalar path must be output-invariant,
-// which is the property the experiment-level golden-invariance test leans
+// which is the property the experiment-level scalar-invariance test leans
 // on.
 func TestScalarOnlySwitch(t *testing.T) {
 	rng := stats.NewRNG(0x5ca1a)

@@ -28,10 +28,8 @@ var builtins = []builtin{
 	{&spn64{name: "lilliput-80", e: lilliput.Engine}, []string{"lilliput"}},
 }
 
-// checkKey rejects a key of any length but c.KeyBytes().  The cipher
-// packages accept other lengths for other variants (aes.Expand takes
-// AES-192 and AES-256 keys), which would otherwise run under a name whose
-// Rounds, LastRoundCells and RecoverMaster assume the named one.
+// checkKey rejects a key of any length but c.KeyBytes(), with one error
+// shape for every cipher that names the cipher and both lengths.
 func checkKey(c Cipher, key []byte) error {
 	if len(key) != c.KeyBytes() {
 		return fmt.Errorf("registry: %s takes a %d-byte key, got %d bytes", c.Name(), c.KeyBytes(), len(key))

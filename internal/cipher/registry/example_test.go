@@ -9,8 +9,8 @@ import (
 // ExampleNames tours the victim-cipher registry the way cmd/explframe and
 // experiment E15 consume it: every registered cipher exposes the S-box
 // geometry the persistent-fault pipeline needs, so new victims plug in
-// without touching the analysis code (see examples/present-key-recovery
-// and examples/lilliput-key-recovery for full attacks).
+// without touching the analysis code (examples/pfa-key-recovery runs the
+// full attack on every one of them).
 func ExampleNames() {
 	for _, name := range registry.Names() {
 		c := registry.MustGet(name)

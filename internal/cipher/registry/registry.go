@@ -118,8 +118,8 @@ var scalarOnly atomic.Bool
 // SetScalarOnly forces (true) or re-enables (false) the bitsliced batch
 // cores globally, returning the previous setting.  The batch API's
 // equivalence contract makes the switch unobservable except in speed; it
-// exists so the golden-invariance tests can diff experiment tables with
-// the cores on and off.
+// exists so the invariance tests can check experiment tables against the
+// results book with the cores on and off.
 //
 //doclint:keep the experiments invariance test selects the scalar reference path
 func SetScalarOnly(v bool) bool { return scalarOnly.Swap(v) }

@@ -118,8 +118,8 @@ func TestCipherContract(t *testing.T) {
 			}
 
 			// Every other length is refused, including the AES-192/256
-			// lengths aes.Expand accepts and the 80-bit ciphers' 10 bytes
-			// under AES, and the error names the cipher and both lengths.
+			// lengths and the 80-bit ciphers' 10 bytes under AES, and the
+			// error names the cipher and both lengths.
 			for _, n := range []int{0, c.KeyBytes() - 1, c.KeyBytes() + 1, 10, 16, 24, 32} {
 				if n == c.KeyBytes() {
 					continue

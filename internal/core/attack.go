@@ -308,7 +308,7 @@ func (a *Attack) analyse(ctx context.Context, rep *Report, victim *trace.Victim,
 	// the bitsliced cores' 64-lane width, plaintexts are drawn in the same
 	// order as the old per-block loop (encryption consumes no randomness),
 	// and the recovery check still fires at every checkEvery boundary plus
-	// the final budget point — so batching is invisible to the goldens.
+	// the final budget point — so batching is invisible to the results book.
 	checkEvery := 64
 	if c.EntryBits() >= 8 {
 		checkEvery = 512

@@ -10,8 +10,9 @@ package dram
 // frames in this simulation) without materialising anything, and writes
 // that store the fill pattern into an untouched segment are elided.  The
 // observable byte sequence is identical to the dense array for every
-// operation order, which is why the E1–E17 goldens are pinned byte-for-byte
-// across the switch (see TestSparseDenseObservationalEquivalence).
+// operation order, which is why every E1–E17 number in the results book
+// stayed byte-identical across the switch (see
+// TestSparseDenseObservationalEquivalence).
 
 // storeChunkBytes is the segment granularity: large enough that the chunk
 // index of an 8 GiB device stays around a megabyte, small enough that one

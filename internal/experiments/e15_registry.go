@@ -35,7 +35,7 @@ func E15PFAAllCiphers(seed uint64, opts ...harness.Option) (*Table, error) {
 	// The per-cipher seed domain keys on the cipher *name*, not its index
 	// in the sorted registry: registering a new cipher must add a row
 	// without re-randomizing the existing rows' trial streams (and their
-	// golden numbers).
+	// numbers in the results book).
 	camp := scenario.Campaign{Name: "E15"}
 	for _, name := range registry.Names() {
 		camp.Specs = append(camp.Specs, scenario.New(

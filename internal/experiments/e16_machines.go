@@ -36,7 +36,7 @@ func E16Machines(seed uint64, opts ...harness.Option) (*Table, error) {
 	// The per-machine seed domain keys on the machine *name*, not its index
 	// in the sorted registry: registering a new machine must add a row
 	// without re-randomizing the existing rows' trial streams (and their
-	// golden numbers) — the same contract E15 makes for ciphers.
+	// numbers in the results book) — the same contract E15 makes for ciphers.
 	camp := scenario.Campaign{Name: "E16"}
 	for _, name := range machine.Names() {
 		camp.Specs = append(camp.Specs, scenario.New(

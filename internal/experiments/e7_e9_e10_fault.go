@@ -19,7 +19,7 @@ import (
 // clean plaintext before it plants the fault, so every later draw of a
 // trial would shift, and it stops at key recovery without recording the
 // residual entropy at each ciphertext checkpoint these curves plot.  A
-// PFA-kind spec would therefore redraw every golden number of the tables.
+// PFA-kind spec would therefore redraw every number the results book pins.
 
 // pfaCurve is a known-fault PFA data-complexity curve averaged over trials.
 // At each ciphertext checkpoint it holds the mean residual key entropy, the
@@ -92,7 +92,7 @@ func runPFACurve(c registry.Cipher, seed uint64, trials int, checkpoints []int,
 		return nil, err
 	}
 
-	// Sum over trials, then divide: the goldens pin this rounding order.
+	// Sum over trials, then divide: the results book pins this rounding order.
 	curve := &pfaCurve{
 		entropy:   make([]float64, len(checkpoints)),
 		positions: make([]float64, len(checkpoints)),
@@ -267,7 +267,7 @@ func E10PFAPresent(seed uint64, opts ...harness.Option) (*Table, error) {
 	const trials = 32
 	checkpoints := []int{10, 25, 50, 75, 100, 150, 250, 400}
 	// PRESENT plaintexts are drawn big-endian from one Uint64, unlike
-	// rng.Bytes's little-endian fill: the golden table pins this draw.
+	// rng.Bytes's little-endian fill: the results book pins this draw.
 	curve, err := runPFACurve(registry.MustGet("present-80"), stats.DeriveSeed(seed, label(10, 0)), trials, checkpoints,
 		func(rng *stats.RNG, pt []byte) { binary.BigEndian.PutUint64(pt, rng.Uint64()) }, opts...)
 	if err != nil {

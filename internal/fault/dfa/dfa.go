@@ -201,7 +201,7 @@ func faultRound(c registry.Cipher, m fault.Model) (int, error) {
 // full 64-lane chunks of the built-in ciphers).  Each pair draws its
 // randomness in turn — a BlockSize-byte plaintext first, then the model's
 // unpinned choices (position first when unpinned, then fault values) —
-// which is the order the golden tables pin, so n calls with n=1 draw what
+// which is the order the results book pins, so n calls with n=1 draw what
 // one call with n draws; the encryptions consume no randomness.  The
 // model's Round 0 resolves to the cipher's analyzer's DefaultRound, and a
 // pair records the fault position when the model exposes it.

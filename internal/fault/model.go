@@ -182,7 +182,7 @@ type Injection struct {
 // Draw renders the model into one Injection for a blockBytes-sized victim,
 // drawing any unpinned choices (position, fault value) from rng.
 // defaultRound substitutes for Round 0.  The draw order is part of the
-// golden-table contract: position first (when Anywhere), then one value
+// results-book contract: position first (when Anywhere), then one value
 // draw per faulted unit.
 func (m Model) Draw(rng *stats.RNG, blockBytes, defaultRound int) (Injection, error) {
 	if err := m.Validate(); err != nil {

@@ -195,7 +195,7 @@ func TestDrawPinnedChoices(t *testing.T) {
 	}
 	// A pinned precise-bit draw consumes no randomness at all, and a pinned
 	// precise-byte draw consumes exactly one value draw — the compatibility
-	// contract the historical golden tables rely on.
+	// contract the results book relies on.
 	a, b := stats.NewRNG(3), stats.NewRNG(3)
 	if _, err := New(PreciseBit, WithPosition(0)).Draw(a, 16, 9); err != nil {
 		t.Fatal(err)

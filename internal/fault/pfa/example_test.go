@@ -11,10 +11,10 @@ import (
 )
 
 // ExampleCollector is the offline half of the ExplFrame attack in
-// miniature (the full walkthrough is examples/aes-key-recovery): a victim
-// encrypts with an S-box carrying one Rowhammer-style bit flip, and the
-// analyst recovers the AES-128 master key from ciphertexts alone plus the
-// known flip location.
+// miniature (examples/pfa-key-recovery walks it through every registered
+// cipher): a victim encrypts with an S-box carrying one Rowhammer-style bit
+// flip, and the analyst recovers the AES-128 master key from ciphertexts
+// alone plus the known flip location.
 func ExampleCollector() {
 	rng := stats.NewRNG(2024)
 

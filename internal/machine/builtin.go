@@ -4,10 +4,10 @@ import "explframe/internal/dram"
 
 // The built-in machine profiles.  "default" and "fast" reproduce, field
 // for field, the two machines the scenario layer hardcoded before machines
-// became first-class — every E1–E15 golden number is pinned to them, so
-// their parameters must never drift.  The other profiles open the machine
-// axis: a DDR4-style module with an XOR-folded bank function, a large
-// server module with slower cells, and a TRR-hardened part.  The table is
+// became first-class — every E1–E15 number in the results book is pinned
+// to them, so their parameters must never drift.  The other profiles open
+// the machine axis: a DDR4-style module with an XOR-folded bank function, a
+// large server module with slower cells, and a TRR-hardened part.  The table is
 // fixed: a machine outside it runs inline (scenario.WithMachine, or a
 // spec's "machine" field).
 var builtins = []Spec{

@@ -22,7 +22,7 @@ func BuildBook(seed uint64, tables []*Table) (Book, error) {
 	var sb strings.Builder
 	sb.WriteString("# ExplFrame — regenerated results book\n\n")
 	sb.WriteString("<!-- Generated by `go run ./cmd/report`. Do not edit by hand: CI regenerates\n")
-	sb.WriteString("     this book and fails on drift, the same contract as the golden tables. -->\n\n")
+	sb.WriteString("     this book and fails on drift; every experiment-table test checks against it. -->\n\n")
 	fmt.Fprintf(&sb, "Every table below regenerates deterministically from seed %d on the simulated\n", seed)
 	sb.WriteString("hardware/kernel stack (see [ARCHITECTURE.md](ARCHITECTURE.md)); the same data is\n")
 	sb.WriteString("machine-readable in [results.json](results.json). Each table self-scores against\n")

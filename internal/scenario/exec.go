@@ -126,7 +126,7 @@ func (s Spec) pfaBudget(c registry.Cipher) int {
 // runPFATrial executes one PFA-kind trial: random key, one random
 // single-bit S-box fault, known-fault recovery via the cipher-agnostic
 // collector, master-key completion verified against the true key.  The
-// draw order is pinned by the E15 golden table: faulty encryptions run in
+// draw order is pinned by E15 in the results book: faulty encryptions run in
 // registry.BatchLanes-wide batches (bitsliced for the built-in ciphers)
 // with the chunk's plaintexts pre-drawn in the old per-block order, and
 // recovery is still checked after every single observation so RecoveredAt
@@ -210,9 +210,9 @@ func (s Spec) dfaBudget() int {
 
 // runDFATrial executes one DFA-kind trial: random key, a full budget of
 // correct/faulty pairs collected through the batched dfa.CollectPairs
-// (same per-pair draw order as the old one-at-a-time loop, so the E17
-// golden holds), then fed to one analysis session pair by pair until the
-// analyzer pins a unique key or the budget runs out.  Pairs collected past
+// (same per-pair draw order as the old one-at-a-time loop, so E17 in the
+// results book holds), then fed to one analysis session pair by pair until
+// the analyzer pins a unique key or the budget runs out.  Pairs collected past
 // the recovery point are discarded with the trial's private rng.
 // Master-key completion is verified against the true key.
 func runDFATrial(c registry.Cipher, a dfa.Analyzer, m fault.Model, budget int, rng *stats.RNG) (DFATrial, error) {

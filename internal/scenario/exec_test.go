@@ -19,8 +19,9 @@ import (
 // fastAttackConfig reproduces, by hand, the ProfileFast machine exactly as
 // the pre-registry lowering hardcoded it.  It exists only as the reference
 // for TestAttackConfigMatchesHandMutation: if the registered "fast" profile
-// ever drifts from these numbers, every end-to-end golden table drifts
-// with it, and this fixture is what catches the change at unit scope.
+// ever drifts from these numbers, every end-to-end table in the results
+// book drifts with it, and this fixture is what catches the change at unit
+// scope.
 func fastAttackConfig(seed uint64) core.Config {
 	cfg := core.DefaultConfig()
 	cfg.Seed = seed
@@ -41,8 +42,8 @@ func fastAttackConfig(seed uint64) core.Config {
 }
 
 // The spec lowering must equal the hand-mutated config the drivers and the
-// legacy CLI used to assemble — that equality is what keeps the golden
-// tables byte-identical across the API redesign.
+// legacy CLI used to assemble — that equality is what kept the results
+// book byte-identical across the API redesign.
 func TestAttackConfigMatchesHandMutation(t *testing.T) {
 	spec := New(WithProfile(ProfileFast), WithSeed(77), WithTrials(10),
 		WithNoise(2, 150), WithTRR(0, 0), WithManySided(8))

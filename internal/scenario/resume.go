@@ -80,7 +80,7 @@ func (cp Checkpoint) Trials() int {
 // body is the exact per-trial work the historical batch runners performed
 // (config re-seeded from the trial stream, then one pipeline run), so the
 // outcome of trial k is a pure function of (spec, k) — the property both
-// the golden tables and checkpoint resume depend on.
+// the results book and checkpoint resume depend on.
 func (s Spec) trialRunner(ctx context.Context) (func(trial int, rng *stats.RNG) (TrialOutcome, error), error) {
 	switch s.Kind {
 	case Attack:

@@ -4,7 +4,7 @@
 // strategy, allocator noise, attacker behaviour, ciphertext budget, pcp
 // policy and trial count — as plain serializable data.  Specs are built with
 // functional options (New, With), validated with joined field errors
-// (Validate), named and hashed canonically for dedup and golden keys
+// (Validate), named and hashed canonically for dedup and result keys
 // (Name, Hash), and round-trip losslessly through JSON so they can live in
 // files next to the code that runs them.
 //
@@ -68,7 +68,7 @@ const (
 type Profile string
 
 // Handles for the two historical machine profiles: convenience names for
-// the built-in entries the golden tables pin, not an enumeration.
+// the built-in entries the results book pins, not an enumeration.
 const (
 	// ProfileDefault is the 256 MiB module of core.DefaultConfig — the
 	// paper-proportioned setting cmd/explframe uses.
@@ -632,7 +632,7 @@ func (s Spec) CipherName() string {
 // Name returns the canonical scenario name: a compact, deterministic
 // encoding of every semantic field (Label excluded).  Two specs are the
 // same scenario iff their Names are equal, which makes Name usable as a
-// dedup and golden-table key.
+// dedup and result key.
 func (s Spec) Name() string {
 	var b strings.Builder
 	b.WriteString(string(s.Kind))

@@ -3,13 +3,15 @@
 // exactly as cmd/report builds it, BenchmarkPresetTrial one trial of each
 // scenario preset through scenario.Run, and BenchmarkE6EndToEnd one attack
 // trial with its success rate and ciphertext cost; the rest are
-// microbenchmarks of the substrate primitives.  Run them all once with
+// microbenchmarks of the substrate primitives and of the PFA readiness
+// poll.  Run them all once with
 // go test -run '^$' -bench . -benchtime 1x .
 package explframe_test
 
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"testing"
 
 	"explframe/internal/bench"
@@ -19,10 +21,12 @@ import (
 	"explframe/internal/core"
 	"explframe/internal/dram"
 	"explframe/internal/experiments"
+	"explframe/internal/fault/pfa"
 	"explframe/internal/kernel"
 	"explframe/internal/machine"
 	"explframe/internal/mm"
 	"explframe/internal/scenario"
+	"explframe/internal/stats"
 	"explframe/internal/vm"
 )
 
@@ -267,6 +271,60 @@ func BenchmarkEncryptBatchPerCipher(b *testing.B) {
 				inst.EncryptBatch(table, dst, src)
 			}
 			b.ReportMetric(float64(len(src)), "encryptions/op")
+		})
+	}
+}
+
+// BenchmarkPFAReadiness times one PFA readiness poll per cipher: one
+// Observe plus one RecoverLastRoundKeyKnownFault, the step the PFA trial
+// bodies take after every faulty ciphertext.  The collector is fed the
+// ciphertexts of a random key and single-bit fault up to one short of
+// recovery; each op then re-observes one of those ciphertexts, so every
+// poll sees the same just-underdetermined state.
+func BenchmarkPFAReadiness(b *testing.B) {
+	for _, name := range registry.Names() {
+		c := registry.MustGet(name)
+		rng := stats.NewRNG(1)
+		key := make([]byte, c.KeyBytes())
+		rng.Bytes(key)
+		inst, err := c.New(key)
+		if err != nil {
+			b.Fatal(err)
+		}
+		faulty := c.SBox()
+		v := rng.Intn(c.TableLen())
+		yStar := faulty[v]
+		faulty[v] ^= 1 << uint(rng.Intn(c.EntryBits()))
+
+		col := pfa.NewCollector(c)
+		var cts [][]byte
+		for {
+			pt, ct := make([]byte, c.BlockSize()), make([]byte, c.BlockSize())
+			rng.Bytes(pt)
+			inst.Encrypt(faulty, ct, pt)
+			if err := col.Observe(ct); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := col.RecoverLastRoundKeyKnownFault(yStar); err == nil {
+				break
+			}
+			cts = append(cts, ct)
+		}
+		b.Run(name, func(b *testing.B) {
+			col := pfa.NewCollector(c)
+			if err := col.ObserveBatch(cts); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := col.Observe(cts[i%len(cts)]); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := col.RecoverLastRoundKeyKnownFault(yStar); !errors.Is(err, pfa.ErrUnderdetermined) {
+					b.Fatalf("poll returned %v, want underdetermined", err)
+				}
+			}
 		})
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"runtime/pprof"
 	"strings"
 
 	"explframe/internal/cipher/registry"
@@ -34,11 +35,13 @@ type cliFlags struct {
 	manySided   int
 	format      string
 	out         string
+	cpuProfile  string
 }
 
 // newFlags builds the flag set for a subcommand.  The table-rendering
 // flags (-format, -out) only take effect on the sweep path but parse
-// everywhere, keeping run/sweep invocations interchangeable.
+// everywhere, keeping run/sweep invocations interchangeable.  -cpuprofile
+// exists only where the work runs in this process: run and sweep.
 func newFlags(name string) *cliFlags {
 	f := &cliFlags{fs: flag.NewFlagSet(name, flag.ContinueOnError)}
 	f.fs.StringVar(&f.scenarioRef, "scenario", "", "scenario source: a preset name (see 'explframe list') or a JSON spec file")
@@ -62,7 +65,32 @@ func newFlags(name string) *cliFlags {
 	f.fs.IntVar(&f.manySided, "many-sided", 0, "use many-sided hammering with this many decoy rows (TRR bypass)")
 	f.fs.StringVar(&f.format, "format", "text", "sweep output format: text, md, csv or json")
 	f.fs.StringVar(&f.out, "out", "", "write the sweep table to this file instead of stdout")
+	if name == "run" || name == "sweep" {
+		f.fs.StringVar(&f.cpuProfile, "cpuprofile", "", "write a CPU profile of the "+name+" to this file (go tool pprof format)")
+	}
 	return f
+}
+
+// startCPUProfile starts the -cpuprofile profile, if one was asked for,
+// and returns the function that stops it and closes the file.
+func (f *cliFlags) startCPUProfile() (stop func(), err error) {
+	if f.cpuProfile == "" {
+		return func() {}, nil
+	}
+	out, err := os.Create(f.cpuProfile)
+	if err != nil {
+		return nil, fmt.Errorf("-cpuprofile: %w", err)
+	}
+	if err := pprof.StartCPUProfile(out); err != nil {
+		out.Close()
+		return nil, fmt.Errorf("-cpuprofile: %w", err)
+	}
+	return func() {
+		pprof.StopCPUProfile()
+		if err := out.Close(); err != nil {
+			fmt.Fprintf(os.Stderr, "-cpuprofile: %v\n", err)
+		}
+	}, nil
 }
 
 // loadScenario resolves a -scenario reference: preset name first, then

@@ -99,3 +99,24 @@ func TestRunReportsScenarioTrialZero(t *testing.T) {
 		}
 	}
 }
+
+// -cpuprofile writes a pprof profile (gzip-framed protobuf) of the run or
+// sweep's work, and leaves the scenario's outcome alone.
+func TestCPUProfileFlag(t *testing.T) {
+	for _, sub := range []string{"run", "sweep"} {
+		path := filepath.Join(t.TempDir(), sub+".prof")
+		code, _, stderr := captureOutput(t, func() int {
+			return dispatch([]string{sub, "-scenario", "pfa-aes", "-trials", "4", "-cpuprofile", path})
+		})
+		if code != 0 {
+			t.Fatalf("%s -cpuprofile: exit %d\n%s", sub, code, stderr)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(data) < 2 || data[0] != 0x1f || data[1] != 0x8b {
+			t.Errorf("%s: profile is %d bytes without the gzip magic", sub, len(data))
+		}
+	}
+}

@@ -35,6 +35,11 @@ func cmdRun(args []string) int {
 		return fail(fmt.Errorf("scenario %q invalid:\n%w", spec.Title(), err))
 	}
 
+	endProfile, err := f.startCPUProfile()
+	if err != nil {
+		return fail(err)
+	}
+	defer endProfile()
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 

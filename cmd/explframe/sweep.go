@@ -43,6 +43,11 @@ func cmdSweep(args []string) int {
 		return fail(fmt.Errorf("campaign %q invalid:\n%w", camp.Name, err))
 	}
 
+	endProfile, err := f.startCPUProfile()
+	if err != nil {
+		return fail(err)
+	}
+	defer endProfile()
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 

@@ -33,8 +33,10 @@ type pfaCurve struct {
 
 // runPFACurve runs trials of the known-fault PFA attack on c: each trial
 // draws a random key and one random single-bit S-box fault, then encrypts
-// draw's plaintexts one at a time up to the last checkpoint, trying the
-// last-round key recovery after every ciphertext until it succeeds.
+// draw's plaintexts up to the last checkpoint in registry.BatchLanes-wide
+// batches (each chunk's plaintexts drawn in the per-block order, so the
+// batching moves no draw), trying the last-round key recovery after every
+// ciphertext until it succeeds.
 // Recovery under the true fault hypothesis is monotone, so a trial counts
 // as recovered at every checkpoint from its recovery point on.
 func runPFACurve(c registry.Cipher, seed uint64, trials int, checkpoints []int,
@@ -62,29 +64,42 @@ func runPFACurve(c registry.Cipher, seed uint64, trials int, checkpoints []int,
 		faulty[v] ^= 1 << uint(rng.Intn(c.EntryBits()))
 
 		col := pfa.NewCollector(c)
-		pt := make([]byte, c.BlockSize())
-		ct := make([]byte, c.BlockSize())
-		next := 0
-		for n := 1; n <= checkpoints[len(checkpoints)-1]; n++ {
-			draw(rng, pt)
-			inst.Encrypt(faulty, ct, pt)
-			if err := col.Observe(ct); err != nil {
-				return out, err
+		bs := c.BlockSize()
+		buf := make([]byte, 2*registry.BatchLanes*bs)
+		pts := make([][]byte, registry.BatchLanes)
+		cts := make([][]byte, registry.BatchLanes)
+		for i := range pts {
+			pts[i] = buf[i*bs : (i+1)*bs]
+			cts[i] = buf[(registry.BatchLanes+i)*bs : (registry.BatchLanes+i+1)*bs]
+		}
+		last, next := checkpoints[len(checkpoints)-1], 0
+		for done := 0; done < last; {
+			k := min(registry.BatchLanes, last-done)
+			for i := 0; i < k; i++ {
+				draw(rng, pts[i])
 			}
-			if out.recoveredAt < 0 {
-				if _, err := col.RecoverLastRoundKeyKnownFault(yStar); err == nil {
-					out.recoveredAt = n
+			inst.EncryptBatch(faulty, cts[:k], pts[:k])
+			for i := 0; i < k; i++ {
+				n := done + i + 1
+				if err := col.Observe(cts[i]); err != nil {
+					return out, err
 				}
-			}
-			if next < len(checkpoints) && n == checkpoints[next] {
-				out.entropy[next] = col.ResidualEntropy()
-				for i := 0; i < col.Cells(); i++ {
-					if len(col.Missing(i)) == 1 {
-						out.positions[next]++
+				if out.recoveredAt < 0 {
+					if _, err := col.RecoverLastRoundKeyKnownFault(yStar); err == nil {
+						out.recoveredAt = n
 					}
 				}
-				next++
+				if next < len(checkpoints) && n == checkpoints[next] {
+					out.entropy[next] = col.ResidualEntropy()
+					for cell := 0; cell < col.Cells(); cell++ {
+						if len(col.Missing(cell)) == 1 {
+							out.positions[next]++
+						}
+					}
+					next++
+				}
 			}
+			done += k
 		}
 		return out, nil
 	}, opts...)

@@ -28,6 +28,7 @@ type Collector struct {
 	cells   int
 	mask    byte
 	count   [][]uint64 // count[i][v]: observations with value v at cell i
+	missing []int      // missing[i]: values never observed at cell i
 	n       uint64
 	cellBuf []byte // scratch for LastRoundCells, keeps Observe allocation-free
 }
@@ -38,8 +39,10 @@ func NewCollector(c registry.Cipher) *Collector {
 	vals := 1 << uint(c.EntryBits())
 	col := &Collector{c: c, cells: cells, mask: byte(vals - 1), cellBuf: make([]byte, cells)}
 	col.count = make([][]uint64, cells)
+	col.missing = make([]int, cells)
 	for i := range col.count {
 		col.count[i] = make([]uint64, vals)
+		col.missing[i] = vals
 	}
 	return col
 }
@@ -77,6 +80,9 @@ func (c *Collector) Observe(ct []byte) error {
 	}
 	c.c.LastRoundCells(c.cellBuf, ct)
 	for i, cell := range c.cellBuf {
+		if c.count[i][cell] == 0 {
+			c.missing[i]--
+		}
 		c.count[i][cell]++
 	}
 	c.n++
@@ -112,25 +118,15 @@ func (c *Collector) Missing(i int) []byte {
 	return out
 }
 
-// missingCount returns how many values were never observed at cell i.
-func (c *Collector) missingCount(i int) int {
-	m := 0
-	for _, n := range c.count[i] {
-		if n == 0 {
-			m++
-		}
-	}
-	return m
-}
-
 // ResidualEntropy returns the log2 of the remaining last-round-key space
 // given the current observations: the product over cells of the number of
 // still-possible key values (= missing values).  It reaches 0 when every
-// cell has exactly one missing value.
+// cell has exactly one missing value, and reads only the per-cell counts
+// Observe keeps, so it costs O(cells).
 func (c *Collector) ResidualEntropy() float64 {
 	e := 0.0
-	for i := 0; i < c.cells; i++ {
-		e += stats.Log2(float64(c.missingCount(i)))
+	for _, m := range c.missing {
+		e += stats.Log2(float64(m))
 	}
 	return e
 }
@@ -165,38 +161,41 @@ func (c *Collector) RecoverMasterKnownFault(yStar byte, plaintext, ciphertext []
 // value (FaultValues' vanished set; one value is the classic single-fault
 // attack).  With m faults each cell misses exactly {y*_j ^ k_i}, which any
 // of the m candidates {miss ^ y*_j} explains equally well — elimination
-// alone therefore leaves up to m consistent candidates per cell.  Cells are
-// checked in order and an under-determined collector gets the bare
-// ErrUnderdetermined before anything is allocated, so readiness polls after
-// every ciphertext cost no garbage.  The returned per-cell candidate sets
+// alone therefore leaves up to m consistent candidates per cell.  The
+// first pass walks the cells in order over the unseen-value counts Observe
+// keeps: a cell missing fewer than m values is inconsistent, one missing
+// more is underdetermined, and one missing exactly m is searched for a
+// matching key only when m > 1 (a single vanished value always leaves
+// exactly one candidate).  A readiness poll after every ciphertext thus
+// costs O(cells) and no garbage.  The returned per-cell candidate sets
 // feed the frequency-based disambiguation in RecoverLastRoundKeyMultiFault.
 func (c *Collector) MultiFaultCandidates(yStars []byte) ([][]byte, error) {
-	if len(yStars) == 0 {
+	m := len(yStars)
+	if m == 0 {
 		return nil, fmt.Errorf("%w: no fault values given", ErrInconsistent)
 	}
 	var scratch [256]byte // a cell has at most 2^EntryBits <= 256 candidates
-	for i := 0; i < c.cells; i++ {
-		if _, err := c.cellCandidates(scratch[:0], i, yStars); err != nil {
-			return nil, err
+	for i, miss := range c.missing {
+		switch {
+		case miss < m:
+			return nil, fmt.Errorf("%w: cell %d misses %d values, expected %d", ErrInconsistent, i, miss, m)
+		case miss > m:
+			return nil, ErrUnderdetermined
+		case m > 1 && len(c.cellCandidates(scratch[:0], i, yStars)) == 0:
+			return nil, fmt.Errorf("%w: cell %d matches no key", ErrInconsistent, i)
 		}
 	}
 	cands := make([][]byte, c.cells)
 	for i := range cands {
-		cands[i], _ = c.cellCandidates(nil, i, yStars) // the first pass vetted every cell
+		cands[i] = c.cellCandidates(nil, i, yStars)
 	}
 	return cands, nil
 }
 
 // cellCandidates appends to dst, in discovery order, every key value k of
 // cell i under which each vanished value y* leaves y* ^ k unobserved.
-func (c *Collector) cellCandidates(dst []byte, i int, yStars []byte) ([]byte, error) {
+func (c *Collector) cellCandidates(dst []byte, i int, yStars []byte) []byte {
 	count := c.count[i]
-	switch miss := c.missingCount(i); {
-	case miss < len(yStars):
-		return dst, fmt.Errorf("%w: cell %d misses %d values, expected %d", ErrInconsistent, i, miss, len(yStars))
-	case miss > len(yStars):
-		return dst, ErrUnderdetermined
-	}
 	start := len(dst)
 	for m, n := range count {
 		if n != 0 {
@@ -210,10 +209,7 @@ func (c *Collector) cellCandidates(dst []byte, i int, yStars []byte) ([]byte, er
 			}
 		}
 	}
-	if len(dst) == start {
-		return dst, fmt.Errorf("%w: cell %d matches no key", ErrInconsistent, i)
-	}
-	return dst, nil
+	return dst
 }
 
 // multiFaultScore sums the frequency counts the doubled values y'_j would

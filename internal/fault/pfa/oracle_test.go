@@ -107,7 +107,8 @@ func errClass(err error) string {
 
 // FuzzCollectorCandidates streams the ciphertexts of a random key under a
 // table carrying 0–3 random in-datapath bit flips (repeats, chains and
-// cancellations included) and, after every Observe, checks
+// cancellations included) and, after every Observe, checks the incremental
+// unseen-value counts and ResidualEntropy against a rescan of Missing, and
 // MultiFaultCandidates and RecoverLastRoundKeyKnownFault against the
 // oracle.  The hypothesis is FaultValues' vanished set; a table whose
 // image is intact is a clean stream, attacked under one guessed vanished
@@ -147,6 +148,17 @@ func FuzzCollectorCandidates(f *testing.F) {
 			inst.Encrypt(table, ct, pt)
 			if err := col.Observe(ct); err != nil {
 				t.Fatal(err)
+			}
+			entropy := 0.0
+			for i := 0; i < col.Cells(); i++ {
+				miss := len(col.Missing(i))
+				if col.missing[i] != miss {
+					t.Fatalf("n=%d cell %d: incremental count %d, Missing has %d", n, i, col.missing[i], miss)
+				}
+				entropy += stats.Log2(float64(miss))
+			}
+			if e := col.ResidualEntropy(); e != entropy {
+				t.Fatalf("n=%d: ResidualEntropy %v, rescan %v", n, e, entropy)
 			}
 			cands, err := col.MultiFaultCandidates(yStars)
 			want, wantErr := oracleCandidates(col, yStars)

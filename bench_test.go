@@ -151,7 +151,7 @@ func BenchmarkPageTableMapUnmap(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		va := vm.VirtAddr(uint64(i%1024) * vm.PageSize)
-		if err := pt.Map(va, mm.PFN(i), true); err != nil {
+		if err := pt.Map(va, mm.PFN(i)); err != nil {
 			b.Fatal(err)
 		}
 		pt.Unmap(va)
@@ -191,7 +191,7 @@ func BenchmarkSparseDeviceConstruction(b *testing.B) {
 // the default machine with allocation reporting — the zero-alloc contract
 // `benchtab -check-trajectory` enforces in CI.
 func BenchmarkHammerLoopSteadyState(b *testing.B) {
-	p, vas, err := bench.NewHammerBench(machine.MustGet("default"), 1)
+	p, vas, err := bench.NewHammerBench(machine.MustGet("default"))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func BenchmarkHammerLoopSteadyState(b *testing.B) {
 func BenchmarkHammerLoopPerMachine(b *testing.B) {
 	for _, name := range machine.Names() {
 		b.Run(name, func(b *testing.B) {
-			p, vas, err := bench.NewHammerBench(machine.MustGet(name), 1)
+			p, vas, err := bench.NewHammerBench(machine.MustGet(name))
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -38,10 +38,12 @@ type cliFlags struct {
 	cpuProfile  string
 }
 
-// newFlags builds the flag set for a subcommand.  The table-rendering
-// flags (-format, -out) only take effect on the sweep path but parse
-// everywhere, keeping run/sweep invocations interchangeable.  -cpuprofile
-// exists only where the work runs in this process: run and sweep.
+// newFlags builds the flag set for a subcommand.  The scenario flags parse
+// everywhere; the rest are registered only where they are read, so any
+// other subcommand rejects them as unknown flags: -parallel and
+// -cpuprofile where the work runs in this process (run and sweep; an
+// explframed server picks its own parallelism), and the table-rendering
+// -format and -out on sweep, the only subcommand that renders a table.
 func newFlags(name string) *cliFlags {
 	f := &cliFlags{fs: flag.NewFlagSet(name, flag.ContinueOnError)}
 	f.fs.StringVar(&f.scenarioRef, "scenario", "", "scenario source: a preset name (see 'explframe list') or a JSON spec file")
@@ -49,8 +51,6 @@ func newFlags(name string) *cliFlags {
 		"machine profile the scenario runs on (see 'explframe list -machines'); overrides the spec's profile or inline machine")
 	f.fs.Uint64Var(&f.seed, "seed", 1, "attack seed (weak cells, keys, noise)")
 	f.fs.IntVar(&f.trials, "trials", 1, "independent trials")
-	f.fs.IntVar(&f.parallel, "parallel", runtime.GOMAXPROCS(0),
-		"trial workers; results are identical at any value (deterministic per-trial streams)")
 	f.fs.StringVar(&f.cipher, "cipher", "aes",
 		fmt.Sprintf("victim cipher, any registered name or alias (%s)", strings.Join(registry.Names(), ", ")))
 	f.fs.IntVar(&f.noise, "noise", 0, "noise processes churning on the victim CPU")
@@ -63,10 +63,14 @@ func newFlags(name string) *cliFlags {
 	f.fs.BoolVar(&f.trr, "trr", false, "enable the TRR mitigation (tracker 4, threshold 300)")
 	f.fs.BoolVar(&f.ecc, "ecc", false, "enable SEC-DED ECC")
 	f.fs.IntVar(&f.manySided, "many-sided", 0, "use many-sided hammering with this many decoy rows (TRR bypass)")
-	f.fs.StringVar(&f.format, "format", "text", "sweep output format: text, md, csv or json")
-	f.fs.StringVar(&f.out, "out", "", "write the sweep table to this file instead of stdout")
 	if name == "run" || name == "sweep" {
+		f.fs.IntVar(&f.parallel, "parallel", runtime.GOMAXPROCS(0),
+			"trial workers; results are identical at any value (deterministic per-trial streams)")
 		f.fs.StringVar(&f.cpuProfile, "cpuprofile", "", "write a CPU profile of the "+name+" to this file (go tool pprof format)")
+	}
+	if name == "sweep" {
+		f.fs.StringVar(&f.format, "format", "text", "sweep output format: text, md, csv or json")
+		f.fs.StringVar(&f.out, "out", "", "write the sweep table to this file instead of stdout")
 	}
 	return f
 }

@@ -120,3 +120,28 @@ func TestCPUProfileFlag(t *testing.T) {
 		}
 	}
 }
+
+// Each flag is registered only on the subcommands that read it: run renders
+// no table and submit's server picks its own parallelism, so there these
+// flags fail like any unknown flag, while sweep still parses all three.
+func TestFlagsRegisteredWhereRead(t *testing.T) {
+	for _, args := range [][]string{
+		{"run", "-format", "md"},
+		{"run", "-out", "f"},
+		{"submit", "-parallel", "2"},
+		{"submit", "-format", "json"},
+	} {
+		code, _, stderr := captureOutput(t, func() int { return dispatch(args) })
+		if code != 2 || !strings.Contains(stderr, "flag provided but not defined") {
+			t.Errorf("%v: exit %d, want 2 with an undefined-flag error\n%s", args, code, stderr)
+		}
+	}
+
+	f := newFlags("sweep")
+	if code, ok := f.parse([]string{"-format", "md", "-out", "f", "-parallel", "2"}); !ok {
+		t.Fatalf("sweep flags rejected: exit %d", code)
+	}
+	if f.format != "md" || f.out != "f" || f.parallel != 2 {
+		t.Fatalf("sweep flags parsed as format %q out %q parallel %d", f.format, f.out, f.parallel)
+	}
+}

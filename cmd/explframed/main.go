@@ -2,12 +2,12 @@
 //
 // Usage:
 //
-//	explframed [-addr host:port] [-journal file] [-store dir]
-//	           [-parallel n] [-spec-workers n]
+//	explframed [-addr host:port] [-journal file] [-store dir] [-parallel n]
 //
 // The server accepts the same strict-JSON scenario and campaign specs the
 // explframe CLI loads (POST /v1/campaigns), shards trials across a bounded
-// worker fleet, streams per-trial results as JSON lines
+// worker fleet (the member specs of a campaign run one at a time, in
+// declaration order), streams per-trial results as JSON lines
 // (GET /v1/campaigns/{id}/stream), and checkpoints every completed trial
 // to the append-only journal.  A killed or restarted server resumes
 // unfinished campaigns from the journal without recomputing journaled
@@ -55,7 +55,6 @@ func run(args []string) int {
 		"directory completed campaign tables persist to (docs/results.json shape)")
 	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0),
 		"trial workers per spec; results are identical at any value (deterministic per-trial streams)")
-	specWorkers := fs.Int("spec-workers", 1, "member specs of one campaign run concurrently")
 	switch err := fs.Parse(args); {
 	case err == nil:
 	case errors.Is(err, flag.ErrHelp):
@@ -73,7 +72,6 @@ func run(args []string) int {
 		Journal:      *journal,
 		Store:        *store,
 		TrialWorkers: *parallel,
-		SpecWorkers:  *specWorkers,
 		Log:          logger,
 	})
 	if err != nil {

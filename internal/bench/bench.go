@@ -96,7 +96,7 @@ func CheckTrajectory(path string, w io.Writer) error {
 	}
 	errs = append(errs, checkCipherRows(w, live, "live"))
 	for _, name := range machine.Names() {
-		allocs, err := HammerLoopSteadyStateAllocs(machine.MustGet(name), 1)
+		allocs, err := HammerLoopSteadyStateAllocs(machine.MustGet(name))
 		if err != nil {
 			return fmt.Errorf("%s: alloc gate: %w", name, err)
 		}

@@ -27,12 +27,12 @@ const (
 
 // NewHammerBench assembles the measurement harness behind the trajectory's
 // per-machine hammer rows, the steady-state zero-alloc gate and
-// BenchmarkHammerLoopPerMachine: one process on the machine with the fixed
-// touched buffer, returning the two aggressor addresses to drive through
+// BenchmarkHammerLoopPerMachine: one process on the seed-1 machine with the
+// fixed touched buffer, returning the two aggressor addresses to drive through
 // HammerLoop.  Sharing the setup keeps the trajectory and the in-tree
 // benchmark measuring the same workload.
-func NewHammerBench(ms machine.Spec, seed uint64) (*kernel.Process, []vm.VirtAddr, error) {
-	m, err := kernel.NewMachine(ms.KernelConfig(seed))
+func NewHammerBench(ms machine.Spec) (*kernel.Process, []vm.VirtAddr, error) {
+	m, err := kernel.NewMachine(ms.KernelConfig(1))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -83,7 +83,7 @@ func measureMachines(w io.Writer) ([]MachineEntry, error) {
 // attacker pages hammered in the translation-cached loop, the same
 // primitive every templating and re-hammer phase spends its time in.
 func timeHammerLoop(ms machine.Spec) (float64, error) {
-	proc, vas, err := NewHammerBench(ms, 1)
+	proc, vas, err := NewHammerBench(ms)
 	if err != nil {
 		return 0, err
 	}
@@ -163,8 +163,8 @@ func hammerWarmupActivations(fm dram.FaultModel) uint64 {
 //
 // The measurement is meaningless under the race detector, which inserts
 // its own allocations; callers gate on RaceEnabled.
-func HammerLoopSteadyStateAllocs(ms machine.Spec, seed uint64) (float64, error) {
-	proc, vas, err := NewHammerBench(ms, seed)
+func HammerLoopSteadyStateAllocs(ms machine.Spec) (float64, error) {
+	proc, vas, err := NewHammerBench(ms)
 	if err != nil {
 		return 0, err
 	}

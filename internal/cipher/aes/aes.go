@@ -30,9 +30,10 @@ var (
 	invSbox [256]byte
 )
 
-// gfMul multiplies two elements of GF(2^8) modulo the AES polynomial x^8 +
-// x^4 + x^3 + x + 1.
-func gfMul(a, b byte) byte {
+// GFMul multiplies two elements of GF(2^8) modulo the AES polynomial x^8 +
+// x^4 + x^3 + x + 1: the field arithmetic of MixColumns, which the DFA
+// analyzer uses to propagate a round-9 fault through the last rounds.
+func GFMul(a, b byte) byte {
 	var p byte
 	for i := 0; i < 8; i++ {
 		if b&1 != 0 {
@@ -55,7 +56,7 @@ func gfInv(a byte) byte {
 	}
 	// Brute force is fine at init time and obviously correct.
 	for x := 1; x < 256; x++ {
-		if gfMul(a, byte(x)) == 1 {
+		if GFMul(a, byte(x)) == 1 {
 			return byte(x)
 		}
 	}
@@ -167,10 +168,10 @@ func mixColumn(c []byte) {
 // invMixColumn inverts mixColumn.
 func invMixColumn(c []byte) {
 	a0, a1, a2, a3 := c[0], c[1], c[2], c[3]
-	c[0] = gfMul(a0, 0x0e) ^ gfMul(a1, 0x0b) ^ gfMul(a2, 0x0d) ^ gfMul(a3, 0x09)
-	c[1] = gfMul(a0, 0x09) ^ gfMul(a1, 0x0e) ^ gfMul(a2, 0x0b) ^ gfMul(a3, 0x0d)
-	c[2] = gfMul(a0, 0x0d) ^ gfMul(a1, 0x09) ^ gfMul(a2, 0x0e) ^ gfMul(a3, 0x0b)
-	c[3] = gfMul(a0, 0x0b) ^ gfMul(a1, 0x0d) ^ gfMul(a2, 0x09) ^ gfMul(a3, 0x0e)
+	c[0] = GFMul(a0, 0x0e) ^ GFMul(a1, 0x0b) ^ GFMul(a2, 0x0d) ^ GFMul(a3, 0x09)
+	c[1] = GFMul(a0, 0x09) ^ GFMul(a1, 0x0e) ^ GFMul(a2, 0x0b) ^ GFMul(a3, 0x0d)
+	c[2] = GFMul(a0, 0x0d) ^ GFMul(a1, 0x09) ^ GFMul(a2, 0x0e) ^ GFMul(a3, 0x0b)
+	c[3] = GFMul(a0, 0x0b) ^ GFMul(a1, 0x0d) ^ GFMul(a2, 0x09) ^ GFMul(a3, 0x0e)
 }
 
 // EncryptBlock encrypts one 16-byte block with the given schedule and S-box

@@ -6,7 +6,7 @@ import (
 )
 
 // The device's data surface is ranges only (ReadRangeNoActivate,
-// WriteRangeNoActivate, FillNoActivate), with timing modelled separately by
+// WriteRangeNoActivate, ZeroNoActivate), with timing modelled separately by
 // ActivateRow.  The helpers below give tests byte access over that
 // surface: readByte and writeByte open the row first, as a CPU access that
 // misses the cache does; peekByte and pokeByte bypass the activation model.

@@ -624,12 +624,11 @@ func (d *Device) WriteRangeNoActivate(pa uint64, data []byte) {
 	d.rearmRange(pa, pa+uint64(len(data)))
 }
 
-// FillNoActivate stores n copies of v at [pa, pa+n), bypassing the
-// activation model; the kernel's page zeroing uses it.  Zero fills over
-// untouched memory materialise nothing, which is what makes demand-paging
-// a multi-GiB mapping near-free.
-func (d *Device) FillNoActivate(pa, n uint64, v byte) {
-	d.data.fill(pa, n, v)
+// ZeroNoActivate clears [pa, pa+n), bypassing the activation model; the
+// kernel's page zeroing uses it.  Zeroing untouched memory materialises
+// nothing, which is what makes demand-paging a multi-GiB mapping near-free.
+func (d *Device) ZeroNoActivate(pa, n uint64) {
+	d.data.zero(pa, n)
 	d.rearmRange(pa, pa+n)
 }
 

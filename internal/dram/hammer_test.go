@@ -1,6 +1,7 @@
 package dram_test
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
@@ -63,11 +64,11 @@ func aggressorSets(m *dram.Mapper, victim dram.Addr) []aggressorSet {
 // prepareVictim writes a mixed bit pattern over the victim's neighbourhood
 // so both true and anti cells flip observably.
 func prepareVictim(m *dram.Mapper, victim dram.Addr, devs ...*dram.Device) {
-	g := m.Geometry()
+	pattern := bytes.Repeat([]byte{0x5a}, m.Geometry().RowBytes)
 	for dr := -3; dr <= 3; dr++ {
 		pa := m.SameBankRow(victim, victim.Row+dr, 0)
 		for _, d := range devs {
-			d.FillNoActivate(pa, uint64(g.RowBytes), 0x5a)
+			d.WriteRangeNoActivate(pa, pattern)
 		}
 	}
 }

@@ -106,23 +106,17 @@ func (s *store) write(pa uint64, data []byte) {
 	}
 }
 
-// fill stores n copies of v at [pa, pa+n).
-func (s *store) fill(pa, n uint64, v byte) {
+// zero clears [pa, pa+n).  Untouched chunks already read as zero, so only
+// materialised ones are written: zeroing fresh memory allocates nothing.
+func (s *store) zero(pa, n uint64) {
 	for n > 0 {
 		ci, off := pa/storeChunkBytes, pa%storeChunkBytes
 		span := storeChunkBytes - off
 		if span > n {
 			span = n
 		}
-		if v != 0 || s.chunks[ci] != nil {
-			seg := s.chunkFor(pa)[off : off+span]
-			if v == 0 {
-				clear(seg)
-			} else {
-				for i := range seg {
-					seg[i] = v
-				}
-			}
+		if c := s.chunks[ci]; c != nil {
+			clear(c[off : off+span])
 		}
 		n -= span
 		pa += span

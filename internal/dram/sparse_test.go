@@ -27,7 +27,7 @@ func TestStoreBasics(t *testing.T) {
 	// Zero writes over untouched memory are elided...
 	s.write(0, []byte{0})
 	s.write(storeChunkBytes, make([]byte, 300))
-	s.fill(2*storeChunkBytes, 400, 0)
+	s.zero(2*storeChunkBytes, 400)
 	if got := s.materializedBytes(); got != 0 {
 		t.Fatalf("zero writes materialised %d bytes", got)
 	}
@@ -55,7 +55,7 @@ func TestStoreCrossChunkRanges(t *testing.T) {
 	dense := make([]byte, size)
 	rng := stats.NewRNG(11)
 
-	// Random writes/fills mirrored into a plain array, then random reads
+	// Random writes/zero fills mirrored into a plain array, then random reads
 	// compared — ranges chosen to straddle chunk boundaries often.
 	for i := 0; i < 500; i++ {
 		pa := uint64(rng.Intn(size - 1))
@@ -75,14 +75,8 @@ func TestStoreCrossChunkRanges(t *testing.T) {
 			s.write(pa, data)
 			copy(dense[pa:], data)
 		case 1:
-			v := byte(rng.Intn(4)) // weight zero heavily
-			if v > 1 {
-				v = 0
-			}
-			s.fill(pa, n, v)
-			for j := uint64(0); j < n; j++ {
-				dense[pa+j] = v
-			}
+			s.zero(pa, n)
+			clear(dense[pa : pa+n])
 		case 2:
 			got := make([]byte, n)
 			rng.Bytes(got) // dirty the buffer: read must fully overwrite
@@ -103,7 +97,7 @@ func TestStoreCrossChunkRanges(t *testing.T) {
 
 // equivalenceWorkload drives one device through ops randomised datapath
 // operations — one-byte reads and writes with and without ActivateRow,
-// range reads, writes and fills, hammering and refreshes — and returns a
+// range reads, writes and zero fills, hammering and refreshes — and returns a
 // digest of every observable output (read values, stats, weak cells, flip
 // log).  Every read is checked against eccOracle on the way.
 func equivalenceWorkload(t testing.TB, d *Device, seed uint64, ops int) []byte {
@@ -176,11 +170,7 @@ func equivalenceWorkload(t testing.TB, d *Device, seed uint64, ops int) []byte {
 			if pa+n > uint64(size) {
 				n = uint64(size) - pa
 			}
-			var v byte
-			if rng.Intn(2) == 0 {
-				v = byte(rng.Intn(256))
-			}
-			d.FillNoActivate(pa, n, v)
+			d.ZeroNoActivate(pa, n)
 		case 7:
 			for k := 0; k < 300; k++ {
 				d.ActivateRow(up)

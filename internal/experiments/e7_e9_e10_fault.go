@@ -92,7 +92,7 @@ func runPFACurve(c registry.Cipher, seed uint64, trials int, checkpoints []int,
 				if next < len(checkpoints) && n == checkpoints[next] {
 					out.entropy[next] = col.ResidualEntropy()
 					for cell := 0; cell < col.Cells(); cell++ {
-						if len(col.Missing(cell)) == 1 {
+						if col.Unseen(cell) == 1 {
 							out.positions[next]++
 						}
 					}

@@ -26,24 +26,7 @@ var mixCoeff = [4][4]byte{
 	{0x01, 0x01, 0x03, 0x02},
 }
 
-// gfMul is GF(2^8) multiplication modulo the AES polynomial.
-func gfMul(a, b byte) byte {
-	var p byte
-	for i := 0; i < 8; i++ {
-		if b&1 != 0 {
-			p ^= a
-		}
-		hi := a & 0x80
-		a <<= 1
-		if hi != 0 {
-			a ^= 0x1b
-		}
-		b >>= 1
-	}
-	return p
-}
-
-// mixMul[c][x] is gfMul(x, c) for the MixColumns coefficients c = 1, 2, 3.
+// mixMul[c][x] is aes.GFMul(x, c) for the MixColumns coefficients c = 1, 2, 3.
 var mixMul [4][256]byte
 
 // epsRow[r] is a row whose MixColumns coefficient in column r is 1: the
@@ -65,7 +48,7 @@ const aesColumnSpace = float64(1 << 32)
 func init() {
 	for c := 1; c < 4; c++ {
 		for x := 0; x < 256; x++ {
-			mixMul[c][x] = gfMul(byte(x), byte(c))
+			mixMul[c][x] = aes.GFMul(byte(x), byte(c))
 		}
 	}
 	for r := 0; r < 4; r++ {

@@ -33,7 +33,7 @@ func columnCandidates(p Pair, c int) map[quad]bool {
 		for eps := 1; eps < 256; eps++ {
 			var want [4]byte
 			for i := 0; i < 4; i++ {
-				want[i] = gfMul(byte(eps), mixCoeff[r][i])
+				want[i] = aes.GFMul(byte(eps), mixCoeff[r][i])
 			}
 			// Per-byte key candidates solving
 			//   S^-1(c ^ k) ^ S^-1(c* ^ k) == want[row].

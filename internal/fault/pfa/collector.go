@@ -107,16 +107,10 @@ func (c *Collector) N() uint64 { return c.n }
 // Cells returns the number of last-round cell positions.
 func (c *Collector) Cells() int { return c.cells }
 
-// Missing returns the values never observed at cell position i.
-func (c *Collector) Missing(i int) []byte {
-	var out []byte
-	for v, n := range c.count[i] {
-		if n == 0 {
-			out = append(out, byte(v))
-		}
-	}
-	return out
-}
+// Unseen returns how many values have never been observed at cell
+// position i: the cell's still-possible key values, 1 once it has settled.
+// It reads the per-cell count Observe keeps, so it costs O(1).
+func (c *Collector) Unseen(i int) int { return c.missing[i] }
 
 // ResidualEntropy returns the log2 of the remaining last-round-key space
 // given the current observations: the product over cells of the number of

@@ -89,7 +89,7 @@ func TestUnderdeterminedRecoveryAllocatesNothing(t *testing.T) {
 			check("sparse")
 			settled := func() bool {
 				for i := 0; i < col.Cells(); i++ {
-					if len(col.Missing(i)) == 1 {
+					if col.Unseen(i) == 1 {
 						return true
 					}
 				}

@@ -152,8 +152,8 @@ func FuzzCollectorCandidates(f *testing.F) {
 			entropy := 0.0
 			for i := 0; i < col.Cells(); i++ {
 				miss := len(col.Missing(i))
-				if col.missing[i] != miss {
-					t.Fatalf("n=%d cell %d: incremental count %d, Missing has %d", n, i, col.missing[i], miss)
+				if col.Unseen(i) != miss {
+					t.Fatalf("n=%d cell %d: Unseen %d, Missing has %d", n, i, col.Unseen(i), miss)
 				}
 				entropy += stats.Log2(float64(miss))
 			}

@@ -109,8 +109,6 @@ func NewMachine(cfg Config) (*Machine, error) {
 		PCPBatch:          cfg.PCPBatch,
 		PCPHigh:           cfg.PCPHigh,
 		PCPFIFO:           cfg.PCPFIFO,
-		DMALimit:          16 << 20,
-		DMA32Limit:        4 << 30,
 		MinWatermarkPages: cfg.MinWatermarkPages,
 	}
 	phys, err := mm.New(pmCfg)
@@ -216,13 +214,14 @@ func (p *Process) Wake() {
 	p.m.cpus[p.cpuID].runnable[p.pid] = true
 }
 
-// Mmap creates an anonymous mapping of length bytes and returns its base
-// address.  No physical frames are allocated until the pages are touched.
+// Mmap creates a read-write anonymous mapping of length bytes and returns
+// its base address.  No physical frames are allocated until the pages are
+// touched.
 func (p *Process) Mmap(length uint64) (vm.VirtAddr, error) {
 	if p.state == StateExited {
 		return 0, ErrExited
 	}
-	return p.as.Map(length, vm.ProtRead|vm.ProtWrite)
+	return p.as.Map(length)
 }
 
 // Munmap removes [addr, addr+length).  Present frames are freed on the
@@ -248,8 +247,7 @@ func (p *Process) Munmap(addr vm.VirtAddr, length uint64) error {
 // order-0 frame is allocated through the CPU's page frame cache, zeroed,
 // and mapped.
 func (p *Process) fault(va vm.VirtAddr) (vm.PTE, error) {
-	area, ok := p.as.FindVMA(va)
-	if !ok {
+	if _, ok := p.as.FindVMA(va); !ok {
 		return vm.PTE{}, fmt.Errorf("%w at %#x", ErrSegv, uint64(va))
 	}
 	pfn, err := p.m.phys.AllocPages(p.cpuID, 0)
@@ -259,9 +257,8 @@ func (p *Process) fault(va vm.VirtAddr) (vm.PTE, error) {
 	// The kernel hands out zeroed pages.  Zeroing bypasses the activation
 	// model: it is a streaming store whose row pressure is irrelevant to
 	// the attack statistics and would otherwise dominate simulation cost.
-	p.m.dev.FillNoActivate(pfn.Phys(), vm.PageSize, 0)
-	writable := area.Prot&vm.ProtWrite != 0
-	if err := p.as.PT.Map(va.PageBase(), pfn, writable); err != nil {
+	p.m.dev.ZeroNoActivate(pfn.Phys(), vm.PageSize)
+	if err := p.as.PT.Map(va.PageBase(), pfn); err != nil {
 		// Unreachable unless the page table is corrupted; surface loudly.
 		return vm.PTE{}, err
 	}

@@ -21,7 +21,7 @@ func TestHammerLoopSteadyStateZeroAlloc(t *testing.T) {
 	for _, name := range machine.Names() {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			allocs, err := bench.HammerLoopSteadyStateAllocs(machine.MustGet(name), 1)
+			allocs, err := bench.HammerLoopSteadyStateAllocs(machine.MustGet(name))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -19,10 +19,6 @@ type Config struct {
 	// depends on LIFO, so FIFO quantifies how much of the attack is due to
 	// that one policy choice (experiment E14).
 	PCPFIFO bool
-	// DMALimit and DMA32Limit are the zone boundaries; defaults 16 MiB and
-	// 4 GiB per Section III of the paper.
-	DMALimit   uint64
-	DMA32Limit uint64
 	// MinWatermarkPages is the per-zone reserve below which allocations
 	// fail (a simplified min watermark).
 	MinWatermarkPages uint64
@@ -35,11 +31,17 @@ func DefaultConfig() Config {
 		NumCPUs:           2,
 		PCPBatch:          31, // Linux pcp batch for 4 KiB pages
 		PCPHigh:           186,
-		DMALimit:          16 << 20,
-		DMA32Limit:        4 << 30,
 		MinWatermarkPages: 32,
 	}
 }
+
+// dmaLimit and dma32Limit are the fixed zone boundaries of Section III of
+// the paper: ZONE_DMA below 16 MiB, ZONE_DMA32 below 4 GiB, ZONE_NORMAL
+// above.
+const (
+	dmaLimit   = 16 << 20
+	dma32Limit = 4 << 30
+)
 
 // pcpList is one per-CPU page frame cache for one zone: a LIFO of order-0
 // frames.  "This small software cache of recently deallocated (released)
@@ -79,14 +81,12 @@ func New(cfg Config) (*PhysMem, error) {
 	}
 
 	bounds := []struct {
-		zt  ZoneType
-		lo  uint64
-		hi  uint64
-		cap uint64
+		zt     ZoneType
+		lo, hi uint64
 	}{
-		{ZoneDMA, 0, cfg.DMALimit, 0},
-		{ZoneDMA32, cfg.DMALimit, cfg.DMA32Limit, 0},
-		{ZoneNormal, cfg.DMA32Limit, ^uint64(0), 0},
+		{ZoneDMA, 0, dmaLimit},
+		{ZoneDMA32, dmaLimit, dma32Limit},
+		{ZoneNormal, dma32Limit, ^uint64(0)},
 	}
 	for _, b := range bounds {
 		lo, hi := b.lo, b.hi
@@ -165,27 +165,13 @@ func (z *zone) watermarkOK(order int) bool {
 // other zones in order as maintained in zonelist").  Order-0 requests go
 // through the CPU's page frame cache.
 func (pm *PhysMem) AllocPages(cpu, order int) (PFN, error) {
-	return pm.AllocPagesZone(cpu, order, pm.highestZone())
-}
-
-// highestZone returns the most general zone present on the machine.
-func (pm *PhysMem) highestZone() ZoneType {
-	for _, zt := range []ZoneType{ZoneNormal, ZoneDMA32, ZoneDMA} {
-		if pm.zones[zt] != nil {
-			return zt
-		}
-	}
-	return ZoneDMA
-}
-
-// AllocPagesZone allocates with an explicit preferred zone.
-func (pm *PhysMem) AllocPagesZone(cpu, order int, pref ZoneType) (PFN, error) {
 	if cpu < 0 || cpu >= pm.cfg.NumCPUs {
 		return NilPFN, fmt.Errorf("mm: bad cpu %d", cpu)
 	}
 	if order < 0 || order > MaxOrder {
 		return NilPFN, fmt.Errorf("mm: bad order %d", order)
 	}
+	pref := pm.highestZone()
 	if order == 0 {
 		return pm.allocOrder0(cpu, pref)
 	}
@@ -206,6 +192,16 @@ func (pm *PhysMem) AllocPagesZone(cpu, order int, pref ZoneType) (PFN, error) {
 		}
 	}
 	return NilPFN, ErrNoMemory
+}
+
+// highestZone returns the most general zone present on the machine.
+func (pm *PhysMem) highestZone() ZoneType {
+	for _, zt := range []ZoneType{ZoneNormal, ZoneDMA32, ZoneDMA} {
+		if pm.zones[zt] != nil {
+			return zt
+		}
+	}
+	return ZoneDMA
 }
 
 // allocOrder0 serves a single-frame request from the CPU's page frame cache,

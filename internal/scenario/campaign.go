@@ -91,28 +91,17 @@ type CampaignOption func(*campaignOpts)
 
 type campaignOpts struct {
 	progress    func(Event)
-	specWorkers int
 	trialOpts   []harness.Option
 	trialEvents bool
 	checkpoint  Checkpoint
 }
 
 // WithProgress registers a progress callback.  Events are delivered
-// serialized (never concurrently), but with parallel specs their order may
-// interleave across specs — use Event.Index to attribute them.
+// serialized (never concurrently) and spec by spec in declaration order:
+// each spec's start, its trial events, then its finish, before the next
+// spec starts.
 func WithProgress(fn func(Event)) CampaignOption {
 	return func(o *campaignOpts) { o.progress = fn }
-}
-
-// WithSpecWorkers runs up to n member specs concurrently (default 1:
-// specs run in order, each parallelizing its own trials).  Results are
-// unaffected — the determinism contract holds per spec.
-func WithSpecWorkers(n int) CampaignOption {
-	return func(o *campaignOpts) {
-		if n > 0 {
-			o.specWorkers = n
-		}
-	}
 }
 
 // WithTrialOptions forwards harness options (e.g. harness.WithWorkers) to
@@ -139,14 +128,15 @@ func WithCheckpoint(cp Checkpoint) CampaignOption {
 	return func(o *campaignOpts) { o.checkpoint = cp }
 }
 
-// Run validates the campaign and fans its specs out through the harness,
-// honouring ctx mid-campaign: once cancelled, no further spec starts,
-// running specs abort between phases, and the error carries ctx.Err().
+// Run validates the campaign and runs its specs one after another in
+// declaration order, each parallelizing its own trials, honouring ctx
+// mid-campaign: once cancelled, no further spec starts, the running spec
+// aborts between phases, and the error carries ctx.Err().
 // Results come back in spec order; a failed spec leaves a nil slot and its
 // error joined into the returned error, so one broken scenario does not
 // discard the rest of the grid.
 func (c *Campaign) Run(ctx context.Context, opts ...CampaignOption) ([]*Result, error) {
-	o := campaignOpts{specWorkers: 1}
+	var o campaignOpts
 	for _, opt := range opts {
 		opt(&o)
 	}
@@ -154,6 +144,8 @@ func (c *Campaign) Run(ctx context.Context, opts ...CampaignOption) ([]*Result, 
 		return nil, fmt.Errorf("campaign %q: %w", c.Name, err)
 	}
 
+	// Trial events are emitted on the trial workers' goroutines, spec
+	// events on this one; the lock serializes every callback.
 	var mu sync.Mutex
 	emit := func(e Event) {
 		if o.progress == nil {
@@ -164,8 +156,10 @@ func (c *Campaign) Run(ctx context.Context, opts ...CampaignOption) ([]*Result, 
 		o.progress(e)
 	}
 
-	// The spec fan-out rides the same harness as the trials beneath it; the
-	// per-spec rng stream is unused because each spec carries its own seed.
+	// The spec loop rides the same harness as the trials beneath it, at one
+	// worker, so a panic outside a trial fails only its spec and ctx stops
+	// the next spec; the per-spec rng stream is unused because each spec
+	// carries its own seed.
 	results, err := harness.RunTrials(0, len(c.Specs), func(i int, _ *stats.RNG) (*Result, error) {
 		spec := c.Specs[i]
 		hash := spec.Hash()
@@ -182,7 +176,7 @@ func (c *Campaign) Run(ctx context.Context, opts ...CampaignOption) ([]*Result, 
 			return nil, fmt.Errorf("spec %d (%s): %w", i, spec.Title(), err)
 		}
 		return res, nil
-	}, harness.WithWorkers(o.specWorkers), harness.WithContext(ctx))
+	}, harness.WithWorkers(1), harness.WithContext(ctx))
 	if err != nil {
 		return results, fmt.Errorf("campaign %q: %w", c.Name, err)
 	}

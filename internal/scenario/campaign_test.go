@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -42,7 +43,7 @@ func TestCampaignValidate(t *testing.T) {
 }
 
 // A campaign run must emit a start and a done event per spec, in spec
-// order when specs run serially, and return results in spec order.
+// order, and return results in spec order.
 func TestCampaignRunEvents(t *testing.T) {
 	c := Campaign{Name: "events", Specs: []Spec{
 		New(WithKind(Steering), WithTrials(3), WithSeed(1)),
@@ -100,26 +101,65 @@ func TestCampaignCancellation(t *testing.T) {
 	}
 }
 
-// Parallel specs share one trial-options slice; Run must copy it before
-// appending its context option, or concurrent specs race on the spare
-// capacity of the backing array (caught under -race).
-func TestCampaignParallelSpecsShareTrialOptions(t *testing.T) {
+// Specs run one after another in declaration order even when each spec's
+// trials run on a multi-worker pool: spec i's start, then its trial events,
+// then its finish, then spec i+1's start.  Every spec receives the shared
+// trial options, and RunResumable copies the slice before appending its own,
+// so five options (len 5, cap 8: spare capacity) reach each spec intact.
+func TestCampaignSpecsRunInDeclarationOrder(t *testing.T) {
 	var specs []Spec
-	for i := uint64(1); i <= 6; i++ {
-		specs = append(specs, New(WithKind(Steering), WithTrials(3), WithSeed(i)))
+	for i := uint64(1); i <= 4; i++ {
+		specs = append(specs, New(WithKind(Steering), WithTrials(4), WithSeed(i)))
 	}
-	c := Campaign{Name: "parallel", Specs: specs}
-	// Five options leave the accumulated slice with spare capacity
-	// (len 5, cap 8), the exact shape that raced before the copy.
-	noop := func(int) harness.Option { return harness.WithWorkers(1) }
-	results, err := c.Run(context.Background(), WithSpecWorkers(4),
-		WithTrialOptions(noop(0), noop(1), noop(2), noop(3), noop(4)))
+	c := Campaign{Name: "ordered", Specs: specs}
+	// Wrap the pool-size option so each application is counted: one per
+	// spec shows the options are forwarded to every member's trial pool.
+	workers := harness.WithWorkers(4)
+	applied := 0
+	counted := reflect.MakeFunc(reflect.TypeOf(workers), func(args []reflect.Value) []reflect.Value {
+		applied++
+		return reflect.ValueOf(workers).Call(args)
+	}).Interface().(harness.Option)
+	noop := harness.WithWorkers(1)
+
+	spec, phase := 0, "start"
+	trials := 0
+	results, err := c.Run(context.Background(), WithTrialEvents(),
+		WithTrialOptions(noop, noop, noop, noop, counted),
+		WithProgress(func(e Event) {
+			if e.Index != spec {
+				t.Fatalf("event for spec %d while spec %d is running: %+v", e.Index, spec, e)
+			}
+			switch {
+			case e.Trial < 0 && !e.Done:
+				if phase != "start" {
+					t.Fatalf("spec %d started twice", spec)
+				}
+				phase = "trials"
+			case e.Trial >= 0:
+				if phase != "trials" {
+					t.Fatalf("spec %d trial event outside start/finish", spec)
+				}
+				trials++
+			default:
+				if phase != "trials" || trials != specs[spec].Trials {
+					t.Fatalf("spec %d finished after %d of %d trial events", spec, trials, specs[spec].Trials)
+				}
+				spec, phase, trials = spec+1, "start", 0
+			}
+		}))
 	if err != nil {
 		t.Fatal(err)
 	}
+	if spec != len(specs) {
+		t.Fatalf("%d of %d specs finished", spec, len(specs))
+	}
+	if applied != len(specs) {
+		t.Fatalf("trial options applied %d times, want once per spec (%d)", applied, len(specs))
+	}
 	for i, res := range results {
 		if res == nil || res.Spec.Seed != specs[i].Seed {
-			t.Fatalf("result %d wrong under parallel specs: %+v", i, res)
+			t.Fatalf("result %d out of order: %+v", i, res)
 		}
 	}
 }

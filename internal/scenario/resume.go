@@ -223,8 +223,10 @@ func RunResumable(ctx context.Context, spec Spec, completed map[int]TrialOutcome
 
 	outs := make([]TrialOutcome, spec.Trials)
 	computed := make([]bool, spec.Trials)
-	// Copy before appending: the caller's slice may be shared across
-	// parallel campaign specs, and appending into spare capacity would race.
+	// Copy before appending: the caller may hand the same slice to other
+	// runs (Campaign.Run passes one to every spec), and appending into its
+	// spare capacity would overwrite their entries, racing if they run
+	// concurrently.
 	opts = append(append(make([]harness.Option, 0, len(opts)+2), opts...),
 		harness.WithContext(ctx),
 		harness.WithTrialDone(func(i int) {

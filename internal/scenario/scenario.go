@@ -10,9 +10,10 @@
 //
 // On top of the declarative layer sits context-aware execution: Run
 // executes one spec's trials on the deterministic harness pool, and
-// Campaign fans a named grid of specs out through internal/harness with
-// cancellation and progress events.  Every frontend — cmd/explframe, the
-// E6/E8/E11/E13/E15 experiment drivers, future service endpoints —
+// Campaign runs a named grid of specs in declaration order through
+// internal/harness with cancellation and progress events.  Every frontend —
+// cmd/explframe, the E6/E8/E11/E13/E15 experiment drivers, the
+// internal/service campaign server —
 // constructs the same Spec values and shares one execution path, so the
 // statistics a scenario produces are fixed by (spec, seed) alone.
 package scenario

@@ -1,9 +1,9 @@
 // Package service is the campaign-as-a-service layer behind cmd/explframed:
 // a long-running HTTP server that accepts the same strict-JSON scenario and
-// campaign specs the CLI loads, shards their trials across a bounded worker
-// fleet through scenario.Campaign's context-aware fan-out, streams per-trial
-// results as JSON lines, and checkpoints every completed (spec-hash,
-// trial-index) outcome to an append-only journal.
+// campaign specs the CLI loads, runs their specs in declaration order
+// through scenario.Campaign with each spec's trials on a bounded worker
+// pool, streams per-trial results as JSON lines, and checkpoints every
+// completed (spec-hash, trial-index) outcome to an append-only journal.
 //
 // The journal plus the index-keyed per-trial RNG contract make campaigns
 // resumable: a killed or restarted server replays the journal into a
@@ -49,11 +49,9 @@ type Config struct {
 	Journal string
 	// Store is the directory completed campaign tables are persisted to.
 	Store string
-	// TrialWorkers bounds each spec's trial pool (0 = GOMAXPROCS).
+	// TrialWorkers bounds each spec's trial pool (0 = GOMAXPROCS); the
+	// member specs of one campaign run one at a time in declaration order.
 	TrialWorkers int
-	// SpecWorkers bounds how many member specs of one campaign run
-	// concurrently (0 = 1: specs run in declaration order).
-	SpecWorkers int
 	// Log receives operational messages; nil uses the process default.
 	Log *log.Logger
 }
@@ -330,7 +328,6 @@ func (s *Server) start(cr *campaignRun, cp scenario.Checkpoint) {
 		results, err := cr.camp.Run(ctx,
 			scenario.WithTrialEvents(),
 			scenario.WithCheckpoint(cp),
-			scenario.WithSpecWorkers(s.cfg.SpecWorkers),
 			scenario.WithTrialOptions(harness.WithWorkers(s.cfg.TrialWorkers)),
 			scenario.WithProgress(func(e scenario.Event) {
 				if e.Trial < 0 || e.Outcome == nil {

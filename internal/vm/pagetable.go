@@ -45,11 +45,11 @@ const (
 	MaxUserAddr = VirtAddr(1) << vaBits
 )
 
-// PTE is a page table entry.
+// PTE is a page table entry.  Every present page is writable, as every
+// VMA is read-write.
 type PTE struct {
-	PFN      mm.PFN
-	Present  bool
-	Writable bool
+	PFN     mm.PFN
+	Present bool
 }
 
 // ptNode is one 512-entry paging structure; leaf nodes hold PTEs, interior
@@ -111,7 +111,7 @@ func (pt *PageTable) walk(va VirtAddr, create bool) (*ptNode, int) {
 
 // Map installs a translation for the page containing va.  Mapping an already
 // present page is an error — the kernel layer never remaps silently.
-func (pt *PageTable) Map(va VirtAddr, pfn mm.PFN, writable bool) error {
+func (pt *PageTable) Map(va VirtAddr, pfn mm.PFN) error {
 	if va >= MaxUserAddr {
 		return fmt.Errorf("vm: address %#x beyond canonical range", uint64(va))
 	}
@@ -119,7 +119,7 @@ func (pt *PageTable) Map(va VirtAddr, pfn mm.PFN, writable bool) error {
 	if leaf.ptes[i].Present {
 		return fmt.Errorf("vm: page %#x already mapped", uint64(va.PageBase()))
 	}
-	leaf.ptes[i] = PTE{PFN: pfn, Present: true, Writable: writable}
+	leaf.ptes[i] = PTE{PFN: pfn, Present: true}
 	return nil
 }
 

@@ -25,14 +25,14 @@ func TestAddressSpaceStorm(t *testing.T) {
 		switch {
 		case len(live) == 0 || rng.Bool(0.5):
 			pages := 1 + rng.Intn(16)
-			start, err := as.Map(uint64(pages)*PageSize, ProtRead|ProtWrite)
+			start, err := as.Map(uint64(pages) * PageSize)
 			if err != nil {
 				t.Fatalf("step %d: map: %v", step, err)
 			}
 			// Fault in a random subset of pages.
 			for p := 0; p < pages; p++ {
 				if rng.Bool(0.6) {
-					if err := as.PT.Map(start+VirtAddr(p)*PageSize, nextPFN, true); err != nil {
+					if err := as.PT.Map(start+VirtAddr(p)*PageSize, nextPFN); err != nil {
 						t.Fatalf("step %d: pt map: %v", step, err)
 					}
 					nextPFN++

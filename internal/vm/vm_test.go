@@ -24,11 +24,11 @@ func TestVirtAddrHelpers(t *testing.T) {
 func TestPageTableMapLookupUnmap(t *testing.T) {
 	pt := NewPageTable()
 	va := VirtAddr(0x7f12_3456_7000)
-	if err := pt.Map(va, 42, true); err != nil {
+	if err := pt.Map(va, 42); err != nil {
 		t.Fatal(err)
 	}
 	pte, ok := pt.Lookup(va + 0x123)
-	if !ok || pte.PFN != 42 || !pte.Writable {
+	if !ok || pte.PFN != 42 {
 		t.Fatalf("Lookup = %+v, %v", pte, ok)
 	}
 	pa, ok := pt.Translate(va + 0x123)
@@ -53,17 +53,17 @@ func TestPageTableMapLookupUnmap(t *testing.T) {
 func TestPageTableDoubleMapRejected(t *testing.T) {
 	pt := NewPageTable()
 	va := VirtAddr(0x1000)
-	if err := pt.Map(va, 1, true); err != nil {
+	if err := pt.Map(va, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := pt.Map(va+0x10, 2, true); err == nil {
+	if err := pt.Map(va+0x10, 2); err == nil {
 		t.Fatal("double map of same page accepted")
 	}
 }
 
 func TestPageTableCanonicalLimit(t *testing.T) {
 	pt := NewPageTable()
-	if err := pt.Map(MaxUserAddr, 1, true); err == nil {
+	if err := pt.Map(MaxUserAddr, 1); err == nil {
 		t.Fatal("map beyond canonical range accepted")
 	}
 	if _, ok := pt.Lookup(MaxUserAddr + 12345); ok {
@@ -75,7 +75,7 @@ func TestPageTableWalkOrderAndCompleteness(t *testing.T) {
 	pt := NewPageTable()
 	vas := []VirtAddr{0x0, 0x7f00_0000_0000, 0x1000, 0x7fff_ffff_f000, 0x40_0000_0000}
 	for i, va := range vas {
-		if err := pt.Map(va, mm.PFN(i+1), false); err != nil {
+		if err := pt.Map(va, mm.PFN(i+1)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -102,7 +102,7 @@ func TestPageTableTranslateProperty(t *testing.T) {
 			return true // skip duplicate pages; double-map is tested elsewhere
 		}
 		used[uint64(va)] = true
-		if err := pt.Map(va, mm.PFN(pfn), true); err != nil {
+		if err := pt.Map(va, mm.PFN(pfn)); err != nil {
 			return false
 		}
 		o := uint64(off) % PageSize
@@ -116,7 +116,7 @@ func TestPageTableTranslateProperty(t *testing.T) {
 
 func TestAddressSpaceMapFindUnmap(t *testing.T) {
 	as := NewAddressSpace()
-	start, err := as.Map(16*PageSize, ProtRead|ProtWrite)
+	start, err := as.Map(16 * PageSize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestAddressSpaceMapFindUnmap(t *testing.T) {
 func TestAddressSpaceMapsDoNotOverlap(t *testing.T) {
 	as := NewAddressSpace()
 	for i := 0; i < 50; i++ {
-		if _, err := as.Map(PageSize*uint64(1+i%7), ProtRead); err != nil {
+		if _, err := as.Map(PageSize * uint64(1+i%7)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -151,7 +151,7 @@ func TestAddressSpaceMapsDoNotOverlap(t *testing.T) {
 // semantics).
 func TestAddressSpaceUnmapSplits(t *testing.T) {
 	as := NewAddressSpace()
-	start, err := as.Map(10*PageSize, ProtRead|ProtWrite)
+	start, err := as.Map(10 * PageSize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,9 +176,9 @@ func TestAddressSpaceUnmapSplits(t *testing.T) {
 
 func TestAddressSpaceUnmapReleasesFrames(t *testing.T) {
 	as := NewAddressSpace()
-	start, _ := as.Map(4*PageSize, ProtRead|ProtWrite)
+	start, _ := as.Map(4 * PageSize)
 	for i := 0; i < 4; i++ {
-		if err := as.PT.Map(start+VirtAddr(i)*PageSize, mm.PFN(100+i), true); err != nil {
+		if err := as.PT.Map(start+VirtAddr(i)*PageSize, mm.PFN(100+i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -207,15 +207,15 @@ func TestAddressSpaceUnmapErrors(t *testing.T) {
 	if err := as.Unmap(0x1000, 0, nil); !errors.Is(err, ErrBadRange) {
 		t.Fatalf("zero-length unmap: %v", err)
 	}
-	if _, err := as.Map(123, ProtRead); !errors.Is(err, ErrBadRange) {
+	if _, err := as.Map(123); !errors.Is(err, ErrBadRange) {
 		t.Fatalf("unaligned map length: %v", err)
 	}
 }
 
 func TestAddressSpaceMappedBytes(t *testing.T) {
 	as := NewAddressSpace()
-	as.Map(3*PageSize, ProtRead)
-	as.Map(5*PageSize, ProtRead)
+	as.Map(3 * PageSize)
+	as.Map(5 * PageSize)
 	if got := as.MappedBytes(); got != 8*PageSize {
 		t.Fatalf("MappedBytes = %d", got)
 	}

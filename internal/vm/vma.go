@@ -6,29 +6,20 @@ import (
 	"sort"
 )
 
-// Prot describes VMA permissions.
-type Prot uint8
-
-// Permission bits, mirroring PROT_READ / PROT_WRITE.
-const (
-	ProtRead Prot = 1 << iota
-	ProtWrite
-)
-
 // VMA is one virtual memory area: a half-open [Start, End) page-aligned
-// range with uniform permissions.
+// range.  Every area is read-write anonymous memory, as the attacker's and
+// victim's mmap calls request.
 type VMA struct {
 	Start VirtAddr
 	End   VirtAddr
-	Prot  Prot
 }
 
 // Contains reports whether the address falls inside the area.
 func (v VMA) Contains(va VirtAddr) bool { return va >= v.Start && va < v.End }
 
-// String formats the area as its half-open address range and protection.
+// String formats the area as its half-open address range.
 func (v VMA) String() string {
-	return fmt.Sprintf("[%#x,%#x) prot=%d", uint64(v.Start), uint64(v.End), v.Prot)
+	return fmt.Sprintf("[%#x,%#x)", uint64(v.Start), uint64(v.End))
 }
 
 // Errors returned by the address space layer.
@@ -89,9 +80,9 @@ func checkRange(start VirtAddr, length uint64) error {
 	return nil
 }
 
-// Map creates a new VMA of the given length at the first free range at or
-// after mmapBase and returns its start address.
-func (as *AddressSpace) Map(length uint64, prot Prot) (VirtAddr, error) {
+// Map creates a new read-write VMA of the given length at the first free
+// range at or after mmapBase and returns its start address.
+func (as *AddressSpace) Map(length uint64) (VirtAddr, error) {
 	if length == 0 || length%PageSize != 0 {
 		return 0, fmt.Errorf("%w: length %d", ErrBadRange, length)
 	}
@@ -99,7 +90,7 @@ func (as *AddressSpace) Map(length uint64, prot Prot) (VirtAddr, error) {
 	if !ok {
 		return 0, ErrNoSpace
 	}
-	as.insert(VMA{Start: start, End: start + VirtAddr(length), Prot: prot})
+	as.insert(VMA{Start: start, End: start + VirtAddr(length)})
 	return start, nil
 }
 
@@ -149,10 +140,10 @@ func (as *AddressSpace) Unmap(start VirtAddr, length uint64, release func(VirtAd
 		default:
 			covered = true
 			if v.Start < start {
-				next = append(next, VMA{Start: v.Start, End: start, Prot: v.Prot})
+				next = append(next, VMA{Start: v.Start, End: start})
 			}
 			if v.End > end {
-				next = append(next, VMA{Start: end, End: v.End, Prot: v.Prot})
+				next = append(next, VMA{Start: end, End: v.End})
 			}
 		}
 	}

@@ -20,6 +20,13 @@
 // directive without a reason is itself a finding.  Test-only helpers
 // belong in an in-package export_test.go instead.
 //
+// Under internal/ it also fails on an unexported field of a package-level
+// struct type that no non-test .go file in the tree reads.  A write is not
+// a read: the field as an assignment target (op-assign included), as the
+// operand of ++ or --, or as a composite-literal key.  Embedded fields are
+// exempt, and so is a field whose doc or line comment carries a keep
+// directive with a reason.
+//
 // Usage:
 //
 //	doclint ./internal/... ./cmd/...
@@ -170,12 +177,29 @@ var exemptMethods = map[string]bool{
 // packages; the rest of the line gives the reason.
 const keepDirective = "//doclint:keep"
 
+// keep reports whether any of the comment groups carries a keep directive,
+// and the reason it gives.
+func keep(docs ...*ast.CommentGroup) (kept bool, reason string) {
+	for _, doc := range docs {
+		if doc == nil {
+			continue
+		}
+		for _, c := range doc.List {
+			if rest, ok := strings.CutPrefix(c.Text, keepDirective); ok && (rest == "" || rest[0] == ' ') {
+				kept, reason = true, strings.TrimSpace(rest)
+			}
+		}
+	}
+	return kept, reason
+}
+
 // lintFile reports the file's undocumented exported top-level declarations:
 // functions and methods, type specs, and const/var specs (a group doc on
 // the declaration covers all of its specs).  With refs set it also reports
 // each one whose objKey (under pkgPath) refs lacks, unless it is an exempt
-// method or carries a keep directive, and each keep directive without a
-// reason.
+// method or carries a keep directive, each unexported field of a struct
+// type whose fieldKey refs lacks, unless it is embedded or kept, and each
+// keep directive without a reason.
 func lintFile(fset *token.FileSet, file *ast.File, refs map[string]bool, pkgPath string) []string {
 	var findings []string
 	report := func(id *ast.Ident, format string, args ...any) {
@@ -186,18 +210,8 @@ func lintFile(fset *token.FileSet, file *ast.File, refs map[string]bool, pkgPath
 		if !id.IsExported() {
 			return
 		}
-		documented, kept, reason := false, false, ""
-		for _, doc := range docs {
-			if doc == nil {
-				continue
-			}
-			documented = true
-			for _, c := range doc.List {
-				if rest, ok := strings.CutPrefix(c.Text, keepDirective); ok && (rest == "" || rest[0] == ' ') {
-					kept, reason = true, strings.TrimSpace(rest)
-				}
-			}
-		}
+		documented := slices.ContainsFunc(docs, func(d *ast.CommentGroup) bool { return d != nil })
+		kept, reason := keep(docs...)
 		switch {
 		case !documented:
 			report(id, "exported %s %s is undocumented", what, id.Name)
@@ -222,6 +236,20 @@ func lintFile(fset *token.FileSet, file *ast.File, refs map[string]bool, pkgPath
 				switch s := spec.(type) {
 				case *ast.TypeSpec:
 					check(s.Name, "type", pkgPath, d.Doc, s.Doc, s.Comment)
+					if st, ok := s.Type.(*ast.StructType); ok && refs != nil {
+						for _, f := range st.Fields.List {
+							kept, reason := keep(f.Doc, f.Comment)
+							for _, id := range f.Names {
+								switch {
+								case id.IsExported():
+								case kept && reason == "":
+									report(id, "%s on %s.%s gives no reason", keepDirective, s.Name.Name, id.Name)
+								case !kept && !refs[fieldKey(pkgPath, s.Name.Name, id.Name)]:
+									report(id, "field %s.%s has no non-test read", s.Name.Name, id.Name)
+								}
+							}
+						}
+					}
 				case *ast.ValueSpec:
 					kind := "const"
 					if d.Tok == token.VAR {
@@ -312,15 +340,22 @@ func objKey(obj types.Object) string {
 	return key
 }
 
+// fieldKey names a field of a package-level struct type "path.Struct.field",
+// the same shape as a method's objKey.
+func fieldKey(pkgPath, strct, field string) string {
+	return pkgPath + "." + strct + "." + field
+}
+
 // loader type-checks the packages of one go.mod tree from their non-test
 // files.
 type loader struct {
-	fset *token.FileSet
-	dirs map[string]string // import path -> directory
-	pkgs map[string]*types.Package
-	std  types.Importer
-	info *types.Info
-	refs map[string]bool // objKey of every object referenced
+	fset  *token.FileSet
+	dirs  map[string]string // import path -> directory
+	pkgs  map[string]*types.Package
+	files []*ast.File
+	std   types.Importer
+	info  *types.Info
+	refs  map[string]bool // objKey of every object referenced, fieldKey of every field read
 }
 
 // loadCache holds each root's loaded tree, built on first use.
@@ -328,10 +363,10 @@ var loadCache = map[string]*loader{}
 
 // load type-checks every package directory under root, nested modules
 // included and hidden directories and testdata skipped, and records the
-// objects the non-test files reference.  A method also counts when a
-// referenced interface method of the same name belongs to an interface
-// its type implements: a call through an interface reaches every
-// implementation.
+// objects the non-test files reference and the struct fields they read.
+// A method also counts when a referenced interface method of the same name
+// belongs to an interface its type implements: a call through an interface
+// reaches every implementation.
 func load(root string) (*loader, error) {
 	if l, ok := loadCache[root]; ok {
 		return l, nil
@@ -362,12 +397,17 @@ func load(root string) (*loader, error) {
 			return nil, err
 		}
 	}
+	writes := l.fieldWrites()
+	read := map[*types.Var]bool{}
 	ifaces := map[*types.Func]*types.Interface{}
-	for _, obj := range l.info.Uses {
+	for id, obj := range l.info.Uses {
 		if obj.Pkg() == nil {
 			continue
 		}
 		l.refs[objKey(obj)] = true
+		if v, ok := obj.(*types.Var); ok && v.IsField() && !writes[id] {
+			read[v.Origin()] = true
+		}
 		if sig, ok := obj.Type().(*types.Signature); ok && sig.Recv() != nil {
 			if iface, ok := sig.Recv().Type().Underlying().(*types.Interface); ok {
 				ifaces[obj.(*types.Func)] = iface
@@ -376,7 +416,15 @@ func load(root string) (*loader, error) {
 	}
 	for _, pkg := range l.pkgs {
 		for _, name := range pkg.Scope().Names() {
-			ptr := types.NewPointer(pkg.Scope().Lookup(name).Type())
+			obj := pkg.Scope().Lookup(name)
+			if st, ok := obj.Type().Underlying().(*types.Struct); ok {
+				for i := 0; i < st.NumFields(); i++ {
+					if read[st.Field(i)] {
+						l.refs[fieldKey(pkg.Path(), name, st.Field(i).Name())] = true
+					}
+				}
+			}
+			ptr := types.NewPointer(obj.Type())
 			ms := types.NewMethodSet(ptr)
 			for i := 0; i < ms.Len(); i++ {
 				for f, iface := range ifaces {
@@ -389,6 +437,36 @@ func load(root string) (*loader, error) {
 	}
 	loadCache[root] = l
 	return l, nil
+}
+
+// fieldWrites returns the field identifiers the loaded files write without
+// reading: the selector named by an assignment target (op-assign
+// included) or a ++/-- operand, and a composite-literal key.
+func (l *loader) fieldWrites() map[*ast.Ident]bool {
+	writes := map[*ast.Ident]bool{}
+	target := func(e ast.Expr) {
+		if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+			writes[sel.Sel] = true
+		}
+	}
+	for _, f := range l.files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					target(lhs)
+				}
+			case *ast.IncDecStmt:
+				target(n.X)
+			case *ast.KeyValueExpr:
+				if id, ok := n.Key.(*ast.Ident); ok {
+					writes[id] = true
+				}
+			}
+			return true
+		})
+	}
+	return writes
 }
 
 // modulePath returns the module path a go.mod file declares.
@@ -424,6 +502,7 @@ func (l *loader) Import(path string) (*types.Package, error) {
 		}
 		files = append(files, f)
 	}
+	l.files = append(l.files, files...)
 	pkg, err := (&types.Config{Importer: l}).Check(path, l.fset, files, l.info)
 	if err != nil {
 		return nil, fmt.Errorf("doclint: type-checking %s: %w", path, err)

@@ -248,3 +248,52 @@ func main() {
 		t.Errorf("findings:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }
+
+// In an internal/ package every unexported field of a package-level struct
+// type needs a read from non-test code: assignments, ++ and composite-
+// literal keys are writes, and embedded or kept fields are exempt.
+func TestLintDirWriteOnlyFields(t *testing.T) {
+	root := t.TempDir()
+	lib := filepath.Join(root, "internal", "lib")
+	if err := os.MkdirAll(lib, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	write(t, root, "go.mod", "module demo\n")
+	write(t, lib, "lib.go", `// Package lib is documented.
+package lib
+
+import "sync"
+
+// Counter counts.
+type Counter struct {
+	sync.Mutex
+	read    int
+	written int
+	kept    int //doclint:keep a test in another package reads it
+}
+
+// Bump writes every field and reads only one.
+func Bump(c *Counter) int {
+	*c = Counter{written: 1, kept: 2}
+	c.written++
+	c.written += c.read
+	(c.written) = 3
+	return c.read
+}
+`)
+	write(t, lib, "lib_test.go", "package lib\n\nfunc init() { _ = Counter{}.written }\n")
+	write(t, root, "main.go", "// Command demo.\npackage main\n\nimport \"demo/internal/lib\"\n\nfunc main() { lib.Bump(new(lib.Counter)) }\n")
+
+	findings, err := lintDir(lib)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, f := range findings {
+		got = append(got, strings.TrimPrefix(f, lib+string(filepath.Separator)))
+	}
+	want := []string{"lib.go:10: field Counter.written has no non-test read"}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("findings:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}

@@ -32,9 +32,6 @@ type LLC struct {
 	// ages holds the LRU stamp per way.
 	ages []uint64
 	tick uint64
-
-	// Hits and Misses count every Access/Time since construction.
-	Hits, Misses uint64
 }
 
 // NewLLC builds an empty cache over the view's address space.
@@ -55,7 +52,6 @@ func (c *LLC) Access(pa uint64) bool {
 	for w := base; w < base+c.geo.Ways; w++ {
 		if c.tags[w] == tag {
 			c.ages[w] = c.tick
-			c.Hits++
 			return true
 		}
 		if c.tags[w] == 0 {
@@ -67,7 +63,6 @@ func (c *LLC) Access(pa uint64) bool {
 	}
 	c.tags[lru] = tag
 	c.ages[lru] = c.tick
-	c.Misses++
 	return false
 }
 
@@ -95,9 +90,6 @@ const PageBytes = 4096
 type PageCache struct {
 	bits  []uint64
 	pages uint64
-
-	// Touches and Evictions count the traffic since construction.
-	Touches, Evictions uint64
 }
 
 // NewPageCache builds an all-evicted page cache over a memory of the
@@ -116,7 +108,6 @@ func (p *PageCache) page(pa uint64) uint64 {
 func (p *PageCache) Touch(pa uint64) {
 	n := p.page(pa)
 	p.bits[n/64] |= 1 << (n % 64)
-	p.Touches++
 }
 
 // Evict drops pa's page from the cache — the attacker's working-set
@@ -124,7 +115,6 @@ func (p *PageCache) Touch(pa uint64) {
 func (p *PageCache) Evict(pa uint64) {
 	n := p.page(pa)
 	p.bits[n/64] &^= 1 << (n % 64)
-	p.Evictions++
 }
 
 // Resident reports whether pa's page is cached — the mincore observation.

@@ -70,9 +70,6 @@ type TTableLayout struct {
 	// Tables is the number of parallel T-tables (4, AES-style: state byte
 	// i reads table i mod 4).
 	Tables int
-	// EntryBytes is the widened entry size (4: one 32-bit T-table word
-	// per S-box entry).
-	EntryBytes int
 	// TableBytes is the footprint of one table.
 	TableBytes int
 	// LinesPerTable is TableBytes / LineBytes — the attacker's resolution:
@@ -109,7 +106,6 @@ func LayoutFor(c registry.Cipher, lineBytes int) (TTableLayout, error) {
 	idxPerLine := c.TableLen() / linesPerTable
 	return TTableLayout{
 		Tables:        4,
-		EntryBytes:    entryBytes,
 		TableBytes:    tableBytes,
 		LinesPerTable: linesPerTable,
 		IdxPerLine:    idxPerLine,
@@ -127,8 +123,6 @@ func Observable(c registry.Cipher, lineBytes int) error {
 
 // Result is one completed cache-probe attack.
 type Result struct {
-	// Technique is the primitive that ran.
-	Technique string
 	// Measurements is the number of probe measurements taken.
 	Measurements int
 	// EvictionSets is the number of eviction sets constructed (0 for
@@ -420,7 +414,6 @@ func (a *Attack) accumulate() {
 // p_i ^ k_i lands in line 0 exactly when their high nibbles agree.
 func (a *Attack) Finish() Result {
 	res := Result{
-		Technique:    a.cfg.Technique,
 		Measurements: a.measurements,
 		EvictionSets: len(a.evsets),
 		NibbleTotal:  a.blockSize,

@@ -49,7 +49,8 @@ func encryptBitsliced(ks *Schedule, sb *[256]byte, dst, src [][]byte, faultRound
 		loadPlanes(&fp, masks, n)
 	}
 
-	patches := bitslice.DiffTable(sb[:], sbox[:], 0xFF)
+	var buf [256]bitslice.Patch
+	patches := bitslice.DiffTable(buf[:0], sb[:], sbox[:], 0xFF)
 	addRoundKeyPlanes(&st, &ks.rk[0])
 	for r := 1; r <= rounds; r++ {
 		if r == faultRound {

@@ -137,12 +137,13 @@ type Patch struct {
 	Delta byte
 }
 
-// DiffTable lists the entries where table deviates from the canonical
-// S-box canon on the datapath mask.  Corruption confined to stored bits
+// DiffTable appends to ps the entries where table deviates from the
+// canonical S-box canon on the datapath mask, and returns the extended
+// slice; a batch core passes a stack buffer as long as the table, so a
+// faulty table costs it no allocation.  Corruption confined to stored bits
 // outside mask yields no patch, exactly as it is invisible to a scalar
 // path that masks its lookups the same way.
-func DiffTable(table, canon []byte, mask byte) []Patch {
-	var ps []Patch
+func DiffTable(ps []Patch, table, canon []byte, mask byte) []Patch {
 	for e := range canon {
 		if d := (table[e] ^ canon[e]) & mask; d != 0 {
 			ps = append(ps, Patch{In: byte(e), Delta: d})
@@ -337,7 +338,8 @@ func (e *SPN64) encrypt(rk []uint64, table []byte, dst, src [][]byte, faultRound
 		Transpose64(&fd)
 	}
 
-	patches := DiffTable(table, e.Canon[:], 0xF)
+	var buf [16]Patch
+	patches := DiffTable(buf[:0], table, e.Canon[:], 0xF)
 	for r := 1; r <= e.Rounds; r++ {
 		if r == faultRound {
 			for p := 0; p < 64; p++ {

@@ -80,18 +80,18 @@ func TestDiffTable(t *testing.T) {
 	// The 4-bit datapath of the 64-bit SPNs.
 	canon := []byte{0xC, 0x5, 0x6, 0xB, 0x9, 0x0, 0xA, 0xD, 0x3, 0xE, 0xF, 0x8, 0x4, 0x7, 0x1, 0x2}
 	table := append([]byte(nil), canon...)
-	if ps := DiffTable(table, canon, 0xF); len(ps) != 0 {
+	if ps := DiffTable(nil, table, canon, 0xF); len(ps) != 0 {
 		t.Fatalf("clean table produced %d patches", len(ps))
 	}
 	// A flip above the 4-bit datapath is invisible.
 	table[3] ^= 0x10
-	if ps := DiffTable(table, canon, 0xF); len(ps) != 0 {
+	if ps := DiffTable(nil, table, canon, 0xF); len(ps) != 0 {
 		t.Fatalf("datapath-invisible flip produced %d patches", len(ps))
 	}
 	// Two real faults.
 	table[3] ^= 0x01
 	table[9] ^= 0x0C
-	ps := DiffTable(table, canon, 0xF)
+	ps := DiffTable(nil, table, canon, 0xF)
 	if len(ps) != 2 || ps[0] != (Patch{In: 3, Delta: 0x01}) || ps[1] != (Patch{In: 9, Delta: 0x0C}) {
 		t.Fatalf("4-bit patches = %+v", ps)
 	}
@@ -103,12 +103,12 @@ func TestDiffTable(t *testing.T) {
 		canon8[i] = byte(i*7 + 0x63)
 	}
 	table8 := append([]byte(nil), canon8...)
-	if ps := DiffTable(table8, canon8, 0xFF); len(ps) != 0 {
+	if ps := DiffTable(nil, table8, canon8, 0xFF); len(ps) != 0 {
 		t.Fatalf("clean 8-bit table produced %d patches", len(ps))
 	}
 	table8[0x00] ^= 0x80
 	table8[0xFF] ^= 0x11
-	ps = DiffTable(table8, canon8, 0xFF)
+	ps = DiffTable(nil, table8, canon8, 0xFF)
 	if len(ps) != 2 || ps[0] != (Patch{In: 0x00, Delta: 0x80}) || ps[1] != (Patch{In: 0xFF, Delta: 0x11}) {
 		t.Fatalf("8-bit patches = %+v", ps)
 	}

@@ -197,3 +197,19 @@ func TestEncryptBatchLengthMismatchPanics(t *testing.T) {
 		inst.EncryptBatch(table, dst, src)
 	}()
 }
+
+// A faulted table must not cost a batch a heap allocation: PFA trials run
+// thousands of 64-block batches against one faulty table.
+func TestEncryptBatchFaultedAllocatesNothing(t *testing.T) {
+	rng := stats.NewRNG(0xa110c)
+	for _, name := range Names() {
+		c := MustGet(name)
+		inst := newKeyed(t, c, rng)
+		table := c.SBox()
+		table[rng.Intn(c.TableLen())] ^= 1
+		dst, src := randBatch(c, rng, BatchLanes)
+		if n := testing.AllocsPerRun(20, func() { inst.EncryptBatch(table, dst, src) }); n != 0 {
+			t.Errorf("%s: EncryptBatch of %d blocks with one faulted entry allocated %.1f times", name, BatchLanes, n)
+		}
+	}
+}

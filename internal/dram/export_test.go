@@ -72,6 +72,15 @@ func (d *Device) DrainFlipLog() []Flip {
 // the number grows chunk by chunk as distinguishing writes land.
 func (d *Device) MaterializedBytes() uint64 { return d.data.materializedBytes() }
 
+// materializeAll forces every chunk into existence, turning the store into
+// the dense array it replaced: the sparse/dense equivalence property runs
+// identical workloads against a fresh store and a fully materialised one.
+func (s *store) materializeAll() {
+	for ci := range s.chunks {
+		s.chunkFor(uint64(ci) * storeChunkBytes)
+	}
+}
+
 // materializedBytes reports how much backing memory the store has actually
 // allocated.
 func (s *store) materializedBytes() uint64 {
@@ -106,9 +115,6 @@ func (d *Device) WeakCellsInRange(lo, hi uint64) []WeakCell {
 func (d *Device) PhysOfWeakCell(wc WeakCell) uint64 {
 	return d.mapper.ToPhys(d.addrOfCell(wc.Bank, wc.Row, wc.ByteInRow))
 }
-
-// Name returns the registered kind the mapper was built as.
-func (m *Mapper) Name() string { return m.name }
 
 // SameBankRow returns the physical address of (row, col) within the same
 // bank group as the given address.

@@ -67,7 +67,6 @@ var mapperKinds = map[string]int{
 // attacker-side toolkit so row selection needs no raw index arithmetic.
 type Mapper struct {
 	g        Geometry
-	name     string
 	taps     int
 	colBits  uint
 	chBits   uint
@@ -87,12 +86,8 @@ func NewNamedMapper(name string, g Geometry) (*Mapper, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
-	if name == "" {
-		name = MapperLinear
-	}
 	return &Mapper{
 		g:        g,
-		name:     name,
 		taps:     taps,
 		colBits:  log2(g.RowBytes),
 		chBits:   log2(g.Channels),

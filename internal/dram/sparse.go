@@ -123,16 +123,6 @@ func (s *store) zero(pa, n uint64) {
 	}
 }
 
-// materializeAll forces every chunk into existence, turning the store into
-// the dense array it replaced.  Test hook: the sparse/dense equivalence
-// property runs identical workloads against a fresh store and a fully
-// materialised one.
-func (s *store) materializeAll() {
-	for ci := range s.chunks {
-		s.chunkFor(uint64(ci) * storeChunkBytes)
-	}
-}
-
 // allZero reports whether every byte of b is zero.
 func allZero(b []byte) bool {
 	for _, v := range b {

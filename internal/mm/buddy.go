@@ -116,7 +116,6 @@ func (pm *PhysMem) freeToZone(z *zone, p PFN, order int) error {
 	// Only the newly freed pages increase the free count: absorbed buddies
 	// were already accounted free.
 	z.free += 1 << uint(origOrder)
-	z.stats.Frees++
 	return nil
 }
 

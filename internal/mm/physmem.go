@@ -97,7 +97,6 @@ func New(cfg Config) (*PhysMem, error) {
 			continue // zone not present on this machine
 		}
 		z := &zone{
-			ztype:     b.zt,
 			spanBase:  PFNOf(lo),
 			spanEnd:   PFNOf(hi),
 			min:       cfg.MinWatermarkPages,
@@ -228,7 +227,6 @@ func (pm *PhysMem) allocOrder0(cpu int, pref ZoneType) (PFN, error) {
 					break
 				}
 				pm.frames[p].state = frameInPCP
-				pm.frames[p].cpu = int32(cpu)
 				lst.frames = append(lst.frames, p)
 			}
 			if len(lst.frames) == 0 {
@@ -285,7 +283,6 @@ func (pm *PhysMem) FreePages(cpu int, p PFN, order int) error {
 	if order == 0 {
 		lst := pm.pcp[cpu][zt]
 		fi.state = frameInPCP
-		fi.cpu = int32(cpu)
 		lst.frames = append(lst.frames, p)
 		if len(lst.frames) > lst.high {
 			pm.spillPCP(cpu, zt)
@@ -353,7 +350,7 @@ func (pm *PhysMem) PCPContents(cpu int, zt ZoneType) []PFN {
 
 // PCPCount returns how many frames sit in the CPU's cache for the zone.
 //
-//doclint:keep kernel tests observe the page frame cache drain on sleep and exit
+//doclint:keep kernel tests observe the page frame cache drain on sleep
 func (pm *PhysMem) PCPCount(cpu int, zt ZoneType) int {
 	if cpu < 0 || cpu >= pm.cfg.NumCPUs || pm.pcp[cpu][zt] == nil {
 		return 0

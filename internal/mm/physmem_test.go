@@ -3,9 +3,20 @@ package mm
 import (
 	"errors"
 	"testing"
+	"unsafe"
 
 	"explframe/internal/stats"
 )
+
+// There is one frame record per physical page — 65,536 on the default
+// 256 MiB machine, 262,144 on the 1 GiB server — and every machine boot
+// allocates and zeroes them all, so a field added to frameInfo costs that
+// many times its size.
+func TestFrameInfoSize(t *testing.T) {
+	if got := unsafe.Sizeof(frameInfo{}); got != 24 {
+		t.Fatalf("frameInfo is %d bytes, want 24", got)
+	}
+}
 
 func newTestPM(t *testing.T) *PhysMem {
 	t.Helper()

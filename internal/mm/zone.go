@@ -101,13 +101,11 @@ type frameInfo struct {
 	order uint8 // valid when state == frameFreeHead or frameAllocated
 	prev  PFN   // intrusive free-list links, valid when frameFreeHead
 	next  PFN
-	cpu   int32 // owning CPU when state == frameInPCP
 }
 
 // ZoneStats aggregates per-zone allocator activity.
 type ZoneStats struct {
 	Allocs     uint64 // blocks handed out by the buddy allocator
-	Frees      uint64 // blocks returned to the buddy allocator
 	Splits     uint64 // block splits performed
 	Coalesces  uint64 // buddy merges performed
 	PCPHits    uint64 // order-0 allocations served from a pcp list
@@ -120,7 +118,6 @@ type ZoneStats struct {
 
 // zone is one memory zone: a frame range plus a buddy allocator.
 type zone struct {
-	ztype    ZoneType
 	spanBase PFN // first frame of the zone
 	spanEnd  PFN // one past the last frame
 	free     uint64
@@ -129,7 +126,5 @@ type zone struct {
 	freeLists []PFN // head PFN per order, NilPFN when empty
 	stats     ZoneStats
 }
-
-func (z *zone) pages() uint64 { return uint64(z.spanEnd - z.spanBase) }
 
 func (z *zone) contains(p PFN) bool { return p >= z.spanBase && p < z.spanEnd }

@@ -48,15 +48,6 @@ func NewAddressSpace() *AddressSpace {
 	return &AddressSpace{PT: NewPageTable()}
 }
 
-// VMAs returns a copy of the current areas, sorted by start address.
-//
-//doclint:keep kernel tests exit processes by unmapping every area
-func (as *AddressSpace) VMAs() []VMA {
-	out := make([]VMA, len(as.vmas))
-	copy(out, as.vmas)
-	return out
-}
-
 // FindVMA returns the area containing va.
 func (as *AddressSpace) FindVMA(va VirtAddr) (VMA, bool) {
 	i := sort.Search(len(as.vmas), func(i int) bool { return as.vmas[i].End > va })

@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"explframe/internal/bench"
+	"explframe/internal/cipher/bitslice"
 	"explframe/internal/cipher/lilliput"
 	"explframe/internal/cipher/present"
 	"explframe/internal/cipher/registry"
@@ -334,40 +335,77 @@ func BenchmarkPFAReadiness(b *testing.B) {
 // through the registry.  "hit" starts from the true last round key; "miss"
 // flips one of its bits, so every one of the 2^16 guesses fails — the case
 // the multi-fault search and the LILLIPUT DFA end-game pay most often.
+// Both run the full search.  "hinted" is the completion of a seeded
+// single-fault PFA trial, stopped where the collector first pins the last
+// round key and handed its faulty ciphertexts as a FaultHint, as the PFA
+// trials and the attack do.  Each case reports the guesses it tests.
 func BenchmarkRecoverMaster(b *testing.B) {
 	key := []byte{0x01, 0x23, 0x45, 0x67, 0x89, 0xab, 0xcd, 0xef, 0x01, 0x23}
-	pks, _ := present.Engine.Expand(key)
-	lks, _ := lilliput.Engine.Expand(key)
+	pt := []byte{0x00, 0x11, 0x22, 0x33, 0x44, 0x55, 0x66, 0x77}
 	for _, tc := range []struct {
-		name  string
-		klast uint64
+		name string
+		e    *bitslice.SPN64
 	}{
-		{"present-80", pks[present.Rounds]},
-		{"lilliput-80", lks[lilliput.Rounds]},
+		{"present-80", present.Engine},
+		{"lilliput-80", lilliput.Engine},
 	} {
 		c := registry.MustGet(tc.name)
 		inst, err := c.New(key)
 		if err != nil {
 			b.Fatal(err)
 		}
-		pt := []byte{0x00, 0x11, 0x22, 0x33, 0x44, 0x55, 0x66, 0x77}
 		ct := make([]byte, 8)
 		inst.Encrypt(c.SBox(), ct, pt)
+		rk, _ := tc.e.Expand(key)
+		klast := make([]byte, 8)
+		binary.BigEndian.PutUint64(klast, rk[tc.e.Rounds])
+		miss := binary.BigEndian.AppendUint64(nil, rk[tc.e.Rounds]^1)
+		hintLast, hint := faultyTrialHint(b, c, inst)
 		for _, sub := range []struct {
-			name string
-			flip uint64
-		}{{"hit", 0}, {"miss", 1}} {
-			klast := make([]byte, 8)
-			binary.BigEndian.PutUint64(klast, tc.klast^sub.flip)
-			want := sub.flip == 0
+			name  string
+			klast []byte
+			hint  *registry.FaultHint
+		}{{"hit", klast, nil}, {"miss", miss, nil}, {"hinted", hintLast, hint}} {
+			want := sub.name != "miss"
+			var out bitslice.RuledOut
+			if sub.hint != nil {
+				out = tc.e.RuleOut(binary.BigEndian.Uint64(sub.klast), sub.hint.Ciphertexts, sub.hint.Vanished, sub.hint.Doubled)
+			}
+			_, guesses, _ := tc.e.RecoverMaster80(binary.BigEndian.Uint64(sub.klast), binary.BigEndian.Uint64(pt), binary.BigEndian.Uint64(ct), out)
 			b.Run(tc.name+"/"+sub.name, func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, ok := c.RecoverMaster(klast, pt, ct); ok != want {
+					if _, ok := c.RecoverMaster(sub.klast, pt, ct, sub.hint); ok != want {
 						b.Fatalf("RecoverMaster ok = %v, want %v", ok, want)
 					}
 				}
+				b.ReportMetric(float64(guesses), "guesses/op")
 			})
+		}
+	}
+}
+
+// faultyTrialHint runs a seeded single-bit table fault against inst until
+// the collector pins the last round key, and returns that key with the
+// FaultHint the collector's master-key completion receives.
+func faultyTrialHint(b *testing.B, c registry.Cipher, inst registry.Instance) ([]byte, *registry.FaultHint) {
+	rng := stats.NewRNG(7)
+	faulty := c.SBox()
+	v := rng.Intn(c.TableLen())
+	hint := &registry.FaultHint{Vanished: faulty[v]}
+	faulty[v] ^= 1 << uint(rng.Intn(c.EntryBits()))
+	hint.Doubled = faulty[v]
+	col := pfa.NewCollector(c)
+	pt, ct := make([]byte, c.BlockSize()), make([]byte, c.BlockSize())
+	for {
+		rng.Bytes(pt)
+		inst.Encrypt(faulty, ct, pt)
+		if err := col.Observe(ct); err != nil {
+			b.Fatal(err)
+		}
+		hint.Ciphertexts = append(hint.Ciphertexts, ct...)
+		if last, err := col.RecoverLastRoundKeyKnownFault(hint.Vanished); err == nil {
+			return last, hint
 		}
 	}
 }

@@ -25,7 +25,11 @@
 // Schedule80 back together, and SPN64.MatchKeys encrypts one known
 // plaintext under all of them at once.  SPN64.RecoverMaster80 strings these
 // into the search that completes a recovered last round key to the master
-// key of either 80-bit cipher.
+// key of either 80-bit cipher.  The last round key leaves 16 register bits
+// open; SPN64.RuleOut reads them off persistent-fault ciphertexts one
+// round deeper, where they land (by rotation alone) in the round key
+// before the last, so the search usually tests one pass of guesses
+// instead of all 2^16, and falls back to all of them when the hint fails.
 package bitslice
 
 import (
@@ -199,6 +203,14 @@ type SPN64 struct {
 	invPerm    [64]byte   // input bit invPerm[i] takes output bit i
 	invCanon   [16]byte   // the canonical inverse S-box
 	invCircuit Sbox4      // the bitsliced inverse S-box
+
+	// hidden[g] is the bit of InvPLayer(K_{R-1}) that hidden register bit
+	// g of the last round's register lands on, when hiddenOK; see
+	// RuleOut.  src[j] has bit i set when nibble j of InvPLayer(x) takes
+	// a bit from nibble i of x.
+	hidden   [16]byte
+	hiddenOK bool
+	src      [16]uint16
 }
 
 // maxRounds bounds Rounds so the key-sliced search keeps its round-key
@@ -223,6 +235,15 @@ func NewSPN64(rounds int, sbox [16]byte, perm func(int) int, sched Schedule80) *
 	for i := 0; i < 64; i++ {
 		e.Perm[i] = byte(perm(i))
 		e.invPerm[e.Perm[i]] = byte(i)
+	}
+	for i, p := range e.Perm {
+		e.src[i/4] |= 1 << uint(p/4) // InvPLayer moves bit p to bit i
+	}
+	var at [16]int
+	if at, e.hiddenOK = sched.hiddenBits(); e.hiddenOK {
+		for g, b := range at {
+			e.hidden[g] = e.invPerm[b-16]
+		}
 	}
 	return e
 }
@@ -393,33 +414,188 @@ func (e *SPN64) MatchKeys(rk [][64]uint64, plaintext, ciphertext uint64) uint64 
 
 // RecoverMaster80 completes a recovered last round key to the 80-bit
 // master key, given one known plaintext/ciphertext pair to resolve the 16
-// register bits the last round key does not expose.  It searches those
-// bits key-sliced, in ascending order on the calling goroutine: each of
-// the 1024 passes loads 64 consecutive guesses into the lanes of a
-// KeyReg80, walks the schedule back, and encrypts the plaintext under all
-// 64 resulting schedules at once.  A lane that reproduces the ciphertext
-// is rebuilt and re-checked on the scalar path, so the result is the
-// lowest verified guess.  The search itself allocates nothing.
-func (e *SPN64) RecoverMaster80(last, plaintext, ciphertext uint64) ([]byte, bool) {
+// register bits the last round key does not expose.  It searches the
+// guesses of those bits that out leaves standing (RuleOut), in ascending
+// order, and falls back to all 2^16 guesses when out leaves a nibble
+// empty or its guesses hold no verified key; the zero RuledOut is that
+// full search.  The search is key-sliced on the calling goroutine: each
+// pass loads up to 64 guesses into the lanes of a KeyReg80, walks the
+// schedule back, and encrypts the plaintext under all of the resulting
+// schedules at once.  A lane that reproduces the ciphertext is rebuilt and
+// re-checked on the scalar path, so the result is the lowest verified
+// guess searched.  tested counts the guesses loaded, fallback included.
+// The search itself allocates nothing.
+func (e *SPN64) RecoverMaster80(last, plaintext, ciphertext uint64, out RuledOut) (key []byte, tested int, ok bool) {
+	if gs, left := e.narrow(last, out); left && !gs.all() {
+		if key, tested, ok = e.search(last, plaintext, ciphertext, &gs); ok {
+			return key, tested, true
+		}
+	}
+	key, n, ok := e.search(last, plaintext, ciphertext, &guesses{free: 0xFFFF})
+	return key, tested + n, ok
+}
+
+// search tests every guess in gs in ascending order, 64 lanes a pass, and
+// returns the first one the scalar re-check verifies.
+func (e *SPN64) search(last, plaintext, ciphertext uint64, gs *guesses) (key []byte, tested int, ok bool) {
 	var planes [maxRounds + 1][64]uint64
 	rk := planes[:e.Rounds+1]
 	var reg KeyReg80
-	for base := 0; base < 1<<16; base += Lanes {
-		reg.LoadLanes(last, uint16(base))
+	var lanes [Lanes]uint16
+	for s, more := uint16(0), true; more; {
+		n := 0
+		for n < Lanes && more {
+			g := gs.fixed | s
+			s = ((s | ^gs.free) + 1) & gs.free // the next submask of free
+			more = s != 0
+			if e.admits(gs, g) {
+				lanes[n] = g
+				n++
+			}
+		}
+		if n == 0 {
+			break
+		}
+		tested += n
+		reg.LoadGuesses(last, lanes[:n])
 		reg.Top64(&rk[e.Rounds])
 		// The register before schedule update r holds round key r.
 		for r := e.Rounds; r >= 1; r-- {
 			e.sched.invUpdatePlanes(&reg, &e.invCircuit, r)
 			reg.Top64(&rk[r-1])
 		}
-		for m := e.MatchKeys(rk, plaintext, ciphertext); m != 0; m &= m - 1 {
-			guess := uint64(base + bits.TrailingZeros64(m))
-			if key, ok := e.complete(last, guess, plaintext, ciphertext); ok {
-				return key, true
+		m := e.MatchKeys(rk, plaintext, ciphertext) & (^uint64(0) >> uint(Lanes-n))
+		for ; m != 0; m &= m - 1 {
+			if key, ok := e.complete(last, uint64(lanes[bits.TrailingZeros64(m)]), plaintext, ciphertext); ok {
+				return key, tested, true
 			}
 		}
 	}
-	return nil, false
+	return nil, tested, false
+}
+
+// RuledOut holds, for each nibble j of InvPLayer(K_{R-1}) (the round key
+// before the last, through the inverse permutation), the values that
+// nibble cannot take: bit n of RuledOut[j] rules out value n.  The zero
+// value rules out nothing.
+type RuledOut [16]uint16
+
+// RuleOut applies the missing-value statistic one round deeper than the
+// last round key.  Given that key, the faulty ciphertexts cts (8 bytes
+// each), the value the corrupted table never emits (vanished, y*) and the
+// one it emits twice (doubled, y'), it peels the last round off every
+// ciphertext: InvPLayer(c ^ last), the canonical inverse S-box, InvPLayer
+// again.  Nibble j of the result is a round-(R-1) S-box output, never
+// vanished, XOR nibble j of InvPLayer(K_{R-1}), so a value v seen there
+// rules out v ^ vanished.  A nibble is skipped when one of its four source
+// nibbles equals doubled, which has two preimages under the faulty table.
+func (e *SPN64) RuleOut(last uint64, cts []byte, vanished, doubled byte) RuledOut {
+	var seen [16]uint16
+	for ; len(cts) >= 8; cts = cts[8:] {
+		z := e.InvPLayer(binary.BigEndian.Uint64(cts) ^ last)
+		var amb uint16
+		for i := 0; i < 16; i++ {
+			if byte(z>>uint(4*i))&0xF == doubled&0xF {
+				amb |= 1 << uint(i)
+			}
+		}
+		u := e.InvPLayer(substitute(z, &e.invCanon))
+		for j := range seen {
+			if e.src[j]&amb == 0 {
+				seen[j] |= 1 << (u >> uint(4*j) & 0xF)
+			}
+		}
+	}
+	var out RuledOut
+	for j, s := range seen {
+		for v := byte(0); v < 16; v++ {
+			if s>>v&1 != 0 {
+				out[j] |= 1 << (v ^ vanished&0xF)
+			}
+		}
+	}
+	return out
+}
+
+// guesses is a set of values of the 16 hidden register bits: fixed | s
+// for every submask s of free, less those whose nibble j of
+// InvPLayer(K_{R-1}) is ruled out for a nibble j in check.
+type guesses struct {
+	fixed, free uint16
+	check       uint16   // nibbles whose surviving guesses are no subcube
+	base        uint64   // InvPLayer(K_{R-1}) under guess 0
+	out         RuledOut // consulted for the nibbles in check
+}
+
+// all reports whether gs holds every guess.
+func (gs *guesses) all() bool { return gs.free == 0xFFFF && gs.check == 0 }
+
+// narrow turns out into the guesses it leaves for the last round key
+// last: per nibble of InvPLayer(K_{R-1}), the assignments of the hidden
+// bits landing there whose nibble value survives.  left is false when a
+// nibble has none.  Without a hidden-bit map every guess is left.
+func (e *SPN64) narrow(last uint64, out RuledOut) (gs guesses, left bool) {
+	if !e.hiddenOK || out == (RuledOut{}) {
+		return guesses{free: 0xFFFF}, true
+	}
+	// The hidden bits reach K_{R-1} by rotation alone, so guess g moves
+	// it from the guess-0 value by spread(g).
+	k := e.sched.invUpdate(key80{lo: last << 16, hi: last >> 48}, &e.invCanon, e.Rounds)
+	gs = guesses{base: e.InvPLayer(k.bits(16)), out: out}
+	for j := range out {
+		var h uint16 // the hidden bits landing in nibble j
+		for g, b := range e.hidden {
+			if int(b)/4 == j {
+				h |= 1 << uint(g)
+			}
+		}
+		if h == 0 {
+			continue
+		}
+		and, or, n := h, uint16(0), 0
+		for s, more := uint16(0), true; more; {
+			if out[j]>>((gs.base^e.spread(s))>>uint(4*j)&0xF)&1 == 0 {
+				and, or, n = and&s, or|s, n+1
+			}
+			s = ((s | ^h) + 1) & h
+			more = s != 0
+		}
+		if n == 0 {
+			return guesses{}, false
+		}
+		gs.fixed |= and
+		gs.free |= and ^ or
+		if n != 1<<bits.OnesCount16(and^or) {
+			gs.check |= 1 << uint(j)
+		}
+	}
+	return gs, true
+}
+
+// admits reports whether guess g, already in gs's subcube, survives the
+// nibbles gs checks.
+func (e *SPN64) admits(gs *guesses, g uint16) bool {
+	if gs.check == 0 {
+		return true
+	}
+	v := gs.base ^ e.spread(g)
+	for c := gs.check; c != 0; c &= c - 1 {
+		j := bits.TrailingZeros16(c)
+		if gs.out[j]>>(v>>uint(4*j)&0xF)&1 != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// spread maps a guess of the hidden register bits to the bits of
+// InvPLayer(K_{R-1}) it flips.
+func (e *SPN64) spread(g uint16) uint64 {
+	var v uint64
+	for ; g != 0; g &= g - 1 {
+		v |= 1 << (e.hidden[bits.TrailingZeros16(g)] & 63)
+	}
+	return v
 }
 
 // complete inverts the schedule from the last round key and one guess of
@@ -495,6 +671,25 @@ func (s *Schedule80) check() {
 			panic("bitslice: Schedule80 nibble position out of range")
 		}
 	}
+}
+
+// hiddenBits traces the register bits a round key does not expose (bits
+// 0..15) back through one inverse update: hidden bit g lands on register
+// bit at[g].  ok is false unless every one lands there by rotation alone
+// and inside the round key (bits 16..79); an S-box on the way would make
+// the landing depend on the register's value.
+func (s *Schedule80) hiddenBits() (at [16]int, ok bool) {
+	for g := range at {
+		for _, j := range s.Nibbles {
+			if g >= j && g < j+4 {
+				return at, false
+			}
+		}
+		if at[g] = (g + 80 - s.Rotate) % 80; at[g] < 16 {
+			return at, false
+		}
+	}
+	return at, true
 }
 
 // Expand derives the Rounds+1 round keys from a 10-byte big-endian master
@@ -597,24 +792,19 @@ type KeyReg80 struct {
 	off int
 }
 
-// lanePattern[j] has bit b set exactly when bit j of b is set, so loading
-// it into planes 0..5 numbers the lanes 0..63 in the register's low bits.
-var lanePattern = [6]uint64{
-	0xAAAAAAAAAAAAAAAA, 0xCCCCCCCCCCCCCCCC, 0xF0F0F0F0F0F0F0F0,
-	0xFF00FF00FF00FF00, 0xFFFF0000FFFF0000, 0xFFFFFFFF00000000,
-}
-
-// LoadLanes sets lane b to the 80-bit value hi<<16 | lo with its low six
-// bits replaced by b: the 64 consecutive registers from hi<<16 | lo&^63.
-func (k *KeyReg80) LoadLanes(hi uint64, lo uint16) {
-	k.off = 0
-	for j := 6; j < 16; j++ {
-		k.p[j] = -(uint64(lo) >> uint(j) & 1)
+// LoadGuesses sets lane b to the 80-bit register hi<<16 | guesses[b] for
+// every b < len(guesses) <= 64, and the lanes past them to hi<<16.
+func (k *KeyReg80) LoadGuesses(hi uint64, guesses []uint16) {
+	var a [64]uint64
+	for b, g := range guesses {
+		a[b] = uint64(g)
 	}
+	Transpose64(&a)
+	k.off = 0
+	copy(k.p[:16], a[:16])
 	for j := 16; j < 80; j++ {
 		k.p[j] = -(hi >> uint(j-16) & 1)
 	}
-	copy(k.p[:6], lanePattern[:])
 }
 
 // plane returns the plane of logical register bit j.

@@ -2,6 +2,7 @@ package bitslice
 
 import (
 	"encoding/binary"
+	"math/bits"
 	"testing"
 
 	"explframe/internal/stats"
@@ -137,24 +138,30 @@ func (r *reg80) sbox(table *[16]byte, j int) {
 	}
 }
 
-// Every lane of KeyReg80 tracks a scalar 80-bit register through a random
-// walk of constant XORs, S-box substitutions and rotations, and Top64
-// reads back its bits 16..79.
+// Every lane of KeyReg80, loaded with a random guess list of random
+// length, tracks a scalar 80-bit register through a random walk of
+// constant XORs, S-box substitutions and rotations, and Top64 reads back
+// its bits 16..79.
 func TestKeyReg80MatchesScalarRegister(t *testing.T) {
 	rng := stats.NewRNG(0x8e980)
 	for trial := 0; trial < 20; trial++ {
-		hi, lo := rng.Uint64(), uint16(rng.Intn(1<<16))
+		hi := rng.Uint64()
+		guesses := make([]uint16, 1+rng.Intn(Lanes))
+		for b := range guesses {
+			guesses[b] = uint16(rng.Intn(1 << 16))
+		}
 		var k KeyReg80
-		k.LoadLanes(hi, lo)
+		k.LoadGuesses(hi, guesses)
 		var lanes [64]reg80
 		for b := range lanes {
+			var lo uint16 // lanes past the guesses hold guess 0
+			if b < len(guesses) {
+				lo = guesses[b]
+			}
 			for j := 0; j < 80; j++ {
-				switch {
-				case j < 6:
-					lanes[b][j] = byte(b >> uint(j) & 1)
-				case j < 16:
+				if j < 16 {
 					lanes[b][j] = byte(lo >> uint(j) & 1)
-				default:
+				} else {
 					lanes[b][j] = byte(hi >> uint(j-16) & 1)
 				}
 			}
@@ -255,8 +262,9 @@ func TestMatchKeysMatchesPerLaneEncryption(t *testing.T) {
 // FuzzSchedule80 checks every form the engine derives from one
 // Schedule80 declaration, for random declarations, registers and S-box
 // permutations: the scalar update followed by its inverse is the identity
-// over 31 rounds, and the scalar inverse matches KeyReg80's inverse lane
-// for lane on all 80 register bits after every round.  Nibble and counter
+// over 31 rounds, the scalar inverse matches KeyReg80's inverse lane
+// for lane on all 80 register bits after every round, and the hidden-bit
+// map holds by brute force (checkHiddenBits) or is rightly refused.  Nibble and counter
 // positions range over the whole register, so they straddle bits 63/64,
 // which neither built-in cipher exercises; two nibbles may overlap.
 // Run with: go test -fuzz=FuzzSchedule80 ./internal/cipher/bitslice
@@ -288,9 +296,14 @@ func FuzzSchedule80(f *testing.F) {
 		if w != k {
 			t.Fatalf("%+v: update then inverse maps %#x to %#x", s, k, w)
 		}
+		checkHiddenBits(t, &s, &sb, stats.NewRNG(seed^lo))
 
 		var reg KeyReg80
-		reg.LoadLanes(k.bits(16), uint16(lo))
+		var guesses [Lanes]uint16
+		for b := range guesses {
+			guesses[b] = uint16(lo)&^63 | uint16(b)
+		}
+		reg.LoadGuesses(k.bits(16), guesses[:])
 		inv := NewSbox4(&isb)
 		var lanes [Lanes]key80
 		for b := range lanes {
@@ -311,4 +324,96 @@ func FuzzSchedule80(f *testing.F) {
 			}
 		}
 	})
+}
+
+// checkHiddenBits checks the map hiddenBits derives.  A declaration
+// whose S-boxed nibbles touch the hidden register bits (0..15) must yield
+// no map, and an engine on it must leave every guess to the search.
+// Otherwise each hidden bit g, flipped before one scalar inverse update on
+// random registers, flips exactly one register bit after it: at[g] when
+// the map holds; when it is refused, some flip must land below the round
+// key (bits 0..15).
+func checkHiddenBits(t *testing.T, s *Schedule80, sb *[16]byte, rng *stats.RNG) {
+	t.Helper()
+	at, ok := s.hiddenBits()
+	for _, j := range s.Nibbles {
+		if j < 16 {
+			if ok {
+				t.Fatalf("%+v: nibble at bit %d S-boxes hidden bits, yet a map was derived", s, j)
+			}
+			e := NewSPN64(maxRounds, *sb, func(i int) int { return i }, *s)
+			if gs, left := e.narrow(rng.Uint64(), RuledOut{0x00FF, 0x0F0F, 0x3333}); !left || gs != (guesses{free: 0xFFFF}) {
+				t.Fatalf("%+v: no map, yet the search is narrowed to %+v", s, gs)
+			}
+			return
+		}
+	}
+	var isb [16]byte
+	for i, v := range sb {
+		isb[v] = byte(i)
+	}
+	below := false
+	for g := 0; g < 16; g++ {
+		for trial := 0; trial < 4; trial++ {
+			k := key80{lo: rng.Uint64(), hi: rng.Uint64() & 0xFFFF}
+			flipped := k
+			flipped.xor(g, 1)
+			a, b := s.invUpdate(k, &isb, 7), s.invUpdate(flipped, &isb, 7)
+			d := key80{lo: a.lo ^ b.lo, hi: a.hi ^ b.hi}
+			if bits.OnesCount64(d.lo)+bits.OnesCount64(d.hi) != 1 {
+				t.Fatalf("%+v: hidden bit %d spreads to %#x without passing an S-box", s, g, d)
+			}
+			below = below || d.lo&0xFFFF != 0
+			var want key80
+			want.xor(at[g], 1)
+			if ok && d != want {
+				t.Fatalf("%+v: hidden bit %d flips %#x, map says register bit %d", s, g, d, at[g])
+			}
+		}
+	}
+	if !ok && !below {
+		t.Fatalf("%+v: hidden-bit map refused, yet every hidden bit lands in the round key", s)
+	}
+}
+
+// The hidden-bit map of both 80-bit ciphers lands where their schedules
+// put it: PRESENT's 16 hidden bits on bits 3..18 of K_{R-1}, one per
+// nibble of InvPLayer(K_{R-1}); LILLIPUT's on bits 41..56, two in nibbles
+// 3 and 4 and none in nibbles 0 and 11.  The declarations are copies of
+// the cipher packages'.
+func TestHiddenBitMap(t *testing.T) {
+	presentBox := [16]byte{0xC, 0x5, 0x6, 0xB, 0x9, 0x0, 0xA, 0xD, 0x3, 0xE, 0xF, 0x8, 0x4, 0x7, 0x1, 0x2}
+	lilliputBox := [16]byte{0x4, 0x8, 0x7, 0x1, 0x9, 0x3, 0x2, 0xE, 0xD, 0xC, 0x6, 0xF, 0x0, 0xB, 0x5, 0xA}
+	for _, tc := range []struct {
+		name    string
+		e       *SPN64
+		rkMask  uint64 // bits of K_{R-1} carrying hidden bits
+		invMask uint64 // the same bits in InvPLayer(K_{R-1})
+	}{
+		{"present", NewSPN64(31, presentBox, func(i int) int {
+			if i == 63 {
+				return 63
+			}
+			return i * 16 % 63
+		}, Schedule80{Rotate: 61, Nibbles: []int{76}, Counter: 15}), 0x7FFF8, 0x1111111111111222},
+		{"lilliput", NewSPN64(30, lilliputBox, func(i int) int { return 13 * i & 63 },
+			Schedule80{Rotate: 23, Nibbles: []int{76, 72}, Counter: 0}), 0x01FFFE0000000000, 0x84210842118c6210},
+	} {
+		if !tc.e.hiddenOK {
+			t.Fatalf("%s: no hidden-bit map", tc.name)
+		}
+		checkHiddenBits(t, &tc.e.sched, &tc.e.Canon, stats.NewRNG(0x41dd))
+		at, _ := tc.e.sched.hiddenBits()
+		var rk, inv uint64
+		for g, b := range at {
+			rk |= 1 << uint(b-16)
+			inv |= 1 << tc.e.hidden[g]
+			if tc.e.hidden[g] != tc.e.invPerm[b-16] {
+				t.Fatalf("%s: hidden bit %d at InvPLayer bit %d, want %d", tc.name, g, tc.e.hidden[g], tc.e.invPerm[b-16])
+			}
+		}
+		if rk != tc.rkMask || inv != tc.invMask {
+			t.Fatalf("%s: hidden bits at K_{R-1} %#016x / InvPLayer %#016x, want %#016x / %#016x", tc.name, rk, inv, tc.rkMask, tc.invMask)
+		}
+	}
 }

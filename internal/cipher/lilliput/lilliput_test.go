@@ -6,6 +6,8 @@ import (
 	"math/bits"
 	"testing"
 	"testing/quick"
+
+	"explframe/internal/cipher/bitslice"
 )
 
 // Pinned known-answer vectors.  The cipher is a LILLIPUT-style SPN defined
@@ -213,7 +215,7 @@ func TestRecoverMasterFromLastRound(t *testing.T) {
 	pt := uint64(0x0011223344556677)
 	ct := Engine.Encrypt(rk, &sb, pt)
 
-	got, ok := Engine.RecoverMaster80(rk[Rounds], pt, ct)
+	got, _, ok := Engine.RecoverMaster80(rk[Rounds], pt, ct, bitslice.RuledOut{})
 	if !ok {
 		t.Fatal("recovery failed")
 	}

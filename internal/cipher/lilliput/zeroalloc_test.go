@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"explframe/internal/bench"
+	"explframe/internal/cipher/bitslice"
 	"explframe/internal/cipher/lilliput"
 )
 
@@ -28,7 +29,7 @@ func TestRecoverMasterAllocs(t *testing.T) {
 		want  float64
 	}{{"hit", klast, 1}, {"miss", klast ^ 1, 0}} {
 		allocs := testing.AllocsPerRun(3, func() {
-			lilliput.Engine.RecoverMaster80(tc.klast, pt, ct)
+			lilliput.Engine.RecoverMaster80(tc.klast, pt, ct, bitslice.RuledOut{})
 		})
 		if bench.RaceEnabled {
 			t.Logf("%s: %.2f allocs/run under -race (not asserted)", tc.name, allocs)

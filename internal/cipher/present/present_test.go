@@ -5,6 +5,8 @@ import (
 	"encoding/hex"
 	"testing"
 	"testing/quick"
+
+	"explframe/internal/cipher/bitslice"
 )
 
 // Known-answer tests from the PRESENT paper (CHES 2007, Table 2).
@@ -180,7 +182,7 @@ func TestRecoverMasterFromLastRound(t *testing.T) {
 	pt := uint64(0x0011223344556677)
 	ct := Engine.Encrypt(rk, &sb, pt)
 
-	got, ok := Engine.RecoverMaster80(rk[Rounds], pt, ct)
+	got, _, ok := Engine.RecoverMaster80(rk[Rounds], pt, ct, bitslice.RuledOut{})
 	if !ok {
 		t.Fatal("recovery failed")
 	}

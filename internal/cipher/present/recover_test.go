@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"explframe/internal/cipher/bitslice"
 	"explframe/internal/stats"
 )
 
@@ -62,7 +63,7 @@ func TestRecoverMasterMatchesScalar(t *testing.T) {
 	for _, h := range hidden {
 		k32, pt := rng.Uint64(), rng.Uint64()
 		key, ct := recoverCase(k32, h, pt)
-		got, ok := Engine.RecoverMaster80(k32, pt, ct)
+		got, _, ok := Engine.RecoverMaster80(k32, pt, ct, bitslice.RuledOut{})
 		want, wantOK := recoverScalar(k32, pt, ct)
 		if !ok || !wantOK || !bytes.Equal(got, want) || !bytes.Equal(got, key) {
 			t.Fatalf("hidden %#04x: key-sliced %x/%v, scalar %x/%v, master %x", h, got, ok, want, wantOK, key)
@@ -72,7 +73,7 @@ func TestRecoverMasterMatchesScalar(t *testing.T) {
 	k32, pt := rng.Uint64(), rng.Uint64()
 	_, ct := recoverCase(k32, uint64(rng.Intn(1<<16)), pt)
 	k32 ^= 1 << uint(rng.Intn(64))
-	if got, ok := Engine.RecoverMaster80(k32, pt, ct); ok {
+	if got, _, ok := Engine.RecoverMaster80(k32, pt, ct, bitslice.RuledOut{}); ok {
 		t.Fatalf("key-sliced search accepted a wrong K32: %x", got)
 	}
 	if got, ok := recoverScalar(k32, pt, ct); ok {
@@ -80,8 +81,30 @@ func TestRecoverMasterMatchesScalar(t *testing.T) {
 	}
 }
 
+// ruledOutCases draws the four kinds of RuledOut under which the hinted
+// search must return exactly what the full search does: nothing ruled
+// out, random values ruled out but never the true nibble of
+// InvPLayer(K31), only the true nibbles ruled out (every nibble keeps a
+// value, so the narrowed search runs, finds no key and falls back), and
+// the random values with one nibble emptied.
+func ruledOutCases(key []byte, rng *stats.RNG) [4]bitslice.RuledOut {
+	rk, _ := Engine.Expand(key)
+	truth := Engine.InvPLayer(rk[Rounds-1])
+	var cs [4]bitslice.RuledOut
+	for j := range cs[1] {
+		keep := uint16(1) << (truth >> uint(4*j) & 0xF)
+		r := uint16(rng.Intn(1 << 16))
+		cs[1][j], cs[2][j], cs[3][j] = r&^keep, keep, r&^keep
+	}
+	cs[3][rng.Intn(16)] = 0xFFFF
+	return cs
+}
+
 // FuzzRecoverMaster checks that the search returns the master key behind
-// any (K32, hidden bits, plaintext) and rejects K32 with one bit flipped.
+// any (K32, hidden bits, plaintext) and rejects K32 with one bit flipped,
+// and that under every kind of ruledOutCases the hinted search returns
+// the full search's key, testing no more guesses when it keeps the true
+// nibbles.
 // Run with: go test -fuzz=FuzzRecoverMaster ./internal/cipher/present
 func FuzzRecoverMaster(f *testing.F) {
 	f.Add(uint64(0), uint16(0), uint64(0), uint8(0))
@@ -89,13 +112,25 @@ func FuzzRecoverMaster(f *testing.F) {
 	f.Add(uint64(0xdeadbeefcafef00d), uint16(64), uint64(0xFFFFFFFFFFFFFFFF), uint8(17))
 	f.Fuzz(func(t *testing.T, k32 uint64, hidden uint16, pt uint64, flip uint8) {
 		key, ct := recoverCase(k32, uint64(hidden), pt)
-		got, ok := Engine.RecoverMaster80(k32, pt, ct)
+		got, tested, ok := Engine.RecoverMaster80(k32, pt, ct, bitslice.RuledOut{})
 		if !ok || !bytes.Equal(got, key) {
 			t.Fatalf("K32 %016x hidden %#04x: recovered %x/%v, want %x", k32, hidden, got, ok, key)
 		}
+		cases := ruledOutCases(key, stats.NewRNG(k32^pt^uint64(hidden)<<48))
+		for kind, out := range cases {
+			hinted, n, ok := Engine.RecoverMaster80(k32, pt, ct, out)
+			if !ok || !bytes.Equal(hinted, got) {
+				t.Fatalf("K32 %016x hidden %#04x, ruled out %04x: hinted %x/%v, full %x", k32, hidden, out, hinted, ok, got)
+			}
+			if kind == 1 && n > tested {
+				t.Fatalf("K32 %016x hidden %#04x, ruled out %04x: hinted search tested %d guesses, full %d", k32, hidden, out, n, tested)
+			}
+		}
 		bad := k32 ^ 1<<(flip%64)
-		if got, ok := Engine.RecoverMaster80(bad, pt, ct); ok {
-			t.Fatalf("K32 %016x with bit %d flipped recovered %x", k32, flip%64, got)
+		for _, out := range []bitslice.RuledOut{{}, cases[1]} {
+			if got, _, ok := Engine.RecoverMaster80(bad, pt, ct, out); ok {
+				t.Fatalf("K32 %016x with bit %d flipped recovered %x", k32, flip%64, got)
+			}
 		}
 	})
 }

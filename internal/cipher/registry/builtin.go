@@ -95,7 +95,7 @@ func (aes128) AssembleLastRoundKey(cells []byte) []byte {
 	return append([]byte(nil), cells[:aes.BlockSize]...)
 }
 
-func (aes128) RecoverMaster(lastRoundKey, plaintext, ciphertext []byte) ([]byte, bool) {
+func (aes128) RecoverMaster(lastRoundKey, plaintext, ciphertext []byte, _ *FaultHint) ([]byte, bool) {
 	var k10 [16]byte
 	copy(k10[:], lastRoundKey)
 	m := aes.RecoverMasterFromLastRound(k10)
@@ -206,11 +206,19 @@ func (c *spn64) AssembleLastRoundKey(cells []byte) []byte {
 	return be.AppendUint64(nil, c.e.PLayer(kPrime))
 }
 
-func (c *spn64) RecoverMaster(lastRoundKey, plaintext, ciphertext []byte) ([]byte, bool) {
+// RecoverMaster searches the 16 register bits the last round key hides;
+// a hint rules out most of them a round deeper (bitslice.SPN64.RuleOut).
+func (c *spn64) RecoverMaster(lastRoundKey, plaintext, ciphertext []byte, hint *FaultHint) ([]byte, bool) {
 	if plaintext == nil {
 		return nil, false // the 16 hidden register bits need a known pair
 	}
-	return c.e.RecoverMaster80(be.Uint64(lastRoundKey), be.Uint64(plaintext), be.Uint64(ciphertext))
+	last := be.Uint64(lastRoundKey)
+	var out bitslice.RuledOut
+	if hint != nil {
+		out = c.e.RuleOut(last, hint.Ciphertexts, hint.Vanished, hint.Doubled)
+	}
+	key, _, ok := c.e.RecoverMaster80(last, be.Uint64(plaintext), be.Uint64(ciphertext), out)
+	return key, ok
 }
 
 // be is the 64-bit SPNs' big-endian byte form of a block.

@@ -63,14 +63,31 @@ type Cipher interface {
 	// plaintext/ciphertext are one clean known pair used to resolve key
 	// schedules that the last round key does not fully determine (and to
 	// verify the result when it does); a nil pair skips verification where
-	// the schedule inverts uniquely.
-	RecoverMaster(lastRoundKey, plaintext, ciphertext []byte) ([]byte, bool)
+	// the schedule inverts uniquely.  A non-nil hint lets a cipher whose
+	// completion searches narrow that search from the faulty ciphertexts;
+	// the result is the same with or without it.
+	RecoverMaster(lastRoundKey, plaintext, ciphertext []byte, hint *FaultHint) ([]byte, bool)
 	// RecoverCost is the number of master-key guesses one RecoverMaster
 	// call tests in the worst case: 1 for AES-128's unique inversion, 2^16
 	// for the 80-bit ciphers, whose key-sliced search covers the register
-	// bits the last round key hides 64 guesses per bitsliced pass.  The
-	// multi-fault search uses it to budget candidate enumeration.
+	// bits the last round key hides 64 guesses per bitsliced pass.  A hint
+	// usually cuts the 80-bit search to a handful of guesses, but a wrong
+	// last round key still costs all 2^16, so the multi-fault search
+	// budgets its candidate enumeration by this worst case.
 	RecoverCost() int
+}
+
+// FaultHint is what a single-fault persistent fault analysis knows beyond
+// the last round key: the faulty ciphertexts it observed and the one value
+// the corrupted table drops from its image and the one it emits twice.
+type FaultHint struct {
+	// Ciphertexts holds the observed faulty ciphertexts, BlockSize bytes
+	// each, back to back.
+	Ciphertexts []byte
+	// Vanished is the value the corrupted table never emits (y*).
+	Vanished byte
+	// Doubled is the value the corrupted table emits for two inputs (y').
+	Doubled byte
 }
 
 // Instance is a keyed cipher instance whose encryptions read the S-box from

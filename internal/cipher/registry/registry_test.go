@@ -185,7 +185,8 @@ func TestLastRoundCellAssembleInverse(t *testing.T) {
 // The full PFA contract, exercised through nothing but the interface: under
 // a single-entry table fault, the value missing from every LastRoundCells
 // position is yStar ^ k_i; assembling those key cells and completing with
-// RecoverMaster must return the master key.  This is the property that lets
+// RecoverMaster must return the master key, with or without the faulty
+// ciphertexts as a FaultHint.  This is the property that lets
 // internal/fault/pfa attack any registered cipher without cipher-specific
 // code.
 func TestPFAHookContract(t *testing.T) {
@@ -210,6 +211,7 @@ func TestPFAHookContract(t *testing.T) {
 			v := rng.Intn(c.TableLen())
 			yStar := faulty[v]
 			faulty[v] ^= byte(1 << uint(rng.Intn(c.EntryBits())))
+			hint := &FaultHint{Vanished: yStar, Doubled: faulty[v]}
 
 			cells := Cells(c)
 			vals := 1 << uint(c.EntryBits())
@@ -223,6 +225,7 @@ func TestPFAHookContract(t *testing.T) {
 			for n := 0; n < 40*c.TableLen(); n++ {
 				rng.Bytes(pt)
 				inst.Encrypt(faulty, ct, pt)
+				hint.Ciphertexts = append(hint.Ciphertexts, ct...)
 				c.LastRoundCells(cellBuf, ct)
 				for i, cell := range cellBuf {
 					seen[i][cell] = true
@@ -245,12 +248,14 @@ func TestPFAHookContract(t *testing.T) {
 				}
 				keyCells[i] = byte(missing) ^ yStar
 			}
-			master, ok := c.RecoverMaster(c.AssembleLastRoundKey(keyCells), cleanPT, cleanCT)
-			if !ok {
-				t.Fatal("RecoverMaster failed")
-			}
-			if !bytes.Equal(master, key) {
-				t.Fatalf("recovered %x want %x", master, key)
+			for _, h := range []*FaultHint{nil, hint} {
+				master, ok := c.RecoverMaster(c.AssembleLastRoundKey(keyCells), cleanPT, cleanCT, h)
+				if !ok {
+					t.Fatalf("RecoverMaster with hint %v failed", h != nil)
+				}
+				if !bytes.Equal(master, key) {
+					t.Fatalf("hint %v: recovered %x want %x", h != nil, master, key)
+				}
 			}
 		})
 	}

@@ -206,7 +206,7 @@ func (s *lilSession) Result() (*Result, error) {
 	res.LastRoundKey = c.AssembleLastRoundKey(cells[:])
 	res.Unique = true
 	if known {
-		if master, ok := c.RecoverMaster(res.LastRoundKey, s.first.Plaintext, s.first.Correct); ok {
+		if master, ok := c.RecoverMaster(res.LastRoundKey, s.first.Plaintext, s.first.Correct, nil); ok {
 			res.Master = master
 		}
 	}
@@ -239,7 +239,7 @@ func lilEnumerate(sets *[16]uint16, c registry.Cipher, p Pair) (master, k31 []by
 	rec = func(i int) ([]byte, []byte) {
 		if i == 16 {
 			key := c.AssembleLastRoundKey(cells[:])
-			if m, ok := c.RecoverMaster(key, p.Plaintext, p.Correct); ok {
+			if m, ok := c.RecoverMaster(key, p.Plaintext, p.Correct, nil); ok {
 				return m, key
 			}
 			return nil, nil

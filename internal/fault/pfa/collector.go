@@ -31,13 +31,18 @@ type Collector struct {
 	missing []int      // missing[i]: values never observed at cell i
 	n       uint64
 	cellBuf []byte // scratch for LastRoundCells, keeps Observe allocation-free
+	// cts holds every observed ciphertext back to back, kept only when
+	// keep: for ciphers whose master-key completion searches, which a
+	// single-fault hint (registry.FaultHint) narrows.
+	cts  []byte
+	keep bool
 }
 
 // NewCollector returns an empty collector for the given cipher.
 func NewCollector(c registry.Cipher) *Collector {
 	cells := registry.Cells(c)
 	vals := 1 << uint(c.EntryBits())
-	col := &Collector{c: c, cells: cells, mask: byte(vals - 1), cellBuf: make([]byte, cells)}
+	col := &Collector{c: c, cells: cells, mask: byte(vals - 1), cellBuf: make([]byte, cells), keep: c.RecoverCost() > 1}
 	col.count = make([][]uint64, cells)
 	col.missing = make([]int, cells)
 	for i := range col.count {
@@ -84,6 +89,9 @@ func (c *Collector) Observe(ct []byte) error {
 			c.missing[i]--
 		}
 		c.count[i][cell]++
+	}
+	if c.keep {
+		c.cts = append(c.cts, ct...)
 	}
 	c.n++
 	return nil
@@ -145,7 +153,10 @@ func (c *Collector) RecoverLastRoundKeyKnownFault(yStar byte) ([]byte, error) {
 // RecoverMasterKnownFault completes the known-fault attack: the one-fault
 // case of RecoverMasterMultiFaultWithPair.  The clean known pair resolves
 // schedules the last round key does not determine and verifies the rest;
-// ciphers whose schedule inverts uniquely accept a nil pair.
+// ciphers whose schedule inverts uniquely accept a nil pair.  Without the
+// doubled value the completion gets no hint, so the 80-bit ciphers search
+// all 2^16 hidden-bit guesses; callers that know it pass it to
+// RecoverMasterMultiFaultWithPair.
 func (c *Collector) RecoverMasterKnownFault(yStar byte, plaintext, ciphertext []byte) ([]byte, error) {
 	return c.RecoverMasterMultiFaultWithPair([]byte{yStar}, nil, plaintext, ciphertext)
 }
@@ -260,14 +271,18 @@ func (c *Collector) RecoverLastRoundKeyMultiFault(yStars, yPrimes []byte) ([]byt
 // per-cell candidates (ordered by the doubled values yPrimes' frequency
 // score, so the common non-degenerate case exits on the first combination)
 // and checks each schedule completion against one clean known pair.  One
-// vanished value leaves one candidate per cell and nothing to rank, which
-// is why RecoverMasterKnownFault passes nil yPrimes.
+// vanished value leaves one candidate per cell and nothing to rank; given
+// its one doubled value too, the completion gets the kept ciphertexts as a
+// registry.FaultHint, which pins the 80-bit ciphers' hidden register bits
+// to a handful of guesses.  RecoverMasterKnownFault passes nil yPrimes,
+// so its completion searches unhinted.
 //
 // Enumeration is budgeted at ~2^20 schedule inversions via the cipher's
 // RecoverCost: AES-128's cheap unique inversion affords the full 2^20
-// combinations, while the 80-bit ciphers' 2^16-deep completions fall back
-// to verifying only the frequency-best key (their degenerate same-bit case
-// stays underdetermined, which the caller reports).
+// combinations, while the 80-bit ciphers' completions, up to 2^16 guesses
+// each and unhinted with several vanished values, fall back to verifying
+// only the frequency-best key (their degenerate same-bit case stays
+// underdetermined, which the caller reports).
 func (c *Collector) RecoverMasterMultiFaultWithPair(yStars, yPrimes, plaintext, ciphertext []byte) ([]byte, error) {
 	cands, err := c.MultiFaultCandidates(yStars)
 	if err != nil {
@@ -281,12 +296,16 @@ func (c *Collector) RecoverMasterMultiFaultWithPair(yStars, yPrimes, plaintext, 
 		})
 		total = min(total*len(list), budget+1) // clamp so the product cannot overflow
 	}
+	var hint *registry.FaultHint
+	if len(yStars) == 1 && len(yPrimes) == 1 && c.keep {
+		hint = &registry.FaultHint{Ciphertexts: c.cts, Vanished: yStars[0], Doubled: yPrimes[0]}
+	}
 	if total > budget {
 		last, err := c.RecoverLastRoundKeyMultiFault(yStars, yPrimes)
 		if err != nil {
 			return nil, err
 		}
-		master, ok := c.c.RecoverMaster(last, plaintext, ciphertext)
+		master, ok := c.c.RecoverMaster(last, plaintext, ciphertext, nil)
 		if !ok {
 			return nil, fmt.Errorf("%w: frequency-ranked key fails the known pair (search cap reached)", ErrUnderdetermined)
 		}
@@ -298,7 +317,7 @@ func (c *Collector) RecoverMasterMultiFaultWithPair(yStars, yPrimes, plaintext, 
 		for i := range cells {
 			cells[i] = cands[i][idx[i]]
 		}
-		if master, ok := c.c.RecoverMaster(c.c.AssembleLastRoundKey(cells), plaintext, ciphertext); ok {
+		if master, ok := c.c.RecoverMaster(c.c.AssembleLastRoundKey(cells), plaintext, ciphertext, hint); ok {
 			return master, nil
 		}
 		// Odometer increment over the candidate lists.

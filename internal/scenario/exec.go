@@ -126,6 +126,9 @@ func (s Spec) pfaBudget(c registry.Cipher) int {
 // runPFATrial executes one PFA-kind trial: random key, one random
 // single-bit S-box fault, known-fault recovery via the cipher-agnostic
 // collector, master-key completion verified against the true key.  The
+// completion is told the doubled value too (the flipped entry's new
+// output), which lets the 80-bit ciphers narrow their search a round
+// deeper without changing its result.  The
 // draw order is pinned by E15 in the results book: faulty encryptions run in
 // registry.BatchLanes-wide batches (bitsliced for the built-in ciphers)
 // with the chunk's plaintexts pre-drawn in the old per-block order, and
@@ -175,7 +178,7 @@ func runPFATrial(c registry.Cipher, budget int, rng *stats.RNG) (PFATrial, error
 			}
 			if _, err := col.RecoverLastRoundKeyKnownFault(yStar); err == nil {
 				out.RecoveredAt = n + i + 1
-				master, err := col.RecoverMasterKnownFault(yStar, cleanPT, cleanCT)
+				master, err := col.RecoverMasterMultiFaultWithPair([]byte{yStar}, faulty[v:v+1], cleanPT, cleanCT)
 				out.MasterOK = err == nil && bytes.Equal(master, key)
 				return out, nil
 			}

@@ -20,12 +20,13 @@
 // directive without a reason is itself a finding.  Test-only helpers
 // belong in an in-package export_test.go instead.
 //
-// Under internal/ it also fails on an unexported field of a package-level
-// struct type that no non-test .go file in the tree reads.  A write is not
-// a read: the field as an assignment target (op-assign included), as the
-// operand of ++ or --, or as a composite-literal key.  Embedded fields are
-// exempt, and so is a field whose doc or line comment carries a keep
-// directive with a reason.
+// Under internal/ it also fails on a field of a package-level struct type,
+// exported or not, that no non-test .go file in the tree reads.  A write
+// is not a read: the field as an assignment target (op-assign included),
+// as the operand of ++ or --, or as a composite-literal key.  A field
+// encoding/json reads by reflection, of a type reachable from a json:-
+// tagged struct, is read.  Embedded fields are exempt, and so is a field
+// whose doc or line comment carries a keep directive with a reason.
 //
 // Usage:
 //
@@ -48,6 +49,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"sort"
 	"strings"
@@ -197,9 +199,9 @@ func keep(docs ...*ast.CommentGroup) (kept bool, reason string) {
 // functions and methods, type specs, and const/var specs (a group doc on
 // the declaration covers all of its specs).  With refs set it also reports
 // each one whose objKey (under pkgPath) refs lacks, unless it is an exempt
-// method or carries a keep directive, each unexported field of a struct
-// type whose fieldKey refs lacks, unless it is embedded or kept, and each
-// keep directive without a reason.
+// method or carries a keep directive, each field of a struct type whose
+// fieldKey refs lacks, unless it is embedded or kept, and each keep
+// directive without a reason.
 func lintFile(fset *token.FileSet, file *ast.File, refs map[string]bool, pkgPath string) []string {
 	var findings []string
 	report := func(id *ast.Ident, format string, args ...any) {
@@ -241,7 +243,6 @@ func lintFile(fset *token.FileSet, file *ast.File, refs map[string]bool, pkgPath
 							kept, reason := keep(f.Doc, f.Comment)
 							for _, id := range f.Names {
 								switch {
-								case id.IsExported():
 								case kept && reason == "":
 									report(id, "%s on %s.%s gives no reason", keepDirective, s.Name.Name, id.Name)
 								case !kept && !refs[fieldKey(pkgPath, s.Name.Name, id.Name)]:
@@ -372,7 +373,7 @@ func load(root string) (*loader, error) {
 		return l, nil
 	}
 	l := &loader{fset: token.NewFileSet(), dirs: map[string]string{}, pkgs: map[string]*types.Package{},
-		std: importer.Default(), info: &types.Info{Uses: map[*ast.Ident]types.Object{}}, refs: map[string]bool{}}
+		std: importer.Default(), info: &types.Info{Uses: map[*ast.Ident]types.Object{}, Types: map[ast.Expr]types.TypeAndValue{}}, refs: map[string]bool{}}
 	paths := map[string]string{} // directory -> import path
 	err := filepath.WalkDir(root, func(dir string, d fs.DirEntry, err error) error {
 		if err != nil || !d.IsDir() {
@@ -398,7 +399,7 @@ func load(root string) (*loader, error) {
 		}
 	}
 	writes := l.fieldWrites()
-	read := map[*types.Var]bool{}
+	read := l.jsonFields()
 	ifaces := map[*types.Func]*types.Interface{}
 	for id, obj := range l.info.Uses {
 		if obj.Pkg() == nil {
@@ -437,6 +438,45 @@ func load(root string) (*loader, error) {
 	}
 	loadCache[root] = l
 	return l, nil
+}
+
+// jsonFields returns the fields encoding/json reads by reflection: every
+// field of each struct type reachable, through pointers, slices, arrays,
+// maps and named types, from a struct type with a json: tag.
+func (l *loader) jsonFields() map[*types.Var]bool {
+	fields := map[*types.Var]bool{}
+	seen := map[*types.Named]bool{} // a type can recur only through a name
+	var walk func(t types.Type)
+	walk = func(t types.Type) {
+		switch t := t.(type) {
+		case *types.Named:
+			if !seen[t] {
+				seen[t] = true
+				walk(t.Underlying())
+			}
+		case *types.Map:
+			walk(t.Key())
+			walk(t.Elem())
+		case interface{ Elem() types.Type }: // pointer, slice, array
+			walk(t.Elem())
+		case *types.Struct:
+			for i := 0; i < t.NumFields(); i++ {
+				fields[t.Field(i).Origin()] = true
+				walk(t.Field(i).Type())
+			}
+		}
+	}
+	for _, tv := range l.info.Types {
+		if st, ok := tv.Type.(*types.Struct); ok && tv.IsType() {
+			for i := 0; i < st.NumFields(); i++ {
+				if _, ok := reflect.StructTag(st.Tag(i)).Lookup("json"); ok {
+					walk(st)
+					break
+				}
+			}
+		}
+	}
+	return fields
 }
 
 // fieldWrites returns the field identifiers the loaded files write without

@@ -297,3 +297,96 @@ func Bump(c *Counter) int {
 		t.Errorf("findings:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }
+
+// Exported fields need a non-test read too, from any module of the tree.
+// encoding/json reads by reflection: every field of a type reachable from
+// a json:-tagged struct, through pointers, slices, maps and named types,
+// counts as read.
+func TestLintDirExportedFields(t *testing.T) {
+	root := t.TempDir()
+	lib := filepath.Join(root, "internal", "lib")
+	nested := filepath.Join(root, "bench")
+	for _, d := range []string{lib, nested} {
+		if err := os.MkdirAll(d, 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write(t, root, "go.mod", "module demo\n")
+	write(t, nested, "go.mod", "module demo/bench\n")
+	write(t, lib, "lib.go", `// Package lib is documented.
+package lib
+
+// Stats counts.
+type Stats struct {
+	Read    int
+	Written int
+	Nested  int
+	Bare    int //doclint:keep
+}
+
+// Record is encoded by encoding/json.
+type Record struct {
+	ID    int    `+"`json:\"id\"`"+`
+	Inner *Outer `+"`json:\"inner\"`"+`
+}
+
+// Outer carries no tags and is reached through a pointer.
+type Outer struct{ Items []Item }
+
+// Item is reached through a slice.
+type Item struct{ ByName map[string]Leaf }
+
+// Leaf is reached through a map.
+type Leaf struct{ Value int }
+
+// Orphan is neither read nor encoded.
+type Orphan struct{ Value int }
+
+// Plain carries no tags, so what it reaches is not encoded either.
+type Plain struct{ Inner *Orphan }
+
+// Bump writes every Stats field and reads only Read.
+func Bump(s *Stats) int {
+	s.Written++
+	s.Nested = 1
+	s.Bare = 2
+	return s.Read
+}
+
+// Build writes every field of the encoded types and of Plain.
+func Build() (Record, Plain) {
+	return Record{ID: 1, Inner: &Outer{Items: []Item{{ByName: map[string]Leaf{"a": {Value: 1}}}}}}, Plain{Inner: &Orphan{Value: 2}}
+}
+`)
+	write(t, lib, "lib_test.go", "package lib\n\nfunc init() { _ = Stats{}.Written }\n")
+	write(t, root, "main.go", `// Command demo.
+package main
+
+import "demo/internal/lib"
+
+func main() {
+	lib.Bump(new(lib.Stats))
+	lib.Build()
+	_, _, _, _ = lib.Outer{}, lib.Item{}, lib.Leaf{}, lib.Orphan{}
+}
+`)
+	write(t, nested, "main.go", "package main\n\nimport \"demo/internal/lib\"\n\nfunc main() { _ = new(lib.Stats).Nested }\n")
+
+	findings, err := lintDir(lib)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, f := range findings {
+		got = append(got, strings.TrimPrefix(f, lib+string(filepath.Separator)))
+	}
+	want := []string{
+		"lib.go:28: field Orphan.Value has no non-test read",
+		"lib.go:31: field Plain.Inner has no non-test read",
+		"lib.go:7: field Stats.Written has no non-test read",
+		"lib.go:9: //doclint:keep on Stats.Bare gives no reason",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("findings:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}

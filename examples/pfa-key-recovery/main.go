@@ -69,7 +69,9 @@ func recoverKey(c registry.Cipher, rng *stats.RNG) error {
 			continue
 		}
 		fmt.Printf("n=%5d  residual last-round-key entropy %6.1f bits\n", n, collector.ResidualEntropy())
-		got, err := collector.RecoverMasterKnownFault(yStar, cleanPT, cleanCT)
+		// The flipped entry's new value now appears twice, which lets an
+		// 80-bit cipher read its hidden key bits off the ciphertexts.
+		got, err := collector.RecoverMasterMultiFaultWithPair([]byte{yStar}, []byte{table[entry]}, cleanPT, cleanCT)
 		if err != nil {
 			continue
 		}

@@ -77,11 +77,13 @@ type WeakCell struct {
 	corrupted bool  // the flip changed stored data (observable), for ECC
 }
 
-// Flip describes one observed bit flip.
+// Flip describes one observed bit flip: the physical byte address, the bit
+// index within the byte and the bit's original value.  Only tests read the
+// flip log, the record the hammer-loop equivalence tests compare.
 type Flip struct {
-	Phys uint64 // physical byte address
-	Bit  uint8  // bit index within the byte
-	From uint8  // original bit value
+	Phys uint64 //doclint:keep the hammer-loop equivalence tests compare the flip log
+	Bit  uint8  //doclint:keep the hammer-loop equivalence tests compare the flip log
+	From uint8  //doclint:keep the hammer-loop equivalence tests compare the flip log
 }
 
 // rowState is the disturbance state of one row that holds weak cells.
@@ -144,13 +146,8 @@ type Device struct {
 
 // DeviceStats aggregates activity counters for reporting.
 type DeviceStats struct {
-	Activations      uint64
-	RowHits          uint64
-	Refreshes        uint64
-	BitFlips         uint64
-	TRRRefreshes     uint64
-	ECCCorrected     uint64
-	ECCUncorrectable uint64
+	Activations uint64
+	BitFlips    uint64
 }
 
 // NewDeviceWithMapper builds a device around an explicit address mapper —
@@ -218,18 +215,6 @@ func (d *Device) recomputeMinThr(si int32) {
 
 // rowIndex returns the dense index of (bankGroup, row).
 func (d *Device) rowIndex(bg, row int) int { return bg*d.geom.Rows + row }
-
-// stateFor returns the rowStates index for the dense row index, creating
-// the state on first use (weak-cell placement and PlantWeakCell).
-func (d *Device) stateFor(idx int) int32 {
-	si := d.rowIdx[idx]
-	if si < 0 {
-		si = int32(len(d.rowStates))
-		d.rowStates = append(d.rowStates, rowState{minThr: inf})
-		d.rowIdx[idx] = si
-	}
-	return si
-}
 
 // cellsAt returns the weak cells of the dense row index (nil for rows
 // without any).
@@ -328,12 +313,7 @@ func (d *Device) placeWeakCells() {
 		hi := end[si]
 		rs.cells = slab[lo:hi:hi]
 		lo = hi
-		rs.minThr = inf
-		for _, wc := range rs.cells {
-			if t := float64(wc.Threshold); t < rs.minThr {
-				rs.minThr = t
-			}
-		}
+		d.recomputeMinThr(int32(si))
 	}
 }
 
@@ -374,7 +354,12 @@ func (s keySet) add(key uint64) bool {
 //
 //doclint:keep rowhammer and kernel tests plant a known cell to make one flip deterministic
 func (d *Device) PlantWeakCell(wc WeakCell) {
-	si := d.stateFor(d.rowIndex(wc.Bank, wc.Row))
+	idx := d.rowIndex(wc.Bank, wc.Row)
+	if d.rowIdx[idx] < 0 {
+		d.rowIdx[idx] = int32(len(d.rowStates))
+		d.rowStates = append(d.rowStates, rowState{})
+	}
+	si := d.rowIdx[idx]
 	d.rowStates[si].cells = append(d.rowStates[si].cells, wc)
 	d.recomputeMinThr(si)
 }
@@ -427,19 +412,10 @@ func (d *Device) addNeighbour(ag *aggressor, row int, far bool) {
 	}
 }
 
-// rowHit reports, and counts, an access to the row already open in bank
-// group bg's row buffer.  Every access the device models goes through
-// rowHit and, when it is not a hit, open.
-func (d *Device) rowHit(bg, row int) bool {
-	if d.openRow[bg] != row {
-		return false
-	}
-	d.stats.RowHits++
-	return true
-}
-
 // open activates the resolved target's row after a row-buffer conflict,
-// charging disturbance to its neighbours (the hammering primitive).
+// charging disturbance to its neighbours (the hammering primitive).  Every
+// access the device models is a row-buffer hit, which changes nothing, or
+// an open.
 func (d *Device) open(ag *aggressor) {
 	d.openRow[ag.bg] = ag.row
 	d.stats.Activations++
@@ -537,21 +513,26 @@ func (d *Device) addrOfCell(bg, row, col int) Addr {
 // correct errors.
 func (d *Device) Refresh() {
 	for _, si := range d.dirty {
-		rs := &d.rowStates[si]
-		rs.near, rs.far = 0, 0
-		for i := range rs.cells {
-			rs.cells[i].held = false
-		}
-		d.recomputeMinThr(si)
+		d.refreshRow(si)
 	}
 	d.dirty = d.dirty[:0]
 	d.sinceRefresh = 0
-	d.stats.Refreshes++
 	// The TRR sampler also resets on the refresh sweep, as REF commands do
 	// on real devices.
 	for i := range d.trr {
 		d.trr[i].entries = d.trr[i].entries[:0]
 	}
+}
+
+// refreshRow recharges one weak-cell row: its disturbance counts reset and
+// cells that held get a fresh window.
+func (d *Device) refreshRow(si int32) {
+	rs := &d.rowStates[si]
+	rs.near, rs.far = 0, 0
+	for i := range rs.cells {
+		rs.cells[i].held = false
+	}
+	d.recomputeMinThr(si)
 }
 
 // ReadRangeNoActivate copies [pa, pa+len(out)) into out, bypassing the
@@ -568,49 +549,30 @@ func (d *Device) ReadRangeNoActivate(pa uint64, out []byte) {
 // eccCorrectRange applies SEC-DED over every aligned 64-bit word the copied
 // range overlaps.  A word with exactly one observably flipped bit is
 // corrected (the bit is restored if its byte was copied); with two or more
-// the raw, corrupted bytes are returned.  Each byte copied from such a word
-// counts one ECCCorrected or ECCUncorrectable event.  It is the device's
-// only SEC-DED routine and scans the weak cells once per covered row.
+// the raw, corrupted bytes are returned.  It is the device's only SEC-DED
+// routine; each copied corrupted cell rescans its row's few weak cells for
+// others in its word.
 func (d *Device) eccCorrectRange(pa uint64, out []byte) {
 	lo, hi := pa, pa+uint64(len(out))
 	rowBytes := uint64(d.geom.RowBytes)
-	var words map[uint64][]*WeakCell // word base pa -> corrupted cells
 	for base := lo &^ (rowBytes - 1); base < hi; base += rowBytes {
 		a := d.mapper.ToDRAM(base)
 		cells := d.cellsAt(d.rowIndex(d.mapper.BankGroup(a), a.Row))
-		for i := range cells {
-			wc := &cells[i]
-			if !wc.corrupted {
+		for _, wc := range cells {
+			cellPA := base + uint64(wc.ByteInRow)
+			if !wc.corrupted || cellPA < lo || cellPA >= hi {
 				continue
 			}
-			wordBase := base + uint64(wc.ByteInRow&^7)
-			if wordBase+8 <= lo || wordBase >= hi {
-				continue
+			inWord := 0
+			for _, other := range cells {
+				if other.corrupted && other.ByteInRow&^7 == wc.ByteInRow&^7 {
+					inWord++
+				}
 			}
-			if words == nil {
-				words = make(map[uint64][]*WeakCell)
+			if inWord == 1 {
+				out[cellPA-lo] ^= 1 << wc.Bit
 			}
-			words[wordBase] = append(words[wordBase], wc)
 		}
-	}
-	for wordBase, cells := range words {
-		overlapLo, overlapHi := wordBase, wordBase+8
-		if overlapLo < lo {
-			overlapLo = lo
-		}
-		if overlapHi > hi {
-			overlapHi = hi
-		}
-		read := overlapHi - overlapLo
-		if len(cells) == 1 {
-			d.stats.ECCCorrected += read
-			cellPA := wordBase + uint64(cells[0].ByteInRow&7)
-			if cellPA >= lo && cellPA < hi {
-				out[cellPA-lo] ^= 1 << cells[0].Bit
-			}
-			continue
-		}
-		d.stats.ECCUncorrectable += read
 	}
 }
 
@@ -675,7 +637,7 @@ func (d *Device) rearmRange(lo, hi uint64) {
 func (d *Device) ActivateRow(pa uint64) {
 	a := d.mapper.ToDRAM(pa)
 	bg := d.mapper.BankGroup(a)
-	if d.rowHit(bg, a.Row) {
+	if d.openRow[bg] == a.Row {
 		return
 	}
 	d.resolve(&d.single, bg, a.Row)

@@ -21,9 +21,8 @@ const thresholdMargin = 2
 // fixed per-round effect of every round after the first.
 type hammerPlan struct {
 	aggs []aggressor
-	// acts and hits count the activations and row-buffer hits of one
-	// steady round.
-	acts, hits uint64
+	// acts counts the activations of one steady round.
+	acts uint64
 	// rows lists the weak-cell rows one steady round disturbs.
 	rows []quietRow
 }
@@ -60,7 +59,7 @@ func (d *Device) HammerLoop(addrs []Addr, rounds int) {
 			}
 		}
 		for i := range aggs {
-			if ag := &aggs[i]; !d.rowHit(ag.bg, ag.row) {
+			if ag := &aggs[i]; d.openRow[ag.bg] != ag.row {
 				d.open(ag)
 			}
 		}
@@ -83,7 +82,6 @@ func (d *Device) planHammer(addrs []Addr) {
 	for i, a := range addrs {
 		d.resolve(&p.aggs[i], d.mapper.BankGroup(a), a.Row)
 	}
-	p.acts, p.hits = 0, 0
 	for i := range p.aggs {
 		ag := &p.aggs[i]
 		for j := 1; j <= n; j++ {
@@ -92,19 +90,17 @@ func (d *Device) planHammer(addrs []Addr) {
 				break
 			}
 		}
-		if ag.steadyHit {
-			p.hits++
-		} else {
-			p.acts++
-		}
 	}
 
-	// Count the steady round's near and far activations per row.
+	// Count the steady round's activations, and its near and far
+	// activations per row.
+	p.acts = 0
 	p.rows = p.rows[:0]
 	for i := range p.aggs {
 		if p.aggs[i].steadyHit {
 			continue
 		}
+		p.acts++
 		for _, nb := range p.aggs[i].nb[:p.aggs[i].n] {
 			j := 0
 			for j < len(p.rows) && p.rows[j].si != nb.si {
@@ -158,7 +154,6 @@ func (d *Device) quietRounds(max int) int {
 func (d *Device) fastForward(k int) {
 	p := &d.hammer
 	d.stats.Activations += uint64(k) * p.acts
-	d.stats.RowHits += uint64(k) * p.hits
 	d.sinceRefresh += uint64(k) * p.acts
 	for _, q := range p.rows {
 		rs := &d.rowStates[q.si]

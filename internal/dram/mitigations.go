@@ -130,21 +130,13 @@ func (d *Device) trrObserve(bg, row int) {
 // trrRefreshNeighbours recharges the rows adjacent to the hammered row:
 // their disturbance counts reset, exactly like a targeted refresh.
 func (d *Device) trrRefreshNeighbours(bg, row int) {
-	d.stats.TRRRefreshes++
 	for dr := -2; dr <= 2; dr++ {
 		r := row + dr
 		if dr == 0 || r < 0 || r >= d.geom.Rows {
 			continue
 		}
-		si := d.rowIdx[d.rowIndex(bg, r)]
-		if si < 0 {
-			continue
+		if si := d.rowIdx[d.rowIndex(bg, r)]; si >= 0 {
+			d.refreshRow(si)
 		}
-		rs := &d.rowStates[si]
-		rs.near, rs.far = 0, 0
-		for i := range rs.cells {
-			rs.cells[i].held = false
-		}
-		d.recomputeMinThr(si)
 	}
 }

@@ -44,8 +44,12 @@ func (d *Device) placeWeakCellsByMap() {
 		wc.FlipTo = uint8(d.rng.Intn(2))
 		spread := 1 + d.rng.Float64()*d.model.ThresholdSpread
 		wc.Threshold = int(float64(d.model.BaseThreshold) * spread)
-		si := d.stateFor(d.rowIndex(wc.Bank, wc.Row))
-		rs := &d.rowStates[si]
+		idx := d.rowIndex(wc.Bank, wc.Row)
+		if d.rowIdx[idx] < 0 {
+			d.rowIdx[idx] = int32(len(d.rowStates))
+			d.rowStates = append(d.rowStates, rowState{minThr: inf})
+		}
+		rs := &d.rowStates[d.rowIdx[idx]]
 		rs.cells = append(rs.cells, wc)
 		if t := float64(wc.Threshold); t < rs.minThr {
 			rs.minThr = t

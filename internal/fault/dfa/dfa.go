@@ -219,7 +219,7 @@ func CollectPairs(c registry.Cipher, inst registry.Instance, table []byte, n int
 	for i := 0; i < n; i++ {
 		pt := make([]byte, bs)
 		rng.Bytes(pt)
-		inj, err := m.Draw(rng, bs, round)
+		inj, err := m.Draw(rng, bs)
 		if err != nil {
 			return nil, err
 		}

@@ -336,9 +336,24 @@ func TestCollectPairFaultPropagatesToFourBytes(t *testing.T) {
 			nd++
 		}
 	}
-	// A round-9 single-byte fault spreads to exactly one column = 4 bytes.
+	// Round 0 resolves to the analyzer's round 9, and a round-9
+	// single-byte fault spreads to exactly one column = 4 bytes.
 	if nd != 4 {
 		t.Fatalf("fault affected %d ciphertext bytes, want 4", nd)
+	}
+	// A pinned last-round fault skips MixColumns and stays in its byte.
+	pairs, err = CollectPairs(c, inst, c.SBox(), 1, fault.New(fault.PreciseByte, fault.WithPosition(0), withRound(10)), stats.NewRNG(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	nd = 0
+	for i := range pairs[0].Correct {
+		if pairs[0].Correct[i] != pairs[0].Faulty[i] {
+			nd++
+		}
+	}
+	if nd != 1 {
+		t.Fatalf("round-10 fault affected %d ciphertext bytes, want 1", nd)
 	}
 }
 

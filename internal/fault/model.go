@@ -166,11 +166,10 @@ func (m Model) Name() string {
 // across processes, usable for dedup and per-model seed derivation.
 func (m Model) Hash() uint64 { return stats.FNV64(m.Name()) }
 
-// Injection is one concrete rendering of a Model: the round and the XOR
-// mask EncryptWithFault applies to the byte-form block at its entry.
+// Injection is one concrete rendering of a Model: the XOR mask
+// EncryptWithFault applies to the byte-form block at the entry of the
+// model's round.
 type Injection struct {
-	// Round is the resolved 1-based round.
-	Round int
 	// Mask is the block-sized difference XORed into the round input.
 	Mask []byte
 	// Position is the drawn position in the model's units when the kind
@@ -180,19 +179,14 @@ type Injection struct {
 }
 
 // Draw renders the model into one Injection for a blockBytes-sized victim,
-// drawing any unpinned choices (position, fault value) from rng.
-// defaultRound substitutes for Round 0.  The draw order is part of the
-// results-book contract: position first (when Anywhere), then one value
-// draw per faulted unit.
-func (m Model) Draw(rng *stats.RNG, blockBytes, defaultRound int) (Injection, error) {
+// drawing any unpinned choices (position, fault value) from rng.  The draw
+// order is part of the results-book contract: position first (when
+// Anywhere), then one value draw per faulted unit.
+func (m Model) Draw(rng *stats.RNG, blockBytes int) (Injection, error) {
 	if err := m.Validate(); err != nil {
 		return Injection{}, err
 	}
-	round := m.Round
-	if round == 0 {
-		round = defaultRound
-	}
-	inj := Injection{Round: round, Mask: make([]byte, blockBytes), Position: m.Position}
+	inj := Injection{Mask: make([]byte, blockBytes), Position: m.Position}
 	switch m.Kind {
 	case PreciseBit:
 		if inj.Position == Anywhere {

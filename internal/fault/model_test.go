@@ -139,12 +139,9 @@ func TestDrawShapes(t *testing.T) {
 	const block = 8
 	for _, p := range Presets() {
 		for trial := 0; trial < 50; trial++ {
-			inj, err := p.Model.Draw(rng, block, 29)
+			inj, err := p.Model.Draw(rng, block)
 			if err != nil {
 				t.Fatalf("%s: %v", p.Name, err)
-			}
-			if inj.Round != 29 {
-				t.Fatalf("%s: round %d, want the default 29", p.Name, inj.Round)
 			}
 			if len(inj.Mask) != block {
 				t.Fatalf("%s: mask length %d", p.Name, len(inj.Mask))
@@ -186,25 +183,25 @@ func TestDrawShapes(t *testing.T) {
 
 func TestDrawPinnedChoices(t *testing.T) {
 	rng := stats.NewRNG(2)
-	inj, err := New(PreciseBit, WithPosition(9), WithRound(5)).Draw(rng, 8, 29)
+	inj, err := New(PreciseBit, WithPosition(9), WithRound(5)).Draw(rng, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if inj.Round != 5 || inj.Position != 9 || inj.Mask[1] != 0x40 {
+	if inj.Position != 9 || inj.Mask[1] != 0x40 {
 		t.Fatalf("pinned draw: %+v", inj)
 	}
 	// A pinned precise-bit draw consumes no randomness at all, and a pinned
 	// precise-byte draw consumes exactly one value draw — the compatibility
 	// contract the results book relies on.
 	a, b := stats.NewRNG(3), stats.NewRNG(3)
-	if _, err := New(PreciseBit, WithPosition(0)).Draw(a, 16, 9); err != nil {
+	if _, err := New(PreciseBit, WithPosition(0)).Draw(a, 16); err != nil {
 		t.Fatal(err)
 	}
 	if a.Uint64() != b.Uint64() {
 		t.Fatal("pinned precise-bit draw consumed randomness")
 	}
 	a, b = stats.NewRNG(4), stats.NewRNG(4)
-	inj, err = New(PreciseByte, WithPosition(2)).Draw(a, 16, 9)
+	inj, err = New(PreciseByte, WithPosition(2)).Draw(a, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,11 +222,11 @@ func TestDrawBoundsErrors(t *testing.T) {
 		New(RandomBytes, WithWidth(9)),
 	}
 	for _, m := range cases {
-		if _, err := m.Draw(rng, 8, 29); err == nil {
+		if _, err := m.Draw(rng, 8); err == nil {
 			t.Errorf("%s: out-of-range draw accepted for an 8-byte block", m.Name())
 		}
 	}
-	if _, err := (Model{Kind: "laser"}).Draw(rng, 8, 29); err == nil {
+	if _, err := (Model{Kind: "laser"}).Draw(rng, 8); err == nil {
 		t.Error("invalid model drew an injection")
 	}
 }
@@ -239,11 +236,11 @@ func TestDrawDeterminism(t *testing.T) {
 		a := stats.NewRNG(11)
 		b := stats.NewRNG(11)
 		for i := 0; i < 20; i++ {
-			ia, err := p.Model.Draw(a, 16, 9)
+			ia, err := p.Model.Draw(a, 16)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ib, _ := p.Model.Draw(b, 16, 9)
+			ib, _ := p.Model.Draw(b, 16)
 			if ia.Position != ib.Position || string(ia.Mask) != string(ib.Mask) {
 				t.Fatalf("%s: same seed diverged at draw %d", p.Name, i)
 			}

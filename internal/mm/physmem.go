@@ -134,7 +134,7 @@ func (pm *PhysMem) ZoneOf(p PFN) ZoneType {
 // HasZone reports whether the machine has the given zone.
 func (pm *PhysMem) HasZone(zt ZoneType) bool { return pm.zones[zt] != nil }
 
-// FreePages returns the total number of free pages in the zone (buddy only;
+// FreePagesInZone returns the total number of free pages in the zone (buddy only;
 // pcp-cached frames are not counted free, matching NR_FREE_PAGES semantics).
 func (pm *PhysMem) FreePagesInZone(zt ZoneType) uint64 {
 	if pm.zones[zt] == nil {
@@ -216,7 +216,6 @@ func (pm *PhysMem) allocOrder0(cpu int, pref ZoneType) (PFN, error) {
 			z.stats.PCPHits++
 		} else {
 			// Miss: refill a batch from the buddy allocator.
-			z.stats.PCPMisses++
 			if !z.watermarkOK(0) {
 				z.stats.FailedAllo++
 				continue
@@ -232,7 +231,6 @@ func (pm *PhysMem) allocOrder0(cpu int, pref ZoneType) (PFN, error) {
 			if len(lst.frames) == 0 {
 				continue
 			}
-			z.stats.PCPRefills++
 			if zt != pref {
 				z.stats.Fallbacks++
 			}
@@ -308,7 +306,6 @@ func (pm *PhysMem) spillPCP(cpu int, zt ZoneType) {
 		}
 	}
 	lst.frames = append(lst.frames[:0], lst.frames[n:]...)
-	z.stats.PCPSpills++
 }
 
 // DrainCPU releases every pcp frame of the CPU back to the buddy allocator.

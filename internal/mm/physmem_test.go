@@ -187,18 +187,24 @@ func TestPCPPerCPUIsolation(t *testing.T) {
 func TestPCPRefillBatch(t *testing.T) {
 	pm := newTestPM(t)
 	cfg := pm.Config()
+	free := pm.FreePagesInZone(ZoneDMA32)
 	_, err := pm.AllocPages(0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// One refill happened, one frame handed out.
+	// The first allocation misses the empty cache: one batch leaves the
+	// buddy allocator, one frame of it is handed out.
 	if got := pm.PCPCount(0, ZoneDMA32); got != cfg.PCPBatch-1 {
 		t.Fatalf("pcp count after first alloc = %d, want %d", got, cfg.PCPBatch-1)
 	}
-	if s := pm.Stats(ZoneDMA32); s.PCPRefills != 1 || s.PCPMisses != 1 {
-		t.Fatalf("stats = %+v", s)
+	if got := free - pm.FreePagesInZone(ZoneDMA32); got != uint64(cfg.PCPBatch) {
+		t.Fatalf("refill took %d buddy pages, want one batch of %d", got, cfg.PCPBatch)
 	}
-	// The next batch-1 allocations are pure hits.
+	if s := pm.Stats(ZoneDMA32); s.PCPHits != 0 {
+		t.Fatalf("stats = %+v, want the first allocation to miss", s)
+	}
+	// The next batch-1 allocations are pure hits: no second refill.
+	free = pm.FreePagesInZone(ZoneDMA32)
 	for i := 0; i < cfg.PCPBatch-1; i++ {
 		if _, err := pm.AllocPages(0, 0); err != nil {
 			t.Fatal(err)
@@ -206,6 +212,9 @@ func TestPCPRefillBatch(t *testing.T) {
 	}
 	if s := pm.Stats(ZoneDMA32); s.PCPHits != uint64(cfg.PCPBatch-1) {
 		t.Fatalf("PCPHits = %d, want %d", s.PCPHits, cfg.PCPBatch-1)
+	}
+	if got := pm.FreePagesInZone(ZoneDMA32); got != free {
+		t.Fatalf("buddy free pages %d -> %d during pcp hits", free, got)
 	}
 }
 
@@ -220,13 +229,14 @@ func TestPCPSpillAtHighWatermark(t *testing.T) {
 		}
 		pages = append(pages, p)
 	}
+	free := pm.FreePagesInZone(ZoneDMA32)
 	for _, p := range pages {
 		if err := pm.FreePages(0, p, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if s := pm.Stats(ZoneDMA32); s.PCPSpills == 0 {
-		t.Fatal("expected a pcp spill after exceeding the high watermark")
+	if pm.FreePagesInZone(ZoneDMA32) <= free {
+		t.Fatal("expected a pcp spill to the buddy allocator after exceeding the high watermark")
 	}
 	if got := pm.PCPCount(0, ZoneDMA32); got > cfg.PCPHigh {
 		t.Fatalf("pcp count %d exceeds high watermark %d", got, cfg.PCPHigh)

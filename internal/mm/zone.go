@@ -109,9 +109,6 @@ type ZoneStats struct {
 	Splits     uint64 // block splits performed
 	Coalesces  uint64 // buddy merges performed
 	PCPHits    uint64 // order-0 allocations served from a pcp list
-	PCPMisses  uint64 // order-0 allocations that had to refill from buddy
-	PCPRefills uint64 // batch refills pulled from the buddy allocator
-	PCPSpills  uint64 // batch spills pushed back on pcp overflow
 	Fallbacks  uint64 // allocations served by this zone on behalf of a higher preferred zone
 	FailedAllo uint64 // allocation attempts rejected by the watermark
 }

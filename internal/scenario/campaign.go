@@ -58,12 +58,13 @@ func (c *Campaign) Dedup() Campaign {
 	return out
 }
 
-// Event reports campaign progress: one event when a spec starts (Result
-// nil, Done false), one when it finishes (Done true, Result or Err set),
-// and — with WithTrialEvents — one per completed trial in between (Trial
-// >= 0, Outcome set).  SpecHash and Trial make every event self-identifying:
-// a consumer can attribute it to exactly one (spec, trial) without holding
-// the campaign, which is what the service journal keys checkpoints on.
+// Event reports campaign progress: one event when a spec starts (Done
+// false), one when it finishes (Done true, Err set if it failed), and —
+// with WithTrialEvents — one per completed trial in between (Trial >= 0,
+// Outcome set); Run returns the specs' results.  SpecHash and Trial make
+// every event self-identifying: a consumer can attribute it to exactly one
+// (spec, trial) without holding the campaign, which is what the service
+// journal keys checkpoints on.
 type Event struct {
 	// Index and Total locate the spec within the campaign.
 	Index, Total int
@@ -77,8 +78,6 @@ type Event struct {
 	Trial int
 	// Outcome is the completed trial's result (trial-level events only).
 	Outcome *TrialOutcome
-	// Result is the outcome (finish events of successful specs only).
-	Result *Result
 	// Err is the failure (finish events of failed specs only).
 	Err error
 	// Done distinguishes finish events from start events.  Trial-level
@@ -171,7 +170,7 @@ func (c *Campaign) Run(ctx context.Context, opts ...CampaignOption) ([]*Result, 
 			}
 		}
 		res, err := RunResumable(ctx, spec, o.checkpoint[hash], onTrial, o.trialOpts...)
-		emit(Event{Index: i, Total: len(c.Specs), Spec: spec, SpecHash: hash, Trial: -1, Result: res, Err: err, Done: true})
+		emit(Event{Index: i, Total: len(c.Specs), Spec: spec, SpecHash: hash, Trial: -1, Err: err, Done: true})
 		if err != nil {
 			return nil, fmt.Errorf("spec %d (%s): %w", i, spec.Title(), err)
 		}

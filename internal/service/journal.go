@@ -39,6 +39,8 @@ type CampaignState struct {
 	// TrialEntries counts raw trial lines (before keyed dedup): the
 	// zero-recompute assertion compares it against the campaign's total
 	// trial count.
+	//
+	//doclint:keep the service tests' zero-recompute assertion counts it
 	TrialEntries int
 	// Status is the replayed terminal status ("done", "cancelled" or
 	// "failed"), or "" for a campaign the server resumes.

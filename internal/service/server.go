@@ -298,11 +298,14 @@ var testHookSubmit func(id string)
 // before its table is folded; tests use it to fault the fold.
 var testHookFold func(id string)
 
+// runCampaign is Campaign.Run; tests replace it to make a trial panic.
+var runCampaign = (*scenario.Campaign).Run
+
 // start launches the campaign's execution goroutine, resuming from cp.
-// The harness recovers panics inside trials; a panic anywhere else in the
-// goroutine (the fold, the table, the store) fails this campaign instead
-// of the whole process.  A failure is journaled, so a restarted server
-// reports it rather than running the campaign again.
+// The harness recovers panics inside trials (their stacks are logged); a
+// panic anywhere else in the goroutine (the fold, the table, the store)
+// fails this campaign instead of the whole process.  A failure is
+// journaled, so a restarted server reports it rather than running it again.
 func (s *Server) start(cr *campaignRun, cp scenario.Checkpoint) {
 	ctx, cancel := context.WithCancel(s.baseCtx)
 	cr.mu.Lock()
@@ -325,7 +328,7 @@ func (s *Server) start(cr *campaignRun, cp scenario.Checkpoint) {
 				fail(msg)
 			}
 		}()
-		results, err := cr.camp.Run(ctx,
+		results, err := runCampaign(&cr.camp, ctx,
 			scenario.WithTrialEvents(),
 			scenario.WithCheckpoint(cp),
 			scenario.WithTrialOptions(harness.WithWorkers(s.cfg.TrialWorkers)),
@@ -377,9 +380,26 @@ func (s *Server) start(cr *campaignRun, cp scenario.Checkpoint) {
 			// resumable and the next server picks the campaign back up.
 		default:
 			s.logger.Printf("campaign %s: %v", cr.id, err)
+			s.logTrialPanics(cr.id, err)
 			fail(err.Error())
 		}
 	}()
+}
+
+// logTrialPanics logs the value and stack of every trial in err's tree that
+// panicked; the campaign's failure message keeps only the value.
+func (s *Server) logTrialPanics(id string, err error) {
+	if te, ok := err.(*harness.TrialError); ok && te.Stack != nil {
+		s.logger.Printf("campaign %s: trial %d: panic: %v\n%s", id, te.Trial, te.Panic, te.Stack)
+	}
+	switch u := err.(type) {
+	case interface{ Unwrap() error }:
+		s.logTrialPanics(id, u.Unwrap())
+	case interface{ Unwrap() []error }:
+		for _, e := range u.Unwrap() {
+			s.logTrialPanics(id, e)
+		}
+	}
 }
 
 // run looks a campaign up by id.

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"log"
 	"net/http/httptest"
 	"os"
@@ -16,20 +17,28 @@ import (
 	"time"
 
 	"explframe/internal/dram"
+	"explframe/internal/harness"
 	"explframe/internal/machine"
 	"explframe/internal/report"
 	"explframe/internal/scenario"
+	"explframe/internal/stats"
 )
 
 // testServer boots a Server over httptest and returns it with a client.
 // journal and store name files under dir so restarts can share them.
 func testServer(t *testing.T, dir string) (*Server, *Client, func()) {
 	t.Helper()
+	return testServerLog(t, dir, discard{})
+}
+
+// testServerLog is testServer with the server's log written to w.
+func testServerLog(t *testing.T, dir string, w io.Writer) (*Server, *Client, func()) {
+	t.Helper()
 	srv, err := New(Config{
 		Journal:      filepath.Join(dir, "journal.jsonl"),
 		Store:        filepath.Join(dir, "store"),
 		TrialWorkers: 2,
-		Log:          log.New(discard{}, "", 0),
+		Log:          log.New(w, "", 0),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -513,6 +522,80 @@ func TestServerSurvivesCampaignPanic(t *testing.T) {
 	}
 	final, err = c.Stream(ctx, st2.ID, nil)
 	if err != nil || final.Status != "done" {
+		t.Fatalf("campaign after the panic: %+v, %v", final, err)
+	}
+}
+
+// lockedBuffer is a log sink the test reads while the server may write.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// panickingTrial panics in trial 1.
+func panickingTrial(trial int, _ *stats.RNG) (int, error) {
+	if trial == 1 {
+		panic("trial fault")
+	}
+	return trial, nil
+}
+
+// A trial that panics fails its campaign with the panic value, and the
+// server logs the trial's stack, which names the panicking function.  The
+// server stays up and the next campaign runs to done.
+func TestServerLogsTrialPanicStack(t *testing.T) {
+	faulty := CampaignID(serviceCampaign())
+	runCampaign = func(c *scenario.Campaign, ctx context.Context, opts ...scenario.CampaignOption) ([]*scenario.Result, error) {
+		if CampaignID(*c) != faulty {
+			return c.Run(ctx, opts...)
+		}
+		_, err := harness.RunTrials(1, 3, panickingTrial, harness.WithWorkers(2))
+		return nil, fmt.Errorf("campaign %q: %w", c.Name, err)
+	}
+	defer func() { runCampaign = (*scenario.Campaign).Run }()
+	var logs lockedBuffer
+	_, c, stop := testServerLog(t, t.TempDir(), &logs)
+	defer stop()
+	ctx := context.Background()
+
+	st, err := c.Submit(ctx, serviceCampaign())
+	if err != nil {
+		t.Fatal(err)
+	}
+	final, err := c.Stream(ctx, st.ID, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final.Status != "failed" || !strings.Contains(final.Error, "panic: trial fault") {
+		t.Fatalf("terminal line of the panicking campaign: %+v", final)
+	}
+	got := logs.String()
+	if want := "campaign " + st.ID + ": trial 1: panic: trial fault\n"; !strings.Contains(got, want) {
+		t.Fatalf("log lacks %q:\n%s", want, got)
+	}
+	if !strings.Contains(got, "panickingTrial") {
+		t.Fatalf("logged stack does not name the panicking function:\n%s", got)
+	}
+
+	next := serviceCampaign()
+	next.Name = "after-panic"
+	st2, err := c.Submit(ctx, next)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final, err = c.Stream(ctx, st2.ID, nil); err != nil || final.Status != "done" {
 		t.Fatalf("campaign after the panic: %+v, %v", final, err)
 	}
 }

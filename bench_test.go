@@ -150,18 +150,6 @@ func BenchmarkDRAMActivate(b *testing.B) {
 	}
 }
 
-func BenchmarkPageTableMapUnmap(b *testing.B) {
-	pt := vm.NewPageTable()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		va := vm.VirtAddr(uint64(i%1024) * vm.PageSize)
-		if err := pt.Map(va, mm.PFN(i)); err != nil {
-			b.Fatal(err)
-		}
-		pt.Unmap(va)
-	}
-}
-
 func BenchmarkProcessLoad(b *testing.B) {
 	m, _ := kernel.NewMachine(kernel.DefaultConfig())
 	p, _ := m.Spawn("bench", 0)

@@ -111,10 +111,20 @@ var rcon = [...]byte{0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1b, 0x36}
 // Expand performs the FIPS-197 AES-128 key expansion using the canonical
 // S-box.  Fault analyses assume the schedule was computed before the fault
 // landed (round keys live in registers/cache once derived), so expansion
-// never uses a faultable table.
+// never uses a faultable table.  Expand is small enough to inline, so a
+// caller whose schedule does not outlive the call keeps it on the stack.
 func Expand(key []byte) (*Schedule, error) {
+	s := new(Schedule)
+	if err := s.expand(key); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// expand fills s with the key's round keys.
+func (s *Schedule) expand(key []byte) error {
 	if len(key) != 16 {
-		return nil, fmt.Errorf("%w: got %d", ErrKeySize, len(key))
+		return fmt.Errorf("%w: got %d", ErrKeySize, len(key))
 	}
 	var w [4 * (rounds + 1)][4]byte
 	for i := 0; i < 4; i++ {
@@ -131,13 +141,12 @@ func Expand(key []byte) (*Schedule, error) {
 			w[i][j] = w[i-4][j] ^ t[j]
 		}
 	}
-	s := &Schedule{}
 	for r := 0; r <= rounds; r++ {
 		for c := 0; c < 4; c++ {
 			copy(s.rk[r][4*c:4*c+4], w[4*r+c][:])
 		}
 	}
-	return s, nil
+	return nil
 }
 
 // shift is the ShiftRows source table for a column-major state (index =

@@ -100,6 +100,9 @@ func (aes128) RecoverMaster(lastRoundKey, plaintext, ciphertext []byte, _ *Fault
 	copy(k10[:], lastRoundKey)
 	m := aes.RecoverMasterFromLastRound(k10)
 	if plaintext != nil {
+		// The schedule stays on the stack and the key is copied out only
+		// on a hit: a multi-fault completion rejects thousands of
+		// candidates without allocating.
 		ks, err := aes.Expand(m[:])
 		if err != nil {
 			return nil, false
@@ -111,7 +114,7 @@ func (aes128) RecoverMaster(lastRoundKey, plaintext, ciphertext []byte, _ *Fault
 			return nil, false
 		}
 	}
-	return m[:], true
+	return bytes.Clone(m[:]), true
 }
 
 type aesInstance struct{ ks *aes.Schedule }

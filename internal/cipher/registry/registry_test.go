@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"explframe/internal/cipher/aes"
 	"explframe/internal/cipher/present"
 	"explframe/internal/stats"
 )
@@ -258,5 +259,32 @@ func TestPFAHookContract(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// A rejected AES-128 completion allocates nothing: a multi-fault PFA
+// completion checks tens of thousands of candidate last-round keys against
+// the known pair, and only the hit's master key leaves the call.
+func TestAESRecoverMasterMissAllocatesNothing(t *testing.T) {
+	c := MustGet("aes-128")
+	key := []byte("0123456789abcdef")
+	inst, err := c.New(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pt, ct := make([]byte, 16), make([]byte, 16)
+	inst.Encrypt(c.SBox(), ct, pt)
+	ks, _ := aes.Expand(key)
+	k10 := ks.RoundKey(10)
+	if master, ok := c.RecoverMaster(k10[:], pt, ct, nil); !ok || !bytes.Equal(master, key) {
+		t.Fatalf("hit: RecoverMaster = %x, %v, want %x", master, ok, key)
+	}
+	k10[3] ^= 1
+	if n := testing.AllocsPerRun(100, func() {
+		if _, ok := c.RecoverMaster(k10[:], pt, ct, nil); ok {
+			t.Fatal("a wrong last-round key passed the known pair")
+		}
+	}); n != 0 {
+		t.Fatalf("a miss allocated %.1f times", n)
 	}
 }

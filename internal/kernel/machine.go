@@ -192,8 +192,8 @@ func (p *Process) Mmap(length uint64) (vm.VirtAddr, error) {
 // is the planting primitive of the attack.
 func (p *Process) Munmap(addr vm.VirtAddr, length uint64) error {
 	var freeErr error
-	err := p.as.Unmap(addr, length, func(_ vm.VirtAddr, pte vm.PTE) {
-		if e := p.m.phys.FreePages(p.cpuID, pte.PFN, 0); e != nil && freeErr == nil {
+	err := p.as.Unmap(addr, length, func(_ vm.VirtAddr, pfn mm.PFN) {
+		if e := p.m.phys.FreePages(p.cpuID, pfn, 0); e != nil && freeErr == nil {
 			freeErr = e
 		}
 	})
@@ -205,34 +205,30 @@ func (p *Process) Munmap(addr vm.VirtAddr, length uint64) error {
 
 // fault serves a demand-paging fault for the page containing va: a fresh
 // order-0 frame is allocated through the CPU's page frame cache, zeroed,
-// and mapped.
-func (p *Process) fault(va vm.VirtAddr) error {
+// and mapped.  It returns va's physical address.
+func (p *Process) fault(va vm.VirtAddr) (uint64, error) {
 	if _, ok := p.as.FindVMA(va); !ok {
-		return fmt.Errorf("%w at %#x", ErrSegv, uint64(va))
+		return 0, fmt.Errorf("%w at %#x", ErrSegv, uint64(va))
 	}
 	pfn, err := p.m.phys.AllocPages(p.cpuID, 0)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	// The kernel hands out zeroed pages.  Zeroing bypasses the activation
 	// model: it is a streaming store whose row pressure is irrelevant to
 	// the attack statistics and would otherwise dominate simulation cost.
 	p.m.dev.ZeroNoActivate(pfn.Phys(), vm.PageSize)
-	// Map fails only on a corrupted page table; surface that loudly.
-	return p.as.PT.Map(va.PageBase(), pfn)
+	// MapFrame fails only on a corrupted address space; surface that loudly.
+	return pfn.Phys() + va.Offset(), p.as.MapFrame(va, pfn)
 }
 
 // translate resolves va to a physical address, faulting the page in on
 // first touch.
 func (p *Process) translate(va vm.VirtAddr) (uint64, error) {
-	if pa, ok := p.as.PT.Translate(va); ok {
+	if pa, ok := p.as.Translate(va); ok {
 		return pa, nil
 	}
-	if err := p.fault(va); err != nil {
-		return 0, err
-	}
-	pa, _ := p.as.PT.Translate(va)
-	return pa, nil
+	return p.fault(va)
 }
 
 // Load reads one byte from the process's address space.  The access
@@ -338,5 +334,5 @@ func (p *Process) HammerLoop(vas []vm.VirtAddr, rounds int) error {
 // Translate resolves a virtual address without faulting; ok is false for
 // untouched pages.
 func (p *Process) Translate(va vm.VirtAddr) (uint64, bool) {
-	return p.as.PT.Translate(va)
+	return p.as.Translate(va)
 }

@@ -10,10 +10,14 @@ import (
 	"explframe/internal/vm"
 )
 
-// mappedPages counts the process's present page-table translations.
-func mappedPages(p *Process) int {
+// mappedPages counts the pages of [base, base+length) that have a frame.
+func mappedPages(p *Process, base vm.VirtAddr, length uint64) int {
 	n := 0
-	p.as.PT.Walk(func(vm.VirtAddr, vm.PTE) { n++ })
+	for off := uint64(0); off < length; off += vm.PageSize {
+		if _, ok := p.Translate(base + vm.VirtAddr(off)); ok {
+			n++
+		}
+	}
 	return n
 }
 
@@ -50,13 +54,13 @@ func TestDemandPaging(t *testing.T) {
 		t.Fatal(err)
 	}
 	// No frames allocated yet.
-	if mappedPages(p) != 0 {
+	if mappedPages(p, base, 8*vm.PageSize) != 0 {
 		t.Fatal("mmap allocated frames eagerly")
 	}
 	if err := p.Store(base, 0xAB); err != nil {
 		t.Fatal(err)
 	}
-	if n := mappedPages(p); n != 1 {
+	if n := mappedPages(p, base, 8*vm.PageSize); n != 1 {
 		t.Fatalf("mapped pages = %d, want 1", n)
 	}
 	v, err := p.Load(base)
@@ -68,7 +72,7 @@ func TestDemandPaging(t *testing.T) {
 	if err != nil || v != 0 {
 		t.Fatalf("untouched page = %v, %v", v, err)
 	}
-	if n := mappedPages(p); n != 2 {
+	if n := mappedPages(p, base, 8*vm.PageSize); n != 2 {
 		t.Fatalf("mapped pages = %d, want 2", n)
 	}
 }
@@ -312,7 +316,7 @@ func TestTouchFaultsEveryPage(t *testing.T) {
 	if err := p.Touch(base, 16*vm.PageSize); err != nil {
 		t.Fatal(err)
 	}
-	if n := mappedPages(p); n != 16 {
+	if n := mappedPages(p, base, 16*vm.PageSize); n != 16 {
 		t.Fatalf("mapped pages = %d, want 16", n)
 	}
 	if err := p.AddressSpace().CheckInvariants(); err != nil {
@@ -335,7 +339,7 @@ func TestSpawnResident(t *testing.T) {
 			t.Fatalf("page %d not resident", i)
 		}
 	}
-	if n := mappedPages(p); n != pages {
+	if n := mappedPages(p, base, pages*vm.PageSize); n != pages {
 		t.Fatalf("mapped pages = %d, want %d", n, pages)
 	}
 

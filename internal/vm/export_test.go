@@ -8,23 +8,18 @@ func (v VMA) Pages() uint64 { return v.Len() / PageSize }
 
 // VMAs returns a copy of the current areas, sorted by start address.
 func (as *AddressSpace) VMAs() []VMA {
-	out := make([]VMA, len(as.vmas))
-	copy(out, as.vmas)
+	out := make([]VMA, len(as.areas))
+	for i, a := range as.areas {
+		out[i] = a.VMA
+	}
 	return out
 }
 
 // MappedBytes returns the total bytes covered by VMAs.
 func (as *AddressSpace) MappedBytes() uint64 {
 	var n uint64
-	for _, v := range as.vmas {
-		n += v.Len()
+	for _, a := range as.areas {
+		n += a.Len()
 	}
-	return n
-}
-
-// MappedPages returns the number of present leaf translations.
-func (pt *PageTable) MappedPages() int {
-	n := 0
-	pt.Walk(func(VirtAddr, PTE) { n++ })
 	return n
 }

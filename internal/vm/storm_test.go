@@ -9,7 +9,7 @@ import (
 
 // A random storm of map/unmap operations (including partial unmaps that
 // split areas) must keep the address space invariants: sorted,
-// non-overlapping VMAs and no PTE outside a VMA.
+// non-overlapping VMAs, each recording frames only for its own pages.
 func TestAddressSpaceStorm(t *testing.T) {
 	as := NewAddressSpace()
 	rng := stats.NewRNG(31337)
@@ -20,6 +20,8 @@ func TestAddressSpaceStorm(t *testing.T) {
 	}
 	var live []area
 	nextPFN := mm.PFN(1)
+	released := 0
+	release := func(VirtAddr, mm.PFN) { released++ }
 
 	for step := 0; step < 5000; step++ {
 		switch {
@@ -32,8 +34,8 @@ func TestAddressSpaceStorm(t *testing.T) {
 			// Fault in a random subset of pages.
 			for p := 0; p < pages; p++ {
 				if rng.Bool(0.6) {
-					if err := as.PT.Map(start+VirtAddr(p)*PageSize, nextPFN); err != nil {
-						t.Fatalf("step %d: pt map: %v", step, err)
+					if err := as.MapFrame(start+VirtAddr(p)*PageSize, nextPFN); err != nil {
+						t.Fatalf("step %d: map frame: %v", step, err)
 					}
 					nextPFN++
 				}
@@ -45,7 +47,7 @@ func TestAddressSpaceStorm(t *testing.T) {
 			// Unmap a random sub-range, possibly splitting the area.
 			off := rng.Intn(a.pages)
 			n := 1 + rng.Intn(a.pages-off)
-			err := as.Unmap(a.start+VirtAddr(off)*PageSize, uint64(n)*PageSize, nil)
+			err := as.Unmap(a.start+VirtAddr(off)*PageSize, uint64(n)*PageSize, release)
 			if err != nil {
 				t.Fatalf("step %d: unmap: %v", step, err)
 			}
@@ -67,12 +69,12 @@ func TestAddressSpaceStorm(t *testing.T) {
 	}
 	// Tear everything down; the space must end empty.
 	for _, a := range live {
-		if err := as.Unmap(a.start, uint64(a.pages)*PageSize, nil); err != nil {
+		if err := as.Unmap(a.start, uint64(a.pages)*PageSize, release); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if as.MappedBytes() != 0 || as.PT.MappedPages() != 0 {
-		t.Fatalf("space not empty: %d bytes, %d pages", as.MappedBytes(), as.PT.MappedPages())
+	if as.MappedBytes() != 0 || released != int(nextPFN-1) {
+		t.Fatalf("space not empty: %d bytes, %d of %d frames released", as.MappedBytes(), released, nextPFN-1)
 	}
 	if err := as.CheckInvariants(); err != nil {
 		t.Fatal(err)

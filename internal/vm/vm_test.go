@@ -2,6 +2,9 @@ package vm
 
 import (
 	"errors"
+	"math"
+	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -16,97 +19,86 @@ func TestVirtAddrHelpers(t *testing.T) {
 	if v.Offset() != 0x234 {
 		t.Fatalf("Offset = %#x", v.Offset())
 	}
-	if v.VPN() != 0x7f00_0000_1234>>12 {
-		t.Fatalf("VPN = %#x", v.VPN())
-	}
 }
 
+// The TestPageTable tests pin the translations an address space records
+// for its faulted pages: the page table of the process.
+
 func TestPageTableMapLookupUnmap(t *testing.T) {
-	pt := NewPageTable()
-	va := VirtAddr(0x7f12_3456_7000)
-	if err := pt.Map(va, 42); err != nil {
+	as := NewAddressSpace()
+	start, _ := as.Map(4 * PageSize)
+	va := start + 2*PageSize
+	if err := as.MapFrame(va+0x55, 42); err != nil {
 		t.Fatal(err)
 	}
-	pte, ok := pt.Lookup(va + 0x123)
-	if !ok || pte.PFN != 42 {
-		t.Fatalf("Lookup = %+v, %v", pte, ok)
-	}
-	pa, ok := pt.Translate(va + 0x123)
+	pa, ok := as.Translate(va + 0x123)
 	if !ok || pa != 42*PageSize+0x123 {
 		t.Fatalf("Translate = %#x, %v", pa, ok)
 	}
-	if pt.MappedPages() != 1 {
-		t.Fatalf("MappedPages = %d", pt.MappedPages())
+	for _, other := range []VirtAddr{start, va - 1, va + PageSize} {
+		if _, ok := as.Translate(other); ok {
+			t.Fatalf("unfaulted page %#x translates", uint64(other))
+		}
 	}
-	pfn, ok := pt.Unmap(va)
-	if !ok || pfn != 42 {
-		t.Fatalf("Unmap = %d, %v", pfn, ok)
+	var released []mm.PFN
+	if err := as.Unmap(va, PageSize, func(_ VirtAddr, pfn mm.PFN) { released = append(released, pfn) }); err != nil {
+		t.Fatal(err)
 	}
-	if _, ok := pt.Lookup(va); ok {
-		t.Fatal("lookup after unmap succeeded")
+	if len(released) != 1 || released[0] != 42 {
+		t.Fatalf("Unmap released %v, want [42]", released)
 	}
-	if pt.MappedPages() != 0 {
-		t.Fatalf("MappedPages after unmap = %d", pt.MappedPages())
+	if _, ok := as.Translate(va); ok {
+		t.Fatal("translate after unmap succeeded")
 	}
 }
 
 func TestPageTableDoubleMapRejected(t *testing.T) {
-	pt := NewPageTable()
-	va := VirtAddr(0x1000)
-	if err := pt.Map(va, 1); err != nil {
+	as := NewAddressSpace()
+	va, _ := as.Map(PageSize)
+	if err := as.MapFrame(va, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := pt.Map(va+0x10, 2); err == nil {
+	if err := as.MapFrame(va+0x10, 2); err == nil {
 		t.Fatal("double map of same page accepted")
 	}
+	if pa, ok := as.Translate(va); !ok || pa != mm.PFN(1).Phys() {
+		t.Fatalf("rejected map changed the translation: %#x, %v", pa, ok)
+	}
 }
 
+// Outside every VMA nothing maps or translates, canonical or not.
 func TestPageTableCanonicalLimit(t *testing.T) {
-	pt := NewPageTable()
-	if err := pt.Map(MaxUserAddr, 1); err == nil {
-		t.Fatal("map beyond canonical range accepted")
-	}
-	if _, ok := pt.Lookup(MaxUserAddr + 12345); ok {
-		t.Fatal("lookup beyond canonical range succeeded")
-	}
-}
-
-func TestPageTableWalkOrderAndCompleteness(t *testing.T) {
-	pt := NewPageTable()
-	vas := []VirtAddr{0x0, 0x7f00_0000_0000, 0x1000, 0x7fff_ffff_f000, 0x40_0000_0000}
-	for i, va := range vas {
-		if err := pt.Map(va, mm.PFN(i+1)); err != nil {
-			t.Fatal(err)
+	as := NewAddressSpace()
+	start, _ := as.Map(2 * PageSize)
+	end := start + 2*PageSize
+	for _, va := range []VirtAddr{MaxUserAddr, MaxUserAddr + 12345, 0x1000, start - 1, end} {
+		if err := as.MapFrame(va, 1); !errors.Is(err, ErrNoVMA) {
+			t.Fatalf("MapFrame(%#x) = %v, want ErrNoVMA", uint64(va), err)
 		}
-	}
-	var got []VirtAddr
-	pt.Walk(func(va VirtAddr, pte PTE) { got = append(got, va) })
-	if len(got) != len(vas) {
-		t.Fatalf("walk visited %d pages, want %d", len(got), len(vas))
-	}
-	for i := 1; i < len(got); i++ {
-		if got[i-1] >= got[i] {
-			t.Fatalf("walk out of order: %#x before %#x", uint64(got[i-1]), uint64(got[i]))
+		if _, ok := as.Translate(va); ok {
+			t.Fatalf("Translate(%#x) succeeded outside every VMA", uint64(va))
 		}
 	}
 }
 
 // Property: translate(map(va)) recovers pfn*PageSize+offset for arbitrary
-// canonical addresses.
+// pages of an area.
 func TestPageTableTranslateProperty(t *testing.T) {
-	pt := NewPageTable()
-	used := map[uint64]bool{}
-	f := func(raw uint64, pfn uint32, off uint16) bool {
-		va := VirtAddr(raw % uint64(MaxUserAddr)).PageBase()
-		if used[uint64(va)] {
+	const pages = 1 << 12
+	as := NewAddressSpace()
+	start, _ := as.Map(pages * PageSize)
+	used := map[VirtAddr]bool{}
+	f := func(page uint16, pfn uint32, off uint16) bool {
+		va := start + VirtAddr(page%pages)*PageSize
+		if used[va] {
 			return true // skip duplicate pages; double-map is tested elsewhere
 		}
-		used[uint64(va)] = true
-		if err := pt.Map(va, mm.PFN(pfn)); err != nil {
+		used[va] = true
+		if err := as.MapFrame(va, mm.PFN(pfn)); err != nil {
 			return false
 		}
 		o := uint64(off) % PageSize
-		pa, ok := pt.Translate(va + VirtAddr(o))
+		pa, ok := as.Translate(va + VirtAddr(o))
 		return ok && pa == mm.PFN(pfn).Phys()+o
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
@@ -178,21 +170,110 @@ func TestAddressSpaceUnmapReleasesFrames(t *testing.T) {
 	as := NewAddressSpace()
 	start, _ := as.Map(4 * PageSize)
 	for i := 0; i < 4; i++ {
-		if err := as.PT.Map(start+VirtAddr(i)*PageSize, mm.PFN(100+i)); err != nil {
+		if err := as.MapFrame(start+VirtAddr(i)*PageSize, mm.PFN(100+i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	var released []mm.PFN
-	if err := as.Unmap(start, 4*PageSize, func(_ VirtAddr, pte PTE) {
-		released = append(released, pte.PFN)
+	if err := as.Unmap(start, 4*PageSize, func(_ VirtAddr, pfn mm.PFN) {
+		released = append(released, pfn)
 	}); err != nil {
 		t.Fatal(err)
 	}
 	if len(released) != 4 {
 		t.Fatalf("released %d frames, want 4", len(released))
 	}
-	if as.PT.MappedPages() != 0 {
-		t.Fatal("PTEs survive unmap")
+	if _, ok := as.Translate(start); ok {
+		t.Fatal("translation survives unmap")
+	}
+
+	// One munmap that spans two VMAs, splits both and crosses unmapped and
+	// unfaulted pages releases exactly the faulted pages, in ascending
+	// address order: the order in which their frames enter the page frame
+	// cache.
+	type frame struct {
+		va  VirtAddr
+		pfn mm.PFN
+	}
+	as = NewAddressSpace()
+	a, _ := as.Map(8 * PageSize)
+	gap, _ := as.Map(2 * PageSize)
+	b, _ := as.Map(8 * PageSize)
+	if err := as.Unmap(gap, 2*PageSize, nil); err != nil {
+		t.Fatal(err)
+	}
+	// Fault out of address order, with frames that sort against it.
+	faults := []frame{{b + 5*PageSize, 1}, {a + 6*PageSize, 2}, {b, 3}, {a + PageSize, 4},
+		{a + 7*PageSize, 5}, {b + 2*PageSize, 6}, {a + 3*PageSize, 7}}
+	for _, f := range faults {
+		if err := as.MapFrame(f.va, f.pfn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var got []frame
+	if err := as.Unmap(a+2*PageSize, uint64(b+4*PageSize-(a+2*PageSize)), func(va VirtAddr, pfn mm.PFN) {
+		got = append(got, frame{va, pfn})
+	}); err != nil {
+		t.Fatal(err)
+	}
+	want := []frame{{a + 3*PageSize, 7}, {a + 6*PageSize, 2}, {a + 7*PageSize, 5}, {b, 3}, {b + 2*PageSize, 6}}
+	if !slices.Equal(got, want) {
+		t.Fatalf("released %v, want %v", got, want)
+	}
+	if vmas := as.VMAs(); !slices.Equal(vmas, []VMA{{a, a + 2*PageSize}, {b + 4*PageSize, b + 8*PageSize}}) {
+		t.Fatalf("areas after unmap: %v", vmas)
+	}
+	// The survivors keep their frames, and both halves fault in afresh.
+	for _, f := range []frame{{a + PageSize, 4}, {b + 5*PageSize, 1}} {
+		if pa, ok := as.Translate(f.va); !ok || pa != f.pfn.Phys() {
+			t.Fatalf("Translate(%#x) = %#x, %v, want frame %d", uint64(f.va), pa, ok, f.pfn)
+		}
+	}
+	for _, f := range []frame{{a, 8}, {b + 7*PageSize, 9}} {
+		if err := as.MapFrame(f.va, f.pfn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := as.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Frames are recorded per faulted page, not per mapped page: mapping the
+// largest range Map accepts, faulting one page and unmapping it all costs
+// the same allocations as doing so for one page, and a few bytes.
+func TestAddressSpaceStorageFollowsFaults(t *testing.T) {
+	largest := uint64(MaxUserAddr - mmapBase)
+	for _, length := range []uint64{largest + PageSize, math.MaxUint64 &^ (PageSize - 1)} {
+		if _, err := NewAddressSpace().Map(length); !errors.Is(err, ErrNoSpace) {
+			t.Fatalf("Map(%#x) beyond the mmap area: %v, want ErrNoSpace", length, err)
+		}
+	}
+	cost := func(length uint64) (allocs float64, bytes uint64) {
+		run := func() {
+			as := NewAddressSpace()
+			start, err := as.Map(length)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := as.MapFrame(start, 1); err != nil {
+				t.Fatal(err)
+			}
+			if err := as.Unmap(start, length, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		run()
+		runtime.ReadMemStats(&after)
+		return testing.AllocsPerRun(10, run), after.TotalAlloc - before.TotalAlloc
+	}
+	small, _ := cost(PageSize)
+	for _, length := range []uint64{1 << 30, largest} {
+		if n, b := cost(length); n != small || b > 1<<12 {
+			t.Fatalf("a %d-byte mapping took %.0f allocations (%d bytes), a page %.0f", length, n, b, small)
+		}
 	}
 }
 

@@ -42,8 +42,8 @@ type cliFlags struct {
 // everywhere; the rest are registered only where they are read, so any
 // other subcommand rejects them as unknown flags: -parallel and
 // -cpuprofile where the work runs in this process (run and sweep; an
-// explframed server picks its own parallelism), and the table-rendering
-// -format and -out on sweep, the only subcommand that renders a table.
+// explframed server picks its own parallelism), and -format and -out on
+// sweep, the only subcommand whose table is not always text on stdout.
 func newFlags(name string) *cliFlags {
 	f := &cliFlags{fs: flag.NewFlagSet(name, flag.ContinueOnError)}
 	f.fs.StringVar(&f.scenarioRef, "scenario", "", "scenario source: a preset name (see 'explframe list') or a JSON spec file")

@@ -2,7 +2,7 @@
 //
 // Usage:
 //
-//	explframe run [flags]        run one scenario and print its report
+//	explframe run [flags]        run one scenario: phase report or sweep table
 //	explframe sweep [flags]      run a scenario or campaign sweep, render a table
 //	explframe submit [flags]     post a scenario/campaign to an explframed server
 //	explframe watch [flags] <id> stream a submitted campaign's per-trial results
@@ -67,7 +67,8 @@ func usage(w io.Writer) {
 	fmt.Fprint(w, `explframe — ExplFrame attack scenarios on the simulated stack
 
 Subcommands:
-  run       run one scenario, print a phase-by-phase report (exit 1 if the
+  run       run one scenario: one attack trial prints a phase-by-phase
+            report, anything else prints the sweep table (exit 1 if an
             attack fails to recover the key)
   sweep     run a scenario or campaign over many trials, render the success
             table in any report format

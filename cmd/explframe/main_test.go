@@ -145,3 +145,26 @@ func TestFlagsRegisteredWhereRead(t *testing.T) {
 		t.Fatalf("sweep flags parsed as format %q out %q parallel %d", f.format, f.out, f.parallel)
 	}
 }
+
+// run of any spec but a single attack trial prints exactly what sweep
+// prints for it, the campaign table, and exits with the same code.
+func TestRunPrintsSweepTable(t *testing.T) {
+	for _, args := range [][]string{
+		{"-machine", "fast", "-trials", "2"},
+		{"-scenario", "steer", "-trials", "4"},
+		{"-scenario", "pfa-aes", "-trials", "4"},
+		{"-scenario", "page-cache", "-trials", "2"},
+	} {
+		runCode, runOut, _ := captureOutput(t, func() int { return dispatch(append([]string{"run"}, args...)) })
+		sweepCode, sweepOut, _ := captureOutput(t, func() int { return dispatch(append([]string{"sweep"}, args...)) })
+		if runCode != sweepCode {
+			t.Errorf("%v: run exit %d, sweep exit %d", args, runCode, sweepCode)
+		}
+		if runOut != sweepOut {
+			t.Errorf("%v: run and sweep stdout differ\nrun:\n%s\nsweep:\n%s", args, runOut, sweepOut)
+		}
+		if !strings.Contains(runOut, "headline success per scenario") {
+			t.Errorf("%v: run printed no campaign table:\n%s", args, runOut)
+		}
+	}
+}

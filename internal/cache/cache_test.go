@@ -120,7 +120,7 @@ func TestLLCHitMissLRU(t *testing.T) {
 		c := NewLLC(v)
 		g := v.CacheGeometry()
 		set, slice := v.LineIndex(0)
-		ev, err := BuildEvictionSet(v, 0, 8<<20, set, slice, g.Ways+1)
+		ev, err := BuildEvictionSet(v, 8<<20, set, slice, g.Ways+1)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -146,30 +146,6 @@ func TestLLCHitMissLRU(t *testing.T) {
 	}
 }
 
-func TestPageCache(t *testing.T) {
-	p := NewPageCache(1 << 20)
-	pa := uint64(5 * PageBytes)
-	if p.Resident(pa) {
-		t.Fatal("fresh page resident")
-	}
-	p.Touch(pa)
-	if !p.Resident(pa) {
-		t.Fatal("touched page not resident")
-	}
-	if p.Resident(pa + PageBytes) {
-		t.Fatal("neighbour page resident")
-	}
-	p.Evict(pa)
-	if p.Resident(pa) {
-		t.Fatal("evicted page resident")
-	}
-	// Addresses wrap into the modeled memory, keeping the probe total.
-	p.Touch(pa + 1<<20)
-	if !p.Resident(pa) {
-		t.Fatal("wrapped touch missed its page")
-	}
-}
-
 // TestEvictionSetProperties pins the eviction-set contract: construction
 // either returns exactly the requested number of distinct, congruent,
 // line-aligned addresses, or fails with the typed ErrEvictionSet.
@@ -177,7 +153,7 @@ func TestEvictionSetProperties(t *testing.T) {
 	for name, v := range testViews(t) {
 		g := v.CacheGeometry()
 		set, slice := v.LineIndex(uint64(123 * g.LineBytes))
-		ev, err := BuildEvictionSet(v, 0, 16<<20, set, slice, g.Ways)
+		ev, err := BuildEvictionSet(v, 16<<20, set, slice, g.Ways)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -200,13 +176,13 @@ func TestEvictionSetProperties(t *testing.T) {
 
 		// A pool smaller than one congruent line per set cannot fill any
 		// eviction set: the typed error, not a hang or a short slice.
-		_, err = BuildEvictionSet(v, 0, uint64(g.LineBytes), set, slice, g.Ways)
+		_, err = BuildEvictionSet(v, uint64(g.LineBytes), set, slice, g.Ways)
 		if !errors.Is(err, ErrEvictionSet) {
 			t.Fatalf("%s: starved pool returned %v, want ErrEvictionSet", name, err)
 		}
 	}
 	v := testViews(t)["linear/stripe"]
-	if _, err := BuildEvictionSet(v, 0, 1<<20, 0, 0, 0); err == nil {
+	if _, err := BuildEvictionSet(v, 1<<20, 0, 0, 0); err == nil {
 		t.Fatal("zero-line eviction set accepted")
 	}
 }

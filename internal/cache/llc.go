@@ -78,47 +78,6 @@ func (c *LLC) Time(pa uint64, rng *stats.RNG) (latency int, hit bool) {
 	return MissLatency + rng.Intn(LatencyJitter), false
 }
 
-// PageBytes is the OS page size the page-cache model (and the victim
-// T-table placement) uses.
+// PageBytes is the OS page size of the victim T-table placement and the
+// page-cache channel's granularity.
 const PageBytes = 4096
-
-// PageCache is the mincore-style OS page-cache residency model: a bitset
-// over the machine's page frames.  It deliberately models only what the
-// mincore/preadv2-style probes of "Page Cache Attacks" observe — is the
-// page resident — with Touch/Evict as the victim-activity and
-// attacker-eviction primitives.
-type PageCache struct {
-	bits  []uint64
-	pages uint64
-}
-
-// NewPageCache builds an all-evicted page cache over a memory of the
-// given byte size.
-func NewPageCache(totalBytes uint64) *PageCache {
-	pages := (totalBytes + PageBytes - 1) / PageBytes
-	return &PageCache{bits: make([]uint64, (pages+63)/64), pages: pages}
-}
-
-// page wraps pa into the modeled memory and returns its page frame number.
-func (p *PageCache) page(pa uint64) uint64 {
-	return (pa / PageBytes) % p.pages
-}
-
-// Touch marks pa's page resident — a victim access faulting the page in.
-func (p *PageCache) Touch(pa uint64) {
-	n := p.page(pa)
-	p.bits[n/64] |= 1 << (n % 64)
-}
-
-// Evict drops pa's page from the cache — the attacker's working-set
-// pressure forcing the page out.
-func (p *PageCache) Evict(pa uint64) {
-	n := p.page(pa)
-	p.bits[n/64] &^= 1 << (n % 64)
-}
-
-// Resident reports whether pa's page is cached — the mincore observation.
-func (p *PageCache) Resident(pa uint64) bool {
-	n := p.page(pa)
-	return p.bits[n/64]&(1<<(n%64)) != 0
-}

@@ -146,14 +146,14 @@ type Result struct {
 
 // Attack is one configured cache-probe attack instance: a victim (random
 // key, T-tables placed in simulated physical memory) and an attacker
-// (eviction sets or page probes) sharing an LLC and page-cache model.
+// (eviction sets sharing the victim's LLC, or residency probes of the
+// victim's table page).
 // Construction performs all set-up and allocation; Step runs exactly one
 // measurement and is allocation-free on every technique, which is what
 // lets the bench trajectory's probe rows and BenchmarkPrimeProbe time the
 // loop itself.
 type Attack struct {
-	llc    *LLC
-	pc     *PageCache
+	llc    *LLC // nil for page-cache probing
 	layout TTableLayout
 	cfg    ProbeConfig
 	rng    *stats.RNG
@@ -221,7 +221,6 @@ func NewAttack(v *View, c registry.Cipher, cfg ProbeConfig, rng *stats.RNG) (*At
 	}
 
 	a := &Attack{
-		llc:       NewLLC(v),
 		layout:    layout,
 		cfg:       cfg,
 		rng:       rng,
@@ -243,9 +242,9 @@ func NewAttack(v *View, c registry.Cipher, cfg ProbeConfig, rng *stats.RNG) (*At
 	a.tableBase = pool + uint64(rng.Intn(slots+1))*PageBytes
 
 	if cfg.Technique == TechPageCache {
-		a.pc = NewPageCache(total)
 		return a, nil
 	}
+	a.llc = NewLLC(v)
 	a.targets = make([]uint64, layout.Tables)
 	a.evsets = make([][]uint64, layout.Tables)
 	a.bgLines = make([]uint64, layout.Tables)
@@ -254,7 +253,7 @@ func NewAttack(v *View, c registry.Cipher, cfg ProbeConfig, rng *stats.RNG) (*At
 		set, slice := v.LineIndex(a.targets[t])
 		// One extra congruent line beyond the eviction set models the
 		// background working set that aliases into the monitored set.
-		ev, err := BuildEvictionSet(v, 0, pool, set, slice, evLines+1)
+		ev, err := BuildEvictionSet(v, pool, set, slice, evLines+1)
 		if err != nil {
 			return nil, fmt.Errorf("cache: table %d: %w", t, err)
 		}
@@ -363,21 +362,16 @@ func (a *Attack) stepEvictReload() {
 }
 
 func (a *Attack) stepPageCache() {
-	// The page-cache probe is an activity oracle: each window the victim
-	// either encrypts (touching its table page) or stays idle, and the
-	// attacker reads the page's residency back mincore-style.  That is a
-	// binary covert/side channel at page granularity.
+	// The page-cache probe is an activity oracle: each window the attacker
+	// evicts the victim's table page, the victim either encrypts (faulting
+	// the page back in) or stays idle, and the attacker reads the page's
+	// residency back mincore-style.  That is a binary covert/side channel
+	// at page granularity.
 	active := a.rng.Bool(0.5)
-	a.pc.Evict(a.tableBase)
 	a.rng.Bytes(a.pt)
-	if active {
-		a.pc.Touch(a.tableBase)
-	}
 	// Readahead and unrelated file traffic re-fault the page sometimes.
-	if a.rng.Float64() < a.cfg.Noise {
-		a.pc.Touch(a.tableBase)
-	}
-	resident := a.pc.Resident(a.tableBase)
+	// The noise draw comes first so every window takes it.
+	resident := a.rng.Float64() < a.cfg.Noise || active
 	if resident != active {
 		a.bitErrors++
 	}

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -169,5 +170,24 @@ func TestStepSteadyStateAllocs(t *testing.T) {
 		if allocs := testing.AllocsPerRun(100, a.Step); allocs != 0 {
 			t.Errorf("%s: %g allocs per Step, want 0", tech, allocs)
 		}
+	}
+}
+
+// A page-cache attack models the one page holding the victim's tables: set
+// up and run, it allocates a few small buffers, no LLC and no per-page
+// state sized by the machine's memory.
+func TestPageCacheAttackAllocs(t *testing.T) {
+	aes := registry.MustGet("aes-128")
+	v := aesView(t, dram.MapperLinear)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	a, err := NewAttack(v, aes, ProbeConfig{Technique: TechPageCache, Budget: 256, Noise: 0.05}, stats.NewRNG(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Run()
+	runtime.ReadMemStats(&after)
+	if bytes := after.TotalAlloc - before.TotalAlloc; bytes >= 16<<10 {
+		t.Errorf("page-cache NewAttack+Run allocated %d bytes, want < 16 KiB", bytes)
 	}
 }

@@ -113,12 +113,8 @@ func E8Baselines(seed uint64, opts ...harness.Option) (*Table, error) {
 
 	for _, res := range results[:2] {
 		st := res.BaselineStats()
-		priv := "none"
-		if res.Spec.BaselineModel == "pagemap-targeted" {
-			priv = "CAP_SYS_ADMIN"
-		}
 		t.AddRow(
-			report.Str(res.Spec.BaselineModel), report.Str(priv), f2(st.Corrupted.Rate()),
+			report.Str(res.Spec.BaselineModel), report.Str(res.Baseline[0].RequiredPrivilege), f2(st.Corrupted.Rate()),
 			report.Strf("owned neighbour rows in %d/%d trials", st.NeighboursOwned, trials),
 		)
 	}

@@ -246,26 +246,17 @@ func (p *Process) Store(va vm.VirtAddr, v byte) error {
 	return p.access(va, b[:], true)
 }
 
-// ReadBytes copies n bytes starting at va.  The first byte of each page
-// goes through the activation model; the rest of the page is bulk-copied,
-// matching a cache-line-granular burst rather than per-byte activations.
-func (p *Process) ReadBytes(va vm.VirtAddr, n int) ([]byte, error) {
-	out := make([]byte, n)
-	if err := p.ReadBytesInto(va, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// ReadBytesInto is ReadBytes into a caller-provided buffer, for hot paths
-// (flip probing) that reuse one buffer across many reads and must not
-// allocate per call.
+// ReadBytesInto fills out with the bytes starting at va.  The first byte
+// of each page goes through the activation model; the rest of the page is
+// bulk-copied, matching a cache-line-granular burst rather than per-byte
+// activations.  The caller owns out, so a hot path (flip probing, the
+// victim's table reload) reuses one buffer and never allocates.
 func (p *Process) ReadBytesInto(va vm.VirtAddr, out []byte) error {
 	return p.access(va, out, false)
 }
 
 // WriteBytes stores data starting at va, with the same activation
-// granularity as ReadBytes.
+// granularity as ReadBytesInto.
 func (p *Process) WriteBytes(va vm.VirtAddr, data []byte) error {
 	return p.access(va, data, true)
 }

@@ -100,8 +100,8 @@ func TestReadWriteBytesAcrossPages(t *testing.T) {
 	if err := p.WriteBytes(start, data); err != nil {
 		t.Fatal(err)
 	}
-	got, err := p.ReadBytes(start, len(data))
-	if err != nil {
+	got := make([]byte, len(data))
+	if err := p.ReadBytesInto(start, got); err != nil {
 		t.Fatal(err)
 	}
 	for i := range data {
@@ -401,8 +401,8 @@ func TestBulkAccessECCCounters(t *testing.T) {
 	if dev.Stats().BitFlips == 0 {
 		t.Fatal("hammering did not flip the planted cell")
 	}
-	got, err := p.ReadBytes(va, vm.PageSize)
-	if err != nil {
+	got := make([]byte, vm.PageSize)
+	if err := p.ReadBytesInto(va, got); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, page) {
@@ -412,7 +412,8 @@ func TestBulkAccessECCCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	page[1] = 0xAA
-	if got, err = p.ReadBytes(va, 8); err != nil {
+	got = got[:8]
+	if err := p.ReadBytesInto(va, got); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, page[:8]) {

@@ -26,6 +26,7 @@ type Victim struct {
 
 	inst    registry.Instance
 	tableVA vm.VirtAddr
+	table   []byte // loadTable's buffer, reused across encryptions
 }
 
 // SpawnVictim creates a victim process running the named registered cipher
@@ -53,7 +54,7 @@ func SpawnVictim(m *kernel.Machine, cpu int, cipherName string, key []byte, requ
 	if err != nil {
 		return nil, err
 	}
-	v := &Victim{Proc: proc, Cipher: c, inst: inst}
+	v := &Victim{Proc: proc, Cipher: c, inst: inst, table: make([]byte, c.TableLen())}
 
 	base, err := proc.Mmap(uint64(requestPages) * vm.PageSize)
 	if err != nil {
@@ -79,9 +80,13 @@ func (v *Victim) TablePage() vm.VirtAddr { return v.tableVA.PageBase() }
 
 // loadTable reads the S-box from victim memory, as a table-driven
 // implementation does implicitly on every lookup; reloading per encryption
-// is what makes a DRAM fault persistent across ciphertexts.
+// is what makes a DRAM fault persistent across ciphertexts.  The returned
+// slice is the victim's own buffer, valid until the next load.
 func (v *Victim) loadTable() ([]byte, error) {
-	return v.Proc.ReadBytes(v.tableVA, v.Cipher.TableLen())
+	if err := v.Proc.ReadBytesInto(v.tableVA, v.table); err != nil {
+		return nil, err
+	}
+	return v.table, nil
 }
 
 // Encrypt encrypts one block (Cipher.BlockSize bytes) with the in-memory

@@ -169,7 +169,7 @@ func BenchmarkProcessLoad(b *testing.B) {
 // not the capacity.  allocs/op and B/op are the headline numbers; the
 // asserted ceiling lives in machine.TestLargeDeviceConstructionIsSparse.
 func BenchmarkSparseDeviceConstruction(b *testing.B) {
-	g := dram.Geometry{Channels: 1, DIMMs: 1, Ranks: 1, Banks: 16, Rows: 1 << 16, RowBytes: 8192}
+	g := dram.Geometry{Banks: 16, Rows: 1 << 16, RowBytes: 8192}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

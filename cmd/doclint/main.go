@@ -9,9 +9,10 @@
 // go.mod, nested modules included, so a method is used only when a
 // selector resolves to it, or to a method of an interface its type
 // implements; another type's method of the same name does not count, nor
-// does a declaration's own name.  Methods named after standard-library
-// interfaces (Error, String, Unwrap, MarshalJSON, UnmarshalJSON,
-// ServeHTTP) are exempt, and so is a
+// does a declaration's own name.  The methods of an exported interface
+// type fall under the same rule: each needs a call through the interface.
+// Methods named after standard-library interfaces (Error, String, Unwrap,
+// MarshalJSON, UnmarshalJSON, ServeHTTP) are exempt, and so is a
 // declaration whose doc comment carries a
 //
 //	//doclint:keep <reason>
@@ -199,9 +200,10 @@ func keep(docs ...*ast.CommentGroup) (kept bool, reason string) {
 // functions and methods, type specs, and const/var specs (a group doc on
 // the declaration covers all of its specs).  With refs set it also reports
 // each one whose objKey (under pkgPath) refs lacks, unless it is an exempt
-// method or carries a keep directive, each field of a struct type whose
-// fieldKey refs lacks, unless it is embedded or kept, and each keep
-// directive without a reason.
+// method or carries a keep directive, each field of a struct type and each
+// method of an exported interface type whose fieldKey refs lacks, unless
+// it is embedded, exempt or kept, and each keep directive without a
+// reason.
 func lintFile(fset *token.FileSet, file *ast.File, refs map[string]bool, pkgPath string) []string {
 	var findings []string
 	report := func(id *ast.Ident, format string, args ...any) {
@@ -224,6 +226,23 @@ func lintFile(fset *token.FileSet, file *ast.File, refs map[string]bool, pkgPath
 			report(id, "exported %s has no non-test reference", id.Name)
 		}
 	}
+	// members checks the named fields of a struct or the methods of an
+	// interface declared as typ; missing formats a finding from typ and
+	// the member's name.
+	members := func(typ string, list *ast.FieldList, skip func(name string) bool, missing string) {
+		for _, f := range list.List {
+			kept, reason := keep(f.Doc, f.Comment)
+			for _, id := range f.Names {
+				switch {
+				case skip(id.Name):
+				case kept && reason == "":
+					report(id, "%s on %s.%s gives no reason", keepDirective, typ, id.Name)
+				case !kept && !refs[fieldKey(pkgPath, typ, id.Name)]:
+					report(id, missing, typ, id.Name)
+				}
+			}
+		}
+	}
 	for _, decl := range file.Decls {
 		switch d := decl.(type) {
 		case *ast.FuncDecl:
@@ -238,17 +257,17 @@ func lintFile(fset *token.FileSet, file *ast.File, refs map[string]bool, pkgPath
 				switch s := spec.(type) {
 				case *ast.TypeSpec:
 					check(s.Name, "type", pkgPath, d.Doc, s.Doc, s.Comment)
-					if st, ok := s.Type.(*ast.StructType); ok && refs != nil {
-						for _, f := range st.Fields.List {
-							kept, reason := keep(f.Doc, f.Comment)
-							for _, id := range f.Names {
-								switch {
-								case kept && reason == "":
-									report(id, "%s on %s.%s gives no reason", keepDirective, s.Name.Name, id.Name)
-								case !kept && !refs[fieldKey(pkgPath, s.Name.Name, id.Name)]:
-									report(id, "field %s.%s has no non-test read", s.Name.Name, id.Name)
-								}
-							}
+					if refs == nil {
+						continue
+					}
+					switch t := s.Type.(type) {
+					case *ast.StructType:
+						members(s.Name.Name, t.Fields, func(string) bool { return false }, "field %s.%s has no non-test read")
+					case *ast.InterfaceType:
+						if s.Name.IsExported() {
+							members(s.Name.Name, t.Methods, func(name string) bool {
+								return !ast.IsExported(name) || exemptMethods[name]
+							}, "exported method %s.%s has no non-test reference")
 						}
 					}
 				case *ast.ValueSpec:
@@ -342,7 +361,7 @@ func objKey(obj types.Object) string {
 }
 
 // fieldKey names a field of a package-level struct type "path.Struct.field",
-// the same shape as a method's objKey.
+// the same shape as a method's objKey, and so also an interface method.
 func fieldKey(pkgPath, strct, field string) string {
 	return pkgPath + "." + strct + "." + field
 }

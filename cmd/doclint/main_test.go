@@ -390,3 +390,69 @@ func main() {
 		t.Errorf("findings:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }
+
+// The methods of an exported interface type need a non-test call through
+// the interface; calling an implementation directly does not count.  A
+// kept or exempt method passes, and so does every method of an unexported
+// interface.
+func TestLintDirInterfaceMethods(t *testing.T) {
+	root := t.TempDir()
+	lib := filepath.Join(root, "internal", "lib")
+	if err := os.MkdirAll(lib, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	write(t, root, "go.mod", "module demo\n")
+	write(t, lib, "lib.go", `// Package lib is documented.
+package lib
+
+// Cipher enciphers.
+type Cipher interface {
+	// Encrypt is called through the interface.
+	Encrypt()
+	// Decrypt is called only on an implementation.
+	Decrypt()
+	// Check is called by tests alone.
+	//doclint:keep the round-trip oracle of the tests
+	Check()
+	// String is exempt.
+	String() string
+}
+
+type hidden interface{ Unused() }
+
+// Impl implements Cipher.
+type Impl struct{}
+
+// Encrypt does nothing.
+func (Impl) Encrypt() {}
+
+// Decrypt does nothing.
+func (Impl) Decrypt() {}
+
+// Check does nothing.
+func (Impl) Check() {}
+
+// String names the type.
+func (Impl) String() string { return "impl" }
+
+// Run calls through the interface.
+func Run(c Cipher) { c.Encrypt() }
+
+var _ hidden = nil
+`)
+	write(t, lib, "lib_test.go", "package lib\n\nfunc init() { var c Cipher = Impl{}; c.Decrypt(); c.Check() }\n")
+	write(t, root, "main.go", "// Command demo.\npackage main\n\nimport \"demo/internal/lib\"\n\nfunc main() { lib.Run(lib.Impl{}); lib.Impl{}.Decrypt(); lib.Impl{}.Check() }\n")
+
+	findings, err := lintDir(lib)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, f := range findings {
+		got = append(got, strings.TrimPrefix(f, lib+string(filepath.Separator)))
+	}
+	want := []string{"lib.go:9: exported method Cipher.Decrypt has no non-test reference"}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("findings:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}

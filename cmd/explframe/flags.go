@@ -173,7 +173,7 @@ func (f *cliFlags) overrides() ([]scenario.Option, error) {
 			opts = append(opts, scenario.WithBudget(f.budget))
 		case "trr":
 			if f.trr {
-				opts = append(opts, scenario.WithTRR(0, 0))
+				opts = append(opts, scenario.WithTRR())
 			}
 		case "ecc":
 			if f.ecc {

@@ -214,8 +214,7 @@ func describeMachine(ms machine.Spec) int {
 	fmt.Printf("hash:    %016x\n", ms.Hash())
 	fmt.Printf("mapper:  %s\n", ms.MapperName())
 	g := ms.Geometry
-	fmt.Printf("dram:    %d MiB (%dx%dx%d, %d banks x %d rows x %d B)\n",
-		g.TotalBytes()>>20, g.Channels, g.DIMMs, g.Ranks, g.Banks, g.Rows, g.RowBytes)
+	fmt.Printf("dram:    %d MiB (%d banks x %d rows x %d B)\n", g.TotalBytes()>>20, g.Banks, g.Rows, g.RowBytes)
 	code := 0
 	if err := ms.Validate(); err != nil {
 		fmt.Printf("valid:   NO\n%v\n", err)

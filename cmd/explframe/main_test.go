@@ -121,9 +121,10 @@ func TestCPUProfileFlag(t *testing.T) {
 	}
 }
 
-// Each flag is registered only on the subcommands that read it: run renders
-// no table and submit's server picks its own parallelism, so there these
-// flags fail like any unknown flag, while sweep still parses all three.
+// Each flag is registered only on the subcommands that read it: run prints
+// text to stdout, so it lacks -format and -out, and submit lacks -parallel,
+// its server picking its own, and -format.  There these flags fail like any
+// unknown flag, while sweep still parses all three.
 func TestFlagsRegisteredWhereRead(t *testing.T) {
 	for _, args := range [][]string{
 		{"run", "-format", "md"},

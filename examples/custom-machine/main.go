@@ -22,7 +22,7 @@ func main() {
 	// parameters (2 CPUs, Linux pcp sizing); options override the rest.
 	custom := machine.New("demo-64m",
 		machine.WithDescription("64 MiB XOR-folded demo module"),
-		machine.WithGeometry(dram.Geometry{Channels: 1, DIMMs: 1, Ranks: 1, Banks: 8, Rows: 2048, RowBytes: 4096}),
+		machine.WithGeometry(dram.Geometry{Banks: 8, Rows: 2048, RowBytes: 4096}),
 		machine.WithMapper(dram.MapperXORFold),
 		machine.WithFaultModel(dram.FaultModel{
 			WeakCellDensity: 1e-4,

@@ -35,9 +35,9 @@ func main() {
 	// mutation, no copy-paste.
 	camp := scenario.Campaign{Name: "defence-grid", Specs: []scenario.Spec{
 		base.With(scenario.WithLabel("no defence")),
-		base.With(scenario.WithLabel("TRR"), scenario.WithTRR(4, 300)),
+		base.With(scenario.WithLabel("TRR"), scenario.WithTRR()),
 		base.With(scenario.WithLabel("TRR + many-sided bypass"),
-			scenario.WithTRR(4, 300), scenario.WithManySided(8)),
+			scenario.WithTRR(), scenario.WithManySided(8)),
 		base.With(scenario.WithLabel("ECC SEC-DED"), scenario.WithECC()),
 	}}
 	if err := camp.Validate(); err != nil {

@@ -130,14 +130,6 @@ func (in *aesInstance) Decrypt(dst, src []byte) {
 	aes.DecryptBlock(in.ks, &isb, dst, src)
 }
 
-func (in *aesInstance) EncryptWithFault(table, dst, src []byte, round int, mask []byte) {
-	var sb [256]byte
-	copy(sb[:], table)
-	var m [16]byte
-	copy(m[:], mask)
-	aes.EncryptBlockWithFault(in.ks, &sb, dst, src, round, &m)
-}
-
 func (in *aesInstance) EncryptBatch(table []byte, dst, src [][]byte) {
 	var sb [256]byte
 	copy(sb[:], table)
@@ -246,16 +238,6 @@ func (in *spn64Instance) Decrypt(dst, src []byte) {
 	be.PutUint64(dst, in.e.Decrypt(in.rk, be.Uint64(src)))
 }
 
-func (in *spn64Instance) EncryptWithFault(table, dst, src []byte, round int, mask []byte) {
-	var sb [16]byte
-	copy(sb[:], table)
-	in.encryptWithFault(&sb, dst, src, round, mask)
-}
-
-func (in *spn64Instance) encryptWithFault(sb *[16]byte, dst, src []byte, round int, mask []byte) {
-	be.PutUint64(dst, in.e.EncryptWithFault(in.rk, sb, be.Uint64(src), round, be.Uint64(mask)))
-}
-
 func (in *spn64Instance) EncryptBatch(table []byte, dst, src [][]byte) {
 	var sb [16]byte
 	copy(sb[:], table)
@@ -271,5 +253,7 @@ func (in *spn64Instance) EncryptWithFaultBatch(table []byte, dst, src [][]byte, 
 		func(lo, hi int) {
 			in.e.EncryptWithFaultBatch(in.rk, sb[:], dst[lo:hi], src[lo:hi], round, masks[lo:hi])
 		},
-		func(i int) { in.encryptWithFault(&sb, dst[i], src[i], round, masks[i]) })
+		func(i int) {
+			be.PutUint64(dst[i], in.e.EncryptWithFault(in.rk, &sb, be.Uint64(src[i]), round, be.Uint64(masks[i])))
+		})
 }

@@ -11,7 +11,8 @@ import (
 // cipher: New refuses every key length but KeyBytes; under the canonical
 // table Decrypt inverts Encrypt; and with a faulted table, EncryptBatch
 // and EncryptWithFaultBatch over 0..130 blocks (across the 64-lane chunk
-// boundary) equal the per-block scalar calls.
+// boundary) equal the per-block scalar calls: Encrypt, and a one-block
+// EncryptWithFaultBatch, which takes the scalar path.
 // Run with: go test -fuzz=FuzzInstanceContract ./internal/cipher/registry
 func FuzzInstanceContract(f *testing.F) {
 	f.Add(uint8(0), uint8(16), uint64(1), uint8(130), uint8(1), uint8(1))
@@ -68,9 +69,9 @@ func FuzzInstanceContract(f *testing.F) {
 		}
 		inst.EncryptWithFaultBatch(table, dst, src, r, masks)
 		for i := range src {
-			inst.EncryptWithFault(table, want, src[i], r, masks[i])
+			inst.EncryptWithFaultBatch(table, [][]byte{want}, src[i:i+1], r, masks[i:i+1])
 			if !bytes.Equal(dst[i], want) {
-				t.Fatalf("%s: EncryptWithFaultBatch round %d lane %d/%d = %x, EncryptWithFault %x", c.Name(), r, i, n, dst[i], want)
+				t.Fatalf("%s: EncryptWithFaultBatch round %d lane %d/%d = %x, one-block batch %x", c.Name(), r, i, n, dst[i], want)
 			}
 		}
 	})

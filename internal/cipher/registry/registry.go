@@ -98,13 +98,8 @@ type Instance interface {
 	// possibly corrupted).  dst and src must be at least BlockSize bytes.
 	Encrypt(table, dst, src []byte)
 	// Decrypt deciphers one block using the canonical inverse table.
+	//doclint:keep the round-trip oracle of FuzzInstanceContract and TestCipherContract
 	Decrypt(dst, src []byte)
-	// EncryptWithFault enciphers like Encrypt but XORs the BlockSize-byte
-	// mask into the cipher state at the entry of the 1-based round — the
-	// transient fault differential fault analysis assumes, as opposed to
-	// the persistent table fault the Encrypt table argument models.  It
-	// panics if round is outside [1, Rounds].
-	EncryptWithFault(table, dst, src []byte, round int, mask []byte)
 	// EncryptBatch enciphers len(src) independent blocks with the same
 	// table, writing ciphertext i to dst[i] (len(dst) must equal
 	// len(src); every block must be at least BlockSize bytes).  The
@@ -116,8 +111,11 @@ type Instance interface {
 	EncryptBatch(table []byte, dst, src [][]byte)
 	// EncryptWithFaultBatch enciphers like EncryptBatch but XORs
 	// masks[i] (BlockSize bytes) into block i's state at the entry of
-	// the 1-based round, lane-for-lane equivalent to EncryptWithFault.
-	// It panics if round is outside [1, Rounds].
+	// the 1-based round — the transient fault differential fault
+	// analysis assumes, as opposed to the persistent table fault the
+	// table argument models.  The strict per-lane contract holds here
+	// too: a one-block batch takes the scalar path, so it is every
+	// lane's reference.  It panics if round is outside [1, Rounds].
 	EncryptWithFaultBatch(table []byte, dst, src [][]byte, round int, masks [][]byte)
 }
 

@@ -93,7 +93,6 @@ func RunBaselineTrial(cfg Config, kind BaselineKind) (*BaselineResult, error) {
 	// way, only those hammer runs can corrupt the table.
 	mapper := m.DRAM().Mapper()
 	va := mapper.ToDRAM(vpa)
-	bg := mapper.BankGroup(va)
 
 	upperRow, upperOK := mapper.AdjacentRow(va.Row, -1)
 	lowerRow, lowerOK := mapper.AdjacentRow(va.Row, +1)
@@ -105,7 +104,7 @@ func RunBaselineTrial(cfg Config, kind BaselineKind) (*BaselineResult, error) {
 			continue
 		}
 		a := mapper.ToDRAM(pa)
-		if mapper.BankGroup(a) != bg {
+		if a.Bank != va.Bank {
 			continue
 		}
 		switch {
@@ -122,7 +121,7 @@ func RunBaselineTrial(cfg Config, kind BaselineKind) (*BaselineResult, error) {
 
 	switch {
 	case upper != 0 && lower != 0:
-		agg := rowhammer.Aggressors{VictimRow: va.Row, Bank: bg, Upper: upper, Lower: lower, Mode: rowhammer.DoubleSided}
+		agg := rowhammer.Aggressors{VictimRow: va.Row, Bank: va.Bank, Upper: upper, Lower: lower, Mode: rowhammer.DoubleSided}
 		if err := engine.HammerDefault(agg); err != nil {
 			return nil, err
 		}

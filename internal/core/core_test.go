@@ -14,7 +14,7 @@ import (
 func fastConfig(seed uint64) Config {
 	cfg := DefaultConfig()
 	cfg.Seed = seed
-	cfg.Machine.Geometry = dram.Geometry{Channels: 1, DIMMs: 1, Ranks: 1, Banks: 4, Rows: 1024, RowBytes: 8192}
+	cfg.Machine.Geometry = dram.Geometry{Banks: 4, Rows: 1024, RowBytes: 8192}
 	cfg.Machine.FaultModel = dram.FaultModel{
 		WeakCellDensity: 2e-4,
 		BaseThreshold:   1500,

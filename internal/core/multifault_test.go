@@ -19,7 +19,7 @@ import (
 func TestMultiFaultCollateralRecovery(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Seed = 3
-	cfg.Machine.Geometry = dram.Geometry{Channels: 1, DIMMs: 1, Ranks: 1, Banks: 4, Rows: 1024, RowBytes: 8192}
+	cfg.Machine.Geometry = dram.Geometry{Banks: 4, Rows: 1024, RowBytes: 8192}
 	cfg.Machine.FaultModel.WeakCellDensity = 2e-4
 	cfg.Machine.FaultModel.BaseThreshold = 1500
 	cfg.Machine.FaultModel.ThresholdSpread = 0.5

@@ -44,7 +44,7 @@ type SteeringConfig struct {
 // thousand-trial sweeps cheap without changing the statistics.
 func DefaultSteeringConfig() SteeringConfig {
 	mc := kernel.DefaultConfig()
-	mc.Geometry = dram.Geometry{Channels: 1, DIMMs: 1, Ranks: 1, Banks: 8, Rows: 1024, RowBytes: 8192}
+	mc.Geometry = dram.Geometry{Banks: 8, Rows: 1024, RowBytes: 8192}
 	return SteeringConfig{
 		Seed:               1,
 		Machine:            mc,

@@ -45,7 +45,7 @@ func eccOracle(d *Device, pa uint64) (v byte, corrected, uncorrectable uint64) {
 	wordBase := pa &^ 7
 	a := d.mapper.ToDRAM(wordBase)
 	var flips []*WeakCell
-	cells := d.cellsAt(d.rowIndex(d.mapper.BankGroup(a), a.Row))
+	cells := d.cellsAt(d.rowIndex(a.Bank, a.Row))
 	for i := range cells {
 		wc := &cells[i]
 		if wc.corrupted && wc.ByteInRow >= a.Col && wc.ByteInRow < a.Col+8 {
@@ -99,7 +99,7 @@ func FuzzDeviceDatapath(f *testing.F) {
 	f.Add(uint64(2), true, false)
 	f.Add(uint64(3), false, true)
 	f.Add(uint64(4), true, true)
-	g := Geometry{Channels: 1, DIMMs: 1, Ranks: 1, Banks: 2, Rows: 256, RowBytes: 2048}
+	g := Geometry{Banks: 2, Rows: 256, RowBytes: 2048}
 	f.Fuzz(func(t *testing.T, seed uint64, ecc, trr bool) {
 		model := DefaultFaultModel()
 		model.WeakCellDensity = 1e-4

@@ -66,7 +66,7 @@ func DefaultFaultModel() FaultModel {
 
 // WeakCell records one disturbance-vulnerable bit.
 type WeakCell struct {
-	Bank      int // dense bank-group index
+	Bank      int // bank index
 	Row       int
 	ByteInRow int
 	Bit       uint8 // bit index within the byte, 0..7
@@ -111,7 +111,7 @@ type Device struct {
 	model  FaultModel
 	data   *store
 
-	// rowIdx maps the dense (bankGroup, row) index bg*Rows+row to an index
+	// rowIdx maps the dense (bank, row) index bank*Rows+row to an index
 	// into rowStates, or -1 for rows without weak cells.  One int32 per row
 	// is the only geometry-proportional cost of the disturbance model; the
 	// states themselves are packed into rowStates, sized by the weak-cell
@@ -121,14 +121,14 @@ type Device struct {
 	rowStates []rowState
 	dirty     []int32 // rowStates indices with non-zero counts, for cheap refresh
 
-	// openRow tracks the row buffer per bank group; an access to a
+	// openRow tracks the row buffer per bank; an access to a
 	// different row precharges and activates, which is what disturbs
 	// neighbours.
 	openRow []int
 
 	rng *stats.RNG
 
-	// trr holds the per-bank-group Target Row Refresh samplers when the
+	// trr holds the per-bank Target Row Refresh samplers when the
 	// mitigation is enabled.
 	trr []trrState
 
@@ -164,14 +164,14 @@ func NewDeviceWithMapper(m *Mapper, model FaultModel, seed uint64) (*Device, err
 	if model.RefreshInterval == 0 {
 		return nil, fmt.Errorf("dram: refresh interval must be positive")
 	}
-	nRows := g.NumBankGroups() * g.Rows
+	nRows := g.Banks * g.Rows
 	d := &Device{
 		geom:    g,
 		mapper:  m,
 		model:   model,
 		data:    newStore(g.TotalBytes()),
 		rowIdx:  make([]int32, nRows),
-		openRow: make([]int, g.NumBankGroups()),
+		openRow: make([]int, g.Banks),
 		rng:     stats.NewRNG(seed),
 	}
 	for i := range d.openRow {
@@ -213,8 +213,8 @@ func (d *Device) recomputeMinThr(si int32) {
 	rs.minThr = m
 }
 
-// rowIndex returns the dense index of (bankGroup, row).
-func (d *Device) rowIndex(bg, row int) int { return bg*d.geom.Rows + row }
+// rowIndex returns the dense index of (bank, row).
+func (d *Device) rowIndex(bank, row int) int { return bank*d.geom.Rows + row }
 
 // cellsAt returns the weak cells of the dense row index (nil for rows
 // without any).
@@ -254,7 +254,7 @@ func (d *Device) placeWeakCells() {
 	if n == 0 {
 		return
 	}
-	banks := d.geom.NumBankGroups()
+	banks := d.geom.Banks
 	rowBytes := uint64(d.geom.RowBytes)
 	totalKeys := uint64(banks) * uint64(d.geom.Rows) * rowBytes * 8
 	occupied := newKeySet(n)
@@ -378,22 +378,22 @@ type neighbour struct {
 	far bool // distance two, else distance one
 }
 
-// aggressor is an activation target with its bank group and the weak-cell
+// aggressor is an activation target with its bank and the weak-cell
 // rows it disturbs resolved: distance 1 (weight 1.0) then distance 2
 // (NeighbourWeight), lower side first.  Rows past the bank edge or without
 // weak cells are dropped — they carry no counts and cannot flip.
 type aggressor struct {
-	bg, row int
-	nb      [4]neighbour
-	n       int
+	bank, row int
+	nb        [4]neighbour
+	n         int
 	// steadyHit reports whether the activation is a row-buffer hit in every
 	// round after the first of a hammer loop (set by planHammer only).
 	steadyHit bool
 }
 
-// resolve fills ag for (bankGroup, row).
-func (d *Device) resolve(ag *aggressor, bg, row int) {
-	ag.bg, ag.row, ag.n = bg, row, 0
+// resolve fills ag for (bank, row).
+func (d *Device) resolve(ag *aggressor, bank, row int) {
+	ag.bank, ag.row, ag.n = bank, row, 0
 	d.addNeighbour(ag, row-1, false)
 	d.addNeighbour(ag, row+1, false)
 	if d.model.NeighbourWeight > 0 {
@@ -406,7 +406,7 @@ func (d *Device) addNeighbour(ag *aggressor, row int, far bool) {
 	if row < 0 || row >= d.geom.Rows {
 		return
 	}
-	if si := d.rowIdx[ag.bg*d.geom.Rows+row]; si >= 0 {
+	if si := d.rowIdx[ag.bank*d.geom.Rows+row]; si >= 0 {
 		ag.nb[ag.n] = neighbour{si: si, row: row, far: far}
 		ag.n++
 	}
@@ -417,16 +417,16 @@ func (d *Device) addNeighbour(ag *aggressor, row int, far bool) {
 // access the device models is a row-buffer hit, which changes nothing, or
 // an open.
 func (d *Device) open(ag *aggressor) {
-	d.openRow[ag.bg] = ag.row
+	d.openRow[ag.bank] = ag.row
 	d.stats.Activations++
 	d.sinceRefresh++
 
 	if d.trr != nil {
-		d.trrObserve(ag.bg, ag.row)
+		d.trrObserve(ag.bank, ag.row)
 	}
 	for i := range ag.nb[:ag.n] {
 		nb := &ag.nb[i]
-		d.disturb(ag.bg, nb.row, nb.si, nb.far)
+		d.disturb(ag.bank, nb.row, nb.si, nb.far)
 	}
 	if d.sinceRefresh >= d.model.RefreshInterval {
 		d.Refresh()
@@ -434,9 +434,9 @@ func (d *Device) open(ag *aggressor) {
 }
 
 // disturb counts one near or far activation against the weak-cell row
-// (bg, row) held in rowStates[si] and fires every still-armed cell its
+// (bank, row) held in rowStates[si] and fires every still-armed cell its
 // level reaches.
-func (d *Device) disturb(bg, row int, si int32, far bool) {
+func (d *Device) disturb(bank, row int, si int32, far bool) {
 	rs := &d.rowStates[si]
 	if rs.near|rs.far == 0 {
 		d.dirty = append(d.dirty, si)
@@ -467,7 +467,7 @@ func (d *Device) disturb(bg, row int, si int32, far bool) {
 				changed = true
 				continue
 			}
-			d.flipCell(bg, row, wc)
+			d.flipCell(bank, row, wc)
 			changed = true
 		}
 	}
@@ -477,9 +477,8 @@ func (d *Device) disturb(bg, row int, si int32, far bool) {
 }
 
 // flipCell applies a disturbance flip to the backing store.
-func (d *Device) flipCell(bg, row int, wc *WeakCell) {
-	a := d.addrOfCell(bg, row, wc.ByteInRow)
-	phys := d.mapper.ToPhys(a)
+func (d *Device) flipCell(bank, row int, wc *WeakCell) {
+	phys := d.mapper.ToPhys(Addr{Bank: bank, Row: row, Col: wc.ByteInRow})
 	cur := (d.data.load(phys) >> wc.Bit) & 1
 	wc.flipped = true
 	if cur == wc.FlipTo {
@@ -493,18 +492,6 @@ func (d *Device) flipCell(bg, row int, wc *WeakCell) {
 	if d.flipLogEnabled {
 		d.flipLog = append(d.flipLog, Flip{Phys: phys, Bit: wc.Bit, From: cur})
 	}
-}
-
-// addrOfCell reconstructs the full Addr of a weak cell's byte.  Bank group
-// indices are dense products of (channel, dimm, rank, bank).
-func (d *Device) addrOfCell(bg, row, col int) Addr {
-	bank := bg % d.geom.Banks
-	bg /= d.geom.Banks
-	rank := bg % d.geom.Ranks
-	bg /= d.geom.Ranks
-	dimm := bg % d.geom.DIMMs
-	bg /= d.geom.DIMMs
-	return Addr{Channel: bg, DIMM: dimm, Rank: rank, Bank: bank, Row: row, Col: col}
 }
 
 // Refresh completes a refresh sweep: disturbance counts reset and
@@ -557,7 +544,7 @@ func (d *Device) eccCorrectRange(pa uint64, out []byte) {
 	rowBytes := uint64(d.geom.RowBytes)
 	for base := lo &^ (rowBytes - 1); base < hi; base += rowBytes {
 		a := d.mapper.ToDRAM(base)
-		cells := d.cellsAt(d.rowIndex(d.mapper.BankGroup(a), a.Row))
+		cells := d.cellsAt(d.rowIndex(a.Bank, a.Row))
 		for _, wc := range cells {
 			cellPA := base + uint64(wc.ByteInRow)
 			if !wc.corrupted || cellPA < lo || cellPA >= hi {
@@ -603,7 +590,7 @@ func (d *Device) rearmRange(lo, hi uint64) {
 	rowBytes := uint64(d.geom.RowBytes)
 	for base := lo &^ (rowBytes - 1); base < hi; base += rowBytes {
 		a := d.mapper.ToDRAM(base)
-		si := d.rowIdx[d.rowIndex(d.mapper.BankGroup(a), a.Row)]
+		si := d.rowIdx[d.rowIndex(a.Bank, a.Row)]
 		if si < 0 {
 			continue
 		}
@@ -636,10 +623,9 @@ func (d *Device) rearmRange(lo, hi uint64) {
 // makes; the range operations above move the data.
 func (d *Device) ActivateRow(pa uint64) {
 	a := d.mapper.ToDRAM(pa)
-	bg := d.mapper.BankGroup(a)
-	if d.openRow[bg] == a.Row {
+	if d.openRow[a.Bank] == a.Row {
 		return
 	}
-	d.resolve(&d.single, bg, a.Row)
+	d.resolve(&d.single, a.Bank, a.Row)
 	d.open(&d.single)
 }

@@ -7,7 +7,7 @@ import (
 
 func testDevice(t *testing.T, model FaultModel, seed uint64) *Device {
 	t.Helper()
-	g := Geometry{Channels: 1, DIMMs: 1, Ranks: 1, Banks: 8, Rows: 512, RowBytes: 4096}
+	g := Geometry{Banks: 8, Rows: 512, RowBytes: 4096}
 	d, err := NewDevice(g, model, seed)
 	if err != nil {
 		t.Fatalf("NewDevice: %v", err)
@@ -68,7 +68,7 @@ func TestDeviceHammerFlipsPlantedCell(t *testing.T) {
 	d := testDevice(t, model, 7)
 
 	victim := Addr{Bank: 2, Row: 100, Col: 10}
-	d.PlantWeakCell(WeakCell{Bank: d.mapper.BankGroup(victim), Row: 100, ByteInRow: 10, Bit: 3, Threshold: 1000, FlipTo: 0})
+	d.PlantWeakCell(WeakCell{Bank: victim.Bank, Row: 100, ByteInRow: 10, Bit: 3, Threshold: 1000, FlipTo: 0})
 
 	victimPA := d.mapper.ToPhys(victim)
 	writeByte(d, victimPA, 0xFF) // bit 3 is 1, the failure polarity flips it to 0
@@ -104,7 +104,7 @@ func TestDeviceFlipPolarity(t *testing.T) {
 	d := testDevice(t, model, 7)
 
 	victim := Addr{Bank: 1, Row: 50, Col: 5}
-	d.PlantWeakCell(WeakCell{Bank: d.mapper.BankGroup(victim), Row: 50, ByteInRow: 5, Bit: 0, Threshold: 100, FlipTo: 0})
+	d.PlantWeakCell(WeakCell{Bank: victim.Bank, Row: 50, ByteInRow: 5, Bit: 0, Threshold: 100, FlipTo: 0})
 
 	victimPA := d.mapper.ToPhys(victim)
 	writeByte(d, victimPA, 0x00) // bit already 0: a 1->0 cell has nothing to flip
@@ -133,7 +133,7 @@ func TestDeviceRefreshResetsDisturbance(t *testing.T) {
 	d := testDevice(t, model, 7)
 
 	victim := Addr{Bank: 3, Row: 200, Col: 0}
-	d.PlantWeakCell(WeakCell{Bank: d.mapper.BankGroup(victim), Row: 200, ByteInRow: 0, Bit: 7, Threshold: 1000, FlipTo: 0})
+	d.PlantWeakCell(WeakCell{Bank: victim.Bank, Row: 200, ByteInRow: 0, Bit: 7, Threshold: 1000, FlipTo: 0})
 	victimPA := d.mapper.ToPhys(victim)
 	writeByte(d, victimPA, 0x80)
 
@@ -182,7 +182,7 @@ func TestDeviceDisturbanceIsWeightedCount(t *testing.T) {
 		model.NeighbourWeight = 0.2
 		d := testDevice(t, model, 7)
 		victim := Addr{Bank: 4, Row: 100, Col: 20}
-		d.PlantWeakCell(WeakCell{Bank: d.mapper.BankGroup(victim), Row: 100, ByteInRow: 20, Bit: 2, Threshold: 2, FlipTo: 0})
+		d.PlantWeakCell(WeakCell{Bank: victim.Bank, Row: 100, ByteInRow: 20, Bit: 2, Threshold: 2, FlipTo: 0})
 		victimPA := d.mapper.ToPhys(victim)
 		writeByte(d, victimPA, 0xFF)
 		away := d.mapper.SameBankRow(victim, 200, 0)
@@ -223,7 +223,7 @@ func TestDeviceRewriteRearmsCell(t *testing.T) {
 	d := testDevice(t, model, 7)
 
 	victim := Addr{Bank: 0, Row: 128, Col: 64}
-	d.PlantWeakCell(WeakCell{Bank: d.mapper.BankGroup(victim), Row: 128, ByteInRow: 64, Bit: 1, Threshold: 500, FlipTo: 0})
+	d.PlantWeakCell(WeakCell{Bank: victim.Bank, Row: 128, ByteInRow: 64, Bit: 1, Threshold: 500, FlipTo: 0})
 	victimPA := d.mapper.ToPhys(victim)
 
 	hammer := func() {
@@ -259,7 +259,7 @@ func TestDeviceFlipLog(t *testing.T) {
 	d.EnableFlipLog()
 
 	victim := Addr{Bank: 5, Row: 300, Col: 33}
-	d.PlantWeakCell(WeakCell{Bank: d.mapper.BankGroup(victim), Row: 300, ByteInRow: 33, Bit: 6, Threshold: 400, FlipTo: 0})
+	d.PlantWeakCell(WeakCell{Bank: victim.Bank, Row: 300, ByteInRow: 33, Bit: 6, Threshold: 400, FlipTo: 0})
 	victimPA := d.mapper.ToPhys(victim)
 	writeByte(d, victimPA, 0xFF)
 

@@ -99,10 +99,10 @@ func (d *Device) WeakCellsInRange(lo, hi uint64) []WeakCell {
 		if si < 0 {
 			continue
 		}
-		bg := idx / d.geom.Rows
+		bank := idx / d.geom.Rows
 		row := idx % d.geom.Rows
 		for _, wc := range d.rowStates[si].cells {
-			pa := d.mapper.ToPhys(d.addrOfCell(bg, row, wc.ByteInRow))
+			pa := d.mapper.ToPhys(Addr{Bank: bank, Row: row, Col: wc.ByteInRow})
 			if pa >= lo && pa < hi {
 				out = append(out, wc)
 			}
@@ -113,11 +113,11 @@ func (d *Device) WeakCellsInRange(lo, hi uint64) []WeakCell {
 
 // PhysOfWeakCell returns the physical byte address of a weak cell.
 func (d *Device) PhysOfWeakCell(wc WeakCell) uint64 {
-	return d.mapper.ToPhys(d.addrOfCell(wc.Bank, wc.Row, wc.ByteInRow))
+	return d.mapper.ToPhys(Addr{Bank: wc.Bank, Row: wc.Row, Col: wc.ByteInRow})
 }
 
 // SameBankRow returns the physical address of (row, col) within the same
-// bank group as the given address.
+// bank as the given address.
 func (m *Mapper) SameBankRow(a Addr, row, col int) uint64 {
 	a.Row = row
 	a.Col = col

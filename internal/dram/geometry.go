@@ -1,6 +1,6 @@
 // Package dram models a DRAM subsystem at the granularity the ExplFrame
-// attack needs: physical addresses map onto channel/DIMM/rank/bank/row/column
-// coordinates, banks have open-row (row buffer) semantics, and cells carry a
+// attack needs: physical addresses map onto bank/row/column coordinates,
+// banks have open-row (row buffer) semantics, and cells carry a
 // disturbance model so that repeated activation of a row — Rowhammer — can
 // flip bits in physically adjacent rows.
 //
@@ -13,14 +13,12 @@ package dram
 
 import "fmt"
 
-// Geometry describes the topology of the memory system.  The defaults model
-// a single-channel, single-DIMM, single-rank module with 8 banks — a small
-// but structurally faithful DDR3 part.
+// Geometry describes the topology of one single-rank module: the attack
+// needs only the bank and row under a page, so channels, DIMMs and ranks
+// are not modelled.  The defaults describe 8 banks — a small but
+// structurally faithful DDR3 part.
 type Geometry struct {
-	Channels int `json:"channels"`  // memory channels on the controller
-	DIMMs    int `json:"dimms"`     // DIMMs per channel
-	Ranks    int `json:"ranks"`     // ranks per DIMM
-	Banks    int `json:"banks"`     // banks per rank
+	Banks    int `json:"banks"`     // banks in the module
 	Rows     int `json:"rows"`      // rows per bank
 	RowBytes int `json:"row_bytes"` // bytes per row (columns * device width)
 }
@@ -29,26 +27,12 @@ type Geometry struct {
 // 8 KiB rows.  Small enough for fast simulation, large enough that the buddy
 // allocator's zone structure is non-trivial.
 func DefaultGeometry() Geometry {
-	return Geometry{
-		Channels: 1,
-		DIMMs:    1,
-		Ranks:    1,
-		Banks:    8,
-		Rows:     4096,
-		RowBytes: 8192,
-	}
+	return Geometry{Banks: 8, Rows: 4096, RowBytes: 8192}
 }
 
 // TotalBytes returns the capacity of the described memory system.
 func (g Geometry) TotalBytes() uint64 {
-	return uint64(g.Channels) * uint64(g.DIMMs) * uint64(g.Ranks) *
-		uint64(g.Banks) * uint64(g.Rows) * uint64(g.RowBytes)
-}
-
-// NumBankGroups returns the number of globally distinct banks
-// (channel x DIMM x rank x bank).
-func (g Geometry) NumBankGroups() int {
-	return g.Channels * g.DIMMs * g.Ranks * g.Banks
+	return uint64(g.Banks) * uint64(g.Rows) * uint64(g.RowBytes)
 }
 
 // maxModuleBytes caps a module's capacity at 16 GiB, twice the largest
@@ -62,13 +46,13 @@ const maxModuleBytes = 16 << 30
 // module no larger than 16 GiB.
 func (g Geometry) Validate() error {
 	switch {
-	case g.Channels <= 0, g.DIMMs <= 0, g.Ranks <= 0, g.Banks <= 0, g.Rows <= 0, g.RowBytes <= 0:
+	case g.Banks <= 0, g.Rows <= 0, g.RowBytes <= 0:
 		return fmt.Errorf("dram: geometry dimensions must be positive: %+v", g)
 	}
 	// Summing the dimensions' logarithms sizes the module without the
 	// overflow TotalBytes' product can hit.
 	var logBytes uint
-	for _, v := range []int{g.Channels, g.DIMMs, g.Ranks, g.Banks, g.Rows, g.RowBytes} {
+	for _, v := range []int{g.Banks, g.Rows, g.RowBytes} {
 		if v&(v-1) != 0 {
 			return fmt.Errorf("dram: geometry dimensions must be powers of two, got %d", v)
 		}
@@ -82,17 +66,14 @@ func (g Geometry) Validate() error {
 
 // Addr identifies one byte in DRAM by its topological coordinates.
 type Addr struct {
-	Channel int
-	DIMM    int
-	Rank    int
-	Bank    int
-	Row     int
-	Col     int // byte offset within the row
+	Bank int
+	Row  int
+	Col  int // byte offset within the row
 }
 
-// String renders the address in a compact ch/dimm/rank/bank/row/col form.
+// String renders the address in a compact bank/row/col form.
 func (a Addr) String() string {
-	return fmt.Sprintf("ch%d.d%d.r%d.b%d.row%d.col%d", a.Channel, a.DIMM, a.Rank, a.Bank, a.Row, a.Col)
+	return fmt.Sprintf("b%d.row%d.col%d", a.Bank, a.Row, a.Col)
 }
 
 // log2 returns floor(log2(v)) for a power-of-two v.

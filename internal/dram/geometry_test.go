@@ -14,9 +14,6 @@ func TestDefaultGeometryValid(t *testing.T) {
 	if got, want := g.TotalBytes(), uint64(256<<20); got != want {
 		t.Fatalf("TotalBytes = %d, want %d", got, want)
 	}
-	if got, want := g.NumBankGroups(), 8; got != want {
-		t.Fatalf("NumBankGroups = %d, want %d", got, want)
-	}
 }
 
 func TestGeometryValidateRejectsNonPowerOfTwo(t *testing.T) {
@@ -40,14 +37,14 @@ func TestGeometryValidateRejectsNonPowerOfTwo(t *testing.T) {
 // The module is capped at 16 GiB, sized without the overflow TotalBytes
 // can hit: 2^64 bytes wraps the product to zero.
 func TestGeometryValidateCapsModuleSize(t *testing.T) {
-	g := Geometry{Channels: 1, DIMMs: 1, Ranks: 1, Banks: 8, Rows: 1 << 18, RowBytes: 8192}
+	g := Geometry{Banks: 8, Rows: 1 << 18, RowBytes: 8192}
 	if err := g.Validate(); err != nil {
 		t.Fatalf("16 GiB module rejected: %v", err)
 	}
 	for _, g := range []Geometry{
-		{Channels: 2, DIMMs: 1, Ranks: 1, Banks: 8, Rows: 1 << 18, RowBytes: 8192},
-		{Channels: 1, DIMMs: 1, Ranks: 1, Banks: 8, Rows: 1 << 33, RowBytes: 8192},
-		{Channels: 1 << 8, DIMMs: 1 << 8, Ranks: 1 << 8, Banks: 1 << 8, Rows: 1 << 16, RowBytes: 1 << 16},
+		{Banks: 8, Rows: 1 << 19, RowBytes: 8192},
+		{Banks: 8, Rows: 1 << 33, RowBytes: 8192},
+		{Banks: 1 << 16, Rows: 1 << 32, RowBytes: 1 << 16},
 	} {
 		err := g.Validate()
 		if err == nil || !strings.Contains(err.Error(), "module cap") {
@@ -68,10 +65,7 @@ func TestMapperCoordinatesInRange(t *testing.T) {
 	f := func(pa uint64) bool {
 		pa %= g.TotalBytes()
 		a := m.ToDRAM(pa)
-		return a.Channel >= 0 && a.Channel < g.Channels &&
-			a.DIMM >= 0 && a.DIMM < g.DIMMs &&
-			a.Rank >= 0 && a.Rank < g.Ranks &&
-			a.Bank >= 0 && a.Bank < g.Banks &&
+		return a.Bank >= 0 && a.Bank < g.Banks &&
 			a.Row >= 0 && a.Row < g.Rows &&
 			a.Col >= 0 && a.Col < g.RowBytes
 	}
@@ -89,7 +83,7 @@ func TestMapperColumnLocality(t *testing.T) {
 	a0 := m.ToDRAM(base)
 	for off := 1; off < g.RowBytes; off *= 2 {
 		a := m.ToDRAM(base + uint64(off))
-		if a.Row != a0.Row || a.Bank != a0.Bank || a.Channel != a0.Channel {
+		if a.Row != a0.Row || a.Bank != a0.Bank {
 			t.Fatalf("offset %d left the row: %v vs %v", off, a, a0)
 		}
 	}
@@ -133,8 +127,8 @@ func TestSameBankRow(t *testing.T) {
 	a := m.ToDRAM(4096 * 777)
 	pa := m.SameBankRow(a, a.Row+1, 0)
 	b := m.ToDRAM(pa)
-	if b.Bank != a.Bank || b.Channel != a.Channel || b.Rank != a.Rank || b.DIMM != a.DIMM {
-		t.Fatalf("SameBankRow changed bank group: %v vs %v", b, a)
+	if b.Bank != a.Bank {
+		t.Fatalf("SameBankRow changed bank: %v vs %v", b, a)
 	}
 	if b.Row != a.Row+1 {
 		t.Fatalf("SameBankRow row = %d, want %d", b.Row, a.Row+1)
@@ -145,8 +139,8 @@ func TestSameBankRow(t *testing.T) {
 }
 
 func TestAddrString(t *testing.T) {
-	a := Addr{Channel: 1, DIMM: 0, Rank: 1, Bank: 3, Row: 42, Col: 17}
-	if got := a.String(); got != "ch1.d0.r1.b3.row42.col17" {
+	a := Addr{Bank: 3, Row: 42, Col: 17}
+	if got := a.String(); got != "b3.row42.col17" {
 		t.Fatalf("Addr.String() = %q", got)
 	}
 }

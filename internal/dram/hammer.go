@@ -35,7 +35,7 @@ type quietRow struct {
 }
 
 // HammerLoop issues rounds of activations cycling through addrs in order.
-// Each address's bank group and weak-cell neighbour rows are resolved once
+// Each address's bank and weak-cell neighbour rows are resolved once
 // per call.  Only event rounds are stepped activation by activation: the
 // first round, a round that reaches the refresh interval, a round while an
 // armed cell is within thresholdMargin rounds of its threshold, and every
@@ -59,7 +59,7 @@ func (d *Device) HammerLoop(addrs []Addr, rounds int) {
 			}
 		}
 		for i := range aggs {
-			if ag := &aggs[i]; d.openRow[ag.bg] != ag.row {
+			if ag := &aggs[i]; d.openRow[ag.bank] != ag.row {
 				d.open(ag)
 			}
 		}
@@ -68,7 +68,7 @@ func (d *Device) HammerLoop(addrs []Addr, rounds int) {
 }
 
 // planHammer resolves addrs and derives the steady-round effect.  After the
-// first round every bank group's row buffer holds the row of the last
+// first round every bank's row buffer holds the row of the last
 // aggressor mapped to it, so each later round issues the same activations:
 // an aggressor is a row-buffer hit iff the previous aggressor of its bank
 // group, cyclically (itself when it is alone there), opens the same row.
@@ -80,12 +80,12 @@ func (d *Device) planHammer(addrs []Addr) {
 	}
 	p.aggs = p.aggs[:n]
 	for i, a := range addrs {
-		d.resolve(&p.aggs[i], d.mapper.BankGroup(a), a.Row)
+		d.resolve(&p.aggs[i], a.Bank, a.Row)
 	}
 	for i := range p.aggs {
 		ag := &p.aggs[i]
 		for j := 1; j <= n; j++ {
-			if prev := &p.aggs[(i-j+n)%n]; prev.bg == ag.bg {
+			if prev := &p.aggs[(i-j+n)%n]; prev.bank == ag.bank {
 				ag.steadyHit = prev.row == ag.row
 				break
 			}

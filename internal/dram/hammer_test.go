@@ -198,7 +198,7 @@ func FuzzHammerLoopEquivalence(f *testing.F) {
 		victim := dram.Addr{Bank: rng.Intn(g.Banks), Row: 8 + rng.Intn(g.Rows-24), Col: rng.Intn(g.RowBytes)}
 		m := ref.Mapper()
 		cell := dram.WeakCell{
-			Bank: m.BankGroup(victim), Row: victim.Row, ByteInRow: victim.Col,
+			Bank: victim.Bank, Row: victim.Row, ByteInRow: victim.Col,
 			Bit: uint8(rng.Intn(8)), Threshold: fm.BaseThreshold + rng.Intn(fm.BaseThreshold+1), FlipTo: uint8(rng.Intn(2)),
 		}
 		ref.PlantWeakCell(cell)

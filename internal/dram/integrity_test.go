@@ -10,7 +10,7 @@ import (
 // containing weak cells may ever deviate from what was written — sound
 // cells never corrupt spontaneously.
 func TestActivationStormOnlyFlipsWeakCells(t *testing.T) {
-	g := Geometry{Channels: 1, DIMMs: 1, Ranks: 1, Banks: 4, Rows: 256, RowBytes: 2048}
+	g := Geometry{Banks: 4, Rows: 256, RowBytes: 2048}
 	model := FaultModel{
 		WeakCellDensity: 5e-5,
 		BaseThreshold:   500,
@@ -61,7 +61,7 @@ func TestActivationStormOnlyFlipsWeakCells(t *testing.T) {
 // the operation sequence.
 func TestDeviceDeterminism(t *testing.T) {
 	run := func() (DeviceStats, []byte) {
-		g := Geometry{Channels: 1, DIMMs: 1, Ranks: 1, Banks: 4, Rows: 256, RowBytes: 2048}
+		g := Geometry{Banks: 4, Rows: 256, RowBytes: 2048}
 		model := DefaultFaultModel()
 		model.WeakCellDensity = 1e-4
 		model.BaseThreshold = 400

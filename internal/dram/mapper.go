@@ -44,7 +44,7 @@ var mapperKinds = map[string]int{
 // adjacent, which addresses collide in a bank — is a function of exactly
 // this mapping.  Every kind shares the layout (least to most significant)
 //
-//	[ col | channel | dimm | rank | bank | row ]
+//	[ col | bank | row ]
 //
 // and differs only in the bank permutation: bank = bankRaw XOR fold(row),
 // where fold XORs the kind's tap count of bank-width row windows.  Any
@@ -69,9 +69,6 @@ type Mapper struct {
 	g        Geometry
 	taps     int
 	colBits  uint
-	chBits   uint
-	dimmBits uint
-	rankBits uint
 	bankBits uint
 	rowBits  uint
 }
@@ -90,9 +87,6 @@ func NewNamedMapper(name string, g Geometry) (*Mapper, error) {
 		g:        g,
 		taps:     taps,
 		colBits:  log2(g.RowBytes),
-		chBits:   log2(g.Channels),
-		dimmBits: log2(g.DIMMs),
-		rankBits: log2(g.Ranks),
 		bankBits: log2(g.Banks),
 		rowBits:  log2(g.Rows),
 	}, nil
@@ -136,9 +130,6 @@ func take(pa *uint64, bits uint) int {
 func (m *Mapper) ToDRAM(pa uint64) Addr {
 	var a Addr
 	a.Col = take(&pa, m.colBits)
-	a.Channel = take(&pa, m.chBits)
-	a.DIMM = take(&pa, m.dimmBits)
-	a.Rank = take(&pa, m.rankBits)
 	bankRaw := take(&pa, m.bankBits)
 	a.Row = take(&pa, m.rowBits)
 	a.Bank = bankRaw ^ m.fold(a.Row)
@@ -149,21 +140,7 @@ func (m *Mapper) ToDRAM(pa uint64) Addr {
 func (m *Mapper) ToPhys(a Addr) uint64 {
 	pa := uint64(a.Row)
 	pa = pa<<m.bankBits | uint64(a.Bank^m.fold(a.Row))
-	pa = pa<<m.rankBits | uint64(a.Rank)
-	pa = pa<<m.dimmBits | uint64(a.DIMM)
-	pa = pa<<m.chBits | uint64(a.Channel)
 	return pa<<m.colBits | uint64(a.Col)
-}
-
-// BankGroup returns a dense index identifying the (channel, dimm, rank,
-// bank) tuple of the address; rows within one bank group share a row
-// buffer and disturb each other.
-func (m *Mapper) BankGroup(a Addr) int {
-	idx := a.Channel
-	idx = idx*m.g.DIMMs + a.DIMM
-	idx = idx*m.g.Ranks + a.Rank
-	idx = idx*m.g.Banks + a.Bank
-	return idx
 }
 
 // AdjacentRow returns the row index at the given signed distance from row,

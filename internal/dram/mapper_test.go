@@ -7,12 +7,12 @@ import (
 )
 
 // mapperTestGeometries covers the shapes the built-in machine profiles use
-// plus a multi-channel/multi-rank part that exercises every bit field.
+// plus a 64-bank part that exercises a wide bank field.
 var mapperTestGeometries = []Geometry{
 	DefaultGeometry(),
-	{Channels: 1, DIMMs: 1, Ranks: 1, Banks: 4, Rows: 1024, RowBytes: 8192},
-	{Channels: 1, DIMMs: 1, Ranks: 1, Banks: 16, Rows: 8192, RowBytes: 4096},
-	{Channels: 2, DIMMs: 2, Ranks: 2, Banks: 8, Rows: 512, RowBytes: 2048},
+	{Banks: 4, Rows: 1024, RowBytes: 8192},
+	{Banks: 16, Rows: 8192, RowBytes: 4096},
+	{Banks: 64, Rows: 512, RowBytes: 2048},
 }
 
 // Every registered mapper must be a bijection on the address space:
@@ -31,8 +31,7 @@ func TestMapperRoundTrip(t *testing.T) {
 			for i := 0; i < 20000; i++ {
 				pa := rng.Uint64() % total
 				a := m.ToDRAM(pa)
-				if a.Channel >= g.Channels || a.DIMM >= g.DIMMs || a.Rank >= g.Ranks ||
-					a.Bank >= g.Banks || a.Row >= g.Rows || a.Col >= g.RowBytes {
+				if a.Bank >= g.Banks || a.Row >= g.Rows || a.Col >= g.RowBytes {
 					t.Fatalf("%s/%+v: ToDRAM(%#x) = %+v out of geometry", name, g, pa, a)
 				}
 				if back := m.ToPhys(a); back != pa {
@@ -98,7 +97,7 @@ func TestMapperAdjacentRow(t *testing.T) {
 // geometry, different bank for some addresses) while keeping column bits
 // lowest — the contract the device's bulk paths rely on.
 func TestXORFoldDiffersFromLinear(t *testing.T) {
-	g := Geometry{Channels: 1, DIMMs: 1, Ranks: 1, Banks: 16, Rows: 8192, RowBytes: 4096}
+	g := Geometry{Banks: 16, Rows: 8192, RowBytes: 4096}
 	lin, err := NewNamedMapper(MapperLinear, g)
 	if err != nil {
 		t.Fatal(err)
@@ -178,8 +177,8 @@ func FuzzMapperRoundTrip(f *testing.F) {
 	})
 }
 
-// SameBankRow and BankGroup must agree for every mapper: the relocated
-// address stays in the same bank group with the requested row and column.
+// SameBankRow must keep the bank for every mapper: the relocated address
+// stays in the same bank with the requested row and column.
 func TestMapperSameBankRow(t *testing.T) {
 	for _, name := range MapperNames() {
 		m, err := NewNamedMapper(name, DefaultGeometry())
@@ -189,8 +188,8 @@ func TestMapperSameBankRow(t *testing.T) {
 		a := m.ToDRAM(4096 * 777)
 		pa := m.SameBankRow(a, a.Row+1, 5)
 		b := m.ToDRAM(pa)
-		if m.BankGroup(b) != m.BankGroup(a) {
-			t.Fatalf("%s: SameBankRow left the bank group: %v vs %v", name, b, a)
+		if b.Bank != a.Bank {
+			t.Fatalf("%s: SameBankRow left the bank: %v vs %v", name, b, a)
 		}
 		if b.Row != a.Row+1 || b.Col != 5 {
 			t.Fatalf("%s: SameBankRow landed at %v", name, b)
@@ -201,10 +200,9 @@ func TestMapperSameBankRow(t *testing.T) {
 // TestMapperKnownAnswers pins the bank function of both mapper kinds on
 // the default geometry and the ddr4 machine's geometry.  Bijectivity and
 // "xor-fold differs from linear" both survive a wrong tap count; these
-// fixed (pa -> bank, row, col) answers do not.  On these single-channel,
-// single-rank geometries BankGroup equals Bank.
+// fixed (pa -> bank, row, col) answers do not.
 func TestMapperKnownAnswers(t *testing.T) {
-	ddr4 := Geometry{Channels: 1, DIMMs: 1, Ranks: 1, Banks: 16, Rows: 8192, RowBytes: 4096}
+	ddr4 := Geometry{Banks: 16, Rows: 8192, RowBytes: 4096}
 	cases := []struct {
 		kind           string
 		g              Geometry
@@ -253,9 +251,6 @@ func TestMapperKnownAnswers(t *testing.T) {
 		got := m.ToDRAM(c.pa)
 		if got != want {
 			t.Errorf("%s/%d banks: ToDRAM(%#x) = %v, want %v", c.kind, c.g.Banks, c.pa, got, want)
-		}
-		if bg := m.BankGroup(got); bg != c.bank {
-			t.Errorf("%s/%d banks: BankGroup(ToDRAM(%#x)) = %d, want %d", c.kind, c.g.Banks, c.pa, bg, c.bank)
 		}
 	}
 }

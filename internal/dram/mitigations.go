@@ -21,7 +21,7 @@ import "fmt"
 type TRRConfig struct {
 	// Enabled turns the mitigation on.
 	Enabled bool `json:"enabled,omitempty"`
-	// TrackerSize is the number of rows tracked per bank group (real
+	// TrackerSize is the number of rows tracked per bank (real
 	// devices: on the order of 2..32 entries).
 	TrackerSize int `json:"tracker_size,omitempty"`
 	// Threshold is the tracked activation count that triggers a neighbour
@@ -78,7 +78,7 @@ type trrEntry struct {
 	used  uint64 // last-use stamp for LRU eviction
 }
 
-// trrState is the per-bank-group sampler.
+// trrState is the per-bank sampler.
 type trrState struct {
 	entries []trrEntry
 	clock   uint64
@@ -89,23 +89,23 @@ func (d *Device) initTRR() {
 	if !d.model.TRR.Enabled || d.model.TRR.TrackerSize <= 0 {
 		return
 	}
-	d.trr = make([]trrState, d.geom.NumBankGroups())
+	d.trr = make([]trrState, d.geom.Banks)
 	for i := range d.trr {
 		d.trr[i].entries = make([]trrEntry, 0, d.model.TRR.TrackerSize)
 	}
 }
 
-// trrObserve feeds one activation of (bg, row) into the sampler and fires a
+// trrObserve feeds one activation of (bank, row) into the sampler and fires a
 // neighbour refresh when the tracked count crosses the threshold.
-func (d *Device) trrObserve(bg, row int) {
-	st := &d.trr[bg]
+func (d *Device) trrObserve(bank, row int) {
+	st := &d.trr[bank]
 	st.clock++
 	for i := range st.entries {
 		if st.entries[i].row == row {
 			st.entries[i].count++
 			st.entries[i].used = st.clock
 			if st.entries[i].count >= d.model.TRR.Threshold {
-				d.trrRefreshNeighbours(bg, row)
+				d.trrRefreshNeighbours(bank, row)
 				st.entries[i].count = 0
 			}
 			return
@@ -129,13 +129,13 @@ func (d *Device) trrObserve(bg, row int) {
 
 // trrRefreshNeighbours recharges the rows adjacent to the hammered row:
 // their disturbance counts reset, exactly like a targeted refresh.
-func (d *Device) trrRefreshNeighbours(bg, row int) {
+func (d *Device) trrRefreshNeighbours(bank, row int) {
 	for dr := -2; dr <= 2; dr++ {
 		r := row + dr
 		if dr == 0 || r < 0 || r >= d.geom.Rows {
 			continue
 		}
-		if si := d.rowIdx[d.rowIndex(bg, r)]; si >= 0 {
+		if si := d.rowIdx[d.rowIndex(bank, r)]; si >= 0 {
 			d.refreshRow(si)
 		}
 	}

@@ -5,7 +5,7 @@ import "testing"
 // trrDevice builds a device with a planted weak cell and TRR enabled.
 func trrDevice(t *testing.T, trr TRRConfig, ecc ECCMode) (*Device, Addr, uint64) {
 	t.Helper()
-	g := Geometry{Channels: 1, DIMMs: 1, Ranks: 1, Banks: 8, Rows: 512, RowBytes: 4096}
+	g := Geometry{Banks: 8, Rows: 512, RowBytes: 4096}
 	model := DefaultFaultModel()
 	model.WeakCellDensity = 0
 	model.FlipReliability = 1
@@ -16,7 +16,7 @@ func trrDevice(t *testing.T, trr TRRConfig, ecc ECCMode) (*Device, Addr, uint64)
 		t.Fatal(err)
 	}
 	victim := Addr{Bank: 2, Row: 100, Col: 10}
-	d.PlantWeakCell(WeakCell{Bank: d.mapper.BankGroup(victim), Row: 100, ByteInRow: 10, Bit: 3, Threshold: 1000, FlipTo: 0})
+	d.PlantWeakCell(WeakCell{Bank: victim.Bank, Row: 100, ByteInRow: 10, Bit: 3, Threshold: 1000, FlipTo: 0})
 	pa := d.mapper.ToPhys(victim)
 	writeByte(d, pa, 0xFF)
 	return d, victim, pa
@@ -43,7 +43,7 @@ func TestTRRBlocksDoubleSided(t *testing.T) {
 	}
 	// TRR fired: each targeted refresh zeroes the victim row's
 	// disturbance, so it never holds the two aggressors' threshold count.
-	rs := d.rowStates[d.rowIdx[d.rowIndex(d.mapper.BankGroup(victim), victim.Row)]]
+	rs := d.rowStates[d.rowIdx[d.rowIndex(victim.Bank, victim.Row)]]
 	if rs.near+rs.far >= 2*uint64(trr.Threshold) {
 		t.Fatalf("TRR never fired: victim row disturbance near %d far %d", rs.near, rs.far)
 	}
@@ -104,7 +104,7 @@ func TestECCCorrectsSingleFlip(t *testing.T) {
 
 // Two observable flips in the same 64-bit word defeat SEC-DED.
 func TestECCDoubleFlipUncorrectable(t *testing.T) {
-	g := Geometry{Channels: 1, DIMMs: 1, Ranks: 1, Banks: 8, Rows: 512, RowBytes: 4096}
+	g := Geometry{Banks: 8, Rows: 512, RowBytes: 4096}
 	model := DefaultFaultModel()
 	model.WeakCellDensity = 0
 	model.FlipReliability = 1
@@ -114,7 +114,7 @@ func TestECCDoubleFlipUncorrectable(t *testing.T) {
 		t.Fatal(err)
 	}
 	victim := Addr{Bank: 1, Row: 60, Col: 16} // word-aligned
-	bg := d.mapper.BankGroup(victim)
+	bg := victim.Bank
 	d.PlantWeakCell(WeakCell{Bank: bg, Row: 60, ByteInRow: 16, Bit: 1, Threshold: 800, FlipTo: 0})
 	d.PlantWeakCell(WeakCell{Bank: bg, Row: 60, ByteInRow: 19, Bit: 6, Threshold: 900, FlipTo: 0})
 	pa := d.mapper.ToPhys(victim)
@@ -169,7 +169,7 @@ func TestTRRTrackerResetsOnRefresh(t *testing.T) {
 	trr := TRRConfig{Enabled: true, TrackerSize: 8, Threshold: 1 << 30} // never fires
 	d, victim, _ := trrDevice(t, trr, ECCNone)
 	doubleSided(d, victim, 10)
-	bg := d.mapper.BankGroup(victim)
+	bg := victim.Bank
 	if len(d.trr[bg].entries) == 0 {
 		t.Fatal("tracker empty after hammering")
 	}

@@ -40,7 +40,7 @@ func FuzzWeakCellPlacement(f *testing.F) {
 // draw collide, with probe chains running across rows, banks and the
 // key-space wrap.
 func TestWeakCellPlacementSaturated(t *testing.T) {
-	g := dram.Geometry{Channels: 1, DIMMs: 1, Ranks: 1, Banks: 2, Rows: 4, RowBytes: 16}
+	g := dram.Geometry{Banks: 2, Rows: 4, RowBytes: 16}
 	m, err := dram.NewNamedMapper(dram.MapperLinear, g)
 	if err != nil {
 		t.Fatal(err)

@@ -18,7 +18,7 @@ func (d *Device) placeWeakCellsByMap() {
 	if d.rng.Float64() < expected-float64(n) {
 		n++
 	}
-	banks := d.geom.NumBankGroups()
+	banks := d.geom.Banks
 	totalKeys := uint64(banks) * uint64(d.geom.Rows) * uint64(d.geom.RowBytes) * 8
 	occupied := make(map[uint64]struct{}, n)
 	for i := 0; i < n; i++ {
@@ -94,7 +94,7 @@ func PlacementMismatch(m *Mapper, model FaultModel, seed uint64) (string, error)
 // into the next row's cells: each row's slice is capacity-clamped, so the
 // append moves the row out of the slab instead.
 func TestPlantWeakCellLeavesNextRowIntact(t *testing.T) {
-	g := Geometry{Channels: 1, DIMMs: 1, Ranks: 1, Banks: 2, Rows: 64, RowBytes: 1024}
+	g := Geometry{Banks: 2, Rows: 64, RowBytes: 1024}
 	model := DefaultFaultModel()
 	model.WeakCellDensity = 1e-3
 	d, err := NewDevice(g, model, 7)

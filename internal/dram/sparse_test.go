@@ -113,7 +113,7 @@ func equivalenceWorkload(t testing.TB, d *Device, seed uint64, ops int) []byte {
 	// word), two in one refresh window flip the anti cell too when its bit
 	// holds 0 (an uncorrectable word).
 	victim := Addr{Bank: 1, Row: 200, Col: 50}
-	bg := d.mapper.BankGroup(victim)
+	bg := victim.Bank
 	d.PlantWeakCell(WeakCell{Bank: bg, Row: 200, ByteInRow: 50, Bit: 2, Threshold: 600, FlipTo: 0})
 	d.PlantWeakCell(WeakCell{Bank: bg, Row: 200, ByteInRow: 53, Bit: 6, Threshold: 900, FlipTo: 1})
 	victimPA := d.mapper.ToPhys(victim)
@@ -242,7 +242,7 @@ func checkSparseDense(t testing.TB, g Geometry, model FaultModel, seed uint64, o
 // every counter, every flip.  Run with and without mitigations so the ECC
 // path is covered too.
 func TestSparseDenseObservationalEquivalence(t *testing.T) {
-	g := Geometry{Channels: 1, DIMMs: 1, Ranks: 1, Banks: 4, Rows: 512, RowBytes: 4096}
+	g := Geometry{Banks: 4, Rows: 512, RowBytes: 4096}
 	cases := []struct {
 		name string
 		mut  func(*FaultModel)
@@ -267,7 +267,7 @@ func TestSparseDenseObservationalEquivalence(t *testing.T) {
 // uncorrectable words: a one-cell word reads back corrected, a multi-cell
 // word raw.
 func TestReadRangeMatchesPerByte(t *testing.T) {
-	g := Geometry{Channels: 1, DIMMs: 1, Ranks: 1, Banks: 4, Rows: 512, RowBytes: 4096}
+	g := Geometry{Banks: 4, Rows: 512, RowBytes: 4096}
 	model := DefaultFaultModel()
 	model.WeakCellDensity = 0
 	model.FlipReliability = 1
@@ -279,7 +279,7 @@ func TestReadRangeMatchesPerByte(t *testing.T) {
 	// Two corrupted cells: one alone in its word (correctable), two sharing
 	// a word elsewhere (uncorrectable).
 	plant := func(a Addr, bit uint8, thr int) {
-		d.PlantWeakCell(WeakCell{Bank: d.mapper.BankGroup(a), Row: a.Row, ByteInRow: a.Col, Bit: bit, Threshold: thr, FlipTo: 0})
+		d.PlantWeakCell(WeakCell{Bank: a.Bank, Row: a.Row, ByteInRow: a.Col, Bit: bit, Threshold: thr, FlipTo: 0})
 		writeByte(d, d.mapper.ToPhys(a), 0xFF)
 	}
 	plant(Addr{Bank: 0, Row: 100, Col: 64}, 3, 500)
@@ -326,7 +326,7 @@ func TestReadRangeMatchesPerByte(t *testing.T) {
 // module: an 8 GiB geometry with the default weak-cell population and no
 // writes may grow the heap by less than 64 MiB.
 func TestLargeDeviceConstructionIsSparse(t *testing.T) {
-	g := Geometry{Channels: 1, DIMMs: 1, Ranks: 1, Banks: 16, Rows: 1 << 16, RowBytes: 8192}
+	g := Geometry{Banks: 16, Rows: 1 << 16, RowBytes: 8192}
 	if got := g.TotalBytes(); got != 8<<30 {
 		t.Fatalf("geometry is %d bytes, want 8 GiB", got)
 	}

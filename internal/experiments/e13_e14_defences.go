@@ -33,9 +33,9 @@ func E13Defences(seed uint64, opts ...harness.Option) (*Table, error) {
 	}{
 		{"none", "double-sided", "the paper's DDR3 setting", nil},
 		{"TRR(track=4,thr=300)", "double-sided", "neighbour refresh outruns disturbance",
-			[]scenario.Option{scenario.WithTRR(4, 300)}},
+			[]scenario.Option{scenario.WithTRR()}},
 		{"TRR(track=4,thr=300)", "many-sided", "8 decoys thrash the tracker (TRRespass)",
-			[]scenario.Option{scenario.WithTRR(4, 300), scenario.WithManySided(8)}},
+			[]scenario.Option{scenario.WithTRR(), scenario.WithManySided(8)}},
 		{"ECC SEC-DED", "double-sided", "single-bit table faults corrected on read",
 			[]scenario.Option{scenario.WithECC()}},
 	}

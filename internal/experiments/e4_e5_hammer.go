@@ -17,7 +17,7 @@ import (
 // attacker process owning a touched region of the given size.
 func hammerAttacker(seed, region uint64) (*kernel.Machine, *kernel.Process, vm.VirtAddr, error) {
 	cfg := kernel.DefaultConfig()
-	cfg.Geometry = dram.Geometry{Channels: 1, DIMMs: 1, Ranks: 1, Banks: 4, Rows: 1024, RowBytes: 8192}
+	cfg.Geometry = dram.Geometry{Banks: 4, Rows: 1024, RowBytes: 8192}
 	cfg.FaultModel = dram.FaultModel{
 		WeakCellDensity: 8e-5,
 		BaseThreshold:   4000,

@@ -209,9 +209,6 @@ func (aesAnalyzer) Supports(m fault.Model) error {
 	if m.Kind == fault.RandomBytes && m.Width > 1 {
 		return fmt.Errorf("%w: a %d-byte random fault can straddle MixColumns columns; aes-128 needs a single-byte-confined fault", ErrUnsupportedModel, m.Width)
 	}
-	if m.Round != 0 && m.Round != 9 {
-		return fmt.Errorf("%w: the Piret-Quisquater equations hold at round 9 only, not round %d", ErrUnsupportedModel, m.Round)
-	}
 	return nil
 }
 

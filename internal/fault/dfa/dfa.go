@@ -83,8 +83,8 @@ var ErrUnsupportedModel = errors.New("dfa: fault model unsupported by this analy
 type Analyzer interface {
 	// Cipher is the canonical registry name of the cipher analyzed.
 	Cipher() string
-	// DefaultRound is the canonical 1-based fault round the analysis
-	// targets — the round a fault.Model with Round 0 lands in.
+	// DefaultRound is the 1-based round at whose entry every fault lands:
+	// the only round the analyzer's differential equations hold at.
 	DefaultRound() int
 	// Supports reports whether the analyzer's equations cover the model
 	// (nil) or why not (wrapping ErrUnsupportedModel).
@@ -183,15 +183,12 @@ func Names() []string {
 	return out
 }
 
-// faultRound resolves the round m injects into: the model's pinned Round, or
-// for Round 0 the DefaultRound of c's analyzer.
-func faultRound(c registry.Cipher, m fault.Model) (int, error) {
-	if m.Round != 0 {
-		return m.Round, nil
-	}
+// faultRound resolves the round a fault injects into: the DefaultRound of
+// c's analyzer.
+func faultRound(c registry.Cipher) (int, error) {
 	a, ok := Get(c.Name())
 	if !ok {
-		return 0, fmt.Errorf("dfa: model %s pins no round and cipher %q has no registered analyzer", m.Name(), c.Name())
+		return 0, fmt.Errorf("dfa: cipher %q has no registered analyzer to fix the fault round", c.Name())
 	}
 	return a.DefaultRound(), nil
 }
@@ -202,11 +199,11 @@ func faultRound(c registry.Cipher, m fault.Model) (int, error) {
 // randomness in turn — a BlockSize-byte plaintext first, then the model's
 // unpinned choices (position first when unpinned, then fault values) —
 // which is the order the results book pins, so n calls with n=1 draw what
-// one call with n draws; the encryptions consume no randomness.  The
-// model's Round 0 resolves to the cipher's analyzer's DefaultRound, and a
-// pair records the fault position when the model exposes it.
+// one call with n draws; the encryptions consume no randomness.  The fault
+// lands at the DefaultRound of the cipher's analyzer, and a pair records
+// the fault position when the model exposes it.
 func CollectPairs(c registry.Cipher, inst registry.Instance, table []byte, n int, m fault.Model, rng *stats.RNG) ([]Pair, error) {
-	round, err := faultRound(c, m)
+	round, err := faultRound(c)
 	if err != nil {
 		return nil, err
 	}

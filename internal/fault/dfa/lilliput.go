@@ -106,9 +106,6 @@ func (lilliputAnalyzer) Supports(m fault.Model) error {
 	if m.Kind == fault.RandomBytes && m.Width > 2 {
 		return fmt.Errorf("%w: a %d-byte random fault leaves too many round-%d hypotheses; lilliput-80 supports width <= 2", ErrUnsupportedModel, m.Width, lilliput.Rounds-1)
 	}
-	if m.Round != 0 && m.Round != lilliput.Rounds-1 {
-		return fmt.Errorf("%w: the ladder equations hold at round %d only, not round %d", ErrUnsupportedModel, lilliput.Rounds-1, m.Round)
-	}
 	return nil
 }
 

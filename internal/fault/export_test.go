@@ -6,9 +6,6 @@ import (
 	"fmt"
 )
 
-// WithRound pins the fault to the entry of a specific 1-based round.
-func WithRound(r int) Option { return func(m *Model) { m.Round = r } }
-
 // DecodeSpec parses one fault model from JSON.  Unknown fields are
 // rejected so a typoed knob fails loudly instead of silently running a
 // different fault campaign.

@@ -1,20 +1,22 @@
 // Package fault makes transient fault models first-class values, the way
 // internal/machine did for machines and internal/scenario did for
 // scenarios.  A Model declares what a fault-injection campaign assumes the
-// attacker can do — which round the fault lands in, how much of the block
-// it disturbs (a bit, a nibble, a byte, or several random bytes) and
-// whether the position is known — as plain serializable data with
-// functional options (New, With), joined-field validation (Validate),
-// canonical naming and hashing (Name, Hash) and lossless JSON
-// (EncodeJSON), decoded strictly inside scenario specs.
+// attacker can do — how much of the block it disturbs (a bit, a nibble, a
+// byte, or several random bytes) and whether the position is known — as
+// plain serializable data with functional options (New, With),
+// joined-field validation (Validate), canonical naming and hashing (Name,
+// Hash) and lossless JSON (EncodeJSON), decoded strictly inside scenario
+// specs.
 //
 // The catalogue in Presets is the precise-to-random ladder of "From
 // Precise to Random: A Systematic DFA of LILLIPUT" (PAPERS.md): the same
 // differential analysis run under progressively weaker fault assumptions,
-// measuring how much key space survives each step down.  Models say
-// nothing about any one cipher: Draw renders a model into a concrete
-// Injection (round + XOR mask over the byte-form block) for whatever block
-// size the victim has, and registry.Instance.EncryptWithFault applies it.
+// measuring how much key space survives each step down.  The ladder varies
+// the fault's precision, never its round: a fault lands at the canonical
+// round of the cipher's DFA analyzer.  Models say nothing about any one
+// cipher: Draw renders a model into a concrete Injection (an XOR mask over
+// the byte-form block) for whatever block size the victim has, and
+// registry.Instance.EncryptWithFaultBatch applies it.
 package fault
 
 import (
@@ -53,14 +55,10 @@ const Anywhere = -1
 //
 // Positions index the byte-form block big-endian: bit p lives in byte p/8
 // at mask 0x80>>(p%8), nibble i is the high half of byte i/2 when i is
-// even, and bytes are plain indices.  Round 0 means "the analyzer's
-// canonical round" — the deepest round its differential equations reach.
+// even, and bytes are plain indices.
 type Model struct {
 	// Kind is PreciseBit, Nibble, PreciseByte or RandomBytes.
 	Kind string `json:"kind"`
-	// Round is the 1-based round the fault lands at the entry of; 0 defers
-	// to the analyzer's canonical round for the target cipher.
-	Round int `json:"round,omitempty"`
 	// Position fixes the fault position in Kind units (bit, nibble or byte
 	// index); Anywhere draws it uniformly per pair.  RandomBytes requires
 	// Anywhere.
@@ -74,8 +72,7 @@ type Model struct {
 type Option func(*Model)
 
 // New builds a Model of the given kind with the position drawn per pair
-// (Anywhere) at the analyzer's canonical round, and applies opts.
-// RandomBytes defaults to one faulted byte.
+// (Anywhere), and applies opts.  RandomBytes defaults to one faulted byte.
 func New(kind string, opts ...Option) Model {
 	m := Model{Kind: kind, Position: Anywhere}
 	if kind == RandomBytes {
@@ -115,9 +112,6 @@ func (m Model) Validate() error {
 	if !kinds[m.Kind] {
 		fail("kind: unknown %q (want %s)", m.Kind, strings.Join(KindNames(), ", "))
 	}
-	if m.Round < 0 {
-		fail("round: %d, want >= 0 (0 = analyzer's canonical round)", m.Round)
-	}
 	if m.Position < Anywhere {
 		fail("position: %d, want >= -1 (-1 = drawn per pair)", m.Position)
 	}
@@ -142,9 +136,9 @@ func KindNames() []string {
 	return []string{PreciseBit, Nibble, PreciseByte, RandomBytes}
 }
 
-// Name returns the canonical model name: kind, position (or "any"), the
-// RandomBytes width, and any pinned round.  Two models are the same fault
-// assumption iff their Names are equal.
+// Name returns the canonical model name: kind, position (or "any") and the
+// RandomBytes width.  Two models are the same fault assumption iff their
+// Names are equal.
 func (m Model) Name() string {
 	var b strings.Builder
 	b.WriteString(m.Kind)
@@ -156,9 +150,6 @@ func (m Model) Name() string {
 	if m.Kind == RandomBytes {
 		fmt.Fprintf(&b, "x%d", m.Width)
 	}
-	if m.Round > 0 {
-		fmt.Fprintf(&b, "+r%d", m.Round)
-	}
 	return b.String()
 }
 
@@ -167,8 +158,8 @@ func (m Model) Name() string {
 func (m Model) Hash() uint64 { return stats.FNV64(m.Name()) }
 
 // Injection is one concrete rendering of a Model: the XOR mask
-// EncryptWithFault applies to the byte-form block at the entry of the
-// model's round.
+// EncryptWithFaultBatch applies to the byte-form block at the entry of the
+// fault round.
 type Injection struct {
 	// Mask is the block-sized difference XORed into the round input.
 	Mask []byte

@@ -15,9 +15,9 @@ func TestValidateAcceptsPresetsAndPinnedVariants(t *testing.T) {
 	}
 	good := []Model{
 		New(PreciseBit, WithPosition(0)),
-		New(PreciseBit, WithPosition(63), WithRound(29)),
+		New(PreciseBit, WithPosition(63)),
 		New(Nibble, WithPosition(15)),
-		New(PreciseByte, WithPosition(3), WithRound(9)),
+		New(PreciseByte, WithPosition(3)),
 		New(RandomBytes, WithWidth(8)),
 	}
 	for _, m := range good {
@@ -37,7 +37,6 @@ func TestValidateRejections(t *testing.T) {
 	}{
 		{"zero value", Model{}, "kind: unknown"},
 		{"unknown kind", Model{Kind: "laser", Position: Anywhere}, "kind: unknown"},
-		{"negative round", New(PreciseBit, WithRound(-1)), "round: -1"},
 		{"position below anywhere", New(Nibble, WithPosition(-2)), "position: -2"},
 		{"random-bytes pinned position", Model{Kind: RandomBytes, Position: 0, Width: 1}, "fixed on kind random-bytes"},
 		{"random-bytes zero width", Model{Kind: RandomBytes, Position: Anywhere}, "width: 0"},
@@ -61,12 +60,12 @@ func TestValidateRejections(t *testing.T) {
 
 // Validate must join independent violations rather than stop at the first.
 func TestValidateJoinsErrors(t *testing.T) {
-	m := Model{Kind: "laser", Round: -3, Position: -5}
+	m := Model{Kind: "laser", Position: -5, Width: 2}
 	err := m.Validate()
 	if err == nil {
 		t.Fatal("triple-fault model accepted")
 	}
-	for _, want := range []string{"kind:", "round:", "position:"} {
+	for _, want := range []string{"kind:", "position:", "width:"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("joined error %q missing %q", err, want)
 		}
@@ -80,7 +79,7 @@ func TestNameAndHash(t *testing.T) {
 	}{
 		{New(PreciseBit), "precise-bit@any"},
 		{New(PreciseBit, WithPosition(12)), "precise-bit@12"},
-		{New(Nibble, WithRound(29)), "nibble@any+r29"},
+		{New(Nibble, WithPosition(29)), "nibble@29"},
 		{New(PreciseByte, WithPosition(0)), "precise-byte@0"},
 		{New(RandomBytes), "random-bytes@anyx1"},
 		{New(RandomBytes, WithWidth(2)), "random-bytes@anyx2"},
@@ -183,7 +182,7 @@ func TestDrawShapes(t *testing.T) {
 
 func TestDrawPinnedChoices(t *testing.T) {
 	rng := stats.NewRNG(2)
-	inj, err := New(PreciseBit, WithPosition(9), WithRound(5)).Draw(rng, 8)
+	inj, err := New(PreciseBit, WithPosition(9)).Draw(rng, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,7 @@ import (
 // structure is intact.
 func TestProcessLifecycleStorm(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.Geometry = dram.Geometry{Channels: 1, DIMMs: 1, Ranks: 1, Banks: 8, Rows: 1024, RowBytes: 8192}
+	cfg.Geometry = dram.Geometry{Banks: 8, Rows: 1024, RowBytes: 8192}
 	cfg.NumCPUs = 4
 	m, err := NewMachine(cfg)
 	if err != nil {

@@ -24,7 +24,7 @@ func mappedPages(p *Process, base vm.VirtAddr, length uint64) int {
 func newTestMachine(t *testing.T) *Machine {
 	t.Helper()
 	cfg := DefaultConfig()
-	cfg.Geometry = dram.Geometry{Channels: 1, DIMMs: 1, Ranks: 1, Banks: 8, Rows: 1024, RowBytes: 8192}
+	cfg.Geometry = dram.Geometry{Banks: 8, Rows: 1024, RowBytes: 8192}
 	m, err := NewMachine(cfg)
 	if err != nil {
 		t.Fatalf("NewMachine: %v", err)
@@ -217,7 +217,7 @@ func TestSleepWithCompanyKeepsPCP(t *testing.T) {
 
 func TestDrainOnIdleDisabled(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.Geometry = dram.Geometry{Channels: 1, DIMMs: 1, Ranks: 1, Banks: 8, Rows: 1024, RowBytes: 8192}
+	cfg.Geometry = dram.Geometry{Banks: 8, Rows: 1024, RowBytes: 8192}
 	cfg.DrainOnIdle = false
 	m, err := NewMachine(cfg)
 	if err != nil {
@@ -253,7 +253,7 @@ outer:
 			pai, _ := p.Translate(base + vm.VirtAddr(i)*vm.PageSize)
 			paj, _ := p.Translate(base + vm.VirtAddr(j)*vm.PageSize)
 			ai, aj := mapper.ToDRAM(pai), mapper.ToDRAM(paj)
-			if mapper.BankGroup(ai) == mapper.BankGroup(aj) && ai.Row != aj.Row {
+			if ai.Bank == aj.Bank && ai.Row != aj.Row {
 				a = base + vm.VirtAddr(i)*vm.PageSize
 				b = base + vm.VirtAddr(j)*vm.PageSize
 				found = true
@@ -354,7 +354,7 @@ func TestSpawnResident(t *testing.T) {
 // next read still corrects it.
 func TestBulkAccessECCCounters(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.Geometry = dram.Geometry{Channels: 1, DIMMs: 1, Ranks: 1, Banks: 8, Rows: 1024, RowBytes: 8192}
+	cfg.Geometry = dram.Geometry{Banks: 8, Rows: 1024, RowBytes: 8192}
 	cfg.FaultModel.WeakCellDensity = 0
 	cfg.FaultModel.FlipReliability = 1
 	cfg.FaultModel.ECC = dram.ECCSecDed
@@ -382,7 +382,7 @@ func TestBulkAccessECCCounters(t *testing.T) {
 	if !found {
 		t.Skip("no page away from the bank edge")
 	}
-	dev.PlantWeakCell(dram.WeakCell{Bank: mapper.BankGroup(a), Row: a.Row, ByteInRow: a.Col, Bit: 3, Threshold: 1000})
+	dev.PlantWeakCell(dram.WeakCell{Bank: a.Bank, Row: a.Row, ByteInRow: a.Col, Bit: 3, Threshold: 1000})
 	page := make([]byte, vm.PageSize)
 	for i := range page {
 		page[i] = 0xFF

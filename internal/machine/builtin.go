@@ -25,7 +25,7 @@ var builtins = []Spec{
 	),
 	New("fast",
 		WithDescription("small, highly vulnerable 32 MiB module; end-to-end trials stay ~1 s (E6/E8/E13)"),
-		WithGeometry(dram.Geometry{Channels: 1, DIMMs: 1, Ranks: 1, Banks: 4, Rows: 1024, RowBytes: 8192}),
+		WithGeometry(dram.Geometry{Banks: 4, Rows: 1024, RowBytes: 8192}),
 		WithFaultModel(dram.FaultModel{
 			WeakCellDensity: 2e-4,
 			BaseThreshold:   1500,
@@ -38,7 +38,7 @@ var builtins = []Spec{
 	),
 	New("ddr4",
 		WithDescription("512 MiB DDR4-style module: 16 banks, XOR-folded bank function, moderately vulnerable cells"),
-		WithGeometry(dram.Geometry{Channels: 1, DIMMs: 1, Ranks: 1, Banks: 16, Rows: 8192, RowBytes: 4096}),
+		WithGeometry(dram.Geometry{Banks: 16, Rows: 8192, RowBytes: 4096}),
 		WithMapper(dram.MapperXORFold),
 		WithFaultModel(dram.FaultModel{
 			WeakCellDensity: 1.2e-5,
@@ -53,7 +53,7 @@ var builtins = []Spec{
 	),
 	New("server-1g",
 		WithDescription("1 GiB server module: 16 banks x 16 Ki rows, slower cells, deeper watermark reserve"),
-		WithGeometry(dram.Geometry{Channels: 1, DIMMs: 1, Ranks: 1, Banks: 16, Rows: 16384, RowBytes: 4096}),
+		WithGeometry(dram.Geometry{Banks: 16, Rows: 16384, RowBytes: 4096}),
 		WithFaultModel(dram.FaultModel{
 			WeakCellDensity: 1e-5,
 			BaseThreshold:   8000,
@@ -68,7 +68,7 @@ var builtins = []Spec{
 	),
 	New("trr-hardened",
 		WithDescription("the fast module shipped with an in-DRAM TRR sampler (tracker 8, threshold 250)"),
-		WithGeometry(dram.Geometry{Channels: 1, DIMMs: 1, Ranks: 1, Banks: 4, Rows: 1024, RowBytes: 8192}),
+		WithGeometry(dram.Geometry{Banks: 4, Rows: 1024, RowBytes: 8192}),
 		WithFaultModel(dram.FaultModel{
 			WeakCellDensity: 2e-4,
 			BaseThreshold:   1500,

@@ -26,7 +26,7 @@ func ExampleNames() {
 // lowers it onto the kernel layer — the path every scenario run takes.
 func ExampleSpec_KernelConfig() {
 	ms := machine.New("",
-		machine.WithGeometry(dram.Geometry{Channels: 1, DIMMs: 1, Ranks: 1, Banks: 8, Rows: 2048, RowBytes: 4096}),
+		machine.WithGeometry(dram.Geometry{Banks: 8, Rows: 2048, RowBytes: 4096}),
 		machine.WithMapper(dram.MapperXORFold),
 		machine.WithCPUs(4),
 	)

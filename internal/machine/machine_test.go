@@ -100,7 +100,7 @@ func TestCatalogueContract(t *testing.T) {
 // Validate must join every violation into one report.
 func TestValidateJoinsErrors(t *testing.T) {
 	s := New("bad",
-		WithGeometry(dram.Geometry{Channels: 1, DIMMs: 1, Ranks: 1, Banks: 3, Rows: 16, RowBytes: 64}),
+		WithGeometry(dram.Geometry{Banks: 3, Rows: 16, RowBytes: 64}),
 		WithMapper("warp"),
 		WithCPUs(0),
 		WithPCP(10, 5),
@@ -176,6 +176,28 @@ func TestNameAndHash(t *testing.T) {
 	c.Mapper = dram.MapperXORFold
 	if c.Hash() == a.Hash() {
 		t.Fatal("mapper kind does not enter the hash")
+	}
+	// Every built-in machine's hash is pinned: it seeds experiment rows and
+	// names inline-machine specs, so the canonical encoding must not drift.
+	pinned := map[string]uint64{
+		"ddr4":         0x8fd52f57eb20401c,
+		"default":      0x823c3a87e4b31cec,
+		"fast":         0x7255afbad69d1757,
+		"server-1g":    0x985f753e70bec8d1,
+		"trr-hardened": 0xf25604809a713a31,
+	}
+	for _, name := range Names() {
+		want, ok := pinned[name]
+		if !ok {
+			t.Errorf("built-in machine %q has no pinned hash", name)
+			continue
+		}
+		if got := MustGet(name).Hash(); got != want {
+			t.Errorf("machine %s: Hash() = %#x, want %#x", name, got, want)
+		}
+	}
+	if len(Names()) != len(pinned) {
+		t.Errorf("%d built-in machines, %d pinned hashes", len(Names()), len(pinned))
 	}
 }
 

@@ -207,11 +207,13 @@ func okGeometry(g dram.Geometry) dram.Geometry {
 
 // canonical renders every semantic field (Description excluded) into a
 // deterministic string — the input to Hash and the derived name of
-// anonymous specs.
+// anonymous specs.  The literal "g=1.1.1." prefix encodes the one channel,
+// DIMM and rank of every module: it keeps every machine hash stable, and
+// with them the names of inline-machine specs.
 func (s Spec) canonical() string {
 	g, fm := s.Geometry, s.FaultModel
-	return fmt.Sprintf("g=%d.%d.%d.%d.%d.%d;map=%s;fm=%g,%d,%g,%g,%d,%g;trr=%v,%d,%d;ecc=%d;cpu=%d;pcp=%d,%d;wm=%d;atk=%d,%d,%d",
-		g.Channels, g.DIMMs, g.Ranks, g.Banks, g.Rows, g.RowBytes,
+	return fmt.Sprintf("g=1.1.1.%d.%d.%d;map=%s;fm=%g,%d,%g,%g,%d,%g;trr=%v,%d,%d;ecc=%d;cpu=%d;pcp=%d,%d;wm=%d;atk=%d,%d,%d",
+		g.Banks, g.Rows, g.RowBytes,
 		s.MapperName(),
 		fm.WeakCellDensity, fm.BaseThreshold, fm.ThresholdSpread, fm.NeighbourWeight, fm.RefreshInterval, fm.FlipReliability,
 		fm.TRR.Enabled, fm.TRR.TrackerSize, fm.TRR.Threshold, fm.ECC,

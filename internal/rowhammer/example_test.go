@@ -16,7 +16,7 @@ import (
 func ExampleEngine() {
 	cfg := kernel.DefaultConfig()
 	cfg.Seed = 7
-	cfg.Geometry = dram.Geometry{Channels: 1, DIMMs: 1, Ranks: 1, Banks: 4, Rows: 1024, RowBytes: 8192}
+	cfg.Geometry = dram.Geometry{Banks: 4, Rows: 1024, RowBytes: 8192}
 	cfg.FaultModel = dram.FaultModel{
 		WeakCellDensity: 1e-4, // a weak module, the attack's favourable case
 		BaseThreshold:   4000,

@@ -70,7 +70,7 @@ type Config struct {
 // victim row.
 type Aggressors struct {
 	VictimRow int           // DRAM row index under attack
-	Bank      int           // dense bank-group index
+	Bank      int           // bank index
 	Upper     vm.VirtAddr   // address in row-1 (or the single aggressor)
 	Lower     vm.VirtAddr   // address in row+1 (zero for single-sided)
 	Decoys    []vm.VirtAddr // tracker-thrashing rows for many-sided mode
@@ -137,7 +137,7 @@ func (e *Engine) rowOf(va vm.VirtAddr) (dram.Addr, bool) {
 }
 
 // rowMap records where the attacker's resident pages sit in DRAM: the pages
-// of each (bank group, row) in address order — a row can hold several of them
+// of each (bank, row) in address order — a row can hold several of them
 // (8 KiB row = 2 pages with the default geometry) — and the occupied rows
 // sorted by (bank, row), the fixed order templating scans them in (map order
 // would make the discovered site, and hence the whole attack trace,
@@ -151,14 +151,13 @@ type rowMap struct {
 // each page once.  Non-resident pages are skipped.
 func (e *Engine) mapRows(base vm.VirtAddr, length uint64) *rowMap {
 	rows := &rowMap{pages: make(map[[2]int][]vm.VirtAddr)}
-	mapper := e.dev.Mapper()
 	for off := uint64(0); off < length; off += vm.PageSize {
 		va := base + vm.VirtAddr(off)
 		a, ok := e.rowOf(va)
 		if !ok {
 			continue
 		}
-		key := [2]int{mapper.BankGroup(a), a.Row}
+		key := [2]int{a.Bank, a.Row}
 		if _, dup := rows.pages[key]; !dup {
 			rows.keys = append(rows.keys, key)
 		}
@@ -173,10 +172,10 @@ func (e *Engine) mapRows(base vm.VirtAddr, length uint64) *rowMap {
 	return rows
 }
 
-// bank returns the occupied rows of bank group bg in ascending row order.
-func (rows *rowMap) bank(bg int) [][2]int {
-	lo := sort.Search(len(rows.keys), func(i int) bool { return rows.keys[i][0] >= bg })
-	hi := sort.Search(len(rows.keys), func(i int) bool { return rows.keys[i][0] > bg })
+// bank returns the occupied rows of the given bank in ascending row order.
+func (rows *rowMap) bank(bank int) [][2]int {
+	lo := sort.Search(len(rows.keys), func(i int) bool { return rows.keys[i][0] >= bank })
+	hi := sort.Search(len(rows.keys), func(i int) bool { return rows.keys[i][0] > bank })
 	return rows.keys[lo:hi]
 }
 
@@ -189,33 +188,33 @@ func (e *Engine) FindAggressors(target vm.VirtAddr, base vm.VirtAddr, length uin
 	if !ok {
 		return Aggressors{}, fmt.Errorf("rowhammer: target %#x not resident", uint64(target))
 	}
-	return e.aggressorsFor(e.mapRows(base, length), e.dev.Mapper().BankGroup(ta), ta.Row)
+	return e.aggressorsFor(e.mapRows(base, length), ta.Bank, ta.Row)
 }
 
-// aggressorsFor selects the aggressors that hammer row of bank group bg in
+// aggressorsFor selects the aggressors that hammer (bank, row) in
 // the engine's mode, using the first page of each aggressor row in rows.
 // Row adjacency comes from the mapper, never from index arithmetic: which row
 // is the electrical neighbour (and whether one exists at the bank edge) is a
 // property of the machine's topology.
-func (e *Engine) aggressorsFor(rows *rowMap, bg, row int) (Aggressors, error) {
+func (e *Engine) aggressorsFor(rows *rowMap, bank, row int) (Aggressors, error) {
 	mapper := e.dev.Mapper()
 	near1, near1OK := mapper.AdjacentRow(row, -1)
 	near2, near2OK := mapper.AdjacentRow(row, +1)
-	up, down := rows.pages[[2]int{bg, near1}], rows.pages[[2]int{bg, near2}]
+	up, down := rows.pages[[2]int{bank, near1}], rows.pages[[2]int{bank, near2}]
 	upOK, downOK := near1OK && len(up) > 0, near2OK && len(down) > 0
 	switch e.cfg.Mode {
 	case DoubleSided, ManySided:
 		if !upOK || !downOK {
 			return Aggressors{}, fmt.Errorf("rowhammer: no double-sided aggressors for row %d", row)
 		}
-		agg := Aggressors{VictimRow: row, Bank: bg, Upper: up[0], Lower: down[0], Mode: e.cfg.Mode}
+		agg := Aggressors{VictimRow: row, Bank: bank, Upper: up[0], Lower: down[0], Mode: e.cfg.Mode}
 		if e.cfg.Mode == DoubleSided {
 			return agg, nil
 		}
 		// Decoys: rows far enough from the victim (distance > 3) to add no
 		// disturbance, only TRR tracker pressure, by ascending row so a
 		// given layout always yields the same decoy set.
-		for _, key := range rows.bank(bg) {
+		for _, key := range rows.bank(bank) {
 			if len(agg.Decoys) >= e.cfg.Decoys {
 				break
 			}
@@ -225,7 +224,7 @@ func (e *Engine) aggressorsFor(rows *rowMap, bg, row int) (Aggressors, error) {
 		}
 		if len(agg.Decoys) < e.cfg.Decoys {
 			return Aggressors{}, fmt.Errorf("rowhammer: fewer than %d decoy rows available in bank %d",
-				e.cfg.Decoys, bg)
+				e.cfg.Decoys, bank)
 		}
 		return agg, nil
 	default:
@@ -241,13 +240,13 @@ func (e *Engine) aggressorsFor(rows *rowMap, bg, row int) (Aggressors, error) {
 		}
 		// The far row is the lowest-numbered same-bank row outside the
 		// victim's neighbourhood.
-		for _, key := range rows.bank(bg) {
+		for _, key := range rows.bank(bank) {
 			if key[1] == row || (near1OK && key[1] == near1) || (near2OK && key[1] == near2) {
 				continue
 			}
-			return Aggressors{VictimRow: row, Bank: bg, Upper: near, Lower: rows.pages[key][0], Mode: SingleSided}, nil
+			return Aggressors{VictimRow: row, Bank: bank, Upper: near, Lower: rows.pages[key][0], Mode: SingleSided}, nil
 		}
-		return Aggressors{}, fmt.Errorf("rowhammer: no conflict row in bank %d", bg)
+		return Aggressors{}, fmt.Errorf("rowhammer: no conflict row in bank %d", bank)
 	}
 }
 

@@ -14,7 +14,7 @@ import (
 func testMachine(t *testing.T, density float64, seed uint64) (*kernel.Machine, *kernel.Process) {
 	t.Helper()
 	cfg := kernel.DefaultConfig()
-	cfg.Geometry = dram.Geometry{Channels: 1, DIMMs: 1, Ranks: 1, Banks: 4, Rows: 512, RowBytes: 8192}
+	cfg.Geometry = dram.Geometry{Banks: 4, Rows: 512, RowBytes: 8192}
 	cfg.FaultModel = dram.FaultModel{
 		WeakCellDensity: density,
 		BaseThreshold:   2000,
@@ -69,7 +69,7 @@ func TestFindAggressorsDoubleSided(t *testing.T) {
 	ua, _ := p.Translate(agg.Upper)
 	la, _ := p.Translate(agg.Lower)
 	td, ud, ld := mapper.ToDRAM(ta), mapper.ToDRAM(ua), mapper.ToDRAM(la)
-	if mapper.BankGroup(ud) != mapper.BankGroup(td) || mapper.BankGroup(ld) != mapper.BankGroup(td) {
+	if ud.Bank != td.Bank || ld.Bank != td.Bank {
 		t.Fatal("aggressors not in the victim's bank")
 	}
 	if ud.Row != td.Row-1 || ld.Row != td.Row+1 {
@@ -102,7 +102,7 @@ func TestFindAggressorsSingleSided(t *testing.T) {
 	if fd.Row == td.Row || fd.Row == td.Row-1 || fd.Row == td.Row+1 {
 		t.Fatalf("far conflict row %d too close to victim %d", fd.Row, td.Row)
 	}
-	if mapper.BankGroup(fd) != mapper.BankGroup(td) {
+	if fd.Bank != td.Bank {
 		t.Fatal("far row in wrong bank")
 	}
 }
@@ -239,7 +239,7 @@ func TestHammerBelowThresholdNoFlips(t *testing.T) {
 	mapper := m.DRAM().Mapper()
 	da := mapper.ToDRAM(pa)
 	m.DRAM().PlantWeakCell(dram.WeakCell{
-		Bank: mapper.BankGroup(da), Row: da.Row, ByteInRow: da.Col + 7,
+		Bank: da.Bank, Row: da.Row, ByteInRow: da.Col + 7,
 		Bit: 4, Threshold: 2000, FlipTo: 0,
 	})
 	if err := p.Store(target+7, 0xFF); err != nil {
@@ -315,7 +315,7 @@ func TestFindAggressorsManySided(t *testing.T) {
 	for _, dva := range agg.Decoys {
 		pa, _ := p.Translate(dva)
 		da := mapper.ToDRAM(pa)
-		if mapper.BankGroup(da) != mapper.BankGroup(td) {
+		if da.Bank != td.Bank {
 			t.Fatal("decoy in wrong bank")
 		}
 		if dr := da.Row - td.Row; dr >= -3 && dr <= 3 {
@@ -329,7 +329,7 @@ func TestFindAggressorsManySided(t *testing.T) {
 func TestManySidedBeatsTRR(t *testing.T) {
 	build := func(mode Mode, decoys int) (*kernel.Machine, *kernel.Process, *Engine, vm.VirtAddr) {
 		cfg := kernel.DefaultConfig()
-		cfg.Geometry = dram.Geometry{Channels: 1, DIMMs: 1, Ranks: 1, Banks: 4, Rows: 512, RowBytes: 8192}
+		cfg.Geometry = dram.Geometry{Banks: 4, Rows: 512, RowBytes: 8192}
 		cfg.FaultModel = dram.FaultModel{
 			WeakCellDensity: 0,
 			BaseThreshold:   2000,
@@ -356,7 +356,7 @@ func TestManySidedBeatsTRR(t *testing.T) {
 		pa, _ := p.Translate(target)
 		da := m.DRAM().Mapper().ToDRAM(pa)
 		m.DRAM().PlantWeakCell(dram.WeakCell{
-			Bank: m.DRAM().Mapper().BankGroup(da), Row: da.Row,
+			Bank: da.Bank, Row: da.Row,
 			ByteInRow: da.Col, Bit: 2, Threshold: 2000, FlipTo: 0,
 		})
 		if err := p.Store(target, 0xFF); err != nil {
@@ -408,7 +408,7 @@ func TestReproduceTwoCellsInOneByte(t *testing.T) {
 	da := mapper.ToDRAM(pa)
 	for _, bit := range []uint8{2, 5} {
 		m.DRAM().PlantWeakCell(dram.WeakCell{
-			Bank: mapper.BankGroup(da), Row: da.Row, ByteInRow: da.Col,
+			Bank: da.Bank, Row: da.Row, ByteInRow: da.Col,
 			Bit: bit, Threshold: 2000, FlipTo: 0,
 		})
 	}

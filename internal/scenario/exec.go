@@ -67,12 +67,9 @@ func (s Spec) AttackConfig() (core.Config, error) {
 		cfg.Hammer.Mode = hammerMode(s.Hammer.Mode)
 	}
 	cfg.Hammer.Decoys = s.Hammer.Decoys
-	if s.Hammer.Pairs > 0 {
-		cfg.Hammer.PairHammerCount = s.Hammer.Pairs
-	}
 	if s.Defences.TRR {
 		cfg.Machine.FaultModel.TRR = dram.TRRConfig{
-			Enabled: true, TrackerSize: s.trrTracker(), Threshold: s.trrThreshold(),
+			Enabled: true, TrackerSize: trrTracker, Threshold: trrThreshold,
 		}
 	}
 	if s.Defences.ECC {

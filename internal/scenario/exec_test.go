@@ -26,7 +26,7 @@ func fastAttackConfig(seed uint64) core.Config {
 	cfg := core.DefaultConfig()
 	cfg.Seed = seed
 	cfg.Machine.Seed = seed
-	cfg.Machine.Geometry = dram.Geometry{Channels: 1, DIMMs: 1, Ranks: 1, Banks: 4, Rows: 1024, RowBytes: 8192}
+	cfg.Machine.Geometry = dram.Geometry{Banks: 4, Rows: 1024, RowBytes: 8192}
 	cfg.Machine.FaultModel = dram.FaultModel{
 		WeakCellDensity: 2e-4,
 		BaseThreshold:   1500,
@@ -46,7 +46,7 @@ func fastAttackConfig(seed uint64) core.Config {
 // book byte-identical across the API redesign.
 func TestAttackConfigMatchesHandMutation(t *testing.T) {
 	spec := New(WithProfile(ProfileFast), WithSeed(77), WithTrials(10),
-		WithNoise(2, 150), WithTRR(0, 0), WithManySided(8))
+		WithNoise(2, 150), WithTRR(), WithManySided(8))
 	got, err := spec.AttackConfig()
 	if err != nil {
 		t.Fatal(err)

@@ -4,9 +4,6 @@ package scenario
 // "many-sided").
 func WithHammerMode(mode string) Option { return func(s *Spec) { s.Hammer.Mode = mode } }
 
-// WithHammerPairs overrides the activation pairs per hammer run.
-func WithHammerPairs(n int) Option { return func(s *Spec) { s.Hammer.Pairs = n } }
-
 // WithEvictionSet sets a CacheProbe-kind scenario's lines per eviction
 // set; apply it after WithProbe.
 func WithEvictionSet(lines int) Option {

@@ -64,12 +64,12 @@ func Presets() []Preset {
 		{
 			Name:        "trr",
 			Description: "double-sided hammering against TRR(track=4,thr=300)",
-			Spec:        New(WithLabel("trr"), WithTRR(0, 0)),
+			Spec:        New(WithLabel("trr"), WithTRR()),
 		},
 		{
 			Name:        "trrespass",
 			Description: "many-sided hammering (8 decoys) bypassing the TRR tracker",
-			Spec:        New(WithLabel("trrespass"), WithTRR(0, 0), WithManySided(8)),
+			Spec:        New(WithLabel("trrespass"), WithTRR(), WithManySided(8)),
 		},
 		{
 			Name:        "ecc",

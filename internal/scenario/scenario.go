@@ -86,19 +86,20 @@ type HammerSpec struct {
 	Mode string `json:"mode,omitempty"`
 	// Decoys is the tracker-thrashing row count; requires many-sided mode.
 	Decoys int `json:"decoys,omitempty"`
-	// Pairs overrides the activation pairs per hammer run (0 = profile
-	// default).
-	Pairs int `json:"pairs,omitempty"`
 }
+
+// The TRR sampler a spec deploys: trrTracker rows tracked per bank, and a
+// neighbour refresh after trrThreshold activations of a tracked row (the
+// E13 setting).
+const (
+	trrTracker   = 4
+	trrThreshold = 300
+)
 
 // DefenceSpec declares the deployed DRAM mitigations.
 type DefenceSpec struct {
-	// TRR enables target-row-refresh with the given tracker geometry.
+	// TRR enables the target-row-refresh sampler (trrTracker, trrThreshold).
 	TRR bool `json:"trr,omitempty"`
-	// TRRTracker is the TRR tracker size (0 = 4, the E13 setting).
-	TRRTracker int `json:"trr_tracker,omitempty"`
-	// TRRThreshold is the TRR refresh threshold (0 = 300).
-	TRRThreshold int `json:"trr_threshold,omitempty"`
 	// ECC enables SEC-DED correction on reads.
 	ECC bool `json:"ecc,omitempty"`
 }
@@ -274,15 +275,9 @@ func WithTrials(n int) Option { return func(s *Spec) { s.Trials = n } }
 // WithCipher names the victim cipher.
 func WithCipher(name string) Option { return func(s *Spec) { s.Cipher = name } }
 
-// WithTRR deploys target-row-refresh with the given tracker size and
-// refresh threshold (0, 0 selects the 4/300 E13 setting).
-func WithTRR(tracker, threshold int) Option {
-	return func(s *Spec) {
-		s.Defences.TRR = true
-		s.Defences.TRRTracker = tracker
-		s.Defences.TRRThreshold = threshold
-	}
-}
+// WithTRR deploys target-row-refresh with the E13 sampler (4 tracked rows
+// per bank, threshold 300).
+func WithTRR() Option { return func(s *Spec) { s.Defences.TRR = true } }
 
 // WithECC deploys SEC-DED correction.
 func WithECC() Option { return func(s *Spec) { s.Defences.ECC = true } }
@@ -452,15 +447,6 @@ func (s Spec) Validate() error {
 	}
 	if s.Hammer.Decoys > 0 && s.Hammer.Mode != "many-sided" {
 		fail("hammer.decoys: %d decoy rows need many-sided mode (got %q)", s.Hammer.Decoys, s.Hammer.Mode)
-	}
-	if s.Hammer.Pairs < 0 {
-		fail("hammer.pairs: %d, want >= 0", s.Hammer.Pairs)
-	}
-	if s.Defences.TRRTracker < 0 || s.Defences.TRRThreshold < 0 {
-		fail("defences: negative TRR tracker/threshold (%d, %d)", s.Defences.TRRTracker, s.Defences.TRRThreshold)
-	}
-	if (s.Defences.TRRTracker > 0 || s.Defences.TRRThreshold > 0) && !s.Defences.TRR {
-		fail("defences: TRR tracker/threshold set but trr is false")
 	}
 	if s.Noise.Procs < 0 || s.Noise.Ops < 0 {
 		fail("noise: negative procs/ops (%d, %d)", s.Noise.Procs, s.Noise.Ops)
@@ -663,11 +649,8 @@ func (s Spec) Name() string {
 	if s.Hammer.Decoys > 0 {
 		fmt.Fprintf(&b, "(%d)", s.Hammer.Decoys)
 	}
-	if s.Hammer.Pairs > 0 {
-		fmt.Fprintf(&b, "+pairs=%d", s.Hammer.Pairs)
-	}
 	if s.Defences.TRR {
-		fmt.Fprintf(&b, "+trr(%d,%d)", s.trrTracker(), s.trrThreshold())
+		fmt.Fprintf(&b, "+trr(%d,%d)", trrTracker, trrThreshold)
 	}
 	if s.Defences.ECC {
 		b.WriteString("+ecc")
@@ -718,22 +701,6 @@ func (s Spec) Title() string {
 		return s.Label
 	}
 	return s.Name()
-}
-
-// trrTracker resolves the TRR tracker-size default (the E13 setting).
-func (s Spec) trrTracker() int {
-	if s.Defences.TRRTracker > 0 {
-		return s.Defences.TRRTracker
-	}
-	return 4
-}
-
-// trrThreshold resolves the TRR threshold default (the E13 setting).
-func (s Spec) trrThreshold() int {
-	if s.Defences.TRRThreshold > 0 {
-		return s.Defences.TRRThreshold
-	}
-	return 300
 }
 
 // Hash returns a 64-bit FNV-1a digest of the canonical Name — stable

@@ -18,11 +18,11 @@ func sampleSpecs() []Spec {
 		New(),
 		New(WithLabel("noisy row"), WithNoise(2, 150), WithTrials(10), WithSeed(42)),
 		New(WithProfile(ProfileFast), WithCipher("present-80"), WithCrossCPU()),
-		New(WithTRR(4, 300), WithManySided(8), WithHammerPairs(6400)),
+		New(WithTRR(), WithManySided(8)),
 		New(WithECC(), WithSleepingAttacker(), WithCiphertexts(4000)),
 		New(WithKind(Steering), WithPCPFIFO(), WithVictimPages(16), WithNoIdleDrain(), WithTrials(25)),
 		New(WithProfile(ProfileFast), WithBaseline("pagemap-targeted"), WithTrials(12)),
-		New(WithBaseline("random-spray"), WithCrossCPU(), WithTRR(4, 300), WithNoise(1, 10), WithCiphertexts(100), WithTrials(2)),
+		New(WithBaseline("random-spray"), WithCrossCPU(), WithTRR(), WithNoise(1, 10), WithCiphertexts(100), WithTrials(2)),
 		New(WithKind(PFA), WithCipher("lilliput-80"), WithBudget(500), WithTrials(16)),
 		New(WithKind(DFA), WithTrials(8)),
 		New(WithFaultModel(fault.New(fault.PreciseByte)), WithTrials(8)),
@@ -62,17 +62,53 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 }
 
 // A typoed field in a scenario file must fail the decode, not silently run
-// a different scenario.
+// a different scenario.  So must a field the spec no longer has: the
+// hammer-pairs and TRR-tracker knobs, the fault model's pinned round and
+// the geometry's channel, DIMM and rank counts.
 func TestDecodeSpecRejectsUnknownFields(t *testing.T) {
 	if _, err := DecodeSpec([]byte(`{"kind":"attack","seed":1,"trials":1,"cihper":"aes"}`)); err == nil {
 		t.Fatal("unknown field decoded without error")
+	}
+	machineJSON, err := machine.MustGet("fast").EncodeJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	inline := `{"kind":"attack","seed":1,"trials":1,"machine":` + string(machineJSON) + `}`
+	geometry := func(field string) string {
+		return strings.Replace(inline, `"geometry": {`, `"geometry": {"`+field+`": 1,`, 1)
+	}
+	attack := func(section, fields string) string {
+		return `{"kind":"attack","seed":1,"trials":1,"` + section + `":{` + fields + `}}`
+	}
+	dfa := func(fields string) string {
+		return `{"kind":"dfa","seed":1,"trials":1,"fault":{"kind":"nibble","position":-1` + fields + `}}`
+	}
+	cases := []struct {
+		field, base, removed string
+	}{
+		{"pairs", attack("hammer", ``), attack("hammer", `"pairs":6400`)},
+		{"trr_tracker", attack("defences", `"trr":true`), attack("defences", `"trr":true,"trr_tracker":4`)},
+		{"trr_threshold", attack("defences", `"trr":true`), attack("defences", `"trr":true,"trr_threshold":300`)},
+		{"round", dfa(``), dfa(`,"round":29`)},
+		{"channels", inline, geometry("channels")},
+		{"dimms", inline, geometry("dimms")},
+		{"ranks", inline, geometry("ranks")},
+	}
+	for _, tc := range cases {
+		if _, err := DecodeSpec([]byte(tc.base)); err != nil {
+			t.Errorf("%s: base spec rejected: %v", tc.field, err)
+		}
+		_, err := DecodeSpec([]byte(tc.removed))
+		if err == nil || !strings.Contains(err.Error(), `unknown field "`+tc.field+`"`) {
+			t.Errorf("%s: removed field decoded, err = %v", tc.field, err)
+		}
 	}
 }
 
 // hugeMachine is a 2^49-byte module: sized without a cap, booting it would
 // exhaust the host's memory instead of failing validation.
 func hugeMachine() machine.Spec {
-	return machine.New("huge", machine.WithGeometry(dram.Geometry{Channels: 1, DIMMs: 1, Ranks: 1, Banks: 8, Rows: 1 << 33, RowBytes: 8192}))
+	return machine.New("huge", machine.WithGeometry(dram.Geometry{Banks: 8, Rows: 1 << 33, RowBytes: 8192}))
 }
 
 // The Validate rejection table: every entry must fail with a message
@@ -99,10 +135,10 @@ func TestValidateRejections(t *testing.T) {
 		{"zero trials", New(WithTrials(0)), "trials"},
 		{"negative trials", New(WithTrials(-3)), "trials"},
 		{"trials beyond the cap", New(WithKind(PFA), WithTrials(1<<50)), "trials"},
-		{"trr on pfa kind", New(WithKind(PFA), WithTRR(4, 300)), "defences: {\"trr\":true,\"trr_tracker\":4,\"trr_threshold\":300} set on kind \"pfa\" (only kinds attack and baseline use it)"},
+		{"trr on pfa kind", New(WithKind(PFA), WithTRR()), "defences: {\"trr\":true} set on kind \"pfa\" (only kinds attack and baseline use it)"},
 		{"ecc on steering kind", New(WithKind(Steering), WithECC()), "defences"},
 		{"hammer on dfa kind", New(WithKind(DFA), WithManySided(8)), "hammer"},
-		{"hammer on steering kind", New(WithKind(Steering), WithHammerPairs(100)), "hammer"},
+		{"hammer on steering kind", New(WithKind(Steering), WithHammerMode("single-sided")), "hammer"},
 		{"noise on cache-probe kind", New(WithProbe(cache.TechPrimeProbe), WithNoise(2, 150)), "only kinds attack, baseline and steering"},
 		{"attacker on pfa kind", New(WithKind(PFA), WithCrossCPU()), "attacker"},
 		{"victim on dfa kind", New(WithKind(DFA), WithVictimPages(8)), "victim"},
@@ -116,8 +152,6 @@ func TestValidateRejections(t *testing.T) {
 		{"unknown hammer mode", New(WithHammerMode("quad-sided")), "hammer.mode"},
 		{"decoys without many-sided", New().With(func(s *Spec) { s.Hammer.Decoys = 8 }), "many-sided"},
 		{"negative decoys", New(WithManySided(-1)), "decoys"},
-		{"negative pairs", New(WithHammerPairs(0)).With(func(s *Spec) { s.Hammer.Pairs = -5 }), "pairs"},
-		{"trr geometry without trr", New().With(func(s *Spec) { s.Defences.TRRTracker = 4 }), "trr is false"},
 		{"negative noise", New().With(func(s *Spec) { s.Noise.Ops = -1 }), "noise"},
 		{"negative victim pages", New(WithVictimPages(-4)), "victim.request_pages"},
 		{"negative ciphertext budget", New(WithCiphertexts(-1)), "ciphertexts"},
@@ -282,5 +316,26 @@ func TestNameAndHash(t *testing.T) {
 	}
 	if s := New(WithLabel("x")); s.Title() != "x" {
 		t.Fatal("Title should prefer the label")
+	}
+	// The TRR presets' names and hashes are pinned: they name service
+	// campaigns and seed experiment rows, so the sampler constants behind
+	// "+trr(4,300)" must not drift.
+	for _, pin := range []struct {
+		preset, name string
+		hash         uint64
+	}{
+		{"trr", "attack:aes-128:seed1:x1+trr(4,300)", 0xd36baf926a673a20},
+		{"trrespass", "attack:aes-128:seed1:x1+many-sided(8)+trr(4,300)", 0xab688192f961b213},
+	} {
+		p, ok := LookupPreset(pin.preset)
+		if !ok {
+			t.Fatalf("preset %q missing", pin.preset)
+		}
+		if got := p.Spec.Name(); got != pin.name {
+			t.Errorf("preset %s: Name() = %q, want %q", pin.preset, got, pin.name)
+		}
+		if got := p.Spec.Hash(); got != pin.hash {
+			t.Errorf("preset %s: Hash() = %#x, want %#x", pin.preset, got, pin.hash)
+		}
 	}
 }

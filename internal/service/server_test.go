@@ -403,7 +403,7 @@ func TestServerRejectsBadSubmissions(t *testing.T) {
 func TestServerRejectsOversizedMachine(t *testing.T) {
 	_, c, stop := testServer(t, t.TempDir())
 	defer stop()
-	huge := machine.New("huge", machine.WithGeometry(dram.Geometry{Channels: 1, DIMMs: 1, Ranks: 1, Banks: 8, Rows: 1 << 33, RowBytes: 8192}))
+	huge := machine.New("huge", machine.WithGeometry(dram.Geometry{Banks: 8, Rows: 1 << 33, RowBytes: 8192}))
 	camp := scenario.Campaign{Name: "huge", Specs: []scenario.Spec{
 		scenario.New(scenario.WithMachine(huge), scenario.WithTrials(1)),
 	}}

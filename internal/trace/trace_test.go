@@ -18,7 +18,7 @@ import (
 func testMachine(t *testing.T) *kernel.Machine {
 	t.Helper()
 	cfg := kernel.DefaultConfig()
-	cfg.Geometry = dram.Geometry{Channels: 1, DIMMs: 1, Ranks: 1, Banks: 4, Rows: 512, RowBytes: 8192}
+	cfg.Geometry = dram.Geometry{Banks: 4, Rows: 512, RowBytes: 8192}
 	m, err := kernel.NewMachine(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -71,11 +71,6 @@ type Addr struct {
 	Col  int // byte offset within the row
 }
 
-// String renders the address in a compact bank/row/col form.
-func (a Addr) String() string {
-	return fmt.Sprintf("b%d.row%d.col%d", a.Bank, a.Row, a.Col)
-}
-
 // log2 returns floor(log2(v)) for a power-of-two v.
 func log2(v int) uint {
 	n := uint(0)

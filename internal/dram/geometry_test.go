@@ -137,10 +137,3 @@ func TestSameBankRow(t *testing.T) {
 		t.Fatalf("SameBankRow col = %d, want 0", b.Col)
 	}
 }
-
-func TestAddrString(t *testing.T) {
-	a := Addr{Bank: 3, Row: 42, Col: 17}
-	if got := a.String(); got != "b3.row42.col17" {
-		t.Fatalf("Addr.String() = %q", got)
-	}
-}

@@ -1,10 +1,10 @@
 // Package experiments contains one driver per experiment in the
 // reconstructed evaluation (E1–E18).  Each driver returns a typed
 // report.Table (cells carry kinds and numeric values, columns carry units,
-// expectations carry the paper's reported numbers) that cmd/benchtab and
-// cmd/report render and the root BenchmarkTable times, so the paper's
-// tables and figures regenerate from a single code path; the table tests
-// pin every table at seed 1 to its entry in the results book
+// expectations carry the paper's reported numbers) that cmd/report renders,
+// as the results book or with -format, and the root BenchmarkTable times,
+// so the paper's tables and figures regenerate from a single code path; the
+// table tests pin every table at seed 1 to its entry in the results book
 // (docs/results.json).
 package experiments
 

@@ -35,7 +35,7 @@ var (
 	// lilInvS is a package copy of the inverse S-box.
 	lilInvS = lilliput.InvSBox()
 	// lilTargets[j][b] is where PLayer sends bit b of source nibble j:
-	// uint64 bit 4j+b lands at 13*(4j+b) mod 64.
+	// uint64 bit 4j+b lands at lilliput.Engine.Perm[4j+b].
 	lilTargets [16][4]struct{ nib, bit int }
 	// lilTMask[j][e] is the set of target nibbles (as a 16-bit mask) lit by
 	// source nibble j emitting S-output difference e.
@@ -51,7 +51,7 @@ var (
 func init() {
 	for j := 0; j < 16; j++ {
 		for b := 0; b < 4; b++ {
-			p := (13 * (4*j + b)) & 63
+			p := int(lilliput.Engine.Perm[4*j+b])
 			lilTargets[j][b] = struct{ nib, bit int }{p / 4, p % 4}
 		}
 		for e := 0; e < 16; e++ {

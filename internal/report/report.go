@@ -4,11 +4,11 @@
 // score each table against the numbers the source paper reports, and
 // pluggable renderers (aligned text, GitHub Markdown, CSV, JSON).
 //
-// Every experiment driver in internal/experiments builds a *Table; the text
-// renderer reproduces the historical table layout byte-for-byte for
-// cmd/benchtab, while the Markdown and JSON renderers feed the generated
-// results book under docs/ (see cmd/report), which the experiment tests
-// compare every table against.
+// Every experiment driver in internal/experiments builds a *Table, and
+// cmd/report prints it in any of the four formats (-format).  The text
+// renderer reproduces the historical table layout byte-for-byte, while the
+// Markdown and JSON renderers also feed the generated results book under
+// docs/, which the experiment tests compare every table against.
 package report
 
 import (

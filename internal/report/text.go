@@ -6,7 +6,7 @@ import (
 )
 
 // Text renders the table as aligned plain text — byte-identical to the
-// historical experiments.Table.Render output that cmd/benchtab prints.
+// historical experiments.Table.Render output that cmd/report -format text prints.
 // Expectations are deliberately not rendered here: they belong to the
 // Markdown/JSON views of the results book.
 func Text(t *Table) (string, error) {
